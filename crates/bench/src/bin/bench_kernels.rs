@@ -2,6 +2,11 @@
 //! two-phase SpGEMM, and end-to-end preconditioner setup across worker
 //! counts, with machine-readable speedups in `BENCH_kernels.json`.
 //!
+//! A second scenario, `lu_dense_crossover`, times the sparse `LU` loop
+//! against its dense trailing-block kernel over block density × size
+//! (`BENCH_lu_dense.json`); it is the measurement behind the one
+//! constant that decides the hand-over (docs/kernels.md).
+//!
 //! Every parallel result is checked for **exact** equality against the
 //! serial run (the kernels promise byte-identical output); a mismatch
 //! aborts the process, which is what the CI smoke step relies on.
@@ -13,9 +18,9 @@ use pdslin::interface::{compute_interface_workers, ehat_columns_pivot, Interface
 use pdslin::rhs_order::{column_reaches, order_columns_precomputed};
 use pdslin::{Budget, Pdslin, PdslinConfig, RhsOrdering};
 use slu::trisolve::{SolveWorkspace, SparseVec};
-use slu::SupernodePlan;
+use slu::{LuConfig, LuFactors, SupernodePlan};
 use sparsekit::spgemm::spgemm_checked_workers;
-use sparsekit::Csr;
+use sparsekit::{Coo, Csr, Perm, Rng64};
 use std::time::Instant;
 
 pdslin_bench::json_record! {
@@ -29,6 +34,21 @@ pdslin_bench::json_record! {
         matches_serial: bool,
         nnz: usize,
         padded_zeros: u64,
+    }
+}
+
+pdslin_bench::json_record! {
+    struct DenseCrossoverRow {
+        size: usize,
+        density: f64,
+        /// `off` (all sparse), `on` (dense from step 0) or `auto`
+        /// (the density rule).
+        switch: String,
+        dense_start: usize,
+        factor_seconds: f64,
+        refactor_seconds: f64,
+        fill: usize,
+        same_fill_as_off: bool,
     }
 }
 
@@ -283,6 +303,99 @@ fn bench_supernodal(rows: &mut Vec<KernelRow>, scale: Scale) {
     );
 }
 
+/// A band matrix of order `m` and half-bandwidth `half`, full inside
+/// the band and diagonally dominant: under the natural order its
+/// factors fill exactly the band, so the density of the block the
+/// kernels work on is the matrix's own, and both paths pick the
+/// diagonal at every step (the fills must agree).
+fn band_matrix(m: usize, half: usize, rng: &mut Rng64) -> Csr {
+    let mut c = Coo::new(m, m);
+    for i in 0..m {
+        for j in i.saturating_sub(half)..(i + half + 1).min(m) {
+            let v = if i == j {
+                2.0 * (2 * half + 1) as f64
+            } else {
+                rng.f64_range(-1.0, 1.0)
+            };
+            c.push(i, j, v);
+        }
+    }
+    c.to_csr()
+}
+
+/// Sparse loop vs dense trailing-block kernel over block density ×
+/// size: `LuFactors::factorize` with the hand-over forced off, forced
+/// on at step 0, and left to the density rule, each followed by a
+/// `refactorize` of the same values. Best of `reps`.
+fn bench_lu_dense_crossover(scale: Scale) {
+    let (sizes, reps): (&[usize], usize) = match scale {
+        Scale::Test => (&[96, 192], 3),
+        Scale::Bench => (&[128, 256, 512, 1024], 7),
+    };
+    let densities: [f64; 10] = [0.01, 0.02, 0.04, 0.07, 0.10, 0.15, 0.22, 0.33, 0.5, 1.0];
+    let cfg = LuConfig::default();
+    let budget = Budget::unlimited();
+    let mut rng = Rng64::new(0xde5e);
+    let mut rows = Vec::new();
+    println!("\nlu_dense_crossover: sparse loop vs dense block (best of {reps})\n");
+    for &m in sizes {
+        let order = Perm::identity(m);
+        let mut last_half = None;
+        for &target in &densities {
+            // The band that holds `target · m²` cells; small blocks
+            // cannot tell the lowest targets apart.
+            let half = ((m as f64) * (1.0 - (1.0 - target).max(0.0).sqrt())).round() as usize;
+            if last_half.replace(half) == Some(half) {
+                continue;
+            }
+            let a = band_matrix(m, half, &mut rng);
+            let density = a.nnz() as f64 / (m * m) as f64;
+            let mut off_fill = 0;
+            for (switch, at) in [("off", Some(m)), ("on", Some(0)), ("auto", None)] {
+                let mut factor_seconds = f64::MAX;
+                let mut refactor_seconds = f64::MAX;
+                let mut lu = None;
+                for _ in 0..reps {
+                    let t0 = Instant::now();
+                    let mut f = LuFactors::factorize_at(&a, &order, &cfg, &budget, at)
+                        .expect("diagonally dominant");
+                    factor_seconds = factor_seconds.min(t0.elapsed().as_secs_f64());
+                    let t0 = Instant::now();
+                    f.refactorize(&a).expect("same values");
+                    refactor_seconds = refactor_seconds.min(t0.elapsed().as_secs_f64());
+                    lu = Some(f);
+                }
+                let lu = lu.expect("reps > 0");
+                if switch == "off" {
+                    off_fill = lu.fill();
+                }
+                let dense_start = lu.dense_start().expect("fresh factors");
+                println!(
+                    "m={m:<5} density {density:>6.3}  {switch:<4} start {dense_start:>5}  \
+                     factor {:>9.3} ms  refactor {:>9.3} ms",
+                    factor_seconds * 1e3,
+                    refactor_seconds * 1e3
+                );
+                rows.push(DenseCrossoverRow {
+                    size: m,
+                    density,
+                    switch: switch.to_string(),
+                    dense_start,
+                    factor_seconds,
+                    refactor_seconds,
+                    fill: lu.fill(),
+                    same_fill_as_off: lu.fill() == off_fill,
+                });
+            }
+        }
+    }
+    assert!(
+        rows.iter().all(|r| r.same_fill_as_off),
+        "the dense block changed the fill of a diagonally dominant band"
+    );
+    pdslin_bench::write_json("BENCH_lu_dense", &rows);
+}
+
 fn main() {
     let scale = pdslin_bench::scale_from_env();
     let (nx, ny) = match scale {
@@ -306,4 +419,5 @@ fn main() {
     }
     pdslin_bench::write_json("BENCH_kernels", &rows);
     println!("\nall parallel results matched serial exactly");
+    bench_lu_dense_crossover(scale);
 }

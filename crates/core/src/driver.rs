@@ -1371,8 +1371,9 @@ impl Pdslin {
 
     /// Aggregated arena counters across all solve lanes. `allocations`
     /// only advances when some arena had to *grow*, so a steady-state
-    /// workload shows `solves` climbing while `allocations` stays flat —
-    /// the observable form of the zero-allocation guarantee.
+    /// workload — one whose every lane has served a solve — shows
+    /// `solves` climbing while `allocations` and `lanes` stay flat: the
+    /// observable form of the zero-allocation guarantee.
     pub fn scratch_stats(&self) -> ScratchStats {
         ScratchStats {
             lanes: self.scratch.lanes.len(),

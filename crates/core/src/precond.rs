@@ -104,15 +104,14 @@ impl SchurApplyScratch {
                 grew = true;
             }
         }
-        if workers > 1 {
-            if self.chunk_workers != workers {
-                self.c_chunks = sys.c.nnz_balanced_chunks(workers);
-                self.chunk_workers = workers;
-                grew = true;
-            }
-        } else if !self.c_chunks.is_empty() {
-            self.c_chunks = Vec::new();
+        // A single-worker apply ignores the chunks but keeps them: a
+        // lane alternates between plain solves (all threads inside the
+        // kernels) and batches (one thread per lane), and must not
+        // rebuild them at every change.
+        if workers > 1 && self.chunk_workers != workers {
+            self.c_chunks = sys.c.nnz_balanced_chunks(workers);
             self.chunk_workers = workers;
+            grew = true;
         }
         if grew {
             self.allocations += 1;
@@ -180,7 +179,7 @@ impl LinearOperator for ImplicitSchur<'_> {
         let mut s = self.scratch.borrow_mut();
         s.prepare(self.sys, self.workers);
         // out = C y
-        if s.c_chunks.len() > 1 {
+        if self.workers > 1 && s.c_chunks.len() > 1 {
             self.sys.c.matvec_into_chunks(y, out, &s.c_chunks);
         } else {
             self.sys.c.matvec_into(y, out);

@@ -29,6 +29,7 @@
 //! ```
 
 pub mod blocked;
+mod dense;
 pub mod etree;
 pub mod hbmc;
 pub mod levels;

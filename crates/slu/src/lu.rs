@@ -1,8 +1,23 @@
 //! Gilbert–Peierls left-looking sparse LU with threshold partial
-//! pivoting (the algorithm family behind SuperLU).
+//! pivoting (the algorithm family behind SuperLU), with a dense
+//! trailing block.
+//!
+//! The sparse loop pays a DFS, an indirect scatter and a sort per
+//! column, which is wasted once the columns it produces are full. So
+//! the elimination watches the density of the block still to be
+//! factored (see [`DENSE_TAIL_DENSITY`]) and, once it is dense enough,
+//! finishes the remaining `m` columns in two steps: the usual sparse
+//! partial solve of each column against the *head* columns only,
+//! scattered into an `m × m` buffer, then [`crate::dense`]'s in-place
+//! LU of that buffer under the same pivot rule. The block is emitted
+//! into the same sorted CSC `L`/`U` with exact zeros dropped, so every
+//! consumer of the factors sees the pattern the all-sparse loop
+//! produces. [`LuFactors::refactorize`] replays the same split.
+//! docs/kernels.md ("Dense trailing block") has the measurements.
 
 use std::sync::OnceLock;
 
+use crate::dense;
 use crate::hbmc::{ScheduleError, TrisolveSchedule, HBMC_BLOCK, HBMC_EQUIV_TOL};
 use crate::levels::{SolvePlan, TriScratch};
 use sparsekit::budget::{Budget, BudgetInterrupt};
@@ -180,15 +195,144 @@ impl std::fmt::Display for RefactorizeError {
 
 impl std::error::Error for RefactorizeError {}
 
-/// The symbolic record of a factorisation: the per-step topological
-/// reach (original row ids, in the exact order the numeric loop visited
-/// them) plus, per reach entry, the flat index of the value slot it
-/// feeds in the assembled `L` or `U`. Replaying elimination against
-/// this record skips the DFS, the pivot search, and the CSC assembly —
-/// the entire pattern-dependent cost of [`LuFactors::factorize`].
+/// Density of the block still to be factored above which the rest of
+/// the elimination runs on the dense kernel.
+///
+/// Two quantities the loop already holds are tested against it at
+/// step `k`, with `m = n − k` columns to go. (1) The last `L` column:
+/// its `c` entries all lie in the `m` rows still unpivoted and, for a
+/// pattern that is roughly symmetric, `U`'s row fills the same
+/// positions, so the step left a `c × c` clique in the block — the
+/// block is at least `(c/m)²` dense. That is also the marginal rule:
+/// one more sparse step costs `≈ 2c²` flops at the sparse rate, one
+/// more dense step `2m²` at the dense rate, and the measured rates
+/// differ by this factor (the `lu_dense_crossover` table in
+/// docs/kernels.md). (2) What the loop holds: the entries of `L` and
+/// `U` so far plus the entries of `A` in the columns still to come
+/// must be at least this share of the `m²` buffer cells, so the buffer
+/// never outgrows the sparse storage by more than `1/DENSE_TAIL_DENSITY`
+/// — one dense column in an otherwise sparse matrix cannot buy an
+/// `n²` allocation. At step 0 there is no `L` column and (2) alone
+/// decides; there it is exactly the density of `A`.
+const DENSE_TAIL_DENSITY: f64 = 0.15;
+
+fn tail_is_dense(m: usize, held: usize, last_l_count: Option<usize>) -> bool {
+    let cells = DENSE_TAIL_DENSITY * (m as f64) * (m as f64);
+    held as f64 >= cells && last_l_count.is_none_or(|c| (c as f64) * (c as f64) >= cells)
+}
+
+/// A factor under construction: flat push-only row/value arrays plus
+/// column pointers, which *are* the CSC arrays once every column is
+/// sorted.
+struct ColArena {
+    ptr: Vec<usize>,
+    rows: Vec<usize>,
+    vals: Vec<f64>,
+}
+
+impl ColArena {
+    fn with_columns(n: usize) -> Self {
+        let mut ptr = Vec::with_capacity(n + 1);
+        ptr.push(0);
+        ColArena {
+            ptr,
+            rows: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, row: usize, val: f64) {
+        self.rows.push(row);
+        self.vals.push(val);
+    }
+
+    fn close_column(&mut self) {
+        self.ptr.push(self.rows.len());
+    }
+
+    fn nnz(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn col(&self, j: usize) -> (&[usize], &[f64]) {
+        let span = self.ptr[j]..self.ptr[j + 1];
+        (&self.rows[span.clone()], &self.vals[span])
+    }
+
+    /// Renames the rows of columns `..ncols` and sorts each by row.
+    fn sort_columns(&mut self, ncols: usize, map_row: impl Fn(usize) -> usize) {
+        let mut scratch: Vec<(usize, f64)> = Vec::new();
+        for j in 0..ncols {
+            let span = self.ptr[j]..self.ptr[j + 1];
+            scratch.clear();
+            scratch.extend(
+                self.rows[span.clone()]
+                    .iter()
+                    .zip(&self.vals[span.clone()])
+                    .map(|(&r, &v)| (map_row(r), v)),
+            );
+            scratch.sort_unstable_by_key(|&(r, _)| r);
+            for (t, &(r, v)) in span.zip(&scratch) {
+                self.rows[t] = r;
+                self.vals[t] = v;
+            }
+        }
+    }
+
+    /// The finished factor. The growth slack of the arrays is given
+    /// back: factors stay resident for the life of the solver.
+    fn into_csc(mut self, n: usize) -> Csc {
+        self.rows.shrink_to_fit();
+        self.vals.shrink_to_fit();
+        Csc::from_parts(n, n, self.ptr, self.rows, self.vals)
+    }
+}
+
+/// The dense trailing block while it is being filled and factored.
+struct DenseTail {
+    /// First elimination step of the block.
+    start: usize,
+    /// `m × m` column-major buffer, `m = n − start`.
+    buf: Vec<f64>,
+    /// Buffer row → original row; the first `kk` are pivotal after
+    /// `kk` dense steps, in pivot order.
+    rows: Vec<usize>,
+    /// Original row → buffer row (`usize::MAX` for rows the sparse
+    /// head pivoted).
+    loc: Vec<usize>,
+}
+
+impl DenseTail {
+    fn new(start: usize, pinv: &[usize]) -> Self {
+        let rows: Vec<usize> = (0..pinv.len()).filter(|&i| pinv[i] == usize::MAX).collect();
+        let mut loc = vec![usize::MAX; pinv.len()];
+        for (t, &i) in rows.iter().enumerate() {
+            loc[i] = t;
+        }
+        DenseTail {
+            start,
+            buf: vec![0f64; rows.len() * rows.len()],
+            rows,
+            loc,
+        }
+    }
+}
+
+/// The symbolic record of a factorisation. For the sparse head (steps
+/// before `dense_start`): the per-step topological reach, in the exact
+/// order the numeric loop visited it, plus, per reach entry, the flat
+/// index of the value slot it feeds in the assembled `L` or `U`.
+/// Replaying elimination against this record skips the DFS, the pivot
+/// search, and the CSC assembly — the entire pattern-dependent cost of
+/// [`LuFactors::factorize`]. The dense tail needs no per-entry record:
+/// its columns visit the head in ascending pivot order, which is the
+/// stored pattern of `U`, and the block itself is replayed densely.
 #[derive(Clone, Debug)]
 struct LuSymbolic {
-    /// `topo_ptr[k]..topo_ptr[k + 1]` is step `k`'s reach.
+    /// First step of the dense trailing block (`n` when there is none).
+    dense_start: usize,
+    /// `topo_ptr[k]..topo_ptr[k + 1]` is step `k`'s reach, `k <
+    /// dense_start`.
     topo_ptr: Vec<usize>,
     /// Reach entries in **pivot coordinates** (`row_perm.to_new`), in
     /// stored visit order. `L`'s assembled row indices are in the same
@@ -254,6 +398,21 @@ impl LuFactors {
         cfg: &LuConfig,
         budget: &Budget,
     ) -> Result<LuFactors, LuError> {
+        Self::factorize_at(a, col_perm, cfg, budget, None)
+    }
+
+    /// [`LuFactors::factorize_budgeted`] with the hand-over to the dense
+    /// kernel forced to step `dense_start` (`Some(n)`: never) instead of
+    /// decided from the factor's density — for the crossover bench and
+    /// the tests that pin both sides of the switch.
+    #[doc(hidden)]
+    pub fn factorize_at(
+        a: &Csr,
+        col_perm: &Perm,
+        cfg: &LuConfig,
+        budget: &Budget,
+        dense_start: Option<usize>,
+    ) -> Result<LuFactors, LuError> {
         assert_eq!(a.nrows(), a.ncols(), "LU requires a square matrix");
         assert_eq!(col_perm.len(), a.ncols());
         assert!(cfg.pivot_threshold > 0.0 && cfg.pivot_threshold <= 1.0);
@@ -263,36 +422,54 @@ impl LuFactors {
         // check (NaN never wins a `>` comparison, so it would otherwise
         // slip through pivot selection unnoticed).
         let mut anorm = 0.0f64;
-        for j in 0..n {
-            for &v in acsc.col_values(j) {
-                if !v.is_finite() {
-                    return Err(LuError::NonFinite { step: 0 });
-                }
-                anorm = anorm.max(v.abs());
+        for &v in acsc.values() {
+            if !v.is_finite() {
+                return Err(LuError::NonFinite { step: 0 });
             }
+            anorm = anorm.max(v.abs());
         }
         let tiny = cfg.diag_perturb.map(|eps| eps * anorm.max(1.0));
         let mut perturbed: Vec<usize> = Vec::new();
-        // Growing factors; row indices are *original* row ids during the
-        // factorisation and are remapped to pivot order at the end.
-        let mut lcols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
-        let mut ucols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
+        // Growing factors. `L`'s row indices are *original* row ids
+        // during the factorisation (unit diagonal first in each column)
+        // and are renamed to pivot order at the end; `U`'s are pivot
+        // steps throughout.
+        let mut l = ColArena::with_columns(n);
+        let mut u = ColArena::with_columns(n);
+        // `U`'s rows above the dense block, per tail column.
+        let mut u_head = ColArena::with_columns(0);
+        let mut tail: Option<DenseTail> = None;
+        let mut a_rem = acsc.nnz();
         let mut pinv = vec![usize::MAX; n]; // original row -> pivot step
         let mut x = vec![0f64; n];
         let mut mark = vec![usize::MAX; n];
         let mut topo: Vec<usize> = Vec::with_capacity(n);
+        let mut srcs: Vec<usize> = Vec::with_capacity(n);
         let mut dfs_stack: Vec<(usize, usize)> = Vec::new();
-        // Symbolic record for `refactorize`: each step's reach in visit
-        // order (slots resolved after assembly).
-        let mut topo_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-        topo_ptr.push(0);
+        // Symbolic record for `refactorize`: each sparse step's reach in
+        // visit order (slots resolved after assembly).
+        let mut topo_ptr: Vec<usize> = vec![0];
         let mut topo_row: Vec<usize> = Vec::new();
         let mut ticker = budget.ticker(64);
         for k in 0..n {
             if let Err(interrupt) = ticker.tick() {
                 return Err(LuError::Interrupted { step: k, interrupt });
             }
+            if tail.is_none() {
+                let switch = match dense_start {
+                    Some(at) => k == at,
+                    None => tail_is_dense(
+                        n - k,
+                        l.nnz() + u.nnz() + a_rem,
+                        k.checked_sub(1).map(|j| l.col(j).0.len() - 1),
+                    ),
+                };
+                if switch {
+                    tail = Some(DenseTail::new(k, &pinv));
+                }
+            }
             let col = col_perm.to_old(k);
+            a_rem -= acsc.col_nnz(col);
             // --- Symbolic: reach of A(:, col) in the graph of L. ---
             topo.clear();
             for &seed in acsc.col_indices(col) {
@@ -304,10 +481,15 @@ impl LuFactors {
                 mark[seed] = k;
                 while let Some(&mut (node, ref mut child)) = dfs_stack.last_mut() {
                     let j = pinv[node];
-                    let kids: &[(usize, f64)] = if j == usize::MAX { &[] } else { &lcols[j] };
+                    // Past the unit diagonal, which is `node` itself.
+                    let kids: &[usize] = if j == usize::MAX {
+                        &[]
+                    } else {
+                        &l.col(j).0[1..]
+                    };
                     let mut advanced = false;
                     while *child < kids.len() {
-                        let (r, _) = kids[*child];
+                        let r = kids[*child];
                         *child += 1;
                         if mark[r] != k {
                             mark[r] = k;
@@ -325,6 +507,15 @@ impl LuFactors {
             // Finish order is reverse-topological; reverse it so each node
             // precedes everything it updates.
             topo.reverse();
+            // The pivotal reach entries are the columns of L that update
+            // this one. A tail column applies them in ascending pivot
+            // order (equally topological), which the replay can read off
+            // the stored pattern of U.
+            srcs.clear();
+            srcs.extend(topo.iter().map(|&i| pinv[i]).filter(|&j| j != usize::MAX));
+            if tail.is_some() {
+                srcs.sort_unstable();
+            }
             // --- Numeric: x = L \ A(:, col) on the reach set. ---
             for &i in &topo {
                 x[i] = 0.0;
@@ -332,20 +523,30 @@ impl LuFactors {
             for (i, v) in acsc.col_iter(col) {
                 x[i] = v;
             }
-            for &i in &topo {
-                let j = pinv[i];
-                if j == usize::MAX {
-                    continue;
-                }
-                let xi = x[i];
+            for &j in &srcs {
+                let (rows, vals) = l.col(j);
+                let xi = x[rows[0]];
                 if xi == 0.0 {
                     continue;
                 }
-                for &(r, v) in &lcols[j] {
-                    if r != i {
-                        x[r] -= v * xi;
+                for (&r, &v) in rows[1..].iter().zip(&vals[1..]) {
+                    x[r] -= v * xi;
+                }
+            }
+            if let Some(t) = tail.as_mut() {
+                // The rows of the head go to U, the rest into the block.
+                for &j in &srcs {
+                    u_head.push(j, x[l.col(j).0[0]]);
+                }
+                u_head.close_column();
+                let m = t.rows.len();
+                let dst = &mut t.buf[(k - t.start) * m..][..m];
+                for &i in &topo {
+                    if pinv[i] == usize::MAX {
+                        dst[t.loc[i]] = x[i];
                     }
                 }
+                continue;
             }
             // --- Pivot among not-yet-pivotal reach entries. ---
             let mut ipiv = usize::MAX;
@@ -403,40 +604,124 @@ impl LuFactors {
             }
             pinv[ipiv] = k;
             // --- Split the reach into the U column and the L column. ---
-            let mut ucol: Vec<(usize, f64)> = Vec::new();
-            let mut lcol: Vec<(usize, f64)> = Vec::new();
-            lcol.push((ipiv, 1.0));
+            l.push(ipiv, 1.0);
             for &i in &topo {
                 let pi = pinv[i];
                 if i == ipiv {
                     continue;
                 }
                 if pi != usize::MAX {
-                    ucol.push((pi, x[i]));
+                    u.push(pi, x[i]);
                 } else {
                     let v = x[i] / pivot;
                     if v != 0.0 {
-                        lcol.push((i, v));
+                        l.push(i, v);
                     }
                 }
             }
-            ucol.push((k, pivot));
-            ucols.push(ucol);
-            lcols.push(lcol);
+            u.push(k, pivot);
+            l.close_column();
+            u.close_column();
             topo_row.extend_from_slice(&topo);
             topo_ptr.push(topo_row.len());
         }
+        // --- Factor the dense block under the same pivot rule. ---
+        let head = tail.as_ref().map_or(n, |t| t.start);
+        if let Some(t) = tail.as_mut() {
+            let DenseTail {
+                start,
+                buf,
+                rows,
+                loc,
+            } = t;
+            dense::lu_in_place(buf, rows.len(), |kk, cand| {
+                let k = *start + kk;
+                if let Err(interrupt) = ticker.tick() {
+                    return Err(LuError::Interrupted { step: k, interrupt });
+                }
+                let mut p = 0;
+                let mut amax = -1.0f64;
+                for (r, v) in cand.iter().enumerate() {
+                    if v.abs() > amax {
+                        amax = v.abs();
+                        p = r;
+                    }
+                }
+                if !amax.is_finite() {
+                    return Err(LuError::NonFinite { step: k });
+                }
+                // The diagonal candidate, if its row is still unpivoted:
+                // rows the block has pivoted sit above `kk`.
+                let diag = loc[col_perm.to_old(k)];
+                let diag = (diag != usize::MAX && diag >= kk).then(|| diag - kk);
+                let degenerate = amax <= 0.0;
+                let pivot;
+                if degenerate || tiny.is_some_and(|t| amax <= t) {
+                    let Some(t) = tiny else {
+                        return Err(LuError::Singular { step: k });
+                    };
+                    p = diag.unwrap_or(p);
+                    pivot = if cand[p] < 0.0 { -t } else { t };
+                    perturbed.push(k);
+                } else {
+                    if let Some(dp) = diag {
+                        if cand[dp].abs() >= cfg.pivot_threshold * amax {
+                            p = dp;
+                        }
+                    }
+                    pivot = cand[p];
+                }
+                if !pivot.is_finite() {
+                    return Err(LuError::NonFinite { step: k });
+                }
+                rows.swap(kk, kk + p);
+                loc[rows[kk]] = kk;
+                loc[rows[kk + p]] = kk + p;
+                Ok((p, pivot))
+            })?;
+            for (kk, &i) in rows.iter().enumerate() {
+                pinv[i] = *start + kk;
+            }
+        }
         // --- Assemble CSC factors in pivot order. ---
         let row_perm = Perm::from_to_new(pinv);
-        let l = assemble_csc(n, &lcols, |old_row| row_perm.to_new(old_row));
-        let u = assemble_csc(n, &ucols, |r| r);
+        l.sort_columns(head, |old_row| row_perm.to_new(old_row));
+        u.sort_columns(head, |r| r);
+        if let Some(t) = tail {
+            // The block holds its packed factors in pivot order; exact
+            // zeros (structural ones included) are not stored.
+            let m = t.rows.len();
+            for (kk, c) in t.buf.chunks_exact(m).enumerate() {
+                let k = head + kk;
+                let (rows, vals) = u_head.col(kk);
+                for (&r, &v) in rows.iter().zip(vals) {
+                    u.push(r, v);
+                }
+                for (r, &v) in c[..kk].iter().enumerate() {
+                    if v != 0.0 {
+                        u.push(head + r, v);
+                    }
+                }
+                u.push(k, c[kk]);
+                u.close_column();
+                l.push(k, 1.0);
+                for (r, &v) in c[kk + 1..].iter().enumerate() {
+                    if v != 0.0 {
+                        l.push(k + 1 + r, v);
+                    }
+                }
+                l.close_column();
+            }
+        }
+        let l = l.into_csc(n);
+        let u = u.into_csc(n);
         // --- Resolve each reach entry to its value slot, converting the
         // reach to pivot coordinates along the way (the replay works
         // entirely in pivot space). ---
         let topo_new: Vec<usize> = topo_row.iter().map(|&i| row_perm.to_new(i)).collect();
         drop(topo_row);
         let mut slot = vec![usize::MAX; topo_new.len()];
-        for k in 0..n {
+        for k in 0..head {
             for (s, &pi) in slot[topo_ptr[k]..topo_ptr[k + 1]]
                 .iter_mut()
                 .zip(&topo_new[topo_ptr[k]..topo_ptr[k + 1]])
@@ -461,6 +746,7 @@ impl LuFactors {
             plan: OnceLock::new(),
             schedule: TrisolveSchedule::Level,
             symbolic: Some(LuSymbolic {
+                dense_start: head,
                 topo_ptr,
                 topo_new,
                 slot,
@@ -513,6 +799,14 @@ impl LuFactors {
     /// Order of the factored matrix.
     pub fn n(&self) -> usize {
         self.l.ncols()
+    }
+
+    /// The elimination step at which the dense kernel took over (`n`
+    /// when it never did); `None` for reassembled factors, which do not
+    /// carry the record.
+    #[doc(hidden)]
+    pub fn dense_start(&self) -> Option<usize> {
+        self.symbolic.as_ref().map(|s| s.dense_start)
     }
 
     /// Fill: `nnz(L) + nnz(U)` (L's unit diagonal included).
@@ -624,7 +918,9 @@ impl LuFactors {
     /// per-step reaches, the pivot sequence, the assembled `L`/`U`
     /// patterns, and the triangular-solve schedule. Only the value
     /// arrays (and the plan's numeric payload) are rewritten — no DFS,
-    /// no pivot search, no assembly, no plan build.
+    /// no pivot search, no assembly, no plan build. A dense trailing
+    /// block is replayed by the dense kernel under the frozen pivot
+    /// order and written back through the stored pattern.
     ///
     /// `a` must have the **same sparsity pattern** as the originally
     /// factored matrix (same order; entries only where the original had
@@ -663,8 +959,9 @@ impl LuFactors {
         let mut x = vec![0f64; n];
         let mut mark = vec![usize::MAX; n];
         let (l_colptr, l_rowind, lv) = self.l.parts_mut();
-        let (_, _, uv) = self.u.parts_mut();
-        for k in 0..n {
+        let (u_colptr, u_rowind, uv) = self.u.parts_mut();
+        let head = sym.dense_start;
+        for k in 0..head {
             let col = self.col_perm.to_old(k);
             let topo = &sym.topo_new[sym.topo_ptr[k]..sym.topo_ptr[k + 1]];
             // --- Scatter A(:, col) over the stored reach, in pivot
@@ -685,7 +982,8 @@ impl LuFactors {
             // the reach, so iterating the assembled (sorted) L column
             // instead of the original insertion order changes nothing.
             // `L`'s row indices are pivot coordinates too, so the inner
-            // loop needs no permutation lookups.
+            // loop needs no permutation lookups; the unit diagonal is
+            // the first entry of a sorted column and is sliced off.
             for &j in topo {
                 if j >= k {
                     continue;
@@ -694,11 +992,9 @@ impl LuFactors {
                 if xi == 0.0 {
                     continue;
                 }
-                for t in l_colptr[j]..l_colptr[j + 1] {
-                    let r = l_rowind[t];
-                    if r != j {
-                        x[r] -= lv[t] * xi;
-                    }
+                let below = l_colptr[j] + 1..l_colptr[j + 1];
+                for (&r, &v) in l_rowind[below.clone()].iter().zip(&lv[below]) {
+                    x[r] -= v * xi;
                 }
             }
             // --- Replay the stored pivot; write values through slots. ---
@@ -732,6 +1028,87 @@ impl LuFactors {
                 }
             }
         }
+        if head < n {
+            // --- The dense block: each tail column is solved against
+            // the head columns (the rows of U above the block, which
+            // are sorted — the order the factorisation used), gathered
+            // into the buffer in pivot order, and the block is replayed
+            // by the same kernel with the pivot order frozen. ---
+            let m = n - head;
+            let mut buf = vec![0f64; m * m];
+            // First tail column with an entry the stored pattern has no
+            // slot for. It only matters if a nonzero then fails to fit
+            // (an entry of the factored matrix that cancelled exactly
+            // has no slot either, and must not be refused).
+            let mut foreign: Option<usize> = None;
+            let above = |k: usize| {
+                let rows = &u_rowind[u_colptr[k]..u_colptr[k + 1]];
+                rows.partition_point(|&r| r < head)
+            };
+            for k in head..n {
+                let col = self.col_perm.to_old(k);
+                let srcs = &u_rowind[u_colptr[k]..][..above(k)];
+                for &p in &u_rowind[u_colptr[k]..u_colptr[k + 1]] {
+                    mark[p] = k;
+                }
+                for &p in &l_rowind[l_colptr[k]..l_colptr[k + 1]] {
+                    mark[p] = k;
+                }
+                for &p in srcs {
+                    x[p] = 0.0;
+                }
+                x[head..].fill(0.0);
+                for (i, v) in acsc.col_iter(col) {
+                    let p = self.row_perm.to_new(i);
+                    if mark[p] != k {
+                        if p < head {
+                            return Err(RefactorizeError::PatternMismatch { step: k });
+                        }
+                        foreign.get_or_insert(k);
+                    }
+                    x[p] = v;
+                }
+                for (t, &j) in srcs.iter().enumerate() {
+                    let xi = x[j];
+                    uv[u_colptr[k] + t] = xi;
+                    if xi == 0.0 {
+                        continue;
+                    }
+                    let below = l_colptr[j] + 1..l_colptr[j + 1];
+                    for (&r, &v) in l_rowind[below.clone()].iter().zip(&lv[below]) {
+                        x[r] -= v * xi;
+                    }
+                }
+                buf[(k - head) * m..][..m].copy_from_slice(&x[head..]);
+            }
+            dense::lu_in_place(&mut buf, m, |kk, cand| {
+                let pivot = cand[0];
+                if !pivot.is_finite() {
+                    return Err(RefactorizeError::NonFinite { step: head + kk });
+                }
+                if pivot == 0.0 {
+                    return Err(RefactorizeError::ZeroPivot { step: head + kk });
+                }
+                Ok((0, pivot))
+            })?;
+            // --- Write the block through the stored pattern. ---
+            for (kk, c) in buf.chunks_exact(m).enumerate() {
+                let k = head + kk;
+                if c.iter().any(|v| !v.is_finite()) {
+                    return Err(RefactorizeError::NonFinite { step: k });
+                }
+                let us = u_colptr[k] + above(k)..u_colptr[k + 1];
+                let ls = l_colptr[k] + 1..l_colptr[k + 1];
+                let fits = write_through(&u_rowind[us.clone()], &mut uv[us], &c[..=kk], head)
+                    && write_through(&l_rowind[ls.clone()], &mut lv[ls], &c[kk + 1..], k + 1);
+                if !fits {
+                    return Err(match foreign {
+                        Some(step) => RefactorizeError::PatternMismatch { step },
+                        None => RefactorizeError::PatternDeviation { step: k },
+                    });
+                }
+            }
+        }
         // --- Refresh the solve schedule's numeric payload. ---
         match self.schedule {
             TrisolveSchedule::Level => {
@@ -758,23 +1135,20 @@ impl LuFactors {
     }
 }
 
-fn assemble_csc(n: usize, cols: &[Vec<(usize, f64)>], map_row: impl Fn(usize) -> usize) -> Csc {
-    let mut colptr = vec![0usize; n + 1];
-    let nnz: usize = cols.iter().map(|c| c.len()).sum();
-    let mut rowind = Vec::with_capacity(nnz);
-    let mut values = Vec::with_capacity(nnz);
-    let mut scratch: Vec<(usize, f64)> = Vec::new();
-    for (j, col) in cols.iter().enumerate() {
-        scratch.clear();
-        scratch.extend(col.iter().map(|&(r, v)| (map_row(r), v)));
-        scratch.sort_unstable_by_key(|&(r, _)| r);
-        for &(r, v) in &scratch {
-            rowind.push(r);
-            values.push(v);
+/// Writes the dense column segment `dense` (entry `t` is row
+/// `first + t`) into the value slots of the stored, sorted pattern
+/// `rows`. `false` when a nonzero has no slot.
+fn write_through(rows: &[usize], vals: &mut [f64], dense: &[f64], first: usize) -> bool {
+    let mut s = 0;
+    for (t, &v) in dense.iter().enumerate() {
+        if rows.get(s) == Some(&(first + t)) {
+            vals[s] = v;
+            s += 1;
+        } else if v != 0.0 {
+            return false;
         }
-        colptr[j + 1] = rowind.len();
     }
-    Csc::from_parts(n, n, colptr, rowind, values)
+    true
 }
 
 #[cfg(test)]
@@ -809,6 +1183,20 @@ mod tests {
             }
         }
         c.to_csr()
+    }
+
+    #[test]
+    fn step_zero_rule_separates_the_library_schur_complements() {
+        // (order, nnz) of S̃ on the benchmark's cavity_schur, fusion_rhb
+        // and circuit_krylov workloads (docs/kernels.md): only the
+        // first is dense going in.
+        for (n, nnz, dense) in [
+            (1127, 594_913, true),
+            (1526, 206_458, false),
+            (701, 7_429, false),
+        ] {
+            assert_eq!(tail_is_dense(n, nnz, None), dense, "n = {n}");
+        }
     }
 
     #[test]

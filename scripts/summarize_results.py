@@ -316,6 +316,57 @@ def bench_kernels():
         )
 
 
+BENCH_LU_DENSE_SCHEMA = {
+    "size": int,
+    "density": float,
+    "switch": str,
+    "dense_start": int,
+    "factor_seconds": float,
+    "refactor_seconds": float,
+    "fill": int,
+    "same_fill_as_off": bool,
+}
+
+
+def bench_lu_dense():
+    """The lu_dense_crossover scenario of bench_kernels: sparse LU loop
+    vs dense trailing-block kernel over block density x size. Gated on
+    shape and on the machine-independent facts (forced switches land
+    where they were forced, the dense block never changes the fill);
+    the timings are the table behind slu::lu::DENSE_TAIL_DENSITY in
+    docs/kernels.md and are not gated."""
+    rows = load("BENCH_lu_dense")
+    if rows is None:
+        return
+    if not isinstance(rows, list) or not rows:
+        sys.exit("BENCH_lu_dense.json: expected a non-empty list of rows")
+    cells = {}
+    for i, r in enumerate(rows):
+        check_schema("BENCH_lu_dense.json", i, r, BENCH_LU_DENSE_SCHEMA)
+        if not r["same_fill_as_off"]:
+            sys.exit(f"BENCH_lu_dense.json row {i}: the dense block changed the fill")
+        forced = {"off": r["size"], "on": 0}
+        if r["switch"] not in ("off", "on", "auto"):
+            sys.exit(f"BENCH_lu_dense.json row {i}: unknown switch '{r['switch']}'")
+        if r["switch"] in forced and r["dense_start"] != forced[r["switch"]]:
+            sys.exit(f"BENCH_lu_dense.json row {i}: forced switch did not land where forced")
+        cells.setdefault((r["size"], r["density"]), {})[r["switch"]] = r
+    for key, c in cells.items():
+        if set(c) != {"off", "on", "auto"}:
+            sys.exit(f"BENCH_lu_dense.json: {key} is missing one of off/on/auto")
+    print("\n## BENCH_lu_dense (sparse loop vs dense trailing block; times in ms, informational)\n")
+    print("| m | density | factor off | on | auto (start) | on/off | refactor off | on | auto | on/off |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
+    for (m, d), c in sorted(cells.items()):
+        f = {k: c[k]["factor_seconds"] * 1e3 for k in c}
+        rf = {k: c[k]["refactor_seconds"] * 1e3 for k in c}
+        print(
+            f"| {m} | {d:.3f} | {f['off']:.3f} | {f['on']:.3f} | "
+            f"{f['auto']:.3f} ({c['auto']['dense_start']}) | {f['on'] / f['off']:.2f} | "
+            f"{rf['off']:.3f} | {rf['on']:.3f} | {rf['auto']:.3f} | {rf['on'] / rf['off']:.2f} |"
+        )
+
+
 BENCH_PARTITION_SCHEMA = {
     "matrix": str,
     "block_size": int,
@@ -589,6 +640,7 @@ if __name__ == "__main__":
         ablations,
         supernodal,
         bench_kernels,
+        bench_lu_dense,
         bench_solve,
         bench_partition,
         bench_service,

@@ -221,24 +221,34 @@ fn steady_state_solves_do_not_grow_arenas() {
     let mut rng = Rng64::new(3);
     let b0 = rhs(&mut rng, a.nrows());
     solver.solve(&b0).expect("first solve");
-    let after_first = solver.scratch_stats();
-    assert_eq!(after_first.solves, 1);
     assert!(
-        after_first.allocations > 0,
+        solver.scratch_stats().allocations > 0,
         "the first solve has to grow the arenas"
     );
+    // Steady state is per lane: a lane's arenas grow during the first
+    // solve routed to it, and a batch of four may fan out over lanes a
+    // plain solve never touches (how many depends on the host's thread
+    // count). So the batch path is warmed before the snapshot too.
+    let batch =
+        |rng: &mut Rng64| -> Vec<Vec<f64>> { (0..4).map(|_| rhs(rng, a.nrows())).collect() };
+    solver.solve_many(&batch(&mut rng)).expect("first batch");
+    let warm = solver.scratch_stats();
+    assert_eq!(warm.solves, 1 + 4);
     // Every later solve — plain or batched — reuses the grown arenas:
-    // `solves` (arena resets) climbs, `allocations` stays flat.
+    // `solves` (arena resets) climbs, `allocations` and `lanes` stay
+    // flat.
     for _ in 0..3 {
         let b = rhs(&mut rng, a.nrows());
         solver.solve(&b).expect("steady-state solve");
     }
-    let batch: Vec<Vec<f64>> = (0..4).map(|_| rhs(&mut rng, a.nrows())).collect();
-    solver.solve_many(&batch).expect("steady-state batch");
-    let after_steady = solver.scratch_stats();
-    assert_eq!(after_steady.solves, 1 + 3 + 4);
+    solver
+        .solve_many(&batch(&mut rng))
+        .expect("steady-state batch");
+    let steady = solver.scratch_stats();
+    assert_eq!(steady.solves, warm.solves + 3 + 4);
+    assert_eq!(steady.lanes, warm.lanes);
     assert_eq!(
-        after_steady.allocations, after_first.allocations,
+        steady.allocations, warm.allocations,
         "steady-state solves must not allocate in the hot loops"
     );
 }
