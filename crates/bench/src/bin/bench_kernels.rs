@@ -7,6 +7,11 @@
 //! (`BENCH_lu_dense.json`); it is the measurement behind the one
 //! constant that decides the hand-over (docs/kernels.md).
 //!
+//! A third, `reach_pruned`, times the symbolic half of the blocked
+//! interface solves — `BlockedSolvePlan` for `L` and `Uᵀ` of every
+//! subdomain — on the factor's own columns against its pruned
+//! `ReachGraph` (`BENCH_reach.json`), asserting equal plans.
+//!
 //! Every parallel result is checked for **exact** equality against the
 //! serial run (the kernels promise byte-identical output); a mismatch
 //! aborts the process, which is what the CI smoke step relies on.
@@ -14,11 +19,14 @@
 //! CI runners (and single-core hosts) make them meaningless to gate on.
 
 use matgen::{MatrixKind, Scale};
-use pdslin::interface::{compute_interface_workers, ehat_columns_pivot, InterfaceConfig};
+use pdslin::interface::{
+    compute_interface_workers, ehat_columns_pivot, fhat_rows_elim, InterfaceConfig,
+};
 use pdslin::rhs_order::{column_reaches, order_columns_precomputed};
 use pdslin::{Budget, Pdslin, PdslinConfig, RhsOrdering};
-use slu::trisolve::{SolveWorkspace, SparseVec};
-use slu::{LuConfig, LuFactors, SupernodePlan};
+use slu::blocked::BlockedSolvePlan;
+use slu::trisolve::{lower_from_upper_transpose, SolveWorkspace, SparseVec};
+use slu::{LuConfig, LuFactors, ReachGraph, SupernodePlan};
 use sparsekit::spgemm::spgemm_checked_workers;
 use sparsekit::{Coo, Csr, Perm, Rng64};
 use std::time::Instant;
@@ -49,6 +57,23 @@ pdslin_bench::json_record! {
         refactor_seconds: f64,
         fill: usize,
         same_fill_as_off: bool,
+    }
+}
+
+pdslin_bench::json_record! {
+    struct ReachRow {
+        matrix: String,
+        /// Below-diagonal entries of `L` and `Uᵀ`, summed over the
+        /// eight subdomains, and how many the pruning rule keeps.
+        full_edges: usize,
+        kept_edges: usize,
+        /// Building every subdomain's `G` and `W` plan (B = 60,
+        /// postorder): DFS over the factor's own columns vs over the
+        /// pruned graph, graph construction included. Best of `reps`.
+        plan_full_seconds: f64,
+        plan_pruned_seconds: f64,
+        speedup: f64,
+        identical: bool,
     }
 }
 
@@ -396,6 +421,70 @@ fn bench_lu_dense_crossover(scale: Scale) {
     pdslin_bench::write_json("BENCH_lu_dense", &rows);
 }
 
+/// Symbolic phase of `Comp(S)` on the full graph vs the pruned one,
+/// over the Table-I zoo under NGD with 8 subdomains.
+fn bench_reach_pruned(scale: Scale) {
+    let (block, reps) = (60usize, 3);
+    let mut rows = Vec::new();
+    println!("\nreach_pruned: blocked-solve plan build, full graph vs pruned (best of {reps})\n");
+    for kind in MatrixKind::ALL {
+        let (_a, sys, factors) = pdslin_bench::ngd_factored_system(kind, scale, 8);
+        let mut row = ReachRow {
+            matrix: kind.name().to_string(),
+            full_edges: 0,
+            kept_edges: 0,
+            plan_full_seconds: 0.0,
+            plan_pruned_seconds: 0.0,
+            speedup: 0.0,
+            identical: true,
+        };
+        for (dom, fd) in sys.domains.iter().zip(&factors) {
+            let ut = lower_from_upper_transpose(&fd.lu.u);
+            let sides = [
+                (&fd.lu.l, ehat_columns_pivot(fd, dom)),
+                (&ut, fhat_rows_elim(fd, dom)),
+            ];
+            for (t, cols) in &sides {
+                let n = t.nrows();
+                let order = order_columns_precomputed(cols, &[], n, block, RhsOrdering::Postorder);
+                let graph = ReachGraph::build(t);
+                row.full_edges += graph.full_edges();
+                row.kept_edges += graph.edges();
+                let (mut full_s, mut pruned_s) = (f64::MAX, f64::MAX);
+                for _ in 0..reps {
+                    let t0 = Instant::now();
+                    let full = BlockedSolvePlan::build_on(*t, n, cols, &order, block);
+                    full_s = full_s.min(t0.elapsed().as_secs_f64());
+                    let t0 = Instant::now();
+                    let pruned = BlockedSolvePlan::build(t, cols, &order, block);
+                    pruned_s = pruned_s.min(t0.elapsed().as_secs_f64());
+                    row.identical &= full == pruned;
+                }
+                row.plan_full_seconds += full_s;
+                row.plan_pruned_seconds += pruned_s;
+            }
+        }
+        row.speedup = row.plan_full_seconds / row.plan_pruned_seconds.max(f64::MIN_POSITIVE);
+        println!(
+            "{:<12} edges {:>9} -> {:>7}  plan build {:>9.3} ms -> {:>8.3} ms  ({:.1}x)  identical={}",
+            row.matrix,
+            row.full_edges,
+            row.kept_edges,
+            row.plan_full_seconds * 1e3,
+            row.plan_pruned_seconds * 1e3,
+            row.speedup,
+            row.identical
+        );
+        assert!(
+            row.identical,
+            "{}: the pruned graph changed a blocked-solve plan",
+            row.matrix
+        );
+        rows.push(row);
+    }
+    pdslin_bench::write_json("BENCH_reach", &rows);
+}
+
 fn main() {
     let scale = pdslin_bench::scale_from_env();
     let (nx, ny) = match scale {
@@ -420,4 +509,5 @@ fn main() {
     pdslin_bench::write_json("BENCH_kernels", &rows);
     println!("\nall parallel results matched serial exactly");
     bench_lu_dense_crossover(scale);
+    bench_reach_pruned(scale);
 }

@@ -5,8 +5,7 @@
 //! (NGD with 8 subdomains, minimum-degree ordering per subdomain).
 
 use matgen::MatrixKind;
-use pdslin::interface::ehat_columns_pivot;
-use slu::trisolve::{solve_pattern, SolveWorkspace};
+use pdslin::interface::{compute_interface, InterfaceConfig};
 
 pdslin_bench::json_record! {
     struct Table3Row {
@@ -17,6 +16,10 @@ pdslin_bench::json_record! {
         nnzrow_g: usize,
         eff_density: f64,
         fill_ratio: f64,
+        // Blocked G/W solves of that subdomain (B = 60, postorder):
+        // numeric seconds, and the symbolic scaffolding beside them.
+        solve_seconds: f64,
+        symbolic_seconds: f64,
     }
 }
 
@@ -31,68 +34,49 @@ fn main() {
     let mut rows = Vec::new();
     println!("Table III: subdomain/interface statistics (NGD, k=8)");
     println!(
-        "{:<12} {:<4} {:>12} {:>10} {:>10} {:>11} {:>11}",
-        "matrix", "", "nnzG", "nnzcolG", "nnzrowG", "eff.dens.", "fill-ratio"
+        "{:<12} {:<4} {:>12} {:>10} {:>10} {:>11} {:>11} {:>9} {:>9}",
+        "matrix", "", "nnzG", "nnzcolG", "nnzrowG", "eff.dens.", "fill-ratio", "solve s", "symb. s"
     );
     for kind in kinds {
         let (_a, sys, factors) = pdslin_bench::ngd_factored_system(kind, scale, 8);
-        // Per-subdomain symbolic G statistics.
-        let mut per: Vec<(u64, usize, usize, f64, f64)> = Vec::new();
-        for (dom, fd) in sys.domains.iter().zip(&factors) {
-            let n = fd.lu.n();
-            let mut ws = SolveWorkspace::new(n);
-            let cols = ehat_columns_pivot(fd, dom);
-            let mut nnz_g = 0u64;
-            let mut row_touched = vec![false; n];
-            for c in &cols {
-                let pat = solve_pattern(&fd.lu.l, &c.indices, &mut ws);
-                nnz_g += pat.len() as u64;
-                for i in pat {
-                    row_touched[i] = true;
-                }
-            }
-            let nnzrow = row_touched.iter().filter(|&&t| t).count();
-            let nnzcol = cols.len();
-            let eff = if nnzcol * nnzrow > 0 {
-                nnz_g as f64 / (nnzcol as f64 * nnzrow as f64)
-            } else {
-                0.0
-            };
-            let nnz_e = dom.e_hat.nnz() as u64;
-            let fill = if nnz_e > 0 {
-                nnz_g as f64 / nnz_e as f64
-            } else {
-                0.0
-            };
-            per.push((nnz_g, nnzcol, nnzrow, eff, fill));
-        }
-        for (which, pick) in [("min", true), ("max", false)] {
+        // Per-subdomain G statistics, as the driver records them.
+        let per: Vec<_> = sys
+            .domains
+            .iter()
+            .zip(&factors)
+            .map(|(dom, fd)| compute_interface(fd, dom, &InterfaceConfig::default()).stats)
+            .collect();
+        for which in ["min", "max"] {
             // Min/max by nnzG (the paper reports row-wise min/max
             // per-column; we follow its convention of extremal
             // subdomains).
-            let sel = if pick {
-                per.iter().min_by_key(|p| p.0).unwrap()
+            let sel = if which == "min" {
+                per.iter().min_by_key(|p| p.nnz_g).unwrap()
             } else {
-                per.iter().max_by_key(|p| p.0).unwrap()
+                per.iter().max_by_key(|p| p.nnz_g).unwrap()
             };
             println!(
-                "{:<12} {:<4} {:>12} {:>10} {:>10} {:>11.4} {:>11.1}",
+                "{:<12} {:<4} {:>12} {:>10} {:>10} {:>11.4} {:>11.1} {:>9.4} {:>9.4}",
                 if which == "min" { kind.name() } else { "" },
                 which,
-                sel.0,
-                sel.1,
-                sel.2,
-                sel.3,
-                sel.4
+                sel.nnz_g,
+                sel.nnzcol_g,
+                sel.nnzrow_g,
+                sel.effective_density(),
+                sel.fill_ratio(),
+                sel.solve_seconds,
+                sel.symbolic_seconds
             );
             rows.push(Table3Row {
                 matrix: kind.name().to_string(),
                 which: which.to_string(),
-                nnz_g: sel.0,
-                nnzcol_g: sel.1,
-                nnzrow_g: sel.2,
-                eff_density: sel.3,
-                fill_ratio: sel.4,
+                nnz_g: sel.nnz_g,
+                nnzcol_g: sel.nnzcol_g,
+                nnzrow_g: sel.nnzrow_g,
+                eff_density: sel.effective_density(),
+                fill_ratio: sel.fill_ratio(),
+                solve_seconds: sel.solve_seconds,
+                symbolic_seconds: sel.symbolic_seconds,
             });
         }
     }

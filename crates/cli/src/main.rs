@@ -149,14 +149,18 @@ fn cmd_solve(args: &Args) -> Result<(), CmdError> {
     // Health summary on stderr: the observables the service exposes via
     // its metrics endpoint, surfaced here for one-shot runs too.
     let scratch = solver.scratch_stats();
+    let iface = &solver.stats.interface;
     eprintln!(
         "health: scratch lanes = {}, allocations = {}, solves = {} | \
-         factorizations = {} (reused {}) | recovery events: setup {}, solve {}",
+         factorizations = {} (reused {}) | interface solves {:.3}s, symbolic {:.3}s | \
+         recovery events: setup {}, solve {}",
         scratch.lanes,
         scratch.allocations,
         scratch.solves,
         solver.stats.factorizations,
         solver.stats.factorizations_reused,
+        iface.iter().map(|s| s.solve_seconds).sum::<f64>(),
+        iface.iter().map(|s| s.symbolic_seconds).sum::<f64>(),
         solver.stats.recovery.len(),
         out.recovery.len()
     );

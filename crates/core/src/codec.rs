@@ -38,13 +38,16 @@ use sparsekit::{Csc, Csr, Fnv64, Perm};
 pub const MAGIC: [u8; 4] = *b"PDLK";
 /// Format version; bumped on any layout change.
 ///
-/// v3 appended the refactorization counters to the stats record. The
+/// v3 appended the refactorization counters to the stats record; v4
+/// added `InterfaceStats::symbolic_seconds`. A blob of any other
+/// version is rejected by [`open_envelope`] as
+/// `PdslinError::CheckpointCorrupt`, never reinterpreted. The
 /// per-factor symbolic replay record (`slu`'s private elimination
 /// trace) is deliberately *not* serialized: decoded factors solve
 /// bit-identically but cannot be numerically refactorized in place, so
 /// `Pdslin::update_values` on a resumed solver rebuilds those factors
 /// from scratch and logs a typed recovery event.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 fn corrupt(detail: impl Into<String>) -> PdslinError {
     PdslinError::CheckpointCorrupt {
@@ -647,6 +650,7 @@ fn encode_interface(w: &mut ByteWriter, s: &InterfaceStats) {
     w.put_u64(s.padded_zeros);
     w.put_f64(s.padding_fraction);
     w.put_f64(s.solve_seconds);
+    w.put_f64(s.symbolic_seconds);
 }
 
 fn decode_interface(r: &mut ByteReader<'_>) -> Result<InterfaceStats, PdslinError> {
@@ -658,6 +662,7 @@ fn decode_interface(r: &mut ByteReader<'_>) -> Result<InterfaceStats, PdslinErro
         padded_zeros: r.get_u64()?,
         padding_fraction: r.get_f64()?,
         solve_seconds: r.get_f64()?,
+        symbolic_seconds: r.get_f64()?,
     })
 }
 
@@ -786,6 +791,21 @@ mod tests {
                 crate::error::ErrorCategory::Input,
                 "flip at {i}: {e}"
             );
+        }
+        // A well-formed blob of the previous layout version (checksum
+        // valid) is rejected by version, with the typed error.
+        let mut old = sealed[..sealed.len() - 8].to_vec();
+        old[4..8].copy_from_slice(&(VERSION - 1).to_le_bytes());
+        let mut h = Fnv64::new();
+        for &b in &old {
+            h.write_u8(b);
+        }
+        old.extend_from_slice(&h.finish().to_le_bytes());
+        match open_envelope(&old).unwrap_err() {
+            PdslinError::CheckpointCorrupt { detail } => {
+                assert!(detail.contains("unsupported version"), "{detail}")
+            }
+            e => panic!("expected CheckpointCorrupt, got {e}"),
         }
     }
 

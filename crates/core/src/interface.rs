@@ -286,6 +286,7 @@ pub fn compute_interface_planned(
     let f_rows_elim = fhat_rows_elim(fd, dom);
     // Build the scaffolding when no plan was supplied; `built` is handed
     // back to the caller so the next call can skip this entirely.
+    let t_sym = Instant::now();
     let built: Option<InterfacePlan> = match plan {
         Some(_) => None,
         None => {
@@ -307,17 +308,19 @@ pub fn compute_interface_planned(
         }
     };
     let p = plan.unwrap_or_else(|| built.as_ref().expect("built when no plan supplied"));
-    // The cached `Uᵀ` structure is current; its values are refreshed
-    // through the recorded permutation (a freshly built plan already
-    // holds current values, but the copy is cheap and keeps one path).
-    let mut ut = p.ut.clone();
-    {
+    // A plan built a moment ago holds the current `Uᵀ`. A replayed plan
+    // holds its structure with stale values: refresh a copy through the
+    // recorded permutation.
+    let refreshed: Option<Csc> = plan.map(|p| {
+        let mut ut = p.ut.clone();
         let uv = fd.lu.u.values();
-        let utv = ut.values_mut();
-        for (dst, &s) in p.ut_src.iter().enumerate() {
-            utv[dst] = uv[s];
+        for (dst, &s) in ut.values_mut().iter_mut().zip(&p.ut_src) {
+            *dst = uv[s];
         }
-    }
+        ut
+    });
+    let ut = refreshed.as_ref().unwrap_or(&p.ut);
+    let symbolic_seconds = t_sym.elapsed().as_secs_f64();
 
     // --- G = L⁻¹ P Ê ---
     let t_g = Instant::now();
@@ -344,7 +347,7 @@ pub fn compute_interface_planned(
     budget.check()?;
     let t_w = Instant::now();
     let (mut w_sols, w_block) =
-        solve_in_blocks_planned(&ut, false, &f_rows_elim, &p.w_plan, workers, budget)?;
+        solve_in_blocks_planned(ut, false, &f_rows_elim, &p.w_plan, workers, budget)?;
     let w_seconds = t_w.elapsed().as_secs_f64();
     // W̃ as CSR (rows = f_rows order, columns = elimination coords).
     for s in &mut w_sols {
@@ -373,6 +376,7 @@ pub fn compute_interface_planned(
         padded_zeros: g_block.padded_zeros,
         padding_fraction: g_block.padding_fraction(),
         solve_seconds: g_seconds + w_seconds,
+        symbolic_seconds,
     };
     Ok((
         InterfaceOutcome {

@@ -22,7 +22,8 @@ use hypergraph::bisect::BisectConfig;
 use hypergraph::models::row_net_model;
 use hypergraph::recursive::recursive_partition_exact_seeded;
 use hypergraph::sparsify::sparsify;
-use slu::trisolve::{solve_pattern, SolveWorkspace, SparseVec};
+use slu::reach::ReachGraph;
+use slu::trisolve::{SolveWorkspace, SparseVec};
 use sparsekit::{Coo, Csc};
 
 /// Column-ordering strategy for the blocked triangular solves.
@@ -79,10 +80,16 @@ pub fn order_columns(
 }
 
 /// Symbolic solution patterns (reaches) of every column — compute once
-/// per subdomain and share across block sizes and orderings.
+/// per subdomain and share across block sizes and orderings. Walks the
+/// pruned [`ReachGraph`] of `l`, so each reach costs its own length,
+/// not the flops of the solve it predicts.
 pub fn column_reaches(cols: &[SparseVec], l: &Csc, ws: &mut SolveWorkspace) -> Vec<Vec<usize>> {
+    let graph = ReachGraph::build(l);
     cols.iter()
-        .map(|c| solve_pattern(l, &c.indices, ws))
+        .map(|c| {
+            graph.reach(&c.indices, ws);
+            ws.topo().to_vec()
+        })
         .collect()
 }
 

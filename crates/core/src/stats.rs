@@ -55,8 +55,13 @@ pub struct InterfaceStats {
     pub padded_zeros: u64,
     /// Padding fraction `padded / (padded + true)` for `G_ℓ`.
     pub padding_fraction: f64,
-    /// Seconds spent in the blocked triangular solves.
+    /// Seconds spent in the blocked triangular solves (numeric only).
     pub solve_seconds: f64,
+    /// Seconds spent building the symbolic scaffolding of those solves:
+    /// RHS ordering, blocked-solve plans, the `Uᵀ` transpose. On a
+    /// replayed [`crate::interface::InterfacePlan`] only the `Uᵀ` value
+    /// refresh remains.
+    pub symbolic_seconds: f64,
 }
 
 impl InterfaceStats {

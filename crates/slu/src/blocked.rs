@@ -10,13 +10,16 @@
 //! pattern. The reordering strategies of §IV exist precisely to shrink
 //! that padding.
 //!
-//! Blocks are mutually independent (each has its own union reach), so
-//! [`solve_in_blocks_ordered`] can solve them concurrently: workers pull
-//! block indices from a shared counter, each with its own pooled
-//! [`BlockWorkspace`] (no per-block allocation), and results are merged
-//! in block order so the output is byte-identical to the serial path.
+//! There is one symbolic path and one numeric path: a
+//! [`BlockedSolvePlan`] (block decomposition, per-block union reach,
+//! padding accounting — taken on the factor's pruned
+//! [`ReachGraph`](crate::reach::ReachGraph)) and
+//! [`solve_in_blocks_planned`], which runs the panel substitutions of a
+//! plan, concurrently when asked. Every other entry point builds a plan
+//! and calls it.
 
-use crate::trisolve::{compute_reach, SolveWorkspace, SparseVec};
+use crate::reach::{reach_in, ReachAdjacency, ReachGraph};
+use crate::trisolve::{SolveWorkspace, SparseVec};
 use sparsekit::budget::{Budget, BudgetInterrupt};
 use sparsekit::Csc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -54,20 +57,17 @@ impl BlockSolveStats {
     }
 }
 
-/// Pooled scratch for repeated blocked solves on one `n×n` factor: the
-/// symbolic workspace, the O(n) scatter map, and the reusable seed /
-/// pattern / panel buffers. One of these per worker is the entire
-/// steady-state memory traffic of the blocked solver — solving a block
-/// allocates nothing beyond its output columns.
+/// Pooled numeric scratch for repeated blocked solves on one `n×n`
+/// factor: the O(n) scatter map and the reusable dense panel. One of
+/// these per worker is the entire steady-state memory traffic of the
+/// blocked solver — solving a block allocates nothing beyond its output
+/// columns.
 #[derive(Clone, Debug)]
 pub struct BlockWorkspace {
-    solve: SolveWorkspace,
     /// Matrix row → panel row for the current block; `usize::MAX`
     /// everywhere between blocks (reset by walking the union pattern,
     /// O(union) not O(n)).
     pos: Vec<usize>,
-    seeds: Vec<usize>,
-    pattern: Vec<usize>,
     panel: Vec<f64>,
 }
 
@@ -75,28 +75,15 @@ impl BlockWorkspace {
     /// Workspace for blocked solves on an order-`n` factor.
     pub fn new(n: usize) -> Self {
         BlockWorkspace {
-            solve: SolveWorkspace::new(n),
             pos: vec![usize::MAX; n],
-            seeds: Vec::new(),
-            pattern: Vec::new(),
             panel: Vec::new(),
         }
     }
-
-    /// Union pattern of the most recent block, topological order.
-    pub fn pattern(&self) -> &[usize] {
-        &self.pattern
-    }
-
-    /// Dense row-major `union_rows × B` panel of the most recent block.
-    pub fn panel(&self) -> &[f64] {
-        &self.panel
-    }
 }
 
-/// One block of a [`BlockedSolvePlan`]: which columns it solves and the
-/// symbolic state `solve_block` would otherwise recompute per call.
-#[derive(Clone, Debug)]
+/// One block of a [`BlockedSolvePlan`]: which columns it solves and its
+/// symbolic state.
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct PlannedBlock {
     /// Indices into `cols` (one `block_size` chunk of the caller's
     /// column order).
@@ -110,44 +97,56 @@ struct PlannedBlock {
 
 /// Value-independent symbolic schedule of one blocked solve: the block
 /// decomposition of the column order plus each block's union reach and
-/// padding accounting. The reach DFS dominates the blocked solve on
-/// grid problems (the numeric panel substitution is a fraction of it),
-/// and it depends only on the *patterns* of `L` and the right-hand
-/// sides — so a sequence of solves against factors refreshed by pivot
-/// replay (identical pattern, new values) can build the plan once and
-/// replay numerics via [`solve_in_blocks_planned`].
-#[derive(Clone, Debug)]
+/// padding accounting. It depends only on the *patterns* of `L` and the
+/// right-hand sides — so a sequence of solves against factors refreshed
+/// by pivot replay (identical pattern, new values) builds the plan once
+/// and replays numerics via [`solve_in_blocks_planned`].
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockedSolvePlan {
     ncols: usize,
     blocks: Vec<PlannedBlock>,
 }
 
 impl BlockedSolvePlan {
-    /// Runs the symbolic half of [`solve_in_blocks_ordered`] — per-column
-    /// reaches for padding accounting and the per-block union reach —
-    /// and captures the result. Valid for any later solve against a
+    /// Runs the symbolic half of the blocked solve — per-column reaches
+    /// for padding accounting and the per-block union reach — on the
+    /// pruned [`ReachGraph`] of `l`. Valid for any later solve against a
     /// factor with the same pattern and right-hand sides with the same
     /// patterns in the same order.
     pub fn build(l: &Csc, cols: &[SparseVec], order: &[usize], block_size: usize) -> Self {
+        Self::build_on(&ReachGraph::build(l), l.nrows(), cols, order, block_size)
+    }
+
+    /// [`BlockedSolvePlan::build`] over a caller-supplied graph of an
+    /// order-`n` factor: the factor itself (full graph) or its
+    /// [`ReachGraph`]. Both give the same plan, field for field.
+    pub fn build_on<A: ReachAdjacency>(
+        adj: &A,
+        n: usize,
+        cols: &[SparseVec],
+        order: &[usize],
+        block_size: usize,
+    ) -> Self {
         assert!(block_size > 0);
-        let mut ws = BlockWorkspace::new(l.nrows());
+        let mut ws = SolveWorkspace::new(n);
+        let mut seeds: Vec<usize> = Vec::new();
         let blocks = order
             .chunks(block_size)
             .map(|chunk| {
                 let mut true_nnz = 0u64;
-                ws.seeds.clear();
+                seeds.clear();
                 for &ci in chunk {
                     let c = &cols[ci];
-                    compute_reach(l, &c.indices, &mut ws.solve);
-                    true_nnz += ws.solve.topo().len() as u64;
-                    ws.seeds.extend_from_slice(&c.indices);
+                    reach_in(adj, &c.indices, &mut ws);
+                    true_nnz += ws.topo().len() as u64;
+                    seeds.extend_from_slice(&c.indices);
                 }
-                ws.seeds.sort_unstable();
-                ws.seeds.dedup();
-                compute_reach(l, &ws.seeds, &mut ws.solve);
+                seeds.sort_unstable();
+                seeds.dedup();
+                reach_in(adj, &seeds, &mut ws);
                 PlannedBlock {
                     cols: chunk.to_vec(),
-                    pattern: ws.solve.topo().to_vec(),
+                    pattern: ws.topo().to_vec(),
                     true_nnz,
                 }
             })
@@ -172,25 +171,25 @@ impl BlockedSolvePlan {
     }
 }
 
-/// Numeric panel substitution over an already-known union pattern
-/// (`ws.pattern`), shared by the ad-hoc and planned paths. Expects
-/// `ws.pos` to be all-MAX and restores it before returning.
+/// Numeric panel substitution of one planned block, leaving the dense
+/// row-major `union_rows × B` panel in `ws.panel`. Expects `ws.pos` to
+/// be all-MAX and restores it before returning.
 fn numeric_on_pattern(
     l: &Csc,
     unit_diag: bool,
     cols: &[SparseVec],
-    block: &[usize],
+    pb: &PlannedBlock,
     ws: &mut BlockWorkspace,
-) -> u64 {
-    let bsize = block.len();
-    let union_rows = ws.pattern.len();
+) -> BlockSolveStats {
+    let bsize = pb.cols.len();
+    let union_rows = pb.pattern.len();
     // Scatter map: matrix row -> panel row.
-    for (t, &row) in ws.pattern.iter().enumerate() {
+    for (t, &row) in pb.pattern.iter().enumerate() {
         ws.pos[row] = t;
     }
     ws.panel.clear();
     ws.panel.resize(union_rows * bsize, 0.0);
-    for (c, &ci) in block.iter().enumerate() {
+    for (c, &ci) in pb.cols.iter().enumerate() {
         let col = &cols[ci];
         for (&i, &v) in col.indices.iter().zip(&col.values) {
             ws.panel[ws.pos[i] * bsize + c] = v;
@@ -199,7 +198,7 @@ fn numeric_on_pattern(
     // Forward substitution over the union pattern, all columns at once.
     let mut flops = 0u64;
     for t in 0..union_rows {
-        let j = ws.pattern[t];
+        let j = pb.pattern[t];
         if !unit_diag {
             let cix = l.col_indices(j);
             let d = cix.binary_search(&j).expect("missing diagonal");
@@ -222,90 +221,26 @@ fn numeric_on_pattern(
         }
     }
     // Leave `pos` all-MAX for the next block (O(union), not O(n)).
-    for &row in &ws.pattern {
+    for &row in &pb.pattern {
         ws.pos[row] = usize::MAX;
     }
-    flops
-}
-
-/// Solves one block of columns (`block` lists indices into `cols`),
-/// leaving the union pattern and dense panel in the workspace.
-fn solve_block(
-    l: &Csc,
-    unit_diag: bool,
-    cols: &[SparseVec],
-    block: &[usize],
-    ws: &mut BlockWorkspace,
-) -> BlockSolveStats {
-    let bsize = block.len();
-    ws.pattern.clear();
-    ws.panel.clear();
-    if bsize == 0 {
-        return BlockSolveStats::default();
-    }
-    // Per-column true patterns (for padding accounting) and the union.
-    let mut true_nnz = 0u64;
-    ws.seeds.clear();
-    for &ci in block {
-        let c = &cols[ci];
-        compute_reach(l, &c.indices, &mut ws.solve);
-        true_nnz += ws.solve.topo().len() as u64;
-        ws.seeds.extend_from_slice(&c.indices);
-    }
-    ws.seeds.sort_unstable();
-    ws.seeds.dedup();
-    compute_reach(l, &ws.seeds, &mut ws.solve);
-    ws.pattern.extend_from_slice(ws.solve.topo());
-    let union_rows = ws.pattern.len();
-    let flops = numeric_on_pattern(l, unit_diag, cols, block, ws);
-    let padded_zeros = (union_rows * bsize) as u64 - true_nnz;
-    BlockSolveStats {
-        union_rows,
-        true_nnz,
-        padded_zeros,
-        flops,
-    }
-}
-
-/// [`solve_block`] with the symbolic half served from a plan: copies the
-/// cached union pattern into the workspace and runs numerics only.
-fn solve_block_planned(
-    l: &Csc,
-    unit_diag: bool,
-    cols: &[SparseVec],
-    pb: &PlannedBlock,
-    ws: &mut BlockWorkspace,
-) -> BlockSolveStats {
-    let bsize = pb.cols.len();
-    ws.pattern.clear();
-    ws.panel.clear();
-    if bsize == 0 {
-        return BlockSolveStats::default();
-    }
-    ws.pattern.extend_from_slice(&pb.pattern);
-    let union_rows = ws.pattern.len();
-    let flops = numeric_on_pattern(l, unit_diag, cols, &pb.cols, ws);
-    let padded_zeros = (union_rows * bsize) as u64 - pb.true_nnz;
     BlockSolveStats {
         union_rows,
         true_nnz: pb.true_nnz,
-        padded_zeros,
+        padded_zeros: (union_rows * bsize) as u64 - pb.true_nnz,
         flops,
     }
 }
 
-/// Copies the workspace's panel out as one [`SparseVec`] per column (on
-/// the block-union pattern, padded zeros stored explicitly).
-fn extract_columns(ws: &BlockWorkspace, bsize: usize, out: &mut Vec<SparseVec>) {
+/// Copies a solved panel out as one [`SparseVec`] per column (on the
+/// block-union pattern, padded zeros stored explicitly).
+fn extract_columns(pb: &PlannedBlock, panel: &[f64], out: &mut Vec<SparseVec>) {
+    let bsize = pb.cols.len();
     for c in 0..bsize {
-        let mut v = SparseVec::default();
-        v.indices.reserve(ws.pattern.len());
-        v.values.reserve(ws.pattern.len());
-        for (t, &row) in ws.pattern.iter().enumerate() {
-            v.indices.push(row);
-            v.values.push(ws.panel[t * bsize + c]);
-        }
-        out.push(v);
+        let values = (0..pb.pattern.len())
+            .map(|t| panel[t * bsize + c])
+            .collect();
+        out.push(SparseVec::new(pb.pattern.clone(), values));
     }
 }
 
@@ -322,9 +257,15 @@ pub fn blocked_lower_solve(
     cols: &[SparseVec],
     ws: &mut BlockWorkspace,
 ) -> (Vec<usize>, Vec<f64>, BlockSolveStats) {
-    let block: Vec<usize> = (0..cols.len()).collect();
-    let stats = solve_block(l, unit_diag, cols, &block, ws);
-    (ws.pattern.clone(), ws.panel.clone(), stats)
+    let order: Vec<usize> = (0..cols.len()).collect();
+    let plan = BlockedSolvePlan::build(l, cols, &order, cols.len().max(1));
+    match plan.blocks.into_iter().next() {
+        None => (Vec::new(), Vec::new(), BlockSolveStats::default()),
+        Some(pb) => {
+            let stats = numeric_on_pattern(l, unit_diag, cols, &pb, ws);
+            (pb.pattern, ws.panel.clone(), stats)
+        }
+    }
 }
 
 /// Solves all columns in blocks of `block_size`, returning the solution
@@ -348,20 +289,14 @@ pub fn solve_in_blocks(
     .expect("unlimited budget never interrupts")
 }
 
-/// Blocked solve through an index permutation, optionally in parallel.
+/// Blocked solve through an index permutation: builds a
+/// [`BlockedSolvePlan`] for `order` and runs
+/// [`solve_in_blocks_planned`] on it.
 ///
 /// Position `p` of the output holds the solution of `cols[order[p]]` —
 /// the caller applies a column ordering *by index* instead of cloning
 /// columns into permuted order. Blocks are `block_size`-wide chunks of
-/// `order`, solved concurrently by up to `workers` threads pulling block
-/// indices from a shared counter; each worker owns one pooled
-/// [`BlockWorkspace`], so the steady state performs **zero per-block
-/// heap allocation** beyond the output columns themselves.
-///
-/// Results are merged in block order, making the output byte-identical
-/// to the serial path. The budget is polled once per block; the first
-/// interrupt (lowest block index) wins, and remaining workers stop
-/// claiming blocks cooperatively.
+/// `order`.
 pub fn solve_in_blocks_ordered(
     l: &Csc,
     unit_diag: bool,
@@ -371,28 +306,23 @@ pub fn solve_in_blocks_ordered(
     workers: usize,
     budget: &Budget,
 ) -> Result<(Vec<SparseVec>, BlockSolveStats), BudgetInterrupt> {
-    assert!(block_size > 0);
-    let blocks: Vec<&[usize]> = order.chunks(block_size).collect();
-    run_blocks(
-        l.nrows(),
-        order.len(),
-        blocks.len(),
-        workers,
-        budget,
-        |b, ws| {
-            (
-                solve_block(l, unit_diag, cols, blocks[b], ws),
-                blocks[b].len(),
-            )
-        },
-    )
+    budget.check()?;
+    let plan = BlockedSolvePlan::build(l, cols, order, block_size);
+    solve_in_blocks_planned(l, unit_diag, cols, &plan, workers, budget)
 }
 
-/// [`solve_in_blocks_ordered`] with the symbolic phase served from a
-/// [`BlockedSolvePlan`]: no reach DFS runs, only the numeric panel
-/// substitution. Byte-identical to the ad-hoc path for any worker count
-/// when the plan was built against a factor with the same pattern and
-/// the same column patterns/order.
+/// Numeric half of the blocked solve: panel substitution over the
+/// plan's blocks, no reach DFS. The plan must have been built against a
+/// factor with the same pattern and the same column patterns/order.
+///
+/// Blocks are mutually independent, so up to `workers` threads pull
+/// block indices from a shared counter, each with its own pooled
+/// [`BlockWorkspace`] — the steady state performs **zero per-block heap
+/// allocation** beyond the output columns themselves. Results are
+/// merged in block order, making the output byte-identical to the
+/// serial path. The budget is polled once per block; the first
+/// interrupt (lowest block index) wins, and remaining workers stop
+/// claiming blocks cooperatively.
 pub fn solve_in_blocks_planned(
     l: &Csc,
     unit_diag: bool,
@@ -401,46 +331,17 @@ pub fn solve_in_blocks_planned(
     workers: usize,
     budget: &Budget,
 ) -> Result<(Vec<SparseVec>, BlockSolveStats), BudgetInterrupt> {
-    run_blocks(
-        l.nrows(),
-        plan.ncols,
-        plan.blocks.len(),
-        workers,
-        budget,
-        |b, ws| {
-            let pb = &plan.blocks[b];
-            (
-                solve_block_planned(l, unit_diag, cols, pb, ws),
-                pb.cols.len(),
-            )
-        },
-    )
-}
-
-/// Shared driver of the ad-hoc and planned blocked solves: serial loop
-/// or worker pool over block indices, results merged in block order so
-/// the output is byte-identical to the serial path.
-fn run_blocks<F>(
-    n: usize,
-    ncols: usize,
-    nblocks: usize,
-    workers: usize,
-    budget: &Budget,
-    solve: F,
-) -> Result<(Vec<SparseVec>, BlockSolveStats), BudgetInterrupt>
-where
-    F: Fn(usize, &mut BlockWorkspace) -> (BlockSolveStats, usize) + Sync,
-{
     budget.check()?;
-    let mut out = Vec::with_capacity(ncols);
+    let n = l.nrows();
+    let nblocks = plan.blocks.len();
+    let mut out = Vec::with_capacity(plan.ncols);
     let mut stats = BlockSolveStats::default();
     if workers <= 1 || nblocks <= 1 {
         let mut ws = BlockWorkspace::new(n);
-        for b in 0..nblocks {
+        for pb in &plan.blocks {
             budget.check()?;
-            let (st, bsize) = solve(b, &mut ws);
-            stats.merge(&st);
-            extract_columns(&ws, bsize, &mut out);
+            stats.merge(&numeric_on_pattern(l, unit_diag, cols, pb, &mut ws));
+            extract_columns(pb, &ws.panel, &mut out);
         }
         return Ok((out, stats));
     }
@@ -449,7 +350,6 @@ where
     let nworkers = workers.min(nblocks);
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let solve = &solve;
     let per_worker: Vec<Vec<(usize, BlockResult)>> = std::thread::scope(|sc| {
         let handles: Vec<_> = (0..nworkers)
             .map(|_| {
@@ -467,9 +367,10 @@ where
                             got.push((b, Err(e)));
                             break;
                         }
-                        let (st, bsize) = solve(b, &mut ws);
-                        let mut sols = Vec::with_capacity(bsize);
-                        extract_columns(&ws, bsize, &mut sols);
+                        let pb = &plan.blocks[b];
+                        let st = numeric_on_pattern(l, unit_diag, cols, pb, &mut ws);
+                        let mut sols = Vec::with_capacity(pb.cols.len());
+                        extract_columns(pb, &ws.panel, &mut sols);
                         got.push((b, Ok((sols, st))));
                     }
                     got

@@ -7,7 +7,9 @@
 //! * Gilbert–Peierls left-looking LU with threshold partial pivoting
 //!   ([`lu`]);
 //! * sparse triangular solves with **sparse right-hand sides** via
-//!   symbolic reach (Gilbert's fill-path theorem) ([`trisolve`]);
+//!   symbolic reach (Gilbert's fill-path theorem) ([`trisolve`]), and
+//!   the pruned graph that makes repeated reaches on one factor cost
+//!   `O(|reach|)` ([`reach`]);
 //! * blocked multi-RHS triangular solves with zero padding and
 //!   padded-zero accounting — the §IV kernel of the paper ([`blocked`]).
 //!
@@ -35,6 +37,7 @@ pub mod hbmc;
 pub mod levels;
 pub mod lu;
 pub mod microkernel;
+pub mod reach;
 pub mod refine;
 pub mod supernodes;
 pub mod trisolve;
@@ -46,6 +49,7 @@ pub use etree::{etree, first_nonzero_postorder_key, postorder};
 pub use hbmc::{ScheduleError, TrisolveSchedule, HBMC_BLOCK, HBMC_EQUIV_TOL};
 pub use levels::{plan_build_count, LevelPlan, SolvePlan, TriScratch};
 pub use lu::{LuConfig, LuError, LuFactors, RefactorizeError};
+pub use reach::ReachGraph;
 pub use refine::{condest_1, solve_refined, RefinedSolve};
 pub use supernodes::{
     detect_supernodes, supernodal_blocked_solve, supernodal_blocked_solve_precomputed,

@@ -14,7 +14,8 @@
 //! to the scalar reference ([`supernodal_blocked_solve_reference`]).
 
 use crate::microkernel::{rank_update_row, trsm_unit_lower};
-use crate::trisolve::{compute_reach, solve_pattern, SolveWorkspace, SparseVec};
+use crate::reach::{reach_in, ReachAdjacency, ReachGraph};
+use crate::trisolve::{SolveWorkspace, SparseVec};
 use crate::BlockSolveStats;
 use sparsekit::Csc;
 
@@ -118,6 +119,8 @@ fn is_subset(a: &[usize], b: &[usize]) -> bool {
 #[derive(Clone, Debug)]
 pub struct SupernodePlan {
     sn: Supernodes,
+    /// Pruned graph of the factor, for the per-column reaches.
+    reach: ReachGraph,
     /// Hoisted `sn_ptr[s]` (start column of supernode `s`).
     start: Vec<usize>,
     /// Hoisted `sn_ptr[s+1] - sn_ptr[s]`.
@@ -210,6 +213,7 @@ impl SupernodePlan {
         }
         SupernodePlan {
             sn,
+            reach: ReachGraph::build(l),
             start,
             width,
             max_width,
@@ -238,6 +242,69 @@ impl SupernodePlan {
     }
 }
 
+/// Symbolic half shared by the supernodal entry points: one reach per
+/// column on `adj` (the factor itself, or its pruned graph), giving the
+/// true nonzero count and the set of supernodes any reach touches. That
+/// set is exactly the supernode rounding of the block's union reach —
+/// reach distributes over seed unions — so no second, union reach runs.
+fn touched_supernodes<A: ReachAdjacency>(
+    adj: &A,
+    sn: &Supernodes,
+    cols: &[SparseVec],
+    ws: &mut SolveWorkspace,
+) -> (Vec<bool>, u64) {
+    let mut sn_touched = vec![false; sn.count()];
+    let mut true_nnz = 0u64;
+    for c in cols {
+        reach_in(adj, &c.indices, ws);
+        true_nnz += ws.topo().len() as u64;
+        for &j in ws.topo() {
+            sn_touched[sn.sn_of[j]] = true;
+        }
+    }
+    (sn_touched, true_nnz)
+}
+
+/// Expands the touched supernodes into the rounded union pattern
+/// (ascending columns — a valid topological order for a lower solve)
+/// and scatters the right-hand sides into its dense row-major panel.
+/// Returns `(pattern, pos, panel)` with `pos` the matrix-row → panel-row
+/// map.
+fn scatter_rounded(
+    n: usize,
+    sn: &Supernodes,
+    cols: &[SparseVec],
+    sn_touched: &[bool],
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    let bsize = cols.len();
+    let mut pattern: Vec<usize> = Vec::new();
+    for (s, &touched) in sn_touched.iter().enumerate() {
+        if touched {
+            pattern.extend(sn.columns(s));
+        }
+    }
+    let mut pos = vec![usize::MAX; n];
+    for (t, &row) in pattern.iter().enumerate() {
+        pos[row] = t;
+    }
+    let mut panel = vec![0f64; pattern.len() * bsize];
+    for (c, col) in cols.iter().enumerate() {
+        for (&i, &v) in col.indices.iter().zip(&col.values) {
+            panel[pos[i] * bsize + c] = v;
+        }
+    }
+    (pattern, pos, panel)
+}
+
+fn rounded_stats(union_rows: usize, bsize: usize, true_nnz: u64, flops: u64) -> BlockSolveStats {
+    BlockSolveStats {
+        union_rows,
+        true_nnz,
+        padded_zeros: (union_rows * bsize) as u64 - true_nnz,
+        flops,
+    }
+}
+
 /// Blocked lower solve with the symbolic pattern rounded up to supernode
 /// boundaries (the paper's §IV setting), running the dense microkernel
 /// tier over the plan's packed blocks.
@@ -246,10 +313,10 @@ impl SupernodePlan {
 /// [`crate::blocked_lower_solve`], with `stats.padded_zeros` counted
 /// against the *supernodal* union pattern (so it includes both the
 /// block-union padding and the supernode rounding). Bit-identical to
-/// [`supernodal_blocked_solve_reference`]; faster because the symbolic
-/// union is accumulated from the per-column reaches instead of
-/// re-reached from scratch, and the numeric sweep runs packed dense
-/// panels instead of per-entry scatter updates.
+/// [`supernodal_blocked_solve_reference`]; faster because the
+/// per-column reaches walk the plan's pruned [`ReachGraph`] and the
+/// numeric sweep runs packed dense panels instead of per-entry scatter
+/// updates.
 pub fn supernodal_blocked_solve(
     l: &Csc,
     plan: &SupernodePlan,
@@ -259,31 +326,15 @@ pub fn supernodal_blocked_solve(
     if cols.is_empty() {
         return (Vec::new(), Vec::new(), BlockSolveStats::default());
     }
-    // True per-column reach for padding accounting. The union needs no
-    // second reach: marking each reached column's supernode as we go
-    // accumulates exactly the supernode rounding of the union (reach
-    // distributes over seed unions).
-    let mut sn_touched = vec![false; plan.count()];
-    let mut true_nnz = 0u64;
-    for c in cols {
-        compute_reach(l, &c.indices, ws);
-        true_nnz += ws.topo().len() as u64;
-        for &j in ws.topo() {
-            sn_touched[plan.sn.sn_of[j]] = true;
-        }
-    }
+    let (sn_touched, true_nnz) = touched_supernodes(&plan.reach, &plan.sn, cols, ws);
     solve_rounded(l, plan, cols, &sn_touched, true_nnz)
 }
 
 /// [`supernodal_blocked_solve`] with the per-column reaches supplied by
-/// the caller, skipping the symbolic pass entirely.
-///
-/// On sparse factors the per-column reach dominates the blocked solve —
-/// and the RHS-ordering pass (`column_reaches` upstream) has already
-/// computed exactly those reaches to score the orderings, so re-deriving
-/// them here is pure redundancy. `reaches[c]` must be the reach of
-/// `cols[c].indices` in `l` (any order); output is bit-identical to the
-/// self-reaching entry points.
+/// the caller (the RHS-ordering pass, `column_reaches` upstream, has
+/// already computed exactly those), skipping the symbolic pass entirely.
+/// `reaches[c]` must be the reach of `cols[c].indices` in `l` (any
+/// order); output is bit-identical to the self-reaching entry points.
 pub fn supernodal_blocked_solve_precomputed(
     l: &Csc,
     plan: &SupernodePlan,
@@ -305,9 +356,8 @@ pub fn supernodal_blocked_solve_precomputed(
     solve_rounded(l, plan, cols, &sn_touched, true_nnz)
 }
 
-/// Numeric phase shared by the supernodal entry points: builds the
-/// rounded union pattern from the touched-supernode set and runs the
-/// dense-microkernel sweep.
+/// Numeric phase of the microkernel entry points: the dense sweep over
+/// the rounded union pattern of the touched supernodes.
 fn solve_rounded(
     l: &Csc,
     plan: &SupernodePlan,
@@ -315,27 +365,8 @@ fn solve_rounded(
     sn_touched: &[bool],
     true_nnz: u64,
 ) -> (Vec<usize>, Vec<f64>, BlockSolveStats) {
-    let n = l.nrows();
     let bsize = cols.len();
-    let mut pattern: Vec<usize> = Vec::new();
-    for (s, &touched) in sn_touched.iter().enumerate() {
-        if touched {
-            pattern.extend(plan.start[s]..plan.start[s] + plan.width[s]);
-        }
-    }
-    // Ascending column order is a valid topological order for a lower
-    // triangular solve.
-    let union_rows = pattern.len();
-    let mut pos = vec![usize::MAX; n];
-    for (t, &row) in pattern.iter().enumerate() {
-        pos[row] = t;
-    }
-    let mut panel = vec![0f64; union_rows * bsize];
-    for (c, col) in cols.iter().enumerate() {
-        for (&i, &v) in col.indices.iter().zip(&col.values) {
-            panel[pos[i] * bsize + c] = v;
-        }
-    }
+    let (pattern, pos, mut panel) = scatter_rounded(l.nrows(), &plan.sn, cols, sn_touched);
     let mut flops = 0u64;
     let mut t = 0usize;
     for (s, &touched) in sn_touched.iter().enumerate() {
@@ -392,69 +423,30 @@ fn solve_rounded(
         flops += (2 * bsize * (w * (w - 1) / 2 + rows.len() * w)) as u64;
         t += w;
     }
-    debug_assert_eq!(t, union_rows);
-    let padded_zeros = (union_rows * bsize) as u64 - true_nnz;
-    let stats = BlockSolveStats {
-        union_rows,
-        true_nnz,
-        padded_zeros,
-        flops,
-    };
+    debug_assert_eq!(t, pattern.len());
+    let stats = rounded_stats(pattern.len(), bsize, true_nnz, flops);
     (pattern, panel, stats)
 }
 
-/// The pre-microkernel scalar path, kept verbatim as the bit-identity
-/// reference for [`supernodal_blocked_solve`]: per-column symbolic
-/// re-reach, a second union reach, and a per-entry scatter update loop.
-/// `bench_kernels` times the two against each other and the property
-/// tests assert exact equality of pattern, panel, and stats.
+/// The pre-microkernel scalar path, kept as the bit-identity reference
+/// for [`supernodal_blocked_solve`]: reaches on the factor's own
+/// columns and a per-entry scatter update loop. `bench_kernels` times
+/// the two against each other and the property tests assert exact
+/// equality of pattern, panel, and stats.
 pub fn supernodal_blocked_solve_reference(
     l: &Csc,
     sn: &Supernodes,
     cols: &[SparseVec],
     ws: &mut SolveWorkspace,
 ) -> (Vec<usize>, Vec<f64>, BlockSolveStats) {
-    let n = l.nrows();
     let bsize = cols.len();
     if bsize == 0 {
         return (Vec::new(), Vec::new(), BlockSolveStats::default());
     }
-    // True per-column reach for padding accounting + union seeds.
-    let mut true_nnz = 0u64;
-    let mut seeds: Vec<usize> = Vec::new();
-    for c in cols {
-        let pat = solve_pattern(l, &c.indices, ws);
-        true_nnz += pat.len() as u64;
-        seeds.extend_from_slice(&c.indices);
-    }
-    seeds.sort_unstable();
-    seeds.dedup();
-    let union = solve_pattern(l, &seeds, ws);
-    // Round up to supernodes.
-    let mut sn_touched = vec![false; sn.count()];
-    for &j in &union {
-        sn_touched[sn.sn_of[j]] = true;
-    }
-    let mut pattern: Vec<usize> = Vec::with_capacity(union.len());
-    for (s, &touched) in sn_touched.iter().enumerate() {
-        if touched {
-            pattern.extend(sn.columns(s));
-        }
-    }
-    let union_rows = pattern.len();
-    let mut pos = vec![usize::MAX; n];
-    for (t, &row) in pattern.iter().enumerate() {
-        pos[row] = t;
-    }
-    let mut panel = vec![0f64; union_rows * bsize];
-    for (c, col) in cols.iter().enumerate() {
-        for (&i, &v) in col.indices.iter().zip(&col.values) {
-            panel[pos[i] * bsize + c] = v;
-        }
-    }
+    let (sn_touched, true_nnz) = touched_supernodes(l, sn, cols, ws);
+    let (pattern, pos, mut panel) = scatter_rounded(l.nrows(), sn, cols, &sn_touched);
     let mut flops = 0u64;
-    for t in 0..union_rows {
-        let j = pattern[t];
+    for (t, &j) in pattern.iter().enumerate() {
         let (head, tail) = panel.split_at_mut((t + 1) * bsize);
         let xrow = &head[t * bsize..];
         for (r, v) in l.col_iter(j) {
@@ -473,13 +465,7 @@ pub fn supernodal_blocked_solve_reference(
             flops += 2 * bsize as u64;
         }
     }
-    let padded_zeros = (union_rows * bsize) as u64 - true_nnz;
-    let stats = BlockSolveStats {
-        union_rows,
-        true_nnz,
-        padded_zeros,
-        flops,
-    };
+    let stats = rounded_stats(pattern.len(), bsize, true_nnz, flops);
     (pattern, panel, stats)
 }
 

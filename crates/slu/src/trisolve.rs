@@ -6,6 +6,7 @@
 //! those positions. This is the kernel PDSLin uses to form
 //! `G = L⁻¹ P Ê` and `W = F̂ P̄ U⁻¹` (equation (5) of the paper).
 
+use crate::reach::{reach_in, ReachGraph};
 use sparsekit::Csc;
 
 /// A sparse vector: parallel `(indices, values)`, indices unordered
@@ -54,10 +55,10 @@ impl SparseVec {
 #[derive(Clone, Debug)]
 pub struct SolveWorkspace {
     x: Vec<f64>,
-    mark: Vec<usize>,
-    stamp: usize,
-    stack: Vec<(usize, usize)>,
-    topo: Vec<usize>,
+    pub(crate) mark: Vec<usize>,
+    pub(crate) stamp: usize,
+    pub(crate) stack: Vec<(usize, usize)>,
+    pub(crate) topo: Vec<usize>,
 }
 
 impl SolveWorkspace {
@@ -81,44 +82,6 @@ impl SolveWorkspace {
     }
 }
 
-/// Computes the reach of `seeds` in the DAG of lower-triangular `l`
-/// (edges from column `j` to every row index `> j` of that column),
-/// leaving the result in `ws.topo` in **topological order** (every node
-/// before the nodes it updates).
-fn reach(l: &Csc, seeds: &[usize], ws: &mut SolveWorkspace) {
-    ws.stamp = ws.stamp.wrapping_add(1);
-    let stamp = ws.stamp;
-    ws.topo.clear();
-    for &seed in seeds {
-        if ws.mark[seed] == stamp {
-            continue;
-        }
-        ws.mark[seed] = stamp;
-        ws.stack.push((seed, 0));
-        while let Some(&(node, child)) = ws.stack.last() {
-            let col = l.col_indices(node);
-            let mut advanced = false;
-            let mut c = child;
-            while c < col.len() {
-                let r = col[c];
-                c += 1;
-                if r > node && ws.mark[r] != stamp {
-                    ws.mark[r] = stamp;
-                    ws.stack.last_mut().unwrap().1 = c;
-                    ws.stack.push((r, 0));
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
-                ws.topo.push(node);
-                ws.stack.pop();
-            }
-        }
-    }
-    ws.topo.reverse();
-}
-
 /// Solves `T x = b` where `T` is lower triangular in CSC (such as `L`
 /// from the LU, or `Uᵀ`), with a **sparse** right-hand side.
 ///
@@ -131,7 +94,7 @@ pub fn sparse_lower_solve(
     b: &SparseVec,
     ws: &mut SolveWorkspace,
 ) -> SparseVec {
-    reach(l, &b.indices, ws);
+    reach_in(l, &b.indices, ws);
     for &i in &ws.topo {
         ws.x[i] = 0.0;
     }
@@ -168,17 +131,17 @@ pub fn sparse_lower_solve(
 
 /// Symbolic-only variant: the pattern of `T⁻¹ b` (topological order).
 pub fn solve_pattern(l: &Csc, b_pattern: &[usize], ws: &mut SolveWorkspace) -> Vec<usize> {
-    reach(l, b_pattern, ws);
+    reach_in(l, b_pattern, ws);
     ws.topo.clone()
 }
 
 /// Allocation-free [`solve_pattern`]: computes the reach of `b_pattern`
-/// and leaves it in the workspace, readable via
-/// [`SolveWorkspace::topo`]. Hot loops that only inspect the pattern
-/// (e.g. padding accounting in the blocked solver) use this to avoid
-/// cloning the topological order per column.
+/// in the DAG of `l` (an edge from column `j` to every row `> j` of
+/// that column) and leaves it, in topological order, in the workspace,
+/// readable via [`SolveWorkspace::topo`]. Callers that take many
+/// reaches on one factor build a [`ReachGraph`] instead.
 pub fn compute_reach(l: &Csc, b_pattern: &[usize], ws: &mut SolveWorkspace) {
-    reach(l, b_pattern, ws);
+    reach_in(l, b_pattern, ws);
 }
 
 /// Computes the full pattern of `G = T⁻¹ B` for a sparse RHS matrix `B`
@@ -187,10 +150,11 @@ pub fn compute_reach(l: &Csc, b_pattern: &[usize], ws: &mut SolveWorkspace) {
 pub fn solution_pattern(l: &Csc, b: &Csc) -> sparsekit::Csr {
     let n = l.nrows();
     let mut ws = SolveWorkspace::new(n);
+    let graph = ReachGraph::build(l);
     let mut coo = sparsekit::Coo::new(n, b.ncols());
     for j in 0..b.ncols() {
-        let pat = solve_pattern(l, b.col_indices(j), &mut ws);
-        for i in pat {
+        graph.reach(b.col_indices(j), &mut ws);
+        for &i in ws.topo() {
             coo.push(i, j, 1.0);
         }
     }

@@ -106,12 +106,13 @@ def table3():
     if not rows:
         return
     print("\n## table3_stats\n")
-    print("| matrix | which | nnzG | nnzcolG | nnzrowG | eff.dens | fill-ratio |")
-    print("|---|---|---|---|---|---|---|")
+    print("| matrix | which | nnzG | nnzcolG | nnzrowG | eff.dens | fill-ratio | solve s | symbolic s |")
+    print("|---|---|---|---|---|---|---|---|---|")
     for r in rows:
         print(
             f"| {r['matrix']} | {r['which']} | {r['nnz_g']} | {r['nnzcol_g']} | "
-            f"{r['nnzrow_g']} | {r['eff_density']:.4f} | {r['fill_ratio']:.1f} |"
+            f"{r['nnzrow_g']} | {r['eff_density']:.4f} | {r['fill_ratio']:.1f} | "
+            f"{r['solve_seconds']:.4f} | {r['symbolic_seconds']:.4f} |"
         )
 
 
@@ -364,6 +365,59 @@ def bench_lu_dense():
             f"| {m} | {d:.3f} | {f['off']:.3f} | {f['on']:.3f} | "
             f"{f['auto']:.3f} ({c['auto']['dense_start']}) | {f['on'] / f['off']:.2f} | "
             f"{rf['off']:.3f} | {rf['on']:.3f} | {rf['auto']:.3f} | {rf['on'] / rf['off']:.2f} |"
+        )
+
+
+BENCH_REACH_SCHEMA = {
+    "matrix": str,
+    "full_edges": int,
+    "kept_edges": int,
+    "plan_full_seconds": float,
+    "plan_pruned_seconds": float,
+    "speedup": float,
+    "identical": bool,
+}
+
+
+# (relative, absolute seconds): timer noise on millisecond-sized rows.
+REACH_SLACK = (0.25, 1e-3)
+
+
+def bench_reach():
+    """The reach_pruned scenario of bench_kernels: the symbolic phase
+    of Comp(S) (blocked-solve plans for L and U^T of every subdomain)
+    on the factor's own columns vs its pruned ReachGraph. Gated on the
+    machine-independent facts (plans equal, the rule only removes
+    edges) and on one same-thread ratio over identical inputs: the
+    pruned build, graph construction included, is not the slower one.
+    Where the factors have next to no fill (ASIC) both builds take
+    about a millisecond and the graph's O(nnz) construction is all
+    there is to see, so "slower" means by more than REACH_SLACK."""
+    rows = load("BENCH_reach")
+    if rows is None:
+        return
+    if not isinstance(rows, list) or not rows:
+        sys.exit("BENCH_reach.json: expected a non-empty list of rows")
+    for i, r in enumerate(rows):
+        check_schema("BENCH_reach.json", i, r, BENCH_REACH_SCHEMA)
+        if not r["identical"]:
+            sys.exit(f"BENCH_reach.json row {i}: the pruned graph changed a plan")
+        if r["kept_edges"] > r["full_edges"]:
+            sys.exit(f"BENCH_reach.json row {i}: pruning added edges")
+        over = r["plan_pruned_seconds"] - r["plan_full_seconds"]
+        if over > REACH_SLACK[0] * r["plan_full_seconds"] and over > REACH_SLACK[1]:
+            sys.exit(
+                f"BENCH_reach.json: pruned plan build slower than the full graph on "
+                f"{r['matrix']} ({r['plan_pruned_seconds']:.4f}s vs {r['plan_full_seconds']:.4f}s)"
+            )
+    print("\n## BENCH_reach (Comp(S) plan build, full graph vs pruned; plans equal asserted)\n")
+    print("| matrix | full edges | kept edges | full ms | pruned ms | speedup |")
+    print("|---|---|---|---|---|---|")
+    for r in rows:
+        print(
+            f"| {r['matrix']} | {r['full_edges']} | {r['kept_edges']} | "
+            f"{r['plan_full_seconds'] * 1e3:.2f} | {r['plan_pruned_seconds'] * 1e3:.2f} | "
+            f"{r['speedup']:.1f}x |"
         )
 
 
@@ -641,6 +695,7 @@ if __name__ == "__main__":
         supernodal,
         bench_kernels,
         bench_lu_dense,
+        bench_reach,
         bench_solve,
         bench_partition,
         bench_service,
