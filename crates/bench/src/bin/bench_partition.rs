@@ -1,8 +1,9 @@
 //! **Partitioning + ordering summary** — one machine-checkable record
 //! per (matrix, block size): total padded zeros of the four RHS
 //! orderings (natural, postorder, hypergraph, RGB) over the NGD
-//! subdomains, separator sizes of unit- vs value-weighted NGD and RHB,
-//! and the configuration the automatic strategy selector picks.
+//! subdomains, separator sizes of unit- vs value-weighted NGD and RHB
+//! with the unit-weighted partitioning times (best of 3; recorded, never
+//! gated), and the configuration the automatic strategy selector picks.
 //!
 //! The CI bench-smoke job runs this at test scale and
 //! `scripts/summarize_results.py` hard-validates the output shape,
@@ -31,12 +32,24 @@ pdslin_bench::json_record! {
         ngd_vw_sep: usize,
         rhb_sep: usize,
         rhb_vw_sep: usize,
+        ngd_time_s: f64,
+        rhb_time_s: f64,
         strategy: String,
     }
 }
 
-fn separator(a: &sparsekit::Csr, kind: &PartitionerKind, w: WeightScheme) -> usize {
-    compute_partition_weighted(a, 8, kind, w).separator_size()
+/// Separator size and wall time of one partitioning.
+fn separator(a: &sparsekit::Csr, kind: &PartitionerKind, w: WeightScheme) -> (usize, f64) {
+    let t = std::time::Instant::now();
+    let sep = compute_partition_weighted(a, 8, kind, w).separator_size();
+    (sep, t.elapsed().as_secs_f64())
+}
+
+/// Unit-weighted separator size and best-of-3 wall time.
+fn unit_separator(a: &sparsekit::Csr, kind: &PartitionerKind) -> (usize, f64) {
+    let runs = [(); 3].map(|()| separator(a, kind, WeightScheme::Unit));
+    let best = runs.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
+    (runs[0].0, best)
 }
 
 fn main() {
@@ -57,11 +70,11 @@ fn main() {
     let mut rows = Vec::new();
     for kind in kinds {
         let (a, sys, factors) = pdslin_bench::ngd_factored_system(kind, scale, 8);
-        let ngd_sep = separator(&a, &PartitionerKind::Ngd, WeightScheme::Unit);
-        let ngd_vw_sep = separator(&a, &PartitionerKind::Ngd, WeightScheme::ValueScaled);
+        let (ngd_sep, ngd_time_s) = unit_separator(&a, &PartitionerKind::Ngd);
+        let ngd_vw_sep = separator(&a, &PartitionerKind::Ngd, WeightScheme::ValueScaled).0;
         let rhb = PartitionerKind::Rhb(Default::default());
-        let rhb_sep = separator(&a, &rhb, WeightScheme::Unit);
-        let rhb_vw_sep = separator(&a, &rhb, WeightScheme::ValueScaled);
+        let (rhb_sep, rhb_time_s) = unit_separator(&a, &rhb);
+        let rhb_vw_sep = separator(&a, &rhb, WeightScheme::ValueScaled).0;
         let s = select_strategy(&a);
         let strategy = format!(
             "{}+{}+{}+B{}",
@@ -83,12 +96,15 @@ fn main() {
             })
             .collect();
         println!(
-            "\n{}: separators NGD {} / {} (vw), RHB {} / {} (vw); auto strategy {}",
+            "\n{}: separators NGD {} / {} (vw) in {:.4} s, RHB {} / {} (vw) in {:.4} s; \
+             auto strategy {}",
             kind.name(),
             ngd_sep,
             ngd_vw_sep,
+            ngd_time_s,
             rhb_sep,
             rhb_vw_sep,
+            rhb_time_s,
             strategy
         );
         println!(
@@ -133,6 +149,8 @@ fn main() {
                 ngd_vw_sep,
                 rhb_sep,
                 rhb_vw_sep,
+                ngd_time_s,
+                rhb_time_s,
                 strategy: strategy.clone(),
             });
         }

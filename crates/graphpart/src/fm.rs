@@ -40,73 +40,134 @@ fn gain_of(g: &Graph, side: &[u8], v: usize) -> i64 {
     gain
 }
 
+/// Scratch of the FM passes, kept across the passes of one [`refine`]
+/// call and, through `nd::multilevel_bisect`, across its levels.
+#[derive(Default)]
+pub(crate) struct FmScratch {
+    gains: Vec<i64>,
+    locked: Vec<bool>,
+    /// Max-heap over `(gain, vertex)`; an entry whose gain is no longer
+    /// the vertex's is skipped when popped.
+    heap: BinaryHeap<(i64, usize)>,
+    moves: Vec<usize>,
+}
+
 /// Refines a bisection in place with FM passes; returns the total cut
 /// improvement (non-negative).
 pub fn refine(g: &Graph, bis: &mut Bisection, limits: FmLimits) -> i64 {
-    let n = g.nvertices();
+    refine_with(g, bis, limits, &mut FmScratch::default())
+}
+
+/// [`refine`] on caller-owned scratch.
+pub(crate) fn refine_with(
+    g: &Graph,
+    bis: &mut Bisection,
+    limits: FmLimits,
+    ws: &mut FmScratch,
+) -> i64 {
     let initial_cut = bis.edgecut;
     for _pass in 0..limits.max_passes {
-        let mut side = bis.side.clone();
-        let mut weights = bis.weights;
-        let mut gains: Vec<i64> = (0..n).map(|v| gain_of(g, &side, v)).collect();
-        let mut locked = vec![false; n];
-        // Max-heap over (gain, vertex); stale entries skipped on pop.
-        let mut heap: BinaryHeap<(i64, usize)> = (0..n).map(|v| (gains[v], v)).collect();
-        let mut cur_cut = bis.edgecut;
-        let mut best_cut = bis.edgecut;
-        let mut moves: Vec<usize> = Vec::new();
-        let mut best_prefix = 0usize;
-        while let Some((gain, v)) = heap.pop() {
-            if locked[v] || gain != gains[v] {
-                continue; // stale
-            }
-            let from = side[v] as usize;
-            let to = 1 - from;
-            let wv = g.vertex_weight(v);
-            if weights[to] + wv > limits.max_side {
-                // Cannot move without violating balance; lock and go on.
-                locked[v] = true;
-                continue;
-            }
-            // Apply the move.
-            locked[v] = true;
-            side[v] = to as u8;
-            weights[from] -= wv;
-            weights[to] += wv;
-            cur_cut -= gain;
-            moves.push(v);
-            if cur_cut < best_cut {
-                best_cut = cur_cut;
-                best_prefix = moves.len();
-            }
-            // Update neighbour gains.
-            for (u, w) in g.edges(v) {
-                if locked[u] {
-                    continue;
-                }
-                // v changed sides: if u is now on v's (new) side, the edge
-                // became internal for u (gain -2w relative to before);
-                // otherwise it became external (+2w).
-                if side[u] == side[v] {
-                    gains[u] -= 2 * w;
-                } else {
-                    gains[u] += 2 * w;
-                }
-                heap.push((gains[u], u));
-            }
-        }
-        if best_cut >= bis.edgecut {
+        if !pass(g, bis, limits, ws) {
             break; // no improvement this pass
         }
-        // Re-apply only the best prefix of moves.
-        let mut new_side = bis.side.clone();
-        for &v in &moves[..best_prefix] {
-            new_side[v] = 1 - new_side[v];
-        }
-        *bis = Bisection::recompute(g, new_side);
-        debug_assert_eq!(bis.edgecut, best_cut);
     }
     initial_cut - bis.edgecut
+}
+
+/// One FM pass: moves vertices in `(gain, vertex)` order, each at most
+/// once, then keeps the shortest prefix of moves with the smallest cut.
+/// Returns whether that cut is below the pass's start.
+///
+/// An edge whose endpoints are locked on opposite sides stays cut until
+/// the pass ends. The weight of those edges, `dead_cost`, is therefore a
+/// lower bound on the cut after every later move, and since a prefix is
+/// kept only for a cut *strictly* below `best_cut`, the pass ends as soon
+/// as `dead_cost >= best_cut`: the moves it skips could not have been
+/// kept. (Edge weights are non-negative: [`Graph::from_parts`] checks.)
+fn pass(g: &Graph, bis: &mut Bisection, limits: FmLimits, ws: &mut FmScratch) -> bool {
+    let n = g.nvertices();
+    let FmScratch {
+        gains,
+        locked,
+        heap,
+        moves,
+    } = ws;
+    gains.clear();
+    gains.extend((0..n).map(|v| gain_of(g, &bis.side, v)));
+    locked.clear();
+    locked.resize(n, false);
+    moves.clear();
+    let mut entries = std::mem::take(heap).into_vec();
+    entries.clear();
+    entries.extend((0..n).map(|v| (gains[v], v)));
+    *heap = BinaryHeap::from(entries);
+
+    let start_cut = bis.edgecut;
+    let mut cur_cut = start_cut;
+    let mut best_cut = start_cut;
+    let mut best_prefix = 0usize;
+    let mut dead_cost = 0i64;
+    while dead_cost < best_cut {
+        let Some((gain, v)) = heap.pop() else { break };
+        if locked[v] || gain != gains[v] {
+            continue; // stale
+        }
+        let from = bis.side[v] as usize;
+        let to = 1 - from;
+        let wv = g.vertex_weight(v);
+        locked[v] = true;
+        if bis.weights[to] + wv > limits.max_side {
+            // Cannot move without violating balance: v stays locked on
+            // `from`, and so do its edges to vertices locked on `to`.
+            for (u, w) in g.edges(v) {
+                if locked[u] && bis.side[u] as usize == to {
+                    dead_cost += w;
+                }
+            }
+            debug_assert!(cur_cut >= dead_cost);
+            continue;
+        }
+        // Apply the move.
+        bis.side[v] = to as u8;
+        bis.weights[from] -= wv;
+        bis.weights[to] += wv;
+        cur_cut -= gain;
+        moves.push(v);
+        // Update neighbour gains.
+        for (u, w) in g.edges(v) {
+            if locked[u] {
+                if bis.side[u] as usize == from {
+                    dead_cost += w;
+                }
+                continue;
+            }
+            // v changed sides: if u is now on v's (new) side, the edge
+            // became internal for u (gain -2w relative to before);
+            // otherwise it became external (+2w).
+            if bis.side[u] as usize == to {
+                gains[u] -= 2 * w;
+            } else {
+                gains[u] += 2 * w;
+            }
+            heap.push((gains[u], u));
+        }
+        debug_assert!(cur_cut >= dead_cost);
+        if cur_cut < best_cut {
+            best_cut = cur_cut;
+            best_prefix = moves.len();
+        }
+    }
+    // Undo the moves past the best prefix.
+    for &v in &moves[best_prefix..] {
+        let to = bis.side[v] as usize;
+        let wv = g.vertex_weight(v);
+        bis.side[v] = 1 - to as u8;
+        bis.weights[to] -= wv;
+        bis.weights[1 - to] += wv;
+    }
+    bis.edgecut = best_cut;
+    debug_assert_eq!(bis.edgecut, g.edge_cut(&bis.side));
+    best_cut < start_cut
 }
 
 #[cfg(test)]

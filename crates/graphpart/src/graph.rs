@@ -79,14 +79,16 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent array lengths, out-of-range neighbours, or
-    /// self-loops. Symmetry of the adjacency is the caller's duty (checked
+    /// Panics on inconsistent array lengths, out-of-range neighbours,
+    /// self-loops, or a negative edge weight (the FM pass bound needs
+    /// `w ≥ 0`). Symmetry of the adjacency is the caller's duty (checked
     /// in debug builds).
     pub fn from_parts(xadj: Vec<usize>, adj: Vec<usize>, ewgt: Vec<i64>, vwgt: Vec<i64>) -> Self {
         let n = vwgt.len();
         assert_eq!(xadj.len(), n + 1, "xadj length mismatch");
         assert_eq!(*xadj.last().unwrap(), adj.len());
         assert_eq!(adj.len(), ewgt.len());
+        assert!(ewgt.iter().all(|&w| w >= 0), "negative edge weight");
         for v in 0..n {
             assert!(xadj[v] <= xadj[v + 1]);
             for &u in &adj[xadj[v]..xadj[v + 1]] {

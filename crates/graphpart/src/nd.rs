@@ -7,7 +7,7 @@
 //! `C` of the doubly-bordered block-diagonal (DBBD) form (1) in the paper.
 
 use crate::coarsen::coarsen_once;
-use crate::fm::{refine, FmLimits};
+use crate::fm::{refine_with, FmLimits, FmScratch};
 use crate::initpart::{grow_bisection, Bisection};
 use crate::separator::{is_valid_separator, vertex_separator, SIDE_SEP};
 use crate::Graph;
@@ -101,27 +101,31 @@ impl DbbdPartition {
 /// Multilevel edge bisection: coarsen to `cfg.coarse_target`, bisect the
 /// coarsest graph greedily, then project back refining with FM.
 pub fn multilevel_bisect(g: &Graph, cfg: &NdConfig) -> Bisection {
+    bisect_level(g, cfg, &mut FmScratch::default())
+}
+
+fn bisect_level(g: &Graph, cfg: &NdConfig, ws: &mut FmScratch) -> Bisection {
     let total = g.total_vertex_weight();
     let limits = FmLimits::from_eps(total, cfg.eps);
     if g.nvertices() <= cfg.coarse_target {
         let mut b = grow_bisection(g, total / 2);
-        refine(g, &mut b, limits);
+        refine_with(g, &mut b, limits, ws);
         return b;
     }
     let lvl = coarsen_once(g);
     // Coarsening stalled (heavy matching failed to shrink): bisect directly.
     if lvl.graph.nvertices() as f64 > 0.95 * g.nvertices() as f64 {
         let mut b = grow_bisection(g, total / 2);
-        refine(g, &mut b, limits);
+        refine_with(g, &mut b, limits, ws);
         return b;
     }
-    let coarse_bis = multilevel_bisect(&lvl.graph, cfg);
+    let coarse_bis = bisect_level(&lvl.graph, cfg, ws);
     // Project to the fine level.
     let side: Vec<u8> = (0..g.nvertices())
         .map(|v| coarse_bis.side[lvl.coarse_of[v]])
         .collect();
     let mut b = Bisection::recompute(g, side);
-    refine(g, &mut b, limits);
+    refine_with(g, &mut b, limits, ws);
     b
 }
 

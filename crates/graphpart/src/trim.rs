@@ -6,8 +6,10 @@
 //! keeps the partition valid. Column-classification separators (as
 //! produced by hypergraph-based partitioners) routinely contain such
 //! vertices: a "wide" two-layer separator blocks every path twice. The
-//! pass sweeps to a fixpoint, preferring to move vertices into the
-//! *lightest* adjacent subdomain so trimming also nudges balance.
+//! pass sweeps to a fixpoint. A redundant vertex with a non-separator
+//! neighbour has exactly one candidate, that neighbour's subdomain; only
+//! a vertex with none (all its neighbours are in the separator) has a
+//! choice, and goes to the currently *lightest* subdomain.
 
 use crate::nd::{DbbdPartition, SEPARATOR};
 use crate::Graph;

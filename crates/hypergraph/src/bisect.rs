@@ -1,7 +1,9 @@
 //! Multilevel hypergraph bisection.
 
 use crate::coarsen::coarsen_once;
-use crate::fm::{refine, HBisection, HFmLimits};
+use crate::fm::{
+    count_pins, initial_gains, move_across_net, refine_with, HBisection, HFmLimits, HFmScratch,
+};
 use crate::Hypergraph;
 
 /// Configuration for a multilevel bisection.
@@ -76,24 +78,28 @@ pub fn grow_bisection(h: &Hypergraph) -> HBisection {
 /// Multilevel bisection: coarsen to `cfg.coarse_target` vertices, grow an
 /// initial bisection, refine with FM while projecting back up.
 pub fn multilevel_bisect(h: &Hypergraph, cfg: &BisectConfig) -> HBisection {
+    bisect_level(h, cfg, &mut HFmScratch::default())
+}
+
+fn bisect_level(h: &Hypergraph, cfg: &BisectConfig, ws: &mut HFmScratch) -> HBisection {
     let limits = HFmLimits::from_eps(h, cfg.eps);
     if h.nvertices() <= cfg.coarse_target {
         let mut b = grow_bisection(h);
-        refine(h, &mut b, &limits);
+        refine_with(h, &mut b, &limits, ws);
         return b;
     }
     let lvl = coarsen_once(h);
     if lvl.hg.nvertices() as f64 > 0.95 * h.nvertices() as f64 {
         let mut b = grow_bisection(h);
-        refine(h, &mut b, &limits);
+        refine_with(h, &mut b, &limits, ws);
         return b;
     }
-    let coarse = multilevel_bisect(&lvl.hg, cfg);
+    let coarse = bisect_level(&lvl.hg, cfg, ws);
     let side: Vec<u8> = (0..h.nvertices())
         .map(|v| coarse.side[lvl.coarse_of[v]])
         .collect();
     let mut b = HBisection::recompute(h, side);
-    refine(h, &mut b, &limits);
+    refine_with(h, &mut b, &limits, ws);
     b
 }
 
@@ -102,50 +108,35 @@ pub fn multilevel_bisect(h: &Hypergraph, cfg: &BisectConfig) -> HBisection {
 /// where every part must have exactly `B` columns, ε = 0).
 ///
 /// Vertices are shifted from the overfull side picking, at each step, the
-/// vertex whose move increases the cut the least.
+/// vertex whose move increases the cut the least (lowest index on ties).
 pub fn repair_to_exact_count(h: &Hypergraph, bis: &mut HBisection, target0: usize) {
-    let n = h.nvertices();
-    loop {
-        let count0 = bis.side.iter().filter(|&&s| s == 0).count();
-        if count0 == target0 {
-            break;
-        }
-        let from: u8 = if count0 > target0 { 0 } else { 1 };
-        // Pin counts per net for gain evaluation.
-        let mut cnt = vec![[0usize; 2]; h.nnets()];
-        for net in 0..h.nnets() {
-            for &v in h.pins_of(net) {
-                cnt[net][bis.side[v] as usize] += 1;
-            }
-        }
-        let mut best_v = usize::MAX;
-        let mut best_gain = i64::MIN;
-        for v in 0..n {
-            if bis.side[v] != from {
-                continue;
-            }
-            let s = from as usize;
-            let mut g = 0i64;
-            for &net in h.nets_of(v) {
-                let c = h.net_cost(net);
-                if cnt[net][s] == 1 {
-                    g += c;
-                }
-                if cnt[net][1 - s] == 0 {
-                    g -= c;
-                }
-            }
-            if g > best_gain || (g == best_gain && v < best_v) {
-                best_gain = g;
-                best_v = v;
-            }
-        }
-        if best_v == usize::MAX {
-            break; // nothing movable (side empty)
-        }
-        bis.side[best_v] = 1 - from;
-        *bis = HBisection::recompute(h, std::mem::take(&mut bis.side));
+    let count0 = bis.side.iter().filter(|&&s| s == 0).count();
+    if count0 == target0 {
+        return;
     }
+    // The overfull side stays the same until the count is reached, so a
+    // shifted vertex is never a candidate again.
+    let from = if count0 > target0 { 0usize } else { 1 };
+    let mut cnt = Vec::new();
+    count_pins(h, &bis.side, &mut cnt);
+    let mut gains = Vec::new();
+    initial_gains(h, &bis.side, &cnt, &mut gains);
+    for _ in 0..count0.abs_diff(target0) {
+        let best = (0..h.nvertices())
+            .filter(|&v| bis.side[v] as usize == from)
+            .min_by_key(|&v| (std::cmp::Reverse(gains[v]), v));
+        let Some(v) = best else {
+            break; // nothing movable (side empty)
+        };
+        for &net in h.nets_of(v) {
+            move_across_net(h, &bis.side, &mut cnt, net, v, from, |u, delta| {
+                gains[u] += delta;
+            });
+        }
+        bis.flip(h, v);
+        bis.cut -= gains[v];
+    }
+    bis.debug_check(h);
 }
 
 #[cfg(test)]

@@ -88,26 +88,29 @@ pub fn contract(h: &Hypergraph, mate: &[usize]) -> CoarseHg {
             vwgt[cv * ncon + c] += h.vertex_weight(v, c);
         }
     }
-    let mut pins: Vec<Vec<usize>> = Vec::new();
+    let mut nptr = vec![0usize];
+    let mut npins: Vec<usize> = Vec::with_capacity(h.npins());
     let mut ncost: Vec<i64> = Vec::new();
     let mut mark = vec![usize::MAX; nc];
     for net in 0..h.nnets() {
-        let mut p: Vec<usize> = Vec::with_capacity(h.net_size(net));
+        let start = npins.len();
         for &v in h.pins_of(net) {
             let cv = coarse_of[v];
             if mark[cv] != net {
                 mark[cv] = net;
-                p.push(cv);
+                npins.push(cv);
             }
         }
-        if p.len() > 1 {
-            p.sort_unstable();
-            pins.push(p);
+        if npins.len() - start > 1 {
+            npins[start..].sort_unstable();
+            nptr.push(npins.len());
             ncost.push(h.net_cost(net));
+        } else {
+            npins.truncate(start);
         }
     }
     CoarseHg {
-        hg: Hypergraph::from_pin_lists(nc, &pins, vwgt, ncon, ncost),
+        hg: Hypergraph::from_flat_pins(nc, nptr, npins, vwgt, ncon, ncost),
         coarse_of,
     }
 }

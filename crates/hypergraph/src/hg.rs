@@ -27,10 +27,36 @@ impl Hypergraph {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent dimensions or out-of-range pins.
+    /// As [`Hypergraph::from_flat_pins`], which it flattens into.
     pub fn from_pin_lists(
         nvert: usize,
         pins: &[Vec<usize>],
+        vwgt: Vec<i64>,
+        ncon: usize,
+        ncost: Vec<i64>,
+    ) -> Self {
+        let mut nptr = Vec::with_capacity(pins.len() + 1);
+        let mut npins = Vec::with_capacity(pins.iter().map(Vec::len).sum());
+        nptr.push(0);
+        for p in pins {
+            npins.extend_from_slice(p);
+            nptr.push(npins.len());
+        }
+        Hypergraph::from_flat_pins(nvert, nptr, npins, vwgt, ncon, ncost)
+    }
+
+    /// Builds a hypergraph from pins already in CSR layout: net `n` has
+    /// the (duplicate-free) pins `npins[nptr[n]..nptr[n + 1]]`. `vwgt` is
+    /// row-major `nvert × ncon`. `ncost[n]` is the cost of net `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on inconsistent dimensions, out-of-range pins or a negative
+    /// net cost (the FM pass bound needs `cost ≥ 0`).
+    pub fn from_flat_pins(
+        nvert: usize,
+        nptr: Vec<usize>,
+        npins: Vec<usize>,
         vwgt: Vec<i64>,
         ncon: usize,
         ncost: Vec<i64>,
@@ -41,25 +67,29 @@ impl Hypergraph {
             nvert * ncon,
             "vertex weight array size mismatch"
         );
-        assert_eq!(ncost.len(), pins.len(), "net cost array size mismatch");
-        let nnets = pins.len();
-        let mut nptr = vec![0usize; nnets + 1];
-        let mut npins = Vec::new();
+        assert_eq!(nptr.len(), ncost.len() + 1, "net cost array size mismatch");
+        assert_eq!(nptr[0], 0, "net pointers must start at 0");
+        assert_eq!(
+            nptr[ncost.len()],
+            npins.len(),
+            "net pointers must end at the pin count"
+        );
+        let nnets = ncost.len();
         let mut vdeg = vec![0usize; nvert];
-        for (n, p) in pins.iter().enumerate() {
-            for &v in p {
+        for n in 0..nnets {
+            assert!(nptr[n] <= nptr[n + 1], "net pointers must not decrease");
+            assert!(ncost[n] >= 0, "negative cost on net {n}");
+            for &v in &npins[nptr[n]..nptr[n + 1]] {
                 assert!(v < nvert, "pin {v} out of range in net {n}");
                 vdeg[v] += 1;
             }
-            npins.extend_from_slice(p);
-            nptr[n + 1] = npins.len();
         }
         let mut vptr = vec![0usize; nvert + 1];
         for v in 0..nvert {
             vptr[v + 1] = vptr[v] + vdeg[v];
         }
         let mut vnets = vec![0usize; npins.len()];
-        let mut next = vptr.clone();
+        let mut next = vptr[..nvert].to_vec();
         for n in 0..nnets {
             for &v in &npins[nptr[n]..nptr[n + 1]] {
                 vnets[next[v]] = n;
@@ -200,6 +230,31 @@ mod tests {
     #[should_panic]
     fn rejects_out_of_range_pin() {
         Hypergraph::from_pin_lists(2, &[vec![0, 2]], vec![1, 1], 1, vec![1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative cost")]
+    fn rejects_negative_net_cost() {
+        Hypergraph::from_pin_lists(2, &[vec![0, 1]], vec![1, 1], 1, vec![-1]);
+    }
+
+    #[test]
+    fn flat_pins_build_the_same_hypergraph() {
+        let a = sample();
+        let b = Hypergraph::from_flat_pins(
+            4,
+            vec![0, 2, 5, 7],
+            vec![0, 1, 1, 2, 3, 0, 3],
+            vec![1, 2, 3, 4],
+            1,
+            vec![1, 1, 1],
+        );
+        for n in 0..3 {
+            assert_eq!(a.pins_of(n), b.pins_of(n));
+        }
+        for v in 0..4 {
+            assert_eq!(a.nets_of(v), b.nets_of(v));
+        }
     }
 
     #[test]

@@ -15,14 +15,30 @@ pub fn column_net_model(m: &Csr) -> Hypergraph {
 /// Column-net model with caller-supplied vertex weights (row-major,
 /// `ncon` per row) and a uniform net cost.
 pub fn column_net_model_weighted(m: &Csr, vwgt: &[i64], ncon: usize, net_cost: i64) -> Hypergraph {
-    let mut pins: Vec<Vec<usize>> = vec![Vec::new(); m.ncols()];
+    let (nptr, npins) = column_nets(m);
+    let ncost = vec![net_cost; m.ncols()];
+    Hypergraph::from_flat_pins(m.nrows(), nptr, npins, vwgt.to_vec(), ncon, ncost)
+}
+
+/// The column nets of `m` in the layout of [`Hypergraph::from_flat_pins`]:
+/// the pattern of `mᵀ`, the rows of every column ascending.
+pub(crate) fn column_nets(m: &Csr) -> (Vec<usize>, Vec<usize>) {
+    let mut nptr = vec![0usize; m.ncols() + 1];
+    for &j in m.indices() {
+        nptr[j + 1] += 1;
+    }
+    for j in 0..m.ncols() {
+        nptr[j + 1] += nptr[j];
+    }
+    let mut npins = vec![0usize; m.nnz()];
+    let mut next = nptr[..m.ncols()].to_vec();
     for i in 0..m.nrows() {
         for &j in m.row_indices(i) {
-            pins[j].push(i);
+            npins[next[j]] = i;
+            next[j] += 1;
         }
     }
-    let ncost = vec![net_cost; m.ncols()];
-    Hypergraph::from_pin_lists(m.nrows(), &pins, vwgt.to_vec(), ncon, ncost)
+    (nptr, npins)
 }
 
 /// Row-net model `H_R(M)`: one vertex per **column**, one net per
@@ -33,12 +49,15 @@ pub fn column_net_model_weighted(m: &Csr, vwgt: &[i64], ncon: usize, net_cost: i
 /// `B` (the paper shows minimising con1 with cost-`B` nets equals
 /// minimising padded zeros up to a constant).
 pub fn row_net_model(m: &Csr, net_cost: i64) -> Hypergraph {
-    let mut pins: Vec<Vec<usize>> = Vec::with_capacity(m.nrows());
-    for i in 0..m.nrows() {
-        pins.push(m.row_indices(i).to_vec());
-    }
     let ncost = vec![net_cost; m.nrows()];
-    Hypergraph::from_pin_lists(m.ncols(), &pins, vec![1i64; m.ncols()], 1, ncost)
+    Hypergraph::from_flat_pins(
+        m.ncols(),
+        m.indptr().to_vec(),
+        m.indices().to_vec(),
+        vec![1i64; m.ncols()],
+        1,
+        ncost,
+    )
 }
 
 #[cfg(test)]

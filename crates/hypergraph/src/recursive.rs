@@ -23,25 +23,26 @@ pub fn induce_subhypergraph(h: &Hypergraph, vertices: &[usize]) -> (Hypergraph, 
     for &old in vertices {
         vwgt.extend_from_slice(h.vertex_weights(old));
     }
-    let mut pins: Vec<Vec<usize>> = Vec::new();
+    let mut nptr = vec![0usize];
+    let mut npins: Vec<usize> = Vec::new();
     let mut ncost: Vec<i64> = Vec::new();
     for net in 0..h.nnets() {
-        let p: Vec<usize> = h
-            .pins_of(net)
-            .iter()
-            .copied()
-            .filter_map(|v| {
-                let nv = new_of[v];
-                (nv != usize::MAX).then_some(nv)
-            })
-            .collect();
-        if p.len() > 1 {
-            pins.push(p);
+        let start = npins.len();
+        npins.extend(
+            h.pins_of(net)
+                .iter()
+                .map(|&v| new_of[v])
+                .filter(|&nv| nv != usize::MAX),
+        );
+        if npins.len() - start > 1 {
+            nptr.push(npins.len());
             ncost.push(h.net_cost(net));
+        } else {
+            npins.truncate(start);
         }
     }
     (
-        Hypergraph::from_pin_lists(vertices.len(), &pins, vwgt, ncon, ncost),
+        Hypergraph::from_flat_pins(vertices.len(), nptr, npins, vwgt, ncon, ncost),
         vertices.to_vec(),
     )
 }

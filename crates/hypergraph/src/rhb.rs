@@ -28,6 +28,7 @@ use sparsekit::Csr;
 
 use crate::bisect::{multilevel_bisect, BisectConfig};
 use crate::metrics::CutMetric;
+use crate::models::column_nets;
 use crate::Hypergraph;
 
 /// The structural factorisation `str(A) = str(MᵀM)` used to build the
@@ -310,17 +311,9 @@ fn rhb_recurse(
             ConstraintMode::Unit => unreachable!(),
         }
     }
-    let pins: Vec<Vec<usize>> = {
-        let mut p: Vec<Vec<usize>> = vec![Vec::new(); col_ids.len()];
-        for i in 0..sub.nrows() {
-            for &j in sub.row_indices(i) {
-                p[j].push(i);
-            }
-        }
-        p
-    };
+    let (nptr, npins) = column_nets(&sub);
     let ncost: Vec<i64> = cols.iter().map(|&(_, c)| c).collect();
-    let h = Hypergraph::from_pin_lists(rows.len(), &pins, vwgt, ncon, ncost);
+    let h = Hypergraph::from_flat_pins(rows.len(), nptr, npins, vwgt, ncon, ncost);
     let bcfg = BisectConfig {
         eps: st.cfg.eps,
         coarse_target: st.cfg.coarse_target,

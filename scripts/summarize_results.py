@@ -434,6 +434,8 @@ BENCH_PARTITION_SCHEMA = {
     "ngd_vw_sep": int,
     "rhb_sep": int,
     "rhb_vw_sep": int,
+    "ngd_time_s": float,
+    "rhb_time_s": float,
     "strategy": str,
 }
 
@@ -448,32 +450,27 @@ def bench_partition():
     if len({r.get("matrix") for r in rows}) < 3:
         sys.exit("BENCH_partition.json: expected rows for at least 3 matrices")
     for i, r in enumerate(rows):
-        for field, ty in BENCH_PARTITION_SCHEMA.items():
-            if field not in r:
-                sys.exit(f"BENCH_partition.json row {i}: missing field '{field}'")
-            v = r[field]
-            if ty is bool:
-                ok = isinstance(v, bool)
-            else:
-                ok = isinstance(v, ty) and not isinstance(v, bool)
-            if not ok:
-                sys.exit(
-                    f"BENCH_partition.json row {i}: field '{field}' is "
-                    f"{type(v).__name__}, expected {ty.__name__}"
-                )
+        check_schema("BENCH_partition.json", i, r, BENCH_PARTITION_SCHEMA)
         if not r["rgb_le_natural"] or r["rgb"] > r["natural"]:
             sys.exit(
                 f"BENCH_partition.json row {i}: rgb padding {r['rgb']} "
                 f"exceeds natural {r['natural']}"
             )
-    print("\n## BENCH_partition (padded zeros per ordering; separators unit vs value-weighted)\n")
-    print("| matrix | B | natural | postorder | hypergraph | rgb | NGD sep u/v | RHB sep u/v | auto strategy |")
-    print("|---|---|---|---|---|---|---|---|---|")
+    print(
+        "\n## BENCH_partition (padded zeros per ordering; separators unit vs value-weighted; "
+        "unit-weighted partitioning time, best of 3, not gated)\n"
+    )
+    print(
+        "| matrix | B | natural | postorder | hypergraph | rgb | NGD sep u/v | RHB sep u/v "
+        "| NGD s | RHB s | auto strategy |"
+    )
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
     for r in rows:
         print(
             f"| {r['matrix']} | {r['block_size']} | {r['natural']} | {r['postorder']} | "
             f"{r['hypergraph']} | {r['rgb']} | {r['ngd_sep']}/{r['ngd_vw_sep']} | "
-            f"{r['rhb_sep']}/{r['rhb_vw_sep']} | {r['strategy']} |"
+            f"{r['rhb_sep']}/{r['rhb_vw_sep']} | {r['ngd_time_s']:.4f} | {r['rhb_time_s']:.4f} | "
+            f"{r['strategy']} |"
         )
 
 

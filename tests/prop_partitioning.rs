@@ -1,10 +1,15 @@
 //! Randomized property tests of the partitioning and reordering layers
 //! on randomly structured inputs (deterministic SplitMix64 seeds).
 
+use std::collections::{BTreeMap, BinaryHeap};
+
+use graphpart::fm::FmLimits;
+use graphpart::initpart::Bisection;
 use graphpart::separator::{is_valid_separator, vertex_separator};
 use graphpart::{nested_dissection, Graph, NdConfig, SEPARATOR};
-use hypergraph::{rhb_partition, RhbConfig};
-use sparsekit::{Coo, Csr, Rng64};
+use hypergraph::fm::{HBisection, HFmLimits};
+use hypergraph::{rhb_partition, Hypergraph, RhbConfig};
+use sparsekit::{Coo, Csr, Fnv64, Rng64};
 
 /// Random connected-ish symmetric sparse matrix with a full diagonal.
 fn random_symmetric(rng: &mut Rng64, n_max: usize) -> Csr {
@@ -241,5 +246,418 @@ fn ordering_padding_invariants() {
             s.sort_unstable();
             assert_eq!(s, (0..cols.len()).collect::<Vec<_>>(), "seed {seed}");
         }
+    }
+}
+
+/// The FM refiner `hypergraph::fm::refine` replaced: every pass drains
+/// its heap (moves or balance-locks every vertex), then keeps the best
+/// prefix. The oracle for the bounded passes. Returns the number of
+/// balance-locks, so the caller can check that the inputs produce some.
+fn full_pass_hfm(h: &Hypergraph, bis: &mut HBisection, limits: &HFmLimits) -> usize {
+    let n = h.nvertices();
+    let ncon = h.nconstraints();
+    let mut balance_locks = 0usize;
+    for _pass in 0..limits.max_passes {
+        let mut side = bis.side.clone();
+        let mut weights = bis.weights.clone();
+        let mut cnt = vec![[0usize; 2]; h.nnets()];
+        for net in 0..h.nnets() {
+            for &v in h.pins_of(net) {
+                cnt[net][side[v] as usize] += 1;
+            }
+        }
+        let mut gains = vec![0i64; n];
+        for v in 0..n {
+            let s = side[v] as usize;
+            for &net in h.nets_of(v) {
+                if cnt[net][s] == 1 {
+                    gains[v] += h.net_cost(net);
+                }
+                if cnt[net][1 - s] == 0 {
+                    gains[v] -= h.net_cost(net);
+                }
+            }
+        }
+        let mut locked = vec![false; n];
+        let mut heap: BinaryHeap<(i64, usize)> = (0..n).map(|v| (gains[v], v)).collect();
+        let mut cur_cut = bis.cut;
+        let mut best_cut = bis.cut;
+        let mut moves: Vec<usize> = Vec::new();
+        let mut best_prefix = 0usize;
+        while let Some((gain, v)) = heap.pop() {
+            if locked[v] || gain != gains[v] {
+                continue;
+            }
+            let from = side[v] as usize;
+            let to = 1 - from;
+            locked[v] = true;
+            let ok = (0..ncon).all(|c| {
+                weights[to][c] + h.vertex_weight(v, c) <= limits.max_side[c]
+                    || weights[from][c] > limits.max_side[c]
+            });
+            if !ok {
+                balance_locks += 1;
+                continue;
+            }
+            for &net in h.nets_of(v) {
+                let c = h.net_cost(net);
+                if cnt[net][to] == 0 {
+                    for &u in h.pins_of(net) {
+                        if !locked[u] {
+                            gains[u] += c;
+                            heap.push((gains[u], u));
+                        }
+                    }
+                } else if cnt[net][to] == 1 {
+                    for &u in h.pins_of(net) {
+                        if !locked[u] && side[u] as usize == to {
+                            gains[u] -= c;
+                            heap.push((gains[u], u));
+                        }
+                    }
+                }
+                cnt[net][from] -= 1;
+                cnt[net][to] += 1;
+                if cnt[net][from] == 0 {
+                    for &u in h.pins_of(net) {
+                        if !locked[u] {
+                            gains[u] -= c;
+                            heap.push((gains[u], u));
+                        }
+                    }
+                } else if cnt[net][from] == 1 {
+                    for &u in h.pins_of(net) {
+                        if !locked[u] && side[u] as usize == from {
+                            gains[u] += c;
+                            heap.push((gains[u], u));
+                        }
+                    }
+                }
+            }
+            side[v] = to as u8;
+            for c in 0..ncon {
+                let w = h.vertex_weight(v, c);
+                weights[from][c] -= w;
+                weights[to][c] += w;
+            }
+            cur_cut -= gain;
+            moves.push(v);
+            if cur_cut < best_cut {
+                best_cut = cur_cut;
+                best_prefix = moves.len();
+            }
+        }
+        if best_cut >= bis.cut {
+            break;
+        }
+        let mut new_side = bis.side.clone();
+        for &v in &moves[..best_prefix] {
+            new_side[v] = 1 - new_side[v];
+        }
+        *bis = HBisection::recompute(h, new_side);
+        assert_eq!(bis.cut, best_cut);
+    }
+    balance_locks
+}
+
+/// The graph twin of [`full_pass_hfm`]: what `graphpart::fm::refine`
+/// replaced.
+fn full_pass_fm(g: &Graph, bis: &mut Bisection, limits: FmLimits) -> usize {
+    let n = g.nvertices();
+    let mut balance_locks = 0usize;
+    for _pass in 0..limits.max_passes {
+        let mut side = bis.side.clone();
+        let mut weights = bis.weights;
+        let mut gains = vec![0i64; n];
+        for v in 0..n {
+            for (u, w) in g.edges(v) {
+                gains[v] += if side[u] == side[v] { -w } else { w };
+            }
+        }
+        let mut locked = vec![false; n];
+        let mut heap: BinaryHeap<(i64, usize)> = (0..n).map(|v| (gains[v], v)).collect();
+        let mut cur_cut = bis.edgecut;
+        let mut best_cut = bis.edgecut;
+        let mut moves: Vec<usize> = Vec::new();
+        let mut best_prefix = 0usize;
+        while let Some((gain, v)) = heap.pop() {
+            if locked[v] || gain != gains[v] {
+                continue;
+            }
+            let from = side[v] as usize;
+            let to = 1 - from;
+            let wv = g.vertex_weight(v);
+            locked[v] = true;
+            if weights[to] + wv > limits.max_side {
+                balance_locks += 1;
+                continue;
+            }
+            side[v] = to as u8;
+            weights[from] -= wv;
+            weights[to] += wv;
+            cur_cut -= gain;
+            moves.push(v);
+            if cur_cut < best_cut {
+                best_cut = cur_cut;
+                best_prefix = moves.len();
+            }
+            for (u, w) in g.edges(v) {
+                if locked[u] {
+                    continue;
+                }
+                gains[u] += if side[u] == side[v] { -2 * w } else { 2 * w };
+                heap.push((gains[u], u));
+            }
+        }
+        if best_cut >= bis.edgecut {
+            break;
+        }
+        let mut new_side = bis.side.clone();
+        for &v in &moves[..best_prefix] {
+            new_side[v] = 1 - new_side[v];
+        }
+        *bis = Bisection::recompute(g, new_side);
+        assert_eq!(bis.edgecut, best_cut);
+    }
+    balance_locks
+}
+
+/// How a random FM instance starts.
+#[derive(Clone, Copy, Debug)]
+enum Start {
+    /// Independent fair coin per vertex.
+    Random,
+    /// Every vertex on side 0: `cut == 0`, `max_side` violated.
+    OneSided,
+    /// About four in five vertices on side 0: `max_side` violated.
+    Skewed,
+    /// Nets / edges stay inside one half of the index range and the
+    /// start puts each half on its own side: `cut == 0`, balanced.
+    Clustered,
+}
+
+const STARTS: [Start; 4] = [
+    Start::Random,
+    Start::OneSided,
+    Start::Skewed,
+    Start::Clustered,
+];
+
+fn start_side(rng: &mut Rng64, n: usize, start: Start) -> Vec<u8> {
+    (0..n)
+        .map(|v| match start {
+            Start::Random => rng.below(2) as u8,
+            Start::OneSided => 0,
+            Start::Skewed => (rng.below(5) == 0) as u8,
+            Start::Clustered => (v >= n / 2) as u8,
+        })
+        .collect()
+}
+
+/// A random pin / endpoint: under [`Start::Clustered`] from the half of
+/// the index range that `anchor` is in, otherwise from all of it.
+fn pick(rng: &mut Rng64, n: usize, start: Start, anchor: usize) -> usize {
+    match start {
+        Start::Clustered if anchor < n / 2 => rng.below(n / 2),
+        Start::Clustered => n / 2 + rng.below(n - n / 2),
+        _ => rng.below(n),
+    }
+}
+
+/// Random hypergraph with weighted nets (cost 0 included), empty and
+/// 1-pin nets, and `ncon` vertex weights in `1..=4`.
+fn random_hypergraph(rng: &mut Rng64, n: usize, ncon: usize, start: Start) -> Hypergraph {
+    let nnets = rng.range(1, 3 * n);
+    let pins: Vec<Vec<usize>> = (0..nnets)
+        .map(|_| {
+            let anchor = rng.below(n);
+            let mut p: Vec<usize> = (0..rng.below(6))
+                .map(|_| pick(rng, n, start, anchor))
+                .collect();
+            p.sort_unstable();
+            p.dedup();
+            p
+        })
+        .collect();
+    let ncost = (0..nnets).map(|_| rng.below(5) as i64).collect();
+    let vwgt = (0..n * ncon).map(|_| 1 + rng.below(4) as i64).collect();
+    Hypergraph::from_pin_lists(n, &pins, vwgt, ncon, ncost)
+}
+
+/// Random graph with edge weights in `1..=4` and vertex weights in `1..=3`.
+fn random_graph(rng: &mut Rng64, n: usize, start: Start) -> Graph {
+    let mut edges: BTreeMap<(usize, usize), i64> = BTreeMap::new();
+    for _ in 0..rng.range(1, 3 * n) {
+        let u = rng.below(n);
+        let v = pick(rng, n, start, u);
+        if u != v {
+            let w = 1 + rng.below(4) as i64;
+            edges.insert((u, v), w);
+            edges.insert((v, u), w);
+        }
+    }
+    let mut xadj = vec![0usize; n + 1];
+    let mut adj = Vec::new();
+    let mut ewgt = Vec::new();
+    for (&(u, v), &w) in &edges {
+        adj.push(v);
+        ewgt.push(w);
+        xadj[u + 1] = adj.len();
+    }
+    for v in 0..n {
+        xadj[v + 1] = xadj[v + 1].max(xadj[v]);
+    }
+    let vwgt = (0..n).map(|_| 1 + rng.below(3) as i64).collect();
+    Graph::from_parts(xadj, adj, ewgt, vwgt)
+}
+
+/// The bounded FM passes must return what the full passes they replaced
+/// return — same `side`, `cut`, `weights` — on hypergraphs with weighted,
+/// empty and 1-pin nets, one and two constraints, balance bounds tight
+/// enough to lock vertices, and starts with `cut == 0` or a violated
+/// `max_side`.
+#[test]
+fn bounded_hypergraph_fm_matches_full_passes() {
+    let mut balance_locks = 0usize;
+    let mut improved = 0usize;
+    for seed in 0..240u64 {
+        let mut rng = Rng64::new(seed);
+        let start = STARTS[seed as usize % 4];
+        let ncon = 1 + (seed as usize / 4) % 2;
+        let n = rng.range(2, 48);
+        let h = random_hypergraph(&mut rng, n, ncon, start);
+        let eps = [0.0, 0.02, 0.3][rng.below(3)];
+        let limits = HFmLimits::from_eps(&h, eps);
+        let side = start_side(&mut rng, n, start);
+        let mut bounded = HBisection::recompute(&h, side.clone());
+        let mut full = HBisection::recompute(&h, side);
+        let start_cut = full.cut;
+        if matches!(start, Start::OneSided | Start::Clustered) {
+            assert_eq!(start_cut, 0, "seed {seed}");
+        }
+        let gain = hypergraph::fm::refine(&h, &mut bounded, &limits);
+        balance_locks += full_pass_hfm(&h, &mut full, &limits);
+        improved += (full.cut < start_cut) as usize;
+        assert_eq!(bounded.side, full.side, "seed {seed} {start:?}");
+        assert_eq!(bounded.cut, full.cut, "seed {seed} {start:?}");
+        assert_eq!(bounded.weights, full.weights, "seed {seed} {start:?}");
+        assert_eq!(gain, start_cut - bounded.cut, "seed {seed} {start:?}");
+    }
+    assert!(balance_locks > 100, "only {balance_locks} balance-locks");
+    assert!(improved > 40, "only {improved} instances improved");
+}
+
+/// The graph twin of [`bounded_hypergraph_fm_matches_full_passes`].
+#[test]
+fn bounded_graph_fm_matches_full_passes() {
+    let mut balance_locks = 0usize;
+    let mut improved = 0usize;
+    for seed in 0..240u64 {
+        let mut rng = Rng64::new(seed);
+        let start = STARTS[seed as usize % 4];
+        let n = rng.range(2, 48);
+        let g = random_graph(&mut rng, n, start);
+        let eps = [0.0, 0.02, 0.3][rng.below(3)];
+        let limits = FmLimits::from_eps(g.total_vertex_weight(), eps);
+        let side = start_side(&mut rng, n, start);
+        let mut bounded = Bisection::recompute(&g, side.clone());
+        let mut full = Bisection::recompute(&g, side);
+        let start_cut = full.edgecut;
+        if matches!(start, Start::OneSided | Start::Clustered) {
+            assert_eq!(start_cut, 0, "seed {seed}");
+        }
+        let gain = graphpart::fm::refine(&g, &mut bounded, limits);
+        balance_locks += full_pass_fm(&g, &mut full, limits);
+        improved += (full.edgecut < start_cut) as usize;
+        assert_eq!(bounded.side, full.side, "seed {seed} {start:?}");
+        assert_eq!(bounded.edgecut, full.edgecut, "seed {seed} {start:?}");
+        assert_eq!(bounded.weights, full.weights, "seed {seed} {start:?}");
+        assert_eq!(gain, start_cut - bounded.edgecut, "seed {seed} {start:?}");
+    }
+    assert!(balance_locks > 100, "only {balance_locks} balance-locks");
+    assert!(improved > 40, "only {improved} instances improved");
+}
+
+/// On tiny instances (n ≤ 12) `refine` never returns a cut above its
+/// start, and the `cut` / `weights` it leaves equal a fresh `recompute`.
+#[test]
+fn refine_never_worsens_and_keeps_its_books() {
+    for seed in 0..400u64 {
+        let mut rng = Rng64::new(seed);
+        let start = STARTS[seed as usize % 4];
+        let n = rng.range(2, 13);
+        let eps = [0.0, 0.1, 0.5][rng.below(3)];
+
+        let ncon = 1 + rng.below(2);
+        let h = random_hypergraph(&mut rng, n, ncon, start);
+        let mut hb = HBisection::recompute(&h, start_side(&mut rng, n, start));
+        let before = hb.cut;
+        hypergraph::fm::refine(&h, &mut hb, &HFmLimits::from_eps(&h, eps));
+        assert!(hb.cut <= before, "seed {seed}");
+        let fresh = HBisection::recompute(&h, hb.side.clone());
+        assert_eq!(
+            (fresh.cut, fresh.weights),
+            (hb.cut, hb.weights),
+            "seed {seed}"
+        );
+
+        let g = random_graph(&mut rng, n, start);
+        let mut gb = Bisection::recompute(&g, start_side(&mut rng, n, start));
+        let before = gb.edgecut;
+        let limits = FmLimits::from_eps(g.total_vertex_weight(), eps);
+        graphpart::fm::refine(&g, &mut gb, limits);
+        assert!(gb.edgecut <= before, "seed {seed}");
+        let fresh = Bisection::recompute(&g, gb.side.clone());
+        assert_eq!(
+            (fresh.edgecut, fresh.weights),
+            (gb.edgecut, gb.weights),
+            "seed {seed}"
+        );
+    }
+}
+
+/// `part_of` of the four benchmark matrices (k = 8), folded with FNV-1a;
+/// the values were taken on the commit before the FM passes were bounded.
+/// Partition identity is what makes every downstream count and solution
+/// of the benchmark identical, so it is pinned here and not only observed
+/// there.
+#[test]
+fn benchmark_partitions_are_pinned() {
+    use pdslin::{compute_partition, PartitionerKind};
+    let rhb = PartitionerKind::Rhb(Default::default());
+    let ngd = PartitionerKind::Ngd;
+    let cases: [(&str, Csr, &PartitionerKind, u64); 4] = [
+        (
+            "fusion_like(32,32,7,211) RHB",
+            matgen::fusion::fusion_like(32, 32, 7, 211),
+            &rhb,
+            0xbe85_24ba_dd37_5d17,
+        ),
+        (
+            "cavity3d_graded(18,18,18,4.0,0.34) NGD",
+            matgen::stencil::cavity3d_graded(18, 18, 18, 4.0, 0.34),
+            &ngd,
+            0x46bd_9ca8_79ea_4e88,
+        ),
+        (
+            "g3_like(180,180) NGD",
+            matgen::circuit::g3_like(180, 180),
+            &ngd,
+            0x73c1_3cd3_2e48_ed9b,
+        ),
+        (
+            "g3_like(60,60) NGD",
+            matgen::circuit::g3_like(60, 60),
+            &ngd,
+            0xe30f_7488_ce03_bb8c,
+        ),
+    ];
+    for (name, a, kind, want) in &cases {
+        let part = compute_partition(a, 8, kind);
+        let mut h = Fnv64::new();
+        for &p in &part.part_of {
+            h.write_u64(p as u64);
+        }
+        assert_eq!(h.finish(), *want, "{name}: {:#018x}", h.finish());
     }
 }
