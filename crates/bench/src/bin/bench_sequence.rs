@@ -19,7 +19,7 @@
 //! recorded but never gated — CI boxes make them meaningless.
 
 use matgen::Scale;
-use pdslin::{Pdslin, PdslinConfig, SequencePolicy};
+use pdslin::{Pdslin, PdslinConfig};
 use sparsekit::Csr;
 use std::time::Instant;
 
@@ -45,18 +45,6 @@ fn rhs_for(n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| 1.0 + 0.25 * ((i * 2_654_435_761 % 97) as f64 / 97.0))
         .collect()
-}
-
-/// Deterministic multiplicative perturbation of the values (pattern
-/// untouched). Large `scale` makes the matrix numerically very
-/// different from `a`, which is how the stale probe manufactures a
-/// preconditioner that is bad for the *later* matrices in its sequence.
-fn drift(a: &Csr, scale: f64) -> Csr {
-    let mut out = a.clone();
-    for (t, v) in out.values_mut().iter_mut().enumerate() {
-        *v *= 1.0 + scale * ((t % 13) as f64 - 6.0) / 6.0;
-    }
-    out
 }
 
 /// Per-step replay-vs-full-setup timing on a forward-drifting sequence.
@@ -154,30 +142,13 @@ fn bench_refactorize(
 /// matrices the walk returns to, and a tight policy turns that
 /// degradation into a typed stale fallback.
 fn bench_stale_probe(rows: &mut Vec<SequenceRow>) {
-    // Fixed calibrated problem: at this size and `k`, the last step of
-    // the walk needs ~2x the baseline iterations under the stale
-    // preconditioner, reliably past the 1.5x cap. (The forward-drift
-    // section above shows replay does NOT degrade on well-behaved
-    // drifts — manufacturing staleness takes a deliberately hostile
-    // setup matrix.)
-    let a = matgen::stencil::laplace2d(16, 16);
-    let problem = "laplace2d(16,16)";
+    // The calibrated walk shared with tests/prop_sequence.rs. (The
+    // forward-drift section above shows replay does NOT degrade on
+    // well-behaved drifts — manufacturing staleness takes a deliberately
+    // hostile setup matrix.)
+    let walk = pdslin_bench::stale_walk();
     std::env::set_var(pdslin::par::THREADS_ENV, "1");
-    let cfg = PdslinConfig {
-        k: 2,
-        interface_drop_tol: 5e-2,
-        schur_drop_tol: 5e-2,
-        parallel: false,
-        ..Default::default()
-    };
-    let mats = vec![drift(&a, 500.0), drift(&a, 5.0), a.clone()];
-    let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 7) as f64) - 3.0).collect();
-    let rhs: Vec<Vec<f64>> = vec![b; mats.len()];
-    let policy = SequencePolicy {
-        max_iteration_growth: 1.5,
-        min_baseline_iters: 4,
-        ..SequencePolicy::default()
-    };
+    let (mats, rhs, cfg, policy) = (walk.mats, walk.rhs, walk.config, walk.policy);
     let mut solver = Pdslin::setup(&mats[0], cfg).expect("stale-probe setup");
     let seq = solver
         .solve_sequence(&mats, &rhs, &policy)
@@ -189,7 +160,7 @@ fn bench_stale_probe(rows: &mut Vec<SequenceRow>) {
     );
     for (t, s) in seq.iter().enumerate() {
         rows.push(SequenceRow {
-            problem: problem.to_string(),
+            problem: walk.problem.to_string(),
             kernel: "stale_probe".to_string(),
             workers: 1,
             step: t,

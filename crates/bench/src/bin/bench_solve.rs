@@ -29,8 +29,7 @@ pdslin_bench::json_record! {
         // Schedule-shape columns, only meaningful for the trisolve
         // schedule rows (0 elsewhere): total sweeps (forward + backward
         // levels/stages) and the widest level in rows. CI gates on HBMC
-        // having fewer sweeps and wider levels than level scheduling on
-        // the 2D Laplacian.
+        // having fewer sweeps than level scheduling on the 2D Laplacian.
         sweeps: usize,
         max_width: usize,
     }
@@ -276,8 +275,8 @@ fn bench_solve_many(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr) {
 /// `serial_seconds` is the **level-scheduled** time at the same worker
 /// count, so the `speedup` column reads as level-vs-HBMC — the
 /// comparison this benchmark exists for. CI gates on HBMC reporting
-/// fewer sweeps and wider levels than level scheduling here (a
-/// deterministic structural property, unlike the timings).
+/// fewer sweeps than level scheduling here (a deterministic structural
+/// property, unlike the timings).
 ///
 /// HBMC reorders per-row dependency sums, so its solutions are
 /// tolerance-checked against the level schedule at switch time (the

@@ -222,6 +222,57 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
+/// A matrix sequence calibrated to go stale under a tight
+/// [`pdslin::SequencePolicy`]: set up on a heavy value perturbation of
+/// `laplace2d(16,16)` with loose drop tolerances, walk back to the clean
+/// Laplacian, and the reused preconditioner needs ≈ 2× the baseline
+/// Krylov iterations on the last step.
+pub struct StaleWalk {
+    /// Label of the base problem.
+    pub problem: &'static str,
+    /// Solver configuration (serial, `k = 4`, drop tolerances 0.1).
+    pub config: pdslin::PdslinConfig,
+    /// Growth cap 1.5× over a baseline of at least 4 iterations.
+    pub policy: pdslin::SequencePolicy,
+    /// Setup matrix, an intermediate step, the clean Laplacian.
+    pub mats: Vec<sparsekit::Csr>,
+    /// One right-hand side per matrix.
+    pub rhs: Vec<Vec<f64>>,
+}
+
+/// Builds the [`StaleWalk`]. Iterations per step are 8, 8, 17 against a
+/// cap of 12: the middle step stays 4 under the cap and the last one
+/// clears it by 5.
+pub fn stale_walk() -> StaleWalk {
+    fn drift(a: &sparsekit::Csr, scale: f64) -> sparsekit::Csr {
+        let mut out = a.clone();
+        for (t, v) in out.values_mut().iter_mut().enumerate() {
+            *v *= 1.0 + scale * ((t % 13) as f64 - 6.0) / 6.0;
+        }
+        out
+    }
+    let a = matgen::stencil::laplace2d(16, 16);
+    let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 7) as f64) - 3.0).collect();
+    let mats = vec![drift(&a, 500.0), drift(&a, 5.0), a];
+    StaleWalk {
+        problem: "laplace2d(16,16)",
+        config: pdslin::PdslinConfig {
+            k: 4,
+            interface_drop_tol: 0.1,
+            schur_drop_tol: 0.1,
+            parallel: false,
+            ..Default::default()
+        },
+        policy: pdslin::SequencePolicy {
+            max_iteration_growth: 1.5,
+            min_baseline_iters: 4,
+            ..Default::default()
+        },
+        rhs: vec![b; mats.len()],
+        mats,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

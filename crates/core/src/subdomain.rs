@@ -6,8 +6,8 @@
 //! free: after composition, sorting RHS columns by their first nonzero
 //! row index *is* the paper's postorder heuristic.
 
-use graphpart::{min_degree_order, rcm_order, Graph};
-use slu::etree::{etree, postorder};
+use graphpart::{min_degree_order, Graph};
+use slu::etree::{etree, postorder, NO_PARENT};
 use slu::{LuConfig, LuError, LuFactors};
 use sparsekit::budget::Budget;
 use sparsekit::{Csr, Perm};
@@ -38,32 +38,40 @@ impl FactoredDomain {
     }
 }
 
-/// Computes the fill-reducing + postorder column permutation for `d`.
+/// Computes the fill-reducing + postorder column permutation for `d`:
+/// approximate minimum degree on the pattern of `|D| + |Dᵀ|`, composed
+/// with a postorder of the elimination tree it induces.
 ///
-/// Minimum degree is used for sparse blocks. For dense-ish blocks —
-/// notably the assembled Schur complement `S̃`, whose density can reach
-/// tens of percent — quotient-graph MD costs `O(n · deg²)` and buys
-/// nothing, so RCM takes over past a density threshold.
+/// This one ordering also serves the assembled Schur complement `S̃`,
+/// whose density can reach tens of percent: supervariables and element
+/// absorption keep AMD near-linear there, and it leaves less fill than
+/// RCM on `S̃` (docs/performance.md).
 pub fn subdomain_ordering(d: &Csr) -> Perm {
+    ordering_and_etree(d).0
+}
+
+/// [`subdomain_ordering`] plus the elimination tree of the ordered
+/// pattern. A postorder is a topological relabelling of the tree, so the
+/// tree of the postordered pattern is the AMD tree relabelled:
+/// `parent_po[i] = po.to_new(parent_md[po.to_old(i)])`.
+fn ordering_and_etree(d: &Csr) -> (Perm, Vec<usize>) {
     let sym = if d.pattern_symmetric() {
         d.clone()
     } else {
         d.symmetrize_abs()
     };
-    let g = Graph::from_matrix(&sym);
-    let n = sym.nrows().max(1);
-    let density = sym.nnz() as f64 / (n as f64 * n as f64);
-    let md = if density > 0.02 && n > 2000 {
-        rcm_order(&g)
-    } else {
-        min_degree_order(&g)
-    };
-    // Postorder the e-tree of the MD-permuted pattern; composing keeps
-    // the fill of the MD ordering (postorders are equivalent orderings).
-    let pm = sym.permute(&md, &md);
-    let parent = etree(&pm);
-    let po = postorder(&parent);
-    po.compose(&md)
+    let md = min_degree_order(&Graph::from_matrix(&sym));
+    // Composing with a postorder keeps the fill of the AMD ordering
+    // (postorders are equivalent orderings).
+    let parent_md = etree(&sym.permute(&md, &md));
+    let po = postorder(&parent_md);
+    let parent = (0..parent_md.len())
+        .map(|i| match parent_md[po.to_old(i)] {
+            NO_PARENT => NO_PARENT,
+            q => po.to_new(q),
+        })
+        .collect();
+    (po.compose(&md), parent)
 }
 
 /// Factors one subdomain with the standard ordering pipeline.
@@ -90,17 +98,10 @@ pub fn factor_domain_budgeted(
     cfg: &LuConfig,
     budget: &Budget,
 ) -> Result<FactoredDomain, LuError> {
-    let order = subdomain_ordering(d);
+    // The e-tree is in elimination coordinates (used by diagnostics and
+    // the postorder RHS key).
+    let (order, etree_parent) = ordering_and_etree(d);
     let lu = LuFactors::factorize_budgeted(d, &order, cfg, budget)?;
-    // E-tree of the ordered symmetric pattern, in elimination coordinates
-    // (used by diagnostics and the postorder RHS key).
-    let sym = if d.pattern_symmetric() {
-        d.clone()
-    } else {
-        d.symmetrize_abs()
-    };
-    let pd = sym.permute(&order, &order);
-    let etree_parent = etree(&pd);
     Ok(FactoredDomain { lu, etree_parent })
 }
 
@@ -328,5 +329,19 @@ mod tests {
         let d = laplace2d(6, 6);
         let fd = factor_domain(&d, 0.1).unwrap();
         assert_eq!(fd.etree_parent.len(), 36);
+    }
+
+    #[test]
+    fn relabelled_etree_equals_the_recomputed_one() {
+        let mut unsym = sparsekit::Coo::new(30, 30);
+        for i in 0..30 {
+            unsym.push(i, i, 4.0);
+            unsym.push(i, (i * 7 + 3) % 30, -1.0);
+        }
+        for d in [laplace2d(11, 9), laplace3d(5, 4, 6), unsym.to_csr()] {
+            let (order, parent) = ordering_and_etree(&d);
+            let sym = d.symmetrize_abs();
+            assert_eq!(parent, etree(&sym.permute(&order, &order)));
+        }
     }
 }

@@ -236,9 +236,11 @@ def bench_solve():
     if not need <= kernels:
         sys.exit(f"BENCH_solve.json: missing kernels {need - kernels}")
     # The HBMC parallelism gate: on every problem with schedule rows,
-    # HBMC must report fewer sweeps and wider levels than level
-    # scheduling. This is a deterministic structural property of the
-    # schedules (unlike the timings, which are never gated).
+    # HBMC must report fewer sweeps than level scheduling. This is a
+    # deterministic structural property of the schedules (unlike the
+    # timings, which are never gated). Width is not gated: under the
+    # approximate-minimum-degree ordering the level schedule is the wider
+    # one (docs/kernels.md).
     sched = {}
     for r in rows:
         if r["kernel"] in ("trisolve_level", "trisolve_hbmc"):
@@ -248,11 +250,9 @@ def bench_solve():
     for prob, d in sched.items():
         if "trisolve_level" not in d or "trisolve_hbmc" not in d:
             sys.exit(f"BENCH_solve.json: {prob} is missing one of the schedule rows")
-        (ls, lw), (hs, hw) = d["trisolve_level"], d["trisolve_hbmc"]
+        (ls, _), (hs, _) = d["trisolve_level"], d["trisolve_hbmc"]
         if not (0 < hs < ls):
             sys.exit(f"BENCH_solve.json: {prob}: hbmc sweeps {hs} not < level sweeps {ls}")
-        if not (hw > lw > 0):
-            sys.exit(f"BENCH_solve.json: {prob}: hbmc width {hw} not > level width {lw}")
     print("\n## BENCH_solve (solve-phase kernels; exact-match asserted, speedups informational)\n")
     print("| problem | kernel | workers | batch | seconds | speedup | match | iters | sweeps | width |")
     print("|---|---|---|---|---|---|---|---|---|---|")

@@ -47,7 +47,12 @@ fn orderings_are_permutations() {
 
 #[test]
 fn reordered_padding_beats_natural_on_average() {
-    for kind in [MatrixKind::Tdr190k, MatrixKind::DdsLinear] {
+    // Under the approximate-minimum-degree subdomain ordering the §IV-A
+    // postorder heuristic pads more than the natural order on these two
+    // kinds (EXPERIMENTS.md, Fig. 4); the hypergraph ordering still beats
+    // both everywhere.
+    let post_loses = [MatrixKind::Tdr190k, MatrixKind::G3Circuit];
+    for kind in MatrixKind::ALL {
         let (sys, factors) = factored(kind);
         let mut nat = 0u64;
         let mut post = 0u64;
@@ -66,9 +71,15 @@ fn reordered_padding_beats_natural_on_average() {
                 *acc += padding_of_order(&reaches, n, &order, 32).0;
             }
         }
+        if !post_loses.contains(&kind) {
+            assert!(
+                post < nat,
+                "{kind:?}: postorder {post} should beat natural {nat}"
+            );
+        }
         assert!(
-            post < nat,
-            "{kind:?}: postorder {post} should beat natural {nat}"
+            hyper < nat,
+            "{kind:?}: hypergraph {hyper} should beat natural {nat}"
         );
         assert!(
             hyper <= post,

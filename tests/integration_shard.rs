@@ -5,6 +5,9 @@
 //! execution — and that no fault ever hangs the parent past its budget
 //! deadline plus the supervision slack.
 
+use std::path::PathBuf;
+use std::process::Command;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use matgen::stencil::laplace2d;
@@ -33,8 +36,57 @@ fn shard_config() -> ShardConfig {
         heartbeat_timeout_ms: 500,
         respawn_limit: 2,
         respawn_backoff_ms: 10,
-        worker_bin: None,
+        worker_bin: Some(worker_bin().clone()),
     }
+}
+
+/// Builds `pdslin-shard-worker` once per test run, in the profile and
+/// target directory of this test binary, and returns its path. `cargo
+/// test` does not rebuild other packages' binaries, so without this a
+/// worker left over from an older build would serve the bit-identity
+/// tests with stale numerics.
+fn worker_bin() -> &'static PathBuf {
+    static BIN: OnceLock<PathBuf> = OnceLock::new();
+    BIN.get_or_init(|| {
+        // The test binary lives in `<target>/<profile-dir>/deps/`.
+        let exe = std::env::current_exe().expect("test executable path");
+        let profile_dir = exe
+            .parent()
+            .and_then(|deps| deps.parent())
+            .expect("test binary outside <target>/<profile>/deps");
+        let target_dir = profile_dir.parent().expect("profile dir has a parent");
+        let profile = match profile_dir.file_name().and_then(|s| s.to_str()) {
+            Some("debug") => "dev",
+            Some(other) => other,
+            None => panic!("unnamed profile dir {}", profile_dir.display()),
+        };
+        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
+        let out = Command::new(cargo)
+            .args([
+                "build",
+                "-p",
+                "pdslin-shard",
+                "--bin",
+                "pdslin-shard-worker",
+            ])
+            .args(["--profile", profile])
+            .arg("--target-dir")
+            .arg(target_dir)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("run cargo build for the shard worker");
+        assert!(
+            out.status.success(),
+            "building pdslin-shard-worker failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let bin = profile_dir.join(format!(
+            "pdslin-shard-worker{}",
+            std::env::consts::EXE_SUFFIX
+        ));
+        assert!(bin.is_file(), "no worker at {}", bin.display());
+        bin
+    })
 }
 
 fn rhs(n: usize) -> Vec<f64> {

@@ -217,31 +217,18 @@ fn drifted_sequence_refactorizes_every_step_and_converges() {
 #[test]
 fn stale_fallback_fires_typed_recovery_and_matches_full_setup_bitwise() {
     let _g = lock();
-    // Calibrated hostile walk (same recipe as bench_sequence's stale
-    // probe): set up on a heavily perturbed matrix with aggressive drop
-    // tolerances, then walk back to the clean matrix under a tight
-    // policy — the frozen S̃ is a poor preconditioner for the later
-    // steps and the growth test must fire.
-    let a = laplace2d(16, 16);
-    let cfg = PdslinConfig {
-        k: 2,
-        interface_drop_tol: 5e-2,
-        schur_drop_tol: 5e-2,
-        parallel: false,
-        ..Default::default()
-    };
-    let mats = vec![drift(&a, 500.0), drift(&a, 5.0), a.clone()];
-    let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 7) as f64) - 3.0).collect();
-    let rhs: Vec<Vec<f64>> = vec![b.clone(); mats.len()];
-    let policy = SequencePolicy {
-        max_iteration_growth: 1.5,
-        min_baseline_iters: 4,
-        ..SequencePolicy::default()
-    };
+    // Calibrated hostile walk (shared with bench_sequence's stale probe):
+    // set up on a heavily perturbed matrix with loose drop tolerances,
+    // then walk back to the clean matrix under a tight policy — the
+    // frozen S̃ is a poor preconditioner for the last step and the growth
+    // test must fire there, and only there.
+    let walk = pdslin_bench::stale_walk();
+    let (mats, rhs, cfg) = (&walk.mats, &walk.rhs, walk.config);
     let mut solver = Pdslin::setup(&mats[0], cfg).expect("setup");
     let steps = solver
-        .solve_sequence(&mats, &rhs, &policy)
+        .solve_sequence(mats, rhs, &walk.policy)
         .expect("sequence");
+    assert_eq!(steps.len(), mats.len());
 
     let stale: Vec<usize> = steps
         .iter()
@@ -249,8 +236,18 @@ fn stale_fallback_fires_typed_recovery_and_matches_full_setup_bitwise() {
         .filter(|(_, s)| s.stale_fallback)
         .map(|(t, _)| t)
         .collect();
-    assert!(!stale.is_empty(), "the hostile walk never went stale");
+    assert_eq!(
+        stale,
+        vec![mats.len() - 1],
+        "the hostile walk must go stale on its last step alone"
+    );
     let t = stale[0];
+    for (u, s) in steps.iter().enumerate().take(t) {
+        assert!(s.refactorized, "step {u} should be incremental");
+    }
+    assert!(steps[t].outcome.converged);
+    let res = sparsekit::ops::residual_inf_norm(&mats[t], &steps[t].outcome.x, &rhs[t]);
+    assert!(res < 1e-6, "post-rebuild residual {res}");
     assert!(
         !steps[t].refactorized,
         "a stale step cannot also count as refactorized"
