@@ -1,14 +1,17 @@
 //! Ablation: padding at **column** granularity (our Fig. 4 accounting)
 //! vs **supernodal** granularity (the paper's solver pads whole
 //! supernodes). Shows how much extra padding supernode rounding adds on
-//! top of the block-union padding, per RHS ordering.
+//! top of the block-union padding, per RHS ordering. The column padding
+//! is that of the driver's blocked solve; the supernodal padding is
+//! symbolic (`slu::supernodal_padding`) on the same blocks.
 
 use matgen::MatrixKind;
 use pdslin::interface::ehat_columns_pivot;
 use pdslin::rhs_order::{column_reaches, order_columns_precomputed};
-use pdslin::RhsOrdering;
-use slu::supernodes::{supernodal_blocked_solve, SupernodePlan};
+use pdslin::{Budget, RhsOrdering};
+use slu::supernodes::{detect_supernodes, supernodal_padding};
 use slu::trisolve::{SolveWorkspace, SparseVec};
+use slu::{BlockSolveStats, ReachGraph};
 
 pdslin_bench::json_record! {
     struct SupernodalRow {
@@ -28,6 +31,7 @@ fn main() {
     let (_a, sys, factors) = pdslin_bench::ngd_factored_system(kind, scale, 8);
     let orderings = [RhsOrdering::Natural, RhsOrdering::Postorder];
     let blocks = [30usize, 60, 120];
+    let unlimited = Budget::unlimited();
     let mut rows = Vec::new();
     println!("Supernodal vs column padding (tdr190k analogue, NGD k=8)");
     println!(
@@ -36,25 +40,22 @@ fn main() {
     );
     for (dom, fd) in sys.domains.iter().zip(&factors).take(2) {
         let n = fd.lu.n();
-        let plan = SupernodePlan::build(&fd.lu.l, 0);
-        let sn = plan.supernodes();
+        let l = &fd.lu.l;
+        let sn = detect_supernodes(l, 0);
+        let graph = ReachGraph::build(l);
         let mut ws = SolveWorkspace::new(n);
-        let mut bws = slu::BlockWorkspace::new(n);
         let cols = ehat_columns_pivot(fd, dom);
-        let reaches = column_reaches(&cols, &fd.lu.l, &mut ws);
+        let reaches = column_reaches(&cols, l, &mut ws);
         for &ord in &orderings {
             for &b in &blocks {
                 let order = order_columns_precomputed(&cols, &reaches, n, b, ord);
+                let (_sols, col_stats) =
+                    slu::solve_in_blocks_ordered(l, true, &cols, &order, b, 1, &unlimited)
+                        .expect("an unlimited budget never interrupts");
                 let ordered: Vec<SparseVec> = order.iter().map(|&j| cols[j].clone()).collect();
-                let mut col_stats = slu::BlockSolveStats::default();
-                let mut sn_stats = slu::BlockSolveStats::default();
+                let mut sn_stats = BlockSolveStats::default();
                 for chunk in ordered.chunks(b) {
-                    let (_p, _panel, st) =
-                        slu::blocked_lower_solve(&fd.lu.l, true, chunk, &mut bws);
-                    col_stats.merge(&st);
-                    let (_p2, _panel2, st2) =
-                        supernodal_blocked_solve(&fd.lu.l, &plan, chunk, &mut ws);
-                    sn_stats.merge(&st2);
+                    sn_stats.merge(&supernodal_padding(&graph, &sn, chunk, &mut ws));
                 }
                 println!(
                     "{:<12} {:<6} {:>14.4} {:>16.4} {:>8} {:>8}",

@@ -8,7 +8,7 @@ use slu::blocked::{
 };
 use slu::trisolve::{transpose_with_sources, SolveWorkspace, SparseVec};
 use sparsekit::budget::{Budget, BudgetInterrupt};
-use sparsekit::spgemm::{spgemm_checked_workers, SpgemmError};
+use sparsekit::spgemm::{spgemm_checked, SpgemmError};
 use sparsekit::{Csc, Csr};
 
 use crate::extract::LocalDomain;
@@ -191,43 +191,16 @@ fn csr_from_row_solutions(nrows: usize, ncols: usize, order: &[usize], sols: &[S
     Csr::from_parts(nrows, ncols, indptr, indices, values)
 }
 
-/// Computes `G̃`, `W̃` and `T̃ = W̃ G̃` for one subdomain.
+/// Computes `G̃`, `W̃` and `T̃ = W̃ G̃` for one subdomain (one worker, no
+/// budget, no plan kept).
 pub fn compute_interface(
     fd: &FactoredDomain,
     dom: &LocalDomain,
     cfg: &InterfaceConfig,
 ) -> InterfaceOutcome {
-    compute_interface_budgeted(fd, dom, cfg, &Budget::unlimited())
+    compute_interface_planned(fd, dom, cfg, &Budget::unlimited(), 1, None)
         .expect("an unlimited budget never interrupts")
-}
-
-/// [`compute_interface`] under an execution [`Budget`]: the deadline and
-/// cancel token are checked before each of the three kernels (`G` solve,
-/// `W` solve, `T̃` product), and the SpGEMM polls the budget between
-/// output rows. Single-worker convenience wrapper around
-/// [`compute_interface_workers`].
-pub fn compute_interface_budgeted(
-    fd: &FactoredDomain,
-    dom: &LocalDomain,
-    cfg: &InterfaceConfig,
-    budget: &Budget,
-) -> Result<InterfaceOutcome, BudgetInterrupt> {
-    compute_interface_workers(fd, dom, cfg, budget, 1)
-}
-
-/// [`compute_interface_budgeted`] with intra-subdomain parallelism: the
-/// `G` and `W` blocked solves run their column blocks on up to `workers`
-/// threads (per-worker pooled workspaces, results merged in block
-/// order), and `T̃ = W̃ G̃` uses the row-parallel two-phase SpGEMM. The
-/// output is byte-identical to `workers == 1` for any worker count.
-pub fn compute_interface_workers(
-    fd: &FactoredDomain,
-    dom: &LocalDomain,
-    cfg: &InterfaceConfig,
-    budget: &Budget,
-    workers: usize,
-) -> Result<InterfaceOutcome, BudgetInterrupt> {
-    compute_interface_planned(fd, dom, cfg, budget, workers, None).map(|(out, _)| out)
+        .0
 }
 
 /// Value-independent scaffolding of the interface computation for one
@@ -263,12 +236,22 @@ impl InterfacePlan {
     }
 }
 
-/// [`compute_interface_workers`] with plan capture/reuse: pass `None` to
-/// build the scaffolding (returned as the second tuple element for the
-/// caller to keep), or `Some(plan)` from an earlier call against factors
-/// refreshed in place — the reach DFS, column ordering, and transpose
-/// construction are then all skipped. Outputs are byte-identical either
-/// way.
+/// [`compute_interface`] under an execution [`Budget`], on up to
+/// `workers` threads, with plan capture/reuse.
+///
+/// The deadline and cancel token are checked before each of the three
+/// kernels (`G` solve, `W` solve, `T̃` product); the blocked solves poll
+/// them once per column block and the SpGEMM between output rows. The
+/// `G` and `W` blocked solves run their column blocks on up to `workers`
+/// threads (per-worker pooled workspaces, results merged in block
+/// order), and `T̃ = W̃ G̃` uses the row-parallel two-phase SpGEMM. The
+/// output is byte-identical to `workers == 1` for any worker count.
+///
+/// Pass `plan = None` to build the scaffolding (returned as the second
+/// tuple element for the caller to keep), or `Some(plan)` from an earlier
+/// call against factors refreshed in place — the reach DFS, column
+/// ordering, and transpose construction are then all skipped. Outputs
+/// are byte-identical either way.
 pub fn compute_interface_planned(
     fd: &FactoredDomain,
     dom: &LocalDomain,
@@ -361,7 +344,7 @@ pub fn compute_interface_planned(
     // coordinates. These agree: U's rows (= Uᵀ's columns) and L's rows
     // both live in pivot order, and column l of U corresponds to pivot
     // step l. So the inner dimension matches directly.
-    let t_tilde = match spgemm_checked_workers(&w_tilde, &g_tilde, budget, workers) {
+    let t_tilde = match spgemm_checked(&w_tilde, &g_tilde, budget, workers) {
         Ok(t) => t,
         Err(SpgemmError::Interrupted(i)) => return Err(i),
         // The coordinate argument above makes a mismatch a logic error.
@@ -510,9 +493,14 @@ mod tests {
                 ordering: RhsOrdering::Postorder,
                 drop_tol: 1e-8,
             };
-            let serial = compute_interface_workers(&fd, dom, &cfg, &budget, 1).unwrap();
+            let run = |w| {
+                compute_interface_planned(&fd, dom, &cfg, &budget, w, None)
+                    .unwrap()
+                    .0
+            };
+            let serial = run(1);
             for w in [2usize, 4] {
-                let par = compute_interface_workers(&fd, dom, &cfg, &budget, w).unwrap();
+                let par = run(w);
                 assert_eq!(par.t_tilde, serial.t_tilde, "workers {w}");
                 assert_eq!(par.g_block, serial.g_block, "workers {w}");
                 assert_eq!(par.w_block, serial.w_block, "workers {w}");

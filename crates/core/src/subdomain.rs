@@ -76,28 +76,17 @@ fn ordering_and_etree(d: &Csr) -> (Perm, Vec<usize>) {
 
 /// Factors one subdomain with the standard ordering pipeline.
 pub fn factor_domain(d: &Csr, pivot_threshold: f64) -> Result<FactoredDomain, LuError> {
-    factor_domain_with(
-        d,
-        &LuConfig {
-            pivot_threshold,
-            ..Default::default()
-        },
-    )
+    let cfg = LuConfig {
+        pivot_threshold,
+        ..Default::default()
+    };
+    factor_with(d, &cfg, &Budget::unlimited())
 }
 
-/// Factors one subdomain with an explicit LU configuration.
-pub fn factor_domain_with(d: &Csr, cfg: &LuConfig) -> Result<FactoredDomain, LuError> {
-    factor_domain_budgeted(d, cfg, &Budget::unlimited())
-}
-
-/// [`factor_domain_with`] under an execution [`Budget`], polled inside
-/// the elimination loop (an interrupt surfaces as
-/// [`LuError::Interrupted`]).
-pub fn factor_domain_budgeted(
-    d: &Csr,
-    cfg: &LuConfig,
-    budget: &Budget,
-) -> Result<FactoredDomain, LuError> {
+/// Orders and factors one subdomain with an explicit LU configuration
+/// under an execution [`Budget`], polled inside the elimination loop (an
+/// interrupt surfaces as [`LuError::Interrupted`]).
+fn factor_with(d: &Csr, cfg: &LuConfig, budget: &Budget) -> Result<FactoredDomain, LuError> {
     // The e-tree is in elimination coordinates (used by diagnostics and
     // the postorder RHS key).
     let (order, etree_parent) = ordering_and_etree(d);
@@ -157,7 +146,7 @@ pub fn factor_domain_robust(
             last_err = LuError::Singular { step: 0 };
             continue;
         }
-        match factor_domain_budgeted(d, cfg, budget) {
+        match factor_with(d, cfg, budget) {
             Ok(fd) => {
                 if attempt > 0 {
                     events.push(RecoveryEvent::SubdomainLuRetry {

@@ -104,35 +104,17 @@ pub fn bicgstab<O: LinearOperator, P: Preconditioner>(
     x0: Option<&[f64]>,
     cfg: &BicgstabConfig,
 ) -> BicgstabResult {
-    bicgstab_budgeted(op, precond, b, x0, cfg, &Budget::unlimited())
+    let mut ws = BicgstabWorkspace::new();
+    bicgstab_with_workspace(op, precond, b, x0, cfg, &Budget::unlimited(), &mut ws)
 }
 
-/// [`bicgstab`] under an execution [`Budget`]: the deadline and cancel
-/// token are polled once per iteration, and an interrupt stops the
-/// recurrence with the current iterate (recorded in
-/// [`BicgstabResult::interrupted`]).
-pub fn bicgstab_budgeted<O: LinearOperator, P: Preconditioner>(
-    op: &O,
-    precond: &P,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    cfg: &BicgstabConfig,
-    budget: &Budget,
-) -> BicgstabResult {
-    bicgstab_with_workspace(
-        op,
-        precond,
-        b,
-        x0,
-        cfg,
-        budget,
-        &mut BicgstabWorkspace::new(),
-    )
-}
-
-/// [`bicgstab_budgeted`] with caller-owned arenas: after the first call
-/// of a given size nothing in the recurrence allocates, and the
-/// numerics are identical to the one-shot entry points.
+/// [`bicgstab`] under an execution [`Budget`], with caller-owned arenas.
+///
+/// The deadline and cancel token are polled once per iteration, and an
+/// interrupt stops the recurrence with the current iterate (recorded in
+/// [`BicgstabResult::interrupted`]). After the first call of a given
+/// size nothing in the recurrence allocates, and the numerics are
+/// identical to [`bicgstab`].
 pub fn bicgstab_with_workspace<O: LinearOperator, P: Preconditioner>(
     op: &O,
     precond: &P,
@@ -399,13 +381,14 @@ mod tests {
         let tok = sparsekit::CancelToken::new();
         tok.cancel();
         let budget = Budget::unlimited().with_token(tok);
-        let r = bicgstab_budgeted(
+        let r = bicgstab_with_workspace(
             &op,
             &IdentityPrecond,
             &b,
             None,
             &BicgstabConfig::default(),
             &budget,
+            &mut BicgstabWorkspace::new(),
         );
         assert_eq!(r.interrupted, Some(BudgetInterrupt::Cancelled));
         assert!(!r.converged);
@@ -414,24 +397,30 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_budget_matches_plain_solver() {
+    fn reused_workspace_matches_plain_solver() {
+        // The second solve runs on arenas the first one left dirty.
         let a = laplace2d(8);
         let op = CsrOperator::new(&a);
         let b = vec![1.0; 64];
-        let plain = bicgstab(&op, &IdentityPrecond, &b, None, &BicgstabConfig::default());
-        let budgeted = bicgstab_budgeted(
+        let cfg = BicgstabConfig::default();
+        let plain = bicgstab(&op, &IdentityPrecond, &b, None, &cfg);
+        let mut ws = BicgstabWorkspace::new();
+        let other: Vec<f64> = (0..64).map(|i| (i % 5) as f64 - 2.0).collect();
+        let unlimited = Budget::unlimited();
+        bicgstab_with_workspace(
             &op,
             &IdentityPrecond,
-            &b,
+            &other,
             None,
-            &BicgstabConfig::default(),
-            &Budget::unlimited(),
+            &cfg,
+            &unlimited,
+            &mut ws,
         );
-        assert!(budgeted.interrupted.is_none());
-        assert_eq!(plain.iterations, budgeted.iterations);
-        for (a, b) in plain.x.iter().zip(&budgeted.x) {
-            assert_eq!(a, b);
-        }
+        let reused =
+            bicgstab_with_workspace(&op, &IdentityPrecond, &b, None, &cfg, &unlimited, &mut ws);
+        assert!(reused.interrupted.is_none());
+        assert_eq!(plain.iterations, reused.iterations);
+        assert_eq!(plain.x, reused.x);
     }
 
     #[test]

@@ -135,28 +135,19 @@ pub fn gmres<O: LinearOperator, P: Preconditioner>(
     x0: Option<&[f64]>,
     cfg: &GmresConfig,
 ) -> GmresResult {
-    gmres_budgeted(op, precond, b, x0, cfg, &Budget::unlimited())
+    let mut ws = GmresWorkspace::new();
+    gmres_with_workspace(op, precond, b, x0, cfg, &Budget::unlimited(), &mut ws)
 }
 
-/// [`gmres`] under an execution budget: the budget is polled once per
-/// Arnoldi step (each step costs a matvec plus a preconditioner apply,
-/// so the poll is noise) and on interruption the solver stops with the
-/// current iterate and [`GmresResult::interrupted`] set.
-pub fn gmres_budgeted<O: LinearOperator, P: Preconditioner>(
-    op: &O,
-    precond: &P,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    cfg: &GmresConfig,
-    budget: &Budget,
-) -> GmresResult {
-    gmres_with_workspace(op, precond, b, x0, cfg, budget, &mut GmresWorkspace::new())
-}
-
-/// [`gmres_budgeted`] with caller-owned arenas: after the first call of
-/// a given size, nothing in the iteration allocates. The numerics are
-/// identical to the one-shot entry points (every arena slot is written
-/// before it is read, so stale contents never leak into the iteration).
+/// [`gmres`] under an execution budget, with caller-owned arenas.
+///
+/// The budget is polled once per Arnoldi step (each step costs a matvec
+/// plus a preconditioner apply, so the poll is noise); on interruption
+/// the solver stops with the current iterate and
+/// [`GmresResult::interrupted`] set. After the first call of a given
+/// size, nothing in the iteration allocates. The numerics are identical
+/// to [`gmres`] (every arena slot is written before it is read, so stale
+/// contents never leak into the iteration).
 pub fn gmres_with_workspace<O: LinearOperator, P: Preconditioner>(
     op: &O,
     precond: &P,
@@ -494,13 +485,14 @@ mod tests {
         let op = CsrOperator::new(&a);
         let b = vec![1.0; 100];
         let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);
-        let r = gmres_budgeted(
+        let r = gmres_with_workspace(
             &op,
             &IdentityPrecond,
             &b,
             None,
             &GmresConfig::default(),
             &budget,
+            &mut GmresWorkspace::new(),
         );
         assert!(matches!(
             r.interrupted,
@@ -543,13 +535,14 @@ mod tests {
         };
         let b = vec![1.0; 100];
         let budget = Budget::unlimited().with_token(tok);
-        let r = gmres_budgeted(
+        let r = gmres_with_workspace(
             &op,
             &IdentityPrecond,
             &b,
             None,
             &GmresConfig::default(),
             &budget,
+            &mut GmresWorkspace::new(),
         );
         assert_eq!(r.interrupted, Some(BudgetInterrupt::Cancelled));
         // The completed Arnoldi steps were folded into the iterate: it is
@@ -559,23 +552,29 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_budget_matches_plain_solver() {
+    fn reused_workspace_matches_plain_solver() {
+        // The second solve runs on arenas the first one left dirty.
         let a = laplace2d(8);
         let op = CsrOperator::new(&a);
         let b = vec![1.0; 64];
         let plain = gmres(&op, &IdentityPrecond, &b, None, &GmresConfig::default());
-        let budgeted = gmres_budgeted(
+        let mut ws = GmresWorkspace::new();
+        let other: Vec<f64> = (0..64).map(|i| (i % 5) as f64 - 2.0).collect();
+        let cfg = GmresConfig::default();
+        let unlimited = Budget::unlimited();
+        gmres_with_workspace(
             &op,
             &IdentityPrecond,
-            &b,
+            &other,
             None,
-            &GmresConfig::default(),
-            &Budget::unlimited(),
+            &cfg,
+            &unlimited,
+            &mut ws,
         );
-        assert!(budgeted.interrupted.is_none());
-        assert_eq!(plain.iterations, budgeted.iterations);
-        for (p, q) in plain.x.iter().zip(&budgeted.x) {
-            assert_eq!(p, q);
-        }
+        let reused =
+            gmres_with_workspace(&op, &IdentityPrecond, &b, None, &cfg, &unlimited, &mut ws);
+        assert!(reused.interrupted.is_none());
+        assert_eq!(plain.iterations, reused.iterations);
+        assert_eq!(plain.x, reused.x);
     }
 }

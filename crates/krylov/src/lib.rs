@@ -23,12 +23,9 @@ pub mod gmres;
 pub mod operator;
 
 pub use bicgstab::{
-    bicgstab, bicgstab_budgeted, bicgstab_with_workspace, BicgstabConfig, BicgstabResult,
-    BicgstabWorkspace,
+    bicgstab, bicgstab_with_workspace, BicgstabConfig, BicgstabResult, BicgstabWorkspace,
 };
-pub use gmres::{
-    gmres, gmres_budgeted, gmres_with_workspace, GmresConfig, GmresResult, GmresWorkspace,
-};
+pub use gmres::{gmres, gmres_with_workspace, GmresConfig, GmresResult, GmresWorkspace};
 pub use operator::{
     CsrOperator, CsrTransposeOperator, IdentityPrecond, JacobiPrecond, LinearOperator,
     Preconditioner,

@@ -63,7 +63,7 @@ impl BlockSolveStats {
 /// blocked solver — solving a block allocates nothing beyond its output
 /// columns.
 #[derive(Clone, Debug)]
-pub struct BlockWorkspace {
+struct BlockWorkspace {
     /// Matrix row → panel row for the current block; `usize::MAX`
     /// everywhere between blocks (reset by walking the union pattern,
     /// O(union) not O(n)).
@@ -73,7 +73,7 @@ pub struct BlockWorkspace {
 
 impl BlockWorkspace {
     /// Workspace for blocked solves on an order-`n` factor.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         BlockWorkspace {
             pos: vec![usize::MAX; n],
             panel: Vec::new(),
@@ -244,30 +244,6 @@ fn extract_columns(pb: &PlannedBlock, panel: &[f64], out: &mut Vec<SparseVec>) {
     }
 }
 
-/// Solves `T X = B` for a block of sparse right-hand-side columns, where
-/// `T` is lower triangular in CSC.
-///
-/// Returns `(union_pattern, panel, stats)`: `union_pattern` lists the
-/// union-reach rows in topological order, and `panel` is dense row-major
-/// `union_rows × ncols` holding every column's solution on the union
-/// pattern (padded zeros are real zeros in the panel).
-pub fn blocked_lower_solve(
-    l: &Csc,
-    unit_diag: bool,
-    cols: &[SparseVec],
-    ws: &mut BlockWorkspace,
-) -> (Vec<usize>, Vec<f64>, BlockSolveStats) {
-    let order: Vec<usize> = (0..cols.len()).collect();
-    let plan = BlockedSolvePlan::build(l, cols, &order, cols.len().max(1));
-    match plan.blocks.into_iter().next() {
-        None => (Vec::new(), Vec::new(), BlockSolveStats::default()),
-        Some(pb) => {
-            let stats = numeric_on_pattern(l, unit_diag, cols, &pb, ws);
-            (pb.pattern, ws.panel.clone(), stats)
-        }
-    }
-}
-
 /// Solves all columns in blocks of `block_size`, returning the solution
 /// columns (on their block-union patterns) and merged statistics.
 pub fn solve_in_blocks(
@@ -317,7 +293,7 @@ pub fn solve_in_blocks_ordered(
 ///
 /// Blocks are mutually independent, so up to `workers` threads pull
 /// block indices from a shared counter, each with its own pooled
-/// [`BlockWorkspace`] — the steady state performs **zero per-block heap
+/// `BlockWorkspace` — the steady state performs **zero per-block heap
 /// allocation** beyond the output columns themselves. Results are
 /// merged in block order, making the output byte-identical to the
 /// serial path. The budget is polled once per block; the first
@@ -430,37 +406,30 @@ mod tests {
             SparseVec::new(vec![5], vec![-2.0]),
             SparseVec::new(vec![2, 7], vec![0.5, 3.0]),
         ];
-        let mut ws = BlockWorkspace::new(n);
-        let (pattern, panel, _stats) = blocked_lower_solve(&l, true, &cols, &mut ws);
-        let b = cols.len();
+        let (xs, _stats) = solve_in_blocks(&l, true, &cols, cols.len());
         let mut sws = SolveWorkspace::new(n);
-        for (c, col) in cols.iter().enumerate() {
+        for (c, (col, xc)) in cols.iter().zip(&xs).enumerate() {
             let x = sparse_lower_solve(&l, true, col, &mut sws);
             let mut dense = vec![0f64; n];
             for (&i, &v) in x.indices.iter().zip(&x.values) {
                 dense[i] = v;
             }
-            for (t, &row) in pattern.iter().enumerate() {
-                assert!(
-                    (panel[t * b + c] - dense[row]).abs() < 1e-13,
-                    "mismatch col {c} row {row}"
-                );
+            for (&row, &v) in xc.indices.iter().zip(&xc.values) {
+                assert!((v - dense[row]).abs() < 1e-13, "mismatch col {c} row {row}");
             }
         }
     }
 
     #[test]
     fn padding_counts_are_exact() {
-        let n = 10;
-        let l = bidiag_l(n);
+        let l = bidiag_l(10);
         // Reaches: col0 = {2..10} (8 rows), col1 = {7..10} (3 rows).
         let cols = vec![
             SparseVec::new(vec![2], vec![1.0]),
             SparseVec::new(vec![7], vec![1.0]),
         ];
-        let mut ws = BlockWorkspace::new(n);
-        let (pattern, _panel, stats) = blocked_lower_solve(&l, true, &cols, &mut ws);
-        assert_eq!(pattern.len(), 8); // union = {2..10}
+        let (_xs, stats) = solve_in_blocks(&l, true, &cols, 2);
+        assert_eq!(stats.union_rows, 8); // union = {2..10}
         assert_eq!(stats.true_nnz, 8 + 3);
         assert_eq!(stats.padded_zeros, 8 * 2 - 11);
         assert!((stats.padding_fraction() - 5.0 / 16.0).abs() < 1e-12);
@@ -473,22 +442,22 @@ mod tests {
             SparseVec::new(vec![3], vec![1.0]),
             SparseVec::new(vec![3], vec![2.0]),
         ];
-        let mut ws = BlockWorkspace::new(8);
-        let (_p, _panel, stats) = blocked_lower_solve(&l, true, &cols, &mut ws);
+        let (_xs, stats) = solve_in_blocks(&l, true, &cols, 2);
         assert_eq!(stats.padded_zeros, 0);
     }
 
     #[test]
     fn workspace_is_reusable_across_blocks() {
+        // Two one-column blocks through the one serial workspace.
         let l = bidiag_l(16);
-        let mut ws = BlockWorkspace::new(16);
-        let cols_a = vec![SparseVec::new(vec![1], vec![1.0])];
-        let cols_b = vec![SparseVec::new(vec![9], vec![2.0])];
-        let (pat_a, _, _) = blocked_lower_solve(&l, true, &cols_a, &mut ws);
-        let (pat_b, panel_b, _) = blocked_lower_solve(&l, true, &cols_b, &mut ws);
-        assert_eq!(pat_a.len(), 15);
-        assert_eq!(pat_b.len(), 7); // stale scatter state would corrupt this
-        assert!((panel_b[0] - 2.0).abs() < 1e-14);
+        let cols = vec![
+            SparseVec::new(vec![1], vec![1.0]),
+            SparseVec::new(vec![9], vec![2.0]),
+        ];
+        let (xs, _stats) = solve_in_blocks(&l, true, &cols, 1);
+        assert_eq!(xs[0].indices.len(), 15);
+        assert_eq!(xs[1].indices.len(), 7); // stale scatter state would corrupt this
+        assert!((xs[1].values[0] - 2.0).abs() < 1e-14);
     }
 
     #[test]

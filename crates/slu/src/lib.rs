@@ -11,7 +11,8 @@
 //!   the pruned graph that makes repeated reaches on one factor cost
 //!   `O(|reach|)` ([`reach`]);
 //! * blocked multi-RHS triangular solves with zero padding and
-//!   padded-zero accounting — the §IV kernel of the paper ([`blocked`]).
+//!   padded-zero accounting — the §IV kernel of the paper ([`blocked`]) —
+//!   and the same accounting rounded up to supernodes ([`supernodes`]).
 //!
 //! # Example
 //!
@@ -36,23 +37,17 @@ pub mod etree;
 pub mod hbmc;
 pub mod levels;
 pub mod lu;
-pub mod microkernel;
 pub mod reach;
 pub mod refine;
 pub mod supernodes;
 pub mod trisolve;
 
-pub use blocked::{
-    blocked_lower_solve, solve_in_blocks, solve_in_blocks_ordered, BlockSolveStats, BlockWorkspace,
-};
+pub use blocked::{solve_in_blocks, solve_in_blocks_ordered, BlockSolveStats};
 pub use etree::{etree, first_nonzero_postorder_key, postorder};
 pub use hbmc::{ScheduleError, TrisolveSchedule, HBMC_BLOCK, HBMC_EQUIV_TOL};
 pub use levels::{plan_build_count, LevelPlan, SolvePlan, TriScratch};
 pub use lu::{LuConfig, LuError, LuFactors, RefactorizeError};
 pub use reach::ReachGraph;
 pub use refine::{condest_1, solve_refined, RefinedSolve};
-pub use supernodes::{
-    detect_supernodes, supernodal_blocked_solve, supernodal_blocked_solve_precomputed,
-    supernodal_blocked_solve_reference, SupernodePlan, Supernodes,
-};
+pub use supernodes::{detect_supernodes, supernodal_padding, Supernodes};
 pub use trisolve::{solution_pattern, sparse_lower_solve, SparseVec};

@@ -92,30 +92,52 @@ pub fn spgemm_bytes_bound(a: &Csr, b: &Csr) -> usize {
 /// Panics on an inner-dimension mismatch; use [`spgemm_checked`] to get
 /// a typed error instead.
 pub fn spgemm(a: &Csr, b: &Csr) -> Csr {
-    match spgemm_checked(a, b, &Budget::unlimited()) {
+    match spgemm_checked(a, b, &Budget::unlimited(), 1) {
         Ok(c) => c,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// [`spgemm`] with typed dimension validation and cooperative budget
-/// checks between rows of the result.
-pub fn spgemm_checked(a: &Csr, b: &Csr, budget: &Budget) -> Result<Csr, SpgemmError> {
+/// [`spgemm`] with typed dimension validation, cooperative budget checks
+/// and up to `workers` threads.
+///
+/// The budget is checked once before any path is chosen, then polled
+/// between output rows (or inner-index strips on the compact path).
+/// Compact-output products (small `m×n` result, huge inner dimension —
+/// the separator blocks `T̃ = W̃·G̃` of `Comp(S)`) take an outer-product
+/// walk with a dense accumulator for any worker count: row-by-row
+/// Gustavson would re-stream all of `B` once per output row, which is
+/// bandwidth-bound long before it is flop-bound. Otherwise `workers <= 1`
+/// runs the serial Gustavson walk and more workers run it row-parallel
+/// (symbolic count → prefix sum → numeric fill over contiguous row
+/// ranges). Every path's output is **byte-identical** to the serial walk.
+pub fn spgemm_checked(
+    a: &Csr,
+    b: &Csr,
+    budget: &Budget,
+    workers: usize,
+) -> Result<Csr, SpgemmError> {
     check_dims(a, b)?;
     budget.check().map_err(SpgemmError::Interrupted)?;
     let m = a.nrows();
     let n = b.ncols();
-    // Compact-output products (small `m×n` result, huge inner dimension
-    // — the separator blocks `T̃ = W̃·G̃` of `Comp(S)`) switch to an
-    // outer-product walk over the inner index with a dense accumulator:
-    // row-by-row Gustavson would re-stream all of `B` once per output
-    // row, which is bandwidth-bound long before it is flop-bound.
     if m > 0 && n > 0 && m.saturating_mul(n) <= COMPACT_MAX_CELLS {
         let flops = spgemm_nnz_bound(a, b);
         if flops >= 4 * m * n {
             return spgemm_compact(a, b, budget);
         }
     }
+    if workers <= 1 {
+        spgemm_serial(a, b, budget)
+    } else {
+        spgemm_parallel(a, b, budget, workers)
+    }
+}
+
+/// Serial Gustavson walk of [`spgemm_checked`].
+fn spgemm_serial(a: &Csr, b: &Csr, budget: &Budget) -> Result<Csr, SpgemmError> {
+    let m = a.nrows();
+    let n = b.ncols();
     let mut indptr = vec![0usize; m + 1];
     let mut indices: Vec<usize> = Vec::new();
     let mut values: Vec<f64> = Vec::new();
@@ -298,35 +320,13 @@ struct SpgemmScratch {
     cols: Vec<usize>,
 }
 
-/// Row-parallel [`spgemm_checked`]: symbolic count → prefix sum →
-/// numeric fill over `workers` contiguous row ranges.
-///
-/// The output is **byte-identical** to the serial product (each output
-/// row is computed by the same Gustavson walk in the same order, and the
-/// prefix sum puts it at the same offset). With `workers <= 1` this
-/// falls through to the serial [`spgemm_checked`]. Budget interrupts
-/// from any worker surface as [`SpgemmError::Interrupted`].
-pub fn spgemm_checked_workers(
-    a: &Csr,
-    b: &Csr,
-    budget: &Budget,
-    workers: usize,
-) -> Result<Csr, SpgemmError> {
-    if workers <= 1 {
-        return spgemm_checked(a, b, budget);
-    }
-    check_dims(a, b)?;
+/// Row-parallel Gustavson walk of [`spgemm_checked`]. Each output row is
+/// computed by the same walk in the same order as [`spgemm_serial`], and
+/// the prefix sum puts it at the same offset, so the output is
+/// byte-identical. Budget interrupts from any worker surface as
+/// [`SpgemmError::Interrupted`].
+fn spgemm_parallel(a: &Csr, b: &Csr, budget: &Budget, workers: usize) -> Result<Csr, SpgemmError> {
     let n = b.ncols();
-    // Compact-output products take the dense-accumulator path for any
-    // worker count: it streams each operand once instead of re-walking
-    // `B` per output row, and its output is bit-identical to the serial
-    // walk (see `spgemm_compact`).
-    if a.nrows() > 0 && n > 0 && a.nrows().saturating_mul(n) <= COMPACT_MAX_CELLS {
-        let flops = spgemm_nnz_bound(a, b);
-        if flops >= 4 * a.nrows() * n {
-            return spgemm_compact(a, b, budget);
-        }
-    }
     build_csr_two_phase(
         a.nrows(),
         n,
@@ -426,55 +426,6 @@ pub fn spgemm_checked_workers(
     .map_err(SpgemmError::Interrupted)
 }
 
-/// Symbolic sparse product: pattern of `A · B` with unit values.
-///
-/// Panics on an inner-dimension mismatch; use [`spgemm_pattern_checked`]
-/// for a typed error.
-pub fn spgemm_pattern(a: &Csr, b: &Csr) -> Csr {
-    match spgemm_pattern_checked(a, b, &Budget::unlimited()) {
-        Ok(c) => c,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`spgemm_pattern`] with typed dimension validation and cooperative
-/// budget checks between rows of the result.
-pub fn spgemm_pattern_checked(a: &Csr, b: &Csr, budget: &Budget) -> Result<Csr, SpgemmError> {
-    check_dims(a, b)?;
-    budget.check().map_err(SpgemmError::Interrupted)?;
-    let m = a.nrows();
-    let n = b.ncols();
-    let mut indptr = vec![0usize; m + 1];
-    let mut indices: Vec<usize> = Vec::new();
-    let mut mark = vec![usize::MAX; n];
-    let mut row_cols: Vec<usize> = Vec::new();
-    let mut ticker = budget.ticker(BUDGET_STRIDE);
-    for i in 0..m {
-        ticker.tick().map_err(SpgemmError::Interrupted)?;
-        row_cols.clear();
-        for (k, _) in a.row_iter(i) {
-            for &j in b.row_indices(k) {
-                if mark[j] != i {
-                    mark[j] = i;
-                    row_cols.push(j);
-                }
-            }
-        }
-        row_cols.sort_unstable();
-        indices.extend_from_slice(&row_cols);
-        indptr[i + 1] = indices.len();
-    }
-    let nnz = indices.len();
-    Ok(Csr::from_parts(m, n, indptr, indices, vec![1.0; nnz]))
-}
-
-/// Pattern of the Gram matrix `AᵀA` (used by the structural factorisation
-/// `str(A) = str(MᵀM)` in the RHB pipeline).
-pub fn gram_pattern(a: &Csr) -> Csr {
-    let at = a.transpose();
-    spgemm_pattern(&at, a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,29 +493,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pattern_superset_of_numeric() {
-        let a = rand_like(6, 6, 4);
-        let b = rand_like(6, 6, 5);
-        let num = spgemm(&a, &b);
-        let pat = spgemm_pattern(&a, &b);
-        // Every numerically stored entry must exist in the pattern.
-        for i in 0..6 {
-            for &j in num.row_indices(i) {
-                assert!(pat.get(i, j) != 0.0);
-            }
-        }
-        assert!(pat.nnz() >= num.nnz());
-    }
-
-    #[test]
-    fn gram_pattern_is_symmetric() {
-        let a = rand_like(7, 5, 6);
-        let g = gram_pattern(&a);
-        assert_eq!(g.nrows(), 5);
-        assert!(g.pattern_symmetric());
-    }
-
     // ----- dimension validation / size bounds / budgets -----
 
     #[test]
@@ -572,14 +500,15 @@ mod tests {
         let a = rand_like(4, 5, 7);
         let b = rand_like(6, 3, 8);
         let budget = crate::Budget::unlimited();
-        match spgemm_checked(&a, &b, &budget) {
-            Err(SpgemmError::DimensionMismatch {
-                a_cols: 5,
-                b_rows: 6,
-            }) => {}
-            other => panic!("expected DimensionMismatch, got {other:?}"),
+        for w in [1usize, 4] {
+            match spgemm_checked(&a, &b, &budget, w) {
+                Err(SpgemmError::DimensionMismatch {
+                    a_cols: 5,
+                    b_rows: 6,
+                }) => {}
+                other => panic!("workers {w}: expected DimensionMismatch, got {other:?}"),
+            }
         }
-        assert!(spgemm_pattern_checked(&a, &b, &budget).is_err());
     }
 
     #[test]
@@ -620,37 +549,11 @@ mod tests {
         for seed in 0..4 {
             let a = rand_like(40, 25, seed);
             let b = rand_like(25, 33, seed + 50);
-            let serial = spgemm_checked(&a, &b, &budget).unwrap();
+            let serial = spgemm_checked(&a, &b, &budget, 1).unwrap();
             for w in [2usize, 3, 4, 7] {
-                let par = spgemm_checked_workers(&a, &b, &budget, w).unwrap();
+                let par = spgemm_checked(&a, &b, &budget, w).unwrap();
                 assert_eq!(par, serial, "seed {seed} workers {w}");
             }
-        }
-    }
-
-    #[test]
-    fn parallel_product_reports_dimension_mismatch() {
-        let a = rand_like(4, 5, 20);
-        let b = rand_like(6, 3, 21);
-        match spgemm_checked_workers(&a, &b, &crate::Budget::unlimited(), 4) {
-            Err(SpgemmError::DimensionMismatch {
-                a_cols: 5,
-                b_rows: 6,
-            }) => {}
-            other => panic!("expected DimensionMismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cancelled_budget_interrupts_parallel_product() {
-        let a = rand_like(30, 30, 14);
-        let b = rand_like(30, 30, 15);
-        let tok = crate::CancelToken::new();
-        tok.cancel();
-        let budget = crate::Budget::unlimited().with_token(tok);
-        match spgemm_checked_workers(&a, &b, &budget, 4) {
-            Err(SpgemmError::Interrupted(crate::BudgetInterrupt::Cancelled)) => {}
-            other => panic!("expected Interrupted, got {other:?}"),
         }
     }
 
@@ -661,9 +564,11 @@ mod tests {
         let tok = crate::CancelToken::new();
         tok.cancel();
         let budget = crate::Budget::unlimited().with_token(tok);
-        match spgemm_checked(&a, &b, &budget) {
-            Err(SpgemmError::Interrupted(crate::BudgetInterrupt::Cancelled)) => {}
-            other => panic!("expected Interrupted, got {other:?}"),
+        for w in [1usize, 4] {
+            match spgemm_checked(&a, &b, &budget, w) {
+                Err(SpgemmError::Interrupted(crate::BudgetInterrupt::Cancelled)) => {}
+                other => panic!("workers {w}: expected Interrupted, got {other:?}"),
+            }
         }
     }
 }

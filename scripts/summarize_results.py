@@ -190,11 +190,41 @@ def ablations():
         )
 
 
+SUPERNODAL_SCHEMA = {
+    "matrix": str,
+    "ordering": str,
+    "block_size": int,
+    "column_padding_fraction": float,
+    "supernodal_padding_fraction": float,
+    "supernode_count": int,
+    "max_supernode": int,
+}
+
+
 def supernodal():
+    """The `supernodal` bin: padded-zero fraction of the G solves at
+    column granularity vs rounded up to whole supernodes. Gated on shape
+    and on the one machine-independent fact: rounding the same blocks up
+    to supernodes can only add padding, so per row supernodal pad >=
+    column pad."""
     rows = load("supernodal_padding")
-    if not rows:
+    if rows is None:
         return
-    print("\n## supernodal_padding\n")
+    if not isinstance(rows, list) or not rows:
+        sys.exit("supernodal_padding.json: expected a non-empty list of rows")
+    for i, r in enumerate(rows):
+        check_schema("supernodal_padding.json", i, r, SUPERNODAL_SCHEMA)
+        col, sn = r["column_padding_fraction"], r["supernodal_padding_fraction"]
+        if not 0.0 <= col <= 1.0 or not 0.0 <= sn <= 1.0:
+            sys.exit(f"supernodal_padding.json row {i}: padding fraction outside [0, 1]")
+        if sn < col:
+            sys.exit(
+                f"supernodal_padding.json row {i}: supernodal pad {sn:.4f} "
+                f"below column pad {col:.4f}"
+            )
+        if r["supernode_count"] < 1 or r["max_supernode"] < 1:
+            sys.exit(f"supernodal_padding.json row {i}: no supernodes")
+    print("\n## supernodal_padding (column vs supernodal padding; sn >= col gated)\n")
     print("| ordering | B | column pad | supernodal pad | #sn | max sn |")
     print("|---|---|---|---|---|---|")
     for r in rows:
@@ -276,11 +306,6 @@ BENCH_KERNELS_SCHEMA = {
     "padded_zeros": int,
 }
 
-# The one speedup this repo *does* gate on: the supernodal microkernel
-# tier vs the scalar reference is a same-thread algorithmic ratio over
-# identical inputs, stable across CI runners.
-SUPERNODAL_MIN_SPEEDUP = 1.5
-
 
 def bench_kernels():
     rows = load("BENCH_kernels")
@@ -290,24 +315,15 @@ def bench_kernels():
     if not isinstance(rows, list) or not rows:
         sys.exit("BENCH_kernels.json: expected a non-empty list of rows")
     kernels = set()
-    supernodal = []
     for i, r in enumerate(rows):
         check_schema("BENCH_kernels.json", i, r, BENCH_KERNELS_SCHEMA)
         if not r["matches_serial"]:
             sys.exit(f"BENCH_kernels.json row {i}: divergent result")
         kernels.add(r["kernel"])
-        if r["kernel"] == "supernodal":
-            supernodal.append(r)
-    need = {"spgemm", "interface", "setup", "supernodal", "supernodal_ref"}
+    need = {"spgemm", "interface", "setup"}
     if not need <= kernels:
         sys.exit(f"BENCH_kernels.json: missing kernels {need - kernels}")
-    for r in supernodal:
-        if r["speedup"] < SUPERNODAL_MIN_SPEEDUP:
-            sys.exit(
-                f"BENCH_kernels.json: supernodal microkernel speedup {r['speedup']:.2f}x "
-                f"on {r['problem']} below the {SUPERNODAL_MIN_SPEEDUP}x gate"
-            )
-    print("\n## BENCH_kernels (setup-phase kernels; exact-match asserted, supernodal speedup gated)\n")
+    print("\n## BENCH_kernels (setup-phase kernels; exact-match asserted, speedups informational)\n")
     print("| problem | kernel | workers | seconds | speedup | match |")
     print("|---|---|---|---|---|---|")
     for r in rows:

@@ -91,39 +91,6 @@ fn supernodes_partition_the_columns() {
 }
 
 #[test]
-fn supernodal_solve_agrees_with_lu_solve_via_scatter() {
-    let d = one_subdomain();
-    let n = d.nrows();
-    let fd = factor_domain(&d, 0.1).expect("LU");
-    let plan = slu::SupernodePlan::build(&fd.lu.l, 0);
-    let mut ws = slu::trisolve::SolveWorkspace::new(n);
-    // Dense b scattered as one sparse column; the supernodal lower solve
-    // must match the L-solve stage of the full solve.
-    let seed_rows: Vec<usize> = (0..n).step_by(97).collect();
-    let cols = vec![slu::SparseVec::new(
-        seed_rows.clone(),
-        vec![1.0; seed_rows.len()],
-    )];
-    let (pat, panel, _stats) = slu::supernodal_blocked_solve(&fd.lu.l, &plan, &cols, &mut ws);
-    let ref_x = slu::sparse_lower_solve(
-        &fd.lu.l,
-        true,
-        &slu::SparseVec::new(seed_rows.clone(), vec![1.0; seed_rows.len()]),
-        &mut ws,
-    );
-    let mut dense = vec![0.0f64; n];
-    for (&i, &v) in ref_x.indices.iter().zip(&ref_x.values) {
-        dense[i] = v;
-    }
-    for (t, &row) in pat.iter().enumerate() {
-        assert!(
-            (panel[t] - dense[row]).abs() < 1e-12,
-            "mismatch at row {row}"
-        );
-    }
-}
-
-#[test]
 fn generated_matrices_roundtrip_through_matrix_market() {
     let dir = std::env::temp_dir().join("pdslin_mm_roundtrip");
     std::fs::create_dir_all(&dir).unwrap();

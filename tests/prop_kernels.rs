@@ -298,16 +298,16 @@ fn rand_sparse_cols(rng: &mut Rng64, n: usize, ncols: usize) -> Vec<slu::trisolv
 
 #[test]
 fn parallel_spgemm_equals_serial_exactly() {
-    use sparsekit::spgemm::{spgemm_checked, spgemm_checked_workers};
+    use sparsekit::spgemm::{spgemm, spgemm_checked};
     let budget = sparsekit::Budget::unlimited();
     for seed in 0..24 {
         let mut rng = Rng64::new(seed);
         let n = rng.range(2, 24);
         let a = rand_square(&mut rng, n);
         let b = rand_square(&mut rng, n);
-        let serial = spgemm_checked(&a, &b, &budget).expect("unlimited budget");
+        let serial = spgemm(&a, &b);
         for workers in [1usize, 2, 4, 7] {
-            let par = spgemm_checked_workers(&a, &b, &budget, workers).expect("unlimited budget");
+            let par = spgemm_checked(&a, &b, &budget, workers).expect("unlimited budget");
             assert_eq!(par, serial, "seed {seed}, {workers} workers");
         }
     }
@@ -344,7 +344,7 @@ fn parallel_blocked_solve_equals_serial_exactly() {
 
 #[test]
 fn cancelled_budget_interrupts_parallel_kernels() {
-    use sparsekit::spgemm::{spgemm_checked_workers, SpgemmError};
+    use sparsekit::spgemm::{spgemm_checked, SpgemmError};
     let token = sparsekit::CancelToken::new();
     token.cancel();
     let budget = sparsekit::Budget::default().with_token(token);
@@ -354,7 +354,7 @@ fn cancelled_budget_interrupts_parallel_kernels() {
     let cols = rand_sparse_cols(&mut rng, 20, 8);
     let order: Vec<usize> = (0..8).collect();
     for workers in [1usize, 2, 4] {
-        match spgemm_checked_workers(&a, &a, &budget, workers) {
+        match spgemm_checked(&a, &a, &budget, workers) {
             Err(SpgemmError::Interrupted(sparsekit::BudgetInterrupt::Cancelled)) => {}
             other => panic!("{workers} workers: expected Cancelled, got {other:?}"),
         }
@@ -367,7 +367,7 @@ fn cancelled_budget_interrupts_parallel_kernels() {
 
 #[test]
 fn expired_deadline_interrupts_parallel_kernels() {
-    use sparsekit::spgemm::{spgemm_checked_workers, SpgemmError};
+    use sparsekit::spgemm::{spgemm_checked, SpgemmError};
     let budget = sparsekit::Budget::default().with_deadline(std::time::Duration::ZERO);
     let mut rng = Rng64::new(11);
     let a = rand_square(&mut rng, 20);
@@ -375,7 +375,7 @@ fn expired_deadline_interrupts_parallel_kernels() {
     let cols = rand_sparse_cols(&mut rng, 20, 8);
     let order: Vec<usize> = (0..8).collect();
     for workers in [2usize, 4] {
-        match spgemm_checked_workers(&a, &a, &budget, workers) {
+        match spgemm_checked(&a, &a, &budget, workers) {
             Err(SpgemmError::Interrupted(sparsekit::BudgetInterrupt::DeadlineExceeded {
                 ..
             })) => {}
@@ -384,6 +384,55 @@ fn expired_deadline_interrupts_parallel_kernels() {
         match slu::solve_in_blocks_ordered(&l, true, &cols, &order, 3, workers, &budget) {
             Err(sparsekit::BudgetInterrupt::DeadlineExceeded { .. }) => {}
             other => panic!("{workers} workers: expected DeadlineExceeded, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn interrupted_budgets_stop_every_spgemm_path() {
+    // A compact-shaped product (8×8 output, ≈ 1 600 flops over a 500-wide
+    // inner dimension: the dense-accumulator path) and a Gustavson-shaped
+    // one (tridiagonal 200×200): a cancelled or expired budget must stop
+    // both before they return, at every worker count.
+    use sparsekit::spgemm::{spgemm_checked, SpgemmError};
+    use sparsekit::BudgetInterrupt;
+    let mut wide = Coo::new(8, 500);
+    for i in 0..8 {
+        for k in (i..500).step_by(5) {
+            wide.push(i, k, 1.0 + (i + k) as f64 * 0.01);
+        }
+    }
+    let mut tall = Coo::new(500, 8);
+    for k in 0..500 {
+        tall.push(k, k % 8, 0.5);
+        tall.push(k, (k + 3) % 8, -0.25);
+    }
+    let mut tri = Coo::new(200, 200);
+    for i in 0..200 {
+        tri.push(i, i, 2.0);
+        if i + 1 < 200 {
+            tri.push_sym(i, i + 1, -1.0);
+        }
+    }
+    let tri = tri.to_csr();
+    let products = [
+        ("compact", wide.to_csr(), tall.to_csr()),
+        ("gustavson", tri.clone(), tri),
+    ];
+    let token = sparsekit::CancelToken::new();
+    token.cancel();
+    let cancelled = sparsekit::Budget::default().with_token(token);
+    let expired = sparsekit::Budget::default().with_deadline(std::time::Duration::ZERO);
+    for (shape, a, b) in &products {
+        for workers in [1usize, 2, 4] {
+            match spgemm_checked(a, b, &cancelled, workers) {
+                Err(SpgemmError::Interrupted(BudgetInterrupt::Cancelled)) => {}
+                other => panic!("{shape}, {workers} workers: expected Cancelled, got {other:?}"),
+            }
+            match spgemm_checked(a, b, &expired, workers) {
+                Err(SpgemmError::Interrupted(BudgetInterrupt::DeadlineExceeded { .. })) => {}
+                other => panic!("{shape}, {workers} workers: expected expiry, got {other:?}"),
+            }
         }
     }
 }

@@ -1,16 +1,13 @@
-//! Property tests of the hardware-speed kernel tier (see
-//! `docs/kernels.md`): the supernodal dense microkernels and the
-//! lane-vectorized loops must be **bit-identical** to their scalar
-//! references on the full Table-I matrix zoo, and the opt-in HBMC
-//! trisolve schedule must pass its tolerance gate (or be rejected with
-//! a typed error when it cannot).
+//! Property tests of the lane-vectorized kernels and the HBMC trisolve
+//! schedule (see `docs/kernels.md`): the lane loops must be
+//! **bit-identical** to their scalar references on the full Table-I
+//! matrix zoo, and the opt-in HBMC schedule must pass its tolerance gate
+//! (or be rejected with a typed error when it cannot).
 
 use matgen::{generate, MatrixKind, Scale};
-use pdslin::rhs_order::column_reaches;
 use pdslin::subdomain::factor_domain;
 use pdslin::{compute_partition, extract_dbbd, PartitionerKind};
-use slu::trisolve::{SolveWorkspace, SparseVec};
-use sparsekit::{Csr, Rng64};
+use sparsekit::Csr;
 
 /// Subdomain 0 of an NGD 8-way partition — the matrix shape every
 /// subdomain kernel in the solver actually runs on.
@@ -18,66 +15,6 @@ fn zoo_subdomain(kind: MatrixKind) -> Csr {
     let a = generate(kind, Scale::Test);
     let part = compute_partition(&a, 8, &PartitionerKind::Ngd);
     extract_dbbd(&a, part).domains[0].d.clone()
-}
-
-/// Deterministic sparse right-hand-side columns over `n` rows.
-fn sparse_cols(rng: &mut Rng64, n: usize, ncols: usize) -> Vec<SparseVec> {
-    (0..ncols)
-        .map(|_| {
-            let len = rng.range(1, (n / 4).max(2));
-            let mut idx: Vec<usize> = (0..len).map(|_| rng.below(n)).collect();
-            idx.sort_unstable();
-            idx.dedup();
-            let vals: Vec<f64> = idx.iter().map(|_| rng.f64_range(-2.0, 2.0)).collect();
-            SparseVec::new(idx, vals)
-        })
-        .collect()
-}
-
-#[test]
-fn supernodal_microkernels_bit_identical_on_zoo() {
-    for kind in MatrixKind::ALL {
-        let d = zoo_subdomain(kind);
-        let n = d.nrows();
-        let fd = factor_domain(&d, 0.1).expect("zoo subdomain must factor");
-        let plan = slu::SupernodePlan::build(&fd.lu.l, 0);
-        let sn = slu::detect_supernodes(&fd.lu.l, 0);
-        let mut ws = SolveWorkspace::new(n);
-        let mut rng = Rng64::new(0x5e1ec7ed);
-        for batch in 0..4 {
-            let ncols = rng.range(1, 24);
-            let cols = sparse_cols(&mut rng, n, ncols);
-            let (pat_micro, panel_micro, st_micro) =
-                slu::supernodal_blocked_solve(&fd.lu.l, &plan, &cols, &mut ws);
-            let (pat_ref, panel_ref, st_ref) =
-                slu::supernodal_blocked_solve_reference(&fd.lu.l, &sn, &cols, &mut ws);
-            assert_eq!(pat_micro, pat_ref, "{kind:?} batch {batch}: pattern");
-            assert_eq!(st_micro, st_ref, "{kind:?} batch {batch}: stats");
-            assert_eq!(panel_micro.len(), panel_ref.len(), "{kind:?} batch {batch}");
-            for (i, (a, b)) in panel_micro.iter().zip(&panel_ref).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{kind:?} batch {batch}: panel[{i}] {a} vs {b}"
-                );
-            }
-            // The precomputed-reach entry point (the one the bench's
-            // kernel tier times) must agree bit-for-bit as well.
-            let reaches = column_reaches(&cols, &fd.lu.l, &mut ws);
-            let (pat_pre, panel_pre, st_pre) =
-                slu::supernodal_blocked_solve_precomputed(&fd.lu.l, &plan, &cols, &reaches);
-            assert_eq!(
-                pat_pre, pat_ref,
-                "{kind:?} batch {batch}: precomputed pattern"
-            );
-            assert_eq!(st_pre, st_ref, "{kind:?} batch {batch}: precomputed stats");
-            assert_eq!(
-                panel_pre.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
-                panel_ref.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
-                "{kind:?} batch {batch}: precomputed panel"
-            );
-        }
-    }
 }
 
 #[test]
