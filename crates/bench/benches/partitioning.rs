@@ -1,12 +1,12 @@
 //! Benchmarks of the partitioners themselves: NGD vs RHB (all three
 //! cut metrics) on the tdr190k analogue, plus the fill-reducing
-//! orderings.
+//! ordering.
 //!
 //! Plain `main` harness (`harness = false`): run with `cargo bench`.
 
 use std::hint::black_box;
 
-use graphpart::{min_degree_order, rcm_order, Graph};
+use graphpart::{min_degree_order, Graph};
 use hypergraph::{CutMetric, RhbConfig};
 use pdslin::{compute_partition, PartitionerKind};
 use pdslin_bench::bench_case;
@@ -36,9 +36,6 @@ fn bench_orderings() {
     let g = Graph::from_matrix(&a);
     bench_case("ordering/min_degree_1728", || {
         black_box(min_degree_order(&g));
-    });
-    bench_case("ordering/rcm_1728", || {
-        black_box(rcm_order(&g));
     });
 }
 

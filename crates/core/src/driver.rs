@@ -27,9 +27,12 @@
 //!   blowing up;
 //! * setup failures past the `LU(D)` phase hand back a
 //!   [`SetupCheckpoint`] so a restart skips the refactorization.
+//!
+//! The phases themselves (`LU(D)` → `Comp(S)` → assembly → `LU(S̃)` →
+//! schedule) live in one list in the private `phases` module; the entry
+//! points here differ only in what they hand it to reuse.
 
 use std::cell::RefCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use graphpart::WeightScheme;
@@ -45,21 +48,17 @@ use sparsekit::{csr_pattern_fingerprint, Csr};
 use crate::budget::interrupt_error;
 use crate::checkpoint::SetupCheckpoint;
 use crate::error::PdslinError;
-use crate::extract::{extract_dbbd, DbbdSystem, LocalDomain};
+use crate::extract::{extract_dbbd, DbbdSystem};
 use crate::fault::FaultPlan;
-use crate::interface::{
-    compute_interface, compute_interface_planned, InterfaceConfig, InterfacePlan,
-};
-use crate::par::{
-    inner_worker_count, outer_worker_count, panic_message, par_map_isolated, seq_map_isolated,
-};
+use crate::interface::InterfacePlan;
+use crate::par::{inner_worker_count, outer_worker_count};
 use crate::partition::{compute_partition_robust, natural_block_partition, PartitionerKind};
+use crate::phases::{fill_partial, phase_check, Pass};
 use crate::precond::{ImplicitSchur, SchurApplyScratch, SchurPrecond};
 use crate::recovery::{RecoveryEvent, RecoveryReport};
 use crate::rhs_order::RhsOrdering;
-use crate::schur::{assemble_schur_workers, factor_schur_robust, schur_bytes_estimate};
-use crate::stats::{InterfaceStats, SetupStats};
-use crate::subdomain::{factor_domain_robust, FactoredDomain};
+use crate::stats::SetupStats;
+use crate::subdomain::FactoredDomain;
 
 /// Which Krylov method solves the Schur system (2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -324,105 +323,6 @@ fn acceptance_floor(tol: f64) -> f64 {
     (tol * 1e3).max(1e-6)
 }
 
-/// Attaches the statistics gathered so far to a deadline error (other
-/// errors pass through unchanged).
-fn fill_partial(e: PdslinError, stats: &SetupStats) -> PdslinError {
-    match e {
-        PdslinError::DeadlineExceeded { phase, elapsed, .. } => PdslinError::DeadlineExceeded {
-            phase,
-            elapsed,
-            partial: Box::new(stats.clone()),
-        },
-        e => e,
-    }
-}
-
-/// A phase-boundary budget check producing the typed solver error.
-fn phase_check(
-    budget: &Budget,
-    phase: &'static str,
-    stats: &SetupStats,
-) -> Result<(), PdslinError> {
-    budget
-        .check()
-        .map_err(|i| fill_partial(interrupt_error(i, phase), stats))
-}
-
-fn make_checkpoint(
-    sys: &DbbdSystem,
-    factors: &[FactoredDomain],
-    stats: &SetupStats,
-    cfg: &PdslinConfig,
-) -> SetupCheckpoint {
-    SetupCheckpoint {
-        sys: sys.clone(),
-        factors: factors.to_vec(),
-        stats: stats.clone(),
-        cfg: *cfg,
-    }
-}
-
-/// Ceiling of the memory-degradation escalation: beyond this drop
-/// threshold the preconditioner would be mostly diagonal and the outer
-/// iteration would stop converging, so admission control gives up.
-const MAX_DEGRADE_DROP_TOL: f64 = 1e-1;
-
-fn first_nonfinite_row(a: &Csr) -> Option<usize> {
-    (0..a.nrows()).find(|&i| a.row_values(i).iter().any(|v| !v.is_finite()))
-}
-
-fn csr_is_finite(m: &Csr) -> bool {
-    m.values().iter().all(|v| v.is_finite())
-}
-
-/// True when two extracted systems share every sparsity pattern — the
-/// update guard used when no setup fingerprint survived (checkpointed
-/// or externally assembled solvers).
-fn same_dbbd_pattern(a: &DbbdSystem, b: &DbbdSystem) -> bool {
-    fn same(x: &Csr, y: &Csr) -> bool {
-        x.indptr() == y.indptr() && x.indices() == y.indices()
-    }
-    a.domains.len() == b.domains.len()
-        && a.sep_rows == b.sep_rows
-        && same(&a.c, &b.c)
-        && a.domains.iter().zip(&b.domains).all(|(x, y)| {
-            x.rows == y.rows
-                && same(&x.d, &y.d)
-                && x.e_cols == y.e_cols
-                && same(&x.e_hat, &y.e_hat)
-                && x.f_rows == y.f_rows
-                && same(&x.f_hat, &y.f_hat)
-        })
-}
-
-/// Scatters the values of `src` into the sparsity pattern of `pattern`:
-/// entries of `src` outside the pattern are dropped, pattern entries
-/// absent from `src` become zero. Both matrices must have the same
-/// shape.
-fn scatter_into_pattern(pattern: &Csr, src: &Csr) -> Csr {
-    let ip = pattern.indptr();
-    let ix = pattern.indices();
-    let sp = src.indptr();
-    let sx = src.indices();
-    let sv = src.values();
-    let mut values = vec![0.0; ix.len()];
-    for i in 0..pattern.nrows() {
-        let row = &ix[ip[i]..ip[i + 1]];
-        for t in sp[i]..sp[i + 1] {
-            if let Ok(pos) = row.binary_search(&sx[t]) {
-                values[ip[i] + pos] = sv[t];
-            }
-        }
-    }
-    Csr::from_parts(
-        pattern.nrows(),
-        pattern.ncols(),
-        ip.to_vec(),
-        ix.to_vec(),
-        values,
-    )
-}
-
 impl Pdslin {
     /// Runs phases 1–5 (partition → extract → `LU(D)` → `Comp(S)` →
     /// `LU(S)`) with no execution budget.
@@ -440,43 +340,33 @@ impl Pdslin {
         budget: &Budget,
     ) -> Result<Pdslin, SetupFailure> {
         Self::validate_input(a, &cfg)?;
-
-        match Self::setup_attempt(
-            a,
-            &cfg,
-            budget,
-            RecoveryReport::default(),
-            false,
-            cfg.fault.worker_panic,
-        ) {
-            Err(SetupFailure {
-                error:
-                    PdslinError::WorkerPanic {
-                        phase,
-                        domain,
-                        message,
-                    },
-                ..
-            }) => {
-                // A task panicked twice on the same subdomain — the
-                // partition itself may be feeding it pathological data,
-                // so rerun the whole setup on the last element of the
-                // partition fallback chain before giving up.
-                let mut recovery = RecoveryReport::default();
-                recovery.push(RecoveryEvent::PartitionFallback {
-                    from: cfg.partitioner.label(),
-                    to: "natural-block".to_string(),
-                    reason: format!("worker panic in {phase} on subdomain {domain}: {message}"),
-                });
-                let inject = if cfg.fault.worker_panic_persistent {
-                    cfg.fault.worker_panic
-                } else {
-                    None
-                };
-                Self::setup_attempt(a, &cfg, budget, recovery, true, inject)
-            }
-            other => other,
-        }
+        let fresh = RecoveryReport::default();
+        let first = Self::setup_attempt(a, &cfg, budget, fresh, false, cfg.fault.worker_panic);
+        let Err(SetupFailure {
+            error:
+                PdslinError::WorkerPanic {
+                    phase,
+                    domain,
+                    message,
+                },
+            ..
+        }) = first
+        else {
+            return first;
+        };
+        // A task panicked twice on the same subdomain — the partition
+        // itself may be feeding it pathological data, so rerun the whole
+        // setup on the last element of the partition fallback chain
+        // before giving up.
+        let mut recovery = RecoveryReport::default();
+        recovery.push(RecoveryEvent::PartitionFallback {
+            from: cfg.partitioner.label(),
+            to: "natural-block".to_string(),
+            reason: format!("worker panic in {phase} on subdomain {domain}: {message}"),
+        });
+        let persistent = cfg.fault.worker_panic_persistent;
+        let inject = cfg.fault.worker_panic.filter(|_| persistent);
+        Self::setup_attempt(a, &cfg, budget, recovery, true, inject)
     }
 
     /// Input validation shared by every setup entry point (including the
@@ -498,7 +388,7 @@ impl Pdslin {
                 message: format!("k = {} must be in 1..={n}", cfg.k),
             });
         }
-        if let Some(i) = first_nonfinite_row(a) {
+        if let Some(i) = (0..n).find(|&i| a.row_values(i).iter().any(|v| !v.is_finite())) {
             return Err(PdslinError::NonFiniteInput {
                 what: "A",
                 index: i,
@@ -608,68 +498,19 @@ impl Pdslin {
     ) -> Result<Pdslin, SetupFailure> {
         let (sys, mut stats) =
             Self::prepare_inner(a, cfg, budget, &mut recovery, force_natural_block)?;
-
-        // LU(D): one parallel task per subdomain (level-1 parallelism),
-        // each with its own retry escalation, isolated under
-        // `catch_unwind` so one panicking task cannot tear down its
-        // siblings.
-        phase_check(budget, "lu_d", &stats)?;
-        let t = Instant::now();
-        let inject_singular = cfg.fault.singular_domain;
-        let persistent = cfg.fault.worker_panic_persistent;
-        let run_factor = |l: usize, d: &LocalDomain, first_try: bool| {
-            if inject_panic == Some(l) && (first_try || persistent) {
-                panic!("injected worker panic in LU(D_{l})");
-            }
-            let t0 = Instant::now();
-            factor_domain_robust(
-                &d.d,
-                l,
-                cfg.pivot_threshold,
-                inject_singular == Some(l),
-                budget,
-            )
-            .map(|(fd, ev)| (fd, t0.elapsed().as_secs_f64(), ev))
-        };
-        let isolated = if cfg.parallel {
-            par_map_isolated(&sys.domains, |l, d| run_factor(l, d, true))
-        } else {
-            seq_map_isolated(&sys.domains, |l, d| run_factor(l, d, true))
-        };
-        let mut factors = Vec::with_capacity(isolated.len());
-        let mut lu_times = Vec::with_capacity(isolated.len());
-        for (l, item) in isolated.into_iter().enumerate() {
-            let inner = match item {
-                Ok(r) => r,
-                Err(message) => {
-                    // Contained panic: retry the one task, serially.
-                    recovery.push(RecoveryEvent::WorkerPanicRetried {
-                        phase: "lu_d",
-                        domain: l,
-                        message,
-                    });
-                    match catch_unwind(AssertUnwindSafe(|| run_factor(l, &sys.domains[l], false))) {
-                        Ok(r) => r,
-                        Err(payload) => {
-                            return Err(PdslinError::WorkerPanic {
-                                phase: "lu_d",
-                                domain: l,
-                                message: panic_message(payload),
-                            }
-                            .into());
-                        }
-                    }
-                }
-            };
-            let (fd, secs, events) = inner.map_err(|e| fill_partial(e, &stats))?;
-            factors.push(fd);
-            lu_times.push(secs);
-            recovery.events.extend(events);
+        let mut factors = Vec::new();
+        Pass {
+            cfg,
+            fault: FaultPlan {
+                worker_panic: inject_panic,
+                ..cfg.fault
+            },
+            budget,
+            stats: &mut stats,
+            recovery: &mut recovery,
         }
-        stats.times.lu_d = t.elapsed().as_secs_f64();
-        stats.domain_costs.lu_d = lu_times;
+        .lu_d(&sys, &mut factors)?;
         stats.factorizations = factors.len();
-
         Self::complete_from_factors(
             sys,
             factors,
@@ -681,13 +522,12 @@ impl Pdslin {
         )
     }
 
-    /// Phases `Comp(S)` → memory admission → Schur assembly → `LU(S̃)`,
-    /// shared by [`Pdslin::setup_budgeted`] (after `LU(D)`) and
-    /// [`Pdslin::resume`] (from a checkpoint). Every error past this
-    /// point carries a checkpoint of the incoming factors.
-    /// `pattern_fp` is the setup matrix's pattern fingerprint when the
-    /// caller still holds the matrix (`None` on resume/external paths).
-    #[allow(clippy::too_many_arguments)]
+    /// The phases past `LU(D)` from freshly factored (or checkpointed)
+    /// subdomains, shared by [`Pdslin::setup_budgeted`],
+    /// [`Pdslin::complete_setup`] and [`Pdslin::resume`]. Every error
+    /// carries a checkpoint of the incoming factors. `pattern_fp` is the
+    /// setup matrix's pattern fingerprint when the caller still holds
+    /// the matrix (`None` on resume/external paths).
     fn complete_from_factors(
         sys: DbbdSystem,
         mut factors: Vec<FactoredDomain>,
@@ -697,209 +537,35 @@ impl Pdslin {
         budget: &Budget,
         pattern_fp: Option<u64>,
     ) -> Result<Pdslin, SetupFailure> {
-        // Snapshot for error paths: the factors as they arrived, with
+        // The checkpoint's statistics: the factors as they arrived, with
         // whatever recovery happened up to (and including) LU(D).
-        let ckpt_stats = {
-            let mut s = stats.clone();
-            s.recovery = recovery.clone();
-            s
+        let mut ckpt_stats = stats.clone();
+        ckpt_stats.recovery = recovery.clone();
+        let mut iface_plans: Vec<Option<InterfacePlan>> = factors.iter().map(|_| None).collect();
+        let mut pass = Pass {
+            cfg: &cfg,
+            fault: cfg.fault,
+            budget,
+            stats: &mut stats,
+            recovery: &mut recovery,
         };
-        let fail = |e: PdslinError, sys: &DbbdSystem, factors: &[FactoredDomain]| SetupFailure {
-            error: e,
-            checkpoint: Some(Box::new(make_checkpoint(sys, factors, &ckpt_stats, &cfg))),
-        };
-
-        // Comp(S): interface solves + T̃ products, then gather. Same
-        // panic isolation as LU(D).
-        if let Err(e) = phase_check(budget, "comp_s", &stats) {
-            return Err(fail(e, &sys, &factors));
-        }
-        let t = Instant::now();
-        let icfg = InterfaceConfig {
-            block_size: cfg.block_size,
-            ordering: cfg.rhs_ordering,
-            drop_tol: cfg.interface_drop_tol,
-        };
-        let pairs: Vec<(&LocalDomain, &FactoredDomain)> =
-            sys.domains.iter().zip(factors.iter()).collect();
-        // Total concurrency = outer (per-subdomain) × inner (per-block)
-        // workers, bounded by the configured thread budget.
-        let outer = outer_worker_count(pairs.len(), cfg.parallel);
-        let inner = inner_worker_count(outer, cfg.parallel);
-        let timed_interface = |(dom, fd): &(&LocalDomain, &FactoredDomain)| {
-            let t0 = Instant::now();
-            compute_interface_planned(fd, dom, &icfg, budget, inner, None)
-                .map(|(out, plan)| (out, plan, t0.elapsed().as_secs_f64()))
-        };
-        let isolated = if cfg.parallel {
-            par_map_isolated(&pairs, |_, p| timed_interface(p))
-        } else {
-            seq_map_isolated(&pairs, |_, p| timed_interface(p))
-        };
-        let mut t_tildes = Vec::with_capacity(isolated.len());
-        let mut iface_stats: Vec<InterfaceStats> = Vec::with_capacity(isolated.len());
-        let mut comp_times = Vec::with_capacity(isolated.len());
-        let mut iface_plans: Vec<Option<InterfacePlan>> = Vec::with_capacity(isolated.len());
-        for (l, item) in isolated.into_iter().enumerate() {
-            let inner = match item {
-                Ok(r) => r,
-                Err(message) => {
-                    recovery.push(RecoveryEvent::WorkerPanicRetried {
-                        phase: "comp_s",
-                        domain: l,
-                        message,
-                    });
-                    match catch_unwind(AssertUnwindSafe(|| timed_interface(&pairs[l]))) {
-                        Ok(r) => r,
-                        Err(payload) => {
-                            return Err(fail(
-                                PdslinError::WorkerPanic {
-                                    phase: "comp_s",
-                                    domain: l,
-                                    message: panic_message(payload),
-                                },
-                                &sys,
-                                &factors,
-                            ));
-                        }
-                    }
-                }
-            };
-            match inner {
-                Ok((out, plan, secs)) => {
-                    t_tildes.push(out.t_tilde);
-                    iface_stats.push(out.stats);
-                    iface_plans.push(plan);
-                    comp_times.push(secs);
-                }
-                Err(interrupt) => {
-                    let e = fill_partial(interrupt_error(interrupt, "comp_s"), &stats);
-                    return Err(fail(e, &sys, &factors));
-                }
-            }
-        }
-        // Fault injection: poison one interface block with a NaN so the
-        // validation sweep below has something real to detect.
-        if let Some(l) = cfg.fault.poison_interface {
-            if let Some(t) = t_tildes.get_mut(l) {
-                if let Some(v) = t.values_mut().first_mut() {
-                    *v = f64::NAN;
-                }
-            }
-        }
-        // NaN/Inf sweep over the gathered T̃ blocks: a poisoned block
-        // would silently corrupt Ŝ, so recompute it from the (finite)
-        // factors before assembly.
-        for (l, t_tilde) in t_tildes.iter_mut().enumerate() {
-            if csr_is_finite(t_tilde) {
-                continue;
-            }
-            *t_tilde = compute_interface(&factors[l], &sys.domains[l], &icfg).t_tilde;
-            recovery.push(RecoveryEvent::InterfaceRecomputed { domain: l });
-        }
-        stats.times.comp_s = t.elapsed().as_secs_f64();
-        stats.domain_costs.comp_s = comp_times;
-        stats.interface = iface_stats;
-
-        // Fault injection: stall before the assembly so a
-        // deadline-limited setup deterministically runs out of time at
-        // this phase boundary (with the factors checkpointable).
-        if let Some(ms) = cfg.fault.stall_schur_ms {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        if let Err(e) = phase_check(budget, "schur", &stats) {
-            return Err(fail(e, &sys, &factors));
-        }
-
-        // Memory admission control: predict the bytes of the assembled
-        // Ŝ *before* forming it. Over budget, re-drop the T̃ blocks with
-        // an escalating threshold — a sparser, weaker preconditioner
-        // costs outer iterations, not correctness.
-        let honest_bytes = schur_bytes_estimate(&sys, &t_tildes);
-        let mut predicted = if cfg.fault.memory_blowup {
-            honest_bytes.saturating_mul(1024).saturating_add(1)
-        } else {
-            honest_bytes
-        };
-        let mem_limit = budget
-            .mem_limit()
-            .or_else(|| cfg.fault.memory_blowup.then_some(honest_bytes));
-        if let Some(limit) = mem_limit {
-            let mut drop_tol = (cfg.schur_drop_tol * 10.0).max(1e-6);
-            while predicted > limit {
-                if drop_tol > MAX_DEGRADE_DROP_TOL {
-                    return Err(fail(
-                        PdslinError::MemoryBudgetExceeded {
-                            phase: "schur",
-                            needed_bytes: predicted,
-                            budget_bytes: limit,
-                        },
-                        &sys,
-                        &factors,
-                    ));
-                }
-                for t_tilde in t_tildes.iter_mut() {
-                    let (dropped, _) = t_tilde.drop_small(drop_tol, false);
-                    *t_tilde = dropped;
-                }
-                recovery.push(RecoveryEvent::SchurMemoryDegraded {
-                    predicted_bytes: predicted,
-                    budget_bytes: limit,
-                    drop_tol,
-                });
-                predicted = schur_bytes_estimate(&sys, &t_tildes);
-                drop_tol *= 10.0;
-            }
-        }
-        stats.nnz_t = t_tildes.iter().map(|t| t.nnz()).collect();
-        let s_hat = assemble_schur_workers(
-            &sys,
-            &t_tildes,
-            outer_worker_count(sys.nsep(), cfg.parallel),
-        );
-
-        // LU(S), with the same retry escalation. A still-poisoned Ŝ is
-        // caught here: the factorisation reports `NonFinite` and setup
-        // fails with a typed error instead of propagating NaNs.
-        let t = Instant::now();
-        let (s_tilde, mut schur_lu, schur_events) =
-            match factor_schur_robust(&s_hat, cfg.schur_drop_tol, cfg.pivot_threshold, budget) {
-                Ok(r) => r,
-                Err(e) => return Err(fail(fill_partial(e, &stats), &sys, &factors)),
-            };
-        recovery.events.extend(schur_events);
-        stats.times.lu_s = t.elapsed().as_secs_f64();
-        stats.nnz_schur = s_tilde.nnz();
-
-        // Opt-in HBMC trisolve scheduling, applied to every
-        // factorisation the solve phase sweeps through. Each switch is
-        // gated by the per-factorisation equivalence probe; a rejection
-        // fails setup (the checkpoint still carries the level-scheduled
-        // factors, so a resume with the default schedule loses nothing).
-        if cfg.trisolve_schedule == TrisolveSchedule::Hbmc {
-            for l in 0..factors.len() {
-                if let Err(e) = factors[l].lu.set_schedule(TrisolveSchedule::Hbmc) {
-                    let err = PdslinError::ScheduleRejected {
-                        target: "subdomain",
-                        domain: l,
-                        rel_err: e.rel_err,
-                        tol: e.tol,
-                    };
-                    return Err(fail(err, &sys, &factors));
-                }
-            }
-            if let Err(e) = schur_lu.set_schedule(TrisolveSchedule::Hbmc) {
-                let err = PdslinError::ScheduleRejected {
-                    target: "schur",
-                    domain: 0,
-                    rel_err: e.rel_err,
-                    tol: e.tol,
+        let (s_tilde, schur_lu) = match pass.after_lu_d(&sys, &mut factors, &mut iface_plans, None)
+        {
+            Ok((s_tilde, fresh)) => (s_tilde, fresh.expect("nothing to replay: S̃ is factored")),
+            Err(error) => {
+                let checkpoint = SetupCheckpoint {
+                    sys,
+                    factors,
+                    stats: ckpt_stats,
+                    cfg,
                 };
-                return Err(fail(err, &sys, &factors));
+                return Err(SetupFailure {
+                    error,
+                    checkpoint: Some(Box::new(checkpoint)),
+                });
             }
-        }
+        };
         stats.recovery = recovery;
-
         Ok(Pdslin {
             sys,
             factors,
@@ -917,7 +583,12 @@ impl Pdslin {
     /// with different drop tolerances, or after a failed solve) can
     /// [`Pdslin::resume`] without refactorizing the subdomains.
     pub fn checkpoint(&self) -> SetupCheckpoint {
-        make_checkpoint(&self.sys, &self.factors, &self.stats, &self.cfg)
+        SetupCheckpoint {
+            sys: self.sys.clone(),
+            factors: self.factors.clone(),
+            stats: self.stats.clone(),
+            cfg: self.cfg,
+        }
     }
 
     /// Restarts setup from a checkpoint: the partition, extraction and
@@ -925,17 +596,16 @@ impl Pdslin {
     /// `factorizations` is 0 and `factorizations_reused` counts the
     /// recycled factors), and only `Comp(S)` → `LU(S̃)` rerun under the
     /// given budget.
-    pub fn resume(ckpt: SetupCheckpoint, budget: &Budget) -> Result<Pdslin, SetupFailure> {
-        let SetupCheckpoint {
-            sys,
-            factors,
-            mut stats,
-            cfg,
-        } = ckpt;
+    pub fn resume(mut ckpt: SetupCheckpoint, budget: &Budget) -> Result<Pdslin, SetupFailure> {
+        let stats = &mut ckpt.stats;
         stats.factorizations = 0;
-        stats.factorizations_reused = factors.len();
+        stats.factorizations_reused = ckpt.factors.len();
+        // The phases resume reruns are timed afresh.
+        stats.times.comp_s = 0.0;
+        stats.times.lu_s = 0.0;
         let recovery = std::mem::take(&mut stats.recovery);
-        Self::complete_from_factors(sys, factors, stats, recovery, cfg, budget, None)
+        let (sys, factors, cfg) = (ckpt.sys, ckpt.factors, ckpt.cfg);
+        Self::complete_from_factors(sys, factors, ckpt.stats, recovery, cfg, budget, None)
     }
 
     /// Incrementally rebuilds this solver's numerics for a matrix with
@@ -986,9 +656,6 @@ impl Pdslin {
                 return Err(pattern_error());
             }
         }
-        let mut recovery = RecoveryReport::default();
-        let mut refactorized = 0usize;
-        let mut rebuilt = 0usize;
 
         // Re-extract the DBBD blocks with the stored partition: cheap,
         // and the only structural work the update performs.
@@ -998,7 +665,7 @@ impl Pdslin {
         if self.pattern_fp.is_none() {
             // No fingerprint survived (checkpoint/external factors):
             // guard structurally instead, then adopt the fingerprint.
-            if !same_dbbd_pattern(&sys, &self.sys) {
+            if !sys.same_pattern(&self.sys) {
                 return Err(pattern_error());
             }
             self.pattern_fp = Some(csr_pattern_fingerprint(a));
@@ -1006,166 +673,40 @@ impl Pdslin {
         self.sys = sys;
         self.stats.times.extract += t.elapsed().as_secs_f64();
 
-        // LU(D): replay the stored pivot sequences in place.
-        phase_check(budget, "lu_d", &self.stats)?;
-        let t = Instant::now();
-        for (l, (fd, dom)) in self.factors.iter_mut().zip(&self.sys.domains).enumerate() {
-            match fd.lu.refactorize(&dom.d) {
-                Ok(()) => refactorized += 1,
-                Err(err) => {
-                    recovery.push(RecoveryEvent::RefactorizationFallback {
-                        target: "subdomain",
-                        domain: l,
-                        reason: err.to_string(),
-                    });
-                    let (mut nfd, events) =
-                        factor_domain_robust(&dom.d, l, self.cfg.pivot_threshold, false, budget)
-                            .map_err(|e| fill_partial(e, &self.stats))?;
-                    recovery.events.extend(events);
-                    if self.cfg.trisolve_schedule == TrisolveSchedule::Hbmc {
-                        nfd.lu.set_schedule(TrisolveSchedule::Hbmc).map_err(|e| {
-                            PdslinError::ScheduleRejected {
-                                target: "subdomain",
-                                domain: l,
-                                rel_err: e.rel_err,
-                                tol: e.tol,
-                            }
-                        })?;
-                    }
-                    *fd = nfd;
-                    // A from-scratch factorisation chooses its own pivot
-                    // order, voiding this domain's cached interface
-                    // scaffolding — Comp(S) below rebuilds it.
-                    self.iface_plans[l] = None;
-                    rebuilt += 1;
-                }
-            }
-        }
-        self.stats.times.lu_d += t.elapsed().as_secs_f64();
-
-        // Comp(S): rerun numerically over the updated factors, replaying
-        // each domain's cached interface scaffolding (blocked-solve
-        // plans, column orders, `Uᵀ` structure) so no reach DFS, column
-        // ordering, or transpose construction runs — the dominant cost
-        // of a from-scratch interface phase. Domains whose factor was
-        // rebuilt above have no plan and rebuild one here.
-        phase_check(budget, "comp_s", &self.stats)?;
-        let t = Instant::now();
-        let icfg = InterfaceConfig {
-            block_size: self.cfg.block_size,
-            ordering: self.cfg.rhs_ordering,
-            drop_tol: self.cfg.interface_drop_tol,
+        // The same phase list as setup, replaying every stored factor,
+        // interface plan and the S̃ pattern; no faults are injected.
+        let cfg = self.cfg;
+        let mut recovery = RecoveryReport::default();
+        let mut pass = Pass {
+            cfg: &cfg,
+            fault: FaultPlan::none(),
+            budget,
+            stats: &mut self.stats,
+            recovery: &mut recovery,
         };
-        let pairs: Vec<(&LocalDomain, &FactoredDomain)> =
-            self.sys.domains.iter().zip(self.factors.iter()).collect();
-        let outer = outer_worker_count(pairs.len(), self.cfg.parallel);
-        let inner = inner_worker_count(outer, self.cfg.parallel);
-        let plans = &self.iface_plans;
-        let run = |l: usize, p: &(&LocalDomain, &FactoredDomain)| {
-            let t0 = Instant::now();
-            compute_interface_planned(p.1, p.0, &icfg, budget, inner, plans[l].as_ref())
-                .map(|(out, built)| (out, built, t0.elapsed().as_secs_f64()))
-        };
-        let isolated = if self.cfg.parallel {
-            par_map_isolated(&pairs, |l, p| run(l, p))
-        } else {
-            seq_map_isolated(&pairs, |l, p| run(l, p))
-        };
-        let mut t_tildes = Vec::with_capacity(isolated.len());
-        let mut iface_stats: Vec<InterfaceStats> = Vec::with_capacity(isolated.len());
-        let mut comp_times = Vec::with_capacity(isolated.len());
-        let mut built_plans: Vec<(usize, InterfacePlan)> = Vec::new();
-        for (l, item) in isolated.into_iter().enumerate() {
-            let inner_res = match item {
-                Ok(r) => r,
-                Err(message) => {
-                    // Same one-retry panic containment as setup.
-                    recovery.push(RecoveryEvent::WorkerPanicRetried {
-                        phase: "comp_s",
-                        domain: l,
-                        message,
-                    });
-                    match catch_unwind(AssertUnwindSafe(|| run(l, &pairs[l]))) {
-                        Ok(r) => r,
-                        Err(payload) => {
-                            return Err(PdslinError::WorkerPanic {
-                                phase: "comp_s",
-                                domain: l,
-                                message: panic_message(payload),
-                            });
-                        }
-                    }
-                }
-            };
-            let (out, built, secs) =
-                inner_res.map_err(|i| fill_partial(interrupt_error(i, "comp_s"), &self.stats))?;
-            t_tildes.push(out.t_tilde);
-            iface_stats.push(out.stats);
-            if let Some(plan) = built {
-                built_plans.push((l, plan));
-            }
-            comp_times.push(secs);
+        let replayed = pass.lu_d(&self.sys, &mut self.factors)?;
+        // A from-scratch factorisation chooses its own pivot order,
+        // voiding that domain's cached interface scaffolding; Comp(S)
+        // rebuilds it.
+        let plans = self.iface_plans.iter_mut().zip(&replayed);
+        plans
+            .filter(|(_, &kept)| !kept)
+            .for_each(|(plan, _)| *plan = None);
+        let stored = Some((&self.s_tilde, &mut self.schur_lu));
+        let (s_tilde, fresh) =
+            pass.after_lu_d(&self.sys, &mut self.factors, &mut self.iface_plans, stored)?;
+        self.s_tilde = s_tilde;
+        let refactorized = replayed.iter().filter(|&&r| r).count() + usize::from(fresh.is_none());
+        let rebuilt = replayed.len() + 1 - refactorized;
+        if let Some(lu) = fresh {
+            self.schur_lu = lu;
         }
-        drop(pairs);
-        for (l, plan) in built_plans {
-            self.iface_plans[l] = Some(plan);
-        }
-        self.stats.times.comp_s += t.elapsed().as_secs_f64();
-        self.stats.domain_costs.comp_s = comp_times;
-        self.stats.interface = iface_stats;
-        self.stats.nnz_t = t_tildes.iter().map(|t| t.nnz()).collect();
-
-        // LU(S̃): scatter Ŝ into the stored S̃ pattern, then replay.
-        phase_check(budget, "schur", &self.stats)?;
-        let s_hat = assemble_schur_workers(
-            &self.sys,
-            &t_tildes,
-            outer_worker_count(self.sys.nsep(), self.cfg.parallel),
-        );
-        let t = Instant::now();
-        let st = scatter_into_pattern(&self.s_tilde, &s_hat);
-        match self.schur_lu.refactorize(&st) {
-            Ok(()) => {
-                self.s_tilde = st;
-                refactorized += 1;
-            }
-            Err(err) => {
-                recovery.push(RecoveryEvent::RefactorizationFallback {
-                    target: "schur",
-                    domain: 0,
-                    reason: err.to_string(),
-                });
-                rebuilt += 1;
-                let (s_tilde, mut schur_lu, events) = factor_schur_robust(
-                    &s_hat,
-                    self.cfg.schur_drop_tol,
-                    self.cfg.pivot_threshold,
-                    budget,
-                )
-                .map_err(|e| fill_partial(e, &self.stats))?;
-                recovery.events.extend(events);
-                if self.cfg.trisolve_schedule == TrisolveSchedule::Hbmc {
-                    schur_lu.set_schedule(TrisolveSchedule::Hbmc).map_err(|e| {
-                        PdslinError::ScheduleRejected {
-                            target: "schur",
-                            domain: 0,
-                            rel_err: e.rel_err,
-                            tol: e.tol,
-                        }
-                    })?;
-                }
-                self.s_tilde = s_tilde;
-                self.schur_lu = schur_lu;
-            }
-        }
-        self.stats.times.lu_s += t.elapsed().as_secs_f64();
-        self.stats.nnz_schur = self.s_tilde.nnz();
         self.stats.refactorizations += refactorized;
         self.stats.refactorization_fallbacks += rebuilt;
         self.stats
             .recovery
             .events
-            .extend(recovery.events.iter().cloned());
+            .extend_from_slice(&recovery.events);
         Ok(UpdateOutcome {
             refactorized,
             rebuilt,
@@ -1270,23 +811,8 @@ impl Pdslin {
         b: &[f64],
         budget: &Budget,
     ) -> Result<SolveOutcome, PdslinError> {
-        if self.scratch.lanes.is_empty() {
-            self.scratch.lanes.push(LaneScratch::default());
-        }
-        let workers = inner_worker_count(1, self.cfg.parallel);
-        let out = solve_one(
-            &self.sys,
-            &self.factors,
-            &self.schur_lu,
-            &self.cfg,
-            &self.stats,
-            b,
-            budget,
-            &mut self.scratch.lanes[0],
-            workers,
-        )?;
-        self.stats.times.solve += out.seconds;
-        Ok(out)
+        let mut out = self.solve_batch(std::slice::from_ref(&b), budget)?;
+        Ok(out.pop().expect("one outcome per right-hand side"))
     }
 
     /// Solves the same factorization against many right-hand sides.
@@ -1296,7 +822,7 @@ impl Pdslin {
     /// of right-hand sides, and every lane's subdomain triangular solves
     /// and Schur matvecs run on `inner` threads, with
     /// `outer × inner ≤` the configured thread count. Each lane owns a
-    /// private [`LaneScratch`] arena, so lanes never contend and the
+    /// private scratch arena, so lanes never contend and the
     /// per-RHS results are **identical** (bit-for-bit, including
     /// iteration counts and method labels) to issuing the same
     /// [`Pdslin::solve`] calls sequentially.
@@ -1312,6 +838,16 @@ impl Pdslin {
         rhs: &[Vec<f64>],
         budget: &Budget,
     ) -> Result<Vec<SolveOutcome>, PdslinError> {
+        self.solve_batch(rhs, budget)
+    }
+
+    /// The body of every solve entry point; a single solve is the
+    /// one-RHS batch (one lane, all inner workers).
+    fn solve_batch<B: AsRef<[f64]> + Sync>(
+        &mut self,
+        rhs: &[B],
+        budget: &Budget,
+    ) -> Result<Vec<SolveOutcome>, PdslinError> {
         if rhs.is_empty() {
             return Ok(Vec::new());
         }
@@ -1320,52 +856,46 @@ impl Pdslin {
         while self.scratch.lanes.len() < outer {
             self.scratch.lanes.push(LaneScratch::default());
         }
-        let sys = &self.sys;
-        let factors = &self.factors[..];
-        let schur_lu = &self.schur_lu;
-        let cfg = &self.cfg;
-        let stats = &self.stats;
-        let mut results: Vec<Option<Result<SolveOutcome, PdslinError>>> = Vec::new();
-        results.resize_with(rhs.len(), || None);
-        if outer <= 1 {
-            let lane = &mut self.scratch.lanes[0];
-            for (slot, b) in results.iter_mut().zip(rhs) {
-                *slot = Some(solve_one(
-                    sys, factors, schur_lu, cfg, stats, b, budget, lane, inner,
-                ));
-            }
+        let (sys, factors, schur_lu) = (&self.sys, &self.factors[..], &self.schur_lu);
+        let (cfg, stats) = (&self.cfg, &self.stats);
+        // One lane solves a contiguous block of right-hand sides in order.
+        let run = |block: &[B], lane: &mut LaneScratch| -> Vec<Result<SolveOutcome, PdslinError>> {
+            let solve = |b: &B| {
+                solve_one(
+                    sys,
+                    factors,
+                    schur_lu,
+                    cfg,
+                    stats,
+                    b.as_ref(),
+                    budget,
+                    lane,
+                    inner,
+                )
+            };
+            block.iter().map(solve).collect()
+        };
+        let results = if outer <= 1 {
+            run(rhs, &mut self.scratch.lanes[0])
         } else {
             let lanes = &mut self.scratch.lanes[..outer];
             std::thread::scope(|sc| {
-                let mut res_rest: &mut [Option<Result<SolveOutcome, PdslinError>>] = &mut results;
-                let mut rhs_rest: &[Vec<f64>] = rhs;
-                let mut assigned = 0usize;
-                for (w, lane) in lanes.iter_mut().enumerate() {
-                    let hi = rhs.len() * (w + 1) / outer;
-                    let count = hi - assigned;
-                    assigned = hi;
-                    let (res_block, res_tail) = res_rest.split_at_mut(count);
-                    res_rest = res_tail;
-                    let (rhs_block, rhs_tail) = rhs_rest.split_at(count);
-                    rhs_rest = rhs_tail;
-                    sc.spawn(move || {
-                        for (slot, b) in res_block.iter_mut().zip(rhs_block) {
-                            *slot = Some(solve_one(
-                                sys, factors, schur_lu, cfg, stats, b, budget, lane, inner,
-                            ));
-                        }
-                    });
-                }
-            });
-        }
-        let mut outcomes = Vec::with_capacity(rhs.len());
-        let mut seconds = 0.0;
-        for slot in results {
-            let out = slot.expect("every rhs was assigned to a lane")?;
-            seconds += out.seconds;
-            outcomes.push(out);
-        }
-        self.stats.times.solve += seconds;
+                let handles: Vec<_> = lanes
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(w, lane)| {
+                        let block = &rhs[rhs.len() * w / outer..rhs.len() * (w + 1) / outer];
+                        sc.spawn(move || run(block, lane))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        let outcomes = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        self.stats.times.solve += outcomes.iter().map(|o| o.seconds).sum::<f64>();
         Ok(outcomes)
     }
 
@@ -1663,59 +1193,43 @@ fn solve_schur_chain(
         Gmres(GmresConfig),
         Bicg(BicgstabConfig),
     }
-    let mut chain: Vec<(String, Stage)> = Vec::new();
-    match cfg.krylov {
-        KrylovKind::Gmres => {
-            let mut first = base;
-            if cfg.fault.krylov_stall {
-                // Starve the first attempt (zero iterations allowed)
-                // so the fallback chain is genuinely exercised.
-                first.restart = 1;
-                first.max_iters = 0;
-            }
-            chain.push(("gmres".to_string(), Stage::Gmres(first)));
-            chain.push((
-                "gmres(restart-grow)".to_string(),
-                Stage::Gmres(GmresConfig {
-                    restart: base.restart.saturating_mul(2),
-                    max_iters: base.max_iters.saturating_mul(2),
-                    tol,
-                }),
-            ));
-            chain.push((
-                "bicgstab".to_string(),
-                Stage::Bicg(BicgstabConfig {
-                    max_iters: base.max_iters.saturating_mul(2),
-                    tol,
-                }),
-            ));
-        }
-        KrylovKind::Bicgstab => {
-            let mut first = BicgstabConfig {
-                max_iters: base.max_iters,
-                tol,
-            };
-            if cfg.fault.krylov_stall {
-                first.max_iters = 0;
-            }
-            chain.push(("bicgstab".to_string(), Stage::Bicg(first)));
-            chain.push((
-                "gmres".to_string(),
-                Stage::Gmres(GmresConfig {
-                    restart: base.restart,
-                    max_iters: base.max_iters.saturating_mul(2),
-                    tol,
-                }),
-            ));
-        }
-    }
+    let doubled = base.max_iters.saturating_mul(2);
+    let gmres = |restart, max_iters| GmresConfig {
+        restart,
+        max_iters,
+        tol,
+    };
+    let bicg = |max_iters| BicgstabConfig { max_iters, tol };
+    // Fault injection: starve the first attempt (zero iterations
+    // allowed) so the fallback chain is genuinely exercised.
+    let stall = cfg.fault.krylov_stall;
+    let chain = match cfg.krylov {
+        KrylovKind::Gmres => vec![
+            (
+                "gmres",
+                Stage::Gmres(if stall { gmres(1, 0) } else { base }),
+            ),
+            (
+                "gmres(restart-grow)",
+                Stage::Gmres(gmres(base.restart.saturating_mul(2), doubled)),
+            ),
+            ("bicgstab", Stage::Bicg(bicg(doubled))),
+        ],
+        KrylovKind::Bicgstab => vec![
+            (
+                "bicgstab",
+                Stage::Bicg(bicg(if stall { 0 } else { base.max_iters })),
+            ),
+            ("gmres", Stage::Gmres(gmres(base.restart, doubled))),
+        ],
+    };
 
     let mut prev_reason = String::new();
     for (label, stage) in chain {
         if let Some(last) = tried.last() {
             recovery.push(RecoveryEvent::KrylovFallback {
                 from: last.clone(),
-                to: label.clone(),
+                to: label.to_string(),
                 reason: prev_reason.clone(),
             });
         }
@@ -1735,16 +1249,16 @@ fn solve_schur_chain(
                 (r.x, r.iterations, r.residual, r.converged, r.breakdown)
             }
         };
-        tried.push(label.clone());
+        tried.push(label.to_string());
         if ok {
-            return Ok((y, iters, residual, true, label, recovery));
+            return Ok((y, iters, residual, true, label.to_string(), recovery));
         }
         prev_reason = match breakdown {
             Some(b) => b.to_string(),
             None => format!("residual {residual:.1e} after {iters} iterations"),
         };
         if residual.is_finite() && best.as_ref().is_none_or(|(_, _, r, _)| residual < *r) {
-            best = Some((y, iters, residual, label));
+            best = Some((y, iters, residual, label.to_string()));
         }
     }
 
@@ -1756,13 +1270,9 @@ fn solve_schur_chain(
     });
     let label = "direct(LU(S~)+IR)".to_string();
     tried.push(label.clone());
-    let bnorm = {
-        let t = norm2(ghat);
-        if t == 0.0 {
-            1.0
-        } else {
-            t
-        }
+    let bnorm = match norm2(ghat) {
+        0.0 => 1.0,
+        t => t,
     };
     let mut y = vec![0.0; ghat.len()];
     schur_lu.solve_into(ghat, &mut y, &mut direct.tri.borrow_mut(), workers);
@@ -2268,6 +1778,58 @@ mod tests {
         let b = vec![1.0; a.nrows()];
         let sol = r.solve(&b).unwrap();
         assert!(sol.converged);
+    }
+
+    #[test]
+    fn hbmc_schedule_reaches_every_factor_through_every_entry_point() {
+        let a = laplace2d(16, 16);
+        let cfg = PdslinConfig {
+            k: 4,
+            trisolve_schedule: TrisolveSchedule::Hbmc,
+            ..Default::default()
+        };
+        let all_hbmc = |s: &Pdslin| {
+            s.factors
+                .iter()
+                .all(|f| f.lu.schedule() == TrisolveSchedule::Hbmc)
+                && s.schur_lu.schedule() == TrisolveSchedule::Hbmc
+        };
+        let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 11) as f64) - 5.0).collect();
+
+        // setup → solve.
+        let mut s = Pdslin::setup(&a, cfg).expect("the probe accepts HBMC on a Laplacian");
+        assert!(all_hbmc(&s));
+        let x = s.solve(&b).unwrap();
+        assert!(x.converged);
+        assert!(residual_inf_norm(&a, &x.x, &b) < 1e-6);
+
+        // update_values with identical values: every replay holds, the
+        // schedule survives it, and the answer is bit-identical.
+        let out = s.update_values(&a).unwrap();
+        assert_eq!(out.rebuilt, 0, "{}", out.recovery.summary());
+        assert!(all_hbmc(&s));
+        let xu = s.solve(&b).unwrap();
+        assert_eq!(x.iterations, xu.iterations);
+        for (p, q) in x.x.iter().zip(&xu.x) {
+            assert_eq!(p.to_bits(), q.to_bits());
+        }
+
+        // checkpoint → resume keeps the schedule.
+        let ckpt = SetupCheckpoint::from_bytes(&s.checkpoint().to_bytes()).unwrap();
+        let mut r = Pdslin::resume(ckpt, &Budget::unlimited())
+            .map_err(|f| f.error)
+            .unwrap();
+        assert!(all_hbmc(&r));
+
+        // Decoded factors carry no replay record, so this update rebuilds
+        // every subdomain factor, and each rebuilt factor gets HBMC again.
+        let a2 = drift(&a, 0.01);
+        let out = r.update_values(&a2).unwrap();
+        assert_eq!(out.rebuilt, r.factors.len(), "{}", out.recovery.summary());
+        assert!(all_hbmc(&r));
+        let sol = r.solve(&b).unwrap();
+        assert!(sol.converged);
+        assert!(residual_inf_norm(&a2, &sol.x, &b) < 1e-6);
     }
 
     #[test]

@@ -46,6 +46,26 @@ impl DbbdSystem {
     pub fn nsep(&self) -> usize {
         self.sep_rows.len()
     }
+
+    /// True when `other` has every sparsity pattern of this system: the
+    /// value-update guard of a solver whose setup matrix fingerprint did
+    /// not survive (checkpointed or externally assembled solvers).
+    pub(crate) fn same_pattern(&self, other: &DbbdSystem) -> bool {
+        fn same(x: &Csr, y: &Csr) -> bool {
+            x.indptr() == y.indptr() && x.indices() == y.indices()
+        }
+        self.domains.len() == other.domains.len()
+            && self.sep_rows == other.sep_rows
+            && same(&self.c, &other.c)
+            && self.domains.iter().zip(&other.domains).all(|(x, y)| {
+                x.rows == y.rows
+                    && same(&x.d, &y.d)
+                    && x.e_cols == y.e_cols
+                    && same(&x.e_hat, &y.e_hat)
+                    && x.f_rows == y.f_rows
+                    && same(&x.f_hat, &y.f_hat)
+            })
+    }
 }
 
 /// Extracts all local systems from `a` under `part`.

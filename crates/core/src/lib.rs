@@ -38,6 +38,7 @@ pub mod fault;
 pub mod interface;
 pub mod par;
 pub mod partition;
+mod phases;
 pub mod precond;
 pub mod recovery;
 pub mod rhs_order;

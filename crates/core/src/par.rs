@@ -2,21 +2,20 @@
 //!
 //! The per-subdomain phases (`LU(D)`, `Comp(S)`) are embarrassingly
 //! parallel with one coarse task per subdomain, so a work-stealing pool
-//! buys nothing over a handful of scoped threads pulling indices from a
-//! shared counter. Keeping this in-tree keeps the workspace
+//! buys nothing over a handful of scoped threads pulling items from a
+//! shared cursor. Keeping this in-tree keeps the workspace
 //! dependency-free.
 //!
 //! The worker count honours the `PDSLIN_THREADS` environment variable,
 //! clamped to the host's available parallelism — see [`worker_count`].
 //!
-//! The `*_isolated` variants run every task under `catch_unwind`, so a
-//! panicking subdomain task surfaces as a per-item `Err(message)`
-//! instead of tearing down the whole setup; the driver retries the item
-//! and, failing that, reports a typed `WorkerPanic` error.
+//! [`map_isolated`] runs every task under `catch_unwind`, so a panicking
+//! subdomain task surfaces as a per-item `Err(message)` instead of
+//! tearing down the whole setup; the driver retries the item and,
+//! failing that, reports a typed `WorkerPanic` error.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{Mutex, PoisonError};
 
 /// Environment variable that overrides the worker-thread count.
 pub const THREADS_ENV: &str = "PDSLIN_THREADS";
@@ -65,7 +64,8 @@ pub fn nested_worker_count(
 /// Worker count for the *outer* (per-subdomain) fan-out, from the
 /// process environment and host parallelism.
 pub fn outer_worker_count(n_items: usize, parallel: bool) -> usize {
-    configured_workers(n_items, parallel)
+    let env = std::env::var(THREADS_ENV).ok();
+    worker_count(n_items, parallel, env.as_deref(), host_parallelism())
 }
 
 /// Worker count for an *inner* kernel running beneath an outer fan-out
@@ -88,56 +88,58 @@ fn host_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-fn configured_workers(n_items: usize, parallel: bool) -> usize {
-    let env = std::env::var(THREADS_ENV).ok();
-    worker_count(n_items, parallel, env.as_deref(), host_parallelism())
-}
-
-/// Applies `f` to every item, in parallel when the host has spare cores.
+/// Applies `f` to every item — on [`outer_worker_count`] scoped threads
+/// when `parallel`, in order on the caller's thread otherwise — with
+/// per-item panic isolation: a panicking task yields `Err(panic
+/// message)` for that item while every other item completes normally.
 ///
-/// Results come back in input order. `f` receives `(index, &item)` so
-/// callers can zip against sibling slices without interior mutability.
-/// A panicking task propagates the panic; use [`par_map_isolated`] to
-/// contain it.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+/// Results come back in input order. `f` receives `(index, &mut item)`,
+/// so a task may update its own item in place and zip against sibling
+/// slices by index; each item is handed to exactly one task.
+pub fn map_isolated<T, R, F>(items: &mut [T], parallel: bool, f: F) -> Vec<Result<R, String>>
 where
-    T: Sync,
+    T: Send,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(usize, &mut T) -> R + Sync,
 {
-    serial_or_parallel(items, f, true)
-}
-
-/// Serial twin of [`par_map`] (same traversal, no threads).
-pub fn seq_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    serial_or_parallel(items, f, false)
-}
-
-/// [`par_map`] with per-item panic isolation: a panicking task yields
-/// `Err(panic message)` for that item while every other item completes
-/// normally.
-pub fn par_map_isolated<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    serial_or_parallel(items, isolate(f), true)
-}
-
-/// Serial twin of [`par_map_isolated`].
-pub fn seq_map_isolated<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    serial_or_parallel(items, isolate(f), false)
+    let run =
+        |i: usize, t: &mut T| catch_unwind(AssertUnwindSafe(|| f(i, t))).map_err(panic_message);
+    let n = items.len();
+    let workers = outer_worker_count(n, parallel);
+    if workers <= 1 {
+        return items
+            .iter_mut()
+            .enumerate()
+            .map(|(i, t)| run(i, t))
+            .collect();
+    }
+    // Tasks never unwind past `run`, so the cursor lock cannot be
+    // poisoned; recovering the guard anyway keeps that local.
+    let cursor = Mutex::new(items.iter_mut().enumerate());
+    let mut out: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let next = cursor.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((i, t)) = next else { break };
+                        done.push((i, run(i, t)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for w in workers {
+            for (i, r) in w.join().expect("isolated tasks never unwind") {
+                out[i] = Some(r);
+            }
+        }
+    });
+    out.into_iter()
+        .map(|o| o.expect("every index produces a result"))
+        .collect()
 }
 
 /// Extracts a human-readable message from a panic payload.
@@ -151,82 +153,49 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn isolate<T, R, F>(f: F) -> impl Fn(usize, &T) -> Result<R, String> + Sync
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    move |i, t| catch_unwind(AssertUnwindSafe(|| f(i, t))).map_err(panic_message)
-}
-
-fn serial_or_parallel<T, R, F>(items: &[T], f: F, parallel: bool) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = configured_workers(n, parallel);
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                if tx.send((i, r)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (i, r) in rx {
-            out[i] = Some(r);
-        }
-        out.into_iter()
-            .map(|o| o.expect("every index produces a result"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn unwrap_all<R: std::fmt::Debug>(rs: Vec<Result<R, String>>) -> Vec<R> {
+        rs.into_iter().map(|r| r.unwrap()).collect()
+    }
+
     #[test]
     fn preserves_order() {
-        let xs: Vec<usize> = (0..100).collect();
-        let ys = par_map(&xs, |i, &x| {
+        let mut xs: Vec<usize> = (0..100).collect();
+        let ys = unwrap_all(map_isolated(&mut xs, true, |i, &mut x| {
             assert_eq!(i, x);
             x * 2
-        });
+        }));
         assert_eq!(ys, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn serial_and_parallel_agree() {
-        let xs: Vec<f64> = (0..37).map(|i| i as f64).collect();
-        let p = par_map(&xs, |_, &x| x.sin());
-        let s = seq_map(&xs, |_, &x| x.sin());
+        let mut xs: Vec<f64> = (0..37).map(|i| i as f64).collect();
+        let p = unwrap_all(map_isolated(&mut xs, true, |_, &mut x| x.sin()));
+        let s = unwrap_all(map_isolated(&mut xs, false, |_, &mut x| x.sin()));
         assert_eq!(p, s);
     }
 
     #[test]
     fn empty_and_singleton() {
-        let none: Vec<usize> = Vec::new();
-        assert!(par_map(&none, |_, &x: &usize| x).is_empty());
-        assert_eq!(par_map(&[7usize], |_, &x| x + 1), vec![8]);
+        let mut none: Vec<usize> = Vec::new();
+        assert!(map_isolated(&mut none, true, |_, &mut x: &mut usize| x).is_empty());
+        assert_eq!(
+            unwrap_all(map_isolated(&mut [7usize], true, |_, &mut x| x + 1)),
+            vec![8]
+        );
+    }
+
+    #[test]
+    fn items_are_updated_in_place() {
+        for parallel in [true, false] {
+            let mut xs: Vec<usize> = (0..23).collect();
+            map_isolated(&mut xs, parallel, |i, x| *x += i);
+            assert_eq!(xs, (0..23).map(|x| 2 * x).collect::<Vec<_>>());
+        }
     }
 
     // ----- worker-count policy (PDSLIN_THREADS satellite) -----
@@ -313,8 +282,8 @@ mod tests {
 
     #[test]
     fn isolated_map_contains_panics() {
-        let xs: Vec<usize> = (0..20).collect();
-        let rs = par_map_isolated(&xs, |_, &x| {
+        let mut xs: Vec<usize> = (0..20).collect();
+        let rs = map_isolated(&mut xs, true, |_, &mut x| {
             if x == 7 {
                 panic!("injected panic on {x}");
             }
@@ -332,18 +301,15 @@ mod tests {
 
     #[test]
     fn isolated_serial_matches_parallel() {
-        let xs: Vec<usize> = (0..10).collect();
-        let f = |_: usize, &x: &usize| {
+        let mut xs: Vec<usize> = (0..10).collect();
+        let f = |_: usize, &mut x: &mut usize| {
             if x % 4 == 1 {
                 panic!("odd one out");
             }
             x + 1
         };
-        let p = par_map_isolated(&xs, f);
-        let s = seq_map_isolated(&xs, f);
-        assert_eq!(p.len(), s.len());
-        for (a, b) in p.iter().zip(&s) {
-            assert_eq!(a.is_ok(), b.is_ok());
-        }
+        let p = map_isolated(&mut xs, true, f);
+        let s = map_isolated(&mut xs, false, f);
+        assert_eq!(p, s);
     }
 }

@@ -5,11 +5,10 @@ use slu::{LuError, LuFactors};
 use sparsekit::budget::Budget;
 use sparsekit::Csr;
 
-use crate::budget::interrupt_error;
 use crate::error::PdslinError;
 use crate::extract::DbbdSystem;
 use crate::recovery::RecoveryEvent;
-use crate::subdomain::{lu_retry_schedule, subdomain_ordering};
+use crate::subdomain::{factor_robust, subdomain_ordering, LuTarget};
 
 /// Assembles `Ŝ` from the separator block `C` and the per-subdomain
 /// update matrices `T̃_ℓ` (one per subdomain, rows/columns indexed by
@@ -150,48 +149,15 @@ pub fn factor_schur_robust(
 ) -> Result<(Csr, LuFactors, Vec<RecoveryEvent>), PdslinError> {
     let (s_tilde, _) = s_hat.drop_small(drop_tol, true);
     let order = subdomain_ordering(&s_tilde);
-    let schedule = lu_retry_schedule(base_threshold);
-    let mut events = Vec::new();
-    let mut last_err = LuError::Singular { step: 0 };
-    let mut attempts = 0usize;
-    for (attempt, cfg) in schedule.iter().enumerate() {
-        attempts += 1;
-        match LuFactors::factorize_budgeted(&s_tilde, &order, cfg, budget) {
-            Ok(lu) => {
-                if attempt > 0 {
-                    events.push(RecoveryEvent::SchurLuRetry {
-                        attempt,
-                        pivot_threshold: cfg.pivot_threshold,
-                        perturbation: cfg.diag_perturb,
-                        perturbed_pivots: lu.perturbed.len(),
-                    });
-                }
-                return Ok((s_tilde, lu, events));
-            }
-            Err(LuError::Interrupted { interrupt, .. }) => {
-                return Err(interrupt_error(interrupt, "lu_s"));
-            }
-            Err(e) => {
-                let fatal = matches!(e, LuError::NonFinite { .. });
-                if attempt > 0 {
-                    events.push(RecoveryEvent::SchurLuRetry {
-                        attempt,
-                        pivot_threshold: cfg.pivot_threshold,
-                        perturbation: cfg.diag_perturb,
-                        perturbed_pivots: 0,
-                    });
-                }
-                last_err = e;
-                if fatal {
-                    break;
-                }
-            }
-        }
-    }
-    Err(PdslinError::SchurFactorization {
-        attempts,
-        source: last_err,
-    })
+    let (lu, events) = factor_robust(
+        &s_tilde,
+        &order,
+        LuTarget::Schur,
+        base_threshold,
+        false,
+        budget,
+    )?;
+    Ok((s_tilde, lu, events))
 }
 
 #[cfg(test)]

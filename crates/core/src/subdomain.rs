@@ -80,17 +80,10 @@ pub fn factor_domain(d: &Csr, pivot_threshold: f64) -> Result<FactoredDomain, Lu
         pivot_threshold,
         ..Default::default()
     };
-    factor_with(d, &cfg, &Budget::unlimited())
-}
-
-/// Orders and factors one subdomain with an explicit LU configuration
-/// under an execution [`Budget`], polled inside the elimination loop (an
-/// interrupt surfaces as [`LuError::Interrupted`]).
-fn factor_with(d: &Csr, cfg: &LuConfig, budget: &Budget) -> Result<FactoredDomain, LuError> {
     // The e-tree is in elimination coordinates (used by diagnostics and
     // the postorder RHS key).
     let (order, etree_parent) = ordering_and_etree(d);
-    let lu = LuFactors::factorize_budgeted(d, &order, cfg, budget)?;
+    let lu = LuFactors::factorize(d, &order, &cfg)?;
     Ok(FactoredDomain { lu, etree_parent })
 }
 
@@ -123,19 +116,50 @@ pub(crate) fn lu_retry_schedule(base_threshold: f64) -> Vec<LuConfig> {
     cfgs
 }
 
-/// [`factor_domain`] with the recovery layer: on failure the
-/// factorisation is retried along [`lu_retry_schedule`], each retry
-/// recorded. `inject_singular` fails the first attempt artificially
-/// (fault injection); retries run clean. A budget interrupt aborts the
-/// schedule immediately with the phase-labelled typed error — retrying
-/// against an expired deadline would only spin.
-pub fn factor_domain_robust(
-    d: &Csr,
-    domain: usize,
+/// Which factorisation [`factor_robust`] retries: it names the phase of
+/// an interrupt, the retry event and the error once the schedule is
+/// exhausted.
+#[derive(Clone, Copy)]
+pub(crate) enum LuTarget {
+    /// Subdomain `D_ℓ` (phase `lu_d`).
+    Domain(usize),
+    /// The approximate Schur complement `S̃` (phase `lu_s`).
+    Schur,
+}
+
+/// Factors `a` under the fixed column `order`, retrying along
+/// [`lu_retry_schedule`] and recording each retry. `inject_singular`
+/// fails the first attempt artificially (fault injection); retries run
+/// clean. A budget interrupt aborts the schedule immediately with the
+/// phase-labelled typed error — retrying against an expired deadline
+/// would only spin — and so does a NaN/Inf, which no pivoting removes.
+pub(crate) fn factor_robust(
+    a: &Csr,
+    order: &Perm,
+    target: LuTarget,
     base_threshold: f64,
     inject_singular: bool,
     budget: &Budget,
-) -> Result<(FactoredDomain, Vec<RecoveryEvent>), PdslinError> {
+) -> Result<(LuFactors, Vec<RecoveryEvent>), PdslinError> {
+    let retry = |attempt: usize, cfg: &LuConfig, perturbed_pivots: usize| match target {
+        LuTarget::Domain(domain) => RecoveryEvent::SubdomainLuRetry {
+            domain,
+            attempt,
+            pivot_threshold: cfg.pivot_threshold,
+            perturbation: cfg.diag_perturb,
+            perturbed_pivots,
+        },
+        LuTarget::Schur => RecoveryEvent::SchurLuRetry {
+            attempt,
+            pivot_threshold: cfg.pivot_threshold,
+            perturbation: cfg.diag_perturb,
+            perturbed_pivots,
+        },
+    };
+    let phase = match target {
+        LuTarget::Domain(_) => "lu_d",
+        LuTarget::Schur => "lu_s",
+    };
     let schedule = lu_retry_schedule(base_threshold);
     let mut events = Vec::new();
     let mut last_err = LuError::Singular { step: 0 };
@@ -143,37 +167,20 @@ pub fn factor_domain_robust(
     for (attempt, cfg) in schedule.iter().enumerate() {
         attempts += 1;
         if attempt == 0 && inject_singular {
-            last_err = LuError::Singular { step: 0 };
             continue;
         }
-        match factor_with(d, cfg, budget) {
-            Ok(fd) => {
-                if attempt > 0 {
-                    events.push(RecoveryEvent::SubdomainLuRetry {
-                        domain,
-                        attempt,
-                        pivot_threshold: cfg.pivot_threshold,
-                        perturbation: cfg.diag_perturb,
-                        perturbed_pivots: fd.lu.perturbed.len(),
-                    });
-                }
-                return Ok((fd, events));
-            }
+        let result = LuFactors::factorize_budgeted(a, order, cfg, budget);
+        if attempt > 0 {
+            let perturbed = result.as_ref().map_or(0, |lu| lu.perturbed.len());
+            events.push(retry(attempt, cfg, perturbed));
+        }
+        match result {
+            Ok(lu) => return Ok((lu, events)),
             Err(LuError::Interrupted { interrupt, .. }) => {
-                return Err(interrupt_error(interrupt, "lu_d"));
+                return Err(interrupt_error(interrupt, phase));
             }
             Err(e) => {
-                // NaN/Inf in the input cannot be pivoted away — stop.
                 let fatal = matches!(e, LuError::NonFinite { .. });
-                if attempt > 0 {
-                    events.push(RecoveryEvent::SubdomainLuRetry {
-                        domain,
-                        attempt,
-                        pivot_threshold: cfg.pivot_threshold,
-                        perturbation: cfg.diag_perturb,
-                        perturbed_pivots: 0,
-                    });
-                }
                 last_err = e;
                 if fatal {
                     break;
@@ -181,11 +188,43 @@ pub fn factor_domain_robust(
             }
         }
     }
-    Err(PdslinError::SubdomainFactorization {
-        domain,
-        attempts,
-        source: last_err,
+    Err(match target {
+        LuTarget::Domain(domain) => PdslinError::SubdomainFactorization {
+            domain,
+            attempts,
+            source: last_err,
+        },
+        LuTarget::Schur => PdslinError::SchurFactorization {
+            attempts,
+            source: last_err,
+        },
     })
+}
+
+/// [`factor_domain`] with the recovery layer: on failure the
+/// factorisation is retried with escalating pivot thresholds and, last,
+/// a diagonal perturbation ([`LAST_RESORT_PERTURBATION`]), each retry
+/// recorded. `inject_singular` fails the first attempt artificially
+/// (fault injection); retries run clean. A budget interrupt aborts the
+/// schedule immediately with the phase-labelled typed error. The
+/// ordering is computed once; every retry reuses it.
+pub fn factor_domain_robust(
+    d: &Csr,
+    domain: usize,
+    base_threshold: f64,
+    inject_singular: bool,
+    budget: &Budget,
+) -> Result<(FactoredDomain, Vec<RecoveryEvent>), PdslinError> {
+    let (order, etree_parent) = ordering_and_etree(d);
+    let (lu, events) = factor_robust(
+        d,
+        &order,
+        LuTarget::Domain(domain),
+        base_threshold,
+        inject_singular,
+        budget,
+    )?;
+    Ok((FactoredDomain { lu, etree_parent }, events))
 }
 
 #[cfg(test)]

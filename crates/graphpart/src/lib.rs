@@ -11,7 +11,7 @@
 //! * the recursive [`nd`] driver producing doubly-bordered block-diagonal
 //!   (DBBD) partitions and full nested-dissection orderings;
 //! * fill-reducing orderings for subdomain factorisation
-//!   ([`ordering::rcm`], [`ordering::mindeg`]).
+//!   ([`ordering::mindeg`]).
 //!
 //! All algorithms are deterministic.
 //!
@@ -49,6 +49,6 @@ pub mod trim;
 
 pub use graph::{magnitude_weight, median_offdiag_magnitude, Graph, WeightScheme};
 pub use nd::{nd_ordering, nested_dissection, DbbdPartition, NdConfig, SEPARATOR};
+pub use ordering::mindeg::min_degree_order;
 pub use ordering::rgb::{rgb_order, RgbConfig};
-pub use ordering::{mindeg::min_degree_order, rcm::rcm_order};
 pub use trim::trim_separator;

@@ -2,5 +2,4 @@
 //! the recursive-graph-bisection sequence layout used for RHS ordering.
 
 pub mod mindeg;
-pub mod rcm;
 pub mod rgb;

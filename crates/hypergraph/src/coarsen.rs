@@ -17,7 +17,7 @@ const MATCH_NET_CAP: usize = 64;
 
 /// Heavy-connectivity matching: vertices are matched to the unmatched
 /// neighbour with which they share the largest total net cost (nets
-/// capped at [`MATCH_NET_CAP`] pins). Returns `mate` with
+/// capped at `MATCH_NET_CAP` pins). Returns `mate` with
 /// `mate[v] == v` for unmatched vertices.
 pub fn heavy_connectivity_matching(h: &Hypergraph) -> Vec<usize> {
     let n = h.nvertices();

@@ -50,7 +50,7 @@ pub enum StructuralFactor {
     /// the rows of `M` is the classical hypergraph formulation of the
     /// **vertex-separator** problem: a column (vertex) is cut iff its
     /// incident edges straddle the bisection. This is the closest cheap
-    /// stand-in for the clique-cover structural factorisation of [7] and
+    /// stand-in for the clique-cover structural factorisation of \[7\] and
     /// produces the thinnest separators; the hypergraph is larger
     /// (one vertex per matrix edge).
     EdgeCover,

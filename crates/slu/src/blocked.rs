@@ -13,7 +13,7 @@
 //! There is one symbolic path and one numeric path: a
 //! [`BlockedSolvePlan`] (block decomposition, per-block union reach,
 //! padding accounting — taken on the factor's pruned
-//! [`ReachGraph`](crate::reach::ReachGraph)) and
+//! [`ReachGraph`]) and
 //! [`solve_in_blocks_planned`], which runs the panel substitutions of a
 //! plan, concurrently when asked. Every other entry point builds a plan
 //! and calls it.

@@ -36,9 +36,9 @@ const PAR_MIN_ROWS: usize = 256;
 /// counter stays flat across decode round-trips and value updates.
 static PLAN_BUILDS: AtomicU64 = AtomicU64::new(0);
 
-/// Number of triangular-solve plans built since process start (see
-/// [`PLAN_BUILDS`]). Monotone; compare two readings to count builds in
-/// between.
+/// Number of triangular-solve plans built since process start (one
+/// process-wide counter). Monotone; compare two readings to count builds
+/// in between.
 pub fn plan_build_count() -> u64 {
     PLAN_BUILDS.load(Ordering::Relaxed)
 }

@@ -3,7 +3,7 @@
 //! This crate is the workspace's substitute for SuperLU_DIST. It provides
 //! everything PDSLin needs from a subdomain direct solver:
 //!
-//! * elimination trees, postorders and fill paths ([`etree`]);
+//! * elimination trees, postorders and fill paths ([`mod@etree`]);
 //! * Gilbert–Peierls left-looking LU with threshold partial pivoting
 //!   ([`lu`]);
 //! * sparse triangular solves with **sparse right-hand sides** via

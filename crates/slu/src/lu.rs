@@ -5,10 +5,10 @@
 //! The sparse loop pays a DFS, an indirect scatter and a sort per
 //! column, which is wasted once the columns it produces are full. So
 //! the elimination watches the density of the block still to be
-//! factored (see [`DENSE_TAIL_DENSITY`]) and, once it is dense enough,
+//! factored (see `DENSE_TAIL_DENSITY`) and, once it is dense enough,
 //! finishes the remaining `m` columns in two steps: the usual sparse
 //! partial solve of each column against the *head* columns only,
-//! scattered into an `m × m` buffer, then [`crate::dense`]'s in-place
+//! scattered into an `m × m` buffer, then the `dense` module's in-place
 //! LU of that buffer under the same pivot rule. The block is emitted
 //! into the same sorted CSC `L`/`U` with exact zeros dropped, so every
 //! consumer of the factors sees the pattern the all-sparse loop

@@ -1,7 +1,7 @@
 //! Triplet (coordinate) format matrix builder.
 //!
 //! [`Coo`] is the assembly format: entries may be pushed in any order and
-//! duplicates are summed when converting to [`Csr`](crate::Csr).
+//! duplicates are summed when converting to [`Csr`].
 
 use crate::Csr;
 

@@ -341,6 +341,33 @@ impl Csr {
         )
     }
 
+    /// This matrix's values on `pattern`'s sparsity: entries outside the
+    /// pattern are dropped, pattern entries absent here become zero. Both
+    /// matrices must have the same shape.
+    pub fn values_in_pattern(&self, pattern: &Csr) -> Csr {
+        assert_eq!(
+            (self.nrows, self.ncols),
+            (pattern.nrows, pattern.ncols),
+            "pattern shape mismatch"
+        );
+        let mut values = vec![0.0; pattern.nnz()];
+        for r in 0..self.nrows {
+            let (lo, hi) = (pattern.indptr[r], pattern.indptr[r + 1]);
+            for (c, v) in self.row_iter(r) {
+                if let Ok(pos) = pattern.indices[lo..hi].binary_search(&c) {
+                    values[lo + pos] = v;
+                }
+            }
+        }
+        Csr {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            indptr: pattern.indptr.clone(),
+            indices: pattern.indices.clone(),
+            values,
+        }
+    }
+
     /// Indices of columns that contain at least one nonzero.
     pub fn nonzero_columns(&self) -> Vec<usize> {
         let mut seen = vec![false; self.ncols];
@@ -382,13 +409,6 @@ impl Csr {
             let acc = crate::lanes::row_dot(self.row_indices(r), self.row_values(r), x);
             y[r] += alpha * acc;
         }
-    }
-
-    /// `y = Aᵀ x` (allocating). `O(nnz)`, no transpose materialised.
-    pub fn matvec_transpose(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0f64; self.ncols];
-        self.matvec_transpose_into(x, &mut y);
-        y
     }
 
     /// `y = Aᵀ x` into a caller-provided buffer. `O(nnz)`, no transpose
@@ -525,6 +545,18 @@ mod tests {
     }
 
     #[test]
+    fn values_in_pattern_drops_outside_and_zero_fills_inside() {
+        // Pattern: the diagonal plus (0, 1), which `small` lacks.
+        let mut p = Coo::new(3, 3);
+        for (r, c) in [(0, 0), (0, 1), (1, 1), (2, 2)] {
+            p.push(r, c, 9.0);
+        }
+        let got = small().values_in_pattern(&p.to_csr());
+        assert_eq!(got.indices(), p.to_csr().indices());
+        assert_eq!(got.values(), &[1.0, 0.0, 3.0, 5.0]);
+    }
+
+    #[test]
     fn transpose_roundtrip() {
         let a = small();
         let att = a.transpose().transpose();
@@ -551,13 +583,6 @@ mod tests {
         let a = small();
         let y = a.matvec(&[1.0, 1.0, 1.0]);
         assert_eq!(y, vec![3.0, 3.0, 9.0]);
-    }
-
-    #[test]
-    fn matvec_transpose_matches_explicit() {
-        let a = small();
-        let x = vec![1.0, 2.0, 3.0];
-        assert_eq!(a.matvec_transpose(&x), a.transpose().matvec(&x));
     }
 
     #[test]
