@@ -26,12 +26,6 @@ pdslin_bench::json_record! {
         speedup: f64,
         matches_serial: bool,
         iterations: usize,
-        // Schedule-shape columns, only meaningful for the trisolve
-        // schedule rows (0 elsewhere): total sweeps (forward + backward
-        // levels/stages) and the widest level in rows. CI gates on HBMC
-        // having fewer sweeps than level scheduling on the 2D Laplacian.
-        sweeps: usize,
-        max_width: usize,
     }
 }
 
@@ -39,7 +33,7 @@ const WORKERS: [usize; 3] = [1, 2, 4];
 const BATCHES: [usize; 3] = [1, 8, 64];
 
 #[allow(clippy::too_many_arguments)]
-fn push_row_sched(
+fn push_row(
     rows: &mut Vec<SolveRow>,
     problem: &str,
     kernel: &str,
@@ -49,8 +43,6 @@ fn push_row_sched(
     serial_seconds: f64,
     matches_serial: bool,
     iterations: usize,
-    sweeps: usize,
-    max_width: usize,
 ) {
     let speedup = if seconds > 0.0 {
         serial_seconds / seconds
@@ -75,36 +67,7 @@ fn push_row_sched(
         speedup,
         matches_serial,
         iterations,
-        sweeps,
-        max_width,
     });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn push_row(
-    rows: &mut Vec<SolveRow>,
-    problem: &str,
-    kernel: &str,
-    workers: usize,
-    batch: usize,
-    seconds: f64,
-    serial_seconds: f64,
-    matches_serial: bool,
-    iterations: usize,
-) {
-    push_row_sched(
-        rows,
-        problem,
-        kernel,
-        workers,
-        batch,
-        seconds,
-        serial_seconds,
-        matches_serial,
-        iterations,
-        0,
-        0,
-    );
 }
 
 fn rhs_for(n: usize, seed: usize) -> Vec<f64> {
@@ -267,67 +230,6 @@ fn bench_solve_many(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr) {
     std::env::remove_var(pdslin::par::THREADS_ENV);
 }
 
-/// Level-scheduled vs HBMC trisolve on one factor of the 2D Laplacian.
-///
-/// Emits one row per schedule and worker count with the schedule-shape
-/// columns filled in: `sweeps` (forward + backward levels or stages) and
-/// `max_width` (widest level, in rows). For the `trisolve_hbmc` rows,
-/// `serial_seconds` is the **level-scheduled** time at the same worker
-/// count, so the `speedup` column reads as level-vs-HBMC — the
-/// comparison this benchmark exists for. CI gates on HBMC reporting
-/// fewer sweeps than level scheduling here (a deterministic structural
-/// property, unlike the timings).
-///
-/// HBMC reorders per-row dependency sums, so its solutions are
-/// tolerance-checked against the level schedule at switch time (the
-/// `set_schedule` probe) rather than compared bitwise; within the HBMC
-/// rows, worker counts are still exact-equality checked against the
-/// single-worker HBMC run.
-fn bench_trisolve_schedules(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr, reps: usize) {
-    let mut fd = pdslin::subdomain::factor_domain(a, 0.1).expect("laplacian LU");
-    let b = rhs_for(fd.lu.n(), 4);
-    let mut x = vec![0.0; fd.lu.n()];
-    let mut tri = slu::TriScratch::new();
-    let mut level_secs = [0f64; WORKERS.len()];
-    for (schedule, kernel) in [
-        (slu::TrisolveSchedule::Level, "trisolve_level"),
-        (slu::TrisolveSchedule::Hbmc, "trisolve_hbmc"),
-    ] {
-        fd.lu
-            .set_schedule(schedule)
-            .expect("schedule probe must pass on the Laplacian");
-        let plan = fd.lu.solve_plan();
-        let (fs, fw) = plan.forward_levels();
-        let (bs, bw) = plan.backward_levels();
-        let (sweeps, max_width) = (fs + bs, fw.max(bw));
-        let mut serial: Option<(Vec<f64>, f64)> = None;
-        for (wi, &w) in WORKERS.iter().enumerate() {
-            fd.lu.solve_into(&b, &mut x, &mut tri, w); // warm-up
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                fd.lu.solve_into(&b, &mut x, &mut tri, w);
-            }
-            let secs = t0.elapsed().as_secs_f64();
-            let (matches, own_serial) = match &serial {
-                None => {
-                    serial = Some((x.clone(), secs));
-                    (true, secs)
-                }
-                Some((ref_x, ref_secs)) => (x == *ref_x, *ref_secs),
-            };
-            let baseline = if schedule == slu::TrisolveSchedule::Level {
-                level_secs[wi] = secs;
-                own_serial
-            } else {
-                level_secs[wi]
-            };
-            push_row_sched(
-                rows, problem, kernel, w, 1, secs, baseline, matches, 0, sweeps, max_width,
-            );
-        }
-    }
-}
-
 fn main() {
     let scale = pdslin_bench::scale_from_env();
     let (nx, ny, reps) = match scale {
@@ -342,7 +244,6 @@ fn main() {
     println!("Solve-phase benchmark: serial vs parallel (workers 1/2/4)\n");
     bench_matvec(&mut rows, &laplace_name, &laplace, reps);
     bench_trisolve(&mut rows, &laplace_name, &laplace, reps);
-    bench_trisolve_schedules(&mut rows, &laplace_name, &laplace, reps);
     bench_solve(&mut rows, &laplace_name, &laplace);
     bench_solve_many(&mut rows, &laplace_name, &laplace);
     for kind in circuits {

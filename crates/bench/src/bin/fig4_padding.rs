@@ -36,7 +36,7 @@ fn main() {
         RhsOrdering::Natural,
         RhsOrdering::Postorder,
         RhsOrdering::Hypergraph { tau: Some(0.4) },
-        RhsOrdering::Rgb(Default::default()),
+        RhsOrdering::Rgb,
     ];
     let mut rows = Vec::new();
     for kind in kinds {

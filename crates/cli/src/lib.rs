@@ -18,8 +18,7 @@ use std::time::Duration;
 use hypergraph::{ConstraintMode, CutMetric, RhbConfig};
 use matgen::{MatrixKind, Scale};
 use pdslin::{
-    select_strategy, Budget, ErrorCategory, PartitionerKind, RgbConfig, RhsOrdering, Strategy,
-    WeightScheme,
+    select_strategy, Budget, ErrorCategory, PartitionerKind, RhsOrdering, Strategy, WeightScheme,
 };
 use sparsekit::Csr;
 
@@ -81,7 +80,7 @@ impl Args {
 /// be silently ignored and leave the user running with defaults.
 pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
     const SOURCE: [&str; 3] = ["matrix", "generate", "scale"];
-    const SOLVE: [&str; 23] = [
+    const SOLVE: [&str; 19] = [
         "matrix",
         "generate",
         "scale",
@@ -93,12 +92,8 @@ pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
         "strategy",
         "ordering",
         "tau",
-        "rgb-iters",
-        "rgb-depth",
-        "rgb-min-part",
         "block-size",
         "krylov",
-        "trisolve-schedule",
         "tol",
         "interface-drop",
         "schur-drop",
@@ -117,7 +112,7 @@ pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
         "weights",
         "strategy",
     ];
-    const SOLVE_SEQ: [&str; 25] = [
+    const SOLVE_SEQ: [&str; 21] = [
         "matrix",
         "generate",
         "scale",
@@ -131,12 +126,8 @@ pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
         "strategy",
         "ordering",
         "tau",
-        "rgb-iters",
-        "rgb-depth",
-        "rgb-min-part",
         "block-size",
         "krylov",
-        "trisolve-schedule",
         "tol",
         "interface-drop",
         "schur-drop",
@@ -306,13 +297,6 @@ pub fn krylov_kind(args: &Args) -> Result<pdslin::KrylovKind, String> {
     }
 }
 
-/// Resolves the triangular-solve schedule (`--trisolve-schedule`).
-pub fn trisolve_schedule(args: &Args) -> Result<pdslin::TrisolveSchedule, String> {
-    let v = args.get_or("trisolve-schedule", "level");
-    pdslin::TrisolveSchedule::parse(v)
-        .ok_or_else(|| format!("unknown trisolve schedule '{v}' (level|hbmc)"))
-}
-
 /// Resolves the RHS ordering options.
 pub fn rhs_ordering(args: &Args) -> Result<RhsOrdering, String> {
     match args.get_or("ordering", "postorder") {
@@ -328,14 +312,7 @@ pub fn rhs_ordering(args: &Args) -> Result<RhsOrdering, String> {
             };
             Ok(RhsOrdering::Hypergraph { tau })
         }
-        "rgb" => {
-            let d = RgbConfig::default();
-            Ok(RhsOrdering::Rgb(RgbConfig {
-                swap_iters: args.parse_or("rgb-iters", d.swap_iters)?,
-                max_depth: args.parse_or("rgb-depth", d.max_depth)?,
-                min_partition: args.parse_or("rgb-min-part", d.min_partition)?,
-            }))
-        }
+        "rgb" => Ok(RhsOrdering::Rgb),
         other => Err(format!("unknown ordering '{other}'")),
     }
 }
@@ -398,10 +375,8 @@ USAGE:
                    [--k K] [--partitioner ngd|rhb] [--metric soed|cnet|con1]
                    [--constraint single|multi|unit] [--weights unit|value]
                    [--strategy auto]
-                   [--ordering natural|postorder|hypergraph|rgb [--tau T]
-                    [--rgb-iters N] [--rgb-depth N] [--rgb-min-part N]]
+                   [--ordering natural|postorder|hypergraph|rgb [--tau T]]
                    [--block-size B] [--krylov gmres|bicgstab] [--tol TOL]
-                   [--trisolve-schedule level|hbmc]
                    [--deadline SECS] [--mem-budget-mb MB] [--shard-workers N]
   pdslin solve-seq (--matrix F.mtx | --generate KIND [--scale test|bench])
                    [--steps N] [--drift D] [--k K] [--tol TOL]
@@ -527,21 +502,7 @@ mod tests {
     #[test]
     fn rgb_ordering_resolution() {
         let a = parse_args(argv("solve --ordering rgb")).unwrap();
-        assert_eq!(
-            rhs_ordering(&a).unwrap(),
-            RhsOrdering::Rgb(RgbConfig::default())
-        );
-        let b = parse_args(argv("solve --ordering rgb --rgb-iters 3 --rgb-min-part 4")).unwrap();
-        match rhs_ordering(&b).unwrap() {
-            RhsOrdering::Rgb(cfg) => {
-                assert_eq!(cfg.swap_iters, 3);
-                assert_eq!(cfg.min_partition, 4);
-                assert_eq!(cfg.max_depth, RgbConfig::default().max_depth);
-            }
-            other => panic!("expected rgb, got {other:?}"),
-        }
-        let bad = parse_args(argv("solve --ordering rgb --rgb-iters many")).unwrap();
-        assert!(rhs_ordering(&bad).is_err());
+        assert_eq!(rhs_ordering(&a).unwrap(), RhsOrdering::Rgb);
     }
 
     #[test]

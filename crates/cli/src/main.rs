@@ -177,7 +177,6 @@ fn solver_config(args: &Args, a: &sparsekit::Csr) -> Result<PdslinConfig, CmdErr
         rhs_ordering: rhs_ordering(args)?,
         block_size: args.parse_or("block-size", 60usize)?,
         krylov: pdslin_cli::krylov_kind(args)?,
-        trisolve_schedule: pdslin_cli::trisolve_schedule(args)?,
         interface_drop_tol: args.parse_or("interface-drop", 1e-8)?,
         schur_drop_tol: args.parse_or("schur-drop", 1e-8)?,
         ..Default::default()

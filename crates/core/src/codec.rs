@@ -27,11 +27,11 @@ use crate::rhs_order::RhsOrdering;
 use crate::stats::{DomainCosts, InterfaceStats, PhaseTimes, SetupStats};
 use crate::subdomain::FactoredDomain;
 use crate::{KrylovKind, PdslinConfig};
-use graphpart::{DbbdPartition, RgbConfig, WeightScheme};
+use graphpart::{DbbdPartition, WeightScheme};
 use hypergraph::rhb::StructuralFactor;
 use hypergraph::{ConstraintMode, CutMetric, RhbConfig};
 use krylov::GmresConfig;
-use slu::{LuFactors, TrisolveSchedule};
+use slu::LuFactors;
 use sparsekit::{Csc, Csr, Fnv64, Perm};
 
 /// Magic prefix of every serialized blob produced by this module.
@@ -39,7 +39,9 @@ pub const MAGIC: [u8; 4] = *b"PDLK";
 /// Format version; bumped on any layout change.
 ///
 /// v3 appended the refactorization counters to the stats record; v4
-/// added `InterfaceStats::symbolic_seconds`. A blob of any other
+/// added `InterfaceStats::symbolic_seconds`; v5 dropped the config's
+/// trisolve-schedule tag and the RGB ordering's three tuning fields
+/// (the ordering runs with fixed constants). A blob of any other
 /// version is rejected by [`open_envelope`] as
 /// `PdslinError::CheckpointCorrupt`, never reinterpreted. The
 /// per-factor symbolic replay record (`slu`'s private elimination
@@ -47,7 +49,7 @@ pub const MAGIC: [u8; 4] = *b"PDLK";
 /// bit-identically but cannot be numerically refactorized in place, so
 /// `Pdslin::update_values` on a resumed solver rebuilds those factors
 /// from scratch and logs a typed recovery event.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 fn corrupt(detail: impl Into<String>) -> PdslinError {
     PdslinError::CheckpointCorrupt {
@@ -488,12 +490,7 @@ pub fn encode_config(w: &mut ByteWriter, cfg: &PdslinConfig) {
                 }
             }
         }
-        RhsOrdering::Rgb(c) => {
-            w.put_u8(3);
-            w.put_usize(c.swap_iters);
-            w.put_usize(c.max_depth);
-            w.put_usize(c.min_partition);
-        }
+        RhsOrdering::Rgb => w.put_u8(3),
     }
     w.put_usize(cfg.block_size);
     w.put_f64(cfg.interface_drop_tol);
@@ -507,10 +504,6 @@ pub fn encode_config(w: &mut ByteWriter, cfg: &PdslinConfig) {
     w.put_usize(cfg.gmres.max_iters);
     w.put_f64(cfg.gmres.tol);
     w.put_bool(cfg.parallel);
-    w.put_u8(match cfg.trisolve_schedule {
-        TrisolveSchedule::Level => 0,
-        TrisolveSchedule::Hbmc => 1,
-    });
     encode_fault(w, &cfg.fault);
 }
 
@@ -573,11 +566,7 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<PdslinConfig, PdslinError
                 b => return Err(corrupt(format!("invalid option tag {b}"))),
             },
         },
-        3 => RhsOrdering::Rgb(RgbConfig {
-            swap_iters: r.get_usize()?,
-            max_depth: r.get_usize()?,
-            min_partition: r.get_usize()?,
-        }),
+        3 => RhsOrdering::Rgb,
         b => return Err(corrupt(format!("invalid rhs ordering tag {b}"))),
     };
     let block_size = r.get_usize()?;
@@ -595,11 +584,6 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<PdslinConfig, PdslinError
         tol: r.get_f64()?,
     };
     let parallel = r.get_bool()?;
-    let trisolve_schedule = match r.get_u8()? {
-        0 => TrisolveSchedule::Level,
-        1 => TrisolveSchedule::Hbmc,
-        b => return Err(corrupt(format!("invalid trisolve schedule tag {b}"))),
-    };
     let fault = decode_fault(r)?;
     Ok(PdslinConfig {
         k,
@@ -613,7 +597,6 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<PdslinConfig, PdslinError
         krylov,
         gmres,
         parallel,
-        trisolve_schedule,
         fault,
     })
 }

@@ -28,9 +28,9 @@
 //! * setup failures past the `LU(D)` phase hand back a
 //!   [`SetupCheckpoint`] so a restart skips the refactorization.
 //!
-//! The phases themselves (`LU(D)` → `Comp(S)` → assembly → `LU(S̃)` →
-//! schedule) live in one list in the private `phases` module; the entry
-//! points here differ only in what they hand it to reuse.
+//! The phases themselves (`LU(D)` → `Comp(S)` → assembly → `LU(S̃)`)
+//! live in one list in the private `phases` module; the entry points
+//! here differ only in what they hand it to reuse.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -40,7 +40,7 @@ use krylov::{
     bicgstab_with_workspace, gmres_with_workspace, BicgstabConfig, BicgstabWorkspace, GmresConfig,
     GmresWorkspace, LinearOperator,
 };
-use slu::{LuFactors, TriScratch, TrisolveSchedule};
+use slu::{LuFactors, TriScratch};
 use sparsekit::budget::{Budget, BudgetInterrupt};
 use sparsekit::ops::{axpy, norm2};
 use sparsekit::{csr_pattern_fingerprint, Csr};
@@ -95,13 +95,6 @@ pub struct PdslinConfig {
     pub gmres: GmresConfig,
     /// Run the subdomain phases in parallel (scoped threads).
     pub parallel: bool,
-    /// Execution schedule of the triangular solves. The default
-    /// [`TrisolveSchedule::Level`] is byte-identical to the serial
-    /// sweeps; the opt-in HBMC schedule trades a tolerance-gated
-    /// float-sum reordering for fewer, wider parallel sweeps (see
-    /// `docs/kernels.md`). A factorisation that fails the equivalence
-    /// probe rejects setup with [`PdslinError::ScheduleRejected`].
-    pub trisolve_schedule: TrisolveSchedule,
     /// Deterministic fault injection (testing; defaults to none).
     pub fault: FaultPlan,
 }
@@ -124,7 +117,6 @@ impl Default for PdslinConfig {
                 tol: 1e-10,
             },
             parallel: true,
-            trisolve_schedule: TrisolveSchedule::Level,
             fault: FaultPlan::default(),
         }
     }
@@ -530,7 +522,7 @@ impl Pdslin {
     /// the matrix (`None` on resume/external paths).
     fn complete_from_factors(
         sys: DbbdSystem,
-        mut factors: Vec<FactoredDomain>,
+        factors: Vec<FactoredDomain>,
         mut stats: SetupStats,
         mut recovery: RecoveryReport,
         cfg: PdslinConfig,
@@ -549,8 +541,7 @@ impl Pdslin {
             stats: &mut stats,
             recovery: &mut recovery,
         };
-        let (s_tilde, schur_lu) = match pass.after_lu_d(&sys, &mut factors, &mut iface_plans, None)
-        {
+        let (s_tilde, schur_lu) = match pass.after_lu_d(&sys, &factors, &mut iface_plans, None) {
             Ok((s_tilde, fresh)) => (s_tilde, fresh.expect("nothing to replay: S̃ is factored")),
             Err(error) => {
                 let checkpoint = SetupCheckpoint {
@@ -694,7 +685,7 @@ impl Pdslin {
             .for_each(|(plan, _)| *plan = None);
         let stored = Some((&self.s_tilde, &mut self.schur_lu));
         let (s_tilde, fresh) =
-            pass.after_lu_d(&self.sys, &mut self.factors, &mut self.iface_plans, stored)?;
+            pass.after_lu_d(&self.sys, &self.factors, &mut self.iface_plans, stored)?;
         self.s_tilde = s_tilde;
         let refactorized = replayed.iter().filter(|&&r| r).count() + usize::from(fresh.is_none());
         let rebuilt = replayed.len() + 1 - refactorized;
@@ -1778,58 +1769,6 @@ mod tests {
         let b = vec![1.0; a.nrows()];
         let sol = r.solve(&b).unwrap();
         assert!(sol.converged);
-    }
-
-    #[test]
-    fn hbmc_schedule_reaches_every_factor_through_every_entry_point() {
-        let a = laplace2d(16, 16);
-        let cfg = PdslinConfig {
-            k: 4,
-            trisolve_schedule: TrisolveSchedule::Hbmc,
-            ..Default::default()
-        };
-        let all_hbmc = |s: &Pdslin| {
-            s.factors
-                .iter()
-                .all(|f| f.lu.schedule() == TrisolveSchedule::Hbmc)
-                && s.schur_lu.schedule() == TrisolveSchedule::Hbmc
-        };
-        let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 11) as f64) - 5.0).collect();
-
-        // setup → solve.
-        let mut s = Pdslin::setup(&a, cfg).expect("the probe accepts HBMC on a Laplacian");
-        assert!(all_hbmc(&s));
-        let x = s.solve(&b).unwrap();
-        assert!(x.converged);
-        assert!(residual_inf_norm(&a, &x.x, &b) < 1e-6);
-
-        // update_values with identical values: every replay holds, the
-        // schedule survives it, and the answer is bit-identical.
-        let out = s.update_values(&a).unwrap();
-        assert_eq!(out.rebuilt, 0, "{}", out.recovery.summary());
-        assert!(all_hbmc(&s));
-        let xu = s.solve(&b).unwrap();
-        assert_eq!(x.iterations, xu.iterations);
-        for (p, q) in x.x.iter().zip(&xu.x) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
-
-        // checkpoint → resume keeps the schedule.
-        let ckpt = SetupCheckpoint::from_bytes(&s.checkpoint().to_bytes()).unwrap();
-        let mut r = Pdslin::resume(ckpt, &Budget::unlimited())
-            .map_err(|f| f.error)
-            .unwrap();
-        assert!(all_hbmc(&r));
-
-        // Decoded factors carry no replay record, so this update rebuilds
-        // every subdomain factor, and each rebuilt factor gets HBMC again.
-        let a2 = drift(&a, 0.01);
-        let out = r.update_values(&a2).unwrap();
-        assert_eq!(out.rebuilt, r.factors.len(), "{}", out.recovery.summary());
-        assert!(all_hbmc(&r));
-        let sol = r.solve(&b).unwrap();
-        assert!(sol.converged);
-        assert!(residual_inf_norm(&a2, &sol.x, &b) < 1e-6);
     }
 
     #[test]

@@ -126,22 +126,6 @@ pub enum PdslinError {
         /// What the validator rejected.
         detail: String,
     },
-    /// The opt-in HBMC trisolve schedule failed its equivalence probe on
-    /// one of the factorisations: the reordered solve deviated from the
-    /// level-scheduled solve beyond the tolerance, so the schedule was
-    /// refused rather than silently degrading accuracy. Retry with the
-    /// default level schedule.
-    ScheduleRejected {
-        /// Which factorisation refused the schedule (`"subdomain"` or
-        /// `"schur"`).
-        target: &'static str,
-        /// Subdomain index (0 for the Schur factor).
-        domain: usize,
-        /// The probe's measured relative deviation.
-        rel_err: f64,
-        /// The tolerance it exceeded.
-        tol: f64,
-    },
     /// The memory admission predictor found that even the sparsest
     /// acceptable Schur preconditioner exceeds the byte budget.
     MemoryBudgetExceeded {
@@ -164,8 +148,7 @@ impl PdslinError {
             PdslinError::PartitionFailed { .. }
             | PdslinError::SubdomainFactorization { .. }
             | PdslinError::SchurFactorization { .. }
-            | PdslinError::SolveFailed { .. }
-            | PdslinError::ScheduleRejected { .. } => ErrorCategory::Numerical,
+            | PdslinError::SolveFailed { .. } => ErrorCategory::Numerical,
             PdslinError::Cancelled { .. }
             | PdslinError::DeadlineExceeded { .. }
             | PdslinError::MemoryBudgetExceeded { .. } => ErrorCategory::Budget,
@@ -203,16 +186,6 @@ impl fmt::Display for PdslinError {
             PdslinError::CheckpointCorrupt { detail } => {
                 write!(f, "corrupt checkpoint bytes: {detail}")
             }
-            PdslinError::ScheduleRejected {
-                target,
-                domain,
-                rel_err,
-                tol,
-            } => write!(
-                f,
-                "hbmc trisolve schedule rejected on {target} {domain}: \
-                 probe deviation {rel_err:.3e} exceeds tolerance {tol:.3e}"
-            ),
             PdslinError::Cancelled { phase } => {
                 write!(f, "cancelled during {phase}")
             }
@@ -315,15 +288,6 @@ mod tests {
                 PdslinError::SolveFailed {
                     residual: 1.0,
                     tried: vec![],
-                },
-                Numerical,
-            ),
-            (
-                PdslinError::ScheduleRejected {
-                    target: "subdomain",
-                    domain: 1,
-                    rel_err: 1e-3,
-                    tol: 1e-8,
                 },
                 Numerical,
             ),

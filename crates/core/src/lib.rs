@@ -57,13 +57,12 @@ pub use driver::{
 pub use error::{ErrorCategory, PdslinError};
 pub use extract::{extract_dbbd, DbbdSystem, LocalDomain};
 pub use fault::FaultPlan;
-pub use graphpart::{RgbConfig, WeightScheme};
+pub use graphpart::WeightScheme;
 pub use partition::{
     compute_partition, compute_partition_weighted, PartitionStats, PartitionerKind,
 };
 pub use precond::{ImplicitSchur, SchurApplyScratch, SchurPrecond};
 pub use recovery::{RecoveryEvent, RecoveryReport};
 pub use rhs_order::RhsOrdering;
-pub use slu::{ScheduleError, TrisolveSchedule};
 pub use stats::{PhaseTimes, SetupStats};
 pub use strategy::{sample_features, select_strategy, MatrixFeatures, Strategy};

@@ -1,8 +1,8 @@
 //! The set-up phase list behind every [`Pdslin`] entry point, one
 //! function per phase, named by the phase labels of the trace, the typed
 //! errors and [`SetupStats`]: `lu_d` → `comp_s` → `schur` (assembly) →
-//! `lu_s` → `schedule`. The entry points differ only in what a [`Pass`]
-//! reuses; DESIGN.md § 4 has the table.
+//! `lu_s`. The entry points differ only in what a [`Pass`] reuses;
+//! DESIGN.md § 4 has the table.
 //!
 //! [`Pdslin`]: crate::Pdslin
 
@@ -175,15 +175,13 @@ impl Pass<'_> {
     pub(crate) fn after_lu_d(
         &mut self,
         sys: &DbbdSystem,
-        factors: &mut [FactoredDomain],
+        factors: &[FactoredDomain],
         plans: &mut [Option<InterfacePlan>],
         stored: Option<(&Csr, &mut LuFactors)>,
     ) -> Result<(Csr, Option<LuFactors>), PdslinError> {
         let t_tildes = self.comp_s(sys, factors, plans)?;
         let s_hat = self.schur(sys, t_tildes, stored.is_none())?;
-        let (s_tilde, mut fresh) = self.lu_s(&s_hat, stored)?;
-        self.schedule(factors, fresh.as_mut())?;
-        Ok((s_tilde, fresh))
+        self.lu_s(&s_hat, stored)
     }
 
     /// `Comp(S)`: interface solves and `T̃_ℓ` products, one isolated task
@@ -338,32 +336,5 @@ impl Pass<'_> {
         self.stats.times.lu_s += t.elapsed().as_secs_f64();
         self.stats.nnz_schur = out.0.nnz();
         Ok(out)
-    }
-
-    /// Switches every factorisation the solve phase sweeps through to the
-    /// configured trisolve schedule (a no-op on factors already on it,
-    /// such as replayed ones). An HBMC switch is gated by the
-    /// per-factorisation equivalence probe, and a rejection fails the
-    /// pass; a set-up checkpoint still carries level-scheduled factors.
-    fn schedule(
-        &self,
-        factors: &mut [FactoredDomain],
-        schur_lu: Option<&mut LuFactors>,
-    ) -> Result<(), PdslinError> {
-        let lus = factors
-            .iter_mut()
-            .enumerate()
-            .map(|(l, fd)| ("subdomain", l, &mut fd.lu));
-        for (target, domain, lu) in lus.chain(schur_lu.map(|lu| ("schur", 0, lu))) {
-            lu.set_schedule(self.cfg.trisolve_schedule).map_err(|e| {
-                PdslinError::ScheduleRejected {
-                    target,
-                    domain,
-                    rel_err: e.rel_err,
-                    tol: e.tol,
-                }
-            })?;
-        }
-        Ok(())
     }
 }

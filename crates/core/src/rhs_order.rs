@@ -42,8 +42,10 @@ pub enum RhsOrdering {
     },
     /// Recursive graph bisection of the solution patterns (BP-style
     /// sequence layout), refined under the exact padding objective and
-    /// guarded to never pad more than the natural order.
-    Rgb(RgbConfig),
+    /// guarded to never pad more than the natural order. Runs with the
+    /// fixed [`RgbConfig::default`] tuning (10 swap iterations per level,
+    /// depth 24, windows of ≤ 8 columns become leaves).
+    Rgb,
 }
 
 impl RhsOrdering {
@@ -53,7 +55,7 @@ impl RhsOrdering {
             RhsOrdering::Natural => "natural",
             RhsOrdering::Postorder => "postorder",
             RhsOrdering::Hypergraph { .. } => "hypergraph",
-            RhsOrdering::Rgb(_) => "rgb",
+            RhsOrdering::Rgb => "rgb",
         }
     }
 }
@@ -71,7 +73,7 @@ pub fn order_columns(
     ws: &mut SolveWorkspace,
 ) -> Vec<usize> {
     match ordering {
-        RhsOrdering::Hypergraph { .. } | RhsOrdering::Rgb(_) => {
+        RhsOrdering::Hypergraph { .. } | RhsOrdering::Rgb => {
             let reaches = column_reaches(cols, l, ws);
             order_columns_precomputed(cols, &reaches, l.nrows(), block_size, ordering)
         }
@@ -204,12 +206,12 @@ pub fn order_columns_precomputed(
                 order
             }
         }
-        RhsOrdering::Rgb(cfg) => {
+        RhsOrdering::Rgb => {
             if m <= block_size {
                 return (0..m).collect();
             }
             assert_eq!(reaches.len(), m, "rgb ordering needs reaches");
-            let mut order = rgb_order(reaches, n, &cfg);
+            let mut order = rgb_order(reaches, n, &RgbConfig::default());
             // RGB optimises a gap-cost proxy; refine the resulting layout
             // under the true padding objective, then guard against ever
             // padding more than the natural (identity) order.
@@ -470,11 +472,7 @@ mod tests {
         let l = bidiag_l(20);
         let cols = seeded_cols(&[2, 15, 2, 15]);
         let mut ws = SolveWorkspace::new(20);
-        let cfg = RgbConfig {
-            min_partition: 2,
-            ..Default::default()
-        };
-        let ord = order_columns(&cols, &l, 2, RhsOrdering::Rgb(cfg), &mut ws);
+        let ord = order_columns(&cols, &l, 2, RhsOrdering::Rgb, &mut ws);
         let first_pair: std::collections::HashSet<usize> = ord[..2].iter().copied().collect();
         assert!(
             first_pair == [0usize, 2].into_iter().collect()
@@ -490,13 +488,7 @@ mod tests {
         let mut ws = SolveWorkspace::new(32);
         let reaches = column_reaches(&cols, &l, &mut ws);
         for block in [2usize, 3, 4] {
-            let ord = order_columns_precomputed(
-                &cols,
-                &reaches,
-                32,
-                block,
-                RhsOrdering::Rgb(RgbConfig::default()),
-            );
+            let ord = order_columns_precomputed(&cols, &reaches, 32, block, RhsOrdering::Rgb);
             let natural: Vec<usize> = (0..cols.len()).collect();
             assert!(
                 padding_of_order(&reaches, 32, &ord, block).0

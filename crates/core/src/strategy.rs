@@ -218,7 +218,7 @@ pub fn select_from_features(f: &MatrixFeatures) -> Strategy {
         return Strategy {
             partitioner: PartitionerKind::Rhb(RhbConfig::default()),
             weights,
-            ordering: RhsOrdering::Rgb(Default::default()),
+            ordering: RhsOrdering::Rgb,
             block_size,
             rationale: "sparse symmetric grid: RHB + RGB layout",
         };

@@ -14,7 +14,9 @@
 //! is a sorted list of term (row) ids. Everything is deterministic —
 //! ties break on item id, and no randomised initialisation is used.
 
-/// Tuning knobs of the recursive bisection.
+/// Tuning values of the recursive bisection. The solver's `rgb` RHS
+/// ordering always runs [`RgbConfig::default`]; other values are for
+/// tests and experiments that call [`rgb_order`] directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RgbConfig {
     /// Maximum swap iterations per bisection level.

@@ -41,8 +41,7 @@
 use crate::json::{escape, num, Json};
 use crate::metrics::MetricsSnapshot;
 use pdslin::{
-    ErrorCategory, FaultPlan, KrylovKind, PartitionerKind, PdslinError, RgbConfig, RhsOrdering,
-    TrisolveSchedule, WeightScheme,
+    ErrorCategory, FaultPlan, KrylovKind, PartitionerKind, PdslinError, RhsOrdering, WeightScheme,
 };
 use sparsekit::Fnv64;
 
@@ -99,8 +98,6 @@ pub struct SolveRequest {
     pub schur_drop_tol: f64,
     /// Outer Krylov method.
     pub krylov: KrylovKind,
-    /// Triangular-solve schedule (`"level"` default, `"hbmc"` opt-in).
-    pub trisolve_schedule: TrisolveSchedule,
     /// DBBD partitioner.
     pub partitioner: PartitionerKind,
     /// Edge/net weighting of the partitioner.
@@ -237,13 +234,6 @@ impl SolveRequest {
             KrylovKind::Gmres => 0,
             KrylovKind::Bicgstab => 1,
         });
-        // The schedule lives inside the cached factorization's solve
-        // plan (set at setup time), so a Level and an Hbmc request must
-        // never alias one cache entry.
-        h.write_u8(match self.trisolve_schedule {
-            TrisolveSchedule::Level => 0,
-            TrisolveSchedule::Hbmc => 1,
-        });
         // Partitioner, weighting and ordering all shape the
         // factorization; two requests differing in any of them must not
         // share a cache entry. `auto_strategy` resolves deterministically
@@ -268,12 +258,7 @@ impl SolveRequest {
                 // τ lives in [0, 1]; -1 marks "no filter".
                 h.write_f64(tau.unwrap_or(-1.0));
             }
-            RhsOrdering::Rgb(cfg) => {
-                h.write_u8(3);
-                h.write_u64(cfg.swap_iters as u64);
-                h.write_u64(cfg.max_depth as u64);
-                h.write_u64(cfg.min_partition as u64);
-            }
+            RhsOrdering::Rgb => h.write_u8(3),
         }
         h.write_u8(u8::from(self.auto_strategy));
         h.write_u8(self.explicit_fields);
@@ -370,14 +355,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 "bicgstab" => KrylovKind::Bicgstab,
                 other => return Err(format!("unknown krylov '{other}'")),
             };
-            let trisolve_schedule = {
-                let v = j
-                    .get("trisolve_schedule")
-                    .and_then(Json::as_str)
-                    .unwrap_or("level");
-                TrisolveSchedule::parse(v)
-                    .ok_or_else(|| format!("unknown trisolve_schedule '{v}' (level|hbmc)"))?
-            };
             let mut explicit_fields = 0u8;
             let partitioner = match j.get("partitioner").and_then(Json::as_str) {
                 None => PartitionerKind::Ngd,
@@ -414,19 +391,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                                 Some(v) => Some(v.as_f64().ok_or("bad 'tau'")?),
                             },
                         },
-                        "rgb" => {
-                            let d = RgbConfig::default();
-                            RhsOrdering::Rgb(RgbConfig {
-                                swap_iters: field_u64(&j, "rgb_iters", d.swap_iters as u64)?
-                                    as usize,
-                                max_depth: field_u64(&j, "rgb_depth", d.max_depth as u64)? as usize,
-                                min_partition: field_u64(
-                                    &j,
-                                    "rgb_min_part",
-                                    d.min_partition as u64,
-                                )? as usize,
-                            })
-                        }
+                        "rgb" => RhsOrdering::Rgb,
                         other => return Err(format!("unknown ordering '{other}'")),
                     }
                 }
@@ -454,7 +419,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 interface_drop_tol: field_f64(&j, "interface_drop_tol", 1e-8)?,
                 schur_drop_tol: field_f64(&j, "schur_drop_tol", 1e-8)?,
                 krylov,
-                trisolve_schedule,
                 partitioner,
                 weights,
                 ordering,
@@ -726,14 +690,11 @@ mod tests {
     fn parses_strategy_and_ordering_fields() {
         let s = parse_solve(
             r#"{"id":"a","op":"solve","generate":"g3_circuit","partitioner":"rhb",
-                "weights":"value","ordering":"rgb","rgb_iters":3}"#,
+                "weights":"value","ordering":"rgb"}"#,
         );
         assert!(matches!(s.partitioner, PartitionerKind::Rhb(_)));
         assert_eq!(s.weights, WeightScheme::ValueScaled);
-        match s.ordering {
-            RhsOrdering::Rgb(cfg) => assert_eq!(cfg.swap_iters, 3),
-            other => panic!("expected rgb, got {other:?}"),
-        }
+        assert_eq!(s.ordering, RhsOrdering::Rgb);
         assert!(!s.auto_strategy);
         assert_eq!(s.explicit_fields, 1 | 2 | 4);
 

@@ -458,7 +458,6 @@ fn solver_config(req: &SolveRequest, a: &sparsekit::Csr) -> PdslinConfig {
         interface_drop_tol: req.interface_drop_tol,
         schur_drop_tol: req.schur_drop_tol,
         krylov: req.krylov,
-        trisolve_schedule: req.trisolve_schedule,
         fault: req.fault,
         ..Default::default()
     };

@@ -54,10 +54,7 @@ pub struct LevelPlan {
     pub(crate) rhs_src: Vec<usize>,
     /// Dependency lists, CSR-like: position `p` reads the already-solved
     /// positions `dep_pos[dep_ptr[p]..dep_ptr[p + 1]]` scaled by
-    /// `dep_val[..]`. Level scheduling keeps every dependency at a
-    /// strictly earlier level; the HBMC schedule additionally allows
-    /// same-level dependencies at earlier positions *within the same
-    /// task* (see `tasks`).
+    /// `dep_val[..]`. Every dependency sits at a strictly earlier level.
     pub(crate) dep_ptr: Vec<usize>,
     pub(crate) dep_pos: Vec<usize>,
     pub(crate) dep_val: Vec<f64>,
@@ -68,14 +65,6 @@ pub struct LevelPlan {
     pub(crate) order: Vec<usize>,
     /// Pivot row → position (inverse of `order`).
     pub(crate) pos: Vec<usize>,
-    /// Worker-split granularity. `None` (level scheduling): any position
-    /// split is safe, dependencies never share a level. `Some((task_ptr,
-    /// level_task))` (HBMC): positions of one task (a row block) carry
-    /// intra-task dependencies and must stay on one worker, so splits
-    /// land on task boundaries — `task_ptr` holds the position
-    /// boundaries, `level_task[l]..level_task[l + 1]` the tasks of level
-    /// `l`.
-    pub(crate) tasks: Option<(Vec<usize>, Vec<usize>)>,
 }
 
 impl LevelPlan {
@@ -138,8 +127,7 @@ impl LevelPlan {
     /// Rewrites the sweep's dependency values from (numerically
     /// updated) factor columns without touching any structure: each
     /// dependency slot of position `p` holds the factor entry at
-    /// `(order[p], order[dep_pos])`, an invariant both the level and
-    /// HBMC layouts preserve.
+    /// `(order[p], order[dep_pos])`.
     pub(crate) fn refresh_numeric_from(&mut self, m: &Csc) {
         for p in 0..self.n() {
             let r = self.order[p];
@@ -155,25 +143,13 @@ impl LevelPlan {
     }
 
     /// Position range of level `l` assigned to worker `t` of `workers`:
-    /// an even position split for level plans, an even *task* split
-    /// (aligned to row-block boundaries) for HBMC plans.
+    /// an even split, safe because no two positions of a level depend on
+    /// each other.
     #[inline]
     fn worker_range(&self, l: usize, t: usize, workers: usize) -> (usize, usize) {
-        match &self.tasks {
-            None => {
-                let (s, e) = (self.level_ptr[l], self.level_ptr[l + 1]);
-                let len = e - s;
-                (s + len * t / workers, s + len * (t + 1) / workers)
-            }
-            Some((task_ptr, level_task)) => {
-                let (ta, tb) = (level_task[l], level_task[l + 1]);
-                let len = tb - ta;
-                (
-                    task_ptr[ta + len * t / workers],
-                    task_ptr[ta + len * (t + 1) / workers],
-                )
-            }
-        }
+        let (s, e) = (self.level_ptr[l], self.level_ptr[l + 1]);
+        let len = e - s;
+        (s + len * t / workers, s + len * (t + 1) / workers)
     }
 
     /// Executes the sweep into `out` (position order). With `workers <= 1`
@@ -296,7 +272,7 @@ impl SolvePlan {
     /// diagonal) from refactorised `L`/`U` with the same pattern; the
     /// schedule — levels, positions, dependency structure — is reused
     /// untouched, so this costs a value sweep instead of a
-    /// [`SolvePlan::build`]. Works on level and HBMC plans alike.
+    /// [`SolvePlan::build`].
     pub fn refresh_numeric(&mut self, l: &Csc, u: &Csc) {
         self.fwd.refresh_numeric_from(l);
         self.bwd.refresh_numeric_from(u);
@@ -442,7 +418,6 @@ fn build_sweep(
         diag: Vec::new(),
         order,
         pos,
-        tasks: None,
     }
 }
 

@@ -34,7 +34,6 @@
 pub mod blocked;
 mod dense;
 pub mod etree;
-pub mod hbmc;
 pub mod levels;
 pub mod lu;
 pub mod reach;
@@ -44,7 +43,6 @@ pub mod trisolve;
 
 pub use blocked::{solve_in_blocks, solve_in_blocks_ordered, BlockSolveStats};
 pub use etree::{etree, first_nonzero_postorder_key, postorder};
-pub use hbmc::{ScheduleError, TrisolveSchedule, HBMC_BLOCK, HBMC_EQUIV_TOL};
 pub use levels::{plan_build_count, LevelPlan, SolvePlan, TriScratch};
 pub use lu::{LuConfig, LuError, LuFactors, RefactorizeError};
 pub use reach::ReachGraph;

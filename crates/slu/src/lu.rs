@@ -18,7 +18,6 @@
 use std::sync::OnceLock;
 
 use crate::dense;
-use crate::hbmc::{ScheduleError, TrisolveSchedule, HBMC_BLOCK, HBMC_EQUIV_TOL};
 use crate::levels::{SolvePlan, TriScratch};
 use sparsekit::budget::{Budget, BudgetInterrupt};
 use sparsekit::{Csc, Csr, Perm};
@@ -96,10 +95,9 @@ impl std::fmt::Display for LuError {
 impl std::error::Error for LuError {}
 
 /// Why an incremental [`LuFactors::refactorize`] was refused or
-/// abandoned. None of these corrupt the factors: on every error path
-/// except [`RefactorizeError::ScheduleRejected`] the numeric payload
-/// may be partially rewritten, so callers recover by re-factorising
-/// from scratch (which is exactly what the driver's fallback does).
+/// abandoned. On every error path the numeric payload may be partially
+/// rewritten, so callers recover by re-factorising from scratch (which
+/// is exactly what the driver's fallback does).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RefactorizeError {
     /// The factors carry no symbolic record (they were reassembled via
@@ -141,16 +139,6 @@ pub enum RefactorizeError {
         /// Elimination step at which the pattern no longer fits.
         step: usize,
     },
-    /// The factors ran an HBMC schedule and the post-refactorisation
-    /// equivalence probe rejected it under the new values. The numeric
-    /// refactorisation itself *succeeded* and the factors are left on
-    /// the (always valid) level schedule.
-    ScheduleRejected {
-        /// Measured probe deviation.
-        rel_err: f64,
-        /// Tolerance it exceeded.
-        tol: f64,
-    },
 }
 
 impl std::fmt::Display for RefactorizeError {
@@ -182,12 +170,6 @@ impl std::fmt::Display for RefactorizeError {
             }
             RefactorizeError::PatternDeviation { step } => {
                 write!(f, "fill escapes the recorded factor pattern at step {step}")
-            }
-            RefactorizeError::ScheduleRejected { rel_err, tol } => {
-                write!(
-                    f,
-                    "refactorised values rejected the HBMC schedule: deviation {rel_err:.3e} exceeds {tol:.3e} (level schedule active)"
-                )
             }
         }
     }
@@ -369,11 +351,8 @@ pub struct LuFactors {
     /// Execution plan for the triangular solves, built lazily on first
     /// use so decode paths (checkpoint resume, service cache, shard
     /// ledger) pay nothing until they actually solve (see
-    /// [`crate::levels`]). Level-scheduled by default; an accepted
-    /// [`LuFactors::set_schedule`] call swaps in the HBMC reordering.
+    /// [`crate::levels`]).
     plan: OnceLock<SolvePlan>,
-    /// Which schedule `plan` encodes once built.
-    schedule: TrisolveSchedule,
     /// Symbolic record enabling [`LuFactors::refactorize`]; `None` for
     /// factors reassembled from parts (the record is not transported).
     symbolic: Option<LuSymbolic>,
@@ -744,7 +723,6 @@ impl LuFactors {
             col_perm: col_perm.clone(),
             perturbed,
             plan: OnceLock::new(),
-            schedule: TrisolveSchedule::Level,
             symbolic: Some(LuSymbolic {
                 dense_start: head,
                 topo_ptr,
@@ -791,7 +769,6 @@ impl LuFactors {
             col_perm,
             perturbed,
             plan: OnceLock::new(),
-            schedule: TrisolveSchedule::Level,
             symbolic: None,
         }
     }
@@ -833,84 +810,11 @@ impl LuFactors {
         self.solve_plan().solve_into(b, x, scratch, workers);
     }
 
-    /// The triangular-solve plan (level-scheduled unless an HBMC
-    /// schedule was accepted), built on first use and cached.
+    /// The level-scheduled triangular-solve plan, built on first use
+    /// and cached.
     pub fn solve_plan(&self) -> &SolvePlan {
         self.plan
             .get_or_init(|| SolvePlan::build(&self.l, &self.u, &self.row_perm, &self.col_perm))
-    }
-
-    /// The schedule the current plan encodes.
-    pub fn schedule(&self) -> TrisolveSchedule {
-        self.schedule
-    }
-
-    /// Switches the triangular-solve schedule with the default
-    /// equivalence tolerance [`HBMC_EQUIV_TOL`]; see
-    /// [`LuFactors::set_schedule_with_tol`].
-    pub fn set_schedule(&mut self, schedule: TrisolveSchedule) -> Result<(), ScheduleError> {
-        self.set_schedule_with_tol(schedule, HBMC_EQUIV_TOL)
-    }
-
-    /// Switches the triangular-solve schedule.
-    ///
-    /// Switching to [`TrisolveSchedule::Level`] always succeeds and
-    /// restores solves byte-identical to the freshly-factorised state.
-    /// Switching to [`TrisolveSchedule::Hbmc`] reorders each row's
-    /// dependency sum, so it is gated behind an equivalence probe: a
-    /// deterministic right-hand side is solved through both plans and the
-    /// HBMC plan is accepted only when the relative ∞-norm deviation is
-    /// within `tol`. On rejection (deviation above `tol`, or a
-    /// non-finite probe) the factors keep their current plan and the
-    /// typed [`ScheduleError`] reports the measured deviation.
-    pub fn set_schedule_with_tol(
-        &mut self,
-        schedule: TrisolveSchedule,
-        tol: f64,
-    ) -> Result<(), ScheduleError> {
-        if schedule == self.schedule {
-            return Ok(());
-        }
-        match schedule {
-            TrisolveSchedule::Level => {
-                self.plan = OnceLock::new();
-                self.schedule = TrisolveSchedule::Level;
-                Ok(())
-            }
-            TrisolveSchedule::Hbmc => {
-                // `self.schedule` is Level here, so `solve_plan()` is
-                // the level plan the probe compares against.
-                let hbmc = self.solve_plan().to_hbmc(HBMC_BLOCK);
-                let n = self.n();
-                let b: Vec<f64> = (0..n)
-                    .map(|i| ((i * 37 % 19) as f64) * 0.25 - 2.0)
-                    .collect();
-                let mut scratch = TriScratch::new();
-                let mut x_level = vec![0f64; n];
-                let mut x_hbmc = vec![0f64; n];
-                self.solve_plan()
-                    .solve_into(&b, &mut x_level, &mut scratch, 1);
-                hbmc.solve_into(&b, &mut x_hbmc, &mut scratch, 1);
-                let denom = x_level
-                    .iter()
-                    .fold(0f64, |m, v| m.max(v.abs()))
-                    .max(f64::MIN_POSITIVE);
-                let rel_err = x_level
-                    .iter()
-                    .zip(&x_hbmc)
-                    .fold(0f64, |m, (a, b)| m.max((a - b).abs()))
-                    / denom;
-                // `!(x <= tol)` also rejects NaN deviations; the
-                // clippy-preferred `rel_err > tol` would accept them.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(rel_err <= tol) {
-                    return Err(ScheduleError { rel_err, tol });
-                }
-                self.plan = OnceLock::from(hbmc);
-                self.schedule = TrisolveSchedule::Hbmc;
-                Ok(())
-            }
-        }
     }
 
     /// Re-runs the numeric elimination against `a`'s **values**, reusing
@@ -932,12 +836,8 @@ impl LuFactors {
     /// (numeric quality degrades gradually with drift — callers pair
     /// this with a staleness policy).
     ///
-    /// On any error except [`RefactorizeError::ScheduleRejected`] the
-    /// numeric payload may be partially rewritten; recover by
-    /// re-factorising from scratch. `ScheduleRejected` means the
-    /// refactorisation itself succeeded but the HBMC schedule failed
-    /// its re-probe under the new values; the factors are left solving
-    /// correctly on the level schedule.
+    /// On any error the numeric payload may be partially rewritten;
+    /// recover by re-factorising from scratch.
     pub fn refactorize(&mut self, a: &Csr) -> Result<(), RefactorizeError> {
         let n = self.n();
         if a.nrows() != n || a.ncols() != n {
@@ -1109,29 +1009,11 @@ impl LuFactors {
                 }
             }
         }
-        // --- Refresh the solve schedule's numeric payload. ---
-        match self.schedule {
-            TrisolveSchedule::Level => {
-                if let Some(plan) = self.plan.get_mut() {
-                    plan.refresh_numeric(&self.l, &self.u);
-                }
-                Ok(())
-            }
-            TrisolveSchedule::Hbmc => {
-                // The HBMC structure is still valid, but its acceptance
-                // was tolerance-gated against the *old* values — re-run
-                // the probe. On rejection fall back to the level
-                // schedule (always correct) and report it.
-                self.plan = OnceLock::new();
-                self.schedule = TrisolveSchedule::Level;
-                self.set_schedule(TrisolveSchedule::Hbmc).map_err(|e| {
-                    RefactorizeError::ScheduleRejected {
-                        rel_err: e.rel_err,
-                        tol: e.tol,
-                    }
-                })
-            }
+        // --- Refresh the solve plan's numeric payload. ---
+        if let Some(plan) = self.plan.get_mut() {
+            plan.refresh_numeric(&self.l, &self.u);
         }
+        Ok(())
     }
 }
 
@@ -1423,24 +1305,6 @@ mod tests {
             residual_inf_norm(&a2, &x, &b) < 1e-9,
             "refactorised solve must satisfy the NEW matrix"
         );
-    }
-
-    #[test]
-    fn refactorize_refreshes_hbmc_plan() {
-        let a = laplace2d(12);
-        let n = a.nrows();
-        let mut f = LuFactors::factorize(&a, &Perm::identity(n), &LuConfig::default()).unwrap();
-        f.set_schedule(TrisolveSchedule::Hbmc)
-            .expect("probe passes");
-        let mut a2 = a.clone();
-        for v in a2.values_mut().iter_mut() {
-            *v *= 1.01;
-        }
-        f.refactorize(&a2).unwrap();
-        assert_eq!(f.schedule(), TrisolveSchedule::Hbmc);
-        let b = vec![1.0; n];
-        let x = f.solve(&b);
-        assert!(residual_inf_norm(&a2, &x, &b) < 1e-8);
     }
 
     #[test]

@@ -244,8 +244,6 @@ BENCH_SOLVE_SCHEMA = {
     "speedup": float,
     "matches_serial": bool,
     "iterations": int,
-    "sweeps": int,
-    "max_width": int,
 }
 
 
@@ -262,35 +260,17 @@ def bench_solve():
         if not r["matches_serial"]:
             sys.exit(f"BENCH_solve.json row {i}: divergent parallel result")
         kernels.add(r["kernel"])
-    need = {"matvec", "trisolve", "solve", "solve_many", "trisolve_level", "trisolve_hbmc"}
+    need = {"matvec", "trisolve", "solve", "solve_many"}
     if not need <= kernels:
         sys.exit(f"BENCH_solve.json: missing kernels {need - kernels}")
-    # The HBMC parallelism gate: on every problem with schedule rows,
-    # HBMC must report fewer sweeps than level scheduling. This is a
-    # deterministic structural property of the schedules (unlike the
-    # timings, which are never gated). Width is not gated: under the
-    # approximate-minimum-degree ordering the level schedule is the wider
-    # one (docs/kernels.md).
-    sched = {}
-    for r in rows:
-        if r["kernel"] in ("trisolve_level", "trisolve_hbmc"):
-            sched.setdefault(r["problem"], {})[r["kernel"]] = (r["sweeps"], r["max_width"])
-    if not sched:
-        sys.exit("BENCH_solve.json: no trisolve schedule rows")
-    for prob, d in sched.items():
-        if "trisolve_level" not in d or "trisolve_hbmc" not in d:
-            sys.exit(f"BENCH_solve.json: {prob} is missing one of the schedule rows")
-        (ls, _), (hs, _) = d["trisolve_level"], d["trisolve_hbmc"]
-        if not (0 < hs < ls):
-            sys.exit(f"BENCH_solve.json: {prob}: hbmc sweeps {hs} not < level sweeps {ls}")
     print("\n## BENCH_solve (solve-phase kernels; exact-match asserted, speedups informational)\n")
-    print("| problem | kernel | workers | batch | seconds | speedup | match | iters | sweeps | width |")
-    print("|---|---|---|---|---|---|---|---|---|---|")
+    print("| problem | kernel | workers | batch | seconds | speedup | match | iters |")
+    print("|---|---|---|---|---|---|---|---|")
     for r in rows:
         print(
             f"| {r['problem']} | {r['kernel']} | {r['workers']} | {r['batch']} | "
             f"{r['seconds']:.4f} | {r['speedup']:.2f}x | {r['matches_serial']} | "
-            f"{r['iterations']} | {r['sweeps']} | {r['max_width']} |"
+            f"{r['iterations']} |"
         )
 
 

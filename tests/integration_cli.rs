@@ -106,6 +106,24 @@ fn unknown_options_are_rejected_with_input_exit_code() {
     let args = parse_args(argv("info --matrix m.mtx --k 4")).unwrap();
     assert!(validate_options(&args).is_err());
 
+    // The solver has one triangular-solve schedule and fixed RGB tuning
+    // values, so these flags are unknown options like any typo (the
+    // binary exits with code 2 on them).
+    for cmd in ["solve", "solve-seq"] {
+        for flag in [
+            "--trisolve-schedule level",
+            "--rgb-iters 3",
+            "--rgb-depth 4",
+            "--rgb-min-part 2",
+        ] {
+            let line = format!("{cmd} --generate g3_circuit --ordering rgb {flag}");
+            let args = parse_args(argv(&line)).unwrap();
+            let err = validate_options(&args).expect_err(&line);
+            let name = flag.split_whitespace().next().unwrap();
+            assert!(err.contains(name), "{line}: {err}");
+        }
+    }
+
     // Valid option sets pass untouched, including the serve subcommand.
     for cmd in [
         "solve --generate g3_circuit --k 4 --tol 1e-10 --deadline 30",

@@ -22,8 +22,8 @@ use pdslin::interface::{compute_interface, InterfaceConfig};
 use pdslin::rhs_order::{column_reaches, order_columns_precomputed, padding_of_order};
 use pdslin::schur::assemble_schur;
 use pdslin::subdomain::{factor_domain, subdomain_ordering};
+use pdslin::RhsOrdering;
 use pdslin::{compute_partition, extract_dbbd, PartitionerKind, PdslinConfig};
-use pdslin::{RgbConfig, RhsOrdering};
 use slu::blocked::solve_in_blocks_ordered;
 use slu::trisolve::SolveWorkspace;
 use slu::SparseVec;
@@ -35,7 +35,7 @@ fn all_orderings() -> [RhsOrdering; 4] {
         RhsOrdering::Natural,
         RhsOrdering::Postorder,
         RhsOrdering::Hypergraph { tau: Some(0.4) },
-        RhsOrdering::Rgb(RgbConfig::default()),
+        RhsOrdering::Rgb,
     ]
 }
 
@@ -189,13 +189,7 @@ fn rgb_never_pads_more_than_natural() {
         let reaches = column_reaches(&cols, &l, &mut ws);
         for &b in &[2usize, 4, 7] {
             let natural: Vec<usize> = (0..cols.len()).collect();
-            let rgb = order_columns_precomputed(
-                &cols,
-                &reaches,
-                n,
-                b,
-                RhsOrdering::Rgb(RgbConfig::default()),
-            );
+            let rgb = order_columns_precomputed(&cols, &reaches, n, b, RhsOrdering::Rgb);
             let p_nat = padding_of_order(&reaches, n, &natural, b).0;
             let p_rgb = padding_of_order(&reaches, n, &rgb, b).0;
             assert!(
