@@ -302,7 +302,7 @@ fn bench_lu_dense_crossover(scale: Scale) {
                 if switch == "off" {
                     off_fill = lu.fill();
                 }
-                let dense_start = lu.dense_start().expect("fresh factors");
+                let dense_start = lu.dense_start();
                 println!(
                     "m={m:<5} density {density:>6.3}  {switch:<4} start {dense_start:>5}  \
                      factor {:>9.3} ms  refactor {:>9.3} ms",

@@ -80,7 +80,7 @@ impl Args {
 /// be silently ignored and leave the user running with defaults.
 pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
     const SOURCE: [&str; 3] = ["matrix", "generate", "scale"];
-    const SOLVE: [&str; 19] = [
+    const SOLVE: [&str; 18] = [
         "matrix",
         "generate",
         "scale",
@@ -99,7 +99,6 @@ pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
         "schur-drop",
         "deadline",
         "mem-budget-mb",
-        "shard-workers",
     ];
     const PARTITION: [&str; 9] = [
         "matrix",
@@ -377,7 +376,7 @@ USAGE:
                    [--strategy auto]
                    [--ordering natural|postorder|hypergraph|rgb [--tau T]]
                    [--block-size B] [--krylov gmres|bicgstab] [--tol TOL]
-                   [--deadline SECS] [--mem-budget-mb MB] [--shard-workers N]
+                   [--deadline SECS] [--mem-budget-mb MB]
   pdslin solve-seq (--matrix F.mtx | --generate KIND [--scale test|bench])
                    [--steps N] [--drift D] [--k K] [--tol TOL]
                    [--max-iter-growth G] [--max-residual-growth G]
@@ -407,11 +406,6 @@ updates only the numerics per step (`update_values`: pivot-replay
 refactorization with full symbolic reuse). A step whose solve degrades
 past the staleness policy (--max-iter-growth / --max-residual-growth)
 is rebuilt from a fresh setup and reported. See docs/performance.md.
-
-`--shard-workers N` runs the LU(D) phase across N supervised worker
-*processes* (crash-tolerant: heartbeats, respawn, reassignment, and
-degradation to in-process execution — see docs/robustness.md). Results
-are bit-identical to the in-process path.
 
 `--strategy auto` samples structural features of the matrix and picks
 partitioner, weighting, RHS ordering and block size; explicit flags
@@ -575,12 +569,10 @@ mod tests {
     fn unknown_options_are_rejected_per_subcommand() {
         let ok = parse_args(argv("solve --generate g3_circuit --k 4 --tol 1e-8")).unwrap();
         assert!(validate_options(&ok).is_ok());
-        let sharded = parse_args(argv("solve --generate g3_circuit --shard-workers 4")).unwrap();
-        assert!(validate_options(&sharded).is_ok());
-        assert_eq!(sharded.parse_or("shard-workers", 0usize).unwrap(), 4);
-        // …but only for `solve`; `partition` has no process substrate.
-        let wrong_cmd =
-            parse_args(argv("partition --generate g3_circuit --shard-workers 2")).unwrap();
+        let budgeted = parse_args(argv("solve --generate g3_circuit --deadline 30")).unwrap();
+        assert!(validate_options(&budgeted).is_ok());
+        // …but only for `solve`; `partition` takes no budget.
+        let wrong_cmd = parse_args(argv("partition --generate g3_circuit --deadline 30")).unwrap();
         assert!(validate_options(&wrong_cmd).is_err());
         let typo = parse_args(argv("solve --generate g3_circuit --blocksize 32")).unwrap();
         let err = validate_options(&typo).unwrap_err();
@@ -606,9 +598,8 @@ mod tests {
         // Sequence knobs belong to solve-seq alone…
         let wrong = parse_args(argv("solve --generate g3_circuit --steps 4")).unwrap();
         assert!(validate_options(&wrong).is_err());
-        // …and solve-only knobs (deadline, sharding) are not sequence options.
-        let not_seq =
-            parse_args(argv("solve-seq --generate g3_circuit --shard-workers 2")).unwrap();
+        // …and solve-only knobs (deadline, memory budget) are not sequence options.
+        let not_seq = parse_args(argv("solve-seq --generate g3_circuit --deadline 30")).unwrap();
         assert!(validate_options(&not_seq).is_err());
     }
 

@@ -86,38 +86,7 @@ fn cmd_solve(args: &Args) -> Result<(), CmdError> {
     println!("matrix: n = {}, nnz = {}", a.nrows(), a.nnz());
     let cfg = solver_config(args, &a)?;
     let budget = build_budget(args)?;
-    let shard_workers: usize = args.parse_or("shard-workers", 0usize)?;
-    let mut solver = if shard_workers > 0 {
-        let shard = pdslin_shard::ShardConfig {
-            workers: shard_workers,
-            ..Default::default()
-        };
-        let (solver, report) =
-            pdslin_shard::shard_setup(&a, cfg, &shard, &budget).map_err(|f| f.error)?;
-        eprintln!(
-            "shard: {} worker(s) spawned, {} remote + {} local + {} reused factorizations{}{}",
-            report.workers_spawned,
-            report.factorizations_remote,
-            report.factorizations_local,
-            report.factorizations_reused,
-            if report.workers_lost > 0 {
-                format!(
-                    ", {} lost ({} respawn(s), {} reassigned)",
-                    report.workers_lost, report.respawns, report.reassigned_domains
-                )
-            } else {
-                String::new()
-            },
-            if report.degraded_to_in_process {
-                ", degraded to in-process"
-            } else {
-                ""
-            }
-        );
-        solver
-    } else {
-        Pdslin::setup_budgeted(&a, cfg, &budget).map_err(|f| f.error)?
-    };
+    let mut solver = Pdslin::setup_budgeted(&a, cfg, &budget).map_err(|f| f.error)?;
     report_recovery("setup", &solver.stats.recovery);
     let t = &solver.stats.times;
     println!(

@@ -15,9 +15,7 @@
 //! `Pdslin::checkpoint` on a live solver, and consumed by
 //! `Pdslin::resume`.
 
-use crate::codec::{self, ByteReader, ByteWriter};
 use crate::driver::PdslinConfig;
-use crate::error::PdslinError;
 use crate::extract::DbbdSystem;
 use crate::stats::SetupStats;
 use crate::subdomain::FactoredDomain;
@@ -29,6 +27,8 @@ pub struct SetupCheckpoint {
     pub(crate) factors: Vec<FactoredDomain>,
     pub(crate) stats: SetupStats,
     pub(crate) cfg: PdslinConfig,
+    /// Pattern fingerprint of the setup matrix.
+    pub(crate) pattern_fp: u64,
 }
 
 impl SetupCheckpoint {
@@ -41,84 +41,5 @@ impl SetupCheckpoint {
     /// the same configuration).
     pub fn config(&self) -> &PdslinConfig {
         &self.cfg
-    }
-
-    /// Assembles a checkpoint from pipeline state produced outside the
-    /// in-process driver — the multi-process shard supervisor uses this
-    /// after gathering factors from its workers, so the recovered state
-    /// flows through the very same `Pdslin::resume` path as an
-    /// in-process restart.
-    ///
-    /// `factors[ℓ]` must be the factorisation of `sys.domains[ℓ].d`
-    /// under the checkpointed configuration; the constructor checks the
-    /// counts and dimensions, the numerical invariants are the caller's.
-    pub fn from_parts(
-        sys: DbbdSystem,
-        factors: Vec<FactoredDomain>,
-        stats: SetupStats,
-        cfg: PdslinConfig,
-    ) -> Result<SetupCheckpoint, PdslinError> {
-        if factors.len() != sys.domains.len() {
-            return Err(PdslinError::CheckpointCorrupt {
-                detail: format!(
-                    "{} factors for {} domains",
-                    factors.len(),
-                    sys.domains.len()
-                ),
-            });
-        }
-        for (l, (d, f)) in sys.domains.iter().zip(&factors).enumerate() {
-            if f.lu.n() != d.dim() {
-                return Err(PdslinError::CheckpointCorrupt {
-                    detail: format!(
-                        "factor {l} has order {} but D_{l} has dimension {}",
-                        f.lu.n(),
-                        d.dim()
-                    ),
-                });
-            }
-        }
-        Ok(SetupCheckpoint {
-            sys,
-            factors,
-            stats,
-            cfg,
-        })
-    }
-
-    /// Decomposes the checkpoint into its pipeline state (inverse of
-    /// [`SetupCheckpoint::from_parts`]).
-    pub fn into_parts(self) -> (DbbdSystem, Vec<FactoredDomain>, SetupStats, PdslinConfig) {
-        (self.sys, self.factors, self.stats, self.cfg)
-    }
-
-    /// Serializes the checkpoint to opaque bytes (magic + version +
-    /// payload + checksum; see [`crate::codec`]). The recovery log is
-    /// not serialized — `Pdslin::resume` starts a fresh log anyway.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        codec::encode_config(&mut w, &self.cfg);
-        codec::encode_stats(&mut w, &self.stats);
-        codec::encode_checkpoint_body(&mut w, &self.sys, &self.factors);
-        codec::seal_envelope(&w.into_bytes())
-    }
-
-    /// Deserializes bytes produced by [`SetupCheckpoint::to_bytes`].
-    ///
-    /// Truncated, bit-flipped, or otherwise hostile bytes are rejected
-    /// with the typed input error [`PdslinError::CheckpointCorrupt`];
-    /// this never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<SetupCheckpoint, PdslinError> {
-        let payload = codec::open_envelope(bytes)?;
-        let mut r = ByteReader::new(payload);
-        let cfg = codec::decode_config(&mut r)?;
-        let stats = codec::decode_stats(&mut r)?;
-        let (sys, factors) = codec::decode_checkpoint_body(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(PdslinError::CheckpointCorrupt {
-                detail: format!("{} trailing bytes after checkpoint body", r.remaining()),
-            });
-        }
-        SetupCheckpoint::from_parts(sys, factors, stats, cfg)
     }
 }

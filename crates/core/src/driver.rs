@@ -134,10 +134,9 @@ pub struct Pdslin {
     /// recovery log).
     pub stats: SetupStats,
     cfg: PdslinConfig,
-    /// Pattern fingerprint of the setup matrix; `None` when the solver
-    /// was assembled from a checkpoint or externally produced factors
-    /// ([`Pdslin::update_values`] then guards structurally instead).
-    pattern_fp: Option<u64>,
+    /// Pattern fingerprint of the setup matrix: [`Pdslin::update_values`]
+    /// accepts only matrices with this pattern.
+    pattern_fp: u64,
     /// The dropped approximate Schur complement `S̃` whose factorisation
     /// is `schur_lu`; kept so [`Pdslin::update_values`] can rebuild its
     /// numerics into the same sparsity.
@@ -361,8 +360,7 @@ impl Pdslin {
         Self::setup_attempt(a, &cfg, budget, recovery, true, inject)
     }
 
-    /// Input validation shared by every setup entry point (including the
-    /// multi-process shard supervisor via [`Pdslin::prepare_system`]).
+    /// Input validation shared by every setup entry point.
     fn validate_input(a: &Csr, cfg: &PdslinConfig) -> Result<(), PdslinError> {
         let n = a.nrows();
         if a.ncols() != n {
@@ -380,6 +378,11 @@ impl Pdslin {
                 message: format!("k = {} must be in 1..={n}", cfg.k),
             });
         }
+        if cfg.block_size == 0 {
+            return Err(PdslinError::InvalidInput {
+                message: "block size B must be at least 1".to_string(),
+            });
+        }
         if let Some(i) = (0..n).find(|&i| a.row_values(i).iter().any(|v| !v.is_finite())) {
             return Err(PdslinError::NonFiniteInput {
                 what: "A",
@@ -387,93 +390,6 @@ impl Pdslin {
             });
         }
         Ok(())
-    }
-
-    /// Phases 1–2 (partition → extract), shared by the in-process setup
-    /// and [`Pdslin::prepare_system`].
-    fn prepare_inner(
-        a: &Csr,
-        cfg: &PdslinConfig,
-        budget: &Budget,
-        recovery: &mut RecoveryReport,
-        force_natural_block: bool,
-    ) -> Result<(DbbdSystem, SetupStats), PdslinError> {
-        let mut stats = SetupStats::default();
-
-        phase_check(budget, "partition", &stats)?;
-        let t = Instant::now();
-        let part = if force_natural_block {
-            natural_block_partition(a, cfg.k)
-        } else {
-            compute_partition_robust(
-                a,
-                cfg.k,
-                &cfg.partitioner,
-                cfg.weights,
-                cfg.fault.fail_partitioner,
-                recovery,
-            )?
-        };
-        stats.times.partition = t.elapsed().as_secs_f64();
-
-        phase_check(budget, "extract", &stats)?;
-        let t = Instant::now();
-        let sys = extract_dbbd(a, part);
-        stats.times.extract = t.elapsed().as_secs_f64();
-        stats.separator_size = sys.nsep();
-        stats.dims = sys.domains.iter().map(|d| d.dim()).collect();
-        stats.nnz_d = sys.domains.iter().map(|d| d.d.nnz()).collect();
-        stats.nnzcol_e = sys.domains.iter().map(|d| d.e_cols.len()).collect();
-        stats.nnz_e = sys.domains.iter().map(|d| d.e_hat.nnz()).collect();
-        Ok((sys, stats))
-    }
-
-    /// The front half of `setup` — validation, partitioning, and DBBD
-    /// extraction — without factoring anything. External execution
-    /// substrates (the multi-process shard supervisor in `crates/shard`)
-    /// use this to obtain the exact subdomain blocks the in-process
-    /// setup would factor, distribute `LU(D)` elsewhere, and re-enter the
-    /// pipeline through [`Pdslin::complete_setup`]; going through this
-    /// pair guarantees the distributed run is bit-identical to
-    /// [`Pdslin::setup_budgeted`] on the same input.
-    pub fn prepare_system(
-        a: &Csr,
-        cfg: &PdslinConfig,
-        budget: &Budget,
-    ) -> Result<(DbbdSystem, SetupStats, RecoveryReport), PdslinError> {
-        Self::validate_input(a, cfg)?;
-        let mut recovery = RecoveryReport::default();
-        let (sys, stats) = Self::prepare_inner(a, cfg, budget, &mut recovery, false)?;
-        Ok((sys, stats, recovery))
-    }
-
-    /// The back half of `setup` — `Comp(S)`, memory admission, Schur
-    /// assembly, and `LU(S̃)` — from already-factored subdomains.
-    /// Counterpart of [`Pdslin::prepare_system`]: `factors[ℓ]` must
-    /// factor `sys.domains[ℓ].d` under `cfg`, and `stats`/`recovery`
-    /// carry whatever the caller accumulated producing them (the caller
-    /// sets `stats.factorizations` / `stats.factorizations_reused`).
-    /// Errors past this point carry a [`SetupCheckpoint`] exactly like
-    /// the in-process setup.
-    pub fn complete_setup(
-        sys: DbbdSystem,
-        factors: Vec<FactoredDomain>,
-        stats: SetupStats,
-        recovery: RecoveryReport,
-        cfg: PdslinConfig,
-        budget: &Budget,
-    ) -> Result<Pdslin, SetupFailure> {
-        if factors.len() != sys.domains.len() {
-            return Err(PdslinError::InvalidInput {
-                message: format!(
-                    "{} factors for {} domains",
-                    factors.len(),
-                    sys.domains.len()
-                ),
-            }
-            .into());
-        }
-        Self::complete_from_factors(sys, factors, stats, recovery, cfg, budget, None)
     }
 
     /// One full setup pass. `force_natural_block` skips the configured
@@ -488,8 +404,34 @@ impl Pdslin {
         force_natural_block: bool,
         inject_panic: Option<usize>,
     ) -> Result<Pdslin, SetupFailure> {
-        let (sys, mut stats) =
-            Self::prepare_inner(a, cfg, budget, &mut recovery, force_natural_block)?;
+        let mut stats = SetupStats::default();
+
+        phase_check(budget, "partition", &stats)?;
+        let t = Instant::now();
+        let part = if force_natural_block {
+            natural_block_partition(a, cfg.k)
+        } else {
+            compute_partition_robust(
+                a,
+                cfg.k,
+                &cfg.partitioner,
+                cfg.weights,
+                cfg.fault.fail_partitioner,
+                &mut recovery,
+            )?
+        };
+        stats.times.partition = t.elapsed().as_secs_f64();
+
+        phase_check(budget, "extract", &stats)?;
+        let t = Instant::now();
+        let sys = extract_dbbd(a, part);
+        stats.times.extract = t.elapsed().as_secs_f64();
+        stats.separator_size = sys.nsep();
+        stats.dims = sys.domains.iter().map(|d| d.dim()).collect();
+        stats.nnz_d = sys.domains.iter().map(|d| d.d.nnz()).collect();
+        stats.nnzcol_e = sys.domains.iter().map(|d| d.e_cols.len()).collect();
+        stats.nnz_e = sys.domains.iter().map(|d| d.e_hat.nnz()).collect();
+
         let mut factors = Vec::new();
         Pass {
             cfg,
@@ -510,16 +452,15 @@ impl Pdslin {
             recovery,
             *cfg,
             budget,
-            Some(csr_pattern_fingerprint(a)),
+            csr_pattern_fingerprint(a),
         )
     }
 
     /// The phases past `LU(D)` from freshly factored (or checkpointed)
-    /// subdomains, shared by [`Pdslin::setup_budgeted`],
-    /// [`Pdslin::complete_setup`] and [`Pdslin::resume`]. Every error
-    /// carries a checkpoint of the incoming factors. `pattern_fp` is the
-    /// setup matrix's pattern fingerprint when the caller still holds
-    /// the matrix (`None` on resume/external paths).
+    /// subdomains, shared by [`Pdslin::setup_budgeted`] and
+    /// [`Pdslin::resume`]. Every error carries a checkpoint of the
+    /// incoming factors. `pattern_fp` is the setup matrix's pattern
+    /// fingerprint.
     fn complete_from_factors(
         sys: DbbdSystem,
         factors: Vec<FactoredDomain>,
@@ -527,7 +468,7 @@ impl Pdslin {
         mut recovery: RecoveryReport,
         cfg: PdslinConfig,
         budget: &Budget,
-        pattern_fp: Option<u64>,
+        pattern_fp: u64,
     ) -> Result<Pdslin, SetupFailure> {
         // The checkpoint's statistics: the factors as they arrived, with
         // whatever recovery happened up to (and including) LU(D).
@@ -549,6 +490,7 @@ impl Pdslin {
                     factors,
                     stats: ckpt_stats,
                     cfg,
+                    pattern_fp,
                 };
                 return Err(SetupFailure {
                     error,
@@ -579,6 +521,7 @@ impl Pdslin {
             factors: self.factors.clone(),
             stats: self.stats.clone(),
             cfg: self.cfg,
+            pattern_fp: self.pattern_fp,
         }
     }
 
@@ -595,8 +538,8 @@ impl Pdslin {
         stats.times.comp_s = 0.0;
         stats.times.lu_s = 0.0;
         let recovery = std::mem::take(&mut stats.recovery);
-        let (sys, factors, cfg) = (ckpt.sys, ckpt.factors, ckpt.cfg);
-        Self::complete_from_factors(sys, factors, ckpt.stats, recovery, cfg, budget, None)
+        let (sys, factors, cfg, fp) = (ckpt.sys, ckpt.factors, ckpt.cfg, ckpt.pattern_fp);
+        Self::complete_from_factors(sys, factors, ckpt.stats, recovery, cfg, budget, fp)
     }
 
     /// Incrementally rebuilds this solver's numerics for a matrix with
@@ -607,9 +550,10 @@ impl Pdslin {
     ///
     /// 1. the DBBD blocks are re-extracted with the stored partition;
     /// 2. every subdomain LU replays its stored pivot sequence in place
-    ///    (a factor that refuses the replay — decoded from a
-    ///    checkpoint, or pivot-perturbed — is rebuilt from scratch and
-    ///    logged as [`RecoveryEvent::RefactorizationFallback`]);
+    ///    (a factor that refuses the replay — pivot-perturbed, or a
+    ///    stored pivot that vanished under the new values — is rebuilt
+    ///    from scratch and logged as
+    ///    [`RecoveryEvent::RefactorizationFallback`]);
     /// 3. `Comp(S)` reruns over the updated factors and the new `Ŝ` is
     ///    scattered into the stored `S̃` pattern (entries outside it
     ///    are dropped, preserving the preconditioner's sparsity);
@@ -637,31 +581,19 @@ impl Pdslin {
     ) -> Result<UpdateOutcome, PdslinError> {
         let t_all = Instant::now();
         Self::validate_input(a, &self.cfg)?;
-        let pattern_error = || PdslinError::InvalidInput {
-            message: "matrix sparsity pattern differs from the setup matrix; \
-                      sequence updates need a full setup"
-                .to_string(),
-        };
-        if let Some(fp) = self.pattern_fp {
-            if csr_pattern_fingerprint(a) != fp {
-                return Err(pattern_error());
-            }
+        if csr_pattern_fingerprint(a) != self.pattern_fp {
+            return Err(PdslinError::InvalidInput {
+                message: "matrix sparsity pattern differs from the setup matrix; \
+                          sequence updates need a full setup"
+                    .to_string(),
+            });
         }
 
         // Re-extract the DBBD blocks with the stored partition: cheap,
         // and the only structural work the update performs.
         phase_check(budget, "extract", &self.stats)?;
         let t = Instant::now();
-        let sys = extract_dbbd(a, self.sys.part.clone());
-        if self.pattern_fp.is_none() {
-            // No fingerprint survived (checkpoint/external factors):
-            // guard structurally instead, then adopt the fingerprint.
-            if !sys.same_pattern(&self.sys) {
-                return Err(pattern_error());
-            }
-            self.pattern_fp = Some(csr_pattern_fingerprint(a));
-        }
-        self.sys = sys;
+        self.sys = extract_dbbd(a, self.sys.part.clone());
         self.stats.times.extract += t.elapsed().as_secs_f64();
 
         // The same phase list as setup, replaying every stored factor,
@@ -1742,33 +1674,62 @@ mod tests {
     }
 
     #[test]
-    fn update_values_after_resume_falls_back_per_factor() {
+    fn update_values_falls_back_per_factor_on_a_vanished_pivot() {
+        let a = laplace2d(14, 14);
+        let cfg = PdslinConfig {
+            k: 2,
+            ..Default::default()
+        };
+        let mut s = Pdslin::setup(&a, cfg).unwrap();
+        // Same pattern, but subdomain 0's first stored pivot becomes an
+        // explicit 0.0: its replay must be refused at step 0.
+        let lu = &s.factors[0].lu;
+        let rows = &s.sys.domains[0].rows;
+        let (i, j) = (rows[lu.row_perm.to_old(0)], rows[lu.col_perm.to_old(0)]);
+        let mut z = a.clone();
+        let t = z.indptr()[i] + z.row_indices(i).binary_search(&j).unwrap();
+        z.values_mut()[t] = 0.0;
+        let out = s.update_values(&z).unwrap();
+        assert!(out.rebuilt >= 1, "{}", out.recovery.summary());
+        assert!(out.recovery.events.iter().any(|e| matches!(
+            e,
+            RecoveryEvent::RefactorizationFallback {
+                target: "subdomain",
+                domain: 0,
+                ..
+            }
+        )));
+        assert_eq!(s.stats.refactorization_fallbacks, out.rebuilt);
+        let b = vec![1.0; a.nrows()];
+        let sol = s.solve(&b).unwrap();
+        assert!(sol.converged);
+        assert!(residual_inf_norm(&z, &sol.x, &b) < 1e-6);
+    }
+
+    #[test]
+    fn update_values_after_resume_replays_every_factor() {
         let a = laplace2d(14, 14);
         let cfg = PdslinConfig {
             k: 2,
             ..Default::default()
         };
         let s = Pdslin::setup(&a, cfg).unwrap();
-        let bytes = s.checkpoint().to_bytes();
-        let ckpt = SetupCheckpoint::from_bytes(&bytes).unwrap();
-        let mut r = Pdslin::resume(ckpt, &Budget::unlimited())
+        let mut r = Pdslin::resume(s.checkpoint(), &Budget::unlimited())
             .map_err(|f| f.error)
             .unwrap();
-        // Decoded factors carry no replay record: every subdomain must
-        // fall back (typed), yet the update still succeeds.
-        let out = r.update_values(&drift(&a, 0.01)).unwrap();
-        assert_eq!(out.rebuilt, 2, "{}", out.recovery.summary());
-        assert!(out.recovery.events.iter().any(|e| matches!(
-            e,
-            RecoveryEvent::RefactorizationFallback {
-                target: "subdomain",
-                ..
-            }
-        )));
-        assert_eq!(r.stats.refactorization_fallbacks, 2);
-        let b = vec![1.0; a.nrows()];
-        let sol = r.solve(&b).unwrap();
-        assert!(sol.converged);
+        // The checkpoint holds the factors themselves, replay records
+        // included, so an identity update rebuilds nothing.
+        let out = r.update_values(&a).unwrap();
+        assert_eq!(out.rebuilt, 0, "{}", out.recovery.summary());
+        assert_eq!(out.refactorized, r.factors.len() + 1);
+        assert!(out.recovery.is_empty());
+        // It also carries the setup matrix's pattern guard.
+        let other = laplace3d(7, 7, 4);
+        assert_eq!(other.nrows(), a.nrows());
+        assert!(matches!(
+            r.update_values(&other),
+            Err(PdslinError::InvalidInput { .. })
+        ));
     }
 
     #[test]

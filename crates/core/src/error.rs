@@ -118,14 +118,6 @@ pub enum PdslinError {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// Serialized [`crate::checkpoint::SetupCheckpoint`] bytes failed
-    /// validation (truncated, wrong magic/version, or checksum
-    /// mismatch). The bytes are the caller's input, so this is an input
-    /// error — a consumer recovers by refactorizing from scratch.
-    CheckpointCorrupt {
-        /// What the validator rejected.
-        detail: String,
-    },
     /// The memory admission predictor found that even the sparsest
     /// acceptable Schur preconditioner exceeds the byte budget.
     MemoryBudgetExceeded {
@@ -142,9 +134,9 @@ impl PdslinError {
     /// The coarse class of this error (see [`ErrorCategory`]).
     pub fn category(&self) -> ErrorCategory {
         match self {
-            PdslinError::InvalidInput { .. }
-            | PdslinError::NonFiniteInput { .. }
-            | PdslinError::CheckpointCorrupt { .. } => ErrorCategory::Input,
+            PdslinError::InvalidInput { .. } | PdslinError::NonFiniteInput { .. } => {
+                ErrorCategory::Input
+            }
             PdslinError::PartitionFailed { .. }
             | PdslinError::SubdomainFactorization { .. }
             | PdslinError::SchurFactorization { .. }
@@ -183,9 +175,6 @@ impl fmt::Display for PdslinError {
                 "Schur solve failed: best residual {residual:.3e} after trying [{}]",
                 tried.join(", ")
             ),
-            PdslinError::CheckpointCorrupt { detail } => {
-                write!(f, "corrupt checkpoint bytes: {detail}")
-            }
             PdslinError::Cancelled { phase } => {
                 write!(f, "cancelled during {phase}")
             }
@@ -275,12 +264,6 @@ mod tests {
                 PdslinError::NonFiniteInput {
                     what: "A",
                     index: 0,
-                },
-                Input,
-            ),
-            (
-                PdslinError::CheckpointCorrupt {
-                    detail: "checksum mismatch".into(),
                 },
                 Input,
             ),

@@ -39,25 +39,6 @@ pub struct FaultPlan {
     /// admission-control degradation path runs even on small test
     /// systems.
     pub memory_blowup: bool,
-    /// *(process fault, `crates/shard` only)* Abort the worker process
-    /// mid-factorization of this subdomain on its first dispatch — the
-    /// parent sees a sudden pipe EOF, exactly like an external SIGKILL.
-    pub worker_kill: Option<usize>,
-    /// *(process fault, `crates/shard` only)* Make the worker write a
-    /// truncated response frame for this subdomain and exit, so the
-    /// supervisor must detect the torn frame and re-assign the work.
-    pub torn_frame: Option<usize>,
-    /// *(process fault, `crates/shard` only)* Make the worker stop
-    /// heartbeating while factoring this subdomain (the computation
-    /// itself hangs), so the supervisor's liveness deadline must fire.
-    pub heartbeat_stall: Option<usize>,
-    /// *(process fault)* Corrupt serialized [`SetupCheckpoint`] bytes
-    /// (one flipped byte) so the checksum validation path runs: the
-    /// consumer must get the typed `CheckpointCorrupt` input error and
-    /// fall back to refactorizing, never crash on garbage.
-    ///
-    /// [`SetupCheckpoint`]: crate::checkpoint::SetupCheckpoint
-    pub corrupt_checkpoint: bool,
 }
 
 impl FaultPlan {
@@ -116,26 +97,6 @@ mod tests {
         .is_none());
         assert!(!FaultPlan {
             memory_blowup: true,
-            ..Default::default()
-        }
-        .is_none());
-        assert!(!FaultPlan {
-            worker_kill: Some(1),
-            ..Default::default()
-        }
-        .is_none());
-        assert!(!FaultPlan {
-            torn_frame: Some(0),
-            ..Default::default()
-        }
-        .is_none());
-        assert!(!FaultPlan {
-            heartbeat_stall: Some(2),
-            ..Default::default()
-        }
-        .is_none());
-        assert!(!FaultPlan {
-            corrupt_checkpoint: true,
             ..Default::default()
         }
         .is_none());

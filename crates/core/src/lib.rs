@@ -30,7 +30,6 @@
 
 pub mod budget;
 pub mod checkpoint;
-pub mod codec;
 pub mod driver;
 pub mod error;
 pub mod extract;

@@ -77,19 +77,6 @@ pub enum RecoveryEvent {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// A shard worker *process* died, hung, or wrote a torn frame
-    /// (`crates/shard`); the supervisor recovered by respawning,
-    /// reassigning the in-flight subdomain to a survivor, or degrading
-    /// to in-process execution — completed factorizations were kept.
-    WorkerProcessLost {
-        /// Supervisor slot index of the lost worker.
-        worker: usize,
-        /// Subdomain that was in flight, if the worker was busy.
-        domain: Option<usize>,
-        /// What the supervisor observed (pipe EOF, heartbeat timeout,
-        /// torn frame).
-        reason: String,
-    },
     /// The predicted Schur assembly size exceeded the memory budget, so
     /// the interface blocks were re-dropped with a tighter threshold
     /// (yielding a sparser, cheaper preconditioner).
@@ -175,17 +162,6 @@ impl fmt::Display for RecoveryEvent {
                 f,
                 "worker panic in {phase} on subdomain {domain} contained and retried ({message})"
             ),
-            RecoveryEvent::WorkerProcessLost {
-                worker,
-                domain,
-                reason,
-            } => {
-                write!(f, "shard worker {worker} lost ({reason})")?;
-                if let Some(l) = domain {
-                    write!(f, "; subdomain {l} reassigned")?;
-                }
-                Ok(())
-            }
             RecoveryEvent::SchurMemoryDegraded {
                 predicted_bytes,
                 budget_bytes,

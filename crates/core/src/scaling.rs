@@ -70,18 +70,6 @@ pub fn speedups(sweep: &[PredictedTimes]) -> Vec<f64> {
     }
 }
 
-/// Parallel efficiency of each sweep point: `speedup / (cores/base_cores)`.
-pub fn efficiencies(sweep: &[PredictedTimes]) -> Vec<f64> {
-    match sweep.first() {
-        None => Vec::new(),
-        Some(base) => speedups(sweep)
-            .iter()
-            .zip(sweep)
-            .map(|(s, p)| s / (p.cores as f64 / base.cores as f64))
-            .collect(),
-    }
-}
-
 impl ScalingModel {
     fn speedup(&self, cost: f64, procs: f64, alpha: f64) -> f64 {
         let par = cost * (1.0 - self.serial_fraction);
@@ -204,18 +192,13 @@ mod tests {
     }
 
     #[test]
-    fn speedups_and_efficiencies_behave() {
+    fn speedups_behave() {
         let (dc, seq) = costs();
         let m = ScalingModel::default();
         let sweep = m.sweep(&dc, &seq, 4, &[8, 64, 512]);
         let s = speedups(&sweep);
         assert_eq!(s[0], 1.0);
         assert!(s[1] > 1.0 && s[2] >= s[1]);
-        let e = efficiencies(&sweep);
-        assert!((e[0] - 1.0).abs() < 1e-12);
-        // Sub-linear model ⇒ efficiency decays with core count.
-        assert!(e[2] < e[1]);
-        assert!(e[1] < 1.0);
     }
 
     #[test]

@@ -175,11 +175,6 @@ impl Graph {
         self.vwgt.len()
     }
 
-    /// Number of directed adjacency entries (twice the edge count).
-    pub fn nadj(&self) -> usize {
-        self.adj.len()
-    }
-
     /// Neighbours of `v`.
     pub fn neighbors(&self, v: usize) -> &[usize] {
         &self.adj[self.xadj[v]..self.xadj[v + 1]]
@@ -313,30 +308,6 @@ impl Graph {
         }
         v
     }
-
-    /// Connected components; returns `comp[v]` and the component count.
-    pub fn connected_components(&self) -> (Vec<usize>, usize) {
-        let n = self.nvertices();
-        let mut comp = vec![usize::MAX; n];
-        let mut ncomp = 0usize;
-        for s in 0..n {
-            if comp[s] != usize::MAX {
-                continue;
-            }
-            let mut stack = vec![s];
-            comp[s] = ncomp;
-            while let Some(v) = stack.pop() {
-                for &u in self.neighbors(v) {
-                    if comp[u] == usize::MAX {
-                        comp[u] = ncomp;
-                        stack.push(u);
-                    }
-                }
-            }
-            ncomp += 1;
-        }
-        (comp, ncomp)
-    }
 }
 
 #[cfg(test)]
@@ -396,22 +367,5 @@ mod tests {
         assert_eq!(map, vec![1, 2, 3]);
         assert_eq!(s.neighbors(0), &[1]); // old 1 — old 2
         assert_eq!(s.neighbors(1), &[0, 2]);
-    }
-
-    #[test]
-    fn components_of_disconnected_graph() {
-        let mut c = Coo::new(5, 5);
-        c.push_sym(0, 1, 1.0);
-        c.push_sym(3, 4, 1.0);
-        for i in 0..5 {
-            c.push(i, i, 1.0);
-        }
-        let g = Graph::from_matrix(&c.to_csr());
-        let (comp, ncomp) = g.connected_components();
-        assert_eq!(ncomp, 3);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[3], comp[4]);
-        assert_ne!(comp[0], comp[2]);
-        assert_ne!(comp[2], comp[3]);
     }
 }

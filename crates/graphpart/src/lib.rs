@@ -48,7 +48,7 @@ pub mod separator;
 pub mod trim;
 
 pub use graph::{magnitude_weight, median_offdiag_magnitude, Graph, WeightScheme};
-pub use nd::{nd_ordering, nested_dissection, DbbdPartition, NdConfig, SEPARATOR};
+pub use nd::{nested_dissection, DbbdPartition, NdConfig, SEPARATOR};
 pub use ordering::mindeg::min_degree_order;
 pub use ordering::rgb::{rgb_order, RgbConfig};
 pub use trim::trim_separator;

@@ -180,56 +180,6 @@ fn recurse(
     recurse(root, &side1, k / 2, first_part + k / 2, cfg, part_of);
 }
 
-/// A full nested-dissection *ordering* (fill-reducing permutation) of the
-/// graph: recurse until pieces have at most `leaf_size` vertices, ordering
-/// each piece before its enclosing separators. This is the "natural"
-/// global ordering referenced in §IV-V of the paper.
-pub fn nd_ordering(g: &Graph, leaf_size: usize, cfg: &NdConfig) -> Perm {
-    let n = g.nvertices();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let all: Vec<usize> = (0..n).collect();
-    order_recurse(g, &all, leaf_size, cfg, &mut order);
-    Perm::from_to_old(order)
-}
-
-fn order_recurse(
-    root: &Graph,
-    vertices: &[usize],
-    leaf_size: usize,
-    cfg: &NdConfig,
-    order: &mut Vec<usize>,
-) {
-    if vertices.is_empty() {
-        return;
-    }
-    if vertices.len() <= leaf_size {
-        order.extend_from_slice(vertices);
-        return;
-    }
-    let (sub, map) = root.subgraph(vertices);
-    let bis = multilevel_bisect(&sub, cfg);
-    let vs = vertex_separator(&sub, &bis);
-    let mut side0 = Vec::new();
-    let mut side1 = Vec::new();
-    let mut sep = Vec::new();
-    for (local, &global) in map.iter().enumerate() {
-        match vs.assign[local] {
-            0 => side0.push(global),
-            1 => side1.push(global),
-            _ => sep.push(global),
-        }
-    }
-    // Degenerate separations would recurse forever; fall back to leaving
-    // the block in place.
-    if side0.is_empty() || side1.is_empty() {
-        order.extend_from_slice(vertices);
-        return;
-    }
-    order_recurse(root, &side0, leaf_size, cfg, order);
-    order_recurse(root, &side1, leaf_size, cfg, order);
-    order.extend_from_slice(&sep);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,18 +252,6 @@ mod tests {
             let ord = if part == SEPARATOR { p.k } else { part };
             assert!(ord >= last_part, "parts not contiguous in permutation");
             last_part = ord;
-        }
-    }
-
-    #[test]
-    fn nd_ordering_is_a_permutation() {
-        let g = grid(10, 10);
-        let p = nd_ordering(&g, 8, &NdConfig::default());
-        assert_eq!(p.len(), 100);
-        // Perm::from_to_old already validates bijectivity; spot-check the
-        // inverse property.
-        for v in 0..100 {
-            assert_eq!(p.to_old(p.to_new(v)), v);
         }
     }
 

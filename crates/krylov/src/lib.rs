@@ -26,10 +26,7 @@ pub use bicgstab::{
     bicgstab, bicgstab_with_workspace, BicgstabConfig, BicgstabResult, BicgstabWorkspace,
 };
 pub use gmres::{gmres, gmres_with_workspace, GmresConfig, GmresResult, GmresWorkspace};
-pub use operator::{
-    CsrOperator, CsrTransposeOperator, IdentityPrecond, JacobiPrecond, LinearOperator,
-    Preconditioner,
-};
+pub use operator::{CsrOperator, IdentityPrecond, JacobiPrecond, LinearOperator, Preconditioner};
 
 /// Why a Krylov iteration stopped making progress before converging.
 ///

@@ -113,32 +113,6 @@ impl LinearOperator for CsrOperator<'_> {
     }
 }
 
-/// Applies `y = Aᵀ x` without materialising the transpose — the
-/// matrix-free route to `Aᵀ`-based methods and transpose residual
-/// checks, backed by [`Csr::matvec_transpose_into`].
-#[derive(Clone, Debug)]
-pub struct CsrTransposeOperator<'a> {
-    a: &'a Csr,
-}
-
-impl<'a> CsrTransposeOperator<'a> {
-    /// Wraps `a` (must be square, so the operator stays square too).
-    pub fn new(a: &'a Csr) -> Self {
-        assert_eq!(a.nrows(), a.ncols());
-        CsrTransposeOperator { a }
-    }
-}
-
-impl LinearOperator for CsrTransposeOperator<'_> {
-    fn n(&self) -> usize {
-        self.a.ncols()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.a.matvec_transpose_into(x, y);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,17 +171,5 @@ mod tests {
             par.apply(&x, &mut y);
             assert_eq!(y, y_ref, "workers {w}");
         }
-    }
-
-    #[test]
-    fn transpose_operator_applies_transpose() {
-        let mut c = Coo::new(2, 2);
-        c.push(0, 1, 3.0);
-        c.push(1, 0, 5.0);
-        let a = c.to_csr();
-        let op = CsrTransposeOperator::new(&a);
-        let mut y = vec![f64::NAN; 2];
-        op.apply(&[1.0, 2.0], &mut y);
-        assert_eq!(y, vec![10.0, 3.0]);
     }
 }

@@ -246,10 +246,10 @@ impl Parser<'_> {
                     // Copy the maximal run of plain bytes in one shot.
                     // Validating per-character would re-scan the whole
                     // remaining tail each time — quadratic in the string
-                    // length, which matters for the megabyte hex payloads
-                    // the shard wire protocol carries. Stopping at `"` or
-                    // `\` never splits a UTF-8 scalar: both are ASCII and
-                    // cannot appear inside a multi-byte sequence.
+                    // length, which matters for long string fields (a
+                    // matrix path, a large request's payload). Stopping at
+                    // `"` or `\` never splits a UTF-8 scalar: both are
+                    // ASCII and cannot appear inside a multi-byte sequence.
                     let start = self.pos;
                     while let Some(&b) = self.bytes.get(self.pos) {
                         if b == b'"' || b == b'\\' {
@@ -343,11 +343,9 @@ mod tests {
 
     #[test]
     fn megabyte_payload_string_parses_in_linear_time() {
-        // The shard wire protocol ships hex-encoded factor payloads of
-        // several megabytes in one string field. The old per-character
-        // path re-validated the whole remaining tail for every byte —
-        // quadratic, minutes of CPU at this size — which showed up as
-        // spurious heartbeat timeouts in the shard supervisor. This
+        // A megabyte string field must parse in linear time. A
+        // per-character path that re-validates the whole remaining tail
+        // for every byte is quadratic — minutes of CPU at this size. This
         // round-trip finishes instantly with the linear run-copy path
         // and regresses loudly (test timeout) with the quadratic one.
         let payload = "0123456789abcdef".repeat(1 << 16);

@@ -273,13 +273,6 @@ impl SolveRequest {
         h.write_u8(u8::from(f.krylov_stall));
         h.write_u8(u8::from(f.memory_blowup));
         h.write_u64(f.stall_schur_ms.unwrap_or(u64::MAX));
-        // Process-level faults (crates/shard) ride the same plan; fold
-        // them too so a shard-faulted request can never alias a clean
-        // cache entry.
-        h.write_u64(f.worker_kill.map_or(u64::MAX, |d| d as u64));
-        h.write_u64(f.torn_frame.map_or(u64::MAX, |d| d as u64));
-        h.write_u64(f.heartbeat_stall.map_or(u64::MAX, |d| d as u64));
-        h.write_u8(u8::from(f.corrupt_checkpoint));
     }
 }
 

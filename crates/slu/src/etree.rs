@@ -89,18 +89,6 @@ pub fn postorder(parent: &[usize]) -> Perm {
     Perm::from_to_old(order)
 }
 
-/// Sort key for the §IV-A right-hand-side ordering: the postorder
-/// position of the first (smallest-position) nonzero of a sparse column.
-///
-/// `rows` is the nonzero row pattern of the column; `post` the subdomain
-/// postorder. Empty columns sort last.
-pub fn first_nonzero_postorder_key(rows: &[usize], post: &Perm) -> usize {
-    rows.iter()
-        .map(|&r| post.to_new(r))
-        .min()
-        .unwrap_or(usize::MAX)
-}
-
 /// The fill path from node `v` to its root (inclusive): the positions
 /// where fill appears when solving `D⁻¹b` with `b(v) ≠ 0` (§IV-A of the
 /// paper, after Gilbert's theorem).
@@ -112,28 +100,6 @@ pub fn path_to_root(parent: &[usize], v: usize) -> Vec<usize> {
         path.push(cur);
     }
     path
-}
-
-/// Depth of each node in the forest (roots have depth 0).
-pub fn depths(parent: &[usize]) -> Vec<usize> {
-    let n = parent.len();
-    let mut depth = vec![usize::MAX; n];
-    for start in 0..n {
-        let mut path = Vec::new();
-        let mut v = start;
-        while depth[v] == usize::MAX && parent[v] != NO_PARENT {
-            path.push(v);
-            v = parent[v];
-        }
-        if depth[v] == usize::MAX {
-            depth[v] = 0; // fresh root
-        }
-        let base = depth[v];
-        for (i, &u) in path.iter().rev().enumerate() {
-            depth[u] = base + i + 1;
-        }
-    }
-    depth
 }
 
 #[cfg(test)]
@@ -224,23 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn first_nonzero_key_picks_min_postorder() {
-        let parent = vec![1, 2, NO_PARENT];
-        let post = postorder(&parent); // identity here
-        assert_eq!(first_nonzero_postorder_key(&[2, 0], &post), 0);
-        assert_eq!(first_nonzero_postorder_key(&[], &post), usize::MAX);
-    }
-
-    #[test]
     fn path_to_root_on_chain() {
         let parent = vec![1, 2, NO_PARENT, NO_PARENT];
         assert_eq!(path_to_root(&parent, 0), vec![0, 1, 2]);
         assert_eq!(path_to_root(&parent, 3), vec![3]);
-    }
-
-    #[test]
-    fn depths_of_path() {
-        let parent = vec![1, 2, NO_PARENT];
-        assert_eq!(depths(&parent), vec![2, 1, 0]);
     }
 }

@@ -33,7 +33,7 @@ const PAR_MIN_ROWS: usize = 256;
 /// Process-wide count of [`SolvePlan::build`] executions. Plan
 /// construction is the redundant symbolic work the lazy-plan and
 /// refactorisation paths exist to avoid; reuse tests assert this
-/// counter stays flat across decode round-trips and value updates.
+/// counter stays flat across repeated solves and value updates.
 static PLAN_BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of triangular-solve plans built since process start (one

@@ -42,10 +42,10 @@ pub mod supernodes;
 pub mod trisolve;
 
 pub use blocked::{solve_in_blocks, solve_in_blocks_ordered, BlockSolveStats};
-pub use etree::{etree, first_nonzero_postorder_key, postorder};
+pub use etree::{etree, postorder};
 pub use levels::{plan_build_count, LevelPlan, SolvePlan, TriScratch};
 pub use lu::{LuConfig, LuError, LuFactors, RefactorizeError};
 pub use reach::ReachGraph;
 pub use refine::{condest_1, solve_refined, RefinedSolve};
 pub use supernodes::{detect_supernodes, supernodal_padding, Supernodes};
-pub use trisolve::{solution_pattern, sparse_lower_solve, SparseVec};
+pub use trisolve::{sparse_lower_solve, SparseVec};

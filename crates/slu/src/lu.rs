@@ -100,10 +100,6 @@ impl std::error::Error for LuError {}
 /// is exactly what the driver's fallback does).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RefactorizeError {
-    /// The factors carry no symbolic record (they were reassembled via
-    /// [`LuFactors::from_parts`] or decoded from a checkpoint, which
-    /// transports only `L`/`U`).
-    SymbolicMissing,
     /// The original factorisation perturbed pivots
     /// ([`LuFactors::perturbed`]); replaying a patched pivot sequence
     /// against new values is not meaningful.
@@ -144,9 +140,6 @@ pub enum RefactorizeError {
 impl std::fmt::Display for RefactorizeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RefactorizeError::SymbolicMissing => {
-                write!(f, "factors carry no symbolic record (decoded/reassembled)")
-            }
             RefactorizeError::Perturbed => {
                 write!(f, "original factorisation used perturbed pivots")
             }
@@ -349,13 +342,11 @@ pub struct LuFactors {
     /// matrix was singular or near-singular at those steps).
     pub perturbed: Vec<usize>,
     /// Execution plan for the triangular solves, built lazily on first
-    /// use so decode paths (checkpoint resume, service cache, shard
-    /// ledger) pay nothing until they actually solve (see
+    /// use so factors that are never solved with pay nothing for it (see
     /// [`crate::levels`]).
     plan: OnceLock<SolvePlan>,
-    /// Symbolic record enabling [`LuFactors::refactorize`]; `None` for
-    /// factors reassembled from parts (the record is not transported).
-    symbolic: Option<LuSymbolic>,
+    /// Symbolic record enabling [`LuFactors::refactorize`].
+    symbolic: LuSymbolic,
 }
 
 impl LuFactors {
@@ -723,54 +714,13 @@ impl LuFactors {
             col_perm: col_perm.clone(),
             perturbed,
             plan: OnceLock::new(),
-            symbolic: Some(LuSymbolic {
+            symbolic: LuSymbolic {
                 dense_start: head,
                 topo_ptr,
                 topo_new,
                 slot,
-            }),
+            },
         })
-    }
-
-    /// Reassembles a factorisation from its transported parts — the use
-    /// case is factors computed in another *process* (`crates/shard`)
-    /// and shipped over a wire that preserves every `f64` bit.
-    ///
-    /// The private level-scheduled [`SolvePlan`] is rebuilt **lazily**
-    /// on the first solve: decode paths that never solve (checkpoint
-    /// inspection, cache shuffling) pay nothing, and the plan only
-    /// schedules the same fixed left-to-right dependency sweeps, so
-    /// solves through a reconstructed factorisation are bit-identical
-    /// to solves through the original. The symbolic refactorisation
-    /// record is *not* transported — reassembled factors report
-    /// [`RefactorizeError::SymbolicMissing`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parts disagree on the matrix order (`L`/`U` not
-    /// square and equal-sized, permutations of a different length).
-    pub fn from_parts(
-        l: Csc,
-        u: Csc,
-        row_perm: Perm,
-        col_perm: Perm,
-        perturbed: Vec<usize>,
-    ) -> LuFactors {
-        let n = l.ncols();
-        assert_eq!(l.nrows(), n, "L must be square");
-        assert_eq!(u.nrows(), n, "U must match L");
-        assert_eq!(u.ncols(), n, "U must match L");
-        assert_eq!(row_perm.len(), n, "row permutation length mismatch");
-        assert_eq!(col_perm.len(), n, "column permutation length mismatch");
-        LuFactors {
-            l,
-            u,
-            row_perm,
-            col_perm,
-            perturbed,
-            plan: OnceLock::new(),
-            symbolic: None,
-        }
     }
 
     /// Order of the factored matrix.
@@ -779,11 +729,10 @@ impl LuFactors {
     }
 
     /// The elimination step at which the dense kernel took over (`n`
-    /// when it never did); `None` for reassembled factors, which do not
-    /// carry the record.
+    /// when it never did).
     #[doc(hidden)]
-    pub fn dense_start(&self) -> Option<usize> {
-        self.symbolic.as_ref().map(|s| s.dense_start)
+    pub fn dense_start(&self) -> usize {
+        self.symbolic.dense_start
     }
 
     /// Fill: `nnz(L) + nnz(U)` (L's unit diagonal included).
@@ -849,9 +798,7 @@ impl LuFactors {
         if !self.perturbed.is_empty() {
             return Err(RefactorizeError::Perturbed);
         }
-        let Some(sym) = self.symbolic.as_ref() else {
-            return Err(RefactorizeError::SymbolicMissing);
-        };
+        let sym = &self.symbolic;
         let acsc = a.to_csc();
         if acsc.values().iter().any(|v| !v.is_finite()) {
             return Err(RefactorizeError::NonFinite { step: 0 });
@@ -1328,20 +1275,6 @@ mod tests {
     }
 
     #[test]
-    fn refactorize_refused_without_symbolic_record() {
-        let a = tridiag(10);
-        let f = LuFactors::factorize(&a, &Perm::identity(10), &LuConfig::default()).unwrap();
-        let mut g = LuFactors::from_parts(
-            f.l.clone(),
-            f.u.clone(),
-            f.row_perm.clone(),
-            f.col_perm.clone(),
-            f.perturbed.clone(),
-        );
-        assert_eq!(g.refactorize(&a), Err(RefactorizeError::SymbolicMissing));
-    }
-
-    #[test]
     fn refactorize_refused_after_perturbation() {
         let mut c = Coo::new(2, 2);
         c.push(0, 0, 1.0);
@@ -1378,26 +1311,6 @@ mod tests {
             crate::plan_build_count(),
             c0,
             "refactorize must not rebuild the plan"
-        );
-    }
-
-    #[test]
-    fn from_parts_round_trip_solves_bit_identically() {
-        let a = laplace2d(9);
-        let n = a.nrows();
-        let f = LuFactors::factorize(&a, &Perm::identity(n), &LuConfig::default()).unwrap();
-        let g = LuFactors::from_parts(
-            f.l.clone(),
-            f.u.clone(),
-            f.row_perm.clone(),
-            f.col_perm.clone(),
-            f.perturbed.clone(),
-        );
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        assert_eq!(f.solve(&b), g.solve(&b));
-        assert_eq!(
-            f.solve_plan().forward_levels(),
-            g.solve_plan().forward_levels()
         );
     }
 }

@@ -6,7 +6,7 @@
 //! those positions. This is the kernel PDSLin uses to form
 //! `G = L⁻¹ P Ê` and `W = F̂ P̄ U⁻¹` (equation (5) of the paper).
 
-use crate::reach::{reach_in, ReachGraph};
+use crate::reach::reach_in;
 use sparsekit::Csc;
 
 /// A sparse vector: parallel `(indices, values)`, indices unordered
@@ -139,26 +139,9 @@ pub fn solve_pattern(l: &Csc, b_pattern: &[usize], ws: &mut SolveWorkspace) -> V
 /// in the DAG of `l` (an edge from column `j` to every row `> j` of
 /// that column) and leaves it, in topological order, in the workspace,
 /// readable via [`SolveWorkspace::topo`]. Callers that take many
-/// reaches on one factor build a [`ReachGraph`] instead.
+/// reaches on one factor build a [`crate::ReachGraph`] instead.
 pub fn compute_reach(l: &Csc, b_pattern: &[usize], ws: &mut SolveWorkspace) {
     reach_in(l, b_pattern, ws);
-}
-
-/// Computes the full pattern of `G = T⁻¹ B` for a sparse RHS matrix `B`
-/// given in CSC, returning a CSR **pattern** matrix (`n × ncols(B)` with
-/// unit values) whose column `j` is the reach of `B(:,j)`.
-pub fn solution_pattern(l: &Csc, b: &Csc) -> sparsekit::Csr {
-    let n = l.nrows();
-    let mut ws = SolveWorkspace::new(n);
-    let graph = ReachGraph::build(l);
-    let mut coo = sparsekit::Coo::new(n, b.ncols());
-    for j in 0..b.ncols() {
-        graph.reach(b.col_indices(j), &mut ws);
-        for &i in ws.topo() {
-            coo.push(i, j, 1.0);
-        }
-    }
-    coo.to_csr()
 }
 
 /// Builds the lower-triangular CSC view of `Uᵀ` from an upper-triangular
@@ -278,27 +261,6 @@ mod tests {
         }
         assert!((m[&0] - 1.0).abs() < 1e-14);
         assert!((m[&1] + 0.25).abs() < 1e-14);
-    }
-
-    #[test]
-    fn solution_pattern_covers_reaches() {
-        let l = bidiag_l(6);
-        // B with columns seeded at 1 and 4.
-        let mut c = Coo::new(6, 2);
-        c.push(1, 0, 1.0);
-        c.push(4, 1, 1.0);
-        let b = c.to_csr().to_csc();
-        let g = solution_pattern(&l, &b);
-        assert_eq!(g.nrows(), 6);
-        assert_eq!(g.ncols(), 2);
-        // Column 0 pattern = rows 1..6; column 1 = rows 4..6.
-        for i in 1..6 {
-            assert_eq!(g.get(i, 0), 1.0);
-        }
-        assert_eq!(g.get(0, 0), 0.0);
-        assert_eq!(g.get(4, 1), 1.0);
-        assert_eq!(g.get(5, 1), 1.0);
-        assert_eq!(g.get(3, 1), 0.0);
     }
 
     #[test]

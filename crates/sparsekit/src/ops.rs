@@ -49,27 +49,6 @@ pub fn residual_inf_norm(a: &Csr, x: &[f64], b: &[f64]) -> f64 {
     worst
 }
 
-/// Builds the adjacency structure (CSR pattern without self-loops) of a
-/// square sparse matrix — the graph the partitioners consume.
-///
-/// The input is typically already symmetrised via
-/// [`Csr::symmetrize_abs`]; this function only strips the diagonal.
-pub fn adjacency_no_diagonal(a: &Csr) -> (Vec<usize>, Vec<usize>) {
-    assert_eq!(a.nrows(), a.ncols());
-    let n = a.nrows();
-    let mut xadj = vec![0usize; n + 1];
-    let mut adj = Vec::with_capacity(a.nnz());
-    for r in 0..n {
-        for &c in a.row_indices(r) {
-            if c != r {
-                adj.push(c);
-            }
-        }
-        xadj[r + 1] = adj.len();
-    }
-    (xadj, adj)
-}
-
 /// Sparse matrix sum `C = A + beta·B` (patterns merged).
 pub fn add_scaled(a: &Csr, beta: f64, b: &Csr) -> Csr {
     assert_eq!(a.nrows(), b.nrows(), "add_scaled row mismatch");
@@ -103,11 +82,6 @@ pub fn add_scaled(a: &Csr, beta: f64, b: &Csr) -> Csr {
         indptr[r + 1] = indices.len();
     }
     Csr::from_parts(n, a.ncols(), indptr, indices, values)
-}
-
-/// Frobenius norm of a sparse matrix.
-pub fn frobenius_norm(a: &Csr) -> f64 {
-    a.values().iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
 /// Row nnz histogram helper: returns `(min, max, sum)` of row counts.
@@ -152,18 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_strips_diagonal() {
-        let mut c = Coo::new(3, 3);
-        c.push(0, 0, 1.0);
-        c.push_sym(0, 1, 1.0);
-        c.push_sym(1, 2, 1.0);
-        let a = c.to_csr();
-        let (xadj, adj) = adjacency_no_diagonal(&a);
-        assert_eq!(xadj, vec![0, 1, 3, 4]);
-        assert_eq!(adj, vec![1, 0, 2, 1]);
-    }
-
-    #[test]
     fn add_scaled_merges_patterns() {
         let mut c1 = Coo::new(2, 3);
         c1.push(0, 0, 1.0);
@@ -187,12 +149,6 @@ mod tests {
         for i in 0..3 {
             assert_eq!(s.get(i, i), 3.0);
         }
-    }
-
-    #[test]
-    fn frobenius_of_identity() {
-        let a = Csr::identity(9);
-        assert!((frobenius_norm(&a) - 3.0).abs() < 1e-14);
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl Perm {
         &self.to_old
     }
 
-    /// The full `to_new` map.
-    pub fn as_to_new(&self) -> &[usize] {
-        &self.to_new
-    }
-
     /// Inverse permutation.
     pub fn inverse(&self) -> Perm {
         Perm {
@@ -174,7 +169,7 @@ mod tests {
     #[test]
     fn from_to_new_consistency() {
         let p = Perm::from_to_old(vec![2, 0, 1]);
-        let q = Perm::from_to_new(p.as_to_new().to_vec());
+        let q = Perm::from_to_new((0..3).map(|i| p.to_new(i)).collect());
         assert_eq!(p, q);
     }
 }

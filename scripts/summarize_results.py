@@ -529,89 +529,6 @@ def bench_service():
         )
 
 
-BENCH_SHARD_SCHEMA = {
-    "matrix": str,
-    "n": int,
-    "nnz": int,
-    "k": int,
-    "workers": int,
-    "injected_kill": bool,
-    "inproc_lu_d_s": float,
-    "shard_lu_d_s": float,
-    "measured_speedup": float,
-    "parsim_lu_d_s": float,
-    "parsim_speedup": float,
-    "workers_lost": int,
-    "respawns": int,
-    "reassigned_domains": int,
-    "factorizations_remote": int,
-    "factorizations_local": int,
-    "factorizations_reused": int,
-    "degraded": bool,
-    "bit_identical": bool,
-}
-
-
-def bench_shard():
-    rows = load("BENCH_shard")
-    if rows is None:
-        return
-    # Hard validation: CI gates on this file. The schema includes the
-    # parsim-prediction columns on purpose — the whole point of the
-    # harness is measured-vs-predicted side by side, so a run that drops
-    # the prediction must fail loudly.
-    if not isinstance(rows, list) or not rows:
-        sys.exit("BENCH_shard.json: expected a non-empty list of rows")
-    for i, r in enumerate(rows):
-        for field, ty in BENCH_SHARD_SCHEMA.items():
-            if field not in r:
-                sys.exit(f"BENCH_shard.json row {i}: missing field '{field}'")
-            v = r[field]
-            if ty is bool:
-                ok = isinstance(v, bool)
-            else:
-                ok = (
-                    isinstance(v, ty) or (ty is float and isinstance(v, int))
-                ) and not isinstance(v, bool)
-            if not ok:
-                sys.exit(
-                    f"BENCH_shard.json row {i}: field '{field}' is "
-                    f"{type(v).__name__}, expected {ty.__name__}"
-                )
-        if not r["bit_identical"]:
-            sys.exit(f"BENCH_shard.json row {i}: sharded solve diverged from in-process")
-        if r["parsim_lu_d_s"] <= 0 or r["parsim_speedup"] <= 0:
-            sys.exit(f"BENCH_shard.json row {i}: parsim prediction missing or non-positive")
-        if r["factorizations_remote"] + r["factorizations_local"] != r["k"]:
-            sys.exit(
-                f"BENCH_shard.json row {i}: remote {r['factorizations_remote']} + "
-                f"local {r['factorizations_local']} != k {r['k']}"
-            )
-        if not r["injected_kill"] and r["degraded"]:
-            sys.exit(f"BENCH_shard.json row {i}: degraded without an injected fault")
-    kills = [r for r in rows if r["injected_kill"]]
-    if not kills:
-        sys.exit("BENCH_shard.json: no injected-kill row (recovery not exercised)")
-    for r in kills:
-        if r["workers_lost"] < 1:
-            sys.exit("BENCH_shard.json: injected kill lost no worker")
-        if r["factorizations_reused"] < 1:
-            sys.exit(
-                "BENCH_shard.json: a killed worker's completed factorizations "
-                "were recomputed instead of reused from the checkpoint ledger"
-            )
-    print("\n## BENCH_shard (multi-process LU(D) vs parsim; bit-identity and kill-recovery asserted)\n")
-    print("| matrix | w | kill | LU(D) inproc | shard | measured | parsim | predicted | lost | reused | degraded |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|")
-    for r in rows:
-        print(
-            f"| {r['matrix']} | {r['workers']} | {'yes' if r['injected_kill'] else '-'} | "
-            f"{r['inproc_lu_d_s']:.3f} | {r['shard_lu_d_s']:.3f} | {r['measured_speedup']:.2f}x | "
-            f"{r['parsim_lu_d_s']:.3f} | {r['parsim_speedup']:.2f}x | {r['workers_lost']} | "
-            f"{r['factorizations_reused']} | {r['degraded']} |"
-        )
-
-
 BENCH_SEQUENCE_SCHEMA = {
     "problem": str,
     "kernel": str,
@@ -692,7 +609,6 @@ if __name__ == "__main__":
         bench_solve,
         bench_partition,
         bench_service,
-        bench_shard,
         bench_sequence,
     ]:
         fn()

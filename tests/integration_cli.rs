@@ -106,6 +106,12 @@ fn unknown_options_are_rejected_with_input_exit_code() {
     let args = parse_args(argv("info --matrix m.mtx --k 4")).unwrap();
     assert!(validate_options(&args).is_err());
 
+    // `LU(D)` has one in-process execution path, so `--shard-workers`
+    // is an unknown option like any typo (the binary exits with code 2).
+    let args = parse_args(argv("solve --generate g3_circuit --shard-workers 2")).unwrap();
+    let err = validate_options(&args).expect_err("--shard-workers is not a solve option");
+    assert!(err.contains("--shard-workers"), "{err}");
+
     // The solver has one triangular-solve schedule and fixed RGB tuning
     // values, so these flags are unknown options like any typo (the
     // binary exits with code 2 on them).

@@ -492,3 +492,38 @@ fn queue_expired_requests_are_reaped_with_typed_errors() {
         .expect("hog completes");
     service.shutdown(Duration::from_secs(5));
 }
+
+/// `block_size = 0` is bad input: the reply is a typed input error on
+/// the first attempt, not a worker panic that the service retries.
+#[test]
+fn zero_block_size_is_answered_as_an_input_error() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let (tx, rx) = mpsc::channel::<Response>();
+    service.submit(
+        "b0",
+        solve_req(
+            r#"{"id":"b0","op":"solve","generate":"g3_circuit","k":4,"block_size":0,"retry_limit":2,"deadline_ms":30000}"#,
+        ),
+        &tx,
+    );
+    let resp = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("request must be answered");
+    match &resp.body {
+        ResponseBody::Error {
+            category,
+            code,
+            retries,
+            ..
+        } => {
+            assert_eq!(category, "input", "{}", resp.to_json_line());
+            assert_eq!(*code, 2);
+            assert_eq!(*retries, 0);
+        }
+        other => panic!("expected input error, got {other:?}"),
+    }
+    service.shutdown(Duration::from_secs(5));
+}

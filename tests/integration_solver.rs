@@ -142,3 +142,27 @@ fn repeated_solves_reuse_the_setup() {
         assert!(residual_inf_norm(&a, &out.x, &b) < 1e-6);
     }
 }
+
+/// `block_size = 0` is rejected up front as bad input, before any phase
+/// runs: no worker panic, no whole-setup retry on the fallback
+/// partition, and the CLI's input exit code.
+#[test]
+fn zero_block_size_is_rejected_as_invalid_input() {
+    let a = generate(MatrixKind::G3Circuit, Scale::Test);
+    let cfg = PdslinConfig {
+        k: 4,
+        block_size: 0,
+        ..Default::default()
+    };
+    let failure = Pdslin::setup_budgeted(&a, cfg, &pdslin::Budget::unlimited())
+        .expect_err("B = 0 must be rejected");
+    assert!(
+        matches!(failure.error, pdslin::PdslinError::InvalidInput { .. }),
+        "{failure}"
+    );
+    assert_eq!(failure.error.category(), pdslin::ErrorCategory::Input);
+    assert_eq!(pdslin_cli::exit_code(failure.error.category()), 2);
+    // No phase ran, so there is no checkpoint and no recovery event
+    // (in particular no `PartitionFallback`) anywhere.
+    assert!(failure.checkpoint.is_none());
+}

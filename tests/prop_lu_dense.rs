@@ -15,8 +15,7 @@
 use matgen::circuit::{asic_like, g3_like};
 use matgen::fusion::fusion_like;
 use matgen::stencil::{cavity3d, cavity3d_graded, laplace2d, offsets_27pt, stencil3d};
-use pdslin::codec::{decode_factored_domain, encode_factored_domain, ByteReader, ByteWriter};
-use pdslin::subdomain::{subdomain_ordering, FactoredDomain};
+use pdslin::subdomain::subdomain_ordering;
 use slu::{LuConfig, LuError, LuFactors, RefactorizeError};
 use sparsekit::{Budget, CancelToken, Coo, Csr, Perm, Rng64};
 
@@ -210,13 +209,11 @@ fn the_density_rule_fires_at_zero_midway_and_late() {
     let full = random_matrix(&mut rng, 80, 1.0);
     assert_eq!(
         factor(&full, &Perm::identity(80), None).dense_start(),
-        Some(0),
+        0,
         "a full matrix is dense from step 0"
     );
     let grid = laplace2d(15, 15);
-    let start = factor(&grid, &subdomain_ordering(&grid), None)
-        .dense_start()
-        .expect("fresh factors carry the record");
+    let start = factor(&grid, &subdomain_ordering(&grid), None).dense_start();
     assert!(
         (100..215).contains(&start),
         "a 2-D grid goes dense in its top separator, not at {start} of 225"
@@ -232,7 +229,7 @@ fn the_density_rule_fires_at_zero_midway_and_late() {
         }
     }
     let start = factor(&c.to_csr(), &Perm::identity(n), None).dense_start();
-    assert_eq!(start, Some(n - 2));
+    assert_eq!(start, n - 2);
 }
 
 #[test]
@@ -279,6 +276,11 @@ fn refactorize_is_bitwise_factorize_across_the_switch() {
     }
 }
 
+/// The one way factors travel is by value: a checkpoint clones them and
+/// `Pdslin::resume` solves through the clone. A clone taken before the
+/// first solve builds its own lazy solve plan, and a clone taken after
+/// carries the built one; both must solve bit-identically to the
+/// original, on both sides of the dense switch.
 #[test]
 fn transported_factors_solve_bit_identically() {
     let mut rng = Rng64::new(4);
@@ -288,26 +290,19 @@ fn transported_factors_solve_bit_identically() {
         let b = rhs(&mut rng, n);
         for (label, at) in switches(n) {
             let f = factor(&a, &order, at);
+            let unplanned = f.clone();
             let x = f.solve(&b);
-            let parts = LuFactors::from_parts(
-                f.l.clone(),
-                f.u.clone(),
-                f.row_perm.clone(),
-                f.col_perm.clone(),
-                f.perturbed.clone(),
+            let planned = f.clone();
+            assert_same_bits(
+                &format!("{name} {label} clone before the plan"),
+                &x,
+                &unplanned.solve(&b),
             );
-            assert_same_bits(&format!("{name} {label} from_parts"), &x, &parts.solve(&b));
-            let mut w = ByteWriter::new();
-            encode_factored_domain(
-                &mut w,
-                &FactoredDomain {
-                    lu: f,
-                    etree_parent: vec![usize::MAX; n],
-                },
+            assert_same_bits(
+                &format!("{name} {label} clone after the plan"),
+                &x,
+                &planned.solve(&b),
             );
-            let bytes = w.into_bytes();
-            let decoded = decode_factored_domain(&mut ByteReader::new(&bytes)).expect("decodes");
-            assert_same_bits(&format!("{name} {label} codec"), &x, &decoded.lu.solve(&b));
         }
     }
 }
@@ -407,7 +402,7 @@ fn off_pattern_entries_in_tail_columns_are_pattern_mismatch() {
     };
     let a = build(None);
     let fresh = factor(&a, &Perm::identity(n), Some(h));
-    assert_eq!(fresh.dense_start(), Some(h));
+    assert_eq!(fresh.dense_start(), h);
     // A head row the tail column never reached.
     let mut f = fresh.clone();
     assert_eq!(
