@@ -3,7 +3,7 @@
 //! orderings (natural, postorder, hypergraph, RGB) over the NGD
 //! subdomains, separator sizes of unit- vs value-weighted NGD and RHB
 //! with the unit-weighted partitioning times (best of 3; recorded, never
-//! gated), and the configuration the automatic strategy selector picks.
+//! gated).
 //!
 //! The CI bench-smoke job runs this at test scale and
 //! `scripts/summarize_results.py` hard-validates the output shape,
@@ -13,9 +13,7 @@
 use matgen::MatrixKind;
 use pdslin::interface::ehat_columns_pivot;
 use pdslin::rhs_order::{column_reaches, order_columns_precomputed, padding_of_order};
-use pdslin::{
-    compute_partition_weighted, select_strategy, PartitionerKind, RhsOrdering, WeightScheme,
-};
+use pdslin::{compute_partition_weighted, PartitionerKind, RhsOrdering, WeightScheme};
 use slu::trisolve::SolveWorkspace;
 
 pdslin_bench::json_record! {
@@ -34,7 +32,6 @@ pdslin_bench::json_record! {
         rhb_vw_sep: usize,
         ngd_time_s: f64,
         rhb_time_s: f64,
-        strategy: String,
     }
 }
 
@@ -75,14 +72,6 @@ fn main() {
         let rhb = PartitionerKind::Rhb(Default::default());
         let (rhb_sep, rhb_time_s) = unit_separator(&a, &rhb);
         let rhb_vw_sep = separator(&a, &rhb, WeightScheme::ValueScaled).0;
-        let s = select_strategy(&a);
-        let strategy = format!(
-            "{}+{}+{}+B{}",
-            s.partitioner.label(),
-            s.weights.label(),
-            s.ordering.label(),
-            s.block_size
-        );
         let domain_data: Vec<_> = sys
             .domains
             .iter()
@@ -96,16 +85,14 @@ fn main() {
             })
             .collect();
         println!(
-            "\n{}: separators NGD {} / {} (vw) in {:.4} s, RHB {} / {} (vw) in {:.4} s; \
-             auto strategy {}",
+            "\n{}: separators NGD {} / {} (vw) in {:.4} s, RHB {} / {} (vw) in {:.4} s",
             kind.name(),
             ngd_sep,
             ngd_vw_sep,
             ngd_time_s,
             rhb_sep,
             rhb_vw_sep,
-            rhb_time_s,
-            strategy
+            rhb_time_s
         );
         println!(
             "{:<6} {:>12} {:>12} {:>12} {:>12} {:>12}",
@@ -151,7 +138,6 @@ fn main() {
                 rhb_vw_sep,
                 ngd_time_s,
                 rhb_time_s,
-                strategy: strategy.clone(),
             });
         }
     }

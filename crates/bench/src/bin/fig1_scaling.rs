@@ -3,22 +3,17 @@
 //! comparing RHB (soed, single constraint) against the NGD baseline.
 //!
 //! Per-subdomain phase costs are *measured* sequentially; the core sweep
-//! is produced twice (DESIGN.md §3, substitution 2):
-//!
-//! * by the **event-driven simulator** (`parsim`): gang tasks per
-//!   subdomain, α–β gather messages, full-machine `LU(S)`/solve;
-//! * by the closed-form analytic model (`pdslin::scaling`) as a
-//!   cross-check.
+//! is produced by the event-driven simulator `parsim` (DESIGN.md §3,
+//! substitution 2): gang tasks per subdomain, α–β gather messages,
+//! full-machine `LU(S)`/solve.
 
 use parsim::pdslin_model::{sweep as sim_sweep, MeasuredCosts, SimulatedTimes};
 use parsim::Machine;
-use pdslin::scaling::{PredictedTimes, ScalingModel};
 use pdslin::{PartitionerKind, Pdslin, PdslinConfig};
 
 pdslin_bench::json_record! {
     struct Fig1Row {
         partitioner: String,
-        model: String,
         cores: usize,
         lu_d: f64,
         comp_s: f64,
@@ -33,13 +28,12 @@ fn main() {
     let a = matgen::generate(matgen::MatrixKind::Tdr455k, scale);
     eprintln!("tdr455k analogue: n={} nnz={}", a.nrows(), a.nnz());
     let cores = [8usize, 32, 128, 512, 1024];
-    let analytic = ScalingModel::default();
     let machine = Machine::default();
     let mut rows: Vec<Fig1Row> = Vec::new();
     println!("Fig 1: PDSLin phase times for tdr455k analogue, k=8 (simulated core sweep)");
     println!(
-        "{:<12} {:<9} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "partitioner", "model", "cores", "LU(D)", "Comp(S)", "LU(S)", "Solve", "total"
+        "{:<12} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "partitioner", "cores", "LU(D)", "Comp(S)", "LU(S)", "Solve", "total"
     );
     for kind in [
         PartitionerKind::Rhb(hypergraph::RhbConfig::default()),
@@ -79,44 +73,17 @@ fn main() {
         let sim: Vec<SimulatedTimes> = sim_sweep(&costs, &machine, 8, &cores);
         for p in &sim {
             println!(
-                "{:<12} {:<9} {:>6} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
-                label, "event", p.cores, p.lu_d, p.comp_s, p.lu_s, p.solve, p.makespan
+                "{:<12} {:>6} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
+                label, p.cores, p.lu_d, p.comp_s, p.lu_s, p.solve, p.makespan
             );
             rows.push(Fig1Row {
                 partitioner: label.clone(),
-                model: "event".into(),
                 cores: p.cores,
                 lu_d: p.lu_d,
                 comp_s: p.comp_s,
                 lu_s: p.lu_s,
                 solve: p.solve,
                 total: p.makespan,
-            });
-        }
-        // Analytic cross-check.
-        let sweep: Vec<PredictedTimes> =
-            analytic.sweep(&solver.stats.domain_costs, &solver.stats.times, 8, &cores);
-        for p in &sweep {
-            println!(
-                "{:<12} {:<9} {:>6} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
-                label,
-                "analytic",
-                p.cores,
-                p.lu_d,
-                p.comp_s,
-                p.lu_s,
-                p.solve,
-                p.total()
-            );
-            rows.push(Fig1Row {
-                partitioner: label.clone(),
-                model: "analytic".into(),
-                cores: p.cores,
-                lu_d: p.lu_d,
-                comp_s: p.comp_s,
-                lu_s: p.lu_s,
-                solve: p.solve,
-                total: p.total(),
             });
         }
     }

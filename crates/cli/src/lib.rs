@@ -17,9 +17,7 @@ use std::time::Duration;
 
 use hypergraph::{ConstraintMode, CutMetric, RhbConfig};
 use matgen::{MatrixKind, Scale};
-use pdslin::{
-    select_strategy, Budget, ErrorCategory, PartitionerKind, RhsOrdering, Strategy, WeightScheme,
-};
+use pdslin::{Budget, ErrorCategory, PartitionerKind, RhsOrdering, WeightScheme};
 use sparsekit::Csr;
 
 /// A parsed command line: subcommand plus `--key value` options.
@@ -80,7 +78,7 @@ impl Args {
 /// be silently ignored and leave the user running with defaults.
 pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
     const SOURCE: [&str; 3] = ["matrix", "generate", "scale"];
-    const SOLVE: [&str; 18] = [
+    const SOLVE: [&str; 17] = [
         "matrix",
         "generate",
         "scale",
@@ -89,7 +87,6 @@ pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
         "metric",
         "constraint",
         "weights",
-        "strategy",
         "ordering",
         "tau",
         "block-size",
@@ -100,7 +97,7 @@ pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
         "deadline",
         "mem-budget-mb",
     ];
-    const PARTITION: [&str; 9] = [
+    const PARTITION: [&str; 8] = [
         "matrix",
         "generate",
         "scale",
@@ -109,9 +106,8 @@ pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
         "metric",
         "constraint",
         "weights",
-        "strategy",
     ];
-    const SOLVE_SEQ: [&str; 21] = [
+    const SOLVE_SEQ: [&str; 20] = [
         "matrix",
         "generate",
         "scale",
@@ -122,7 +118,6 @@ pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
         "metric",
         "constraint",
         "weights",
-        "strategy",
         "ordering",
         "tau",
         "block-size",
@@ -191,35 +186,6 @@ pub fn validate_options(args: &Args) -> Result<(), String> {
     ))
 }
 
-/// Resolves a matrix kind by its paper name (case-insensitive, `.`/`_`
-/// agnostic).
-pub fn matrix_kind(name: &str) -> Result<MatrixKind, String> {
-    let norm = name.to_ascii_lowercase().replace(['.', '_', '-'], "");
-    for kind in MatrixKind::ALL {
-        if kind
-            .name()
-            .to_ascii_lowercase()
-            .replace(['.', '_', '-'], "")
-            == norm
-        {
-            return Ok(kind);
-        }
-    }
-    Err(format!(
-        "unknown matrix '{name}' (expected one of: {})",
-        MatrixKind::ALL.map(|k| k.name()).join(", ")
-    ))
-}
-
-/// Resolves the scale option.
-pub fn scale(name: &str) -> Result<Scale, String> {
-    match name {
-        "test" => Ok(Scale::Test),
-        "bench" => Ok(Scale::Bench),
-        other => Err(format!("unknown scale '{other}' (test|bench)")),
-    }
-}
-
 /// Resolves the partitioner options into a [`PartitionerKind`].
 pub fn partitioner(args: &Args) -> Result<PartitionerKind, String> {
     match args.get_or("partitioner", "ngd") {
@@ -254,37 +220,6 @@ pub fn weight_scheme(args: &Args) -> Result<WeightScheme, String> {
         "value" => Ok(WeightScheme::ValueScaled),
         other => Err(format!("unknown weights '{other}' (unit|value)")),
     }
-}
-
-/// Whether `--strategy auto` was requested (the only accepted value).
-pub fn strategy_mode(args: &Args) -> Result<bool, String> {
-    match args.get("strategy") {
-        None => Ok(false),
-        Some("auto") => Ok(true),
-        Some(other) => Err(format!("unknown strategy '{other}' (auto)")),
-    }
-}
-
-/// Applies the automatic strategy selector onto `cfg`, honouring
-/// explicit flags: any of `--partitioner`, `--weights`, `--ordering`
-/// and `--block-size` the user passed keeps its value; the selector
-/// only fills in the unspecified knobs. Returns the selected strategy
-/// so callers can report the rationale.
-pub fn apply_auto_strategy(args: &Args, a: &Csr, cfg: &mut pdslin::PdslinConfig) -> Strategy {
-    let s = select_strategy(a);
-    if args.get("partitioner").is_none() {
-        cfg.partitioner = s.partitioner;
-    }
-    if args.get("weights").is_none() {
-        cfg.weights = s.weights;
-    }
-    if args.get("ordering").is_none() {
-        cfg.rhs_ordering = s.ordering;
-    }
-    if args.get("block-size").is_none() {
-        cfg.block_size = s.block_size;
-    }
-    s
 }
 
 /// Resolves the outer Krylov method.
@@ -356,8 +291,8 @@ pub fn load_matrix(args: &Args) -> Result<Csr, String> {
     match (args.get("matrix"), args.get("generate")) {
         (Some(path), None) => sparsekit::io::read_matrix_market(path).map_err(|e| format!("{e}")),
         (None, Some(kind)) => {
-            let k = matrix_kind(kind)?;
-            let s = scale(args.get_or("scale", "test"))?;
+            let k = MatrixKind::from_name(kind)?;
+            let s = Scale::from_name(args.get_or("scale", "test"))?;
             Ok(matgen::generate(k, s))
         }
         (Some(_), Some(_)) => Err("pass either --matrix or --generate, not both".into()),
@@ -373,7 +308,6 @@ USAGE:
   pdslin solve     (--matrix F.mtx | --generate KIND [--scale test|bench])
                    [--k K] [--partitioner ngd|rhb] [--metric soed|cnet|con1]
                    [--constraint single|multi|unit] [--weights unit|value]
-                   [--strategy auto]
                    [--ordering natural|postorder|hypergraph|rgb [--tau T]]
                    [--block-size B] [--krylov gmres|bicgstab] [--tol TOL]
                    [--deadline SECS] [--mem-budget-mb MB]
@@ -383,7 +317,6 @@ USAGE:
                    [--min-baseline-iters N] [solver knobs as for `solve`]
   pdslin partition (--matrix F.mtx | --generate KIND [--scale ...])
                    [--k K] [--partitioner ...] [--weights unit|value]
-                   [--strategy auto]
   pdslin genmat    --generate KIND [--scale test|bench] --out FILE.mtx
   pdslin info      (--matrix F.mtx | --generate KIND [--scale ...])
   pdslin serve     [--socket PATH] [--workers N] [--queue N] [--max-batch N]
@@ -406,10 +339,6 @@ updates only the numerics per step (`update_values`: pivot-replay
 refactorization with full symbolic reuse). A step whose solve degrades
 past the staleness policy (--max-iter-growth / --max-residual-growth)
 is rebuilt from a fresh setup and reported. See docs/performance.md.
-
-`--strategy auto` samples structural features of the matrix and picks
-partitioner, weighting, RHS ordering and block size; explicit flags
-always win over the selector. See docs/partitioning.md.
 
 Unknown --options are rejected with exit code 2.
 
@@ -460,15 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_kind_resolution() {
-        assert_eq!(matrix_kind("tdr190k").unwrap(), MatrixKind::Tdr190k);
-        assert_eq!(matrix_kind("dds.quad").unwrap(), MatrixKind::DdsQuad);
-        assert_eq!(matrix_kind("ddsquad").unwrap(), MatrixKind::DdsQuad);
-        assert_eq!(matrix_kind("ASIC_680ks").unwrap(), MatrixKind::Asic680ks);
-        assert!(matrix_kind("nope").is_err());
-    }
-
-    #[test]
     fn partitioner_resolution() {
         let a = parse_args(argv("solve --partitioner rhb --metric cnet")).unwrap();
         match partitioner(&a).unwrap() {
@@ -500,39 +420,12 @@ mod tests {
     }
 
     #[test]
-    fn weights_and_strategy_resolution() {
+    fn weights_resolution() {
         let a = parse_args(argv("solve --weights value")).unwrap();
         assert_eq!(weight_scheme(&a).unwrap(), WeightScheme::ValueScaled);
         let d = parse_args(argv("solve")).unwrap();
         assert_eq!(weight_scheme(&d).unwrap(), WeightScheme::Unit);
         assert!(weight_scheme(&parse_args(argv("solve --weights heavy")).unwrap()).is_err());
-        assert!(strategy_mode(&parse_args(argv("solve --strategy auto")).unwrap()).unwrap());
-        assert!(!strategy_mode(&d).unwrap());
-        assert!(strategy_mode(&parse_args(argv("solve --strategy manual")).unwrap()).is_err());
-    }
-
-    #[test]
-    fn auto_strategy_respects_explicit_flags() {
-        let a = matgen::generate(MatrixKind::G3Circuit, Scale::Test);
-        // No explicit flags: the selector decides everything.
-        let args = parse_args(argv("solve --generate g3_circuit --strategy auto")).unwrap();
-        let mut cfg = pdslin::PdslinConfig::default();
-        let s = apply_auto_strategy(&args, &a, &mut cfg);
-        assert_eq!(cfg.block_size, s.block_size);
-        assert_eq!(cfg.rhs_ordering, s.ordering);
-        // Explicit flags survive the selector.
-        let args = parse_args(argv(
-            "solve --generate g3_circuit --strategy auto --ordering natural --block-size 17",
-        ))
-        .unwrap();
-        let mut cfg = pdslin::PdslinConfig {
-            rhs_ordering: rhs_ordering(&args).unwrap(),
-            block_size: args.parse_or("block-size", 60).unwrap(),
-            ..Default::default()
-        };
-        apply_auto_strategy(&args, &a, &mut cfg);
-        assert_eq!(cfg.rhs_ordering, RhsOrdering::Natural);
-        assert_eq!(cfg.block_size, 17);
     }
 
     #[test]

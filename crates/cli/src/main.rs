@@ -2,10 +2,11 @@
 
 use std::process::ExitCode;
 
+use matgen::{MatrixKind, Scale};
 use pdslin::{PartitionStats, Pdslin, PdslinConfig, PdslinError, RecoveryReport};
 use pdslin_cli::{
-    apply_auto_strategy, build_budget, exit_code, load_matrix, parse_args, partitioner,
-    rhs_ordering, scale, strategy_mode, validate_options, weight_scheme, Args, HELP,
+    build_budget, exit_code, load_matrix, parse_args, partitioner, rhs_ordering, validate_options,
+    weight_scheme, Args, HELP,
 };
 use sparsekit::ops::residual_inf_norm;
 
@@ -84,7 +85,7 @@ fn report_recovery(stage: &str, recovery: &RecoveryReport) {
 fn cmd_solve(args: &Args) -> Result<(), CmdError> {
     let a = load_matrix(args)?;
     println!("matrix: n = {}, nnz = {}", a.nrows(), a.nnz());
-    let cfg = solver_config(args, &a)?;
+    let cfg = solver_config(args)?;
     let budget = build_budget(args)?;
     let mut solver = Pdslin::setup_budgeted(&a, cfg, &budget).map_err(|f| f.error)?;
     report_recovery("setup", &solver.stats.recovery);
@@ -137,8 +138,8 @@ fn cmd_solve(args: &Args) -> Result<(), CmdError> {
 }
 
 /// Builds the solver config shared by `solve` and `solve-seq` from the
-/// command-line options (auto strategy applied when requested).
-fn solver_config(args: &Args, a: &sparsekit::Csr) -> Result<PdslinConfig, CmdError> {
+/// command-line options.
+fn solver_config(args: &Args) -> Result<PdslinConfig, CmdError> {
     let mut cfg = PdslinConfig {
         k: args.parse_or("k", 8usize)?,
         partitioner: partitioner(args)?,
@@ -151,17 +152,6 @@ fn solver_config(args: &Args, a: &sparsekit::Csr) -> Result<PdslinConfig, CmdErr
         ..Default::default()
     };
     cfg.gmres.tol = args.parse_or("tol", cfg.gmres.tol)?;
-    if strategy_mode(args)? {
-        let s = apply_auto_strategy(args, a, &mut cfg);
-        eprintln!(
-            "strategy: {} + {} weights + {} ordering, B = {} ({})",
-            cfg.partitioner.label(),
-            cfg.weights.label(),
-            cfg.rhs_ordering.label(),
-            cfg.block_size,
-            s.rationale
-        );
-    }
     Ok(cfg)
 }
 
@@ -180,7 +170,7 @@ fn cmd_solve_seq(args: &Args) -> Result<(), CmdError> {
         a.nrows(),
         a.nnz()
     );
-    let cfg = solver_config(args, &a)?;
+    let cfg = solver_config(args)?;
     let d = pdslin::SequencePolicy::default();
     let policy = pdslin::SequencePolicy {
         max_iteration_growth: args.parse_or("max-iter-growth", d.max_iteration_growth)?,
@@ -305,23 +295,8 @@ fn serve_on_socket(
 fn cmd_partition(args: &Args) -> Result<(), String> {
     let a = load_matrix(args)?;
     let k = args.parse_or("k", 8usize)?;
-    let mut kind = partitioner(args)?;
-    let mut weights = weight_scheme(args)?;
-    if strategy_mode(args)? {
-        let s = pdslin::select_strategy(&a);
-        if args.get("partitioner").is_none() {
-            kind = s.partitioner;
-        }
-        if args.get("weights").is_none() {
-            weights = s.weights;
-        }
-        eprintln!(
-            "strategy: {} + {} weights ({})",
-            kind.label(),
-            weights.label(),
-            s.rationale
-        );
-    }
+    let kind = partitioner(args)?;
+    let weights = weight_scheme(args)?;
     let t = std::time::Instant::now();
     let part = pdslin::compute_partition_weighted(&a, k, &kind, weights);
     let secs = t.elapsed().as_secs_f64();
@@ -352,9 +327,8 @@ fn cmd_partition(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_genmat(args: &Args) -> Result<(), String> {
-    let kind =
-        pdslin_cli::matrix_kind(args.get("generate").ok_or("genmat needs --generate KIND")?)?;
-    let s = scale(args.get_or("scale", "test"))?;
+    let kind = MatrixKind::from_name(args.get("generate").ok_or("genmat needs --generate KIND")?)?;
+    let s = Scale::from_name(args.get_or("scale", "test"))?;
     let out = args.get("out").ok_or("genmat needs --out FILE.mtx")?;
     let a = matgen::generate(kind, s);
     sparsekit::io::write_matrix_market(out, &a).map_err(|e| format!("{e}"))?;

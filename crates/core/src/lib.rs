@@ -24,9 +24,9 @@
 //!    the *implicit* `S`, then back-substitution for the interiors —
 //!    [`precond`], [`driver`].
 //!
-//! [`scaling`] adds the two-level parallel schedule model used to
-//! reproduce the paper's Fig. 1 core-count sweep beyond the physical
-//! cores of the host (see DESIGN.md §3).
+//! The per-subdomain phase costs recorded in [`stats`] feed the `parsim`
+//! crate, which replays them to model the paper's Fig. 1 core-count sweep
+//! beyond the physical cores of the host (see DESIGN.md §3).
 
 pub mod budget;
 pub mod checkpoint;
@@ -41,10 +41,8 @@ mod phases;
 pub mod precond;
 pub mod recovery;
 pub mod rhs_order;
-pub mod scaling;
 pub mod schur;
 pub mod stats;
-pub mod strategy;
 pub mod subdomain;
 
 pub use budget::{Budget, BudgetInterrupt, CancelToken};
@@ -64,4 +62,3 @@ pub use precond::{ImplicitSchur, SchurApplyScratch, SchurPrecond};
 pub use recovery::{RecoveryEvent, RecoveryReport};
 pub use rhs_order::RhsOrdering;
 pub use stats::{PhaseTimes, SetupStats};
-pub use strategy::{sample_features, select_strategy, MatrixFeatures, Strategy};

@@ -49,6 +49,23 @@ impl MatrixKind {
             MatrixKind::G3Circuit => "G3_circuit",
         }
     }
+
+    /// Resolves a kind by its paper name, ignoring case and `.`/`_`/`-`
+    /// (`"dds.quad"`, `"ddsquad"` and `"DDS_QUAD"` are the same kind).
+    /// The error lists the valid names.
+    pub fn from_name(name: &str) -> Result<MatrixKind, String> {
+        let norm = |s: &str| s.to_ascii_lowercase().replace(['.', '_', '-'], "");
+        let wanted = norm(name);
+        MatrixKind::ALL
+            .into_iter()
+            .find(|kind| norm(kind.name()) == wanted)
+            .ok_or_else(|| {
+                format!(
+                    "unknown matrix '{name}' (expected one of: {})",
+                    MatrixKind::ALL.map(|k| k.name()).join(", ")
+                )
+            })
+    }
 }
 
 /// Generation scale: analogue sizes are reduced from the paper's
@@ -59,6 +76,17 @@ pub enum Scale {
     Test,
     /// Benchmark instances for the experiment harnesses (n ≈ 30–130 k).
     Bench,
+}
+
+impl Scale {
+    /// Resolves `"test"` or `"bench"`.
+    pub fn from_name(name: &str) -> Result<Scale, String> {
+        match name {
+            "test" => Ok(Scale::Test),
+            "bench" => Ok(Scale::Bench),
+            other => Err(format!("unknown scale '{other}' (test|bench)")),
+        }
+    }
 }
 
 /// Generates the analogue of a Table-I matrix at the given scale.
@@ -113,6 +141,22 @@ pub fn generate(kind: MatrixKind, scale: Scale) -> Csr {
 mod tests {
     use super::*;
     use crate::stencil::avg_nnz_per_row;
+
+    #[test]
+    fn matrix_kind_resolution() {
+        for (name, kind) in [
+            ("tdr190k", MatrixKind::Tdr190k),
+            ("dds.quad", MatrixKind::DdsQuad),
+            ("ddsquad", MatrixKind::DdsQuad),
+            ("ASIC_680ks", MatrixKind::Asic680ks),
+        ] {
+            assert_eq!(MatrixKind::from_name(name), Ok(kind), "{name}");
+        }
+        let err = MatrixKind::from_name("nope").unwrap_err();
+        assert!(err.contains("G3_circuit"), "{err}");
+        assert_eq!(Scale::from_name("bench").unwrap(), Scale::Bench);
+        assert!(Scale::from_name("huge").is_err());
+    }
 
     #[test]
     fn all_test_scale_matrices_generate() {

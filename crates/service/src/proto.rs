@@ -17,15 +17,17 @@
 //! `schur_drop_tol` (default 1e-8), `krylov` (`gmres`|`bicgstab`);
 //! `partitioner` (`ngd`|`rhb`), `weights` (`unit`|`value`), `ordering`
 //! (`natural`|`postorder`|`hypergraph`|`rgb`, with `tau` for the
-//! hypergraph variant); `strategy` (`"auto"` samples the matrix and
-//! picks partitioner/weights/ordering/block size; explicit fields win);
-//! `rhs` (inline array), `rhs_seed` (deterministic vector), or neither
-//! (all-ones); `deadline_ms` (per-request wall-clock deadline);
-//! `retry_limit` (service-level retry budget, default 2). Fault
-//! injection for soak testing: `fail_attempts` (the service worker
-//! fails this many attempts before succeeding), `worker_panic`
-//! (+`worker_panic_persistent`), `memory_blowup`, `stall_schur_ms`,
-//! `krylov_stall` — mapped onto [`FaultPlan`].
+//! hypergraph variant); `rhs` (inline array), `rhs_seed`
+//! (deterministic vector), or neither (all-ones); `deadline_ms`
+//! (per-request wall-clock deadline); `retry_limit` (service-level
+//! retry budget, default 2). Fault injection for soak testing:
+//! `fail_attempts` (the service worker fails this many attempts before
+//! succeeding), `worker_panic` (+`worker_panic_persistent`),
+//! `memory_blowup`, `stall_schur_ms`, `krylov_stall` — mapped onto
+//! [`FaultPlan`]. Any other field is
+//! rejected as an input error naming it, so a typo cannot silently
+//! leave a request running with defaults; `metrics` and `shutdown`
+//! take only `id` and `op`.
 //!
 //! # Responses
 //!
@@ -37,6 +39,8 @@
 //! * `"error"` — a typed failure: `category` + `code` mirror the CLI's
 //!   exit-code taxonomy (2 input, 3 numerical, 4 budget, 5 execution);
 //! * metrics and shutdown acknowledgements.
+
+use std::collections::BTreeMap;
 
 use crate::json::{escape, num, Json};
 use crate::metrics::MetricsSnapshot;
@@ -104,12 +108,6 @@ pub struct SolveRequest {
     pub weights: WeightScheme,
     /// RHS ordering for the interface solves.
     pub ordering: RhsOrdering,
-    /// Run the automatic strategy selector on the loaded matrix; fields
-    /// the client set explicitly still win over the selector.
-    pub auto_strategy: bool,
-    /// Which of partitioner / weights / ordering / block_size the client
-    /// set explicitly (bits 0..=3) — the selector leaves those alone.
-    pub explicit_fields: u8,
     /// The right-hand side.
     pub rhs: RhsSpec,
     /// Per-request wall-clock deadline, if any.
@@ -157,32 +155,13 @@ pub fn category_code(category: ErrorCategory) -> u8 {
     }
 }
 
-fn matrix_kind_by_name(name: &str) -> Result<matgen::MatrixKind, String> {
-    let norm = name.to_ascii_lowercase().replace(['.', '_', '-'], "");
-    for kind in matgen::MatrixKind::ALL {
-        if kind
-            .name()
-            .to_ascii_lowercase()
-            .replace(['.', '_', '-'], "")
-            == norm
-        {
-            return Ok(kind);
-        }
-    }
-    Err(format!("unknown matrix kind '{name}'"))
-}
-
 impl MatrixSpec {
     /// Loads the matrix this spec names.
     pub fn load(&self) -> Result<sparsekit::Csr, String> {
         match self {
             MatrixSpec::Generate { kind, scale } => {
-                let k = matrix_kind_by_name(kind)?;
-                let s = match scale.as_str() {
-                    "test" => matgen::Scale::Test,
-                    "bench" => matgen::Scale::Bench,
-                    other => return Err(format!("unknown scale '{other}' (test|bench)")),
-                };
+                let k = matgen::MatrixKind::from_name(kind)?;
+                let s = matgen::Scale::from_name(scale)?;
                 Ok(matgen::generate(k, s))
             }
             MatrixSpec::Path(p) => sparsekit::io::read_matrix_market(p).map_err(|e| e.to_string()),
@@ -236,9 +215,7 @@ impl SolveRequest {
         });
         // Partitioner, weighting and ordering all shape the
         // factorization; two requests differing in any of them must not
-        // share a cache entry. `auto_strategy` resolves deterministically
-        // from the matrix, so folding the request-level flag (plus which
-        // fields the client pinned) keeps the key sound.
+        // share a cache entry.
         match self.partitioner {
             PartitionerKind::Ngd => h.write_u8(0),
             PartitionerKind::Rhb(cfg) => {
@@ -260,8 +237,6 @@ impl SolveRequest {
             }
             RhsOrdering::Rgb => h.write_u8(3),
         }
-        h.write_u8(u8::from(self.auto_strategy));
-        h.write_u8(self.explicit_fields);
         // A faulted request must not share (or poison) the clean entry
         // for the same matrix: fold the fault plan into the key.
         let f = &self.fault;
@@ -304,19 +279,70 @@ fn opt_u64(j: &Json, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// The fields a `solve` request may carry; `metrics` and `shutdown`
+/// take only `id` and `op`.
+const SOLVE_FIELDS: [&str; 24] = [
+    "id",
+    "op",
+    "generate",
+    "scale",
+    "matrix",
+    "k",
+    "block_size",
+    "interface_drop_tol",
+    "schur_drop_tol",
+    "krylov",
+    "partitioner",
+    "weights",
+    "ordering",
+    "tau",
+    "rhs",
+    "rhs_seed",
+    "deadline_ms",
+    "retry_limit",
+    "fail_attempts",
+    "worker_panic",
+    "worker_panic_persistent",
+    "memory_blowup",
+    "stall_schur_ms",
+    "krylov_stall",
+];
+
+/// Rejects the first field outside `allowed`, naming it.
+fn reject_unknown_fields(
+    fields: &BTreeMap<String, Json>,
+    op: &str,
+    allowed: &[&str],
+) -> Result<(), String> {
+    match fields.keys().find(|k| !allowed.contains(&k.as_str())) {
+        None => Ok(()),
+        Some(k) => Err(format!("unknown field '{k}' for op '{op}'")),
+    }
+}
+
 /// Parses one request line. The error string is safe to echo back to
 /// the client.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let j = Json::parse(line)?;
+    let Json::Obj(fields) = &j else {
+        return Err("request must be a JSON object".into());
+    };
     let id = j.get("id").and_then(Json::as_str).unwrap_or("").to_string();
     let op = j
         .get("op")
         .and_then(Json::as_str)
         .ok_or("missing 'op' field")?;
     match op {
-        "metrics" => Ok(Request::Metrics { id }),
-        "shutdown" => Ok(Request::Shutdown { id }),
+        "metrics" => {
+            reject_unknown_fields(fields, op, &["id", "op"])?;
+            Ok(Request::Metrics { id })
+        }
+        "shutdown" => {
+            reject_unknown_fields(fields, op, &["id", "op"])?;
+            Ok(Request::Shutdown { id })
+        }
         "solve" => {
+            reject_unknown_fields(fields, op, &SOLVE_FIELDS)?;
             let matrix = match (j.get("generate"), j.get("matrix")) {
                 (Some(g), None) => MatrixSpec::Generate {
                     kind: g.as_str().ok_or("bad 'generate'")?.to_string(),
@@ -348,54 +374,31 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 "bicgstab" => KrylovKind::Bicgstab,
                 other => return Err(format!("unknown krylov '{other}'")),
             };
-            let mut explicit_fields = 0u8;
-            let partitioner = match j.get("partitioner").and_then(Json::as_str) {
-                None => PartitionerKind::Ngd,
-                Some(p) => {
-                    explicit_fields |= 1;
-                    match p {
-                        "ngd" => PartitionerKind::Ngd,
-                        "rhb" => PartitionerKind::Rhb(Default::default()),
-                        other => return Err(format!("unknown partitioner '{other}' (ngd|rhb)")),
-                    }
-                }
+            let partitioner = match j.get("partitioner").and_then(Json::as_str).unwrap_or("ngd") {
+                "ngd" => PartitionerKind::Ngd,
+                "rhb" => PartitionerKind::Rhb(Default::default()),
+                other => return Err(format!("unknown partitioner '{other}' (ngd|rhb)")),
             };
-            let weights = match j.get("weights").and_then(Json::as_str) {
-                None => WeightScheme::Unit,
-                Some(w) => {
-                    explicit_fields |= 2;
-                    match w {
-                        "unit" => WeightScheme::Unit,
-                        "value" => WeightScheme::ValueScaled,
-                        other => return Err(format!("unknown weights '{other}' (unit|value)")),
-                    }
-                }
+            let weights = match j.get("weights").and_then(Json::as_str).unwrap_or("unit") {
+                "unit" => WeightScheme::Unit,
+                "value" => WeightScheme::ValueScaled,
+                other => return Err(format!("unknown weights '{other}' (unit|value)")),
             };
-            let ordering = match j.get("ordering").and_then(Json::as_str) {
-                None => RhsOrdering::Postorder,
-                Some(o) => {
-                    explicit_fields |= 4;
-                    match o {
-                        "natural" => RhsOrdering::Natural,
-                        "postorder" => RhsOrdering::Postorder,
-                        "hypergraph" => RhsOrdering::Hypergraph {
-                            tau: match j.get("tau") {
-                                None | Some(Json::Null) => None,
-                                Some(v) => Some(v.as_f64().ok_or("bad 'tau'")?),
-                            },
-                        },
-                        "rgb" => RhsOrdering::Rgb,
-                        other => return Err(format!("unknown ordering '{other}'")),
-                    }
-                }
-            };
-            if !matches!(j.get("block_size"), None | Some(Json::Null)) {
-                explicit_fields |= 8;
-            }
-            let auto_strategy = match j.get("strategy").and_then(Json::as_str) {
-                None => false,
-                Some("auto") => true,
-                Some(other) => return Err(format!("unknown strategy '{other}' (auto)")),
+            let ordering = match j
+                .get("ordering")
+                .and_then(Json::as_str)
+                .unwrap_or("postorder")
+            {
+                "natural" => RhsOrdering::Natural,
+                "postorder" => RhsOrdering::Postorder,
+                "hypergraph" => RhsOrdering::Hypergraph {
+                    tau: match j.get("tau") {
+                        None | Some(Json::Null) => None,
+                        Some(v) => Some(v.as_f64().ok_or("bad 'tau'")?),
+                    },
+                },
+                "rgb" => RhsOrdering::Rgb,
+                other => return Err(format!("unknown ordering '{other}'")),
             };
             let fault = FaultPlan {
                 worker_panic: opt_u64(&j, "worker_panic")?.map(|v| v as usize),
@@ -415,8 +418,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 partitioner,
                 weights,
                 ordering,
-                auto_strategy,
-                explicit_fields,
                 rhs,
                 deadline_ms: opt_u64(&j, "deadline_ms")?,
                 retry_limit: field_u64(&j, "retry_limit", 2)? as u32,
@@ -644,6 +645,7 @@ mod tests {
         assert!(parse_request(r#"{"id":"x"}"#).is_err());
         assert!(parse_request(r#"{"id":"x","op":"dance"}"#).is_err());
         assert!(parse_request("not json").is_err());
+        assert!(parse_request(r#"["op","solve"]"#).is_err());
     }
 
     #[test]
@@ -680,7 +682,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_strategy_and_ordering_fields() {
+    fn parses_partitioner_weights_and_ordering_fields() {
         let s = parse_solve(
             r#"{"id":"a","op":"solve","generate":"g3_circuit","partitioner":"rhb",
                 "weights":"value","ordering":"rgb"}"#,
@@ -688,19 +690,12 @@ mod tests {
         assert!(matches!(s.partitioner, PartitionerKind::Rhb(_)));
         assert_eq!(s.weights, WeightScheme::ValueScaled);
         assert_eq!(s.ordering, RhsOrdering::Rgb);
-        assert!(!s.auto_strategy);
-        assert_eq!(s.explicit_fields, 1 | 2 | 4);
 
-        let s = parse_solve(
-            r#"{"id":"b","op":"solve","generate":"g3_circuit","strategy":"auto","block_size":30}"#,
-        );
-        assert!(s.auto_strategy);
-        assert_eq!(s.explicit_fields, 8, "only block_size pinned");
+        let s = parse_solve(r#"{"id":"b","op":"solve","generate":"g3_circuit"}"#);
+        assert!(matches!(s.partitioner, PartitionerKind::Ngd));
+        assert_eq!(s.weights, WeightScheme::Unit);
+        assert_eq!(s.ordering, RhsOrdering::Postorder);
 
-        assert!(parse_request(
-            r#"{"id":"x","op":"solve","generate":"g3_circuit","strategy":"manual"}"#
-        )
-        .is_err());
         assert!(parse_request(
             r#"{"id":"x","op":"solve","generate":"g3_circuit","ordering":"zigzag"}"#
         )
@@ -712,7 +707,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_key_separates_strategy_fields() {
+    fn spec_key_separates_partitioner_weights_and_ordering() {
         let base = parse_solve(r#"{"id":"a","op":"solve","generate":"g3_circuit"}"#);
         let rhb =
             parse_solve(r#"{"id":"b","op":"solve","generate":"g3_circuit","partitioner":"rhb"}"#);
@@ -726,8 +721,6 @@ mod tests {
         let notau = parse_solve(
             r#"{"id":"f","op":"solve","generate":"g3_circuit","ordering":"hypergraph"}"#,
         );
-        let auto =
-            parse_solve(r#"{"id":"g","op":"solve","generate":"g3_circuit","strategy":"auto"}"#);
         let keys = [
             base.spec_key(),
             rhb.spec_key(),
@@ -735,13 +728,73 @@ mod tests {
             rgb.spec_key(),
             tau.spec_key(),
             notau.spec_key(),
-            auto.spec_key(),
         ];
         for (i, a) in keys.iter().enumerate() {
             for b in keys.iter().skip(i + 1) {
-                assert_ne!(a, b, "strategy fields must split the cache key");
+                assert_ne!(a, b, "configuration fields must split the cache key");
             }
         }
+        // Spelling out a default configures the same solve as omitting it.
+        let spelled = parse_solve(
+            r#"{"id":"h","op":"solve","generate":"g3_circuit","partitioner":"ngd",
+                "weights":"unit","ordering":"postorder","block_size":60}"#,
+        );
+        assert_eq!(base.spec_key(), spelled.spec_key());
+    }
+
+    /// The reply the transport sends for a line `parse_request` rejects.
+    fn rejection(line: &str) -> Json {
+        let msg = parse_request(line).expect_err(line);
+        Json::parse(&Response::input_error("", msg).to_json_line()).unwrap()
+    }
+
+    #[test]
+    fn unknown_solve_fields_are_input_errors() {
+        // A typo must not leave the request running with defaults, and
+        // there is no automatic strategy selector to ask for.
+        for (line, field) in [
+            (
+                r#"{"id":"a","op":"solve","generate":"g3_circuit","blocksize":30}"#,
+                "blocksize",
+            ),
+            (
+                r#"{"id":"a","op":"solve","generate":"g3_circuit","strategy":"auto"}"#,
+                "strategy",
+            ),
+        ] {
+            let j = rejection(line);
+            assert_eq!(j.get("status").unwrap().as_str(), Some("error"));
+            assert_eq!(j.get("category").unwrap().as_str(), Some("input"));
+            assert_eq!(j.get("code").unwrap().as_u64(), Some(2));
+            let msg = j.get("error").unwrap().as_str().unwrap();
+            assert!(msg.contains(field), "{line}: {msg}");
+        }
+    }
+
+    #[test]
+    fn control_ops_take_only_id_and_op() {
+        for line in [
+            r#"{"id":"m","op":"metrics","verbose":true}"#,
+            r#"{"id":"bye","op":"shutdown","drain_ms":10}"#,
+        ] {
+            let j = rejection(line);
+            assert_eq!(j.get("category").unwrap().as_str(), Some("input"));
+            assert_eq!(j.get("code").unwrap().as_u64(), Some(2));
+        }
+    }
+
+    #[test]
+    fn every_documented_solve_field_is_accepted() {
+        parse_solve(
+            r#"{"id":"a","op":"solve","generate":"g3_circuit","scale":"test","k":4,
+                "block_size":30,"interface_drop_tol":1e-8,"schur_drop_tol":1e-8,
+                "krylov":"gmres","partitioner":"rhb","weights":"value",
+                "ordering":"hypergraph","tau":0.4,"rhs_seed":1,"deadline_ms":100,
+                "retry_limit":1,"fail_attempts":0,"worker_panic":0,
+                "worker_panic_persistent":false,"memory_blowup":false,
+                "stall_schur_ms":1,"krylov_stall":false}"#,
+        );
+        parse_solve(r#"{"id":"b","op":"solve","matrix":"/tmp/m.mtx","rhs":[1.0]}"#);
     }
 
     #[test]

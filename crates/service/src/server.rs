@@ -443,13 +443,9 @@ fn budget_until(inner: &Inner, deadline: Option<Instant>) -> Result<Budget, Pdsl
     Ok(b)
 }
 
-/// Builds the solver config for a request. With `strategy: "auto"` the
-/// selector inspects the loaded matrix and fills in partitioner,
-/// weighting, ordering and block size — except for the fields the
-/// client pinned explicitly (tracked in `explicit_fields`), which
-/// always win.
-fn solver_config(req: &SolveRequest, a: &sparsekit::Csr) -> PdslinConfig {
-    let mut cfg = PdslinConfig {
+/// Builds the solver config for a request.
+fn solver_config(req: &SolveRequest) -> PdslinConfig {
+    PdslinConfig {
         k: req.k,
         block_size: req.block_size,
         partitioner: req.partitioner,
@@ -460,23 +456,7 @@ fn solver_config(req: &SolveRequest, a: &sparsekit::Csr) -> PdslinConfig {
         krylov: req.krylov,
         fault: req.fault,
         ..Default::default()
-    };
-    if req.auto_strategy {
-        let s = pdslin::select_strategy(a);
-        if req.explicit_fields & 1 == 0 {
-            cfg.partitioner = s.partitioner;
-        }
-        if req.explicit_fields & 2 == 0 {
-            cfg.weights = s.weights;
-        }
-        if req.explicit_fields & 4 == 0 {
-            cfg.rhs_ordering = s.ordering;
-        }
-        if req.explicit_fields & 8 == 0 {
-            cfg.block_size = s.block_size;
-        }
     }
-    cfg
 }
 
 fn observe_solve_ms(inner: &Inner, ms: f64) {
@@ -666,7 +646,7 @@ fn resolve_entry(
     let stashed = lock_recover(&inner.stash).remove(&cache_key);
     let result = match stashed {
         Some(ckpt) => Pdslin::resume(*ckpt, &budget),
-        None => Pdslin::setup_budgeted(&a, solver_config(spec, &a), &budget),
+        None => Pdslin::setup_budgeted(&a, solver_config(spec), &budget),
     };
     match result {
         Ok(solver) => {

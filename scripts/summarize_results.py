@@ -41,20 +41,17 @@ def fig1():
     rows = load("fig1_scaling")
     if not rows:
         return
-    print("\n## fig1_scaling (event model)\n")
+    print("\n## fig1_scaling (parsim event model)\n")
     print("| partitioner | cores | LU(D) | Comp(S) | LU(S) | Solve | total |")
     print("|---|---|---|---|---|---|---|")
     for r in rows:
-        if r["model"] != "event":
-            continue
         print(
             f"| {r['partitioner']} | {r['cores']} | {r['lu_d']:.2f} | "
             f"{r['comp_s']:.2f} | {r['lu_s']:.2f} | {r['solve']:.2f} | {r['total']:.2f} |"
         )
     # speedup of RHB over NGD per core count
-    ev = [r for r in rows if r["model"] == "event"]
     by = {}
-    for r in ev:
+    for r in rows:
         by.setdefault(r["cores"], {})[r["partitioner"]] = r["total"]
     print("\nRHB speedup over NGD per core count:")
     for c, d in sorted(by.items()):
@@ -432,7 +429,6 @@ BENCH_PARTITION_SCHEMA = {
     "rhb_vw_sep": int,
     "ngd_time_s": float,
     "rhb_time_s": float,
-    "strategy": str,
 }
 
 
@@ -458,15 +454,14 @@ def bench_partition():
     )
     print(
         "| matrix | B | natural | postorder | hypergraph | rgb | NGD sep u/v | RHB sep u/v "
-        "| NGD s | RHB s | auto strategy |"
+        "| NGD s | RHB s |"
     )
-    print("|---|---|---|---|---|---|---|---|---|---|---|")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for r in rows:
         print(
             f"| {r['matrix']} | {r['block_size']} | {r['natural']} | {r['postorder']} | "
             f"{r['hypergraph']} | {r['rgb']} | {r['ngd_sep']}/{r['ngd_vw_sep']} | "
-            f"{r['rhb_sep']}/{r['rhb_vw_sep']} | {r['ngd_time_s']:.4f} | {r['rhb_time_s']:.4f} | "
-            f"{r['strategy']} |"
+            f"{r['rhb_sep']}/{r['rhb_vw_sep']} | {r['ngd_time_s']:.4f} | {r['rhb_time_s']:.4f} |"
         )
 
 

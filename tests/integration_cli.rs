@@ -81,9 +81,21 @@ fn bad_matrix_path_is_an_error_not_a_panic() {
 #[test]
 fn all_paper_matrices_resolve_by_name() {
     for kind in matgen::MatrixKind::ALL {
-        let resolved = pdslin_cli::matrix_kind(kind.name()).unwrap();
-        assert_eq!(resolved, kind);
+        let args = parse_args(argv(&format!("info --generate {}", kind.name()))).unwrap();
+        let a = load_matrix(&args).unwrap();
+        assert_eq!(
+            a,
+            matgen::generate(kind, matgen::Scale::Test),
+            "{}",
+            kind.name()
+        );
     }
+    let args = parse_args(argv("info --generate nope")).unwrap();
+    let err = load_matrix(&args).unwrap_err();
+    assert!(
+        err.contains("G3_circuit"),
+        "the error lists the valid names: {err}"
+    );
 }
 
 #[test]
@@ -128,6 +140,15 @@ fn unknown_options_are_rejected_with_input_exit_code() {
             let name = flag.split_whitespace().next().unwrap();
             assert!(err.contains(name), "{line}: {err}");
         }
+    }
+
+    // A solve is configured by explicit options alone: there is no
+    // automatic strategy selector, so `--strategy` is an unknown option.
+    for cmd in ["solve", "solve-seq", "partition"] {
+        let line = format!("{cmd} --generate g3_circuit --strategy auto");
+        let args = parse_args(argv(&line)).unwrap();
+        let err = validate_options(&args).expect_err(&line);
+        assert!(err.contains("--strategy"), "{line}: {err}");
     }
 
     // Valid option sets pass untouched, including the serve subcommand.

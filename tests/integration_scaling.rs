@@ -1,12 +1,12 @@
 //! End-to-end Fig.-1 pipeline test: measure a real solver setup, replay
-//! it through both scaling models, and check the qualitative claims.
+//! it through the `parsim` event-driven model, and check the qualitative
+//! claims.
 
 use parsim::pdslin_model::{sweep, MeasuredCosts};
 use parsim::Machine;
-use pdslin::scaling::ScalingModel;
 use pdslin::{Pdslin, PdslinConfig};
 
-fn measured_costs(a: &sparsekit::Csr, k: usize) -> (MeasuredCosts, pdslin::stats::SetupStats) {
+fn measured_costs(a: &sparsekit::Csr, k: usize) -> MeasuredCosts {
     let cfg = PdslinConfig {
         k,
         parallel: false,
@@ -15,7 +15,7 @@ fn measured_costs(a: &sparsekit::Csr, k: usize) -> (MeasuredCosts, pdslin::stats
     let mut solver = Pdslin::setup(a, cfg).expect("setup");
     let b = vec![1.0; a.nrows()];
     let _ = solver.solve(&b).expect("solve");
-    let costs = MeasuredCosts {
+    MeasuredCosts {
         lu_d: solver.stats.domain_costs.lu_d.clone(),
         comp_s: solver.stats.domain_costs.comp_s.clone(),
         gather_bytes: solver
@@ -26,14 +26,13 @@ fn measured_costs(a: &sparsekit::Csr, k: usize) -> (MeasuredCosts, pdslin::stats
             .collect(),
         lu_s: solver.stats.times.lu_s,
         solve: solver.stats.times.solve,
-    };
-    (costs, solver.stats)
+    }
 }
 
 #[test]
 fn simulated_sweep_is_monotone_and_phase_consistent() {
     let a = matgen::generate(matgen::MatrixKind::Tdr190k, matgen::Scale::Test);
-    let (costs, stats) = measured_costs(&a, 8);
+    let costs = measured_costs(&a, 8);
     let machine = Machine::default();
     let cores = [8usize, 32, 128, 512, 1024];
     let sim = sweep(&costs, &machine, 8, &cores);
@@ -48,14 +47,14 @@ fn simulated_sweep_is_monotone_and_phase_consistent() {
     // the slowest subdomain's sequential cost.
     let max_lu = costs.lu_d.iter().cloned().fold(0.0, f64::max);
     assert!(sim[0].lu_d >= max_lu * 0.9);
-    // The event model and the analytic model must agree on the trend.
-    let analytic = ScalingModel::default().sweep(&stats.domain_costs, &stats.times, 8, &cores);
-    for (s, p) in sim.iter().zip(&analytic) {
-        assert_eq!(s.cores, p.cores);
+    for (s, &c) in sim.iter().zip(&cores) {
+        assert_eq!(s.cores, c);
     }
     let sim_speedup = sim[0].makespan / sim.last().unwrap().makespan;
-    let ana_speedup = analytic[0].total() / analytic.last().unwrap().total();
-    assert!(sim_speedup > 1.0 && ana_speedup > 1.0);
+    assert!(
+        sim_speedup > 1.0,
+        "1024 cores must beat 8, got {sim_speedup}"
+    );
 }
 
 #[test]
@@ -63,7 +62,7 @@ fn comp_s_dominates_at_low_core_counts() {
     // The paper's premise: the preconditioner computation (Comp(S))
     // dominates the runtime at small core counts on cavity problems.
     let a = matgen::generate(matgen::MatrixKind::Tdr190k, matgen::Scale::Test);
-    let (costs, _stats) = measured_costs(&a, 8);
+    let costs = measured_costs(&a, 8);
     let machine = Machine {
         cores: 8,
         ..Default::default()
