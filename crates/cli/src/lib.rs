@@ -78,7 +78,7 @@ impl Args {
 /// be silently ignored and leave the user running with defaults.
 pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
     const SOURCE: [&str; 3] = ["matrix", "generate", "scale"];
-    const SOLVE: [&str; 17] = [
+    const SOLVE: [&str; 16] = [
         "matrix",
         "generate",
         "scale",
@@ -90,7 +90,6 @@ pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
         "ordering",
         "tau",
         "block-size",
-        "krylov",
         "tol",
         "interface-drop",
         "schur-drop",
@@ -107,7 +106,7 @@ pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
         "constraint",
         "weights",
     ];
-    const SOLVE_SEQ: [&str; 20] = [
+    const SOLVE_SEQ: [&str; 19] = [
         "matrix",
         "generate",
         "scale",
@@ -121,7 +120,6 @@ pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
         "ordering",
         "tau",
         "block-size",
-        "krylov",
         "tol",
         "interface-drop",
         "schur-drop",
@@ -222,15 +220,6 @@ pub fn weight_scheme(args: &Args) -> Result<WeightScheme, String> {
     }
 }
 
-/// Resolves the outer Krylov method.
-pub fn krylov_kind(args: &Args) -> Result<pdslin::KrylovKind, String> {
-    match args.get_or("krylov", "gmres") {
-        "gmres" => Ok(pdslin::KrylovKind::Gmres),
-        "bicgstab" => Ok(pdslin::KrylovKind::Bicgstab),
-        other => Err(format!("unknown krylov method '{other}' (gmres|bicgstab)")),
-    }
-}
-
 /// Resolves the RHS ordering options.
 pub fn rhs_ordering(args: &Args) -> Result<RhsOrdering, String> {
     match args.get_or("ordering", "postorder") {
@@ -309,7 +298,7 @@ USAGE:
                    [--k K] [--partitioner ngd|rhb] [--metric soed|cnet|con1]
                    [--constraint single|multi|unit] [--weights unit|value]
                    [--ordering natural|postorder|hypergraph|rgb [--tau T]]
-                   [--block-size B] [--krylov gmres|bicgstab] [--tol TOL]
+                   [--block-size B] [--tol TOL]
                    [--deadline SECS] [--mem-budget-mb MB]
   pdslin solve-seq (--matrix F.mtx | --generate KIND [--scale test|bench])
                    [--steps N] [--drift D] [--k K] [--tol TOL]

@@ -146,7 +146,6 @@ fn solver_config(args: &Args) -> Result<PdslinConfig, CmdError> {
         weights: weight_scheme(args)?,
         rhs_ordering: rhs_ordering(args)?,
         block_size: args.parse_or("block-size", 60usize)?,
-        krylov: pdslin_cli::krylov_kind(args)?,
         interface_drop_tol: args.parse_or("interface-drop", 1e-8)?,
         schur_drop_tol: args.parse_or("schur-drop", 1e-8)?,
         ..Default::default()

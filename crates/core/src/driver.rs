@@ -5,8 +5,8 @@
 //! partition fallback chain on degeneracy, retries failed subdomain and
 //! Schur factorisations with escalating pivoting and diagonal
 //! perturbation, and repairs poisoned interface blocks. The solve walks
-//! a Krylov fallback chain (primary method → restart growth → method
-//! switch → direct `LU(S̃)` solve with iterative refinement). Every
+//! a Krylov fallback chain (GMRES → GMRES with a doubled restart →
+//! direct `LU(S̃)` solve with iterative refinement). Every
 //! recovery action is recorded in a [`RecoveryReport`] so a clean run
 //! is distinguishable from a rescued one.
 //!
@@ -36,10 +36,7 @@ use std::cell::RefCell;
 use std::time::Instant;
 
 use graphpart::WeightScheme;
-use krylov::{
-    bicgstab_with_workspace, gmres_with_workspace, BicgstabConfig, BicgstabWorkspace, GmresConfig,
-    GmresWorkspace, LinearOperator,
-};
+use krylov::{gmres_with_workspace, GmresConfig, GmresWorkspace, LinearOperator};
 use slu::{LuFactors, TriScratch};
 use sparsekit::budget::{Budget, BudgetInterrupt};
 use sparsekit::ops::{axpy, norm2};
@@ -59,15 +56,6 @@ use crate::recovery::{RecoveryEvent, RecoveryReport};
 use crate::rhs_order::RhsOrdering;
 use crate::stats::SetupStats;
 use crate::subdomain::FactoredDomain;
-
-/// Which Krylov method solves the Schur system (2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KrylovKind {
-    /// Restarted GMRES (the default in PDSLin).
-    Gmres,
-    /// BiCGSTAB — shorter recurrences, no restart memory.
-    Bicgstab,
-}
 
 /// Full PDSLin configuration.
 #[derive(Clone, Copy, Debug)]
@@ -89,8 +77,6 @@ pub struct PdslinConfig {
     pub schur_drop_tol: f64,
     /// Threshold-pivoting parameter of the subdomain LU.
     pub pivot_threshold: f64,
-    /// Outer Krylov method.
-    pub krylov: KrylovKind,
     /// GMRES parameters for the Schur system.
     pub gmres: GmresConfig,
     /// Run the subdomain phases in parallel (scoped threads).
@@ -110,7 +96,6 @@ impl Default for PdslinConfig {
             interface_drop_tol: 1e-8,
             schur_drop_tol: 1e-8,
             pivot_threshold: 0.1,
-            krylov: KrylovKind::Gmres,
             gmres: GmresConfig {
                 restart: 100,
                 max_iters: 500,
@@ -901,7 +886,6 @@ struct LaneScratch {
     /// Arena behind [`SchurPrecond`] applies and the direct fallback.
     precond_tri: RefCell<TriScratch>,
     gmres: GmresWorkspace,
-    bicgstab: BicgstabWorkspace,
     allocations: u64,
     resets: u64,
 }
@@ -961,7 +945,6 @@ impl LaneScratch {
             + self.schur_apply.borrow().allocations()
             + self.precond_tri.borrow().allocations()
             + self.gmres.allocations()
-            + self.bicgstab.allocations()
     }
 }
 
@@ -1023,7 +1006,6 @@ fn solve_one(
         schur_apply,
         precond_tri,
         gmres: gmres_ws,
-        bicgstab: bicg_ws,
         ..
     } = lane;
     // Split b into interior parts f_ℓ and the separator part g, then
@@ -1052,7 +1034,7 @@ fn solve_one(
         tri: precond_tri,
     };
     let (y, iterations, schur_residual, converged, method, recovery) = solve_schur_chain(
-        &op, &m, schur_lu, cfg, stats, ghat, budget, gmres_ws, bicg_ws, direct, workers,
+        &op, &m, schur_lu, cfg, stats, ghat, budget, gmres_ws, direct, workers,
     )?;
     // Back-substitute the interiors: u_ℓ = D⁻¹ (f_ℓ − Ê_ℓ y).
     let mut x = vec![0.0; n];
@@ -1083,10 +1065,10 @@ fn solve_one(
     })
 }
 
-/// The Krylov fallback chain on the Schur system: primary method,
-/// then restart growth / method switch, then the direct `LU(S̃)`
+/// The Krylov fallback chain on the Schur system: GMRES, then GMRES
+/// with a doubled restart and iteration cap, then the direct `LU(S̃)`
 /// solve refined against the implicit `S`. All vector state lives in
-/// the caller's lane (`gmres_ws` / `bicg_ws` / `direct`), so repeat
+/// the caller's lane (`gmres_ws` / `direct`), so repeat
 /// solves allocate nothing here beyond the returned `y`.
 #[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn solve_schur_chain(
@@ -1098,7 +1080,6 @@ fn solve_schur_chain(
     ghat: &[f64],
     budget: &Budget,
     gmres_ws: &mut GmresWorkspace,
-    bicg_ws: &mut BicgstabWorkspace,
     direct: DirectScratch<'_>,
     workers: usize,
 ) -> Result<(Vec<f64>, usize, f64, bool, String, RecoveryReport), PdslinError> {
@@ -1107,92 +1088,62 @@ fn solve_schur_chain(
     let tol = base.tol;
     let floor = acceptance_floor(tol);
     let mut recovery = RecoveryReport::default();
-    let mut tried: Vec<String> = Vec::new();
     // Best iterate seen so far: (y, iterations, residual, method).
-    let mut best: Option<(Vec<f64>, usize, f64, String)> = None;
+    let mut best: Option<(Vec<f64>, usize, f64, &str)> = None;
 
-    // (label, method) chain after the primary attempt.
-    enum Stage {
-        Gmres(GmresConfig),
-        Bicg(BicgstabConfig),
-    }
-    let doubled = base.max_iters.saturating_mul(2);
-    let gmres = |restart, max_iters| GmresConfig {
-        restart,
-        max_iters,
-        tol,
-    };
-    let bicg = |max_iters| BicgstabConfig { max_iters, tol };
     // Fault injection: starve the first attempt (zero iterations
     // allowed) so the fallback chain is genuinely exercised.
-    let stall = cfg.fault.krylov_stall;
-    let chain = match cfg.krylov {
-        KrylovKind::Gmres => vec![
-            (
-                "gmres",
-                Stage::Gmres(if stall { gmres(1, 0) } else { base }),
-            ),
-            (
-                "gmres(restart-grow)",
-                Stage::Gmres(gmres(base.restart.saturating_mul(2), doubled)),
-            ),
-            ("bicgstab", Stage::Bicg(bicg(doubled))),
-        ],
-        KrylovKind::Bicgstab => vec![
-            (
-                "bicgstab",
-                Stage::Bicg(bicg(if stall { 0 } else { base.max_iters })),
-            ),
-            ("gmres", Stage::Gmres(gmres(base.restart, doubled))),
-        ],
+    let first = if cfg.fault.krylov_stall {
+        GmresConfig {
+            restart: 1,
+            max_iters: 0,
+            ..base
+        }
+    } else {
+        base
     };
+    let grown = GmresConfig {
+        restart: base.restart.saturating_mul(2),
+        max_iters: base.max_iters.saturating_mul(2),
+        ..base
+    };
+    let chain = [("gmres", first), ("gmres(restart-grow)", grown)];
 
-    let mut prev_reason = String::new();
-    for (label, stage) in chain {
-        if let Some(last) = tried.last() {
+    // Why the previous rung was abandoned.
+    let mut reason = String::new();
+    for (i, &(label, c)) in chain.iter().enumerate() {
+        if i > 0 {
             recovery.push(RecoveryEvent::KrylovFallback {
-                from: last.clone(),
+                from: chain[i - 1].0.to_string(),
                 to: label.to_string(),
-                reason: prev_reason.clone(),
+                reason: std::mem::take(&mut reason),
             });
         }
-        let (y, iters, residual, ok, breakdown) = match stage {
-            Stage::Gmres(c) => {
-                let r = gmres_with_workspace(op, m, ghat, None, &c, budget, gmres_ws);
-                if let Some(i) = r.interrupted {
-                    return Err(interrupted(i));
-                }
-                (r.x, r.iterations, r.residual, r.converged, r.breakdown)
-            }
-            Stage::Bicg(c) => {
-                let r = bicgstab_with_workspace(op, m, ghat, None, &c, budget, bicg_ws);
-                if let Some(i) = r.interrupted {
-                    return Err(interrupted(i));
-                }
-                (r.x, r.iterations, r.residual, r.converged, r.breakdown)
-            }
-        };
-        tried.push(label.to_string());
+        let r = gmres_with_workspace(op, m, ghat, None, &c, budget, gmres_ws);
+        if let Some(i) = r.interrupted {
+            return Err(interrupted(i));
+        }
+        let (y, iters, residual, ok, breakdown) =
+            (r.x, r.iterations, r.residual, r.converged, r.breakdown);
         if ok {
             return Ok((y, iters, residual, true, label.to_string(), recovery));
         }
-        prev_reason = match breakdown {
+        reason = match breakdown {
             Some(b) => b.to_string(),
             None => format!("residual {residual:.1e} after {iters} iterations"),
         };
         if residual.is_finite() && best.as_ref().is_none_or(|(_, _, r, _)| residual < *r) {
-            best = Some((y, iters, residual, label.to_string()));
+            best = Some((y, iters, residual, label));
         }
     }
 
     // Last resort: y = S̃⁻¹ ĝ, refined against the implicit S.
+    let label = "direct(LU(S~)+IR)";
     recovery.push(RecoveryEvent::KrylovFallback {
-        from: tried.last().cloned().unwrap_or_default(),
+        from: chain[chain.len() - 1].0.to_string(),
         to: "direct".to_string(),
-        reason: prev_reason,
+        reason,
     });
-    let label = "direct(LU(S~)+IR)".to_string();
-    tried.push(label.clone());
     let bnorm = match norm2(ghat) {
         0.0 => 1.0,
         t => t,
@@ -1223,12 +1174,21 @@ fn solve_schur_chain(
         best = Some((y, steps, residual, label));
     }
     match best {
-        Some((y, iters, residual, label)) if residual <= floor => {
-            Ok((y, iters, residual, residual <= tol, label, recovery))
-        }
+        Some((y, iters, residual, label)) if residual <= floor => Ok((
+            y,
+            iters,
+            residual,
+            residual <= tol,
+            label.to_string(),
+            recovery,
+        )),
         _ => {
             let residual = best.map(|(_, _, r, _)| r).unwrap_or(f64::INFINITY);
-            Err(PdslinError::SolveFailed { residual, tried })
+            let tried = chain.iter().map(|&(l, _)| l).chain([label]);
+            Err(PdslinError::SolveFailed {
+                residual,
+                tried: tried.map(String::from).collect(),
+            })
         }
     }
 }
@@ -1356,18 +1316,6 @@ mod tests {
         for (p, s) in xp.iter().zip(&xs) {
             assert!((p - s).abs() < 1e-8);
         }
-    }
-
-    #[test]
-    fn bicgstab_outer_solver_works() {
-        let a = laplace2d(14, 14);
-        let cfg = PdslinConfig {
-            k: 2,
-            krylov: KrylovKind::Bicgstab,
-            ..Default::default()
-        };
-        let out = solve_and_check(&a, cfg);
-        assert!(out.iterations < 100);
     }
 
     #[test]
@@ -1590,11 +1538,35 @@ mod tests {
             "{}",
             out.recovery.summary()
         );
-        assert_ne!(
-            out.method, "gmres",
+        assert_eq!(
+            out.method, "gmres(restart-grow)",
             "the starved primary cannot have produced the answer"
         );
         assert!(residual_inf_norm(&a, &out.x, &b) < 1e-6);
+    }
+
+    #[test]
+    fn exhausted_chain_reports_every_rung_tried() {
+        // One GMRES step per rung and a diagonal-only S̃ as the direct
+        // rung's preconditioner: no rung reaches the acceptance floor.
+        let a = laplace2d(16, 16);
+        let cfg = PdslinConfig {
+            k: 2,
+            schur_drop_tol: 1e3,
+            gmres: GmresConfig {
+                restart: 1,
+                max_iters: 1,
+                tol: 1e-14,
+            },
+            ..Default::default()
+        };
+        let mut s = Pdslin::setup(&a, cfg).unwrap();
+        match s.solve(&vec![1.0; a.nrows()]) {
+            Err(PdslinError::SolveFailed { tried, .. }) => {
+                assert_eq!(tried, ["gmres", "gmres(restart-grow)", "direct(LU(S~)+IR)"])
+            }
+            other => panic!("expected SolveFailed, got {other:?}"),
+        }
     }
 
     // ----- sequence solves / incremental refactorization -----

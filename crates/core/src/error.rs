@@ -82,7 +82,7 @@ pub enum PdslinError {
         source: LuError,
     },
     /// The outer Krylov solve did not reach an acceptable residual even
-    /// after the full fallback chain (restart growth, method switch,
+    /// after the full fallback chain (GMRES restart growth, then a
     /// direct `LU(S̃)` solve with iterative refinement).
     SolveFailed {
         /// Best relative residual achieved by any method in the chain.
@@ -245,9 +245,9 @@ mod tests {
     fn solve_failed_lists_methods() {
         let e = PdslinError::SolveFailed {
             residual: 1.0,
-            tried: vec!["gmres".into(), "bicgstab".into()],
+            tried: vec!["gmres".into(), "direct(LU(S~)+IR)".into()],
         };
-        assert!(e.to_string().contains("gmres, bicgstab"));
+        assert!(e.to_string().contains("gmres, direct(LU(S~)+IR)"));
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub mod subdomain;
 pub use budget::{Budget, BudgetInterrupt, CancelToken};
 pub use checkpoint::SetupCheckpoint;
 pub use driver::{
-    KrylovKind, Pdslin, PdslinConfig, ScratchStats, SequencePolicy, SequenceStep, SetupFailure,
-    SolveOutcome, UpdateOutcome,
+    Pdslin, PdslinConfig, ScratchStats, SequencePolicy, SequenceStep, SetupFailure, SolveOutcome,
+    UpdateOutcome,
 };
 pub use error::{ErrorCategory, PdslinError};
 pub use extract::{extract_dbbd, DbbdSystem, LocalDomain};

@@ -246,7 +246,7 @@ mod tests {
         let mut other = RecoveryReport::default();
         other.push(RecoveryEvent::KrylovFallback {
             from: "gmres".into(),
-            to: "bicgstab".into(),
+            to: "gmres(restart-grow)".into(),
             reason: "stalled".into(),
         });
         r.extend(other);
@@ -257,6 +257,6 @@ mod tests {
         ));
         let s = r.summary();
         assert!(s.contains("T~_1"), "{s}");
-        assert!(s.contains("gmres -> bicgstab"), "{s}");
+        assert!(s.contains("gmres -> gmres(restart-grow)"), "{s}");
     }
 }

@@ -18,40 +18,29 @@
 //! assert!((r.x[2] - 3.0).abs() < 1e-10);
 //! ```
 
-pub mod bicgstab;
 pub mod gmres;
 pub mod operator;
 
-pub use bicgstab::{
-    bicgstab, bicgstab_with_workspace, BicgstabConfig, BicgstabResult, BicgstabWorkspace,
-};
 pub use gmres::{gmres, gmres_with_workspace, GmresConfig, GmresResult, GmresWorkspace};
 pub use operator::{CsrOperator, IdentityPrecond, JacobiPrecond, LinearOperator, Preconditioner};
 
 /// Why a Krylov iteration stopped making progress before converging.
 ///
-/// Both solvers detect these conditions *early* — the moment a residual
-/// or recurrence scalar stops being a finite number — instead of
-/// iterating on poisoned vectors until the budget runs out.
+/// GMRES detects this *early* — the moment a residual or inner product
+/// stops being a finite number — instead of iterating on poisoned
+/// vectors until the budget runs out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Breakdown {
     /// A residual norm or inner product became NaN or ±Inf (the operator
     /// or right-hand side carries non-finite values, or the recurrence
     /// overflowed).
     NonFinite,
-    /// BiCGSTAB's `ρ = ⟨r₀, r⟩` collapsed (the shadow residual became
-    /// orthogonal to the residual).
-    RhoCollapse,
-    /// BiCGSTAB's `ω` (or the `⟨t,t⟩` normaliser) collapsed.
-    OmegaCollapse,
 }
 
 impl std::fmt::Display for Breakdown {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Breakdown::NonFinite => write!(f, "non-finite residual (NaN/Inf detected)"),
-            Breakdown::RhoCollapse => write!(f, "rho collapsed (r0 orthogonal to residual)"),
-            Breakdown::OmegaCollapse => write!(f, "omega collapsed (stabiliser step degenerate)"),
         }
     }
 }

@@ -14,8 +14,8 @@
 //! Solve options (all optional unless noted): exactly one of `generate`
 //! (+ `scale`, default `test`) or `matrix` (a Matrix Market path);
 //! `k` (default 4), `block_size` (default 60), `interface_drop_tol` /
-//! `schur_drop_tol` (default 1e-8), `krylov` (`gmres`|`bicgstab`);
-//! `partitioner` (`ngd`|`rhb`), `weights` (`unit`|`value`), `ordering`
+//! `schur_drop_tol` (default 1e-8); `partitioner` (`ngd`|`rhb`),
+//! `weights` (`unit`|`value`), `ordering`
 //! (`natural`|`postorder`|`hypergraph`|`rgb`, with `tau` for the
 //! hypergraph variant); `rhs` (inline array), `rhs_seed`
 //! (deterministic vector), or neither (all-ones); `deadline_ms`
@@ -44,9 +44,7 @@ use std::collections::BTreeMap;
 
 use crate::json::{escape, num, Json};
 use crate::metrics::MetricsSnapshot;
-use pdslin::{
-    ErrorCategory, FaultPlan, KrylovKind, PartitionerKind, PdslinError, RhsOrdering, WeightScheme,
-};
+use pdslin::{ErrorCategory, FaultPlan, PartitionerKind, PdslinError, RhsOrdering, WeightScheme};
 use sparsekit::Fnv64;
 
 /// Where a request's matrix comes from.
@@ -100,8 +98,6 @@ pub struct SolveRequest {
     pub interface_drop_tol: f64,
     /// Drop tolerance σ₂ for `S̃`.
     pub schur_drop_tol: f64,
-    /// Outer Krylov method.
-    pub krylov: KrylovKind,
     /// DBBD partitioner.
     pub partitioner: PartitionerKind,
     /// Edge/net weighting of the partitioner.
@@ -209,10 +205,6 @@ impl SolveRequest {
         h.write_u64(self.block_size as u64);
         h.write_f64(self.interface_drop_tol);
         h.write_f64(self.schur_drop_tol);
-        h.write_u8(match self.krylov {
-            KrylovKind::Gmres => 0,
-            KrylovKind::Bicgstab => 1,
-        });
         // Partitioner, weighting and ordering all shape the
         // factorization; two requests differing in any of them must not
         // share a cache entry.
@@ -281,7 +273,7 @@ fn opt_u64(j: &Json, key: &str) -> Result<Option<u64>, String> {
 
 /// The fields a `solve` request may carry; `metrics` and `shutdown`
 /// take only `id` and `op`.
-const SOLVE_FIELDS: [&str; 24] = [
+const SOLVE_FIELDS: [&str; 23] = [
     "id",
     "op",
     "generate",
@@ -291,7 +283,6 @@ const SOLVE_FIELDS: [&str; 24] = [
     "block_size",
     "interface_drop_tol",
     "schur_drop_tol",
-    "krylov",
     "partitioner",
     "weights",
     "ordering",
@@ -369,11 +360,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 (None, Some(s)) => RhsSpec::Seed(s.as_u64().ok_or("bad 'rhs_seed'")?),
                 (None, None) => RhsSpec::Ones,
             };
-            let krylov = match j.get("krylov").and_then(Json::as_str).unwrap_or("gmres") {
-                "gmres" => KrylovKind::Gmres,
-                "bicgstab" => KrylovKind::Bicgstab,
-                other => return Err(format!("unknown krylov '{other}'")),
-            };
             let partitioner = match j.get("partitioner").and_then(Json::as_str).unwrap_or("ngd") {
                 "ngd" => PartitionerKind::Ngd,
                 "rhb" => PartitionerKind::Rhb(Default::default()),
@@ -414,7 +400,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 block_size: field_u64(&j, "block_size", 60)? as usize,
                 interface_drop_tol: field_f64(&j, "interface_drop_tol", 1e-8)?,
                 schur_drop_tol: field_f64(&j, "schur_drop_tol", 1e-8)?,
-                krylov,
                 partitioner,
                 weights,
                 ordering,
@@ -620,13 +605,12 @@ mod tests {
     fn parses_full_solve() {
         let s = parse_solve(
             r#"{"id":"b","op":"solve","matrix":"/tmp/m.mtx","k":8,"block_size":32,
-                "schur_drop_tol":1e-6,"krylov":"bicgstab","rhs_seed":9,"deadline_ms":500,
+                "schur_drop_tol":1e-6,"rhs_seed":9,"deadline_ms":500,
                 "retry_limit":1,"fail_attempts":1,"memory_blowup":true,"worker_panic":2}"#,
         );
         assert_eq!(s.matrix, MatrixSpec::Path("/tmp/m.mtx".into()));
         assert_eq!(s.k, 8);
         assert_eq!(s.block_size, 32);
-        assert_eq!(s.krylov, KrylovKind::Bicgstab);
         assert_eq!(s.rhs, RhsSpec::Seed(9));
         assert_eq!(s.deadline_ms, Some(500));
         assert_eq!(s.fail_attempts, 1);
@@ -751,7 +735,8 @@ mod tests {
     #[test]
     fn unknown_solve_fields_are_input_errors() {
         // A typo must not leave the request running with defaults, and
-        // there is no automatic strategy selector to ask for.
+        // there is no automatic strategy selector or second Krylov
+        // method to ask for.
         for (line, field) in [
             (
                 r#"{"id":"a","op":"solve","generate":"g3_circuit","blocksize":30}"#,
@@ -760,6 +745,10 @@ mod tests {
             (
                 r#"{"id":"a","op":"solve","generate":"g3_circuit","strategy":"auto"}"#,
                 "strategy",
+            ),
+            (
+                r#"{"id":"a","op":"solve","generate":"g3_circuit","krylov":"gmres"}"#,
+                "krylov",
             ),
         ] {
             let j = rejection(line);
@@ -788,7 +777,7 @@ mod tests {
         parse_solve(
             r#"{"id":"a","op":"solve","generate":"g3_circuit","scale":"test","k":4,
                 "block_size":30,"interface_drop_tol":1e-8,"schur_drop_tol":1e-8,
-                "krylov":"gmres","partitioner":"rhb","weights":"value",
+                "partitioner":"rhb","weights":"value",
                 "ordering":"hypergraph","tau":0.4,"rhs_seed":1,"deadline_ms":100,
                 "retry_limit":1,"fail_attempts":0,"worker_panic":0,
                 "worker_panic_persistent":false,"memory_blowup":false,

@@ -116,9 +116,11 @@ struct Inner {
     /// long as the cached entry still holds *this* spec's values (a
     /// same-pattern sibling spec may have value-updated it since).
     memo: Mutex<HashMap<u64, (u64, u64)>>,
-    /// Checkpoints stranded by deadline-interrupted setups, keyed by
-    /// cache key; the next miss resumes instead of refactorizing.
-    stash: Mutex<HashMap<u64, Box<SetupCheckpoint>>>,
+    /// The latest checkpoint stranded by a deadline-interrupted setup,
+    /// with the cache key and value fingerprint of the matrix it was
+    /// built from. The next miss on that exact matrix resumes instead of
+    /// refactorizing; a newer stranded checkpoint replaces it.
+    stash: Mutex<Option<(u64, u64, Box<SetupCheckpoint>)>>,
     metrics: Metrics,
     shutdown_token: CancelToken,
     reaper_stop: AtomicBool,
@@ -145,7 +147,7 @@ impl Service {
             }),
             cond: Condvar::new(),
             memo: Mutex::new(HashMap::new()),
-            stash: Mutex::new(HashMap::new()),
+            stash: Mutex::new(None),
             metrics: Metrics::default(),
             shutdown_token: CancelToken::new(),
             reaper_stop: AtomicBool::new(false),
@@ -453,7 +455,6 @@ fn solver_config(req: &SolveRequest) -> PdslinConfig {
         rhs_ordering: req.ordering,
         interface_drop_tol: req.interface_drop_tol,
         schur_drop_tol: req.schur_drop_tol,
-        krylov: req.krylov,
         fault: req.fault,
         ..Default::default()
     }
@@ -642,10 +643,13 @@ fn resolve_entry(
     }
     // A previous deadline-interrupted setup may have stranded a
     // checkpoint with LU(D) already done: resume it instead of paying
-    // the factorizations again.
-    let stashed = lock_recover(&inner.stash).remove(&cache_key);
+    // the factorizations again. The cache key covers only the pattern
+    // and the config, so the values must match too: a same-pattern
+    // matrix with other values gets a fresh setup.
+    let stashed =
+        lock_recover(&inner.stash).take_if(|(key, fp, _)| *key == cache_key && *fp == value_fp);
     let result = match stashed {
-        Some(ckpt) => Pdslin::resume(*ckpt, &budget),
+        Some((_, _, ckpt)) => Pdslin::resume(*ckpt, &budget),
         None => Pdslin::setup_budgeted(&a, solver_config(spec), &budget),
     };
     match result {
@@ -677,7 +681,7 @@ fn resolve_entry(
         }
         Err(failure) => {
             if let Some(ckpt) = failure.checkpoint {
-                lock_recover(&inner.stash).insert(cache_key, ckpt);
+                *lock_recover(&inner.stash) = Some((cache_key, value_fp, ckpt));
             }
             for job in jobs {
                 reply_error(inner, job, &failure.error, 0);

@@ -37,7 +37,6 @@ pub mod etree;
 pub mod levels;
 pub mod lu;
 pub mod reach;
-pub mod refine;
 pub mod supernodes;
 pub mod trisolve;
 
@@ -46,6 +45,5 @@ pub use etree::{etree, postorder};
 pub use levels::{plan_build_count, LevelPlan, SolvePlan, TriScratch};
 pub use lu::{LuConfig, LuError, LuFactors, RefactorizeError};
 pub use reach::ReachGraph;
-pub use refine::{condest_1, solve_refined, RefinedSolve};
 pub use supernodes::{detect_supernodes, supernodal_padding, Supernodes};
 pub use trisolve::{sparse_lower_solve, SparseVec};

@@ -151,6 +151,15 @@ fn unknown_options_are_rejected_with_input_exit_code() {
         assert!(err.contains("--strategy"), "{line}: {err}");
     }
 
+    // The Schur system has one Krylov method (GMRES), so `--krylov` is
+    // an unknown option like any typo (the binary exits with code 2).
+    for cmd in ["solve", "solve-seq"] {
+        let line = format!("{cmd} --generate g3_circuit --krylov gmres");
+        let args = parse_args(argv(&line)).unwrap();
+        let err = validate_options(&args).expect_err(&line);
+        assert!(err.contains("--krylov"), "{line}: {err}");
+    }
+
     // Valid option sets pass untouched, including the serve subcommand.
     for cmd in [
         "solve --generate g3_circuit --k 4 --tol 1e-10 --deadline 30",

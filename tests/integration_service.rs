@@ -320,6 +320,85 @@ fn value_drifted_matrices_take_the_symbolic_path() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A deadline-interrupted set-up strands its `LU(D)` checkpoint under
+/// the cache key, which covers the pattern and the config but not the
+/// values. A same-pattern matrix with other values must get a fresh
+/// set-up, not the stranded factors; a retry of the interrupted matrix
+/// itself still resumes from them.
+#[test]
+fn stranded_checkpoint_resumes_only_for_the_same_values() {
+    let dir = std::env::temp_dir().join(format!("pdslin-stash-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let seq = matgen::sequence(&matgen::laplace2d(40, 40), 2, 0.2);
+    let (a, b) = (dir.join("a.mtx"), dir.join("b.mtx"));
+    sparsekit::io::write_matrix_market(&a, &seq[0]).unwrap();
+    sparsekit::io::write_matrix_market(&b, &seq[1]).unwrap();
+
+    let line = |id: &str, path: &std::path::Path, deadline_ms: u64| {
+        format!(
+            r#"{{"id":"{id}","op":"solve","matrix":"{}","k":2,"stall_schur_ms":1500,"deadline_ms":{deadline_ms},"retry_limit":0}}"#,
+            path.display()
+        )
+    };
+    let ask = |service: &Service, id: &str, path: &std::path::Path, deadline_ms: u64| {
+        let (tx, rx) = mpsc::channel::<Response>();
+        service.submit(id, solve_req(&line(id, path, deadline_ms)), &tx);
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("request answered")
+            .body
+    };
+    let converged_residual = |body: ResponseBody| match body {
+        ResponseBody::Solve(r) => {
+            assert_eq!(r.cache, "miss");
+            assert!(r.converged);
+            r.residual
+        }
+        other => panic!("expected ok, got {other:?}"),
+    };
+    let start = || {
+        Service::start(ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        })
+    };
+    let interrupt_a = |service: &Service| {
+        // The stall sits before the Schur assembly, far past the
+        // deadline, and LU(D) finishes well inside it: the set-up is
+        // interrupted after LU(D) and strands its checkpoint.
+        match ask(service, "a-short", &a, 750) {
+            ResponseBody::Error { message, .. } => assert!(
+                !["partition", "extract", "lu_d"]
+                    .iter()
+                    .any(|p| message.contains(&format!("during {p} "))),
+                "the deadline must fall after LU(D): {message}"
+            ),
+            other => panic!("the stalled set-up must miss its deadline: {other:?}"),
+        }
+    };
+
+    let fresh = start();
+    let fresh_b = converged_residual(ask(&fresh, "b-fresh", &b, 30_000));
+    fresh.shutdown(Duration::from_secs(5));
+
+    let service = start();
+    interrupt_a(&service);
+    let b_after_a = converged_residual(ask(&service, "b", &b, 30_000));
+    assert_eq!(
+        service.metrics_snapshot().factorizations_reused,
+        0,
+        "b must not be answered from a's factors"
+    );
+    assert_eq!(b_after_a.to_bits(), fresh_b.to_bits());
+    service.shutdown(Duration::from_secs(5));
+
+    let service = start();
+    interrupt_a(&service);
+    converged_residual(ask(&service, "a-retry", &a, 30_000));
+    assert_eq!(service.metrics_snapshot().factorizations_reused, 2);
+    service.shutdown(Duration::from_secs(5));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Shutdown with a zero drain budget cancels whatever is still queued —
 /// but cancels it with a typed response, not silence.
 #[test]
