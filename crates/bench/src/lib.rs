@@ -13,6 +13,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use matgen::Scale;
+use pdslin_service::json;
 
 /// Scale selected via `PDSLIN_SCALE` (default: bench).
 pub fn scale_from_env() -> Scale {
@@ -52,11 +53,7 @@ pub trait JsonValue {
 
 impl JsonValue for f64 {
     fn to_json(&self) -> String {
-        if self.is_finite() {
-            format!("{self}")
-        } else {
-            "null".to_string()
-        }
+        json::num(*self)
     }
 }
 
@@ -73,13 +70,13 @@ json_int!(usize, u64, u32, i64, i32, bool);
 
 impl JsonValue for String {
     fn to_json(&self) -> String {
-        json_escape(self)
+        json::escape(self)
     }
 }
 
 impl JsonValue for &str {
     fn to_json(&self) -> String {
-        json_escape(self)
+        json::escape(self)
     }
 }
 
@@ -88,25 +85,6 @@ impl<T: JsonValue> JsonValue for Vec<T> {
         let parts: Vec<String> = self.iter().map(|v| v.to_json()).collect();
         format!("[{}]", parts.join(", "))
     }
-}
-
-/// Quotes and escapes a string for JSON.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A row type that renders itself as one JSON object (derive it with
@@ -130,46 +108,13 @@ macro_rules! json_record {
                 let mut parts: Vec<String> = Vec::new();
                 $(parts.push(format!(
                     "{}: {}",
-                    $crate::json_escape(stringify!($field)),
+                    $crate::JsonValue::to_json(&stringify!($field)),
                     $crate::JsonValue::to_json(&self.$field)
                 ));)*
                 format!("{{{}}}", parts.join(", "))
             }
         }
     };
-}
-
-/// Minimal timing harness for the `cargo bench` targets (plain `main`
-/// binaries with `harness = false`): warms up once, then runs the
-/// closure until ~0.2 s of wall clock or 100 iterations, whichever
-/// comes first, and prints min/avg per-iteration time.
-pub fn bench_case<F: FnMut()>(name: &str, mut f: F) {
-    f(); // warm-up (first-touch allocation, caches)
-    let budget = std::time::Duration::from_millis(200);
-    let started = std::time::Instant::now();
-    let mut samples = Vec::new();
-    while started.elapsed() < budget && samples.len() < 100 {
-        let t0 = std::time::Instant::now();
-        f();
-        samples.push(t0.elapsed().as_secs_f64());
-    }
-    let (min, avg, _max) = min_avg_max(&samples);
-    println!(
-        "{name:<40} {:>12} {:>12}  ({} iters)",
-        fmt_bench_time(min),
-        fmt_bench_time(avg),
-        samples.len()
-    );
-}
-
-fn fmt_bench_time(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.3} s")
-    } else if s >= 1e-3 {
-        format!("{:.3} ms", s * 1e3)
-    } else {
-        format!("{:.3} us", s * 1e6)
-    }
 }
 
 /// Partitions a matrix with NGD (k subdomains) and factors every
@@ -222,57 +167,6 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// A matrix sequence calibrated to go stale under a tight
-/// [`pdslin::SequencePolicy`]: set up on a heavy value perturbation of
-/// `laplace2d(16,16)` with loose drop tolerances, walk back to the clean
-/// Laplacian, and the reused preconditioner needs ≈ 2× the baseline
-/// Krylov iterations on the last step.
-pub struct StaleWalk {
-    /// Label of the base problem.
-    pub problem: &'static str,
-    /// Solver configuration (serial, `k = 4`, drop tolerances 0.1).
-    pub config: pdslin::PdslinConfig,
-    /// Growth cap 1.5× over a baseline of at least 4 iterations.
-    pub policy: pdslin::SequencePolicy,
-    /// Setup matrix, an intermediate step, the clean Laplacian.
-    pub mats: Vec<sparsekit::Csr>,
-    /// One right-hand side per matrix.
-    pub rhs: Vec<Vec<f64>>,
-}
-
-/// Builds the [`StaleWalk`]. Iterations per step are 8, 8, 17 against a
-/// cap of 12: the middle step stays 4 under the cap and the last one
-/// clears it by 5.
-pub fn stale_walk() -> StaleWalk {
-    fn drift(a: &sparsekit::Csr, scale: f64) -> sparsekit::Csr {
-        let mut out = a.clone();
-        for (t, v) in out.values_mut().iter_mut().enumerate() {
-            *v *= 1.0 + scale * ((t % 13) as f64 - 6.0) / 6.0;
-        }
-        out
-    }
-    let a = matgen::stencil::laplace2d(16, 16);
-    let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 7) as f64) - 3.0).collect();
-    let mats = vec![drift(&a, 500.0), drift(&a, 5.0), a];
-    StaleWalk {
-        problem: "laplace2d(16,16)",
-        config: pdslin::PdslinConfig {
-            k: 4,
-            interface_drop_tol: 0.1,
-            schur_drop_tol: 0.1,
-            parallel: false,
-            ..Default::default()
-        },
-        policy: pdslin::SequencePolicy {
-            max_iteration_growth: 1.5,
-            min_baseline_iters: 4,
-            ..Default::default()
-        },
-        rhs: vec![b; mats.len()],
-        mats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,12 +189,6 @@ mod tests {
         assert_eq!(fmt_secs(0.1234), "0.123");
         assert_eq!(fmt_secs(12.34), "12.3");
         assert_eq!(fmt_secs(123.4), "123");
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "\"plain\"");
-        assert_eq!(json_escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

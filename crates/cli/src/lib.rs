@@ -7,7 +7,7 @@
 //!   generated analogue;
 //! * `solve-seq` — solve a drifting sequence of same-pattern matrices,
 //!   reusing the symbolic setup and replaying only the numerics
-//!   (`Pdslin::solve_sequence`);
+//!   (`Pdslin::update_values`, then `Pdslin::solve`, per step);
 //! * `partition` — compute and report a DBBD partition (NGD or RHB);
 //! * `genmat` — write a Table-I analogue as a Matrix Market file;
 //! * `info` — print basic statistics of a matrix.
@@ -106,7 +106,7 @@ pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
         "constraint",
         "weights",
     ];
-    const SOLVE_SEQ: [&str; 19] = [
+    const SOLVE_SEQ: [&str; 16] = [
         "matrix",
         "generate",
         "scale",
@@ -123,9 +123,6 @@ pub fn allowed_options(command: &str) -> Option<&'static [&'static str]> {
         "tol",
         "interface-drop",
         "schur-drop",
-        "max-iter-growth",
-        "max-residual-growth",
-        "min-baseline-iters",
     ];
     const GENMAT: [&str; 3] = ["generate", "scale", "out"];
     const SERVE: [&str; 8] = [
@@ -302,8 +299,7 @@ USAGE:
                    [--deadline SECS] [--mem-budget-mb MB]
   pdslin solve-seq (--matrix F.mtx | --generate KIND [--scale test|bench])
                    [--steps N] [--drift D] [--k K] [--tol TOL]
-                   [--max-iter-growth G] [--max-residual-growth G]
-                   [--min-baseline-iters N] [solver knobs as for `solve`]
+                   [solver knobs as for `solve`]
   pdslin partition (--matrix F.mtx | --generate KIND [--scale ...])
                    [--k K] [--partitioner ...] [--weights unit|value]
   pdslin genmat    --generate KIND [--scale test|bench] --out FILE.mtx
@@ -325,9 +321,8 @@ requests coalesce into one batched solve. See docs/robustness.md.
 sequence of N matrices with the base matrix's exact sparsity pattern and
 deterministically drifting values, pays one full setup on step 0, then
 updates only the numerics per step (`update_values`: pivot-replay
-refactorization with full symbolic reuse). A step whose solve degrades
-past the staleness policy (--max-iter-growth / --max-residual-growth)
-is rebuilt from a fresh setup and reported. See docs/performance.md.
+refactorization with full symbolic reuse) before solving it. See
+docs/performance.md.
 
 Unknown --options are rejected with exit code 2.
 
@@ -473,7 +468,7 @@ mod tests {
     #[test]
     fn solve_seq_options_are_scoped() {
         let ok = parse_args(argv(
-            "solve-seq --generate g3_circuit --steps 4 --drift 0.05 --max-iter-growth 2",
+            "solve-seq --generate g3_circuit --steps 4 --drift 0.05 --schur-drop 1e-4",
         ))
         .unwrap();
         assert!(validate_options(&ok).is_ok());

@@ -156,7 +156,8 @@ fn solver_config(args: &Args) -> Result<PdslinConfig, CmdError> {
 
 /// `solve-seq`: derive a same-pattern value-drifting sequence from the
 /// input matrix, pay one full setup, then advance through the steps
-/// with incremental numeric refactorization (`Pdslin::solve_sequence`).
+/// with incremental numeric refactorization (`Pdslin::update_values`)
+/// followed by a solve.
 fn cmd_solve_seq(args: &Args) -> Result<(), CmdError> {
     let a = load_matrix(args)?;
     let steps: usize = args.parse_or("steps", 8usize)?;
@@ -170,12 +171,6 @@ fn cmd_solve_seq(args: &Args) -> Result<(), CmdError> {
         a.nnz()
     );
     let cfg = solver_config(args)?;
-    let d = pdslin::SequencePolicy::default();
-    let policy = pdslin::SequencePolicy {
-        max_iteration_growth: args.parse_or("max-iter-growth", d.max_iteration_growth)?,
-        max_residual_growth: args.parse_or("max-residual-growth", d.max_residual_growth)?,
-        min_baseline_iters: args.parse_or("min-baseline-iters", d.min_baseline_iters)?,
-    };
     let mats = matgen::sequence(&a, steps, drift);
     let t0 = std::time::Instant::now();
     let mut solver = Pdslin::setup(&mats[0], cfg)?;
@@ -185,27 +180,24 @@ fn cmd_solve_seq(args: &Args) -> Result<(), CmdError> {
         "setup: {:.2}s once | sep = {}, nnz(S̃) = {}",
         setup_secs, solver.stats.separator_size, solver.stats.nnz_schur
     );
-    let rhs: Vec<Vec<f64>> = vec![vec![1.0; a.nrows()]; mats.len()];
-    let seq = solver.solve_sequence(&mats, &rhs, &policy)?;
+    let b = vec![1.0; a.nrows()];
     let mut update_total = 0.0;
-    let mut stale = 0usize;
-    for (t, s) in seq.iter().enumerate() {
-        let how = if s.stale_fallback {
-            stale += 1;
-            "rebuilt (stale)"
-        } else if s.refactorized {
+    for (t, m) in mats.iter().enumerate() {
+        let upd = solver.update_values(m)?;
+        let out = solver.solve(&b)?;
+        let how = if upd.rebuilt == 0 {
             "refactorized"
         } else {
             "partially rebuilt"
         };
-        update_total += s.update_seconds;
+        update_total += upd.seconds;
         println!(
-            "step {t}: {how:<16} | update {:.3}s, solve {:.3}s, {} iteration(s), residual {:.2e}{}",
-            s.update_seconds,
-            s.outcome.seconds,
-            s.outcome.iterations,
-            s.outcome.schur_residual,
-            if s.outcome.converged {
+            "step {t}: {how:<17} | update {:.3}s, solve {:.3}s, {} iteration(s), residual {:.2e}{}",
+            upd.seconds,
+            out.seconds,
+            out.iterations,
+            out.schur_residual,
+            if out.converged {
                 ""
             } else {
                 " (not converged)"
@@ -213,14 +205,14 @@ fn cmd_solve_seq(args: &Args) -> Result<(), CmdError> {
         );
     }
     println!(
-        "sequence: {} step(s), {} numeric refactorization(s), {} replay fallback(s), {stale} stale rebuild(s)",
-        seq.len(),
+        "sequence: {} step(s), {} numeric refactorization(s), {} replay fallback(s)",
+        mats.len(),
         solver.stats.refactorizations,
         solver.stats.refactorization_fallbacks
     );
     println!(
         "amortization: full setup {setup_secs:.3}s vs mean update {:.3}s/step",
-        update_total / seq.len() as f64
+        update_total / mats.len() as f64
     );
     Ok(())
 }

@@ -217,82 +217,6 @@ pub struct UpdateOutcome {
     pub seconds: f64,
 }
 
-/// Staleness thresholds of [`Pdslin::solve_sequence`]: when a step's
-/// solve degrades past them, the reused preconditioner is declared
-/// stale and that step reruns on a full fresh setup.
-#[derive(Clone, Copy, Debug)]
-pub struct SequencePolicy {
-    /// A converged step is stale when its Krylov iteration count
-    /// exceeds `baseline iterations × max_iteration_growth`.
-    pub max_iteration_growth: f64,
-    /// A step is stale when its final Schur residual exceeds both the
-    /// solve tolerance and `baseline residual × max_residual_growth`.
-    pub max_residual_growth: f64,
-    /// Iteration counts at or below this never trip the growth test
-    /// (keeps a tiny baseline from flagging normal jitter).
-    pub min_baseline_iters: usize,
-}
-
-impl Default for SequencePolicy {
-    fn default() -> Self {
-        SequencePolicy {
-            max_iteration_growth: 3.0,
-            max_residual_growth: 100.0,
-            min_baseline_iters: 10,
-        }
-    }
-}
-
-/// One step of [`Pdslin::solve_sequence`].
-#[derive(Clone, Debug)]
-pub struct SequenceStep {
-    /// The solve outcome for this step (after any stale rebuild).
-    pub outcome: SolveOutcome,
-    /// True when every factor of this step was updated in place by
-    /// pivot replay (no from-scratch rebuilds, no stale fallback).
-    pub refactorized: bool,
-    /// True when the staleness policy fired and this step's answer came
-    /// from a full fresh setup.
-    pub stale_fallback: bool,
-    /// Wall-clock seconds spent updating (or rebuilding) the
-    /// preconditioner for this step, excluding the solve itself.
-    pub update_seconds: f64,
-}
-
-/// Why a sequence step is stale under `policy`, or `None` when the
-/// reused preconditioner is still acceptable. `baseline` is the
-/// (iterations, residual) pair of the step that set the baseline.
-fn stale_reason(
-    policy: &SequencePolicy,
-    baseline: Option<(usize, f64)>,
-    out: &SolveOutcome,
-    tol: f64,
-) -> Option<String> {
-    if !out.converged {
-        return Some(format!(
-            "solve did not converge (residual {:.1e})",
-            out.schur_residual
-        ));
-    }
-    let (base_iters, base_res) = baseline?;
-    let cap = (((base_iters as f64) * policy.max_iteration_growth).ceil() as usize)
-        .max(policy.min_baseline_iters);
-    if out.iterations > cap {
-        return Some(format!(
-            "iterations grew to {} (baseline {base_iters}, cap {cap})",
-            out.iterations
-        ));
-    }
-    let res_cap = base_res * policy.max_residual_growth;
-    if out.schur_residual > tol && out.schur_residual > res_cap {
-        return Some(format!(
-            "residual grew to {:.1e} (baseline {base_res:.1e}, cap {res_cap:.1e})",
-            out.schur_residual
-        ));
-    }
-    None
-}
-
 /// Residual level beyond which a rescued solve is reported as a failure
 /// rather than a degraded success (relative to the requested tolerance).
 fn acceptance_floor(tol: f64) -> f64 {
@@ -547,8 +471,7 @@ impl Pdslin {
     /// With values bit-identical to the setup matrix the resulting
     /// solver is bit-identical to a fresh [`Pdslin::setup`] (under
     /// pattern-only partition weights, the default); with drifted
-    /// values the reused preconditioner degrades gradually —
-    /// [`Pdslin::solve_sequence`] watches for that and rebuilds.
+    /// values the reused preconditioner degrades gradually.
     ///
     /// A matrix whose pattern differs from the setup matrix is rejected
     /// with [`PdslinError::InvalidInput`]. On any other error the
@@ -621,85 +544,6 @@ impl Pdslin {
             recovery,
             seconds: t_all.elapsed().as_secs_f64(),
         })
-    }
-
-    /// Solves a sequence of systems `A_t x_t = b_t` whose matrices all
-    /// share the setup matrix's sparsity pattern, updating the
-    /// preconditioner incrementally ([`Pdslin::update_values`]) instead
-    /// of rebuilding it per step.
-    ///
-    /// After each step's solve the outcome is checked against `policy`;
-    /// a stale step (non-convergence, iteration growth, or residual
-    /// growth past the thresholds) triggers a full fresh setup on that
-    /// step's matrix, a re-solve, a typed
-    /// [`RecoveryEvent::SequenceStale`] in the recovery log, and a
-    /// baseline reset. The first solved step (and each post-rebuild
-    /// step) sets the baseline.
-    pub fn solve_sequence(
-        &mut self,
-        mats: &[Csr],
-        rhs: &[Vec<f64>],
-        policy: &SequencePolicy,
-    ) -> Result<Vec<SequenceStep>, PdslinError> {
-        if mats.len() != rhs.len() {
-            return Err(PdslinError::InvalidInput {
-                message: format!("{} matrices for {} right-hand sides", mats.len(), rhs.len()),
-            });
-        }
-        let tol = self.cfg.gmres.tol;
-        let mut out = Vec::with_capacity(mats.len());
-        // (iterations, residual) of the step that set the baseline.
-        let mut baseline: Option<(usize, f64)> = None;
-        for (step, (a, b)) in mats.iter().zip(rhs).enumerate() {
-            let upd = self.update_values(a)?;
-            let mut update_seconds = upd.seconds;
-            let mut refactorized = upd.rebuilt == 0;
-            let mut outcome = self.solve(b)?;
-            let mut stale_fallback = false;
-            if let Some(reason) = stale_reason(policy, baseline, &outcome, tol) {
-                stale_fallback = true;
-                refactorized = false;
-                let t = Instant::now();
-                self.rebuild_for_sequence(a, step, reason)?;
-                update_seconds += t.elapsed().as_secs_f64();
-                outcome = self.solve(b)?;
-                baseline = None;
-            }
-            if baseline.is_none() {
-                baseline = Some((outcome.iterations, outcome.schur_residual));
-            }
-            out.push(SequenceStep {
-                outcome,
-                refactorized,
-                stale_fallback,
-                update_seconds,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Replaces this solver with a full fresh setup on `a` after the
-    /// sequence staleness policy fired at `step`, carrying the recovery
-    /// log and cumulative counters forward.
-    fn rebuild_for_sequence(
-        &mut self,
-        a: &Csr,
-        step: usize,
-        reason: String,
-    ) -> Result<(), PdslinError> {
-        let mut events = std::mem::take(&mut self.stats.recovery.events);
-        events.push(RecoveryEvent::SequenceStale { step, reason });
-        let refactorizations = self.stats.refactorizations;
-        let fallbacks = self.stats.refactorization_fallbacks;
-        let solve_seconds = self.stats.times.solve;
-        let mut fresh = Pdslin::setup(a, self.cfg)?;
-        fresh.stats.refactorizations = refactorizations;
-        fresh.stats.refactorization_fallbacks = fallbacks;
-        fresh.stats.times.solve += solve_seconds;
-        events.append(&mut fresh.stats.recovery.events);
-        fresh.stats.recovery.events = events;
-        *self = fresh;
-        Ok(())
     }
 
     /// Solves `A x = b` via the Schur complement method (equations

@@ -47,10 +47,7 @@ pub mod subdomain;
 
 pub use budget::{Budget, BudgetInterrupt, CancelToken};
 pub use checkpoint::SetupCheckpoint;
-pub use driver::{
-    Pdslin, PdslinConfig, ScratchStats, SequencePolicy, SequenceStep, SetupFailure, SolveOutcome,
-    UpdateOutcome,
-};
+pub use driver::{Pdslin, PdslinConfig, ScratchStats, SetupFailure, SolveOutcome, UpdateOutcome};
 pub use error::{ErrorCategory, PdslinError};
 pub use extract::{extract_dbbd, DbbdSystem, LocalDomain};
 pub use fault::FaultPlan;

@@ -71,10 +71,7 @@ pub fn compute_partition_weighted(
     let g = Graph::from_matrix_weighted(&sym, weights);
     let mut part = match kind {
         PartitionerKind::Ngd => nested_dissection(&g, k, &NdConfig::default()),
-        PartitionerKind::Rhb(cfg) => {
-            let cfg = RhbConfig { weights, ..*cfg };
-            rhb_partition(&sym, k, &cfg)
-        }
+        PartitionerKind::Rhb(cfg) => rhb_partition(&sym, k, cfg, weights),
     };
     // Post-pass for every partitioner: drop redundant separator vertices
     // (wide hypergraph separators carry many; NGD's are near-minimal

@@ -99,15 +99,6 @@ pub enum RecoveryEvent {
         /// Why the replay was rejected.
         reason: String,
     },
-    /// A sequence solve detected that the reused preconditioner had
-    /// degraded past the [`crate::driver::SequencePolicy`] thresholds
-    /// and fell back to a full setup for that step.
-    SequenceStale {
-        /// Zero-based step of the sequence at which staleness fired.
-        step: usize,
-        /// Which threshold tripped.
-        reason: String,
-    },
 }
 
 impl fmt::Display for RecoveryEvent {
@@ -179,9 +170,6 @@ impl fmt::Display for RecoveryEvent {
                 f,
                 "refactorization of {target} {domain} fell back to full factorization ({reason})"
             ),
-            RecoveryEvent::SequenceStale { step, reason } => {
-                write!(f, "sequence stale at step {step}: full setup rebuilt ({reason})")
-            }
         }
     }
 }

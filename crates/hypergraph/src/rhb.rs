@@ -87,12 +87,6 @@ pub struct RhbConfig {
     /// repairs cross-half nnz imbalance that deeper levels cannot fix on
     /// graded meshes; the ablation harness compares both.
     pub unit_first_level: bool,
-    /// Net-cost weighting: under [`WeightScheme::ValueScaled`] each
-    /// column net's initial cost is scaled by the magnitude of its
-    /// largest coefficient, so cutting a strong coupling (promoting its
-    /// vertex to the separator and exposing it to dropping) costs more
-    /// than cutting a weak one.
-    pub weights: WeightScheme,
 }
 
 impl Default for RhbConfig {
@@ -104,7 +98,6 @@ impl Default for RhbConfig {
             coarse_target: 128,
             factor: StructuralFactor::LowerTriangular,
             unit_first_level: false,
-            weights: WeightScheme::Unit,
         }
     }
 }
@@ -181,7 +174,13 @@ fn structural_factor(a: &Csr, f: StructuralFactor) -> Csr {
 /// see module docs). `k` must be a power of two. The returned partition
 /// assigns every **column** of `m` (equivalently every vertex of `A`) to
 /// a subdomain `0..k` or to the separator.
-pub fn rhb_partition(m: &Csr, k: usize, cfg: &RhbConfig) -> DbbdPartition {
+///
+/// `weights` sets the net costs: under [`WeightScheme::ValueScaled`]
+/// each column net's initial cost is scaled by the magnitude of its
+/// largest coefficient, so cutting a strong coupling (promoting its
+/// vertex to the separator and exposing it to dropping) costs more than
+/// cutting a weak one.
+pub fn rhb_partition(m: &Csr, k: usize, cfg: &RhbConfig, weights: WeightScheme) -> DbbdPartition {
     assert!(
         k.is_power_of_two() && k >= 1,
         "RHB requires a power-of-two part count"
@@ -194,7 +193,7 @@ pub fn rhb_partition(m: &Csr, k: usize, cfg: &RhbConfig) -> DbbdPartition {
     let ncols = m.ncols();
     // Per-column magnitude scaling computed on the *original* matrix
     // (structural factors may duplicate or zero values).
-    let col_scale: Vec<i64> = match cfg.weights {
+    let col_scale: Vec<i64> = match weights {
         WeightScheme::Unit => vec![1i64; ncols],
         WeightScheme::ValueScaled => {
             let ref_mag = median_offdiag_magnitude(m);
@@ -424,7 +423,7 @@ mod tests {
     #[test]
     fn rhb_produces_valid_dbbd_soed() {
         let a = grid_matrix(12, 12);
-        let p = rhb_partition(&a, 4, &RhbConfig::default());
+        let p = rhb_partition(&a, 4, &RhbConfig::default(), WeightScheme::Unit);
         assert_eq!(p.k, 4);
         check_dbbd_valid(&a, &p);
         let sizes = p.subdomain_sizes();
@@ -440,7 +439,7 @@ mod tests {
                 metric,
                 ..Default::default()
             };
-            let p = rhb_partition(&a, 2, &cfg);
+            let p = rhb_partition(&a, 2, &cfg, WeightScheme::Unit);
             check_dbbd_valid(&a, &p);
         }
     }
@@ -452,7 +451,7 @@ mod tests {
             constraint: ConstraintMode::Multi,
             ..Default::default()
         };
-        let p = rhb_partition(&a, 4, &cfg);
+        let p = rhb_partition(&a, 4, &cfg, WeightScheme::Unit);
         check_dbbd_valid(&a, &p);
     }
 
@@ -463,7 +462,7 @@ mod tests {
             constraint: ConstraintMode::Unit,
             ..Default::default()
         };
-        let p = rhb_partition(&a, 2, &cfg);
+        let p = rhb_partition(&a, 2, &cfg, WeightScheme::Unit);
         check_dbbd_valid(&a, &p);
     }
 
@@ -475,8 +474,8 @@ mod tests {
             factor: StructuralFactor::EdgeCover,
             ..Default::default()
         };
-        let p_tril = rhb_partition(&a, 4, &tril);
-        let p_edge = rhb_partition(&a, 4, &edge);
+        let p_tril = rhb_partition(&a, 4, &tril, WeightScheme::Unit);
+        let p_edge = rhb_partition(&a, 4, &edge, WeightScheme::Unit);
         check_dbbd_valid(&a, &p_tril);
         check_dbbd_valid(&a, &p_edge);
         assert!(
@@ -490,7 +489,7 @@ mod tests {
     #[test]
     fn all_vertices_accounted_for() {
         let a = grid_matrix(8, 8);
-        let p = rhb_partition(&a, 2, &RhbConfig::default());
+        let p = rhb_partition(&a, 2, &RhbConfig::default(), WeightScheme::Unit);
         let total: usize = p.subdomain_sizes().iter().sum::<usize>() + p.separator_size();
         assert_eq!(total, 64);
     }

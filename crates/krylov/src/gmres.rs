@@ -199,11 +199,14 @@ pub fn gmres_with_workspace<O: LinearOperator, P: Preconditioner>(
     let mut total_iters = 0usize;
     let mut breakdown = None;
     let mut interrupted: Option<BudgetInterrupt> = None;
+    // Every exit happens here, on the true residual of the current
+    // iterate, or with `x` unchanged since here: the Givens recurrence
+    // only ends a cycle, never the solve, so a recurrence that drifted
+    // below `tol` restarts instead of stopping short. `converged` is
+    // judged on this residual directly — no slack factor — and NaN
+    // compares false, so a poisoned run can never claim convergence.
+    let mut residual;
     'outer: loop {
-        if let Err(i) = budget.check() {
-            interrupted = Some(i);
-            break;
-        }
         // r = b − A x, normalised straight into v₀.
         op.apply(x, work);
         let mut beta_sq = 0.0f64;
@@ -212,13 +215,18 @@ pub fn gmres_with_workspace<O: LinearOperator, P: Preconditioner>(
             beta_sq += d * d;
         }
         let beta = beta_sq.sqrt();
+        residual = beta / bnorm;
         if !beta.is_finite() {
             // Iterating on NaN/Inf can only produce more of it; stop now
             // and report the typed breakdown.
             breakdown = Some(Breakdown::NonFinite);
             break;
         }
-        if beta / bnorm <= cfg.tol || total_iters >= cfg.max_iters {
+        if residual <= cfg.tol || total_iters >= cfg.max_iters || interrupted.is_some() {
+            break;
+        }
+        if let Err(i) = budget.check() {
+            interrupted = Some(i);
             break;
         }
         for (v0i, (bi, wi)) in v[0].iter_mut().zip(b.iter().zip(work.iter())) {
@@ -278,7 +286,7 @@ pub fn gmres_with_workspace<O: LinearOperator, P: Preconditioner>(
             }
         }
         if inner == 0 {
-            break 'outer;
+            break;
         }
         // Solve the triangular system H y = g.
         for i in (0..inner).rev() {
@@ -295,27 +303,7 @@ pub fn gmres_with_workspace<O: LinearOperator, P: Preconditioner>(
         }
         precond.apply(update, z);
         axpy(1.0, z, x);
-        if interrupted.is_some() {
-            break;
-        }
-        if history.last().is_some_and(|&r| r <= cfg.tol) {
-            break;
-        }
-        if total_iters >= cfg.max_iters {
-            break;
-        }
     }
-    // True residual. The convergence flag is judged on it directly — no
-    // slack factor — so `converged` means exactly "the requested
-    // tolerance was met" (NaN compares false, so a poisoned run can
-    // never claim convergence).
-    op.apply(x, work);
-    let mut res_sq = 0.0f64;
-    for (bi, wi) in b.iter().zip(work.iter()) {
-        let d = bi - wi;
-        res_sq += d * d;
-    }
-    let residual = res_sq.sqrt() / bnorm;
     GmresResult {
         x: x.to_vec(),
         iterations: total_iters,

@@ -1,6 +1,6 @@
 //! Compressed sparse row storage — the workhorse matrix type.
 
-use crate::{Coo, Csc, Perm};
+use crate::{Csc, Perm};
 
 /// A sparse matrix in compressed sparse row (CSR) format.
 ///
@@ -175,17 +175,6 @@ impl Csr {
     pub fn to_csc(&self) -> Csc {
         let t = self.transpose();
         Csc::from_transposed_csr(self.nrows, self.ncols, t)
-    }
-
-    /// Converts back to triplet form.
-    pub fn to_coo(&self) -> Coo {
-        let mut coo = Coo::with_capacity(self.nrows, self.ncols, self.nnz());
-        for r in 0..self.nrows {
-            for (c, v) in self.row_iter(r) {
-                coo.push(r, c, v);
-            }
-        }
-        coo
     }
 
     /// Structural symmetrisation `|A| + |Aᵀ|` (square matrices only).
@@ -411,22 +400,6 @@ impl Csr {
         }
     }
 
-    /// `y = Aᵀ x` into a caller-provided buffer. `O(nnz)`, no transpose
-    /// materialised; `y` is fully overwritten.
-    pub fn matvec_transpose_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.nrows, "transpose matvec dimension mismatch");
-        assert_eq!(y.len(), self.ncols, "transpose matvec output mismatch");
-        y.iter_mut().for_each(|v| *v = 0.0);
-        for r in 0..self.nrows {
-            let xr = x[r];
-            if xr != 0.0 {
-                for (c, v) in self.row_iter(r) {
-                    y[c] += v * xr;
-                }
-            }
-        }
-    }
-
     /// Splits the rows into at most `max_chunks` contiguous ranges of
     /// near-equal **nonzero count** (not row count), so a parallel
     /// row-sweep gets balanced work even when row densities are skewed.
@@ -530,6 +503,7 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Coo;
 
     fn small() -> Csr {
         // [1 0 2]
@@ -583,15 +557,6 @@ mod tests {
         let a = small();
         let y = a.matvec(&[1.0, 1.0, 1.0]);
         assert_eq!(y, vec![3.0, 3.0, 9.0]);
-    }
-
-    #[test]
-    fn matvec_transpose_into_overwrites_stale_buffer() {
-        let a = small();
-        let x = vec![1.0, 2.0, 3.0];
-        let mut y = vec![99.0; 3];
-        a.matvec_transpose_into(&x, &mut y);
-        assert_eq!(y, a.transpose().matvec(&x));
     }
 
     /// Skewed test matrix: row r has `r + 1` entries.

@@ -68,11 +68,6 @@ impl Perm {
         self.to_new[old]
     }
 
-    /// The full `to_old` map.
-    pub fn as_to_old(&self) -> &[usize] {
-        &self.to_old
-    }
-
     /// Inverse permutation.
     pub fn inverse(&self) -> Perm {
         Perm {

@@ -524,69 +524,6 @@ def bench_service():
         )
 
 
-BENCH_SEQUENCE_SCHEMA = {
-    "problem": str,
-    "kernel": str,
-    "workers": int,
-    "step": int,
-    "refactor_seconds": float,
-    "full_setup_seconds": float,
-    "speedup": float,
-    "bit_identical": bool,
-    "refactorized": bool,
-    "stale_fallbacks": int,
-    "iterations": int,
-}
-
-
-def bench_sequence():
-    rows = load("BENCH_sequence")
-    if rows is None:
-        return
-    # Hard validation: CI gates on this file. The structural properties
-    # (bit-identity of identity replays, every refactorize row actually
-    # replayed, the stale probe tripping its fallback) are deterministic
-    # and gated; the speedup column is recorded for the dashboard but
-    # never gated — CI boxes make wall-clock ratios meaningless.
-    if not isinstance(rows, list) or not rows:
-        sys.exit("BENCH_sequence.json: expected a non-empty list of rows")
-    kernels = set()
-    stale_total = 0
-    for i, r in enumerate(rows):
-        check_schema("BENCH_sequence.json", i, r, BENCH_SEQUENCE_SCHEMA)
-        kernels.add(r["kernel"])
-        if r["kernel"] == "refactorize":
-            if not r["refactorized"]:
-                sys.exit(f"BENCH_sequence.json row {i}: a refactorize row fell off the replay path")
-            if r["step"] == 0 and not r["bit_identical"]:
-                sys.exit(f"BENCH_sequence.json row {i}: identity replay not bit-identical")
-            if r["speedup"] <= 0:
-                sys.exit(f"BENCH_sequence.json row {i}: non-positive speedup")
-        if r["kernel"] == "stale_probe":
-            stale_total = max(stale_total, r["stale_fallbacks"])
-    need = {"refactorize", "stale_probe"}
-    if not need <= kernels:
-        sys.exit(f"BENCH_sequence.json: missing kernels {need - kernels}")
-    if stale_total < 1:
-        sys.exit("BENCH_sequence.json: the stale probe never tripped its fallback")
-    workers = {r["workers"] for r in rows if r["kernel"] == "refactorize"}
-    if not {1, 2, 4} <= workers:
-        sys.exit(f"BENCH_sequence.json: refactorize missing worker configs {({1, 2, 4}) - workers}")
-    print("\n## BENCH_sequence (update_values vs full setup per step; identity bit-identical, stale fallback exercised)\n")
-    print("| problem | kernel | workers | step | refactor s | setup s | speedup | bitid | replay | stale | iters |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|")
-    for r in rows:
-        print(
-            f"| {r['problem']} | {r['kernel']} | {r['workers']} | {r['step']} | "
-            f"{r['refactor_seconds']:.3f} | {r['full_setup_seconds']:.3f} | {r['speedup']:.2f}x | "
-            f"{r['bit_identical']} | {r['refactorized']} | {r['stale_fallbacks']} | {r['iterations']} |"
-        )
-    refac = [r for r in rows if r["kernel"] == "refactorize" and r["step"] > 0]
-    if refac:
-        mean = sum(r["speedup"] for r in refac) / len(refac)
-        print(f"\nmean refactorize speedup over full setup: {mean:.2f}x")
-
-
 if __name__ == "__main__":
     for fn in [
         fig1,
@@ -604,6 +541,5 @@ if __name__ == "__main__":
         bench_solve,
         bench_partition,
         bench_service,
-        bench_sequence,
     ]:
         fn()

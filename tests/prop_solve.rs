@@ -57,25 +57,6 @@ fn chunked_spmv_matches_serial_bitwise() {
 }
 
 #[test]
-fn transpose_spmv_matches_materialised_transpose() {
-    for seed in 0..24 {
-        let mut rng = Rng64::new(seed);
-        let a = diag_dominant(&mut rng, 200);
-        let x = rhs(&mut rng, a.nrows());
-        let mut y = vec![f64::NAN; a.ncols()];
-        a.matvec_transpose_into(&x, &mut y);
-        let mut y_ref = vec![0.0; a.ncols()];
-        a.transpose().matvec_into(&x, &mut y_ref);
-        for (i, (got, want)) in y.iter().zip(&y_ref).enumerate() {
-            assert!(
-                (got - want).abs() <= 1e-12 * (1.0 + want.abs()),
-                "seed {seed}, row {i}: {got} vs {want}"
-            );
-        }
-    }
-}
-
-#[test]
 fn level_scheduled_trisolve_matches_serial_bitwise() {
     for seed in 0..12 {
         let mut rng = Rng64::new(seed);
