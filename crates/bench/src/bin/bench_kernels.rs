@@ -12,6 +12,12 @@
 //! subdomain — on the factor's own columns against its pruned
 //! `ReachGraph` (`BENCH_reach.json`), asserting equal plans.
 //!
+//! A fourth, `trisolve_lanes`, sweeps 16 right-hand sides through every
+//! subdomain's `LU(D)` plan of the `circuit_krylov` matrix (g3_like at
+//! 180×180, k = 8), `W` ∈ {1, 4, 8, 16} lanes per call, against 16
+//! single sweeps (`BENCH_trisolve_lanes.json`), asserting that every
+//! lane matches its single sweep bit for bit.
+//!
 //! Every parallel result is checked for **exact** equality against the
 //! serial run (the kernels promise byte-identical output); a mismatch
 //! aborts the process, which is what the CI smoke step relies on.
@@ -74,6 +80,22 @@ pdslin_bench::json_record! {
         plan_pruned_seconds: f64,
         speedup: f64,
         identical: bool,
+    }
+}
+
+pdslin_bench::json_record! {
+    struct LanesRow {
+        problem: String,
+        /// Right-hand sides per `solve_lanes` call; 16 runs as two
+        /// groups of `slu::MAX_LANES`.
+        lanes: usize,
+        rhs: usize,
+        /// All `rhs` right-hand sides through every subdomain plan,
+        /// `lanes` at a time, and one at a time. Best of `reps`.
+        seconds: f64,
+        single_seconds: f64,
+        speedup: f64,
+        matches_single: bool,
     }
 }
 
@@ -393,6 +415,93 @@ fn bench_reach_pruned(scale: Scale) {
     pdslin_bench::write_json("BENCH_reach", &rows);
 }
 
+/// Multi-lane `LU(D)` sweeps against single sweeps, one thread, on the
+/// subdomain factors of the `circuit_krylov` matrix (a smaller grid at
+/// test scale).
+fn bench_trisolve_lanes(scale: Scale) {
+    const RHS: usize = 16;
+    let (grid, reps) = match scale {
+        Scale::Test => (60, 3),
+        Scale::Bench => (180, 10),
+    };
+    let a = matgen::circuit::g3_like(grid, grid);
+    let problem = format!("g3_like({grid},{grid})");
+    let part = pdslin::compute_partition(&a, 8, &pdslin::PartitionerKind::Ngd);
+    let sys = pdslin::extract_dbbd(&a, part);
+    let factors: Vec<_> = sys
+        .domains
+        .iter()
+        .map(|d| pdslin::subdomain::factor_domain(&d.d, 0.1).expect("subdomain LU"))
+        .collect();
+    let mut rng = Rng64::new(0x1a4e5);
+    let bs: Vec<Vec<Vec<f64>>> = sys
+        .domains
+        .iter()
+        .map(|d| {
+            (0..RHS)
+                .map(|_| (0..d.dim()).map(|_| rng.f64_range(-1.0, 1.0)).collect())
+                .collect()
+        })
+        .collect();
+    let mut tri = slu::TriScratch::new();
+    let mut single: Vec<Vec<Vec<f64>>> = bs
+        .iter()
+        .map(|b| b.iter().map(|v| vec![0.0; v.len()]).collect())
+        .collect();
+    let mut single_seconds = f64::MAX;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        for ((fd, b), x) in factors.iter().zip(&bs).zip(&mut single) {
+            for (bj, xj) in b.iter().zip(x.iter_mut()) {
+                fd.lu.solve_into(bj, xj, &mut tri, 1);
+            }
+        }
+        single_seconds = single_seconds.min(t0.elapsed().as_secs_f64());
+    }
+    println!("\ntrisolve_lanes: {RHS} RHS through 8 LU(D) plans, one thread (best of {reps})\n");
+    let mut rows = Vec::new();
+    for lanes in [1usize, 4, 8, 16] {
+        let mut xs = single.clone();
+        xs.iter_mut()
+            .flatten()
+            .flatten()
+            .for_each(|v| *v = f64::NAN);
+        let mut seconds = f64::MAX;
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            for ((fd, b), x) in factors.iter().zip(&bs).zip(&mut xs) {
+                for (bg, xg) in b.chunks(lanes).zip(x.chunks_mut(lanes)) {
+                    let bg: Vec<&[f64]> = bg.iter().map(Vec::as_slice).collect();
+                    let mut xg: Vec<&mut [f64]> = xg.iter_mut().map(Vec::as_mut_slice).collect();
+                    fd.lu.solve_lanes(&bg, &mut xg, &mut tri, 1);
+                }
+            }
+            seconds = seconds.min(t0.elapsed().as_secs_f64());
+        }
+        let matches_single = xs == single;
+        let speedup = single_seconds / seconds.max(f64::MIN_POSITIVE);
+        println!(
+            "{problem:<16} W={lanes:<2} {:>9.3} ms  single {:>9.3} ms  speedup {speedup:>5.2}x  match={matches_single}",
+            seconds * 1e3,
+            single_seconds * 1e3
+        );
+        assert!(
+            matches_single,
+            "{problem}: a {lanes}-lane sweep diverged from the single sweeps"
+        );
+        rows.push(LanesRow {
+            problem: problem.clone(),
+            lanes,
+            rhs: RHS,
+            seconds,
+            single_seconds,
+            speedup,
+            matches_single,
+        });
+    }
+    pdslin_bench::write_json("BENCH_trisolve_lanes", &rows);
+}
+
 fn main() {
     let scale = pdslin_bench::scale_from_env();
     let (nx, ny) = match scale {
@@ -417,4 +526,5 @@ fn main() {
     println!("\nall parallel results matched serial exactly");
     bench_lu_dense_crossover(scale);
     bench_reach_pruned(scale);
+    bench_trisolve_lanes(scale);
 }

@@ -189,9 +189,12 @@ fn bench_solve(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr) {
 
 /// Batched `Pdslin::solve_many` vs the same solves issued sequentially,
 /// exact-equality checked per right-hand side (solution, iteration
-/// count, and method label all have to agree).
-fn bench_solve_many(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr) {
-    std::env::set_var(pdslin::par::THREADS_ENV, "4");
+/// count, and method label all have to agree), at `PDSLIN_THREADS =
+/// threads`. One thread is the lockstep-lane path alone (what the
+/// end-to-end benchmark measures); four adds the fan-out across
+/// workers.
+fn bench_solve_many(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr, threads: usize) {
+    std::env::set_var(pdslin::par::THREADS_ENV, threads.to_string());
     let cfg = PdslinConfig {
         k: 4,
         parallel: true,
@@ -219,7 +222,7 @@ fn bench_solve_many(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr) {
             rows,
             problem,
             "solve_many",
-            4,
+            threads,
             batch,
             secs,
             seq_secs,
@@ -245,7 +248,9 @@ fn main() {
     bench_matvec(&mut rows, &laplace_name, &laplace, reps);
     bench_trisolve(&mut rows, &laplace_name, &laplace, reps);
     bench_solve(&mut rows, &laplace_name, &laplace);
-    bench_solve_many(&mut rows, &laplace_name, &laplace);
+    for threads in [1, 4] {
+        bench_solve_many(&mut rows, &laplace_name, &laplace, threads);
+    }
     for kind in circuits {
         let a = matgen::generate(kind, scale);
         bench_matvec(&mut rows, kind.name(), &a, reps);

@@ -36,8 +36,8 @@ use std::cell::RefCell;
 use std::time::Instant;
 
 use graphpart::WeightScheme;
-use krylov::{gmres_with_workspace, GmresConfig, GmresWorkspace, LinearOperator};
-use slu::{LuFactors, TriScratch};
+use krylov::{gmres_lanes, GmresConfig, GmresWorkspace, LinearOperator};
+use slu::{LuFactors, TriScratch, MAX_LANES};
 use sparsekit::budget::{Budget, BudgetInterrupt};
 use sparsekit::ops::{axpy, norm2};
 use sparsekit::{csr_pattern_fingerprint, Csr};
@@ -133,9 +133,10 @@ pub struct Pdslin {
     /// lazily rebuilt) whenever domain `l`'s factor is rebuilt from
     /// scratch, since a fresh pivot order voids the cached reaches.
     iface_plans: Vec<Option<InterfacePlan>>,
-    /// Persistent solve-phase arenas: one lane per concurrent RHS, grown
-    /// on first use and reused forever after — the N-th solve performs
-    /// no heap allocation in the Krylov or triangular-solve hot loops.
+    /// Persistent solve-phase arenas: one per concurrent solve worker,
+    /// each with room for a lockstep group of right-hand sides, grown on
+    /// first use and reused forever after — the N-th solve grows no
+    /// arena in the Krylov or triangular-solve hot loops.
     scratch: SolveScratch,
 }
 
@@ -166,7 +167,11 @@ pub struct SolveOutcome {
     /// Every recovery action taken during this solve (empty on a clean
     /// run).
     pub recovery: RecoveryReport,
-    /// Wall-clock seconds of the whole solve phase.
+    /// Wall-clock seconds of the whole solve phase. A right-hand side
+    /// solved in a [`Pdslin::solve_many`] batch reports the wall time of
+    /// its lockstep group (up to [`slu::MAX_LANES`] right-hand sides
+    /// solved together), so the `seconds` of a batch do not add up to
+    /// its wall time.
     pub seconds: f64,
 }
 
@@ -569,15 +574,18 @@ impl Pdslin {
 
     /// Solves the same factorization against many right-hand sides.
     ///
-    /// The batch fans out across RHS × subdomains under the crate's
-    /// nested-worker policy: `outer` lanes each take a contiguous block
-    /// of right-hand sides, and every lane's subdomain triangular solves
-    /// and Schur matvecs run on `inner` threads, with
-    /// `outer × inner ≤` the configured thread count. Each lane owns a
-    /// private scratch arena, so lanes never contend and the
-    /// per-RHS results are **identical** (bit-for-bit, including
-    /// iteration counts and method labels) to issuing the same
-    /// [`Pdslin::solve`] calls sequentially.
+    /// The batch runs in lockstep groups of up to [`slu::MAX_LANES`]
+    /// right-hand sides: each one has its own GMRES, and at every Krylov
+    /// step all of a group's active lanes go through each `LU(D_ℓ)` and
+    /// the `LU(S̃)` factor in one sweep. It also fans out across RHS ×
+    /// subdomains under the crate's nested-worker policy: `outer`
+    /// workers each take a contiguous block of right-hand sides, and
+    /// every worker's triangular solves and Schur matvecs run on `inner`
+    /// threads, with `outer × inner ≤` the configured thread count. Each
+    /// worker owns a private scratch arena, so workers never contend,
+    /// and the per-RHS results are **identical** (bit-for-bit, including
+    /// iteration counts, method labels and recovery events) to issuing
+    /// the same [`Pdslin::solve`] calls sequentially.
     pub fn solve_many(&mut self, rhs: &[Vec<f64>]) -> Result<Vec<SolveOutcome>, PdslinError> {
         self.solve_many_budgeted(rhs, &Budget::unlimited())
     }
@@ -594,7 +602,7 @@ impl Pdslin {
     }
 
     /// The body of every solve entry point; a single solve is the
-    /// one-RHS batch (one lane, all inner workers).
+    /// one-RHS batch (one worker, one lane, all inner threads).
     fn solve_batch<B: AsRef<[f64]> + Sync>(
         &mut self,
         rhs: &[B],
@@ -603,41 +611,44 @@ impl Pdslin {
         if rhs.is_empty() {
             return Ok(Vec::new());
         }
+        let t = Instant::now();
         let outer = outer_worker_count(rhs.len(), self.cfg.parallel).max(1);
         let inner = inner_worker_count(outer, self.cfg.parallel);
-        while self.scratch.lanes.len() < outer {
-            self.scratch.lanes.push(LaneScratch::default());
+        while self.scratch.workers.len() < outer {
+            self.scratch.workers.push(WorkerScratch::default());
         }
-        let (sys, factors, schur_lu) = (&self.sys, &self.factors[..], &self.schur_lu);
-        let (cfg, stats) = (&self.cfg, &self.stats);
-        // One lane solves a contiguous block of right-hand sides in order.
-        let run = |block: &[B], lane: &mut LaneScratch| -> Vec<Result<SolveOutcome, PdslinError>> {
-            let solve = |b: &B| {
-                solve_one(
-                    sys,
-                    factors,
-                    schur_lu,
-                    cfg,
-                    stats,
-                    b.as_ref(),
-                    budget,
-                    lane,
-                    inner,
-                )
-            };
-            block.iter().map(solve).collect()
+        let cx = SolveContext {
+            sys: &self.sys,
+            factors: &self.factors,
+            schur_lu: &self.schur_lu,
+            cfg: &self.cfg,
+            stats: &self.stats,
+            budget,
+            workers: inner,
+        };
+        // One worker solves a contiguous block of right-hand sides, one
+        // lockstep group after another.
+        let run = |block: &[B], ws: &mut WorkerScratch| -> Vec<Result<SolveOutcome, PdslinError>> {
+            block
+                .chunks(MAX_LANES)
+                .flat_map(|group| {
+                    let bs: Vec<&[f64]> = group.iter().map(AsRef::as_ref).collect();
+                    solve_group(&cx, &bs, ws)
+                })
+                .collect()
         };
         let results = if outer <= 1 {
-            run(rhs, &mut self.scratch.lanes[0])
+            run(rhs, &mut self.scratch.workers[0])
         } else {
-            let lanes = &mut self.scratch.lanes[..outer];
+            let workers = &mut self.scratch.workers[..outer];
             std::thread::scope(|sc| {
-                let handles: Vec<_> = lanes
+                let handles: Vec<_> = workers
                     .iter_mut()
                     .enumerate()
-                    .map(|(w, lane)| {
+                    .map(|(w, ws)| {
                         let block = &rhs[rhs.len() * w / outer..rhs.len() * (w + 1) / outer];
-                        sc.spawn(move || run(block, lane))
+                        let run = &run;
+                        sc.spawn(move || run(block, ws))
                     })
                     .collect();
                 handles
@@ -647,25 +658,22 @@ impl Pdslin {
             })
         };
         let outcomes = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        self.stats.times.solve += outcomes.iter().map(|o| o.seconds).sum::<f64>();
+        self.stats.times.solve += t.elapsed().as_secs_f64();
         Ok(outcomes)
     }
 
-    /// Aggregated arena counters across all solve lanes. `allocations`
+    /// Aggregated arena counters across all solve workers. `allocations`
     /// only advances when some arena had to *grow*, so a steady-state
-    /// workload — one whose every lane has served a solve — shows
-    /// `solves` climbing while `allocations` and `lanes` stay flat: the
-    /// observable form of the zero-allocation guarantee.
+    /// workload — one whose every worker has served its largest group
+    /// and deepest Krylov cycle — shows `solves` climbing while
+    /// `allocations` and `lanes` stay flat: the observable form of the
+    /// zero-allocation guarantee.
     pub fn scratch_stats(&self) -> ScratchStats {
+        let workers = &self.scratch.workers;
         ScratchStats {
-            lanes: self.scratch.lanes.len(),
-            allocations: self
-                .scratch
-                .lanes
-                .iter()
-                .map(LaneScratch::allocation_count)
-                .sum(),
-            solves: self.scratch.lanes.iter().map(|l| l.resets).sum(),
+            lanes: workers.len(),
+            allocations: workers.iter().map(WorkerScratch::allocation_count).sum(),
+            solves: workers.iter().map(|w| w.resets).sum(),
         }
     }
 
@@ -678,157 +686,184 @@ impl Pdslin {
 /// Aggregated [`Pdslin`] scratch counters — see [`Pdslin::scratch_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScratchStats {
-    /// Number of solve lanes materialised so far.
+    /// Number of concurrent solve workers materialised so far (each
+    /// owns one arena).
     pub lanes: usize,
-    /// Total arena *growth* events (first solve per lane ⇒ ≥ 1; steady
+    /// Total arena *growth* events (first solve per worker ⇒ ≥ 1; steady
     /// state ⇒ flat).
     pub allocations: u64,
-    /// Total solves executed across lanes (each solve resets every
-    /// arena it touches exactly once).
+    /// Total right-hand sides solved across workers.
     pub solves: u64,
 }
 
-/// Per-domain dense buffers of one solve lane, sized to that domain.
+/// Buffers of the direct-fallback refinement loop (sized on first use;
+/// the lanes that reach it take it one at a time).
 #[derive(Debug, Default)]
-struct DomainSolveScratch {
-    /// Interior RHS slice `f_ℓ`.
-    f: Vec<f64>,
-    /// `D⁻¹ f_ℓ`.
-    dinv_f: Vec<f64>,
-    /// Gather of `y` at this domain's interface columns.
-    ysub: Vec<f64>,
-    /// `Ê_ℓ y`.
-    ey: Vec<f64>,
-    /// `f_ℓ − Ê_ℓ y`.
-    rhs: Vec<f64>,
-    /// Interior solution `u_ℓ`.
-    u: Vec<f64>,
-    /// `F̂ D⁻¹ f_ℓ` (length = this domain's interface rows).
-    w: Vec<f64>,
-    /// Triangular-solve arena for this domain's `LU(D)` plan.
-    tri: TriScratch,
+struct DirectScratch {
+    /// `S·y`.
+    work: Vec<f64>,
+    /// Refinement residual.
+    r: Vec<f64>,
+    /// Refinement correction.
+    dy: Vec<f64>,
 }
 
-/// All reusable state one concurrent solve needs: RHS split buffers,
-/// Krylov workspaces, triangular-solve arenas, and the Schur apply
-/// scratch. Grown on first use (`allocations` ticks only when a buffer
-/// grows), then reused verbatim by every later solve on the lane.
+/// All reusable state one solve worker needs: per-lane separator
+/// right-hand sides and Krylov workspaces, the Schur apply scratch
+/// (which also serves the reduce and the back-substitution), and the
+/// `LU(S̃)` arena. Grown on first use (`allocations` ticks only when a
+/// buffer grows), then reused verbatim by every later group on the
+/// worker.
 #[derive(Debug, Default)]
-struct LaneScratch {
-    domains: Vec<DomainSolveScratch>,
-    /// Separator RHS `ĝ` (length `nsep`).
-    ghat: Vec<f64>,
-    /// `S·y` buffer for direct-fallback refinement.
-    sep_work: Vec<f64>,
-    /// Refinement residual buffer.
-    sep_r: Vec<f64>,
-    /// Refinement correction buffer.
-    sep_dy: Vec<f64>,
-    /// Arena behind [`ImplicitSchur`] applies (interior mutability:
+struct WorkerScratch {
+    /// Separator right-hand side `ĝ` per lane.
+    ghats: Vec<Vec<f64>>,
+    gmres: Vec<GmresWorkspace>,
+    /// Arena behind [`ImplicitSchur`] (interior mutability:
     /// `LinearOperator::apply` takes `&self`).
     schur_apply: RefCell<SchurApplyScratch>,
     /// Arena behind [`SchurPrecond`] applies and the direct fallback.
     precond_tri: RefCell<TriScratch>,
-    gmres: GmresWorkspace,
+    direct: DirectScratch,
     allocations: u64,
     resets: u64,
 }
 
-impl LaneScratch {
-    /// Sizes every buffer for `sys`, counting a growth event if any
-    /// buffer actually changed size.
-    fn prepare(&mut self, sys: &DbbdSystem) {
-        self.resets += 1;
+impl WorkerScratch {
+    /// Sizes the per-lane buffers of `lanes` lanes for `sys`, counting a
+    /// growth event if any buffer actually changed size.
+    fn prepare(&mut self, sys: &DbbdSystem, lanes: usize) {
+        self.resets += lanes as u64;
         let mut grew = false;
-        if self.domains.len() != sys.domains.len() {
-            self.domains.clear();
-            self.domains
-                .resize_with(sys.domains.len(), Default::default);
+        if self.ghats.len() < lanes {
+            self.ghats.resize_with(lanes, Vec::new);
+            self.gmres.resize_with(lanes, GmresWorkspace::default);
             grew = true;
         }
-        for (ds, dom) in self.domains.iter_mut().zip(&sys.domains) {
-            let dim = dom.dim();
-            if ds.f.len() != dim {
-                ds.f.resize(dim, 0.0);
-                ds.dinv_f.resize(dim, 0.0);
-                ds.ey.resize(dim, 0.0);
-                ds.rhs.resize(dim, 0.0);
-                ds.u.resize(dim, 0.0);
+        for ghat in &mut self.ghats[..lanes] {
+            if ghat.len() != sys.nsep() {
+                ghat.resize(sys.nsep(), 0.0);
                 grew = true;
             }
-            if ds.ysub.len() != dom.e_cols.len() {
-                ds.ysub.resize(dom.e_cols.len(), 0.0);
-                grew = true;
-            }
-            if ds.w.len() != dom.f_rows.len() {
-                ds.w.resize(dom.f_rows.len(), 0.0);
-                grew = true;
-            }
-        }
-        let ns = sys.nsep();
-        if self.ghat.len() != ns {
-            self.ghat.resize(ns, 0.0);
-            self.sep_work.resize(ns, 0.0);
-            self.sep_r.resize(ns, 0.0);
-            self.sep_dy.resize(ns, 0.0);
-            grew = true;
         }
         if grew {
             self.allocations += 1;
         }
     }
 
-    /// Growth events across this lane *and* every arena nested in it.
+    /// Growth events across this worker *and* every arena nested in it.
     fn allocation_count(&self) -> u64 {
         self.allocations
-            + self
-                .domains
-                .iter()
-                .map(|d| d.tri.allocations())
-                .sum::<u64>()
             + self.schur_apply.borrow().allocations()
             + self.precond_tri.borrow().allocations()
-            + self.gmres.allocations()
+            + self
+                .gmres
+                .iter()
+                .map(GmresWorkspace::allocations)
+                .sum::<u64>()
     }
 }
 
-/// The lanes owned by a [`Pdslin`]; lane `i` serves the `i`-th
-/// concurrent RHS of a batched solve (plain solves always use lane 0).
+/// The workers owned by a [`Pdslin`]; worker `i` serves the `i`-th
+/// block of a batched solve (plain solves always use worker 0).
 #[derive(Debug, Default)]
 struct SolveScratch {
-    lanes: Vec<LaneScratch>,
+    workers: Vec<WorkerScratch>,
 }
 
-/// Buffers the direct-fallback refinement loop borrows from a lane.
-struct DirectScratch<'a> {
-    work: &'a mut Vec<f64>,
-    r: &'a mut Vec<f64>,
-    dy: &'a mut Vec<f64>,
-    tri: &'a RefCell<TriScratch>,
-}
-
-/// One Schur-complement solve (equations (2)–(4) of the paper) against
-/// borrowed factors, using `lane` for every intermediate buffer and
-/// `workers` threads inside each SpMV / triangular sweep. Free function
-/// (not a method) so [`Pdslin::solve_many`] can run it on several lanes
-/// concurrently while the factors stay shared.
-#[allow(clippy::too_many_arguments)]
-fn solve_one(
-    sys: &DbbdSystem,
-    factors: &[FactoredDomain],
-    schur_lu: &LuFactors,
-    cfg: &PdslinConfig,
-    stats: &SetupStats,
-    b: &[f64],
-    budget: &Budget,
-    lane: &mut LaneScratch,
+/// What every group of a batch shares: the borrowed factors, the
+/// settings and the threads inside each kernel.
+struct SolveContext<'a> {
+    sys: &'a DbbdSystem,
+    factors: &'a [FactoredDomain],
+    schur_lu: &'a LuFactors,
+    cfg: &'a PdslinConfig,
+    stats: &'a SetupStats,
+    budget: &'a Budget,
     workers: usize,
-) -> Result<SolveOutcome, PdslinError> {
-    if let Err(i) = budget.check() {
-        return Err(fill_partial(interrupt_error(i, "solve"), stats));
-    }
+}
+
+/// The answer of one lane's Schur solve.
+struct SchurSolve {
+    y: Vec<f64>,
+    iterations: usize,
+    residual: f64,
+    converged: bool,
+    method: String,
+    recovery: RecoveryReport,
+}
+
+/// One lockstep group of Schur-complement solves (equations (2)–(4) of
+/// the paper) against borrowed factors: every right-hand side that
+/// passes validation becomes a lane, and the lanes go through the
+/// reduce, each rung of the Krylov fallback chain and the
+/// back-substitution together. Free function (not a method) so
+/// [`Pdslin::solve_many`] can run groups on several workers
+/// concurrently while the factors stay shared. Every outcome reports the
+/// group's wall time.
+fn solve_group(
+    cx: &SolveContext<'_>,
+    bs: &[&[f64]],
+    ws: &mut WorkerScratch,
+) -> Vec<Result<SolveOutcome, PdslinError>> {
     let t = Instant::now();
+    let sys = cx.sys;
     let n: usize = sys.domains.iter().map(|d| d.dim()).sum::<usize>() + sys.nsep();
+    let mut out: Vec<Option<Result<SchurSolve, PdslinError>>> = bs
+        .iter()
+        .map(|b| validate_rhs(cx, b, n).err().map(Err))
+        .collect();
+    let live: Vec<usize> = (0..bs.len()).filter(|&i| out[i].is_none()).collect();
+    let live_bs: Vec<&[f64]> = live.iter().map(|&i| bs[i]).collect();
+    ws.prepare(sys, live.len());
+    let WorkerScratch {
+        ghats,
+        gmres,
+        schur_apply,
+        precond_tri,
+        direct,
+        ..
+    } = ws;
+    let ghats = &mut ghats[..live.len()];
+    let op = ImplicitSchur::with_workers(sys, cx.factors, schur_apply, cx.workers);
+    let m = SchurPrecond::with_workers(cx.schur_lu, precond_tri, cx.workers);
+    op.reduce_lanes(&live_bs, ghats);
+    let ghats: Vec<&[f64]> = ghats.iter().map(Vec::as_slice).collect();
+    let solved = solve_schur_chain(cx, &op, &m, &ghats, gmres, direct, precond_tri);
+    // Back-substitute the interiors of the lanes that produced a `y`.
+    let (done_bs, ys): (Vec<&[f64]>, Vec<&[f64]>) = live_bs
+        .iter()
+        .zip(&solved)
+        .filter_map(|(&b, s)| Some((b, &s.as_ref().ok()?.y[..])))
+        .unzip();
+    let mut xs: Vec<Vec<f64>> = ys.iter().map(|_| vec![0.0; n]).collect();
+    op.back_substitute_lanes(&done_bs, &ys, &mut xs);
+    for (l, s) in solved.into_iter().enumerate() {
+        out[live[l]] = Some(s);
+    }
+    let seconds = t.elapsed().as_secs_f64();
+    let mut xs = xs.into_iter();
+    out.into_iter()
+        .map(|o| {
+            let s = o.expect("every right-hand side has an outcome")?;
+            Ok(SolveOutcome {
+                x: xs.next().expect("one solution per solved lane"),
+                iterations: s.iterations,
+                schur_residual: s.residual,
+                converged: s.converged,
+                method: s.method,
+                recovery: s.recovery,
+                seconds,
+            })
+        })
+        .collect()
+}
+
+/// The per-RHS checks a solve starts with: budget, length, finiteness.
+fn validate_rhs(cx: &SolveContext<'_>, b: &[f64], n: usize) -> Result<(), PdslinError> {
+    if let Err(i) = cx.budget.check() {
+        return Err(fill_partial(interrupt_error(i, "solve"), cx.stats));
+    }
     if b.len() != n {
         return Err(PdslinError::InvalidInput {
             message: format!("rhs has length {}, expected {n}", b.len()),
@@ -840,100 +875,49 @@ fn solve_one(
             index: i,
         });
     }
-    lane.prepare(sys);
-    let LaneScratch {
-        domains: dscratch,
-        ghat,
-        sep_work,
-        sep_r,
-        sep_dy,
-        schur_apply,
-        precond_tri,
-        gmres: gmres_ws,
-        ..
-    } = lane;
-    // Split b into interior parts f_ℓ and the separator part g, then
-    // fold each domain's contribution in place: ĝ = g − Σ F̂ D⁻¹ f.
-    for (slot, &r) in ghat.iter_mut().zip(&sys.sep_rows) {
-        *slot = b[r];
-    }
-    for ((dom, fd), ds) in sys.domains.iter().zip(factors).zip(dscratch.iter_mut()) {
-        for (slot, &r) in ds.f.iter_mut().zip(&dom.rows) {
-            *slot = b[r];
-        }
-        fd.lu
-            .solve_into(&ds.f, &mut ds.dinv_f, &mut ds.tri, workers);
-        dom.f_hat.matvec_into(&ds.dinv_f, &mut ds.w);
-        for (rl, &rg) in dom.f_rows.iter().enumerate() {
-            ghat[rg] -= ds.w[rl];
-        }
-    }
-    // Solve S y = ĝ with the preconditioned Krylov fallback chain.
-    let op = ImplicitSchur::with_workers(sys, factors, schur_apply, workers);
-    let m = SchurPrecond::with_workers(schur_lu, precond_tri, workers);
-    let direct = DirectScratch {
-        work: sep_work,
-        r: sep_r,
-        dy: sep_dy,
-        tri: precond_tri,
-    };
-    let (y, iterations, schur_residual, converged, method, recovery) = solve_schur_chain(
-        &op, &m, schur_lu, cfg, stats, ghat, budget, gmres_ws, direct, workers,
-    )?;
-    // Back-substitute the interiors: u_ℓ = D⁻¹ (f_ℓ − Ê_ℓ y).
-    let mut x = vec![0.0; n];
-    for ((dom, fd), ds) in sys.domains.iter().zip(factors).zip(dscratch.iter_mut()) {
-        for (slot, &c) in ds.ysub.iter_mut().zip(&dom.e_cols) {
-            *slot = y[c];
-        }
-        dom.e_hat.matvec_into(&ds.ysub, &mut ds.ey);
-        for ((slot, fi), ei) in ds.rhs.iter_mut().zip(&ds.f).zip(&ds.ey) {
-            *slot = fi - ei;
-        }
-        fd.lu.solve_into(&ds.rhs, &mut ds.u, &mut ds.tri, workers);
-        for (li, &gi) in dom.rows.iter().enumerate() {
-            x[gi] = ds.u[li];
-        }
-    }
-    for (l, &gi) in sys.sep_rows.iter().enumerate() {
-        x[gi] = y[l];
-    }
-    Ok(SolveOutcome {
-        x,
-        iterations,
-        schur_residual,
-        converged,
-        method,
-        recovery,
-        seconds: t.elapsed().as_secs_f64(),
-    })
+    Ok(())
 }
 
-/// The Krylov fallback chain on the Schur system: GMRES, then GMRES
-/// with a doubled restart and iteration cap, then the direct `LU(S̃)`
-/// solve refined against the implicit `S`. All vector state lives in
-/// the caller's lane (`gmres_ws` / `direct`), so repeat
-/// solves allocate nothing here beyond the returned `y`.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+/// Where one lane stands in the fallback chain.
+#[derive(Default)]
+struct ChainLane {
+    recovery: RecoveryReport,
+    /// Why the previous rung was abandoned.
+    reason: String,
+    /// Best iterate seen so far: (y, iterations, residual, method).
+    best: Option<(Vec<f64>, usize, f64, &'static str)>,
+    outcome: Option<Result<SchurSolve, PdslinError>>,
+}
+
+impl ChainLane {
+    fn offer(&mut self, y: Vec<f64>, iters: usize, residual: f64, label: &'static str) {
+        if residual.is_finite() && self.best.as_ref().is_none_or(|(_, _, r, _)| residual < *r) {
+            self.best = Some((y, iters, residual, label));
+        }
+    }
+}
+
+/// The Krylov fallback chain on the Schur system, one rung at a time
+/// for the lanes still unsolved: GMRES, then GMRES with a doubled
+/// restart and iteration cap (each in lockstep over its lanes), then
+/// the direct `LU(S̃)` solve refined against the implicit `S`, lane by
+/// lane. All vector state lives in the caller's worker arena, so repeat
+/// solves allocate nothing here beyond the returned `y`s.
 fn solve_schur_chain(
+    cx: &SolveContext<'_>,
     op: &ImplicitSchur<'_>,
     m: &SchurPrecond<'_>,
-    schur_lu: &LuFactors,
-    cfg: &PdslinConfig,
-    stats: &SetupStats,
-    ghat: &[f64],
-    budget: &Budget,
-    gmres_ws: &mut GmresWorkspace,
-    direct: DirectScratch<'_>,
-    workers: usize,
-) -> Result<(Vec<f64>, usize, f64, bool, String, RecoveryReport), PdslinError> {
-    let interrupted = |i: BudgetInterrupt| fill_partial(interrupt_error(i, "solve"), stats);
+    ghats: &[&[f64]],
+    gmres_ws: &mut [GmresWorkspace],
+    direct: &mut DirectScratch,
+    direct_tri: &RefCell<TriScratch>,
+) -> Vec<Result<SchurSolve, PdslinError>> {
+    let (cfg, budget) = (cx.cfg, cx.budget);
+    let interrupted = |i: BudgetInterrupt| fill_partial(interrupt_error(i, "solve"), cx.stats);
     let base = cfg.gmres;
     let tol = base.tol;
     let floor = acceptance_floor(tol);
-    let mut recovery = RecoveryReport::default();
-    // Best iterate seen so far: (y, iterations, residual, method).
-    let mut best: Option<(Vec<f64>, usize, f64, &str)> = None;
+    let mut lanes: Vec<ChainLane> = ghats.iter().map(|_| ChainLane::default()).collect();
 
     // Fault injection: starve the first attempt (zero iterations
     // allowed) so the fallback chain is genuinely exercised.
@@ -953,88 +937,132 @@ fn solve_schur_chain(
     };
     let chain = [("gmres", first), ("gmres(restart-grow)", grown)];
 
-    // Why the previous rung was abandoned.
-    let mut reason = String::new();
     for (i, &(label, c)) in chain.iter().enumerate() {
+        let pending: Vec<usize> = (0..lanes.len())
+            .filter(|&l| lanes[l].outcome.is_none())
+            .collect();
+        let bs: Vec<&[f64]> = pending.iter().map(|&l| ghats[l]).collect();
         if i > 0 {
-            recovery.push(RecoveryEvent::KrylovFallback {
-                from: chain[i - 1].0.to_string(),
-                to: label.to_string(),
-                reason: std::mem::take(&mut reason),
-            });
+            for &l in &pending {
+                let lane = &mut lanes[l];
+                lane.recovery.push(RecoveryEvent::KrylovFallback {
+                    from: chain[i - 1].0.to_string(),
+                    to: label.to_string(),
+                    reason: std::mem::take(&mut lane.reason),
+                });
+            }
         }
-        let r = gmres_with_workspace(op, m, ghat, None, &c, budget, gmres_ws);
-        if let Some(i) = r.interrupted {
-            return Err(interrupted(i));
-        }
-        let (y, iters, residual, ok, breakdown) =
-            (r.x, r.iterations, r.residual, r.converged, r.breakdown);
-        if ok {
-            return Ok((y, iters, residual, true, label.to_string(), recovery));
-        }
-        reason = match breakdown {
-            Some(b) => b.to_string(),
-            None => format!("residual {residual:.1e} after {iters} iterations"),
-        };
-        if residual.is_finite() && best.as_ref().is_none_or(|(_, _, r, _)| residual < *r) {
-            best = Some((y, iters, residual, label));
+        let results = gmres_lanes(op, m, &bs, &c, budget, gmres_ws);
+        for (&l, r) in pending.iter().zip(results) {
+            let lane = &mut lanes[l];
+            if let Some(i) = r.interrupted {
+                lane.outcome = Some(Err(interrupted(i)));
+            } else if r.converged {
+                lane.outcome = Some(Ok(SchurSolve {
+                    y: r.x,
+                    iterations: r.iterations,
+                    residual: r.residual,
+                    converged: true,
+                    method: label.to_string(),
+                    recovery: std::mem::take(&mut lane.recovery),
+                }));
+            } else {
+                lane.reason = match r.breakdown {
+                    Some(b) => b.to_string(),
+                    None => format!(
+                        "residual {:.1e} after {} iterations",
+                        r.residual, r.iterations
+                    ),
+                };
+                lane.offer(r.x, r.iterations, r.residual, label);
+            }
         }
     }
 
     // Last resort: y = S̃⁻¹ ĝ, refined against the implicit S.
     let label = "direct(LU(S~)+IR)";
-    recovery.push(RecoveryEvent::KrylovFallback {
-        from: chain[chain.len() - 1].0.to_string(),
-        to: "direct".to_string(),
-        reason,
-    });
-    let bnorm = match norm2(ghat) {
-        0.0 => 1.0,
-        t => t,
-    };
-    let mut y = vec![0.0; ghat.len()];
-    schur_lu.solve_into(ghat, &mut y, &mut direct.tri.borrow_mut(), workers);
-    let mut steps = 0usize;
-    let mut residual = f64::INFINITY;
-    for _ in 0..=10 {
-        budget.check().map_err(interrupted)?;
-        op.apply(&y, direct.work);
-        for ((ri, gi), wi) in direct.r.iter_mut().zip(ghat).zip(direct.work.iter()) {
-            *ri = gi - wi;
+    let ns = op.n();
+    for (lane, ghat) in lanes.iter_mut().zip(ghats) {
+        if lane.outcome.is_some() {
+            continue;
         }
-        residual = norm2(direct.r) / bnorm;
-        if !residual.is_finite() || residual <= tol {
-            break;
+        lane.recovery.push(RecoveryEvent::KrylovFallback {
+            from: chain[chain.len() - 1].0.to_string(),
+            to: "direct".to_string(),
+            reason: std::mem::take(&mut lane.reason),
+        });
+        for buf in [&mut direct.work, &mut direct.r, &mut direct.dy] {
+            if buf.len() != ns {
+                buf.resize(ns, 0.0);
+            }
         }
-        schur_lu.solve_into(direct.r, direct.dy, &mut direct.tri.borrow_mut(), workers);
-        axpy(1.0, direct.dy, &mut y);
-        steps += 1;
-    }
-    recovery.push(RecoveryEvent::DirectSchurSolve {
-        refinement_steps: steps,
-        residual,
-    });
-    if residual.is_finite() && best.as_ref().is_none_or(|(_, _, r, _)| residual < *r) {
-        best = Some((y, steps, residual, label));
-    }
-    match best {
-        Some((y, iters, residual, label)) if residual <= floor => Ok((
-            y,
-            iters,
+        let bnorm = match norm2(ghat) {
+            0.0 => 1.0,
+            t => t,
+        };
+        let mut y = vec![0.0; ns];
+        cx.schur_lu
+            .solve_into(ghat, &mut y, &mut direct_tri.borrow_mut(), cx.workers);
+        let mut steps = 0usize;
+        let mut residual = f64::INFINITY;
+        let mut stopped = None;
+        for _ in 0..=10 {
+            if let Err(i) = budget.check() {
+                stopped = Some(i);
+                break;
+            }
+            op.apply(&y, &mut direct.work);
+            for ((ri, gi), wi) in direct.r.iter_mut().zip(ghat.iter()).zip(&direct.work) {
+                *ri = gi - wi;
+            }
+            residual = norm2(&direct.r) / bnorm;
+            if !residual.is_finite() || residual <= tol {
+                break;
+            }
+            cx.schur_lu.solve_into(
+                &direct.r,
+                &mut direct.dy,
+                &mut direct_tri.borrow_mut(),
+                cx.workers,
+            );
+            axpy(1.0, &direct.dy, &mut y);
+            steps += 1;
+        }
+        if let Some(i) = stopped {
+            lane.outcome = Some(Err(interrupted(i)));
+            continue;
+        }
+        lane.recovery.push(RecoveryEvent::DirectSchurSolve {
+            refinement_steps: steps,
             residual,
-            residual <= tol,
-            label.to_string(),
-            recovery,
-        )),
-        _ => {
-            let residual = best.map(|(_, _, r, _)| r).unwrap_or(f64::INFINITY);
-            let tried = chain.iter().map(|&(l, _)| l).chain([label]);
-            Err(PdslinError::SolveFailed {
+        });
+        lane.offer(y, steps, residual, label);
+        lane.outcome = Some(match lane.best.take() {
+            Some((y, iterations, residual, method)) if residual <= floor => Ok(SchurSolve {
+                y,
+                iterations,
                 residual,
-                tried: tried.map(String::from).collect(),
-            })
-        }
+                converged: residual <= tol,
+                method: method.to_string(),
+                recovery: std::mem::take(&mut lane.recovery),
+            }),
+            best => {
+                let residual = best.map(|(_, _, r, _)| r).unwrap_or(f64::INFINITY);
+                let tried = chain.iter().map(|&(l, _)| l).chain([label]);
+                Err(PdslinError::SolveFailed {
+                    residual,
+                    tried: tried.map(String::from).collect(),
+                })
+            }
+        });
     }
+    lanes
+        .into_iter()
+        .map(|l| {
+            l.outcome
+                .expect("every lane leaves the chain with an outcome")
+        })
+        .collect()
 }
 
 #[cfg(test)]

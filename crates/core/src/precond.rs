@@ -5,13 +5,16 @@
 //! so repeated applies allocate nothing, and route every triangular
 //! solve through the level-scheduled plans cached in [`LuFactors`] —
 //! parallel when `workers > 1`, byte-identical to serial either way.
+//! Both serve several right-hand sides per call (`apply_lanes`): the
+//! lanes go through each `LU(D_ℓ)` / `LU(S̃)` factor in one sweep, and
+//! a single apply is the one-lane instance.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 
 use krylov::{LinearOperator, Preconditioner};
-use slu::{LuFactors, TriScratch};
+use slu::{LuFactors, TriScratch, MAX_LANES};
 
-use crate::extract::DbbdSystem;
+use crate::extract::{DbbdSystem, LocalDomain};
 use crate::subdomain::FactoredDomain;
 
 /// Right preconditioner `z = S̃⁻¹ r` backed by borrowed LU factors of
@@ -45,29 +48,41 @@ impl<'a> SchurPrecond<'a> {
 
 impl Preconditioner for SchurPrecond<'_> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.apply_lanes(&[r], &mut [z]);
+    }
+
+    fn apply_lanes(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
         self.lu
-            .solve_into(r, z, &mut self.scratch.borrow_mut(), self.workers);
+            .solve_lanes(rs, zs, &mut self.scratch.borrow_mut(), self.workers);
     }
 }
 
-/// Per-domain buffers of one [`ImplicitSchur`] application.
+/// One lane's subdomain buffers, sized for the largest subdomain and
+/// reused by every subdomain in turn.
 #[derive(Debug, Default)]
-struct DomainApplyScratch {
+struct LaneApplyScratch {
+    /// Gather of `y` at the subdomain's interface columns.
     ysub: Vec<f64>,
+    /// The right-hand side of the `LU(D_ℓ)` solve.
     v: Vec<f64>,
+    /// Its solution.
     t: Vec<f64>,
+    /// `F̂_ℓ t`.
     w: Vec<f64>,
-    tri: TriScratch,
 }
 
-/// Reusable buffers for [`ImplicitSchur::apply`]: the per-domain
-/// restriction/solve/product vectors plus the nnz-balanced chunks of
-/// `C` (computed once per worker count). One instance per concurrently
+/// Reusable buffers of every subdomain pass over a lockstep group — the
+/// [`ImplicitSchur`] applies, the reduce and the back-substitution: one
+/// set of restriction/solve/product vectors per lane (up to
+/// [`MAX_LANES`]), one triangular-solve arena shared by every
+/// subdomain's `LU(D_ℓ)` sweeps, plus the nnz-balanced chunks of `C`
+/// (computed once per worker count). One instance per concurrently
 /// solving caller; wrapped in a `RefCell` so the `&self` operator trait
 /// can still mutate it.
 #[derive(Debug, Default)]
 pub struct SchurApplyScratch {
-    domains: Vec<DomainApplyScratch>,
+    lanes: Vec<LaneApplyScratch>,
+    tri: TriScratch,
     c_chunks: Vec<std::ops::Range<usize>>,
     chunk_workers: usize,
     allocations: u64,
@@ -80,33 +95,33 @@ impl SchurApplyScratch {
         SchurApplyScratch::default()
     }
 
-    fn prepare(&mut self, sys: &DbbdSystem, workers: usize) {
+    fn prepare(&mut self, sys: &DbbdSystem, workers: usize, lanes: usize) {
         self.resets += 1;
+        let lanes = lanes.min(MAX_LANES);
         let mut grew = false;
-        if self.domains.len() != sys.domains.len() {
-            self.domains.clear();
-            self.domains
-                .resize_with(sys.domains.len(), DomainApplyScratch::default);
+        if self.lanes.len() < lanes {
+            self.lanes.resize_with(lanes, LaneApplyScratch::default);
             grew = true;
         }
-        for (ds, dom) in self.domains.iter_mut().zip(&sys.domains) {
-            if ds.ysub.len() != dom.e_cols.len() {
-                ds.ysub.resize(dom.e_cols.len(), 0.0);
-                grew = true;
-            }
-            if ds.v.len() != dom.dim() {
-                ds.v.resize(dom.dim(), 0.0);
-                ds.t.resize(dom.dim(), 0.0);
-                grew = true;
-            }
-            if ds.w.len() != dom.f_rows.len() {
-                ds.w.resize(dom.f_rows.len(), 0.0);
-                grew = true;
+        let widest = |f: fn(&LocalDomain) -> usize| sys.domains.iter().map(f).max().unwrap_or(0);
+        let dim = widest(LocalDomain::dim);
+        let (ncols, nrows) = (widest(|d| d.e_cols.len()), widest(|d| d.f_rows.len()));
+        for ls in &mut self.lanes[..lanes] {
+            for (buf, len) in [
+                (&mut ls.ysub, ncols),
+                (&mut ls.v, dim),
+                (&mut ls.t, dim),
+                (&mut ls.w, nrows),
+            ] {
+                if buf.len() < len {
+                    buf.resize(len, 0.0);
+                    grew = true;
+                }
             }
         }
         // A single-worker apply ignores the chunks but keeps them: a
-        // lane alternates between plain solves (all threads inside the
-        // kernels) and batches (one thread per lane), and must not
+        // worker alternates between plain solves (all threads inside the
+        // kernels) and batches (one thread per worker), and must not
         // rebuild them at every change.
         if workers > 1 && self.chunk_workers != workers {
             self.c_chunks = sys.c.nnz_balanced_chunks(workers);
@@ -118,12 +133,15 @@ impl SchurApplyScratch {
         }
     }
 
-    /// Number of times the buffers actually grew (flat in steady state).
+    /// Number of times the buffers actually grew (flat in steady state),
+    /// the triangular-solve arena included.
     pub fn allocations(&self) -> u64 {
-        self.allocations
+        self.allocations + self.tri.allocations()
     }
 
-    /// Number of operator applications served.
+    /// Number of subdomain passes served (one per `apply`,
+    /// `apply_lanes`, reduce or back-substitution, whatever its lane
+    /// count).
     pub fn resets(&self) -> u64 {
         self.resets
     }
@@ -168,6 +186,121 @@ impl<'a> ImplicitSchur<'a> {
             workers,
         }
     }
+
+    /// The scratch, sized for `lanes` lanes (at most [`MAX_LANES`]).
+    fn scratch_for(&self, lanes: usize) -> RefMut<'a, SchurApplyScratch> {
+        let mut s = self.scratch.borrow_mut();
+        s.prepare(self.sys, self.workers, lanes);
+        s
+    }
+
+    /// One pass over the subdomains for `lanes` lanes (at most
+    /// [`MAX_LANES`]): per subdomain, `fill(dom, l, buffers)` writes lane
+    /// `l`'s right-hand side into `v`, every lane goes through `LU(D_ℓ)`
+    /// in one sweep into `t`, and `drain(dom, l, buffers)` consumes `t`.
+    fn sweep_domains(
+        &self,
+        s: &mut SchurApplyScratch,
+        lanes: usize,
+        mut fill: impl FnMut(&LocalDomain, usize, &mut LaneApplyScratch),
+        mut drain: impl FnMut(&LocalDomain, usize, &mut LaneApplyScratch),
+    ) {
+        let SchurApplyScratch {
+            lanes: buffers,
+            tri,
+            ..
+        } = s;
+        let buffers = &mut buffers[..lanes];
+        for (dom, fd) in self.sys.domains.iter().zip(self.factors) {
+            let dim = dom.dim();
+            let mut vs: [&[f64]; MAX_LANES] = [&[]; MAX_LANES];
+            let mut ts: [&mut [f64]; MAX_LANES] = Default::default();
+            for (l, ls) in buffers.iter_mut().enumerate() {
+                fill(dom, l, ls);
+                vs[l] = &ls.v[..dim];
+                ts[l] = &mut ls.t[..dim];
+            }
+            fd.lu
+                .solve_lanes(&vs[..lanes], &mut ts[..lanes], tri, self.workers);
+            for (l, ls) in buffers.iter_mut().enumerate() {
+                drain(dom, l, ls);
+            }
+        }
+    }
+
+    /// The reduce of equation (4): splits every lane's `b` into interior
+    /// parts `f_ℓ` and the separator part `g`, and writes
+    /// `ĝ = g − Σ F̂ D⁻¹ f` into `ghats`.
+    pub(crate) fn reduce_lanes(&self, bs: &[&[f64]], ghats: &mut [Vec<f64>]) {
+        for (bs, ghats) in bs.chunks(MAX_LANES).zip(ghats.chunks_mut(MAX_LANES)) {
+            for (ghat, b) in ghats.iter_mut().zip(bs) {
+                for (slot, &r) in ghat.iter_mut().zip(&self.sys.sep_rows) {
+                    *slot = b[r];
+                }
+            }
+            self.sweep_domains(
+                &mut self.scratch_for(bs.len()),
+                bs.len(),
+                |dom, l, ls| {
+                    for (slot, &r) in ls.v.iter_mut().zip(&dom.rows) {
+                        *slot = bs[l][r];
+                    }
+                },
+                |dom, l, ls| subtract_f_hat(dom, ls, &mut ghats[l]),
+            );
+        }
+    }
+
+    /// Back-substitutes the interiors, `u_ℓ = D⁻¹ (f_ℓ − Ê_ℓ y)`, and
+    /// assembles every lane's `x` from its `b` and separator solution
+    /// `y`.
+    pub(crate) fn back_substitute_lanes(&self, bs: &[&[f64]], ys: &[&[f64]], xs: &mut [Vec<f64>]) {
+        for ((bs, ys), xs) in bs
+            .chunks(MAX_LANES)
+            .zip(ys.chunks(MAX_LANES))
+            .zip(xs.chunks_mut(MAX_LANES))
+        {
+            self.sweep_domains(
+                &mut self.scratch_for(bs.len()),
+                bs.len(),
+                |dom, l, ls| {
+                    let ey = &mut ls.t[..dom.dim()];
+                    restrict_e_hat(dom, ys[l], &mut ls.ysub, ey);
+                    for ((slot, &r), ei) in ls.v.iter_mut().zip(&dom.rows).zip(ey.iter()) {
+                        *slot = bs[l][r] - ei;
+                    }
+                },
+                |dom, l, ls| {
+                    for (&gi, &u) in dom.rows.iter().zip(&ls.t) {
+                        xs[l][gi] = u;
+                    }
+                },
+            );
+            for (x, y) in xs.iter_mut().zip(ys) {
+                for (&gi, &yl) in self.sys.sep_rows.iter().zip(y.iter()) {
+                    x[gi] = yl;
+                }
+            }
+        }
+    }
+}
+
+/// `out = Ê_ℓ y`, through the gather of `y` at the columns `Ê_ℓ` touches.
+fn restrict_e_hat(dom: &LocalDomain, y: &[f64], ysub: &mut [f64], out: &mut [f64]) {
+    let ysub = &mut ysub[..dom.e_cols.len()];
+    for (slot, &c) in ysub.iter_mut().zip(&dom.e_cols) {
+        *slot = y[c];
+    }
+    dom.e_hat.matvec_into(ysub, out);
+}
+
+/// `sep -= F̂_ℓ t` on the separator rows `F̂_ℓ` touches.
+fn subtract_f_hat(dom: &LocalDomain, ls: &mut LaneApplyScratch, sep: &mut [f64]) {
+    let w = &mut ls.w[..dom.f_rows.len()];
+    dom.f_hat.matvec_into(&ls.t[..dom.dim()], w);
+    for (wl, &rg) in w.iter().zip(&dom.f_rows) {
+        sep[rg] -= wl;
+    }
 }
 
 impl LinearOperator for ImplicitSchur<'_> {
@@ -176,33 +309,28 @@ impl LinearOperator for ImplicitSchur<'_> {
     }
 
     fn apply(&self, y: &[f64], out: &mut [f64]) {
-        let mut s = self.scratch.borrow_mut();
-        s.prepare(self.sys, self.workers);
-        // out = C y
-        if self.workers > 1 && s.c_chunks.len() > 1 {
-            self.sys.c.matvec_into_chunks(y, out, &s.c_chunks);
-        } else {
-            self.sys.c.matvec_into(y, out);
-        }
-        // out -= Σ F̂ D⁻¹ (Ê y)
-        for ((dom, fd), ds) in self
-            .sys
-            .domains
-            .iter()
-            .zip(self.factors)
-            .zip(s.domains.iter_mut())
-        {
-            // Restrict y to the columns Ê touches.
-            for (slot, &c) in ds.ysub.iter_mut().zip(&dom.e_cols) {
-                *slot = y[c];
+        self.apply_lanes(&[y], &mut [out]);
+    }
+
+    fn apply_lanes(&self, ys: &[&[f64]], outs: &mut [&mut [f64]]) {
+        assert_eq!(ys.len(), outs.len());
+        for (ys, outs) in ys.chunks(MAX_LANES).zip(outs.chunks_mut(MAX_LANES)) {
+            let mut s = self.scratch_for(ys.len());
+            // out = C y
+            for (y, out) in ys.iter().zip(outs.iter_mut()) {
+                if self.workers > 1 && s.c_chunks.len() > 1 {
+                    self.sys.c.matvec_into_chunks(y, out, &s.c_chunks);
+                } else {
+                    self.sys.c.matvec_into(y, out);
+                }
             }
-            dom.e_hat.matvec_into(&ds.ysub, &mut ds.v);
-            fd.lu
-                .solve_into(&ds.v, &mut ds.t, &mut ds.tri, self.workers);
-            dom.f_hat.matvec_into(&ds.t, &mut ds.w);
-            for (rl, &rg) in dom.f_rows.iter().enumerate() {
-                out[rg] -= ds.w[rl];
-            }
+            // out -= Σ F̂ D⁻¹ (Ê y), every lane through each D_ℓ at once.
+            self.sweep_domains(
+                &mut s,
+                ys.len(),
+                |dom, l, ls| restrict_e_hat(dom, ys[l], &mut ls.ysub, &mut ls.v[..dom.dim()]),
+                |dom, l, ls| subtract_f_hat(dom, ls, outs[l]),
+            );
         }
     }
 }

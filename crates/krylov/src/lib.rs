@@ -21,7 +21,9 @@
 pub mod gmres;
 pub mod operator;
 
-pub use gmres::{gmres, gmres_with_workspace, GmresConfig, GmresResult, GmresWorkspace};
+pub use gmres::{
+    gmres, gmres_lanes, gmres_with_workspace, GmresConfig, GmresResult, GmresWorkspace,
+};
 pub use operator::{CsrOperator, IdentityPrecond, JacobiPrecond, LinearOperator, Preconditioner};
 
 /// Why a Krylov iteration stopped making progress before converging.

@@ -8,12 +8,28 @@ pub trait LinearOperator {
     fn n(&self) -> usize;
     /// Computes `y = A x` (`y` is pre-sized to `n`).
     fn apply(&self, x: &[f64], y: &mut [f64]);
+    /// Computes `ys[l] = A xs[l]` for every lane `l`. The default runs
+    /// one [`LinearOperator::apply`] per lane; an operator that can
+    /// serve several vectors per pass over its data overrides it, and
+    /// every lane must then stay bit-identical to its single apply.
+    fn apply_lanes(&self, xs: &[&[f64]], ys: &mut [&mut [f64]]) {
+        for (x, y) in xs.iter().zip(ys.iter_mut()) {
+            self.apply(x, y);
+        }
+    }
 }
 
 /// A preconditioner application `z = M⁻¹ r`.
 pub trait Preconditioner {
     /// Computes `z = M⁻¹ r` (`z` is pre-sized).
     fn apply(&self, r: &[f64], z: &mut [f64]);
+    /// Computes `zs[l] = M⁻¹ rs[l]` for every lane `l`; the same
+    /// contract as [`LinearOperator::apply_lanes`].
+    fn apply_lanes(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
+        for (r, z) in rs.iter().zip(zs.iter_mut()) {
+            self.apply(r, z);
+        }
+    }
 }
 
 /// The trivial preconditioner `M = I`.

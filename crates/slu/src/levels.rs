@@ -17,11 +17,23 @@
 //! parallel result is **byte-identical** to the serial one — the
 //! property every `bench_solve`/property-test assertion relies on.
 //!
-//! Cross-thread value passing uses `AtomicU64` bit-casts with relaxed
-//! ordering; the inter-level spin barrier provides the happens-before
-//! edges. This keeps the crate free of `unsafe` while compiling to
-//! plain loads and stores on mainstream targets.
+//! A sweep also carries several right-hand sides at once: with `W`
+//! *lanes* the values live lane-interleaved (row `i` of lane `l` at
+//! `i·W + l`), every dependency load fetches `W` contiguous values, and
+//! one pass over the plan's index and value arrays serves all `W`
+//! right-hand sides. Each lane performs exactly the operations of a
+//! single sweep in the same order, so every lane is bit-identical to
+//! solving its right-hand side alone.
+//!
+//! Values live in plain `f64` cells when one thread runs the sweep and
+//! in `AtomicU64` bit-casts (relaxed ordering) only when a level is
+//! split across threads; the inter-level spin barrier provides the
+//! happens-before edges. Relaxed atomic loads do not vectorise, so the
+//! serial path must not pay for them. This keeps the crate free of
+//! `unsafe` while compiling to plain loads and stores on mainstream
+//! targets.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use sparsekit::{Csc, Perm};
@@ -29,6 +41,11 @@ use sparsekit::{Csc, Perm};
 /// Below this many rows a solve runs serially even when workers were
 /// requested: spawning scoped threads costs more than the sweep itself.
 const PAR_MIN_ROWS: usize = 256;
+
+/// Widest group of right-hand sides one sweep carries. A wider batch is
+/// swept in groups of this many; a narrower group is padded with zero
+/// lanes up to the next width in 1, 2, 4, 8.
+pub const MAX_LANES: usize = 8;
 
 /// Process-wide count of [`SolvePlan::build`] executions. Plan
 /// construction is the redundant symbolic work the lazy-plan and
@@ -87,40 +104,61 @@ impl LevelPlan {
             .unwrap_or(0)
     }
 
-    /// Runs positions `a..b` of the sweep. All dependencies live at
-    /// positions `< a` or were produced by this same call.
+    /// Runs positions `a..b` of the sweep on `W` lanes. All
+    /// dependencies live at positions `< a` or were produced by this
+    /// same call; `input` and `out` are lane-interleaved.
     ///
-    /// The accumulation loop is lane-structured: products are computed
-    /// in fixed-width [`LANES`](sparsekit::lanes::LANES) batches (the
-    /// multiplies vectorize, the gathers pipeline) and folded into the
+    /// The accumulation loop is lane-structured twice over: products are
+    /// computed in fixed-width [`LANES`](sparsekit::lanes::LANES)
+    /// batches of dependencies (the multiplies vectorize, the gathers
+    /// pipeline), and each dependency load fetches the `W` right-hand
+    /// sides side by side. Every lane's products are folded into its
     /// accumulator strictly left-to-right — the exact op sequence of the
     /// plain scalar loop, so results stay byte-identical.
     #[inline]
-    fn run_range(&self, a: usize, b: usize, input: &[f64], out: &[AtomicU64]) {
+    fn run_range<const W: usize, C: Cells + ?Sized>(
+        &self,
+        a: usize,
+        b: usize,
+        input: &[f64],
+        out: &C,
+    ) {
         use sparsekit::lanes::LANES;
         for p in a..b {
-            let mut acc = input[self.rhs_src[p]];
+            let src = self.rhs_src[p] * W;
+            let mut acc: [f64; W] = input[src..src + W].try_into().expect("lane width");
             let deps = self.dep_ptr[p]..self.dep_ptr[p + 1];
             let dep_pos = &self.dep_pos[deps.clone()];
             let dep_val = &self.dep_val[deps];
             let mut cp = dep_pos.chunks_exact(LANES);
             let mut cv = dep_val.chunks_exact(LANES);
             for (pp, vv) in (&mut cp).zip(&mut cv) {
-                let mut prod = [0f64; LANES];
-                for l in 0..LANES {
-                    prod[l] = vv[l] * f64::from_bits(out[pp[l]].load(Ordering::Relaxed));
+                let mut prod = [[0f64; W]; LANES];
+                for k in 0..LANES {
+                    let x = out.load::<W>(pp[k]);
+                    for l in 0..W {
+                        prod[k][l] = vv[k] * x[l];
+                    }
                 }
                 for pr in prod {
-                    acc -= pr;
+                    for l in 0..W {
+                        acc[l] -= pr[l];
+                    }
                 }
             }
             for (&dp, &dv) in cp.remainder().iter().zip(cv.remainder()) {
-                acc -= dv * f64::from_bits(out[dp].load(Ordering::Relaxed));
+                let x = out.load::<W>(dp);
+                for l in 0..W {
+                    acc[l] -= dv * x[l];
+                }
             }
             if !self.diag.is_empty() {
-                acc /= self.diag[p];
+                let d = self.diag[p];
+                for v in &mut acc {
+                    *v /= d;
+                }
             }
-            out[p].store(acc.to_bits(), Ordering::Relaxed);
+            out.store::<W>(p, acc);
         }
     }
 
@@ -152,19 +190,18 @@ impl LevelPlan {
         (s + len * t / workers, s + len * (t + 1) / workers)
     }
 
-    /// Executes the sweep into `out` (position order). With `workers <= 1`
-    /// (or a trivially small system) everything runs on the calling
-    /// thread; otherwise each level is split across `workers` scoped
-    /// threads with a spin barrier between levels. Both paths perform
-    /// the same arithmetic in the same order per position, so the
-    /// results are byte-identical.
-    fn execute(&self, input: &[f64], out: &[AtomicU64], workers: usize) {
-        let n = self.n();
-        debug_assert!(out.len() >= n);
-        if workers <= 1 || n < PAR_MIN_ROWS {
-            self.run_range(0, n, input, out);
-            return;
-        }
+    /// Executes the sweep on the calling thread into `out` (position
+    /// order, lane-interleaved, plain `f64` storage).
+    fn sweep_serial<const W: usize>(&self, input: &[f64], out: &mut [f64]) {
+        let cells = Cell::from_mut(out).as_slice_of_cells();
+        self.run_range::<W, _>(0, self.n(), input, cells);
+    }
+
+    /// Executes the sweep into `out` with each level split across
+    /// `workers` scoped threads and a spin barrier between levels. Every
+    /// position performs the same arithmetic in the same order as in
+    /// [`LevelPlan::sweep_serial`], so the results are byte-identical.
+    fn sweep_parallel<const W: usize>(&self, input: &[f64], out: &[AtomicU64], workers: usize) {
         let barrier = SpinBarrier::new(workers);
         let nlevels = self.num_levels();
         std::thread::scope(|sc| {
@@ -173,12 +210,53 @@ impl LevelPlan {
                 sc.spawn(move || {
                     for l in 0..nlevels {
                         let (a, b) = self.worker_range(l, t, workers);
-                        self.run_range(a, b, input, out);
+                        self.run_range::<W, _>(a, b, input, out);
                         barrier.wait();
                     }
                 });
             }
         });
+    }
+}
+
+/// Lane-interleaved value storage of a sweep's output: position `p`
+/// holds its `W` lanes at `p·W..p·W + W`.
+trait Cells {
+    fn load<const W: usize>(&self, p: usize) -> [f64; W];
+    fn store<const W: usize>(&self, p: usize, v: [f64; W]);
+}
+
+/// Serial storage: plain loads and stores, which vectorize across lanes.
+impl Cells for [Cell<f64>] {
+    #[inline(always)]
+    fn load<const W: usize>(&self, p: usize) -> [f64; W] {
+        let s: &[Cell<f64>; W] = self[p * W..p * W + W].try_into().expect("lane width");
+        std::array::from_fn(|l| s[l].get())
+    }
+
+    #[inline(always)]
+    fn store<const W: usize>(&self, p: usize, v: [f64; W]) {
+        let s: &[Cell<f64>; W] = self[p * W..p * W + W].try_into().expect("lane width");
+        for (c, x) in s.iter().zip(v) {
+            c.set(x);
+        }
+    }
+}
+
+/// Shared storage of a level split across threads: relaxed bit-casts.
+impl Cells for [AtomicU64] {
+    #[inline(always)]
+    fn load<const W: usize>(&self, p: usize) -> [f64; W] {
+        let s: &[AtomicU64; W] = self[p * W..p * W + W].try_into().expect("lane width");
+        std::array::from_fn(|l| f64::from_bits(s[l].load(Ordering::Relaxed)))
+    }
+
+    #[inline(always)]
+    fn store<const W: usize>(&self, p: usize, v: [f64; W]) {
+        let s: &[AtomicU64; W] = self[p * W..p * W + W].try_into().expect("lane width");
+        for (c, x) in s.iter().zip(v) {
+            c.store(x.to_bits(), Ordering::Relaxed);
+        }
     }
 }
 
@@ -253,18 +331,92 @@ impl SolvePlan {
 
     /// Executes both sweeps: `x = Qᵀ U⁻¹ L⁻¹ P b`, using (and growing,
     /// on first use) the caller's scratch. `x` is fully overwritten.
+    /// The one-lane instance of [`SolvePlan::solve_lanes`].
     pub fn solve_into(&self, b: &[f64], x: &mut [f64], scratch: &mut TriScratch, workers: usize) {
-        let n = self.fwd.n();
-        assert_eq!(b.len(), n);
-        assert_eq!(x.len(), n);
-        scratch.prepare(n);
-        self.fwd.execute(b, &scratch.bits, workers);
-        for (m, bit) in scratch.mid[..n].iter_mut().zip(&scratch.bits) {
-            *m = f64::from_bits(bit.load(Ordering::Relaxed));
+        self.solve_lanes(&[b], &mut [x], scratch, workers);
+    }
+
+    /// Solves `x[l] = Qᵀ U⁻¹ L⁻¹ P b[l]` for every lane `l`, sweeping up
+    /// to [`MAX_LANES`] right-hand sides through one pass over the
+    /// factors. Every `x[l]` is bit-identical to
+    /// [`SolvePlan::solve_into`] on `b[l]` alone, for every `workers`
+    /// value.
+    pub fn solve_lanes(
+        &self,
+        b: &[&[f64]],
+        x: &mut [&mut [f64]],
+        scratch: &mut TriScratch,
+        workers: usize,
+    ) {
+        assert_eq!(b.len(), x.len());
+        for (bg, xg) in b.chunks(MAX_LANES).zip(x.chunks_mut(MAX_LANES)) {
+            match bg.len() {
+                1 => self.solve_group::<1>(bg, xg, scratch, workers),
+                2 => self.solve_group::<2>(bg, xg, scratch, workers),
+                3 | 4 => self.solve_group::<4>(bg, xg, scratch, workers),
+                _ => self.solve_group::<MAX_LANES>(bg, xg, scratch, workers),
+            }
         }
-        self.bwd.execute(&scratch.mid[..n], &scratch.bits, workers);
+    }
+
+    /// One group of at most `W` lanes; missing lanes are swept as zeros.
+    fn solve_group<const W: usize>(
+        &self,
+        b: &[&[f64]],
+        x: &mut [&mut [f64]],
+        scratch: &mut TriScratch,
+        workers: usize,
+    ) {
+        let n = self.fwd.n();
+        for (bl, xl) in b.iter().zip(x.iter()) {
+            assert_eq!(bl.len(), n);
+            assert_eq!(xl.len(), n);
+        }
+        let parallel = workers > 1 && n >= PAR_MIN_ROWS;
+        // A parallel one-lane sweep reads `b` and writes `bits` only.
+        scratch.prepare(n * W, W > 1 || !parallel, parallel);
+        let TriScratch {
+            outer, mid, bits, ..
+        } = scratch;
+        let mid = &mut mid[..n * W];
+        // Lane-interleave the right-hand sides into `outer` (padding
+        // lanes are zero); a serial backward sweep overwrites it once the
+        // forward sweep has read it.
+        let input: &[f64] = if W == 1 {
+            b[0]
+        } else {
+            let packed = &mut outer[..n * W];
+            for (i, row) in packed.chunks_exact_mut(W).enumerate() {
+                for (l, slot) in row.iter_mut().enumerate() {
+                    *slot = b.get(l).map_or(0.0, |bl| bl[i]);
+                }
+            }
+            packed
+        };
+        if parallel {
+            let bits = &bits[..n * W];
+            self.fwd.sweep_parallel::<W>(input, bits, workers);
+            for (m, bit) in mid.iter_mut().zip(bits) {
+                *m = f64::from_bits(bit.load(Ordering::Relaxed));
+            }
+            self.bwd.sweep_parallel::<W>(mid, bits, workers);
+            self.scatter::<W>(|q| f64::from_bits(bits[q].load(Ordering::Relaxed)), x);
+        } else {
+            self.fwd.sweep_serial::<W>(input, mid);
+            let out = &mut outer[..n * W];
+            self.bwd.sweep_serial::<W>(mid, out);
+            self.scatter::<W>(|q| out[q], x);
+        }
+    }
+
+    /// Scatters the backward sweep's lane-interleaved output into the
+    /// caller's vectors.
+    #[inline]
+    fn scatter<const W: usize>(&self, get: impl Fn(usize) -> f64, x: &mut [&mut [f64]]) {
         for (q, &dst) in self.out_dst.iter().enumerate() {
-            x[dst] = f64::from_bits(scratch.bits[q].load(Ordering::Relaxed));
+            for (l, xl) in x.iter_mut().enumerate() {
+                xl[dst] = get(q * W + l);
+            }
         }
     }
 
@@ -287,13 +439,20 @@ impl SolvePlan {
     }
 }
 
-/// Reusable buffers for [`SolvePlan::solve_into`]. One instance per
-/// concurrently-solving caller; after the first solve of a given size,
-/// subsequent solves allocate nothing (see [`TriScratch::allocations`]).
+/// Reusable buffers for [`SolvePlan::solve_lanes`]. One instance per
+/// concurrently-solving caller; after the first solve of a given size
+/// and lane width, subsequent solves allocate nothing (see
+/// [`TriScratch::allocations`]). `bits` is grown only by sweeps split
+/// across threads.
 #[derive(Debug, Default)]
 pub struct TriScratch {
-    bits: Vec<AtomicU64>,
+    /// The lane-interleaved right-hand sides, then the backward sweep's
+    /// output (serial).
+    outer: Vec<f64>,
+    /// Forward sweep output, input of the backward sweep.
     mid: Vec<f64>,
+    /// Sweep output shared between threads.
+    bits: Vec<AtomicU64>,
     allocations: u64,
     resets: u64,
 }
@@ -304,12 +463,21 @@ impl TriScratch {
         TriScratch::default()
     }
 
-    fn prepare(&mut self, n: usize) {
+    fn prepare(&mut self, len: usize, outer: bool, parallel: bool) {
         self.resets += 1;
-        if self.bits.len() < n {
+        let mut grew = false;
+        for (v, needed) in [(&mut self.outer, outer), (&mut self.mid, true)] {
+            if needed && v.len() < len {
+                v.resize(len, 0.0);
+                grew = true;
+            }
+        }
+        if parallel && self.bits.len() < len {
+            self.bits.resize_with(len, || AtomicU64::new(0));
+            grew = true;
+        }
+        if grew {
             self.allocations += 1;
-            self.bits.resize_with(n, || AtomicU64::new(0));
-            self.mid.resize(n, 0.0);
         }
     }
 
@@ -547,6 +715,49 @@ mod tests {
                 let mut par = vec![f64::NAN; n];
                 f.solve_into(&b, &mut par, &mut scratch, w);
                 assert_eq!(par, serial, "workers {w}, n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_sweeps_match_single_sweeps_bit_for_bit() {
+        // A domain-like factor, and the same matrix with the dense
+        // kernel forced from the middle on: a dense tail like the one
+        // LU(S̃) of a cavity has. 400 rows, so workers = 2 splits levels.
+        let a = laplace2d(20);
+        let n = a.nrows();
+        let (order, cfg) = (Perm::identity(n), LuConfig::default());
+        let domain = LuFactors::factorize(&a, &order, &cfg).unwrap();
+        let budget = sparsekit::Budget::unlimited();
+        let dense_tail = LuFactors::factorize_at(&a, &order, &cfg, &budget, Some(n / 2)).unwrap();
+        assert!(dense_tail.dense_start() < n);
+        let bs: Vec<Vec<f64>> = (0..2 * MAX_LANES + 1)
+            .map(|s| {
+                (0..n)
+                    .map(|i| ((i * 29 + s * 11) % 17) as f64 - 8.0)
+                    .collect()
+            })
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for f in [&domain, &dense_tail] {
+            let single: Vec<Vec<f64>> = bs.iter().map(|b| f.solve(b)).collect();
+            for workers in [1usize, 2] {
+                let mut scratch = TriScratch::new();
+                // 3 and 5 are partial groups padded to 4 and 8 lanes;
+                // 17 is two full groups and a single lane.
+                for lanes in [1, 2, 3, 5, MAX_LANES, 2 * MAX_LANES + 1] {
+                    let b: Vec<&[f64]> = bs[..lanes].iter().map(Vec::as_slice).collect();
+                    let mut xs = vec![vec![f64::NAN; n]; lanes];
+                    let mut x: Vec<&mut [f64]> = xs.iter_mut().map(Vec::as_mut_slice).collect();
+                    f.solve_lanes(&b, &mut x, &mut scratch, workers);
+                    for (l, (got, want)) in xs.iter().zip(&single).enumerate() {
+                        assert_eq!(
+                            bits(got),
+                            bits(want),
+                            "lane {l} of {lanes}, workers {workers}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -42,7 +42,7 @@ pub mod trisolve;
 
 pub use blocked::{solve_in_blocks, solve_in_blocks_ordered, BlockSolveStats};
 pub use etree::{etree, postorder};
-pub use levels::{plan_build_count, LevelPlan, SolvePlan, TriScratch};
+pub use levels::{plan_build_count, LevelPlan, SolvePlan, TriScratch, MAX_LANES};
 pub use lu::{LuConfig, LuError, LuFactors, RefactorizeError};
 pub use reach::ReachGraph;
 pub use supernodes::{detect_supernodes, supernodal_padding, Supernodes};

@@ -759,6 +759,20 @@ impl LuFactors {
         self.solve_plan().solve_into(b, x, scratch, workers);
     }
 
+    /// Solves `A x[l] = b[l]` for every lane `l` in one pass over the
+    /// factors per group of [`MAX_LANES`](crate::levels::MAX_LANES)
+    /// lanes; every lane is bit-identical to [`LuFactors::solve_into`]
+    /// on its right-hand side alone.
+    pub fn solve_lanes(
+        &self,
+        b: &[&[f64]],
+        x: &mut [&mut [f64]],
+        scratch: &mut TriScratch,
+        workers: usize,
+    ) {
+        self.solve_plan().solve_lanes(b, x, scratch, workers);
+    }
+
     /// The level-scheduled triangular-solve plan, built on first use
     /// and cached.
     pub fn solve_plan(&self) -> &SolvePlan {

@@ -260,6 +260,10 @@ def bench_solve():
     need = {"matvec", "trisolve", "solve", "solve_many"}
     if not need <= kernels:
         sys.exit(f"BENCH_solve.json: missing kernels {need - kernels}")
+    # The one-thread batch is the lockstep-lane path alone, the one the
+    # end-to-end benchmark measures.
+    if not any(r["kernel"] == "solve_many" and r["workers"] == 1 for r in rows):
+        sys.exit("BENCH_solve.json: missing the PDSLIN_THREADS=1 solve_many row")
     print("\n## BENCH_solve (solve-phase kernels; exact-match asserted, speedups informational)\n")
     print("| problem | kernel | workers | batch | seconds | speedup | match | iters |")
     print("|---|---|---|---|---|---|---|---|")
@@ -307,6 +311,49 @@ def bench_kernels():
         print(
             f"| {r['problem']} | {r['kernel']} | {r['workers']} | "
             f"{r['seconds']:.4f} | {r['speedup']:.2f}x | {r['matches_serial']} |"
+        )
+
+
+BENCH_TRISOLVE_LANES_SCHEMA = {
+    "problem": str,
+    "lanes": int,
+    "rhs": int,
+    "seconds": float,
+    "single_seconds": float,
+    "speedup": float,
+    "matches_single": bool,
+}
+
+
+def bench_trisolve_lanes():
+    """The trisolve_lanes scenario of bench_kernels: LU(D) sweeps with W
+    right-hand sides per call against single sweeps. Gated on shape and
+    on every lane matching its single sweep bit for bit; the speedups
+    are informational."""
+    rows = load("BENCH_trisolve_lanes")
+    if rows is None:
+        # bench_kernels writes both files; one without the other is a
+        # broken run.
+        if load("BENCH_kernels") is not None:
+            sys.exit("BENCH_trisolve_lanes.json: missing beside BENCH_kernels.json")
+        return
+    if not isinstance(rows, list) or not rows:
+        sys.exit("BENCH_trisolve_lanes.json: expected a non-empty list of rows")
+    for i, r in enumerate(rows):
+        check_schema("BENCH_trisolve_lanes.json", i, r, BENCH_TRISOLVE_LANES_SCHEMA)
+        if not r["matches_single"]:
+            sys.exit(f"BENCH_trisolve_lanes.json row {i}: a lane diverged from its single sweep")
+    need = {1, 4, 8, 16}
+    lanes = {r["lanes"] for r in rows}
+    if not need <= lanes:
+        sys.exit(f"BENCH_trisolve_lanes.json: missing lane widths {sorted(need - lanes)}")
+    print("\n## BENCH_trisolve_lanes (LU(D) sweeps, W lanes vs single; exact match asserted)\n")
+    print("| problem | W | RHS | seconds | single seconds | speedup | match |")
+    print("|---|---|---|---|---|---|---|")
+    for r in rows:
+        print(
+            f"| {r['problem']} | {r['lanes']} | {r['rhs']} | {r['seconds']:.4f} | "
+            f"{r['single_seconds']:.4f} | {r['speedup']:.2f}x | {r['matches_single']} |"
         )
 
 
@@ -536,6 +583,7 @@ if __name__ == "__main__":
         ablations,
         supernodal,
         bench_kernels,
+        bench_trisolve_lanes,
         bench_lu_dense,
         bench_reach,
         bench_solve,

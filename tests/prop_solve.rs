@@ -1,6 +1,7 @@
 //! Property tests of the solve phase: byte-identical parallel kernels
 //! (chunked SpMV, level-scheduled triangular solves), batched multi-RHS
-//! solves agreeing with sequential ones, typed budget interrupts
+//! solves agreeing bit for bit with sequential ones across lockstep
+//! group boundaries, fallback rungs and bad inputs, typed budget interrupts
 //! mid-solve, and the zero-steady-state-allocation guarantee observed
 //! through the arena counters.
 //!
@@ -10,7 +11,7 @@
 use std::time::Duration;
 
 use matgen::stencil::laplace2d;
-use pdslin::{Budget, CancelToken, Pdslin, PdslinConfig, PdslinError};
+use pdslin::{Budget, CancelToken, Pdslin, PdslinConfig, PdslinError, SolveOutcome};
 use slu::{LuConfig, LuFactors, TriScratch};
 use sparsekit::{Coo, Csr, Perm, Rng64};
 
@@ -75,8 +76,41 @@ fn level_scheduled_trisolve_matches_serial_bitwise() {
     }
 }
 
+/// Every field of a solve a caller sees, compared bit for bit.
+fn assert_same_outcome(got: &SolveOutcome, want: &SolveOutcome, what: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got.x), bits(&want.x), "{what}: x");
+    assert_eq!(got.iterations, want.iterations, "{what}: iterations");
+    assert_eq!(
+        got.schur_residual.to_bits(),
+        want.schur_residual.to_bits(),
+        "{what}: schur_residual"
+    );
+    assert_eq!(got.converged, want.converged, "{what}: converged");
+    assert_eq!(got.method, want.method, "{what}: method");
+    assert_eq!(got.recovery, want.recovery, "{what}: recovery events");
+}
+
+/// Solves `batch` one right-hand side at a time and as one batch, and
+/// checks that every outcome agrees bit for bit.
+fn batch_matches_sequential(solver: &mut Pdslin, batch: &[Vec<f64>]) -> Vec<SolveOutcome> {
+    let seq: Vec<_> = batch
+        .iter()
+        .map(|b| solver.solve(b).expect("sequential solve"))
+        .collect();
+    let many = solver.solve_many(batch).expect("batched solve");
+    assert_eq!(many.len(), batch.len());
+    for (i, (m, s)) in many.iter().zip(&seq).enumerate() {
+        assert_same_outcome(m, s, &format!("batch of {}, rhs {i}", batch.len()));
+    }
+    many
+}
+
 #[test]
 fn solve_many_matches_sequential_solves() {
+    // Lockstep groups hold 8 right-hand sides: 5 and 7 give a partial
+    // group, 8 a full one, 9 a full one plus a single lane, 17 two full
+    // ones plus a single lane.
     let a = laplace2d(20, 20);
     let cfg = PdslinConfig {
         k: 4,
@@ -84,20 +118,88 @@ fn solve_many_matches_sequential_solves() {
     };
     let mut solver = Pdslin::setup(&a, cfg).expect("setup");
     let mut rng = Rng64::new(7);
-    let batch: Vec<Vec<f64>> = (0..5).map(|_| rhs(&mut rng, a.nrows())).collect();
-    let seq: Vec<_> = batch
-        .iter()
-        .map(|b| solver.solve(b).expect("sequential solve"))
-        .collect();
-    let many = solver.solve_many(&batch).expect("batched solve");
-    assert_eq!(seq.len(), many.len());
-    for (i, (s, m)) in seq.iter().zip(&many).enumerate() {
-        assert_eq!(s.x, m.x, "rhs {i}: solution diverged");
-        assert_eq!(s.iterations, m.iterations, "rhs {i}");
-        assert_eq!(s.schur_residual, m.schur_residual, "rhs {i}");
-        assert_eq!(s.converged, m.converged, "rhs {i}");
-        assert_eq!(s.method, m.method, "rhs {i}");
+    for size in [1usize, 5, 7, 8, 9, 17] {
+        let mut batch: Vec<Vec<f64>> = (0..size).map(|_| rhs(&mut rng, a.nrows())).collect();
+        // A zero right-hand side rides in the middle of the batch.
+        batch[size / 2] = vec![0.0; a.nrows()];
+        let many = batch_matches_sequential(&mut solver, &batch);
+        let zero = &many[size / 2];
+        assert!(zero.converged && zero.iterations == 0, "batch of {size}");
+        assert!(zero.x.iter().all(|&v| v == 0.0), "batch of {size}");
     }
+}
+
+#[test]
+fn a_batch_mixing_fallback_rungs_matches_sequential_solves() {
+    // A loose preconditioner needs 17-19 GMRES iterations here, so with
+    // max_iters = 18 some right-hand sides fall back to the
+    // gmres(restart-grow) rung while their batch-mates do not.
+    let a = laplace2d(20, 20);
+    let mut cfg = PdslinConfig {
+        k: 4,
+        interface_drop_tol: 0.3,
+        schur_drop_tol: 0.3,
+        ..Default::default()
+    };
+    cfg.gmres.max_iters = 18;
+    let mut solver = Pdslin::setup(&a, cfg).expect("setup");
+    let mut rng = Rng64::new(5);
+    let mut batch: Vec<Vec<f64>> = (0..10).map(|_| rhs(&mut rng, a.nrows())).collect();
+    batch[3] = vec![0.0; a.nrows()];
+    let many = batch_matches_sequential(&mut solver, &batch);
+    let first_rung = many.iter().filter(|o| o.method == "gmres").count();
+    let grown = many
+        .iter()
+        .filter(|o| o.method == "gmres(restart-grow)")
+        .collect::<Vec<_>>();
+    assert!(first_rung > 1, "the zero rhs and some others stay on gmres");
+    assert!(
+        !grown.is_empty(),
+        "some right-hand sides need the second rung"
+    );
+    assert!(grown.iter().all(|o| o.converged && o.recovery.len() == 1));
+}
+
+#[test]
+fn a_non_finite_rhs_mid_batch_surfaces_the_first_typed_error() {
+    let a = laplace2d(16, 16);
+    let cfg = PdslinConfig {
+        k: 4,
+        ..Default::default()
+    };
+    let mut solver = Pdslin::setup(&a, cfg).expect("setup");
+    let mut rng = Rng64::new(41);
+    let mut batch: Vec<Vec<f64>> = (0..11).map(|_| rhs(&mut rng, a.nrows())).collect();
+    batch[4][9] = f64::NAN;
+    batch[7][3] = f64::INFINITY;
+    batch[9].pop();
+    let err = solver
+        .solve_many(&batch)
+        .expect_err("a non-finite rhs fails the batch");
+    assert!(
+        matches!(
+            err,
+            PdslinError::NonFiniteInput {
+                what: "b",
+                index: 9
+            }
+        ),
+        "got {err:?}"
+    );
+    // The same error a sequential run meets first.
+    let first = batch
+        .iter()
+        .find_map(|b| solver.solve(b).err())
+        .expect("a sequential run fails too");
+    assert_eq!(format!("{first:?}"), format!("{err:?}"));
+    // The valid right-hand sides still solve, batched as sequentially.
+    let valid: Vec<Vec<f64>> = batch
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| ![4, 7, 9].contains(i))
+        .map(|(_, b)| b.clone())
+        .collect();
+    batch_matches_sequential(&mut solver, &valid);
 }
 
 #[test]
