@@ -38,7 +38,7 @@ fn run(a: &sparsekit::Csr, k: usize, kind: PartitionerKind) -> (PartitionStats, 
     let stats = PartitionStats::compute(a, &part);
     // The paper's §V configuration: one process per subdomain, so the
     // subdomain phases cost their maximum and imbalance shows up as time.
-    let one_level = solver.stats.one_level_parallel_setup() + out.seconds;
+    let one_level = pdslin_bench::one_level_parallel_setup(&solver.stats) + out.seconds;
     (stats, one_level, out.iterations)
 }
 

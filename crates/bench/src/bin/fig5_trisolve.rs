@@ -4,8 +4,8 @@
 //! matrix211 analogues.
 
 use matgen::MatrixKind;
-use pdslin::interface::g_solve_experiment;
 use pdslin::RhsOrdering;
+use pdslin_bench::g_solve_experiment;
 
 pdslin_bench::json_record! {
     struct Fig5Row {

@@ -80,7 +80,7 @@ fn main() {
             let st = PartitionStats::compute(&a, &solver.sys.part);
             // One-level parallel configuration (§V): one process per
             // subdomain; the preconditioner time is the makespan.
-            let precond = solver.stats.one_level_parallel_setup();
+            let precond = pdslin_bench::one_level_parallel_setup(&solver.stats);
             let row = Table2Row {
                 matrix: kind.name().to_string(),
                 algorithm: alg.to_string(),

@@ -104,13 +104,12 @@ fn cmd_solve(args: &Args) -> Result<(), CmdError> {
     let out = solver.solve_budgeted(&b, &budget)?;
     report_recovery("solve", &out.recovery);
     println!(
-        "solve: {} via {}, {} iterations, {:.2}s, Schur residual {:.2e}",
+        "solve: {}, {} GMRES iterations, {:.2}s, Schur residual {:.2e}",
         if out.converged {
             "converged"
         } else {
             "accepted"
         },
-        out.method,
         out.iterations,
         out.seconds,
         out.schur_residual

@@ -4,11 +4,12 @@
 //! Setup validates its inputs up front (NaN/Inf, dimensions), walks the
 //! partition fallback chain on degeneracy, retries failed subdomain and
 //! Schur factorisations with escalating pivoting and diagonal
-//! perturbation, and repairs poisoned interface blocks. The solve walks
-//! a Krylov fallback chain (GMRES → GMRES with a doubled restart →
-//! direct `LU(S̃)` solve with iterative refinement). Every
-//! recovery action is recorded in a [`RecoveryReport`] so a clean run
-//! is distinguishable from a rescued one.
+//! perturbation, and repairs poisoned interface blocks. The solve is one
+//! restarted GMRES run on the Schur system, with no fallback: what it
+//! does not answer within the acceptance floor is a typed
+//! [`PdslinError::SolveFailed`]. Every recovery action is recorded in a
+//! [`RecoveryReport`] so a clean run is distinguishable from a rescued
+//! one.
 //!
 //! On top of the retry chains sits the budgeted-execution layer:
 //!
@@ -36,10 +37,9 @@ use std::cell::RefCell;
 use std::time::Instant;
 
 use graphpart::WeightScheme;
-use krylov::{gmres_lanes, GmresConfig, GmresWorkspace, LinearOperator};
+use krylov::{gmres_lanes, GmresConfig, GmresResult, GmresWorkspace};
 use slu::{LuFactors, TriScratch, MAX_LANES};
-use sparsekit::budget::{Budget, BudgetInterrupt};
-use sparsekit::ops::{axpy, norm2};
+use sparsekit::budget::Budget;
 use sparsekit::{csr_pattern_fingerprint, Csr};
 
 use crate::budget::interrupt_error;
@@ -97,8 +97,8 @@ impl Default for PdslinConfig {
             schur_drop_tol: 1e-8,
             pivot_threshold: 0.1,
             gmres: GmresConfig {
-                restart: 100,
-                max_iters: 500,
+                restart: 200,
+                max_iters: 1000,
                 tol: 1e-10,
             },
             parallel: true,
@@ -155,15 +155,12 @@ impl std::fmt::Debug for Pdslin {
 pub struct SolveOutcome {
     /// The solution vector.
     pub x: Vec<f64>,
-    /// Krylov iterations on the Schur system (by the method that
-    /// produced the answer).
+    /// GMRES iterations on the Schur system.
     pub iterations: usize,
     /// Final relative residual of the Schur solve.
     pub schur_residual: f64,
     /// Whether the requested tolerance was met.
     pub converged: bool,
-    /// Label of the method that produced the answer.
-    pub method: String,
     /// Every recovery action taken during this solve (empty on a clean
     /// run).
     pub recovery: RecoveryReport,
@@ -222,8 +219,9 @@ pub struct UpdateOutcome {
     pub seconds: f64,
 }
 
-/// Residual level beyond which a rescued solve is reported as a failure
-/// rather than a degraded success (relative to the requested tolerance).
+/// Residual level beyond which a GMRES run that missed the tolerance is
+/// reported as a failure rather than a degraded success (relative to the
+/// requested tolerance).
 fn acceptance_floor(tol: f64) -> f64 {
     (tol * 1e3).max(1e-6)
 }
@@ -296,6 +294,22 @@ impl Pdslin {
             return Err(PdslinError::InvalidInput {
                 message: "block size B must be at least 1".to_string(),
             });
+        }
+        let tol = cfg.gmres.tol;
+        if !(tol.is_finite() && tol > 0.0) {
+            return Err(PdslinError::InvalidInput {
+                message: format!("GMRES tolerance {tol} must be finite and > 0"),
+            });
+        }
+        for (name, drop) in [
+            ("interface", cfg.interface_drop_tol),
+            ("Schur", cfg.schur_drop_tol),
+        ] {
+            if !(drop.is_finite() && drop >= 0.0) {
+                return Err(PdslinError::InvalidInput {
+                    message: format!("{name} drop tolerance {drop} must be finite and >= 0"),
+                });
+            }
         }
         if let Some(i) = (0..n).find(|&i| a.row_values(i).iter().any(|v| !v.is_finite())) {
             return Err(PdslinError::NonFiniteInput {
@@ -552,17 +566,16 @@ impl Pdslin {
     }
 
     /// Solves `A x = b` via the Schur complement method (equations
-    /// (2)–(4) of the paper), falling back through the Krylov chain on
-    /// stagnation or breakdown.
+    /// (2)–(4) of the paper): one restarted GMRES run on the Schur
+    /// system, preconditioned by `LU(S̃)`.
     pub fn solve(&mut self, b: &[f64]) -> Result<SolveOutcome, PdslinError> {
         self.solve_budgeted(b, &Budget::unlimited())
     }
 
     /// [`Pdslin::solve`] under an execution [`Budget`]. An interrupt
-    /// mid-solve aborts the Krylov fallback chain immediately (walking
-    /// further fallbacks against an expired deadline would only spin)
-    /// and surfaces the phase-labelled typed error; the factors are left
-    /// untouched, so the solver remains usable with a fresh budget.
+    /// mid-solve stops GMRES immediately and surfaces the phase-labelled
+    /// typed error; the factors are left untouched, so the solver
+    /// remains usable with a fresh budget.
     pub fn solve_budgeted(
         &mut self,
         b: &[f64],
@@ -584,8 +597,8 @@ impl Pdslin {
     /// threads, with `outer × inner ≤` the configured thread count. Each
     /// worker owns a private scratch arena, so workers never contend,
     /// and the per-RHS results are **identical** (bit-for-bit, including
-    /// iteration counts, method labels and recovery events) to issuing
-    /// the same [`Pdslin::solve`] calls sequentially.
+    /// iteration counts and residuals) to issuing the same
+    /// [`Pdslin::solve`] calls sequentially.
     pub fn solve_many(&mut self, rhs: &[Vec<f64>]) -> Result<Vec<SolveOutcome>, PdslinError> {
         self.solve_many_budgeted(rhs, &Budget::unlimited())
     }
@@ -696,18 +709,6 @@ pub struct ScratchStats {
     pub solves: u64,
 }
 
-/// Buffers of the direct-fallback refinement loop (sized on first use;
-/// the lanes that reach it take it one at a time).
-#[derive(Debug, Default)]
-struct DirectScratch {
-    /// `S·y`.
-    work: Vec<f64>,
-    /// Refinement residual.
-    r: Vec<f64>,
-    /// Refinement correction.
-    dy: Vec<f64>,
-}
-
 /// All reusable state one solve worker needs: per-lane separator
 /// right-hand sides and Krylov workspaces, the Schur apply scratch
 /// (which also serves the reduce and the back-substitution), and the
@@ -722,9 +723,8 @@ struct WorkerScratch {
     /// Arena behind [`ImplicitSchur`] (interior mutability:
     /// `LinearOperator::apply` takes `&self`).
     schur_apply: RefCell<SchurApplyScratch>,
-    /// Arena behind [`SchurPrecond`] applies and the direct fallback.
+    /// Arena behind [`SchurPrecond`] applies.
     precond_tri: RefCell<TriScratch>,
-    direct: DirectScratch,
     allocations: u64,
     resets: u64,
 }
@@ -783,22 +783,11 @@ struct SolveContext<'a> {
     workers: usize,
 }
 
-/// The answer of one lane's Schur solve.
-struct SchurSolve {
-    y: Vec<f64>,
-    iterations: usize,
-    residual: f64,
-    converged: bool,
-    method: String,
-    recovery: RecoveryReport,
-}
-
 /// One lockstep group of Schur-complement solves (equations (2)–(4) of
 /// the paper) against borrowed factors: every right-hand side that
 /// passes validation becomes a lane, and the lanes go through the
-/// reduce, each rung of the Krylov fallback chain and the
-/// back-substitution together. Free function (not a method) so
-/// [`Pdslin::solve_many`] can run groups on several workers
+/// reduce, GMRES and the back-substitution together. Free function (not
+/// a method) so [`Pdslin::solve_many`] can run groups on several workers
 /// concurrently while the factors stay shared. Every outcome reports the
 /// group's wall time.
 fn solve_group(
@@ -809,7 +798,7 @@ fn solve_group(
     let t = Instant::now();
     let sys = cx.sys;
     let n: usize = sys.domains.iter().map(|d| d.dim()).sum::<usize>() + sys.nsep();
-    let mut out: Vec<Option<Result<SchurSolve, PdslinError>>> = bs
+    let mut out: Vec<Option<Result<GmresResult, PdslinError>>> = bs
         .iter()
         .map(|b| validate_rhs(cx, b, n).err().map(Err))
         .collect();
@@ -821,7 +810,6 @@ fn solve_group(
         gmres,
         schur_apply,
         precond_tri,
-        direct,
         ..
     } = ws;
     let ghats = &mut ghats[..live.len()];
@@ -829,12 +817,12 @@ fn solve_group(
     let m = SchurPrecond::with_workers(cx.schur_lu, precond_tri, cx.workers);
     op.reduce_lanes(&live_bs, ghats);
     let ghats: Vec<&[f64]> = ghats.iter().map(Vec::as_slice).collect();
-    let solved = solve_schur_chain(cx, &op, &m, &ghats, gmres, direct, precond_tri);
+    let solved = solve_schur(cx, &op, &m, &ghats, gmres);
     // Back-substitute the interiors of the lanes that produced a `y`.
     let (done_bs, ys): (Vec<&[f64]>, Vec<&[f64]>) = live_bs
         .iter()
         .zip(&solved)
-        .filter_map(|(&b, s)| Some((b, &s.as_ref().ok()?.y[..])))
+        .filter_map(|(&b, s)| Some((b, &s.as_ref().ok()?.x[..])))
         .unzip();
     let mut xs: Vec<Vec<f64>> = ys.iter().map(|_| vec![0.0; n]).collect();
     op.back_substitute_lanes(&done_bs, &ys, &mut xs);
@@ -851,8 +839,7 @@ fn solve_group(
                 iterations: s.iterations,
                 schur_residual: s.residual,
                 converged: s.converged,
-                method: s.method,
-                recovery: s.recovery,
+                recovery: RecoveryReport::default(),
                 seconds,
             })
         })
@@ -878,189 +865,28 @@ fn validate_rhs(cx: &SolveContext<'_>, b: &[f64], n: usize) -> Result<(), Pdslin
     Ok(())
 }
 
-/// Where one lane stands in the fallback chain.
-#[derive(Default)]
-struct ChainLane {
-    recovery: RecoveryReport,
-    /// Why the previous rung was abandoned.
-    reason: String,
-    /// Best iterate seen so far: (y, iterations, residual, method).
-    best: Option<(Vec<f64>, usize, f64, &'static str)>,
-    outcome: Option<Result<SchurSolve, PdslinError>>,
-}
-
-impl ChainLane {
-    fn offer(&mut self, y: Vec<f64>, iters: usize, residual: f64, label: &'static str) {
-        if residual.is_finite() && self.best.as_ref().is_none_or(|(_, _, r, _)| residual < *r) {
-            self.best = Some((y, iters, residual, label));
-        }
-    }
-}
-
-/// The Krylov fallback chain on the Schur system, one rung at a time
-/// for the lanes still unsolved: GMRES, then GMRES with a doubled
-/// restart and iteration cap (each in lockstep over its lanes), then
-/// the direct `LU(S̃)` solve refined against the implicit `S`, lane by
-/// lane. All vector state lives in the caller's worker arena, so repeat
-/// solves allocate nothing here beyond the returned `y`s.
-fn solve_schur_chain(
+/// The Schur system (2) of one lockstep group: one restarted GMRES per
+/// lane, run together with the configured [`GmresConfig`], each result
+/// mapped to one outcome. An interrupt is the budget error; a converged
+/// lane, or one whose residual still beats the acceptance floor
+/// (`converged: false`), is answered; anything else is
+/// [`PdslinError::SolveFailed`].
+fn solve_schur(
     cx: &SolveContext<'_>,
     op: &ImplicitSchur<'_>,
     m: &SchurPrecond<'_>,
     ghats: &[&[f64]],
     gmres_ws: &mut [GmresWorkspace],
-    direct: &mut DirectScratch,
-    direct_tri: &RefCell<TriScratch>,
-) -> Vec<Result<SchurSolve, PdslinError>> {
-    let (cfg, budget) = (cx.cfg, cx.budget);
-    let interrupted = |i: BudgetInterrupt| fill_partial(interrupt_error(i, "solve"), cx.stats);
-    let base = cfg.gmres;
-    let tol = base.tol;
-    let floor = acceptance_floor(tol);
-    let mut lanes: Vec<ChainLane> = ghats.iter().map(|_| ChainLane::default()).collect();
-
-    // Fault injection: starve the first attempt (zero iterations
-    // allowed) so the fallback chain is genuinely exercised.
-    let first = if cfg.fault.krylov_stall {
-        GmresConfig {
-            restart: 1,
-            max_iters: 0,
-            ..base
-        }
-    } else {
-        base
-    };
-    let grown = GmresConfig {
-        restart: base.restart.saturating_mul(2),
-        max_iters: base.max_iters.saturating_mul(2),
-        ..base
-    };
-    let chain = [("gmres", first), ("gmres(restart-grow)", grown)];
-
-    for (i, &(label, c)) in chain.iter().enumerate() {
-        let pending: Vec<usize> = (0..lanes.len())
-            .filter(|&l| lanes[l].outcome.is_none())
-            .collect();
-        let bs: Vec<&[f64]> = pending.iter().map(|&l| ghats[l]).collect();
-        if i > 0 {
-            for &l in &pending {
-                let lane = &mut lanes[l];
-                lane.recovery.push(RecoveryEvent::KrylovFallback {
-                    from: chain[i - 1].0.to_string(),
-                    to: label.to_string(),
-                    reason: std::mem::take(&mut lane.reason),
-                });
-            }
-        }
-        let results = gmres_lanes(op, m, &bs, &c, budget, gmres_ws);
-        for (&l, r) in pending.iter().zip(results) {
-            let lane = &mut lanes[l];
-            if let Some(i) = r.interrupted {
-                lane.outcome = Some(Err(interrupted(i)));
-            } else if r.converged {
-                lane.outcome = Some(Ok(SchurSolve {
-                    y: r.x,
-                    iterations: r.iterations,
-                    residual: r.residual,
-                    converged: true,
-                    method: label.to_string(),
-                    recovery: std::mem::take(&mut lane.recovery),
-                }));
-            } else {
-                lane.reason = match r.breakdown {
-                    Some(b) => b.to_string(),
-                    None => format!(
-                        "residual {:.1e} after {} iterations",
-                        r.residual, r.iterations
-                    ),
-                };
-                lane.offer(r.x, r.iterations, r.residual, label);
-            }
-        }
-    }
-
-    // Last resort: y = S̃⁻¹ ĝ, refined against the implicit S.
-    let label = "direct(LU(S~)+IR)";
-    let ns = op.n();
-    for (lane, ghat) in lanes.iter_mut().zip(ghats) {
-        if lane.outcome.is_some() {
-            continue;
-        }
-        lane.recovery.push(RecoveryEvent::KrylovFallback {
-            from: chain[chain.len() - 1].0.to_string(),
-            to: "direct".to_string(),
-            reason: std::mem::take(&mut lane.reason),
-        });
-        for buf in [&mut direct.work, &mut direct.r, &mut direct.dy] {
-            if buf.len() != ns {
-                buf.resize(ns, 0.0);
-            }
-        }
-        let bnorm = match norm2(ghat) {
-            0.0 => 1.0,
-            t => t,
-        };
-        let mut y = vec![0.0; ns];
-        cx.schur_lu
-            .solve_into(ghat, &mut y, &mut direct_tri.borrow_mut(), cx.workers);
-        let mut steps = 0usize;
-        let mut residual = f64::INFINITY;
-        let mut stopped = None;
-        for _ in 0..=10 {
-            if let Err(i) = budget.check() {
-                stopped = Some(i);
-                break;
-            }
-            op.apply(&y, &mut direct.work);
-            for ((ri, gi), wi) in direct.r.iter_mut().zip(ghat.iter()).zip(&direct.work) {
-                *ri = gi - wi;
-            }
-            residual = norm2(&direct.r) / bnorm;
-            if !residual.is_finite() || residual <= tol {
-                break;
-            }
-            cx.schur_lu.solve_into(
-                &direct.r,
-                &mut direct.dy,
-                &mut direct_tri.borrow_mut(),
-                cx.workers,
-            );
-            axpy(1.0, &direct.dy, &mut y);
-            steps += 1;
-        }
-        if let Some(i) = stopped {
-            lane.outcome = Some(Err(interrupted(i)));
-            continue;
-        }
-        lane.recovery.push(RecoveryEvent::DirectSchurSolve {
-            refinement_steps: steps,
-            residual,
-        });
-        lane.offer(y, steps, residual, label);
-        lane.outcome = Some(match lane.best.take() {
-            Some((y, iterations, residual, method)) if residual <= floor => Ok(SchurSolve {
-                y,
-                iterations,
-                residual,
-                converged: residual <= tol,
-                method: method.to_string(),
-                recovery: std::mem::take(&mut lane.recovery),
-            }),
-            best => {
-                let residual = best.map(|(_, _, r, _)| r).unwrap_or(f64::INFINITY);
-                let tried = chain.iter().map(|&(l, _)| l).chain([label]);
-                Err(PdslinError::SolveFailed {
-                    residual,
-                    tried: tried.map(String::from).collect(),
-                })
-            }
-        });
-    }
-    lanes
+) -> Vec<Result<GmresResult, PdslinError>> {
+    let floor = acceptance_floor(cx.cfg.gmres.tol);
+    gmres_lanes(op, m, ghats, &cx.cfg.gmres, cx.budget, gmres_ws)
         .into_iter()
-        .map(|l| {
-            l.outcome
-                .expect("every lane leaves the chain with an outcome")
+        .map(|r| match r.interrupted {
+            Some(i) => Err(fill_partial(interrupt_error(i, "solve"), cx.stats)),
+            None if r.converged || r.residual <= floor => Ok(r),
+            None => Err(PdslinError::SolveFailed {
+                residual: r.residual,
+            }),
         })
         .collect()
 }
@@ -1243,6 +1069,51 @@ mod tests {
     }
 
     #[test]
+    fn rejects_tolerances_that_are_not_finite_or_are_negative() {
+        // A GMRES tolerance of inf "converges" in zero iterations with a
+        // wrong answer, nan or a negative one never converges, and a nan
+        // drop tolerance silently drops every entry of G~, W~ and S~.
+        let a = laplace2d(6, 6);
+        let base = PdslinConfig {
+            k: 2,
+            ..Default::default()
+        };
+        let mut bad = Vec::new();
+        for tol in [f64::INFINITY, f64::NAN, -1.0, 0.0] {
+            let mut cfg = base;
+            cfg.gmres.tol = tol;
+            bad.push(cfg);
+        }
+        for drop in [f64::NAN, f64::INFINITY, -1e-8] {
+            bad.push(PdslinConfig {
+                interface_drop_tol: drop,
+                ..base
+            });
+            bad.push(PdslinConfig {
+                schur_drop_tol: drop,
+                ..base
+            });
+        }
+        for cfg in bad {
+            match Pdslin::setup(&a, cfg) {
+                Err(PdslinError::InvalidInput { message }) => {
+                    assert!(message.contains("tolerance"), "{message}")
+                }
+                other => panic!("{cfg:?}: expected InvalidInput, got {other:?}"),
+            }
+        }
+        let zero_drop = PdslinConfig {
+            interface_drop_tol: 0.0,
+            schur_drop_tol: 0.0,
+            ..base
+        };
+        assert!(
+            Pdslin::setup(&a, zero_drop).is_ok(),
+            "drop 0 keeps every entry"
+        );
+    }
+
+    #[test]
     fn rejects_nonfinite_matrix() {
         let mut c = Coo::new(4, 4);
         for i in 0..4 {
@@ -1312,7 +1183,6 @@ mod tests {
         let out = s.solve(&b).unwrap();
         assert!(out.recovery.is_empty(), "{}", out.recovery.summary());
         assert!(out.converged);
-        assert_eq!(out.method, "gmres");
     }
 
     #[test]
@@ -1388,39 +1258,9 @@ mod tests {
     }
 
     #[test]
-    fn krylov_stall_walks_the_fallback_chain() {
-        let a = laplace2d(16, 16);
-        let cfg = PdslinConfig {
-            k: 2,
-            fault: FaultPlan {
-                krylov_stall: true,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut s = Pdslin::setup(&a, cfg).unwrap();
-        assert!(s.stats.recovery.is_empty(), "stall only affects the solve");
-        let b = vec![1.0; a.nrows()];
-        let out = s.solve(&b).unwrap();
-        assert!(
-            out.recovery
-                .events
-                .iter()
-                .any(|e| matches!(e, RecoveryEvent::KrylovFallback { .. })),
-            "{}",
-            out.recovery.summary()
-        );
-        assert_eq!(
-            out.method, "gmres(restart-grow)",
-            "the starved primary cannot have produced the answer"
-        );
-        assert!(residual_inf_norm(&a, &out.x, &b) < 1e-6);
-    }
-
-    #[test]
-    fn exhausted_chain_reports_every_rung_tried() {
-        // One GMRES step per rung and a diagonal-only S̃ as the direct
-        // rung's preconditioner: no rung reaches the acceptance floor.
+    fn exhausted_gmres_is_a_typed_solve_failure() {
+        // One GMRES step and a diagonal-only S̃ as the preconditioner:
+        // the run stops far above the acceptance floor.
         let a = laplace2d(16, 16);
         let cfg = PdslinConfig {
             k: 2,
@@ -1434,8 +1274,8 @@ mod tests {
         };
         let mut s = Pdslin::setup(&a, cfg).unwrap();
         match s.solve(&vec![1.0; a.nrows()]) {
-            Err(PdslinError::SolveFailed { tried, .. }) => {
-                assert_eq!(tried, ["gmres", "gmres(restart-grow)", "direct(LU(S~)+IR)"])
+            Err(PdslinError::SolveFailed { residual }) => {
+                assert!(residual > acceptance_floor(1e-14), "{residual}")
             }
             other => panic!("expected SolveFailed, got {other:?}"),
         }
@@ -1598,10 +1438,6 @@ mod tests {
             },
             FaultPlan {
                 poison_interface: Some(1),
-                ..Default::default()
-            },
-            FaultPlan {
-                krylov_stall: true,
                 ..Default::default()
             },
         ] {

@@ -81,14 +81,11 @@ pub enum PdslinError {
         /// The error of the final attempt.
         source: LuError,
     },
-    /// The outer Krylov solve did not reach an acceptable residual even
-    /// after the full fallback chain (GMRES restart growth, then a
-    /// direct `LU(S̃)` solve with iterative refinement).
+    /// GMRES on the Schur system stopped (iteration budget or
+    /// breakdown) with a residual above the acceptance floor.
     SolveFailed {
-        /// Best relative residual achieved by any method in the chain.
+        /// Relative residual of the final GMRES iterate.
         residual: f64,
-        /// Labels of the methods that were tried, in order.
-        tried: Vec<String>,
     },
     /// The cancel token was flipped while this phase was running.
     Cancelled {
@@ -170,11 +167,9 @@ impl fmt::Display for PdslinError {
             PdslinError::SchurFactorization { attempts, source } => {
                 write!(f, "LU(S~) failed after {attempts} attempt(s): {source}")
             }
-            PdslinError::SolveFailed { residual, tried } => write!(
-                f,
-                "Schur solve failed: best residual {residual:.3e} after trying [{}]",
-                tried.join(", ")
-            ),
+            PdslinError::SolveFailed { residual } => {
+                write!(f, "Schur solve failed: GMRES residual {residual:.3e}")
+            }
             PdslinError::Cancelled { phase } => {
                 write!(f, "cancelled during {phase}")
             }
@@ -242,12 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn solve_failed_lists_methods() {
-        let e = PdslinError::SolveFailed {
-            residual: 1.0,
-            tried: vec!["gmres".into(), "direct(LU(S~)+IR)".into()],
-        };
-        assert!(e.to_string().contains("gmres, direct(LU(S~)+IR)"));
+    fn solve_failed_reports_the_residual() {
+        let e = PdslinError::SolveFailed { residual: 1.0 };
+        assert!(e.to_string().contains("GMRES residual 1.000e0"), "{e}");
     }
 
     #[test]
@@ -267,13 +259,7 @@ mod tests {
                 },
                 Input,
             ),
-            (
-                PdslinError::SolveFailed {
-                    residual: 1.0,
-                    tried: vec![],
-                },
-                Numerical,
-            ),
+            (PdslinError::SolveFailed { residual: 1.0 }, Numerical),
             (PdslinError::Cancelled { phase: "lu_d" }, Budget),
             (
                 PdslinError::DeadlineExceeded {

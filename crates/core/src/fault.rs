@@ -21,9 +21,6 @@ pub struct FaultPlan {
     /// Make the requested partitioner report failure, forcing the
     /// partition fallback chain.
     pub fail_partitioner: bool,
-    /// Cripple the first outer Krylov attempt (starved iteration
-    /// budget), forcing the Krylov fallback chain.
-    pub krylov_stall: bool,
     /// Panic inside this subdomain's `LU(D)` task on the first attempt
     /// (exercises the `catch_unwind` isolation + single retry).
     pub worker_panic: Option<usize>,
@@ -72,11 +69,6 @@ mod tests {
         .is_none());
         assert!(!FaultPlan {
             fail_partitioner: true,
-            ..Default::default()
-        }
-        .is_none());
-        assert!(!FaultPlan {
-            krylov_stall: true,
             ..Default::default()
         }
         .is_none());

@@ -3,9 +3,7 @@
 
 use std::time::Instant;
 
-use slu::blocked::{
-    solve_in_blocks_ordered, solve_in_blocks_planned, BlockSolveStats, BlockedSolvePlan,
-};
+use slu::blocked::{solve_in_blocks_planned, BlockSolveStats, BlockedSolvePlan};
 use slu::trisolve::{transpose_with_sources, SolveWorkspace, SparseVec};
 use sparsekit::budget::{Budget, BudgetInterrupt};
 use sparsekit::spgemm::{spgemm_checked, SpgemmError};
@@ -82,35 +80,6 @@ pub fn fhat_rows_elim(fd: &FactoredDomain, dom: &LocalDomain) -> Vec<SparseVec> 
             SparseVec::new(idx, val)
         })
         .collect()
-}
-
-/// Runs only the `G = L⁻¹ P Ê` part and reports its blocked-solve
-/// statistics and wall-clock time — the Fig. 4 / Fig. 5 kernel.
-pub fn g_solve_experiment(
-    fd: &FactoredDomain,
-    dom: &LocalDomain,
-    block_size: usize,
-    ordering: RhsOrdering,
-) -> (BlockSolveStats, f64, f64) {
-    let n = fd.lu.n();
-    let mut ws = SolveWorkspace::new(n);
-    let cols = ehat_columns_pivot(fd, dom);
-    let t0 = Instant::now();
-    let order = order_columns(&cols, &fd.lu.l, block_size, ordering, &mut ws);
-    let order_seconds = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let (_sols, stats) = solve_in_blocks_ordered(
-        &fd.lu.l,
-        true,
-        &cols,
-        &order,
-        block_size,
-        1,
-        &Budget::unlimited(),
-    )
-    .expect("an unlimited budget never interrupts");
-    let solve_seconds = t1.elapsed().as_secs_f64();
-    (stats, solve_seconds, order_seconds)
 }
 
 /// Builds an `nrows × ncols` CSR whose column `order[p]` is the sparse
@@ -507,43 +476,5 @@ mod tests {
                 assert_eq!(par.stats.nnzrow_g, serial.stats.nnzrow_g, "workers {w}");
             }
         }
-    }
-
-    #[test]
-    fn g_experiment_reports_padding() {
-        let (_a, sys) = small_system();
-        let dom = &sys.domains[0];
-        let fd = factor_domain(&dom.d, 0.1).unwrap();
-        let (b1, _, _) = g_solve_experiment(&fd, dom, 1, RhsOrdering::Natural);
-        assert_eq!(b1.padded_zeros, 0, "B=1 never pads");
-        let (b16, _, _) = g_solve_experiment(&fd, dom, 16, RhsOrdering::Natural);
-        assert!(b16.padded_zeros >= b1.padded_zeros);
-    }
-
-    #[test]
-    fn hypergraph_pads_less_than_natural_and_postorder() {
-        // The paper's Fig. 4 ranking. Under the approximate-minimum-degree
-        // subdomain ordering the postorder heuristic alone pads more than
-        // the natural order on this grid (EXPERIMENTS.md, Fig. 4), so it
-        // is not compared with natural here.
-        let (_a, sys) = small_system();
-        let mut nat = 0u64;
-        let mut post = 0u64;
-        let mut hyper = 0u64;
-        for dom in &sys.domains {
-            let fd = factor_domain(&dom.d, 0.1).unwrap();
-            let pad = |ord| g_solve_experiment(&fd, dom, 8, ord).0.padded_zeros;
-            nat += pad(RhsOrdering::Natural);
-            post += pad(RhsOrdering::Postorder);
-            hyper += pad(RhsOrdering::Hypergraph { tau: Some(0.4) });
-        }
-        assert!(
-            hyper < nat,
-            "hypergraph padding {hyper} should beat natural {nat}"
-        );
-        assert!(
-            hyper <= post,
-            "hypergraph padding {hyper} should be ≤ postorder {post}"
-        );
     }
 }

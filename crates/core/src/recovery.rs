@@ -49,24 +49,6 @@ pub enum RecoveryEvent {
         /// Index of the subdomain.
         domain: usize,
     },
-    /// The outer Krylov method failed and the driver moved to the next
-    /// method in the fallback chain.
-    KrylovFallback {
-        /// Label of the method that failed.
-        from: String,
-        /// Label of the method tried next.
-        to: String,
-        /// Why the previous method was abandoned.
-        reason: String,
-    },
-    /// The last resort: `y = LU(S̃)⁻¹ ĝ` refined iteratively against the
-    /// implicit Schur operator.
-    DirectSchurSolve {
-        /// Refinement sweeps performed.
-        refinement_steps: usize,
-        /// Relative residual after refinement.
-        residual: f64,
-    },
     /// A subdomain worker thread panicked; the panic was contained by
     /// `catch_unwind` and the task was retried.
     WorkerPanicRetried {
@@ -119,7 +101,10 @@ impl fmt::Display for RecoveryEvent {
                     "LU(D_{domain}) retry #{attempt}: threshold {pivot_threshold}"
                 )?;
                 if let Some(eps) = perturbation {
-                    write!(f, ", diagonal perturbation {eps:.1e} ({perturbed_pivots} pivots)")?;
+                    write!(
+                        f,
+                        ", diagonal perturbation {eps:.1e} ({perturbed_pivots} pivots)"
+                    )?;
                 }
                 Ok(())
             }
@@ -131,20 +116,19 @@ impl fmt::Display for RecoveryEvent {
             } => {
                 write!(f, "LU(S~) retry #{attempt}: threshold {pivot_threshold}")?;
                 if let Some(eps) = perturbation {
-                    write!(f, ", diagonal perturbation {eps:.1e} ({perturbed_pivots} pivots)")?;
+                    write!(
+                        f,
+                        ", diagonal perturbation {eps:.1e} ({perturbed_pivots} pivots)"
+                    )?;
                 }
                 Ok(())
             }
             RecoveryEvent::InterfaceRecomputed { domain } => {
-                write!(f, "interface block T~_{domain} recomputed (non-finite values)")
+                write!(
+                    f,
+                    "interface block T~_{domain} recomputed (non-finite values)"
+                )
             }
-            RecoveryEvent::KrylovFallback { from, to, reason } => {
-                write!(f, "krylov fallback {from} -> {to} ({reason})")
-            }
-            RecoveryEvent::DirectSchurSolve { refinement_steps, residual } => write!(
-                f,
-                "direct LU(S~) solve + {refinement_steps} refinement step(s), residual {residual:.3e}"
-            ),
             RecoveryEvent::WorkerPanicRetried {
                 phase,
                 domain,
@@ -232,10 +216,10 @@ mod tests {
         let mut r = RecoveryReport::default();
         r.push(RecoveryEvent::InterfaceRecomputed { domain: 1 });
         let mut other = RecoveryReport::default();
-        other.push(RecoveryEvent::KrylovFallback {
-            from: "gmres".into(),
-            to: "gmres(restart-grow)".into(),
-            reason: "stalled".into(),
+        other.push(RecoveryEvent::PartitionFallback {
+            from: "rhb".into(),
+            to: "ngd".into(),
+            reason: "degenerate".into(),
         });
         r.extend(other);
         assert_eq!(r.len(), 2);
@@ -245,6 +229,6 @@ mod tests {
         ));
         let s = r.summary();
         assert!(s.contains("T~_1"), "{s}");
-        assert!(s.contains("gmres -> gmres(restart-grow)"), "{s}");
+        assert!(s.contains("rhb -> ngd"), "{s}");
     }
 }

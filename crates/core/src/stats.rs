@@ -85,18 +85,6 @@ impl InterfaceStats {
     }
 }
 
-impl SetupStats {
-    /// The paper's §V **one-level parallel** time model: `k` processes,
-    /// one per subdomain, so the subdomain phases cost their *maximum*
-    /// over the subdomains while partitioning, `LU(S)` and the solve are
-    /// shared. This is the configuration behind Fig. 3 and Table II.
-    pub fn one_level_parallel_setup(&self) -> f64 {
-        let max_lu = self.domain_costs.lu_d.iter().cloned().fold(0.0, f64::max);
-        let max_cs = self.domain_costs.comp_s.iter().cloned().fold(0.0, f64::max);
-        self.times.partition + self.times.extract + max_lu + max_cs + self.times.lu_s
-    }
-}
-
 /// Everything recorded during `Pdslin::setup`.
 #[derive(Clone, Debug, Default)]
 pub struct SetupStats {

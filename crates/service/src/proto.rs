@@ -23,7 +23,7 @@
 //! retry budget, default 2). Fault injection for soak testing:
 //! `fail_attempts` (the service worker fails this many attempts before
 //! succeeding), `worker_panic` (+`worker_panic_persistent`),
-//! `memory_blowup`, `stall_schur_ms`, `krylov_stall` — mapped onto
+//! `memory_blowup`, `stall_schur_ms` — mapped onto
 //! [`FaultPlan`]. Any other field is
 //! rejected as an input error naming it, so a typo cannot silently
 //! leave a request running with defaults; `metrics` and `shutdown`
@@ -237,7 +237,6 @@ impl SolveRequest {
         h.write_u64(f.worker_panic.map_or(u64::MAX, |d| d as u64));
         h.write_u8(u8::from(f.worker_panic_persistent));
         h.write_u8(u8::from(f.fail_partitioner));
-        h.write_u8(u8::from(f.krylov_stall));
         h.write_u8(u8::from(f.memory_blowup));
         h.write_u64(f.stall_schur_ms.unwrap_or(u64::MAX));
     }
@@ -273,7 +272,7 @@ fn opt_u64(j: &Json, key: &str) -> Result<Option<u64>, String> {
 
 /// The fields a `solve` request may carry; `metrics` and `shutdown`
 /// take only `id` and `op`.
-const SOLVE_FIELDS: [&str; 23] = [
+const SOLVE_FIELDS: [&str; 22] = [
     "id",
     "op",
     "generate",
@@ -296,7 +295,6 @@ const SOLVE_FIELDS: [&str; 23] = [
     "worker_panic_persistent",
     "memory_blowup",
     "stall_schur_ms",
-    "krylov_stall",
 ];
 
 /// Rejects the first field outside `allowed`, naming it.
@@ -390,7 +388,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 worker_panic: opt_u64(&j, "worker_panic")?.map(|v| v as usize),
                 worker_panic_persistent: field_bool(&j, "worker_panic_persistent")?,
                 memory_blowup: field_bool(&j, "memory_blowup")?,
-                krylov_stall: field_bool(&j, "krylov_stall")?,
                 stall_schur_ms: opt_u64(&j, "stall_schur_ms")?,
                 ..Default::default()
             };
@@ -432,14 +429,12 @@ pub struct SolveReply {
     pub degraded: bool,
     /// Recovery events recorded across setup + solve for this request.
     pub recovery_events: usize,
-    /// Outer Krylov iterations.
+    /// GMRES iterations on the Schur system.
     pub iterations: usize,
     /// Final relative Schur residual.
     pub residual: f64,
     /// Whether the requested tolerance was met.
     pub converged: bool,
-    /// Label of the method that produced the answer.
-    pub method: String,
     /// Milliseconds spent queued before a worker picked the request up.
     pub queue_ms: f64,
     /// Milliseconds of solver work (setup share included on misses).
@@ -527,7 +522,7 @@ impl Response {
             ResponseBody::Solve(r) => format!(
                 "{{\"id\":{id},\"status\":\"ok\",\"cache\":\"{}\",\"batched\":{},\"retries\":{},\
                  \"degraded\":{},\"recovery_events\":{},\"iterations\":{},\"residual\":{},\
-                 \"converged\":{},\"method\":{},\"queue_ms\":{},\"solve_ms\":{}}}",
+                 \"converged\":{},\"queue_ms\":{},\"solve_ms\":{}}}",
                 r.cache,
                 r.batched,
                 r.retries,
@@ -536,7 +531,6 @@ impl Response {
                 r.iterations,
                 num(r.residual),
                 r.converged,
-                escape(&r.method),
                 num(r.queue_ms),
                 num(r.solve_ms),
             ),
@@ -781,7 +775,7 @@ mod tests {
                 "ordering":"hypergraph","tau":0.4,"rhs_seed":1,"deadline_ms":100,
                 "retry_limit":1,"fail_attempts":0,"worker_panic":0,
                 "worker_panic_persistent":false,"memory_blowup":false,
-                "stall_schur_ms":1,"krylov_stall":false}"#,
+                "stall_schur_ms":1}"#,
         );
         parse_solve(r#"{"id":"b","op":"solve","matrix":"/tmp/m.mtx","rhs":[1.0]}"#);
     }

@@ -769,7 +769,6 @@ fn process_coalesced(
                         iterations: out.iterations,
                         residual: out.schur_residual,
                         converged: out.converged,
-                        method: out.method,
                         queue_ms: ms_since(job.enqueued),
                         solve_ms: total_ms,
                     }),
@@ -863,7 +862,6 @@ fn process_solo(
                                         iterations: out.iterations,
                                         residual: out.schur_residual,
                                         converged: out.converged,
-                                        method: out.method,
                                         queue_ms: ms_since(job.enqueued),
                                         solve_ms: total_ms,
                                     }),

@@ -34,8 +34,8 @@ fn main() {
     let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 13) as f64) - 6.0).collect();
     let out = solver.solve(&b).expect("solve failed");
     println!(
-        "solve: {} iterations of {} on the Schur system, {:.2}s",
-        out.iterations, out.method, out.seconds
+        "solve: {} GMRES iterations on the Schur system, {:.2}s",
+        out.iterations, out.seconds
     );
     println!(
         "residual ‖b − Ax‖∞ = {:.3e}",

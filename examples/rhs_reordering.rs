@@ -6,9 +6,10 @@
 //! cargo run --release --example rhs_reordering
 //! ```
 
-use pdslin::interface::{ehat_columns_pivot, g_solve_experiment};
+use pdslin::interface::ehat_columns_pivot;
 use pdslin::subdomain::factor_domain;
 use pdslin::{compute_partition, extract_dbbd, PartitionerKind, RhsOrdering};
+use pdslin_bench::g_solve_experiment;
 
 fn main() {
     let a = matgen::generate(matgen::MatrixKind::Tdr190k, matgen::Scale::Test);

@@ -60,6 +60,42 @@ fn solve_seq_options_drive_a_sequence_solve() {
 }
 
 #[test]
+fn non_finite_tolerances_are_rejected_with_input_exit_code() {
+    // A GMRES tolerance of inf would accept any iterate, nan or a
+    // negative one none, and a nan drop tolerance drops all of G~, W~
+    // and S~: each is a typed input error before any work, which the
+    // binary maps to exit code 2.
+    for line in [
+        "--tol inf",
+        "--tol nan",
+        "--tol -1",
+        "--interface-drop nan",
+        "--schur-drop nan",
+        "--schur-drop -0.1",
+    ] {
+        let args = parse_args(argv(&format!(
+            "solve --generate g3_circuit --scale test --k 4 {line}"
+        )))
+        .unwrap();
+        pdslin_cli::validate_options(&args).expect(line);
+        let a = load_matrix(&args).unwrap();
+        let mut cfg = pdslin::PdslinConfig {
+            k: args.parse_or("k", 8usize).unwrap(),
+            interface_drop_tol: args.parse_or("interface-drop", 1e-8).unwrap(),
+            schur_drop_tol: args.parse_or("schur-drop", 1e-8).unwrap(),
+            ..Default::default()
+        };
+        cfg.gmres.tol = args.parse_or("tol", cfg.gmres.tol).unwrap();
+        let err = pdslin::Pdslin::setup(&a, cfg).expect_err(line);
+        assert!(
+            matches!(err, pdslin::PdslinError::InvalidInput { .. }),
+            "{line}: {err:?}"
+        );
+        assert_eq!(pdslin_cli::exit_code(err.category()), 2, "{line}");
+    }
+}
+
+#[test]
 fn matrix_market_file_loads_through_cli() {
     let dir = std::env::temp_dir().join("pdslin_cli_it");
     std::fs::create_dir_all(&dir).unwrap();

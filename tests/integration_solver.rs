@@ -105,6 +105,23 @@ fn quasi_dense_circuit_matrix_solves() {
     solve_check(&a, cfg, 1e-4);
 }
 
+/// With both drop tolerances at 0.3 the `S̃` preconditioner is weak
+/// enough that GMRES needs 137 iterations; restarted every 100 it does
+/// not converge within 500. The default GMRES(200, 1000) converges
+/// inside its first cycle, in one run with no recovery.
+#[test]
+fn loose_asic_analogue_converges_in_one_gmres_run() {
+    let a = generate(MatrixKind::Asic680ks, Scale::Test);
+    let cfg = PdslinConfig {
+        interface_drop_tol: 0.3,
+        schur_drop_tol: 0.3,
+        ..Default::default()
+    };
+    let out = solve_check(&a, cfg, 1e-6);
+    assert!(out.converged, "residual {:e}", out.schur_residual);
+    assert_eq!(out.iterations, 137);
+}
+
 #[test]
 fn block_size_does_not_change_the_answer() {
     let a = generate(MatrixKind::G3Circuit, Scale::Test);

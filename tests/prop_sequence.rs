@@ -209,9 +209,8 @@ fn drifted_sequence_refactorizes_every_step_and_converges() {
 /// GMRES judges convergence on the true residual at the top of every
 /// restart cycle. On this drifted step the Givens recurrence reaches
 /// `tol` after 26 iterations while the true residual is still 6.7e-9;
-/// a solver that stopped there reported non-convergence and walked the
-/// fallback chain into a diverging direct rung. Restarting instead
-/// converges on the first GMRES rung.
+/// a solver that stopped there reported non-convergence. Restarting
+/// instead converges within the one GMRES run.
 #[test]
 fn gmres_restarts_when_its_recurrence_residual_undershoots() {
     let _g = lock();
@@ -230,7 +229,6 @@ fn gmres_restarts_when_its_recurrence_residual_undershoots() {
     }
     let out = solver.solve(&b).expect("solve");
     assert!(out.converged, "residual {:e}", out.schur_residual);
-    assert_eq!(out.method, "gmres");
     assert!(out.recovery.is_empty(), "{:?}", out.recovery);
     let res = sparsekit::ops::residual_inf_norm(&mats[2], &out.x, &b);
     assert!(res < 1e-4, "residual {res}");

@@ -1,7 +1,7 @@
 //! Property tests of the solve phase: byte-identical parallel kernels
 //! (chunked SpMV, level-scheduled triangular solves), batched multi-RHS
 //! solves agreeing bit for bit with sequential ones across lockstep
-//! group boundaries, fallback rungs and bad inputs, typed budget interrupts
+//! group boundaries, exhausted iteration budgets and bad inputs, typed budget interrupts
 //! mid-solve, and the zero-steady-state-allocation guarantee observed
 //! through the arena counters.
 //!
@@ -87,7 +87,6 @@ fn assert_same_outcome(got: &SolveOutcome, want: &SolveOutcome, what: &str) {
         "{what}: schur_residual"
     );
     assert_eq!(got.converged, want.converged, "{what}: converged");
-    assert_eq!(got.method, want.method, "{what}: method");
     assert_eq!(got.recovery, want.recovery, "{what}: recovery events");
 }
 
@@ -130,10 +129,11 @@ fn solve_many_matches_sequential_solves() {
 }
 
 #[test]
-fn a_batch_mixing_fallback_rungs_matches_sequential_solves() {
+fn a_batch_mixing_converged_and_exhausted_lanes_matches_sequential_solves() {
     // A loose preconditioner needs 17-19 GMRES iterations here, so with
-    // max_iters = 18 some right-hand sides fall back to the
-    // gmres(restart-grow) rung while their batch-mates do not.
+    // max_iters = 18 some right-hand sides run out of iterations (and are
+    // answered `converged: false` above the tolerance but under the
+    // acceptance floor) while their batch-mates converge.
     let a = laplace2d(20, 20);
     let mut cfg = PdslinConfig {
         k: 4,
@@ -147,17 +147,16 @@ fn a_batch_mixing_fallback_rungs_matches_sequential_solves() {
     let mut batch: Vec<Vec<f64>> = (0..10).map(|_| rhs(&mut rng, a.nrows())).collect();
     batch[3] = vec![0.0; a.nrows()];
     let many = batch_matches_sequential(&mut solver, &batch);
-    let first_rung = many.iter().filter(|o| o.method == "gmres").count();
-    let grown = many
-        .iter()
-        .filter(|o| o.method == "gmres(restart-grow)")
-        .collect::<Vec<_>>();
-    assert!(first_rung > 1, "the zero rhs and some others stay on gmres");
+    let converged = many.iter().filter(|o| o.converged).count();
+    let exhausted = many.iter().filter(|o| !o.converged).collect::<Vec<_>>();
+    assert!(converged > 1, "the zero rhs and some others converge");
     assert!(
-        !grown.is_empty(),
-        "some right-hand sides need the second rung"
+        !exhausted.is_empty(),
+        "some right-hand sides run out of iterations"
     );
-    assert!(grown.iter().all(|o| o.converged && o.recovery.len() == 1));
+    assert!(exhausted
+        .iter()
+        .all(|o| o.iterations == 18 && o.recovery.is_empty()));
 }
 
 #[test]
@@ -227,7 +226,6 @@ fn solve_many_with_parallel_lanes_matches_serial_instance() {
     for (i, (s, p)) in want.iter().zip(&got).enumerate() {
         assert_eq!(s.x, p.x, "rhs {i}: parallel lanes diverged from serial");
         assert_eq!(s.iterations, p.iterations, "rhs {i}");
-        assert_eq!(s.method, p.method, "rhs {i}");
     }
 }
 
