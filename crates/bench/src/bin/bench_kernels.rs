@@ -473,7 +473,7 @@ fn bench_trisolve_lanes(scale: Scale) {
                 for (bg, xg) in b.chunks(lanes).zip(x.chunks_mut(lanes)) {
                     let bg: Vec<&[f64]> = bg.iter().map(Vec::as_slice).collect();
                     let mut xg: Vec<&mut [f64]> = xg.iter_mut().map(Vec::as_mut_slice).collect();
-                    fd.lu.solve_lanes(&bg, &mut xg, &mut tri, 1);
+                    fd.lu.solve_lanes(&bg, &mut xg, &mut tri);
                 }
             }
             seconds = seconds.min(t0.elapsed().as_secs_f64());

@@ -1,14 +1,15 @@
-//! Solve-phase benchmark: parallel SpMV, level-scheduled triangular
-//! solves, end-to-end `Pdslin::solve` across worker counts, and batched
-//! `Pdslin::solve_many` across batch sizes, with machine-readable
-//! speedups in `BENCH_solve.json`.
+//! Solve-phase benchmark: end-to-end `Pdslin::solve` across thread
+//! counts and batched `Pdslin::solve_many` across batch sizes, with
+//! machine-readable speedups in `BENCH_solve.json`.
 //!
-//! Every parallel result is checked for **exact** equality against the
-//! serial run (the solve-phase kernels promise byte-identical output);
-//! a mismatch aborts the process, which is what the CI smoke step
-//! relies on. Speedups are recorded for trajectory tracking but never
-//! asserted — CI runners (and single-core hosts) make them meaningless
-//! to gate on.
+//! A single solve runs every kernel on one thread whatever the thread
+//! count, so its rows show what the thread setting costs a plain solve;
+//! a batch fans its right-hand sides out over workers. Every result is
+//! checked for **exact** equality against the one-thread run (the solve
+//! phase promises byte-identical output); a mismatch aborts the process,
+//! which is what the CI smoke step relies on. Speedups are recorded for
+//! trajectory tracking but never asserted — CI runners (and single-core
+//! hosts) make them meaningless to gate on.
 
 use matgen::{MatrixKind, Scale};
 use pdslin::{Pdslin, PdslinConfig};
@@ -74,76 +75,6 @@ fn rhs_for(n: usize, seed: usize) -> Vec<f64> {
     (0..n)
         .map(|i| (((i * 31 + seed * 7) % 23) as f64) - 11.0)
         .collect()
-}
-
-/// Chunked SpMV (`Csr::matvec_into_workers`), exact-equality checked.
-fn bench_matvec(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr, reps: usize) {
-    let x = rhs_for(a.ncols(), 1);
-    let mut y = vec![0.0; a.nrows()];
-    let mut serial: Option<(Vec<f64>, f64)> = None;
-    for &w in &WORKERS {
-        a.matvec_into_workers(&x, &mut y, w); // warm-up
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            a.matvec_into_workers(&x, &mut y, w);
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        let (matches, serial_secs) = match &serial {
-            None => {
-                serial = Some((y.clone(), secs));
-                (true, secs)
-            }
-            Some((ref_y, ref_secs)) => (y == *ref_y, *ref_secs),
-        };
-        push_row(rows, problem, "matvec", w, 1, secs, serial_secs, matches, 0);
-    }
-}
-
-/// Level-scheduled subdomain triangular solves on the cached `LU(D)`
-/// plans, exact-equality checked on the concatenated solutions.
-fn bench_trisolve(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr, reps: usize) {
-    let part = pdslin::compute_partition(a, 4, &pdslin::PartitionerKind::Ngd);
-    let sys = pdslin::extract_dbbd(a, part);
-    let factors: Vec<_> = sys
-        .domains
-        .iter()
-        .map(|d| pdslin::subdomain::factor_domain(&d.d, 0.1).expect("subdomain LU"))
-        .collect();
-    let bs: Vec<Vec<f64>> = sys.domains.iter().map(|d| rhs_for(d.dim(), 2)).collect();
-    let mut xs: Vec<Vec<f64>> = sys.domains.iter().map(|d| vec![0.0; d.dim()]).collect();
-    let mut tris: Vec<slu::TriScratch> =
-        sys.domains.iter().map(|_| slu::TriScratch::new()).collect();
-    let mut serial: Option<(Vec<Vec<f64>>, f64)> = None;
-    for &w in &WORKERS {
-        for ((fd, b), (x, tri)) in factors.iter().zip(&bs).zip(xs.iter_mut().zip(&mut tris)) {
-            fd.lu.solve_into(b, x, tri, w); // warm-up
-        }
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            for ((fd, b), (x, tri)) in factors.iter().zip(&bs).zip(xs.iter_mut().zip(&mut tris)) {
-                fd.lu.solve_into(b, x, tri, w);
-            }
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        let (matches, serial_secs) = match &serial {
-            None => {
-                serial = Some((xs.clone(), secs));
-                (true, secs)
-            }
-            Some((ref_xs, ref_secs)) => (xs == *ref_xs, *ref_secs),
-        };
-        push_row(
-            rows,
-            problem,
-            "trisolve",
-            w,
-            1,
-            secs,
-            serial_secs,
-            matches,
-            0,
-        );
-    }
 }
 
 /// End-to-end `Pdslin::solve` with `PDSLIN_THREADS` bounding the total
@@ -235,27 +166,23 @@ fn bench_solve_many(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr, threads: u
 
 fn main() {
     let scale = pdslin_bench::scale_from_env();
-    let (nx, ny, reps) = match scale {
-        Scale::Test => (50, 50, 20),
-        Scale::Bench => (200, 200, 50),
+    let (nx, ny) = match scale {
+        Scale::Test => (50, 50),
+        Scale::Bench => (200, 200),
     };
     let laplace = matgen::stencil::laplace2d(nx, ny);
     let laplace_name = format!("laplace2d({nx},{ny})");
     let circuits = [MatrixKind::G3Circuit, MatrixKind::Asic680ks];
 
     let mut rows = Vec::new();
-    println!("Solve-phase benchmark: serial vs parallel (workers 1/2/4)\n");
-    bench_matvec(&mut rows, &laplace_name, &laplace, reps);
-    bench_trisolve(&mut rows, &laplace_name, &laplace, reps);
+    println!("Solve-phase benchmark: threads 1/2/4 against one thread\n");
     bench_solve(&mut rows, &laplace_name, &laplace);
     for threads in [1, 4] {
         bench_solve_many(&mut rows, &laplace_name, &laplace, threads);
     }
     for kind in circuits {
-        let a = matgen::generate(kind, scale);
-        bench_matvec(&mut rows, kind.name(), &a, reps);
-        bench_trisolve(&mut rows, kind.name(), &a, reps);
+        bench_solve(&mut rows, kind.name(), &matgen::generate(kind, scale));
     }
     pdslin_bench::write_json("BENCH_solve", &rows);
-    println!("\nall parallel results matched serial exactly");
+    println!("\nall results matched the one-thread run exactly");
 }

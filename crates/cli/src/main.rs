@@ -102,7 +102,6 @@ fn cmd_solve(args: &Args) -> Result<(), CmdError> {
     );
     let b = vec![1.0; a.nrows()];
     let out = solver.solve_budgeted(&b, &budget)?;
-    report_recovery("solve", &out.recovery);
     println!(
         "solve: {}, {} GMRES iterations, {:.2}s, Schur residual {:.2e}",
         if out.converged {
@@ -122,7 +121,7 @@ fn cmd_solve(args: &Args) -> Result<(), CmdError> {
     eprintln!(
         "health: scratch lanes = {}, allocations = {}, solves = {} | \
          factorizations = {} (reused {}) | interface solves {:.3}s, symbolic {:.3}s | \
-         recovery events: setup {}, solve {}",
+         setup recovery events: {}",
         scratch.lanes,
         scratch.allocations,
         scratch.solves,
@@ -130,8 +129,7 @@ fn cmd_solve(args: &Args) -> Result<(), CmdError> {
         solver.stats.factorizations_reused,
         iface.iter().map(|s| s.solve_seconds).sum::<f64>(),
         iface.iter().map(|s| s.symbolic_seconds).sum::<f64>(),
-        solver.stats.recovery.len(),
-        out.recovery.len()
+        solver.stats.recovery.len()
     );
     Ok(())
 }

@@ -48,7 +48,7 @@ use crate::error::PdslinError;
 use crate::extract::{extract_dbbd, DbbdSystem};
 use crate::fault::FaultPlan;
 use crate::interface::InterfacePlan;
-use crate::par::{inner_worker_count, outer_worker_count};
+use crate::par::outer_worker_count;
 use crate::partition::{compute_partition_robust, natural_block_partition, PartitionerKind};
 use crate::phases::{fill_partial, phase_check, Pass};
 use crate::precond::{ImplicitSchur, SchurApplyScratch, SchurPrecond};
@@ -161,9 +161,6 @@ pub struct SolveOutcome {
     pub schur_residual: f64,
     /// Whether the requested tolerance was met.
     pub converged: bool,
-    /// Every recovery action taken during this solve (empty on a clean
-    /// run).
-    pub recovery: RecoveryReport,
     /// Wall-clock seconds of the whole solve phase. A right-hand side
     /// solved in a [`Pdslin::solve_many`] batch reports the wall time of
     /// its lockstep group (up to [`slu::MAX_LANES`] right-hand sides
@@ -590,15 +587,13 @@ impl Pdslin {
     /// The batch runs in lockstep groups of up to [`slu::MAX_LANES`]
     /// right-hand sides: each one has its own GMRES, and at every Krylov
     /// step all of a group's active lanes go through each `LU(D_ℓ)` and
-    /// the `LU(S̃)` factor in one sweep. It also fans out across RHS ×
-    /// subdomains under the crate's nested-worker policy: `outer`
-    /// workers each take a contiguous block of right-hand sides, and
-    /// every worker's triangular solves and Schur matvecs run on `inner`
-    /// threads, with `outer × inner ≤` the configured thread count. Each
-    /// worker owns a private scratch arena, so workers never contend,
-    /// and the per-RHS results are **identical** (bit-for-bit, including
-    /// iteration counts and residuals) to issuing the same
-    /// [`Pdslin::solve`] calls sequentially.
+    /// the `LU(S̃)` factor in one sweep. The batch fans out over up to
+    /// the configured thread count of workers, each taking a contiguous
+    /// block of right-hand sides; every kernel of a worker runs on that
+    /// worker's thread. Each worker owns a private scratch arena, so
+    /// workers never contend, and the per-RHS results are **identical**
+    /// (bit-for-bit, including iteration counts and residuals) to
+    /// issuing the same [`Pdslin::solve`] calls sequentially.
     pub fn solve_many(&mut self, rhs: &[Vec<f64>]) -> Result<Vec<SolveOutcome>, PdslinError> {
         self.solve_many_budgeted(rhs, &Budget::unlimited())
     }
@@ -615,7 +610,7 @@ impl Pdslin {
     }
 
     /// The body of every solve entry point; a single solve is the
-    /// one-RHS batch (one worker, one lane, all inner threads).
+    /// one-RHS batch (one worker, one lane).
     fn solve_batch<B: AsRef<[f64]> + Sync>(
         &mut self,
         rhs: &[B],
@@ -626,7 +621,6 @@ impl Pdslin {
         }
         let t = Instant::now();
         let outer = outer_worker_count(rhs.len(), self.cfg.parallel).max(1);
-        let inner = inner_worker_count(outer, self.cfg.parallel);
         while self.scratch.workers.len() < outer {
             self.scratch.workers.push(WorkerScratch::default());
         }
@@ -637,7 +631,6 @@ impl Pdslin {
             cfg: &self.cfg,
             stats: &self.stats,
             budget,
-            workers: inner,
         };
         // One worker solves a contiguous block of right-hand sides, one
         // lockstep group after another.
@@ -771,8 +764,8 @@ struct SolveScratch {
     workers: Vec<WorkerScratch>,
 }
 
-/// What every group of a batch shares: the borrowed factors, the
-/// settings and the threads inside each kernel.
+/// What every group of a batch shares: the borrowed factors and the
+/// settings.
 struct SolveContext<'a> {
     sys: &'a DbbdSystem,
     factors: &'a [FactoredDomain],
@@ -780,7 +773,6 @@ struct SolveContext<'a> {
     cfg: &'a PdslinConfig,
     stats: &'a SetupStats,
     budget: &'a Budget,
-    workers: usize,
 }
 
 /// One lockstep group of Schur-complement solves (equations (2)–(4) of
@@ -813,8 +805,8 @@ fn solve_group(
         ..
     } = ws;
     let ghats = &mut ghats[..live.len()];
-    let op = ImplicitSchur::with_workers(sys, cx.factors, schur_apply, cx.workers);
-    let m = SchurPrecond::with_workers(cx.schur_lu, precond_tri, cx.workers);
+    let op = ImplicitSchur::new(sys, cx.factors, schur_apply);
+    let m = SchurPrecond::new(cx.schur_lu, precond_tri);
     op.reduce_lanes(&live_bs, ghats);
     let ghats: Vec<&[f64]> = ghats.iter().map(Vec::as_slice).collect();
     let solved = solve_schur(cx, &op, &m, &ghats, gmres);
@@ -839,7 +831,6 @@ fn solve_group(
                 iterations: s.iterations,
                 schur_residual: s.residual,
                 converged: s.converged,
-                recovery: RecoveryReport::default(),
                 seconds,
             })
         })
@@ -1180,9 +1171,7 @@ mod tests {
             s.stats.recovery.summary()
         );
         let b = vec![1.0; a.nrows()];
-        let out = s.solve(&b).unwrap();
-        assert!(out.recovery.is_empty(), "{}", out.recovery.summary());
-        assert!(out.converged);
+        assert!(s.solve(&b).unwrap().converged);
     }
 
     #[test]

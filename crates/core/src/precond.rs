@@ -3,11 +3,12 @@
 //! Both are built for the steady-state solve path: they *borrow* the
 //! factors (no per-solve clone of `LU(S̃)`), carry caller-owned scratch
 //! so repeated applies allocate nothing, and route every triangular
-//! solve through the level-scheduled plans cached in [`LuFactors`] —
-//! parallel when `workers > 1`, byte-identical to serial either way.
+//! solve through the level-scheduled plans cached in [`LuFactors`].
 //! Both serve several right-hand sides per call (`apply_lanes`): the
 //! lanes go through each `LU(D_ℓ)` / `LU(S̃)` factor in one sweep, and
-//! a single apply is the one-lane instance.
+//! a single apply is the one-lane instance. Every kernel runs on the
+//! calling thread; a batch gets its threads from workers that each own
+//! one operator and take their own groups of right-hand sides.
 
 use std::cell::{RefCell, RefMut};
 
@@ -23,26 +24,12 @@ use crate::subdomain::FactoredDomain;
 pub struct SchurPrecond<'a> {
     lu: &'a LuFactors,
     scratch: &'a RefCell<TriScratch>,
-    workers: usize,
 }
 
 impl<'a> SchurPrecond<'a> {
-    /// Wraps the factors of `S̃` for serial application.
+    /// Wraps the factors of `S̃`.
     pub fn new(lu: &'a LuFactors, scratch: &'a RefCell<TriScratch>) -> Self {
-        Self::with_workers(lu, scratch, 1)
-    }
-
-    /// Wraps the factors with `workers` threads per triangular solve.
-    pub fn with_workers(
-        lu: &'a LuFactors,
-        scratch: &'a RefCell<TriScratch>,
-        workers: usize,
-    ) -> Self {
-        SchurPrecond {
-            lu,
-            scratch,
-            workers,
-        }
+        SchurPrecond { lu, scratch }
     }
 }
 
@@ -52,8 +39,7 @@ impl Preconditioner for SchurPrecond<'_> {
     }
 
     fn apply_lanes(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
-        self.lu
-            .solve_lanes(rs, zs, &mut self.scratch.borrow_mut(), self.workers);
+        self.lu.solve_lanes(rs, zs, &mut self.scratch.borrow_mut());
     }
 }
 
@@ -74,17 +60,14 @@ struct LaneApplyScratch {
 /// Reusable buffers of every subdomain pass over a lockstep group — the
 /// [`ImplicitSchur`] applies, the reduce and the back-substitution: one
 /// set of restriction/solve/product vectors per lane (up to
-/// [`MAX_LANES`]), one triangular-solve arena shared by every
-/// subdomain's `LU(D_ℓ)` sweeps, plus the nnz-balanced chunks of `C`
-/// (computed once per worker count). One instance per concurrently
-/// solving caller; wrapped in a `RefCell` so the `&self` operator trait
-/// can still mutate it.
+/// [`MAX_LANES`]) and one triangular-solve arena shared by every
+/// subdomain's `LU(D_ℓ)` sweeps. One instance per concurrently solving
+/// caller; wrapped in a `RefCell` so the `&self` operator trait can
+/// still mutate it.
 #[derive(Debug, Default)]
 pub struct SchurApplyScratch {
     lanes: Vec<LaneApplyScratch>,
     tri: TriScratch,
-    c_chunks: Vec<std::ops::Range<usize>>,
-    chunk_workers: usize,
     allocations: u64,
     resets: u64,
 }
@@ -95,7 +78,7 @@ impl SchurApplyScratch {
         SchurApplyScratch::default()
     }
 
-    fn prepare(&mut self, sys: &DbbdSystem, workers: usize, lanes: usize) {
+    fn prepare(&mut self, sys: &DbbdSystem, lanes: usize) {
         self.resets += 1;
         let lanes = lanes.min(MAX_LANES);
         let mut grew = false;
@@ -118,15 +101,6 @@ impl SchurApplyScratch {
                     grew = true;
                 }
             }
-        }
-        // A single-worker apply ignores the chunks but keeps them: a
-        // worker alternates between plain solves (all threads inside the
-        // kernels) and batches (one thread per worker), and must not
-        // rebuild them at every change.
-        if workers > 1 && self.chunk_workers != workers {
-            self.c_chunks = sys.c.nnz_balanced_chunks(workers);
-            self.chunk_workers = workers;
-            grew = true;
         }
         if grew {
             self.allocations += 1;
@@ -154,43 +128,29 @@ pub struct ImplicitSchur<'a> {
     sys: &'a DbbdSystem,
     factors: &'a [FactoredDomain],
     scratch: &'a RefCell<SchurApplyScratch>,
-    workers: usize,
 }
 
 impl<'a> ImplicitSchur<'a> {
-    /// Builds the serial operator from the extracted system, the
-    /// subdomain factors (one per subdomain, same order) and a
-    /// caller-owned scratch.
+    /// Builds the operator from the extracted system, the subdomain
+    /// factors (one per subdomain, same order) and a caller-owned
+    /// scratch.
     pub fn new(
         sys: &'a DbbdSystem,
         factors: &'a [FactoredDomain],
         scratch: &'a RefCell<SchurApplyScratch>,
-    ) -> Self {
-        Self::with_workers(sys, factors, scratch, 1)
-    }
-
-    /// [`ImplicitSchur::new`] with `workers` threads for the `C`
-    /// matvec and each subdomain triangular solve. The result is
-    /// byte-identical for every worker count.
-    pub fn with_workers(
-        sys: &'a DbbdSystem,
-        factors: &'a [FactoredDomain],
-        scratch: &'a RefCell<SchurApplyScratch>,
-        workers: usize,
     ) -> Self {
         assert_eq!(sys.domains.len(), factors.len());
         ImplicitSchur {
             sys,
             factors,
             scratch,
-            workers,
         }
     }
 
     /// The scratch, sized for `lanes` lanes (at most [`MAX_LANES`]).
     fn scratch_for(&self, lanes: usize) -> RefMut<'a, SchurApplyScratch> {
         let mut s = self.scratch.borrow_mut();
-        s.prepare(self.sys, self.workers, lanes);
+        s.prepare(self.sys, lanes);
         s
     }
 
@@ -220,8 +180,7 @@ impl<'a> ImplicitSchur<'a> {
                 vs[l] = &ls.v[..dim];
                 ts[l] = &mut ls.t[..dim];
             }
-            fd.lu
-                .solve_lanes(&vs[..lanes], &mut ts[..lanes], tri, self.workers);
+            fd.lu.solve_lanes(&vs[..lanes], &mut ts[..lanes], tri);
             for (l, ls) in buffers.iter_mut().enumerate() {
                 drain(dom, l, ls);
             }
@@ -318,11 +277,7 @@ impl LinearOperator for ImplicitSchur<'_> {
             let mut s = self.scratch_for(ys.len());
             // out = C y
             for (y, out) in ys.iter().zip(outs.iter_mut()) {
-                if self.workers > 1 && s.c_chunks.len() > 1 {
-                    self.sys.c.matvec_into_chunks(y, out, &s.c_chunks);
-                } else {
-                    self.sys.c.matvec_into(y, out);
-                }
+                self.sys.c.matvec_into(y, out);
             }
             // out -= Σ F̂ D⁻¹ (Ê y), every lane through each D_ℓ at once.
             self.sweep_domains(
@@ -387,31 +342,6 @@ mod tests {
                     "implicit/explicit S disagree at {i}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_apply_is_byte_identical_to_serial() {
-        let a = laplace2d(14, 14);
-        let p = compute_partition(&a, 4, &PartitionerKind::Ngd);
-        let sys = extract_dbbd(&a, p);
-        let factors: Vec<_> = sys
-            .domains
-            .iter()
-            .map(|d| factor_domain(&d.d, 0.1).unwrap())
-            .collect();
-        let ns = sys.nsep();
-        let y: Vec<f64> = (0..ns).map(|i| ((i * 13 % 23) as f64) - 11.0).collect();
-        let serial_scratch = RefCell::new(SchurApplyScratch::new());
-        let serial = ImplicitSchur::new(&sys, &factors, &serial_scratch);
-        let mut out_ref = vec![0.0; ns];
-        serial.apply(&y, &mut out_ref);
-        for w in [2usize, 4, 7] {
-            let scratch = RefCell::new(SchurApplyScratch::new());
-            let op = ImplicitSchur::with_workers(&sys, &factors, &scratch, w);
-            let mut out = vec![f64::NAN; ns];
-            op.apply(&y, &mut out);
-            assert_eq!(out, out_ref, "workers {w}");
         }
     }
 

@@ -75,43 +75,16 @@ impl Preconditioner for JacobiPrecond {
 }
 
 /// Wraps an explicit sparse matrix as a [`LinearOperator`].
-///
-/// Built with [`CsrOperator::with_workers`], the operator computes
-/// nnz-balanced row chunks **once** and reuses them on every apply, so
-/// the per-iteration cost of a parallel SpMV is just the scoped-thread
-/// dispatch. The parallel result is byte-identical to the serial one
-/// (each output row is produced by the same accumulation loop).
 #[derive(Clone, Debug)]
 pub struct CsrOperator<'a> {
     a: &'a Csr,
-    chunks: Vec<std::ops::Range<usize>>,
 }
 
 impl<'a> CsrOperator<'a> {
-    /// Wraps `a` (must be square) for serial application.
+    /// Wraps `a` (must be square).
     pub fn new(a: &'a Csr) -> Self {
         assert_eq!(a.nrows(), a.ncols());
-        CsrOperator {
-            a,
-            chunks: Vec::new(),
-        }
-    }
-
-    /// Wraps `a` with row chunks balanced for `workers` threads; with
-    /// `workers <= 1` this is identical to [`CsrOperator::new`].
-    pub fn with_workers(a: &'a Csr, workers: usize) -> Self {
-        assert_eq!(a.nrows(), a.ncols());
-        let chunks = if workers > 1 {
-            a.nnz_balanced_chunks(workers)
-        } else {
-            Vec::new()
-        };
-        CsrOperator { a, chunks }
-    }
-
-    /// Number of threads an apply will use.
-    pub fn workers(&self) -> usize {
-        self.chunks.len().max(1)
+        CsrOperator { a }
     }
 }
 
@@ -121,11 +94,7 @@ impl LinearOperator for CsrOperator<'_> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        if self.chunks.len() > 1 {
-            self.a.matvec_into_chunks(x, y, &self.chunks);
-        } else {
-            self.a.matvec_into(x, y);
-        }
+        self.a.matvec_into(x, y);
     }
 }
 
@@ -164,28 +133,5 @@ mod tests {
         let mut z = vec![0.0; 3];
         m.apply(&[1.0, 2.0, 3.0], &mut z);
         assert_eq!(z, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn chunked_operator_matches_serial_exactly() {
-        let n = 300;
-        let mut c = Coo::new(n, n);
-        for i in 0..n {
-            c.push(i, i, 2.0 + (i % 7) as f64);
-            if i + 1 < n {
-                c.push_sym(i, i + 1, -1.0);
-            }
-        }
-        let a = c.to_csr();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 31 % 17) as f64) - 8.0).collect();
-        let serial = CsrOperator::new(&a);
-        let mut y_ref = vec![0.0; n];
-        serial.apply(&x, &mut y_ref);
-        for w in [1usize, 2, 4, 7] {
-            let par = CsrOperator::with_workers(&a, w);
-            let mut y = vec![f64::NAN; n];
-            par.apply(&x, &mut y);
-            assert_eq!(y, y_ref, "workers {w}");
-        }
     }
 }

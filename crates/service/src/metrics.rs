@@ -47,7 +47,7 @@ pub struct Metrics {
     /// structure was kept and the numerics replayed with
     /// `Pdslin::update_values`.
     pub symbolic_hits: AtomicU64,
-    /// Recovery events recorded across all setups and solves.
+    /// Recovery events recorded across all set-ups and value updates.
     pub recovery_events: AtomicU64,
 }
 

@@ -427,7 +427,8 @@ pub struct SolveReply {
     pub retries: u32,
     /// Whether setup degraded the preconditioner under memory pressure.
     pub degraded: bool,
-    /// Recovery events recorded across setup + solve for this request.
+    /// Recovery events the set-up behind this request recorded (a solve
+    /// records none).
     pub recovery_events: usize,
     /// GMRES iterations on the Schur system.
     pub iterations: usize,

@@ -756,7 +756,6 @@ fn process_coalesced(
             let total_ms = setup_ms + ms_since(t0);
             for (job, out) in jobs.iter().zip(outs) {
                 add(&inner.metrics.completed_ok, 1);
-                add(&inner.metrics.recovery_events, out.recovery.len() as u64);
                 observe_solve_ms(inner, total_ms / batched as f64);
                 reply(
                     job,
@@ -765,7 +764,7 @@ fn process_coalesced(
                         batched,
                         retries: 0,
                         degraded,
-                        recovery_events: setup_recovery + out.recovery.len(),
+                        recovery_events: setup_recovery,
                         iterations: out.iterations,
                         residual: out.schur_residual,
                         converged: out.converged,
@@ -849,7 +848,6 @@ fn process_solo(
                             Ok(out) => {
                                 let total_ms = setup_ms + ms_since(t0);
                                 add(&inner.metrics.completed_ok, 1);
-                                add(&inner.metrics.recovery_events, out.recovery.len() as u64);
                                 observe_solve_ms(inner, total_ms);
                                 reply(
                                     job,
@@ -858,7 +856,7 @@ fn process_solo(
                                         batched: 1,
                                         retries,
                                         degraded,
-                                        recovery_events: setup_recovery + out.recovery.len(),
+                                        recovery_events: setup_recovery,
                                         iterations: out.iterations,
                                         residual: out.schur_residual,
                                         converged: out.converged,

@@ -2,20 +2,20 @@
 //!
 //! A sparse triangular solve looks inherently sequential, but its
 //! dependency DAG usually is not: row `i` of `L x = b` only needs the
-//! entries `x[j]` with `L[i,j] ≠ 0`, so rows whose dependencies are
-//! already resolved can run concurrently. Grouping rows by the length
-//! of their longest dependency chain — *level scheduling*, the standard
-//! formulation behind parallel triangular solves — turns the sweep into
-//! a short sequence of embarrassingly parallel phases.
+//! entries `x[j]` with `L[i,j] ≠ 0`. Grouping rows by the length of
+//! their longest dependency chain — *level scheduling* — gives the
+//! sweep's level count and widths, which the solver reports as the
+//! available parallelism of each factor.
 //!
 //! The plan is built **once at factorisation time** and flattened into
 //! level order: position `p` of the execution vector holds one pivot
 //! row, positions within a level are contiguous, and every dependency
-//! of `p` lives at a strictly smaller position (an earlier level). Each
-//! position is written by exactly one worker and its accumulation loop
-//! is a fixed left-to-right sweep over the dependency list, so the
-//! parallel result is **byte-identical** to the serial one — the
-//! property every `bench_solve`/property-test assertion relies on.
+//! of `p` lives at a strictly smaller position (an earlier level). A
+//! sweep runs the positions in order on the calling thread, each
+//! accumulation a fixed left-to-right pass over its dependency list.
+//! The solve phase's threads come from groups of right-hand sides, one
+//! worker per group, never from splitting a sweep: levels are short, and
+//! a barrier per level cost more than the sweep itself.
 //!
 //! A sweep also carries several right-hand sides at once: with `W`
 //! *lanes* the values live lane-interleaved (row `i` of lane `l` at
@@ -24,23 +24,10 @@
 //! right-hand sides. Each lane performs exactly the operations of a
 //! single sweep in the same order, so every lane is bit-identical to
 //! solving its right-hand side alone.
-//!
-//! Values live in plain `f64` cells when one thread runs the sweep and
-//! in `AtomicU64` bit-casts (relaxed ordering) only when a level is
-//! split across threads; the inter-level spin barrier provides the
-//! happens-before edges. Relaxed atomic loads do not vectorise, so the
-//! serial path must not pay for them. This keeps the crate free of
-//! `unsafe` while compiling to plain loads and stores on mainstream
-//! targets.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use sparsekit::{Csc, Perm};
-
-/// Below this many rows a solve runs serially even when workers were
-/// requested: spawning scoped threads costs more than the sweep itself.
-const PAR_MIN_ROWS: usize = 256;
 
 /// Widest group of right-hand sides one sweep carries. A wider batch is
 /// swept in groups of this many; a narrower group is padded with zero
@@ -104,9 +91,8 @@ impl LevelPlan {
             .unwrap_or(0)
     }
 
-    /// Runs positions `a..b` of the sweep on `W` lanes. All
-    /// dependencies live at positions `< a` or were produced by this
-    /// same call; `input` and `out` are lane-interleaved.
+    /// Runs the sweep on `W` lanes into `out` (position order).
+    /// `input` and `out` are lane-interleaved.
     ///
     /// The accumulation loop is lane-structured twice over: products are
     /// computed in fixed-width [`LANES`](sparsekit::lanes::LANES)
@@ -115,16 +101,12 @@ impl LevelPlan {
     /// sides side by side. Every lane's products are folded into its
     /// accumulator strictly left-to-right — the exact op sequence of the
     /// plain scalar loop, so results stay byte-identical.
-    #[inline]
-    fn run_range<const W: usize, C: Cells + ?Sized>(
-        &self,
-        a: usize,
-        b: usize,
-        input: &[f64],
-        out: &C,
-    ) {
+    fn sweep<const W: usize>(&self, input: &[f64], out: &mut [f64]) {
         use sparsekit::lanes::LANES;
-        for p in a..b {
+        let load = |out: &[f64], p: usize| -> [f64; W] {
+            out[p * W..p * W + W].try_into().expect("lane width")
+        };
+        for p in 0..self.n() {
             let src = self.rhs_src[p] * W;
             let mut acc: [f64; W] = input[src..src + W].try_into().expect("lane width");
             let deps = self.dep_ptr[p]..self.dep_ptr[p + 1];
@@ -135,7 +117,7 @@ impl LevelPlan {
             for (pp, vv) in (&mut cp).zip(&mut cv) {
                 let mut prod = [[0f64; W]; LANES];
                 for k in 0..LANES {
-                    let x = out.load::<W>(pp[k]);
+                    let x = load(out, pp[k]);
                     for l in 0..W {
                         prod[k][l] = vv[k] * x[l];
                     }
@@ -147,7 +129,7 @@ impl LevelPlan {
                 }
             }
             for (&dp, &dv) in cp.remainder().iter().zip(cv.remainder()) {
-                let x = out.load::<W>(dp);
+                let x = load(out, dp);
                 for l in 0..W {
                     acc[l] -= dv * x[l];
                 }
@@ -158,7 +140,7 @@ impl LevelPlan {
                     *v /= d;
                 }
             }
-            out.store::<W>(p, acc);
+            out[p * W..p * W + W].copy_from_slice(&acc);
         }
     }
 
@@ -177,85 +159,6 @@ impl LevelPlan {
                     .expect("plan dependency missing from factor pattern");
                 self.dep_val[s] = m.col_values(c)[k];
             }
-        }
-    }
-
-    /// Position range of level `l` assigned to worker `t` of `workers`:
-    /// an even split, safe because no two positions of a level depend on
-    /// each other.
-    #[inline]
-    fn worker_range(&self, l: usize, t: usize, workers: usize) -> (usize, usize) {
-        let (s, e) = (self.level_ptr[l], self.level_ptr[l + 1]);
-        let len = e - s;
-        (s + len * t / workers, s + len * (t + 1) / workers)
-    }
-
-    /// Executes the sweep on the calling thread into `out` (position
-    /// order, lane-interleaved, plain `f64` storage).
-    fn sweep_serial<const W: usize>(&self, input: &[f64], out: &mut [f64]) {
-        let cells = Cell::from_mut(out).as_slice_of_cells();
-        self.run_range::<W, _>(0, self.n(), input, cells);
-    }
-
-    /// Executes the sweep into `out` with each level split across
-    /// `workers` scoped threads and a spin barrier between levels. Every
-    /// position performs the same arithmetic in the same order as in
-    /// [`LevelPlan::sweep_serial`], so the results are byte-identical.
-    fn sweep_parallel<const W: usize>(&self, input: &[f64], out: &[AtomicU64], workers: usize) {
-        let barrier = SpinBarrier::new(workers);
-        let nlevels = self.num_levels();
-        std::thread::scope(|sc| {
-            for t in 0..workers {
-                let barrier = &barrier;
-                sc.spawn(move || {
-                    for l in 0..nlevels {
-                        let (a, b) = self.worker_range(l, t, workers);
-                        self.run_range::<W, _>(a, b, input, out);
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-    }
-}
-
-/// Lane-interleaved value storage of a sweep's output: position `p`
-/// holds its `W` lanes at `p·W..p·W + W`.
-trait Cells {
-    fn load<const W: usize>(&self, p: usize) -> [f64; W];
-    fn store<const W: usize>(&self, p: usize, v: [f64; W]);
-}
-
-/// Serial storage: plain loads and stores, which vectorize across lanes.
-impl Cells for [Cell<f64>] {
-    #[inline(always)]
-    fn load<const W: usize>(&self, p: usize) -> [f64; W] {
-        let s: &[Cell<f64>; W] = self[p * W..p * W + W].try_into().expect("lane width");
-        std::array::from_fn(|l| s[l].get())
-    }
-
-    #[inline(always)]
-    fn store<const W: usize>(&self, p: usize, v: [f64; W]) {
-        let s: &[Cell<f64>; W] = self[p * W..p * W + W].try_into().expect("lane width");
-        for (c, x) in s.iter().zip(v) {
-            c.set(x);
-        }
-    }
-}
-
-/// Shared storage of a level split across threads: relaxed bit-casts.
-impl Cells for [AtomicU64] {
-    #[inline(always)]
-    fn load<const W: usize>(&self, p: usize) -> [f64; W] {
-        let s: &[AtomicU64; W] = self[p * W..p * W + W].try_into().expect("lane width");
-        std::array::from_fn(|l| f64::from_bits(s[l].load(Ordering::Relaxed)))
-    }
-
-    #[inline(always)]
-    fn store<const W: usize>(&self, p: usize, v: [f64; W]) {
-        let s: &[AtomicU64; W] = self[p * W..p * W + W].try_into().expect("lane width");
-        for (c, x) in s.iter().zip(v) {
-            c.store(x.to_bits(), Ordering::Relaxed);
         }
     }
 }
@@ -332,29 +235,22 @@ impl SolvePlan {
     /// Executes both sweeps: `x = Qᵀ U⁻¹ L⁻¹ P b`, using (and growing,
     /// on first use) the caller's scratch. `x` is fully overwritten.
     /// The one-lane instance of [`SolvePlan::solve_lanes`].
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64], scratch: &mut TriScratch, workers: usize) {
-        self.solve_lanes(&[b], &mut [x], scratch, workers);
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64], scratch: &mut TriScratch) {
+        self.solve_lanes(&[b], &mut [x], scratch);
     }
 
     /// Solves `x[l] = Qᵀ U⁻¹ L⁻¹ P b[l]` for every lane `l`, sweeping up
     /// to [`MAX_LANES`] right-hand sides through one pass over the
     /// factors. Every `x[l]` is bit-identical to
-    /// [`SolvePlan::solve_into`] on `b[l]` alone, for every `workers`
-    /// value.
-    pub fn solve_lanes(
-        &self,
-        b: &[&[f64]],
-        x: &mut [&mut [f64]],
-        scratch: &mut TriScratch,
-        workers: usize,
-    ) {
+    /// [`SolvePlan::solve_into`] on `b[l]` alone.
+    pub fn solve_lanes(&self, b: &[&[f64]], x: &mut [&mut [f64]], scratch: &mut TriScratch) {
         assert_eq!(b.len(), x.len());
         for (bg, xg) in b.chunks(MAX_LANES).zip(x.chunks_mut(MAX_LANES)) {
             match bg.len() {
-                1 => self.solve_group::<1>(bg, xg, scratch, workers),
-                2 => self.solve_group::<2>(bg, xg, scratch, workers),
-                3 | 4 => self.solve_group::<4>(bg, xg, scratch, workers),
-                _ => self.solve_group::<MAX_LANES>(bg, xg, scratch, workers),
+                1 => self.solve_group::<1>(bg, xg, scratch),
+                2 => self.solve_group::<2>(bg, xg, scratch),
+                3 | 4 => self.solve_group::<4>(bg, xg, scratch),
+                _ => self.solve_group::<MAX_LANES>(bg, xg, scratch),
             }
         }
     }
@@ -365,22 +261,17 @@ impl SolvePlan {
         b: &[&[f64]],
         x: &mut [&mut [f64]],
         scratch: &mut TriScratch,
-        workers: usize,
     ) {
         let n = self.fwd.n();
         for (bl, xl) in b.iter().zip(x.iter()) {
             assert_eq!(bl.len(), n);
             assert_eq!(xl.len(), n);
         }
-        let parallel = workers > 1 && n >= PAR_MIN_ROWS;
-        // A parallel one-lane sweep reads `b` and writes `bits` only.
-        scratch.prepare(n * W, W > 1 || !parallel, parallel);
-        let TriScratch {
-            outer, mid, bits, ..
-        } = scratch;
+        scratch.prepare(n * W);
+        let TriScratch { outer, mid, .. } = scratch;
         let mid = &mut mid[..n * W];
         // Lane-interleave the right-hand sides into `outer` (padding
-        // lanes are zero); a serial backward sweep overwrites it once the
+        // lanes are zero); the backward sweep overwrites it once the
         // forward sweep has read it.
         let input: &[f64] = if W == 1 {
             b[0]
@@ -393,29 +284,13 @@ impl SolvePlan {
             }
             packed
         };
-        if parallel {
-            let bits = &bits[..n * W];
-            self.fwd.sweep_parallel::<W>(input, bits, workers);
-            for (m, bit) in mid.iter_mut().zip(bits) {
-                *m = f64::from_bits(bit.load(Ordering::Relaxed));
-            }
-            self.bwd.sweep_parallel::<W>(mid, bits, workers);
-            self.scatter::<W>(|q| f64::from_bits(bits[q].load(Ordering::Relaxed)), x);
-        } else {
-            self.fwd.sweep_serial::<W>(input, mid);
-            let out = &mut outer[..n * W];
-            self.bwd.sweep_serial::<W>(mid, out);
-            self.scatter::<W>(|q| out[q], x);
-        }
-    }
-
-    /// Scatters the backward sweep's lane-interleaved output into the
-    /// caller's vectors.
-    #[inline]
-    fn scatter<const W: usize>(&self, get: impl Fn(usize) -> f64, x: &mut [&mut [f64]]) {
+        self.fwd.sweep::<W>(input, mid);
+        let out = &mut outer[..n * W];
+        self.bwd.sweep::<W>(mid, out);
+        // Scatter the lane-interleaved output into the caller's vectors.
         for (q, &dst) in self.out_dst.iter().enumerate() {
             for (l, xl) in x.iter_mut().enumerate() {
-                xl[dst] = get(q * W + l);
+                xl[dst] = out[q * W + l];
             }
         }
     }
@@ -442,17 +317,14 @@ impl SolvePlan {
 /// Reusable buffers for [`SolvePlan::solve_lanes`]. One instance per
 /// concurrently-solving caller; after the first solve of a given size
 /// and lane width, subsequent solves allocate nothing (see
-/// [`TriScratch::allocations`]). `bits` is grown only by sweeps split
-/// across threads.
+/// [`TriScratch::allocations`]).
 #[derive(Debug, Default)]
 pub struct TriScratch {
     /// The lane-interleaved right-hand sides, then the backward sweep's
-    /// output (serial).
+    /// output.
     outer: Vec<f64>,
     /// Forward sweep output, input of the backward sweep.
     mid: Vec<f64>,
-    /// Sweep output shared between threads.
-    bits: Vec<AtomicU64>,
     allocations: u64,
     resets: u64,
 }
@@ -463,18 +335,14 @@ impl TriScratch {
         TriScratch::default()
     }
 
-    fn prepare(&mut self, len: usize, outer: bool, parallel: bool) {
+    fn prepare(&mut self, len: usize) {
         self.resets += 1;
         let mut grew = false;
-        for (v, needed) in [(&mut self.outer, outer), (&mut self.mid, true)] {
-            if needed && v.len() < len {
+        for v in [&mut self.outer, &mut self.mid] {
+            if v.len() < len {
                 v.resize(len, 0.0);
                 grew = true;
             }
-        }
-        if parallel && self.bits.len() < len {
-            self.bits.resize_with(len, || AtomicU64::new(0));
-            grew = true;
         }
         if grew {
             self.allocations += 1;
@@ -589,50 +457,6 @@ fn build_sweep(
     }
 }
 
-/// A sense-reversing spin barrier for the inter-level synchronisation.
-///
-/// Triangular-solve levels are short (often microseconds); parking on a
-/// mutex/condvar per level would dwarf the work, so workers spin. The
-/// worker count is already clamped to the host's cores by the callers'
-/// worker policy, so spinning never oversubscribes.
-struct SpinBarrier {
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    total: usize,
-}
-
-impl SpinBarrier {
-    fn new(total: usize) -> SpinBarrier {
-        SpinBarrier {
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            total,
-        }
-    }
-
-    fn wait(&self) {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            self.arrived.store(0, Ordering::Release);
-            self.generation.fetch_add(1, Ordering::Release);
-        } else {
-            // Spin briefly for the common case (all workers on their own
-            // core, levels are short), then yield so oversubscribed hosts
-            // — CI runners with fewer cores than workers — still make
-            // progress at scheduler speed instead of burning whole quanta.
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                spins += 1;
-                if spins < 128 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,29 +525,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweeps_match_serial_bit_for_bit() {
-        let a = laplace2d(10); // 100 rows, below PAR_MIN_ROWS — force via larger grid
-        let big = laplace2d(20); // 400 rows — exercises the threaded path
-        for m in [a, big] {
-            let n = m.nrows();
-            let f = LuFactors::factorize(&m, &Perm::identity(n), &LuConfig::default()).unwrap();
-            let b: Vec<f64> = (0..n).map(|i| ((i * 29 % 13) as f64) - 6.0).collect();
-            let mut scratch = TriScratch::new();
-            let mut serial = vec![0.0; n];
-            f.solve_into(&b, &mut serial, &mut scratch, 1);
-            for w in [2usize, 3, 4, 7] {
-                let mut par = vec![f64::NAN; n];
-                f.solve_into(&b, &mut par, &mut scratch, w);
-                assert_eq!(par, serial, "workers {w}, n {n}");
-            }
-        }
-    }
-
-    #[test]
     fn lane_sweeps_match_single_sweeps_bit_for_bit() {
         // A domain-like factor, and the same matrix with the dense
         // kernel forced from the middle on: a dense tail like the one
-        // LU(S̃) of a cavity has. 400 rows, so workers = 2 splits levels.
+        // LU(S̃) of a cavity has.
         let a = laplace2d(20);
         let n = a.nrows();
         let (order, cfg) = (Perm::identity(n), LuConfig::default());
@@ -741,22 +546,16 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for f in [&domain, &dense_tail] {
             let single: Vec<Vec<f64>> = bs.iter().map(|b| f.solve(b)).collect();
-            for workers in [1usize, 2] {
-                let mut scratch = TriScratch::new();
-                // 3 and 5 are partial groups padded to 4 and 8 lanes;
-                // 17 is two full groups and a single lane.
-                for lanes in [1, 2, 3, 5, MAX_LANES, 2 * MAX_LANES + 1] {
-                    let b: Vec<&[f64]> = bs[..lanes].iter().map(Vec::as_slice).collect();
-                    let mut xs = vec![vec![f64::NAN; n]; lanes];
-                    let mut x: Vec<&mut [f64]> = xs.iter_mut().map(Vec::as_mut_slice).collect();
-                    f.solve_lanes(&b, &mut x, &mut scratch, workers);
-                    for (l, (got, want)) in xs.iter().zip(&single).enumerate() {
-                        assert_eq!(
-                            bits(got),
-                            bits(want),
-                            "lane {l} of {lanes}, workers {workers}"
-                        );
-                    }
+            let mut scratch = TriScratch::new();
+            // 3 and 5 are partial groups padded to 4 and 8 lanes; 17 is
+            // two full groups and a single lane.
+            for lanes in [1, 2, 3, 5, MAX_LANES, 2 * MAX_LANES + 1] {
+                let b: Vec<&[f64]> = bs[..lanes].iter().map(Vec::as_slice).collect();
+                let mut xs = vec![vec![f64::NAN; n]; lanes];
+                let mut x: Vec<&mut [f64]> = xs.iter_mut().map(Vec::as_mut_slice).collect();
+                f.solve_lanes(&b, &mut x, &mut scratch);
+                for (l, (got, want)) in xs.iter().zip(&single).enumerate() {
+                    assert_eq!(bits(got), bits(want), "lane {l} of {lanes}");
                 }
             }
         }

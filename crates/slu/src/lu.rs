@@ -743,8 +743,8 @@ impl LuFactors {
     /// Solves `A x = b` (dense right-hand side).
     ///
     /// Convenience wrapper over [`LuFactors::solve_into`] with a fresh
-    /// scratch and no parallelism; hot paths should hold a persistent
-    /// [`TriScratch`] and call `solve_into` directly.
+    /// scratch; hot paths should hold a persistent [`TriScratch`] and
+    /// call `solve_into` directly.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let mut x = vec![0f64; self.n()];
         self.solve_into(b, &mut x, &mut TriScratch::new(), 1);
@@ -754,23 +754,18 @@ impl LuFactors {
     /// Solves `A x = b` into a caller-provided output using the cached
     /// level-scheduled plan. `x` is fully overwritten; after the first
     /// call of a given size the scratch is reused without allocating.
-    /// The result is byte-identical for every `workers` value.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64], scratch: &mut TriScratch, workers: usize) {
-        self.solve_plan().solve_into(b, x, scratch, workers);
+    /// The sweep runs on the calling thread; `_workers` is ignored and
+    /// stays only because the benchmark's traced pipeline passes it.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64], scratch: &mut TriScratch, _workers: usize) {
+        self.solve_plan().solve_into(b, x, scratch);
     }
 
     /// Solves `A x[l] = b[l]` for every lane `l` in one pass over the
     /// factors per group of [`MAX_LANES`](crate::levels::MAX_LANES)
     /// lanes; every lane is bit-identical to [`LuFactors::solve_into`]
     /// on its right-hand side alone.
-    pub fn solve_lanes(
-        &self,
-        b: &[&[f64]],
-        x: &mut [&mut [f64]],
-        scratch: &mut TriScratch,
-        workers: usize,
-    ) {
-        self.solve_plan().solve_lanes(b, x, scratch, workers);
+    pub fn solve_lanes(&self, b: &[&[f64]], x: &mut [&mut [f64]], scratch: &mut TriScratch) {
+        self.solve_plan().solve_lanes(b, x, scratch);
     }
 
     /// The level-scheduled triangular-solve plan, built on first use

@@ -400,84 +400,6 @@ impl Csr {
         }
     }
 
-    /// Splits the rows into at most `max_chunks` contiguous ranges of
-    /// near-equal **nonzero count** (not row count), so a parallel
-    /// row-sweep gets balanced work even when row densities are skewed.
-    /// Every range is nonempty and the ranges cover `0..nrows` exactly.
-    pub fn nnz_balanced_chunks(&self, max_chunks: usize) -> Vec<std::ops::Range<usize>> {
-        let n = self.nrows;
-        if n == 0 {
-            return Vec::new();
-        }
-        let chunks = max_chunks.max(1).min(n);
-        if chunks == 1 {
-            return std::iter::once(0..n).collect();
-        }
-        let total = self.nnz() as u128;
-        let mut out = Vec::with_capacity(chunks);
-        let mut start = 0usize;
-        for c in 0..chunks {
-            if start >= n {
-                break;
-            }
-            let end = if c + 1 == chunks {
-                n
-            } else {
-                // First row boundary whose cumulative nnz reaches the
-                // c+1-th share of the total.
-                let target = (total * (c as u128 + 1) / chunks as u128) as usize;
-                self.indptr
-                    .partition_point(|&p| p < target)
-                    .clamp(start + 1, n)
-            };
-            out.push(start..end);
-            start = end;
-        }
-        if let Some(last) = out.last_mut() {
-            last.end = n;
-        }
-        out
-    }
-
-    /// `y = A x` with the row sweep split across `workers` scoped
-    /// threads (nnz-balanced ranges). Byte-identical to
-    /// [`Csr::matvec_into`]: each row is accumulated by exactly the same
-    /// loop, and every worker writes a disjoint slice of `y`.
-    pub fn matvec_into_workers(&self, x: &[f64], y: &mut [f64], workers: usize) {
-        if workers <= 1 {
-            return self.matvec_into(x, y);
-        }
-        self.matvec_into_chunks(x, y, &self.nnz_balanced_chunks(workers));
-    }
-
-    /// [`Csr::matvec_into_workers`] with precomputed row ranges (see
-    /// [`Csr::nnz_balanced_chunks`]), so repeated applications — a Krylov
-    /// iteration — pay the chunking cost once.
-    pub fn matvec_into_chunks(&self, x: &[f64], y: &mut [f64], chunks: &[std::ops::Range<usize>]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        if chunks.len() <= 1 {
-            return self.matvec_into(x, y);
-        }
-        debug_assert_eq!(chunks.iter().map(|r| r.len()).sum::<usize>(), self.nrows);
-        let mut tasks: Vec<(std::ops::Range<usize>, &mut [f64])> = Vec::with_capacity(chunks.len());
-        let mut rest: &mut [f64] = y;
-        for r in chunks {
-            let (head, tail) = rest.split_at_mut(r.len());
-            tasks.push((r.clone(), head));
-            rest = tail;
-        }
-        std::thread::scope(|sc| {
-            for (range, out) in tasks {
-                sc.spawn(move || {
-                    for (k, r) in range.enumerate() {
-                        out[k] = crate::lanes::row_dot(self.row_indices(r), self.row_values(r), x);
-                    }
-                });
-            }
-        });
-    }
-
     /// True if the sparsity pattern is symmetric (square matrices only).
     pub fn pattern_symmetric(&self) -> bool {
         if self.nrows != self.ncols {
@@ -557,73 +479,6 @@ mod tests {
         let a = small();
         let y = a.matvec(&[1.0, 1.0, 1.0]);
         assert_eq!(y, vec![3.0, 3.0, 9.0]);
-    }
-
-    /// Skewed test matrix: row r has `r + 1` entries.
-    fn lower_dense_triangle(n: usize) -> Csr {
-        let mut c = Coo::new(n, n);
-        for r in 0..n {
-            for j in 0..=r {
-                c.push(r, j, (r * n + j + 1) as f64);
-            }
-        }
-        c.to_csr()
-    }
-
-    #[test]
-    fn nnz_balanced_chunks_cover_and_balance() {
-        let a = lower_dense_triangle(64);
-        for w in [1usize, 2, 3, 4, 7, 16] {
-            let chunks = a.nnz_balanced_chunks(w);
-            assert!(chunks.len() <= w.max(1));
-            let mut next = 0;
-            for r in &chunks {
-                assert_eq!(r.start, next, "contiguous");
-                assert!(!r.is_empty(), "no empty chunks");
-                next = r.end;
-            }
-            assert_eq!(next, a.nrows(), "full coverage");
-            if w > 1 && chunks.len() == w {
-                // nnz per chunk stays near total/w despite the skewed
-                // row densities (row-count chunking would be 4x off).
-                let per: Vec<usize> = chunks
-                    .iter()
-                    .map(|r| a.indptr()[r.end] - a.indptr()[r.start])
-                    .collect();
-                let ideal = a.nnz() / w;
-                for p in per {
-                    assert!(p <= 2 * ideal + 64, "chunk nnz {p} vs ideal {ideal}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn nnz_balanced_chunks_edge_cases() {
-        assert!(Coo::new(0, 0).to_csr().nnz_balanced_chunks(4).is_empty());
-        // Empty rows at the tail still get covered.
-        let mut c = Coo::new(6, 6);
-        c.push(0, 0, 1.0);
-        let a = c.to_csr();
-        let chunks = a.nnz_balanced_chunks(3);
-        assert_eq!(chunks.iter().map(|r| r.len()).sum::<usize>(), 6);
-    }
-
-    #[test]
-    fn parallel_matvec_is_byte_identical() {
-        let a = lower_dense_triangle(40);
-        let x: Vec<f64> = (0..40).map(|i| ((i * 37 % 11) as f64) - 5.0).collect();
-        let mut serial = vec![0.0; 40];
-        a.matvec_into(&x, &mut serial);
-        for w in [1usize, 2, 3, 4, 7] {
-            let mut par = vec![f64::NAN; 40];
-            a.matvec_into_workers(&x, &mut par, w);
-            assert_eq!(par, serial, "workers {w}");
-            let chunks = a.nnz_balanced_chunks(w);
-            let mut par2 = vec![f64::NAN; 40];
-            a.matvec_into_chunks(&x, &mut par2, &chunks);
-            assert_eq!(par2, serial, "cached chunks, workers {w}");
-        }
     }
 
     #[test]

@@ -257,14 +257,14 @@ def bench_solve():
         if not r["matches_serial"]:
             sys.exit(f"BENCH_solve.json row {i}: divergent parallel result")
         kernels.add(r["kernel"])
-    need = {"matvec", "trisolve", "solve", "solve_many"}
+    need = {"solve", "solve_many"}
     if not need <= kernels:
         sys.exit(f"BENCH_solve.json: missing kernels {need - kernels}")
     # The one-thread batch is the lockstep-lane path alone, the one the
     # end-to-end benchmark measures.
     if not any(r["kernel"] == "solve_many" and r["workers"] == 1 for r in rows):
         sys.exit("BENCH_solve.json: missing the PDSLIN_THREADS=1 solve_many row")
-    print("\n## BENCH_solve (solve-phase kernels; exact-match asserted, speedups informational)\n")
+    print("\n## BENCH_solve (solve and solve_many by thread count; exact-match asserted, speedups informational)\n")
     print("| problem | kernel | workers | batch | seconds | speedup | match | iters |")
     print("|---|---|---|---|---|---|---|---|")
     for r in rows:

@@ -14,10 +14,6 @@ fn solve_check(a: &Csr, cfg: PdslinConfig, tol: f64) -> pdslin::SolveOutcome {
     let out = solver.solve(&b).expect("solve");
     let res = residual_inf_norm(a, &out.x, &b);
     assert!(res < tol, "residual {res} above tolerance {tol}");
-    assert!(
-        out.recovery.is_empty(),
-        "clean run recorded recovery events"
-    );
     out
 }
 

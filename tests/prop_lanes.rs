@@ -1,7 +1,7 @@
 //! Property tests of the lane-vectorized kernels (see
 //! `docs/kernels.md`): SpMV and the level-scheduled triangular solve must
 //! be **bit-identical** to their scalar references on the full Table-I
-//! matrix zoo, at every worker count.
+//! matrix zoo.
 
 use matgen::{generate, MatrixKind, Scale};
 use pdslin::subdomain::factor_domain;
@@ -37,11 +37,6 @@ fn lane_spmv_bit_identical_to_scalar_on_zoo() {
         let mut y = vec![f64::NAN; n];
         a.matvec_into(&x, &mut y);
         assert_eq!(y, y_ref, "{kind:?}: matvec_into");
-        for workers in [2usize, 4] {
-            let mut yw = vec![f64::NAN; n];
-            a.matvec_into_workers(&x, &mut yw, workers);
-            assert_eq!(yw, y_ref, "{kind:?}: {workers} workers");
-        }
         // matvec_acc folds alpha·(row · x) onto an existing vector.
         let mut acc_ref = y_ref.clone();
         for r in 0..n {
@@ -60,8 +55,6 @@ fn lane_spmv_bit_identical_to_scalar_on_zoo() {
 #[test]
 fn lane_trisolve_bit_identical_to_scalar_substitution_on_zoo() {
     for kind in MatrixKind::ALL {
-        // Four parts, not eight: every zoo subdomain then has ≥ 256 rows,
-        // enough for the threaded sweep below to run.
         let d = zoo_subdomain(kind, 4);
         let n = d.nrows();
         let fd = factor_domain(&d, 0.1).expect("zoo subdomain must factor");
@@ -110,15 +103,5 @@ fn lane_trisolve_bit_identical_to_scalar_substitution_on_zoo() {
         }
         let x = f.solve(&b);
         assert_eq!(x, x_ref, "{kind:?}: laned solve vs scalar substitution");
-        // The threaded sweep splits each level across workers; every
-        // position still folds its dependencies in the same order.
-        // Below 256 rows the plan runs serially whatever `workers` says.
-        assert!(n >= 256, "{kind:?}: subdomain of {n} rows runs serially");
-        let mut scratch = slu::TriScratch::new();
-        for workers in [1usize, 2, 4, 7] {
-            let mut xw = vec![f64::NAN; n];
-            f.solve_into(&b, &mut xw, &mut scratch, workers);
-            assert_eq!(xw, x_ref, "{kind:?}: {workers} workers");
-        }
     }
 }

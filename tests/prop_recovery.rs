@@ -107,10 +107,6 @@ fn clean_runs_never_report_recovery() {
             solver.stats.recovery.is_empty(),
             "seed {seed}: phantom setup recovery"
         );
-        assert!(
-            out.recovery.is_empty(),
-            "seed {seed}: phantom solve recovery"
-        );
         assert!(out.converged, "seed {seed}");
         assert!(residual_inf_norm(&a, &out.x, &b) < 1e-6, "seed {seed}");
     }

@@ -1,7 +1,6 @@
-//! Property tests of the solve phase: byte-identical parallel kernels
-//! (chunked SpMV, level-scheduled triangular solves), batched multi-RHS
-//! solves agreeing bit for bit with sequential ones across lockstep
-//! group boundaries, exhausted iteration budgets and bad inputs, typed budget interrupts
+//! Property tests of the solve phase: batched multi-RHS solves agreeing
+//! bit for bit with sequential ones across lockstep group boundaries,
+//! exhausted iteration budgets and bad inputs, typed budget interrupts
 //! mid-solve, and the zero-steady-state-allocation guarantee observed
 //! through the arena counters.
 //!
@@ -12,68 +11,10 @@ use std::time::Duration;
 
 use matgen::stencil::laplace2d;
 use pdslin::{Budget, CancelToken, Pdslin, PdslinConfig, PdslinError, SolveOutcome};
-use slu::{LuConfig, LuFactors, TriScratch};
-use sparsekit::{Coo, Csr, Perm, Rng64};
-
-/// Random sparse square matrix with a guaranteed nonzero, dominant
-/// diagonal (factorisable without pivoting drama).
-fn diag_dominant(rng: &mut Rng64, n_max: usize) -> Csr {
-    let n = rng.range(4, n_max);
-    let nnz = rng.below(4 * n);
-    let mut c = Coo::new(n, n);
-    let mut rowsum = vec![0.0f64; n];
-    for _ in 0..nnz {
-        let i = rng.below(n);
-        let j = rng.below(n);
-        let v = rng.f64_range(-1.0, 1.0);
-        if i != j {
-            c.push(i, j, v);
-            rowsum[i] += v.abs();
-        }
-    }
-    for (i, rs) in rowsum.iter().enumerate() {
-        c.push(i, i, 2.0 + rs);
-    }
-    c.to_csr()
-}
+use sparsekit::Rng64;
 
 fn rhs(rng: &mut Rng64, n: usize) -> Vec<f64> {
     (0..n).map(|_| rng.f64_range(-3.0, 3.0)).collect()
-}
-
-#[test]
-fn chunked_spmv_matches_serial_bitwise() {
-    for seed in 0..24 {
-        let mut rng = Rng64::new(seed);
-        let a = diag_dominant(&mut rng, 600);
-        let x = rhs(&mut rng, a.ncols());
-        let mut y_ref = vec![0.0; a.nrows()];
-        a.matvec_into(&x, &mut y_ref);
-        for w in [1usize, 2, 4, 7] {
-            let mut y = vec![f64::NAN; a.nrows()];
-            a.matvec_into_workers(&x, &mut y, w);
-            assert_eq!(y, y_ref, "seed {seed}, workers {w}");
-        }
-    }
-}
-
-#[test]
-fn level_scheduled_trisolve_matches_serial_bitwise() {
-    for seed in 0..12 {
-        let mut rng = Rng64::new(seed);
-        let a = diag_dominant(&mut rng, 500);
-        let n = a.nrows();
-        let lu = LuFactors::factorize(&a, &Perm::identity(n), &LuConfig::default())
-            .expect("diag-dominant LU");
-        let b = rhs(&mut rng, n);
-        let mut x_ref = vec![0.0; n];
-        lu.solve_into(&b, &mut x_ref, &mut TriScratch::new(), 1);
-        for w in [2usize, 4, 7] {
-            let mut x = vec![f64::NAN; n];
-            lu.solve_into(&b, &mut x, &mut TriScratch::new(), w);
-            assert_eq!(x, x_ref, "seed {seed}, workers {w}");
-        }
-    }
 }
 
 /// Every field of a solve a caller sees, compared bit for bit.
@@ -87,7 +28,6 @@ fn assert_same_outcome(got: &SolveOutcome, want: &SolveOutcome, what: &str) {
         "{what}: schur_residual"
     );
     assert_eq!(got.converged, want.converged, "{what}: converged");
-    assert_eq!(got.recovery, want.recovery, "{what}: recovery events");
 }
 
 /// Solves `batch` one right-hand side at a time and as one batch, and
@@ -154,9 +94,7 @@ fn a_batch_mixing_converged_and_exhausted_lanes_matches_sequential_solves() {
         !exhausted.is_empty(),
         "some right-hand sides run out of iterations"
     );
-    assert!(exhausted
-        .iter()
-        .all(|o| o.iterations == 18 && o.recovery.is_empty()));
+    assert!(exhausted.iter().all(|o| o.iterations == 18));
 }
 
 #[test]
