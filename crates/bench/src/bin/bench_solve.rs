@@ -1,20 +1,30 @@
 //! Solve-phase benchmark: end-to-end `Pdslin::solve` across thread
-//! counts and batched `Pdslin::solve_many` across batch sizes, with
-//! machine-readable speedups in `BENCH_solve.json`.
+//! counts, batched `Pdslin::solve_many` across batch sizes, and one
+//! Schur apply with restricted `LU(D_ℓ)` sweeps against full sweeps on
+//! every Table-I matrix, with machine-readable speedups in
+//! `BENCH_solve.json`.
 //!
 //! A single solve runs every kernel on one thread whatever the thread
 //! count, so its rows show what the thread setting costs a plain solve;
 //! a batch fans its right-hand sides out over workers. Every result is
 //! checked for **exact** equality against the one-thread run (the solve
 //! phase promises byte-identical output); a mismatch aborts the process,
-//! which is what the CI smoke step relies on. Speedups are recorded for
+//! which is what the CI smoke step relies on. A `schur_apply` row's
+//! `serial_seconds` is the full-sweep apply and its `kept_share` the
+//! share of the dependency entries the restricted sweeps keep; the two
+//! applies must agree bit for bit. Speedups are recorded for
 //! trajectory tracking but never asserted — CI runners (and single-core
 //! hosts) make them meaningless to gate on.
 
-use matgen::{MatrixKind, Scale};
-use pdslin::{Pdslin, PdslinConfig};
-use sparsekit::Csr;
+use std::cell::RefCell;
 use std::time::Instant;
+
+use krylov::LinearOperator;
+use matgen::{MatrixKind, Scale};
+use pdslin::subdomain::FactoredDomain;
+use pdslin::{DbbdSystem, ImplicitSchur, Pdslin, PdslinConfig, SchurApplyScratch, SchurSweeps};
+use slu::TriScratch;
+use sparsekit::Csr;
 
 pdslin_bench::json_record! {
     struct SolveRow {
@@ -27,6 +37,7 @@ pdslin_bench::json_record! {
         speedup: f64,
         matches_serial: bool,
         iterations: usize,
+        kept_share: f64,
     }
 }
 
@@ -44,6 +55,7 @@ fn push_row(
     serial_seconds: f64,
     matches_serial: bool,
     iterations: usize,
+    kept_share: f64,
 ) {
     let speedup = if seconds > 0.0 {
         serial_seconds / seconds
@@ -51,7 +63,8 @@ fn push_row(
         0.0
     };
     println!(
-        "{problem:<16} {kernel:<14} w={workers} b={batch:<3} {:>10.4}s  speedup {speedup:>5.2}x  match={matches_serial}",
+        "{problem:<16} {kernel:<14} w={workers} b={batch:<3} {:>10.6}s  speedup {speedup:>5.2}x  \
+         kept {kept_share:.3}  match={matches_serial}",
         seconds
     );
     assert!(
@@ -68,6 +81,7 @@ fn push_row(
         speedup,
         matches_serial,
         iterations,
+        kept_share,
     });
 }
 
@@ -113,6 +127,7 @@ fn bench_solve(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr) {
             serial_secs,
             matches,
             out.iterations,
+            solver.schur_apply_kept_share(),
         );
     }
     std::env::remove_var(pdslin::par::THREADS_ENV);
@@ -159,9 +174,101 @@ fn bench_solve_many(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr, threads: u
             seq_secs,
             matches,
             iterations,
+            solver.schur_apply_kept_share(),
         );
     }
     std::env::remove_var(pdslin::par::THREADS_ENV);
+}
+
+/// `out = C y − Σ_ℓ F̂_ℓ D_ℓ⁻¹ (Ê_ℓ y)` with full `LU(D_ℓ)` sweeps, the
+/// kernels in the operator's order; `bufs` holds the per-domain vectors
+/// so that no apply allocates.
+fn full_schur_apply(
+    sys: &DbbdSystem,
+    factors: &[FactoredDomain],
+    y: &[f64],
+    out: &mut [f64],
+    bufs: &mut [Vec<f64>; 4],
+    tri: &mut TriScratch,
+) {
+    let [ysub, v, t, w] = bufs;
+    sys.c.matvec_into(y, out);
+    for (dom, fd) in sys.domains.iter().zip(factors) {
+        let (dim, ncols, nrows) = (dom.dim(), dom.e_cols.len(), dom.f_rows.len());
+        for (slot, &c) in ysub[..ncols].iter_mut().zip(&dom.e_cols) {
+            *slot = y[c];
+        }
+        dom.e_hat.matvec_into(&ysub[..ncols], &mut v[..dim]);
+        fd.lu.solve_into(&v[..dim], &mut t[..dim], tri, 1);
+        dom.f_hat.matvec_into(&t[..dim], &mut w[..nrows]);
+        for (wl, &r) in w[..nrows].iter().zip(&dom.f_rows) {
+            out[r] -= wl;
+        }
+    }
+}
+
+/// Best wall times of `reps` calls each of `f` and `g`, interleaved
+/// (the order alternating per rep) so that neither gets a colder host.
+fn best_of_pair(reps: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f64, f64) {
+    let time = |h: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        h();
+        t0.elapsed().as_secs_f64()
+    };
+    let (mut best_f, mut best_g) = (f64::INFINITY, f64::INFINITY);
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            best_f = best_f.min(time(&mut f));
+            best_g = best_g.min(time(&mut g));
+        } else {
+            best_g = best_g.min(time(&mut g));
+            best_f = best_f.min(time(&mut f));
+        }
+    }
+    (best_f, best_g)
+}
+
+/// One Schur apply on one thread: the operator GMRES runs (restricted
+/// `LU(D_ℓ)` sweeps) against the same apply with full sweeps. Records
+/// the best time per apply of both (30 interleaved reps) and the kept
+/// share of the dependency entries; the two outputs must agree bit for
+/// bit.
+fn bench_schur_apply(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr) {
+    let cfg = PdslinConfig {
+        k: 8,
+        ..Default::default()
+    };
+    let solver = Pdslin::setup(a, cfg).expect("setup");
+    let (sys, factors) = (&solver.sys, &solver.factors[..]);
+    let sweeps = SchurSweeps::new(sys, factors);
+    let scratch = RefCell::new(SchurApplyScratch::new());
+    let op = ImplicitSchur::new(sys, factors, &sweeps, &scratch);
+    let ns = sys.nsep();
+    let y = rhs_for(ns, 5);
+    let widest = sys.domains.iter().map(|d| d.dim()).max().unwrap_or(0);
+    let mut bufs: [Vec<f64>; 4] = std::array::from_fn(|_| vec![0.0; widest.max(ns)]);
+    let mut tri = TriScratch::new();
+    let (mut restricted, mut full) = (vec![0.0; ns], vec![0.0; ns]);
+    let (secs, full_secs) = best_of_pair(
+        30,
+        || op.apply(&y, &mut restricted),
+        || full_schur_apply(sys, factors, &y, &mut full, &mut bufs, &mut tri),
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let matches = bits(&restricted) == bits(&full);
+    let kept = sweeps.kept_share();
+    push_row(
+        rows,
+        problem,
+        "schur_apply",
+        1,
+        1,
+        secs,
+        full_secs,
+        matches,
+        0,
+        kept,
+    );
 }
 
 fn main() {
@@ -183,6 +290,10 @@ fn main() {
     for kind in circuits {
         bench_solve(&mut rows, kind.name(), &matgen::generate(kind, scale));
     }
+    println!("\nSchur apply: restricted LU(D) sweeps against full sweeps, one thread\n");
+    for kind in MatrixKind::ALL {
+        bench_schur_apply(&mut rows, kind.name(), &matgen::generate(kind, scale));
+    }
     pdslin_bench::write_json("BENCH_solve", &rows);
-    println!("\nall results matched the one-thread run exactly");
+    println!("\nall results matched the one-thread run (or the full sweeps) exactly");
 }

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use hypergraph::{ConstraintMode, CutMetric, RhbConfig};
 use matgen::{MatrixKind, Scale};
-use pdslin::{Budget, ErrorCategory, PartitionerKind, RhsOrdering, WeightScheme};
+use pdslin::{Budget, ErrorCategory, PartitionerKind, RhsOrdering, SolveOutcome, WeightScheme};
 use sparsekit::Csr;
 
 /// A parsed command line: subcommand plus `--key value` options.
@@ -270,6 +270,25 @@ pub fn build_budget(args: &Args) -> Result<Budget, String> {
         budget = budget.with_memory_limit(mb.saturating_mul(1024 * 1024));
     }
     Ok(budget)
+}
+
+/// The `solve` subcommand's result line: status, GMRES iterations, wall
+/// time, Schur residual, and the share of the `LU(D)` dependency entries
+/// each Schur apply sweeps ([`pdslin::Pdslin::schur_apply_kept_share`]).
+pub fn solve_line(out: &SolveOutcome, kept_share: f64) -> String {
+    format!(
+        "solve: {}, {} GMRES iterations, {:.3}s, Schur residual {:.2e}, \
+         Schur apply sweeps {:.1}% of LU(D)",
+        if out.converged {
+            "converged"
+        } else {
+            "accepted"
+        },
+        out.iterations,
+        out.seconds,
+        out.schur_residual,
+        100.0 * kept_share
+    )
 }
 
 /// Loads the input matrix: `--matrix FILE.mtx` or `--generate KIND`.

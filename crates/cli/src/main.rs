@@ -5,8 +5,8 @@ use std::process::ExitCode;
 use matgen::{MatrixKind, Scale};
 use pdslin::{PartitionStats, Pdslin, PdslinConfig, PdslinError, RecoveryReport};
 use pdslin_cli::{
-    build_budget, exit_code, load_matrix, parse_args, partitioner, rhs_ordering, validate_options,
-    weight_scheme, Args, HELP,
+    build_budget, exit_code, load_matrix, parse_args, partitioner, rhs_ordering, solve_line,
+    validate_options, weight_scheme, Args, HELP,
 };
 use sparsekit::ops::residual_inf_norm;
 
@@ -102,17 +102,7 @@ fn cmd_solve(args: &Args) -> Result<(), CmdError> {
     );
     let b = vec![1.0; a.nrows()];
     let out = solver.solve_budgeted(&b, &budget)?;
-    println!(
-        "solve: {}, {} GMRES iterations, {:.2}s, Schur residual {:.2e}",
-        if out.converged {
-            "converged"
-        } else {
-            "accepted"
-        },
-        out.iterations,
-        out.seconds,
-        out.schur_residual
-    );
+    println!("{}", solve_line(&out, solver.schur_apply_kept_share()));
     println!("‖b − Ax‖∞ = {:.3e}", residual_inf_norm(&a, &out.x, &b));
     // Health summary on stderr: the observables the service exposes via
     // its metrics endpoint, surfaced here for one-shot runs too.

@@ -34,6 +34,7 @@
 //! here differ only in what they hand it to reuse.
 
 use std::cell::RefCell;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use graphpart::WeightScheme;
@@ -51,7 +52,7 @@ use crate::interface::InterfacePlan;
 use crate::par::outer_worker_count;
 use crate::partition::{compute_partition_robust, natural_block_partition, PartitionerKind};
 use crate::phases::{fill_partial, phase_check, Pass};
-use crate::precond::{ImplicitSchur, SchurApplyScratch, SchurPrecond};
+use crate::precond::{ImplicitSchur, SchurApplyScratch, SchurPrecond, SchurSweeps};
 use crate::recovery::{RecoveryEvent, RecoveryReport};
 use crate::rhs_order::RhsOrdering;
 use crate::stats::SetupStats;
@@ -133,6 +134,10 @@ pub struct Pdslin {
     /// lazily rebuilt) whenever domain `l`'s factor is rebuilt from
     /// scratch, since a fresh pivot order voids the cached reaches.
     iface_plans: Vec<Option<InterfacePlan>>,
+    /// The restricted `LU(D_ℓ)` sweep lists of the Schur operator, built
+    /// on first use; they hold as long as every domain's pivot order
+    /// does.
+    schur_sweeps: OnceLock<SchurSweeps>,
     /// Persistent solve-phase arenas: one per concurrent solve worker,
     /// each with room for a lockstep group of right-hand sides, grown on
     /// first use and reused forever after — the N-th solve grows no
@@ -433,6 +438,7 @@ impl Pdslin {
             pattern_fp,
             s_tilde,
             iface_plans,
+            schur_sweeps: OnceLock::new(),
             scratch: SolveScratch::default(),
         })
     }
@@ -539,6 +545,10 @@ impl Pdslin {
         plans
             .filter(|(_, &kept)| !kept)
             .for_each(|(plan, _)| *plan = None);
+        // So does it void the restricted sweep lists.
+        if replayed.contains(&false) {
+            self.schur_sweeps = OnceLock::new();
+        }
         let stored = Some((&self.s_tilde, &mut self.schur_lu));
         let (s_tilde, fresh) =
             pass.after_lu_d(&self.sys, &self.factors, &mut self.iface_plans, stored)?;
@@ -627,6 +637,9 @@ impl Pdslin {
         let cx = SolveContext {
             sys: &self.sys,
             factors: &self.factors,
+            sweeps: self
+                .schur_sweeps
+                .get_or_init(|| SchurSweeps::new(&self.sys, &self.factors)),
             schur_lu: &self.schur_lu,
             cfg: &self.cfg,
             stats: &self.stats,
@@ -686,6 +699,15 @@ impl Pdslin {
     /// The configuration this solver was set up with.
     pub fn config(&self) -> &PdslinConfig {
         &self.cfg
+    }
+
+    /// Share of the `LU(D_ℓ)` dependency entries one Schur apply sweeps:
+    /// the forward sweeps run only what `Ê_ℓ`'s rows reach, the backward
+    /// sweeps only what `F̂_ℓ`'s columns depend on (1 = full sweeps).
+    pub fn schur_apply_kept_share(&self) -> f64 {
+        self.schur_sweeps
+            .get_or_init(|| SchurSweeps::new(&self.sys, &self.factors))
+            .kept_share()
     }
 }
 
@@ -769,6 +791,7 @@ struct SolveScratch {
 struct SolveContext<'a> {
     sys: &'a DbbdSystem,
     factors: &'a [FactoredDomain],
+    sweeps: &'a SchurSweeps,
     schur_lu: &'a LuFactors,
     cfg: &'a PdslinConfig,
     stats: &'a SetupStats,
@@ -805,7 +828,7 @@ fn solve_group(
         ..
     } = ws;
     let ghats = &mut ghats[..live.len()];
-    let op = ImplicitSchur::new(sys, cx.factors, schur_apply);
+    let op = ImplicitSchur::new(sys, cx.factors, cx.sweeps, schur_apply);
     let m = SchurPrecond::new(cx.schur_lu, precond_tri);
     op.reduce_lanes(&live_bs, ghats);
     let ghats: Vec<&[f64]> = ghats.iter().map(Vec::as_slice).collect();
@@ -1354,6 +1377,10 @@ mod tests {
             ..Default::default()
         };
         let mut s = Pdslin::setup(&a, cfg).unwrap();
+        // A first solve builds the Schur operator's sweep lists, which
+        // the rebuilt factor's new pivot order voids.
+        let b = vec![1.0; a.nrows()];
+        s.solve(&b).unwrap();
         // Same pattern, but subdomain 0's first stored pivot becomes an
         // explicit 0.0: its replay must be refused at step 0.
         let lu = &s.factors[0].lu;
@@ -1373,7 +1400,6 @@ mod tests {
             }
         )));
         assert_eq!(s.stats.refactorization_fallbacks, out.rebuilt);
-        let b = vec![1.0; a.nrows()];
         let sol = s.solve(&b).unwrap();
         assert!(sol.converged);
         assert!(residual_inf_norm(&z, &sol.x, &b) < 1e-6);

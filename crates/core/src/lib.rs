@@ -55,7 +55,7 @@ pub use graphpart::WeightScheme;
 pub use partition::{
     compute_partition, compute_partition_weighted, PartitionStats, PartitionerKind,
 };
-pub use precond::{ImplicitSchur, SchurApplyScratch, SchurPrecond};
+pub use precond::{ImplicitSchur, SchurApplyScratch, SchurPrecond, SchurSweeps};
 pub use recovery::{RecoveryEvent, RecoveryReport};
 pub use rhs_order::RhsOrdering;
 pub use stats::{PhaseTimes, SetupStats};

@@ -9,11 +9,17 @@
 //! a single apply is the one-lane instance. Every kernel runs on the
 //! calling thread; a batch gets its threads from workers that each own
 //! one operator and take their own groups of right-hand sides.
+//!
+//! The operator's `LU(D_ℓ)` sweeps are restricted ([`SchurSweeps`]): the
+//! forward sweep runs only the positions `Ê_ℓ`'s nonzero rows reach, the
+//! backward sweep only the positions `F̂_ℓ`'s columns depend on, and the
+//! result is bit-identical to full sweeps
+//! ([`slu::SolvePlan::solve_lanes_restricted`]).
 
 use std::cell::{RefCell, RefMut};
 
 use krylov::{LinearOperator, Preconditioner};
-use slu::{LuFactors, TriScratch, MAX_LANES};
+use slu::{LuFactors, PositionRuns, TriScratch, MAX_LANES};
 
 use crate::extract::{DbbdSystem, LocalDomain};
 use crate::subdomain::FactoredDomain;
@@ -121,28 +127,108 @@ impl SchurApplyScratch {
     }
 }
 
+/// The positions of one subdomain's `LU(D_ℓ)` sweeps that the Schur
+/// operator runs.
+#[derive(Clone, Debug)]
+struct DomainSweeps {
+    /// Forward positions reachable from `Ê_ℓ`'s nonzero rows.
+    fwd: PositionRuns,
+    /// Backward positions in the dependency closure of `F̂_ℓ`'s columns.
+    bwd: PositionRuns,
+}
+
+/// Which of a subdomain's sweep positions a pass over the subdomains
+/// runs (`None`: all of them).
+type SweepChoice = fn(&DomainSweeps) -> (Option<&PositionRuns>, Option<&PositionRuns>);
+
+impl DomainSweeps {
+    /// `D⁻¹ (Ê y)` read through `F̂`: both sweeps restricted.
+    fn apply(&self) -> (Option<&PositionRuns>, Option<&PositionRuns>) {
+        (Some(&self.fwd), Some(&self.bwd))
+    }
+
+    /// `D⁻¹ f` read through `F̂`: a dense right-hand side, so only the
+    /// backward sweep is restricted.
+    fn reduce(&self) -> (Option<&PositionRuns>, Option<&PositionRuns>) {
+        (None, Some(&self.bwd))
+    }
+
+    /// The back-substitution reads every interior value.
+    fn full(&self) -> (Option<&PositionRuns>, Option<&PositionRuns>) {
+        (None, None)
+    }
+}
+
+/// Per-subdomain restricted-sweep lists of [`ImplicitSchur`], built
+/// once from the subdomains' solve plans and the patterns of `Ê_ℓ` and
+/// `F̂_ℓ`. They depend on structure only, so they stay valid across a
+/// value update that keeps every pivot order.
+#[derive(Clone, Debug, Default)]
+pub struct SchurSweeps {
+    domains: Vec<DomainSweeps>,
+    /// Dependency entries one apply sweeps, and the full sweeps'.
+    kept: usize,
+    total: usize,
+}
+
+impl SchurSweeps {
+    /// Builds the lists for every subdomain (same order as `factors`).
+    pub fn new(sys: &DbbdSystem, factors: &[FactoredDomain]) -> SchurSweeps {
+        assert_eq!(sys.domains.len(), factors.len());
+        let mut out = SchurSweeps {
+            domains: Vec::with_capacity(factors.len()),
+            ..SchurSweeps::default()
+        };
+        for (dom, fd) in sys.domains.iter().zip(factors) {
+            let plan = fd.lu.solve_plan();
+            let e_rows = (0..dom.dim()).filter(|&r| dom.e_hat.row_nnz(r) > 0);
+            let fwd = plan.forward_reach(e_rows);
+            let bwd = plan.backward_closure(dom.f_hat.indices().iter().copied());
+            let (fwd_all, bwd_all) = plan.dep_entries();
+            out.kept += fwd.dep_entries() + bwd.dep_entries();
+            out.total += fwd_all + bwd_all;
+            out.domains.push(DomainSweeps { fwd, bwd });
+        }
+        out
+    }
+
+    /// Share of the `LU(D_ℓ)` dependency entries one Schur apply sweeps
+    /// (1 when every subdomain is empty).
+    pub fn kept_share(&self) -> f64 {
+        if self.total == 0 {
+            1.0
+        } else {
+            self.kept as f64 / self.total as f64
+        }
+    }
+}
+
 /// The *implicit* global Schur complement
 /// `S y = C y − Σ_ℓ F̂_ℓ D_ℓ⁻¹ (Ê_ℓ y)` (equation (3)) — PDSLin never
 /// forms `S`; GMRES only applies it.
 pub struct ImplicitSchur<'a> {
     sys: &'a DbbdSystem,
     factors: &'a [FactoredDomain],
+    sweeps: &'a SchurSweeps,
     scratch: &'a RefCell<SchurApplyScratch>,
 }
 
 impl<'a> ImplicitSchur<'a> {
     /// Builds the operator from the extracted system, the subdomain
-    /// factors (one per subdomain, same order) and a caller-owned
-    /// scratch.
+    /// factors (one per subdomain, same order), their restricted-sweep
+    /// lists and a caller-owned scratch.
     pub fn new(
         sys: &'a DbbdSystem,
         factors: &'a [FactoredDomain],
+        sweeps: &'a SchurSweeps,
         scratch: &'a RefCell<SchurApplyScratch>,
     ) -> Self {
         assert_eq!(sys.domains.len(), factors.len());
+        assert_eq!(sweeps.domains.len(), factors.len());
         ImplicitSchur {
             sys,
             factors,
+            sweeps,
             scratch,
         }
     }
@@ -157,11 +243,13 @@ impl<'a> ImplicitSchur<'a> {
     /// One pass over the subdomains for `lanes` lanes (at most
     /// [`MAX_LANES`]): per subdomain, `fill(dom, l, buffers)` writes lane
     /// `l`'s right-hand side into `v`, every lane goes through `LU(D_ℓ)`
-    /// in one sweep into `t`, and `drain(dom, l, buffers)` consumes `t`.
+    /// in one sweep (over the positions `choice` picks) into `t`, and
+    /// `drain(dom, l, buffers)` consumes `t`.
     fn sweep_domains(
         &self,
         s: &mut SchurApplyScratch,
         lanes: usize,
+        choice: SweepChoice,
         mut fill: impl FnMut(&LocalDomain, usize, &mut LaneApplyScratch),
         mut drain: impl FnMut(&LocalDomain, usize, &mut LaneApplyScratch),
     ) {
@@ -171,7 +259,8 @@ impl<'a> ImplicitSchur<'a> {
             ..
         } = s;
         let buffers = &mut buffers[..lanes];
-        for (dom, fd) in self.sys.domains.iter().zip(self.factors) {
+        let domains = self.sys.domains.iter().zip(self.factors);
+        for ((dom, fd), ds) in domains.zip(&self.sweeps.domains) {
             let dim = dom.dim();
             let mut vs: [&[f64]; MAX_LANES] = [&[]; MAX_LANES];
             let mut ts: [&mut [f64]; MAX_LANES] = Default::default();
@@ -180,7 +269,9 @@ impl<'a> ImplicitSchur<'a> {
                 vs[l] = &ls.v[..dim];
                 ts[l] = &mut ls.t[..dim];
             }
-            fd.lu.solve_lanes(&vs[..lanes], &mut ts[..lanes], tri);
+            let (fwd, bwd) = choice(ds);
+            let plan = fd.lu.solve_plan();
+            plan.solve_lanes_restricted(&vs[..lanes], &mut ts[..lanes], tri, fwd, bwd);
             for (l, ls) in buffers.iter_mut().enumerate() {
                 drain(dom, l, ls);
             }
@@ -200,6 +291,7 @@ impl<'a> ImplicitSchur<'a> {
             self.sweep_domains(
                 &mut self.scratch_for(bs.len()),
                 bs.len(),
+                DomainSweeps::reduce,
                 |dom, l, ls| {
                     for (slot, &r) in ls.v.iter_mut().zip(&dom.rows) {
                         *slot = bs[l][r];
@@ -222,6 +314,7 @@ impl<'a> ImplicitSchur<'a> {
             self.sweep_domains(
                 &mut self.scratch_for(bs.len()),
                 bs.len(),
+                DomainSweeps::full,
                 |dom, l, ls| {
                     let ey = &mut ls.t[..dom.dim()];
                     restrict_e_hat(dom, ys[l], &mut ls.ysub, ey);
@@ -283,6 +376,7 @@ impl LinearOperator for ImplicitSchur<'_> {
             self.sweep_domains(
                 &mut s,
                 ys.len(),
+                DomainSweeps::apply,
                 |dom, l, ls| restrict_e_hat(dom, ys[l], &mut ls.ysub, &mut ls.v[..dom.dim()]),
                 |dom, l, ls| subtract_f_hat(dom, ls, outs[l]),
             );
@@ -324,8 +418,9 @@ mod tests {
             .map(|(d, f)| compute_interface(f, d, &cfg).t_tilde)
             .collect();
         let s_hat = assemble_schur(&sys, &ts);
+        let sweeps = SchurSweeps::new(&sys, &factors);
         let scratch = RefCell::new(SchurApplyScratch::new());
-        let op = ImplicitSchur::new(&sys, &factors, &scratch);
+        let op = ImplicitSchur::new(&sys, &factors, &sweeps, &scratch);
         let ns = sys.nsep();
         // Compare the operator against the explicit matrix on basis-ish
         // vectors.
@@ -355,8 +450,9 @@ mod tests {
             .iter()
             .map(|d| factor_domain(&d.d, 0.1).unwrap())
             .collect();
+        let sweeps = SchurSweeps::new(&sys, &factors);
         let scratch = RefCell::new(SchurApplyScratch::new());
-        let op = ImplicitSchur::new(&sys, &factors, &scratch);
+        let op = ImplicitSchur::new(&sys, &factors, &sweeps, &scratch);
         let ns = sys.nsep();
         let y = vec![1.0; ns];
         let mut out = vec![0.0; ns];
@@ -392,8 +488,9 @@ mod tests {
             .collect();
         let s_hat = assemble_schur(&sys, &ts);
         let (_st, lu) = factor_schur(&s_hat, 0.0, 0.1).unwrap();
+        let sweeps = SchurSweeps::new(&sys, &factors);
         let op_scratch = RefCell::new(SchurApplyScratch::new());
-        let op = ImplicitSchur::new(&sys, &factors, &op_scratch);
+        let op = ImplicitSchur::new(&sys, &factors, &sweeps, &op_scratch);
         let pre_scratch = RefCell::new(TriScratch::new());
         let m = SchurPrecond::new(&lu, &pre_scratch);
         let b = vec![1.0; sys.nsep()];

@@ -24,10 +24,23 @@
 //! right-hand sides. Each lane performs exactly the operations of a
 //! single sweep in the same order, so every lane is bit-identical to
 //! solving its right-hand side alone.
+//!
+//! A sweep runs a list of position runs ([`PositionRuns`]); the full
+//! sweep is the single run `0..n`. A caller whose right-hand side is
+//! nonzero only on a few entries, and who reads only a few outputs, runs
+//! the forward positions those entries reach
+//! ([`SolvePlan::forward_reach`]) and the backward positions those
+//! outputs depend on ([`SolvePlan::backward_closure`]), and gets the
+//! outputs it reads bit for bit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sparsekit::{Csc, Perm};
+
+/// Flag bits of `forward_reach` and `backward_closure`: an index seeds the walk, or
+/// a position is kept.
+const SEED: u8 = 1;
+const KEEP: u8 = 2;
 
 /// Widest group of right-hand sides one sweep carries. A wider batch is
 /// swept in groups of this many; a narrower group is padded with zero
@@ -71,6 +84,25 @@ pub struct LevelPlan {
     pub(crate) pos: Vec<usize>,
 }
 
+/// A subset of one sweep's positions, stored as ascending, disjoint
+/// half-open runs `start..end` so that a restricted sweep pays per run,
+/// not per position.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PositionRuns {
+    runs: Vec<(u32, u32)>,
+    /// Dependency entries of the kept positions.
+    deps: usize,
+}
+
+impl PositionRuns {
+    /// Dependency entries the kept positions read — the work of a
+    /// restricted sweep, against [`SolvePlan::dep_entries`] for a full
+    /// one.
+    pub fn dep_entries(&self) -> usize {
+        self.deps
+    }
+}
+
 impl LevelPlan {
     /// Number of rows in the sweep.
     pub fn n(&self) -> usize {
@@ -91,8 +123,10 @@ impl LevelPlan {
             .unwrap_or(0)
     }
 
-    /// Runs the sweep on `W` lanes into `out` (position order).
-    /// `input` and `out` are lane-interleaved.
+    /// Runs the positions of `runs` on `W` lanes into `out` (position
+    /// order) and zeroes every position between and after them; the
+    /// full sweep is the single run `0..n`. `input` and `out` are
+    /// lane-interleaved.
     ///
     /// The accumulation loop is lane-structured twice over: products are
     /// computed in fixed-width [`LANES`](sparsekit::lanes::LANES)
@@ -101,47 +135,80 @@ impl LevelPlan {
     /// sides side by side. Every lane's products are folded into its
     /// accumulator strictly left-to-right — the exact op sequence of the
     /// plain scalar loop, so results stay byte-identical.
-    fn sweep<const W: usize>(&self, input: &[f64], out: &mut [f64]) {
+    fn sweep<const W: usize>(&self, runs: &[(u32, u32)], input: &[f64], out: &mut [f64]) {
         use sparsekit::lanes::LANES;
         let load = |out: &[f64], p: usize| -> [f64; W] {
             out[p * W..p * W + W].try_into().expect("lane width")
         };
-        for p in 0..self.n() {
-            let src = self.rhs_src[p] * W;
-            let mut acc: [f64; W] = input[src..src + W].try_into().expect("lane width");
-            let deps = self.dep_ptr[p]..self.dep_ptr[p + 1];
-            let dep_pos = &self.dep_pos[deps.clone()];
-            let dep_val = &self.dep_val[deps];
-            let mut cp = dep_pos.chunks_exact(LANES);
-            let mut cv = dep_val.chunks_exact(LANES);
-            for (pp, vv) in (&mut cp).zip(&mut cv) {
-                let mut prod = [[0f64; W]; LANES];
-                for k in 0..LANES {
-                    let x = load(out, pp[k]);
-                    for l in 0..W {
-                        prod[k][l] = vv[k] * x[l];
+        let mut done = 0;
+        for &(start, end) in runs {
+            let (start, end) = (start as usize, end as usize);
+            out[done * W..start * W].fill(0.0);
+            for p in start..end {
+                let src = self.rhs_src[p] * W;
+                let mut acc: [f64; W] = input[src..src + W].try_into().expect("lane width");
+                let deps = self.dep_ptr[p]..self.dep_ptr[p + 1];
+                let dep_pos = &self.dep_pos[deps.clone()];
+                let dep_val = &self.dep_val[deps];
+                let mut cp = dep_pos.chunks_exact(LANES);
+                let mut cv = dep_val.chunks_exact(LANES);
+                for (pp, vv) in (&mut cp).zip(&mut cv) {
+                    let mut prod = [[0f64; W]; LANES];
+                    for k in 0..LANES {
+                        let x = load(out, pp[k]);
+                        for l in 0..W {
+                            prod[k][l] = vv[k] * x[l];
+                        }
+                    }
+                    for pr in prod {
+                        for l in 0..W {
+                            acc[l] -= pr[l];
+                        }
                     }
                 }
-                for pr in prod {
+                for (&dp, &dv) in cp.remainder().iter().zip(cv.remainder()) {
+                    let x = load(out, dp);
                     for l in 0..W {
-                        acc[l] -= pr[l];
+                        acc[l] -= dv * x[l];
                     }
                 }
-            }
-            for (&dp, &dv) in cp.remainder().iter().zip(cv.remainder()) {
-                let x = load(out, dp);
-                for l in 0..W {
-                    acc[l] -= dv * x[l];
+                if !self.diag.is_empty() {
+                    let d = self.diag[p];
+                    for v in &mut acc {
+                        *v /= d;
+                    }
                 }
+                out[p * W..p * W + W].copy_from_slice(&acc);
             }
-            if !self.diag.is_empty() {
-                let d = self.diag[p];
-                for v in &mut acc {
-                    *v /= d;
-                }
-            }
-            out[p * W..p * W + W].copy_from_slice(&acc);
+            done = end;
         }
+        out[done * W..self.n() * W].fill(0.0);
+    }
+
+    /// The positions flagged [`KEEP`] in `flags`, as runs (allocated
+    /// once, at their exact count).
+    fn runs_of(&self, flags: &[u8]) -> PositionRuns {
+        let keep = |p: usize| flags[p] & KEEP != 0;
+        let starts = (0..flags.len()).filter(|&p| keep(p) && (p == 0 || !keep(p - 1)));
+        let mut out = PositionRuns {
+            runs: Vec::with_capacity(starts.count()),
+            deps: 0,
+        };
+        for p in (0..flags.len()).filter(|&p| keep(p)) {
+            let p32 = u32::try_from(p).expect("sweep positions fit in u32");
+            match out.runs.last_mut() {
+                Some(run) if run.1 == p32 => run.1 += 1,
+                _ => out.runs.push((p32, p32 + 1)),
+            }
+            out.deps += self.dep_ptr[p + 1] - self.dep_ptr[p];
+        }
+        out
+    }
+
+    /// The single run `0..n` of the full sweep.
+    fn all(&self) -> [(u32, u32); 1] {
+        let n = u32::try_from(self.n()).expect("sweep positions fit in u32");
+        [(0, n)]
     }
 
     /// Rewrites the sweep's dependency values from (numerically
@@ -244,23 +311,100 @@ impl SolvePlan {
     /// factors. Every `x[l]` is bit-identical to
     /// [`SolvePlan::solve_into`] on `b[l]` alone.
     pub fn solve_lanes(&self, b: &[&[f64]], x: &mut [&mut [f64]], scratch: &mut TriScratch) {
+        self.solve_lanes_restricted(b, x, scratch, None, None);
+    }
+
+    /// [`SolvePlan::solve_lanes`] sweeping only the forward positions
+    /// `fwd` and the backward positions `bwd` (`None`: every position).
+    ///
+    /// With `fwd` from [`SolvePlan::forward_reach`] of every input entry
+    /// that may be nonzero, and `bwd` from [`SolvePlan::backward_closure`]
+    /// of the outputs the caller reads, every read output is
+    /// bit-identical to the full solve's, for finite factors: an
+    /// unreached forward position would compute `+0.0 − Σ v·(±0.0)`,
+    /// an exact `+0.0`, which is what the skipped position is left at;
+    /// and a kept backward position reads only kept positions, with the
+    /// same operations in the same order. Outputs outside `bwd` are
+    /// zero.
+    pub fn solve_lanes_restricted(
+        &self,
+        b: &[&[f64]],
+        x: &mut [&mut [f64]],
+        scratch: &mut TriScratch,
+        fwd: Option<&PositionRuns>,
+        bwd: Option<&PositionRuns>,
+    ) {
         assert_eq!(b.len(), x.len());
+        let (fwd_all, bwd_all) = (self.fwd.all(), self.bwd.all());
+        let fwd = fwd.map_or(&fwd_all[..], |r| &r.runs);
+        let bwd = bwd.map_or(&bwd_all[..], |r| &r.runs);
         for (bg, xg) in b.chunks(MAX_LANES).zip(x.chunks_mut(MAX_LANES)) {
             match bg.len() {
-                1 => self.solve_group::<1>(bg, xg, scratch),
-                2 => self.solve_group::<2>(bg, xg, scratch),
-                3 | 4 => self.solve_group::<4>(bg, xg, scratch),
-                _ => self.solve_group::<MAX_LANES>(bg, xg, scratch),
+                1 => self.solve_group::<1>(bg, xg, scratch, fwd, bwd),
+                2 => self.solve_group::<2>(bg, xg, scratch, fwd, bwd),
+                3 | 4 => self.solve_group::<4>(bg, xg, scratch, fwd, bwd),
+                _ => self.solve_group::<MAX_LANES>(bg, xg, scratch, fwd, bwd),
             }
         }
     }
 
-    /// One group of at most `W` lanes; missing lanes are swept as zeros.
+    /// The forward positions whose output can be nonzero when only the
+    /// input entries `seeds` are: the positions those entries seed and
+    /// every position downstream of one.
+    pub fn forward_reach(&self, seeds: impl IntoIterator<Item = usize>) -> PositionRuns {
+        let sweep = &self.fwd;
+        // One byte per index: `SEED` flags an input entry, `KEEP` a
+        // position (both index ranges are `0..n`).
+        let mut flags = vec![0u8; sweep.n()];
+        for i in seeds {
+            flags[i] |= SEED;
+        }
+        for p in 0..sweep.n() {
+            let deps = &sweep.dep_pos[sweep.dep_ptr[p]..sweep.dep_ptr[p + 1]];
+            if flags[sweep.rhs_src[p]] & SEED != 0 || deps.iter().any(|&d| flags[d] & KEEP != 0) {
+                flags[p] |= KEEP;
+            }
+        }
+        sweep.runs_of(&flags)
+    }
+
+    /// The backward positions the outputs `needs` (indices into the
+    /// solution) depend on: their own positions and, transitively,
+    /// every position they read.
+    pub fn backward_closure(&self, needs: impl IntoIterator<Item = usize>) -> PositionRuns {
+        let sweep = &self.bwd;
+        // `SEED` flags a needed output, `KEEP` a position.
+        let mut flags = vec![0u8; sweep.n()];
+        for i in needs {
+            flags[i] |= SEED;
+        }
+        for p in (0..sweep.n()).rev() {
+            if flags[self.out_dst[p]] & SEED != 0 {
+                flags[p] |= KEEP;
+            }
+            if flags[p] & KEEP != 0 {
+                for &d in &sweep.dep_pos[sweep.dep_ptr[p]..sweep.dep_ptr[p + 1]] {
+                    flags[d] |= KEEP;
+                }
+            }
+        }
+        sweep.runs_of(&flags)
+    }
+
+    /// Dependency entries of the full forward and backward sweeps.
+    pub fn dep_entries(&self) -> (usize, usize) {
+        (self.fwd.dep_pos.len(), self.bwd.dep_pos.len())
+    }
+
+    /// One group of at most `W` lanes through the runs `fwd` and `bwd`;
+    /// missing lanes are swept as zeros.
     fn solve_group<const W: usize>(
         &self,
         b: &[&[f64]],
         x: &mut [&mut [f64]],
         scratch: &mut TriScratch,
+        fwd: &[(u32, u32)],
+        bwd: &[(u32, u32)],
     ) {
         let n = self.fwd.n();
         for (bl, xl) in b.iter().zip(x.iter()) {
@@ -284,9 +428,9 @@ impl SolvePlan {
             }
             packed
         };
-        self.fwd.sweep::<W>(input, mid);
+        self.fwd.sweep::<W>(fwd, input, mid);
         let out = &mut outer[..n * W];
-        self.bwd.sweep::<W>(mid, out);
+        self.bwd.sweep::<W>(bwd, mid, out);
         // Scatter the lane-interleaved output into the caller's vectors.
         for (q, &dst) in self.out_dst.iter().enumerate() {
             for (l, xl) in x.iter_mut().enumerate() {
@@ -556,6 +700,93 @@ mod tests {
                 f.solve_lanes(&b, &mut x, &mut scratch);
                 for (l, (got, want)) in xs.iter().zip(&single).enumerate() {
                     assert_eq!(bits(got), bits(want), "lane {l} of {lanes}");
+                }
+            }
+        }
+    }
+
+    /// A random unsymmetric sparse matrix with a dominant diagonal.
+    fn random_matrix(rng: &mut sparsekit::Rng64, n: usize) -> Csr {
+        let mut c = Coo::new(n, n);
+        for i in 0..n {
+            c.push(i, i, 8.0 + rng.f64());
+            for _ in 0..3 {
+                let j = rng.below(n);
+                if j != i {
+                    c.push(i, j, rng.f64_range(-1.0, 1.0));
+                }
+            }
+        }
+        c.to_csr()
+    }
+
+    #[test]
+    fn restricted_sweeps_keep_the_full_sweeps_bits() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = sparsekit::Rng64::new(0x5eed);
+        for trial in 0..10 {
+            let n = rng.range(2, 160);
+            let a = random_matrix(&mut rng, n);
+            let f = LuFactors::factorize(&a, &Perm::identity(n), &LuConfig::default()).unwrap();
+            let plan = f.solve_plan();
+            let mut subset =
+                |share: f64| -> Vec<usize> { (0..n).filter(|_| rng.f64() < share).collect() };
+            let sets = [
+                Vec::new(),
+                (0..n).collect(),
+                vec![n / 2],
+                subset(0.05),
+                subset(0.3),
+            ];
+            let (fwd_all, bwd_all) = plan.dep_entries();
+            assert_eq!(plan.forward_reach(0..n).dep_entries(), fwd_all);
+            assert_eq!(plan.backward_closure(0..n).dep_entries(), bwd_all);
+            assert!(plan.forward_reach([]).runs.is_empty());
+            for (s, seeds) in sets.iter().enumerate() {
+                for (t, needs) in sets.iter().enumerate() {
+                    let fwd = plan.forward_reach(seeds.iter().copied());
+                    let bwd = plan.backward_closure(needs.iter().copied());
+                    // The solution indices the backward runs produce.
+                    let mut kept = vec![false; n];
+                    for &(start, end) in &bwd.runs {
+                        for p in start as usize..end as usize {
+                            kept[plan.out_dst[p]] = true;
+                        }
+                    }
+                    assert!(needs.iter().all(|&i| kept[i]));
+                    for w in [1, 2, 4, 8] {
+                        let what = format!("trial {trial}, seeds {s}, needs {t}, {w} lanes");
+                        let bs: Vec<Vec<f64>> = (0..w)
+                            .map(|_| {
+                                let mut b = vec![0.0; n];
+                                for &i in seeds {
+                                    b[i] = rng.f64_range(-2.0, 2.0);
+                                }
+                                b
+                            })
+                            .collect();
+                        let b: Vec<&[f64]> = bs.iter().map(Vec::as_slice).collect();
+                        let solve = |fwd: Option<&PositionRuns>, bwd: Option<&PositionRuns>| {
+                            let mut xs = vec![vec![f64::NAN; n]; w];
+                            let mut x: Vec<&mut [f64]> =
+                                xs.iter_mut().map(Vec::as_mut_slice).collect();
+                            let mut scratch = TriScratch::new();
+                            plan.solve_lanes_restricted(&b, &mut x, &mut scratch, fwd, bwd);
+                            xs
+                        };
+                        let full = solve(None, None);
+                        // Skipping unreached forward positions alone
+                        // changes no output bit.
+                        for (got, want) in solve(Some(&fwd), None).iter().zip(&full) {
+                            assert_eq!(bits(got), bits(want), "{what}: forward runs");
+                        }
+                        for (got, want) in solve(Some(&fwd), Some(&bwd)).iter().zip(&full) {
+                            for i in 0..n {
+                                let want = if kept[i] { want[i] } else { 0.0 };
+                                assert_eq!(got[i].to_bits(), want.to_bits(), "{what}: x[{i}]");
+                            }
+                        }
+                    }
                 }
             }
         }

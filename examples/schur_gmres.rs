@@ -10,7 +10,7 @@ use std::cell::RefCell;
 
 use krylov::{gmres, GmresConfig, IdentityPrecond};
 use pdslin::interface::{compute_interface, InterfaceConfig};
-use pdslin::precond::{ImplicitSchur, SchurApplyScratch, SchurPrecond};
+use pdslin::precond::{ImplicitSchur, SchurApplyScratch, SchurPrecond, SchurSweeps};
 use pdslin::schur::{assemble_schur, factor_schur};
 use pdslin::subdomain::factor_domain;
 use pdslin::{compute_partition, extract_dbbd, PartitionerKind, RhsOrdering};
@@ -42,8 +42,9 @@ fn main() {
         s_hat.nnz(),
         100.0 * s_hat.nnz() as f64 / (sys.nsep() * sys.nsep()) as f64
     );
+    let sweeps = SchurSweeps::new(&sys, &factors);
     let apply_scratch = RefCell::new(SchurApplyScratch::new());
-    let op = ImplicitSchur::new(&sys, &factors, &apply_scratch);
+    let op = ImplicitSchur::new(&sys, &factors, &sweeps, &apply_scratch);
     let b = vec![1.0; sys.nsep()];
     let cfg = GmresConfig {
         restart: 60,

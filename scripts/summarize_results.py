@@ -241,7 +241,10 @@ BENCH_SOLVE_SCHEMA = {
     "speedup": float,
     "matches_serial": bool,
     "iterations": int,
+    "kept_share": float,
 }
+
+TABLE_I = {"tdr190k", "tdr455k", "dds.quad", "dds.linear", "matrix211", "ASIC_680ks", "G3_circuit"}
 
 
 def bench_solve():
@@ -257,21 +260,30 @@ def bench_solve():
         if not r["matches_serial"]:
             sys.exit(f"BENCH_solve.json row {i}: divergent parallel result")
         kernels.add(r["kernel"])
-    need = {"solve", "solve_many"}
+    need = {"solve", "solve_many", "schur_apply"}
     if not need <= kernels:
         sys.exit(f"BENCH_solve.json: missing kernels {need - kernels}")
+    # One restricted-against-full Schur apply per Table-I matrix; its
+    # matches_serial is the bit-for-bit agreement of the two applies.
+    applies = [r for r in rows if r["kernel"] == "schur_apply"]
+    missing = TABLE_I - {r["problem"] for r in applies}
+    if missing:
+        sys.exit(f"BENCH_solve.json: missing schur_apply rows for {sorted(missing)}")
+    for r in applies:
+        if not 0.0 < r["kept_share"] <= 1.0:
+            sys.exit(f"BENCH_solve.json: {r['problem']} schur_apply kept_share {r['kept_share']} outside (0, 1]")
     # The one-thread batch is the lockstep-lane path alone, the one the
     # end-to-end benchmark measures.
     if not any(r["kernel"] == "solve_many" and r["workers"] == 1 for r in rows):
         sys.exit("BENCH_solve.json: missing the PDSLIN_THREADS=1 solve_many row")
-    print("\n## BENCH_solve (solve and solve_many by thread count; exact-match asserted, speedups informational)\n")
-    print("| problem | kernel | workers | batch | seconds | speedup | match | iters |")
-    print("|---|---|---|---|---|---|---|---|")
+    print("\n## BENCH_solve (solve and solve_many by thread count, schur_apply restricted against full sweeps; exact-match asserted, speedups informational)\n")
+    print("| problem | kernel | workers | batch | seconds | speedup | match | iters | kept share |")
+    print("|---|---|---|---|---|---|---|---|---|")
     for r in rows:
         print(
             f"| {r['problem']} | {r['kernel']} | {r['workers']} | {r['batch']} | "
-            f"{r['seconds']:.4f} | {r['speedup']:.2f}x | {r['matches_serial']} | "
-            f"{r['iterations']} |"
+            f"{r['seconds']:.6f} | {r['speedup']:.2f}x | {r['matches_serial']} | "
+            f"{r['iterations']} | {r['kept_share']:.3f} |"
         )
 
 

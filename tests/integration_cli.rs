@@ -2,7 +2,7 @@
 //! generate → write → read → solve round trip a user of the `pdslin`
 //! binary exercises.
 
-use pdslin_cli::{load_matrix, parse_args, partitioner, rhs_ordering};
+use pdslin_cli::{load_matrix, parse_args, partitioner, rhs_ordering, solve_line};
 use sparsekit::ops::residual_inf_norm;
 
 fn argv(s: &str) -> Vec<String> {
@@ -28,6 +28,26 @@ fn generate_and_solve_through_cli_options() {
     let b = vec![1.0; a.nrows()];
     let out = solver.solve(&b).expect("solve");
     assert!(residual_inf_norm(&a, &out.x, &b) < 1e-6);
+}
+
+#[test]
+fn solve_line_reports_the_schur_apply_kept_share() {
+    let args = parse_args(argv("solve --generate g3_circuit --scale test --k 4")).unwrap();
+    let a = load_matrix(&args).unwrap();
+    let cfg = pdslin::PdslinConfig {
+        k: 4,
+        ..Default::default()
+    };
+    let mut solver = pdslin::Pdslin::setup(&a, cfg).expect("setup");
+    let out = solver.solve(&vec![1.0; a.nrows()]).expect("solve");
+    let share = solver.schur_apply_kept_share();
+    // A circuit's interfaces reach only part of each LU(D_ℓ).
+    assert!(share > 0.0 && share < 1.0, "kept share {share}");
+    let line = solve_line(&out, share);
+    let head = format!("solve: converged, {} GMRES iterations, ", out.iterations);
+    assert!(line.starts_with(&head), "{line}");
+    let tail = format!(", Schur apply sweeps {:.1}% of LU(D)", 100.0 * share);
+    assert!(line.ends_with(&tail), "{line}");
 }
 
 #[test]

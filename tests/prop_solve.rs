@@ -1,17 +1,27 @@
 //! Property tests of the solve phase: batched multi-RHS solves agreeing
 //! bit for bit with sequential ones across lockstep group boundaries,
 //! exhausted iteration budgets and bad inputs, typed budget interrupts
-//! mid-solve, and the zero-steady-state-allocation guarantee observed
-//! through the arena counters.
+//! mid-solve, the zero-steady-state-allocation guarantee observed
+//! through the arena counters, and the Schur operator's restricted
+//! `LU(D_ℓ)` sweeps agreeing bit for bit with full ones.
 //!
 //! Each randomized test sweeps a batch of deterministic SplitMix64
 //! seeds, so failures reproduce exactly.
 
+use std::cell::RefCell;
 use std::time::Duration;
 
-use matgen::stencil::laplace2d;
-use pdslin::{Budget, CancelToken, Pdslin, PdslinConfig, PdslinError, SolveOutcome};
-use sparsekit::Rng64;
+use krylov::LinearOperator;
+use matgen::circuit::{asic_like, g3_like};
+use matgen::fusion::fusion_like;
+use matgen::stencil::{cavity3d, cavity3d_graded, laplace2d, stencil3d};
+use matgen::{generate, MatrixKind, Scale};
+use pdslin::{
+    Budget, CancelToken, ImplicitSchur, PartitionerKind, Pdslin, PdslinConfig, PdslinError,
+    SchurApplyScratch, SchurSweeps, SolveOutcome,
+};
+use slu::TriScratch;
+use sparsekit::{Csr, Rng64};
 
 fn rhs(rng: &mut Rng64, n: usize) -> Vec<f64> {
     (0..n).map(|_| rng.f64_range(-3.0, 3.0)).collect()
@@ -325,6 +335,140 @@ fn cancellation_racing_a_batch_is_all_or_typed_first_error() {
             .expect("solver survives a raced cancellation");
         for (got, want) in again.iter().zip(&reference) {
             assert_eq!(got.x, want.x, "delay {delay_us}us: post-race drift");
+        }
+    }
+}
+
+/// `S y = C y − Σ_ℓ F̂_ℓ D_ℓ⁻¹ (Ê_ℓ y)` with full `LU(D_ℓ)` sweeps, one
+/// right-hand side at a time: the kernels and the order of the traced
+/// benchmark pipeline, independent of the operator's sweep lists.
+fn reference_schur_apply(s: &Pdslin, y: &[f64]) -> Vec<f64> {
+    let sys = &s.sys;
+    let mut out = sys.c.matvec(y);
+    let mut scratch = TriScratch::new();
+    for (dom, fd) in sys.domains.iter().zip(&s.factors) {
+        let ysub: Vec<f64> = dom.e_cols.iter().map(|&c| y[c]).collect();
+        let v = dom.e_hat.matvec(&ysub);
+        let mut t = vec![0.0; dom.dim()];
+        fd.lu.solve_into(&v, &mut t, &mut scratch, 1);
+        let w = dom.f_hat.matvec(&t);
+        for (wl, &r) in w.iter().zip(&dom.f_rows) {
+            out[r] -= wl;
+        }
+    }
+    out
+}
+
+/// The seven Table-I families (`matgen::suite`, same generators and
+/// parameters) at a fraction of `Scale::Test`, so that fourteen debug
+/// set-ups stay quick; bit-identity holds at any size.
+fn small_zoo() -> Vec<(&'static str, Csr)> {
+    let dds_linear = [
+        (1i64, 0i64, 0i64, -1.0),
+        (0, 1, 0, -1.0),
+        (0, 0, 1, -1.0),
+        (1, 1, 0, -0.5),
+        (0, 1, 1, -0.5),
+        (1, 0, 1, -0.5),
+        (1, 1, 1, -0.25),
+    ];
+    vec![
+        ("tdr190k", cavity3d_graded(8, 8, 8, 4.0, 0.34)),
+        ("tdr455k", cavity3d_graded(10, 10, 10, 4.0, 0.34)),
+        ("dds.quad", cavity3d(8, 8, 8, 2.0, true)),
+        ("dds.linear", stencil3d(10, 10, 10, &dds_linear, 5.0)),
+        ("matrix211", fusion_like(8, 8, 7, 211)),
+        ("ASIC_680ks", asic_like(2_000, 680)),
+        ("G3_circuit", g3_like(40, 40)),
+    ]
+}
+
+#[test]
+fn restricted_schur_apply_matches_full_sweeps_bitwise_across_zoo() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut rng = Rng64::new(37);
+    let mut shares = Vec::new();
+    for (name, a) in small_zoo() {
+        for partitioner in [
+            PartitionerKind::Ngd,
+            PartitionerKind::Rhb(Default::default()),
+        ] {
+            let what = format!("{name} / {partitioner:?}");
+            let cfg = PdslinConfig {
+                k: 4,
+                partitioner,
+                ..Default::default()
+            };
+            let s = Pdslin::setup(&a, cfg).expect("setup");
+            let share = s.schur_apply_kept_share();
+            assert!(share > 0.0 && share <= 1.0, "{what}: kept share {share}");
+            shares.push(share);
+            let sweeps = SchurSweeps::new(&s.sys, &s.factors);
+            assert_eq!(sweeps.kept_share(), share, "{what}");
+            let scratch = RefCell::new(SchurApplyScratch::new());
+            let op = ImplicitSchur::new(&s.sys, &s.factors, &sweeps, &scratch);
+            let ns = s.sys.nsep();
+            for lanes in [1usize, 3, 8] {
+                let mut ys: Vec<Vec<f64>> = (0..lanes).map(|_| rhs(&mut rng, ns)).collect();
+                // A zero y rides in the last lane.
+                ys[lanes - 1] = vec![0.0; ns];
+                let y: Vec<&[f64]> = ys.iter().map(Vec::as_slice).collect();
+                let mut outs = vec![vec![f64::NAN; ns]; lanes];
+                let mut out: Vec<&mut [f64]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+                op.apply_lanes(&y, &mut out);
+                for (l, (got, y)) in outs.iter().zip(&ys).enumerate() {
+                    let want = reference_schur_apply(&s, y);
+                    assert_eq!(bits(got), bits(&want), "{what}: lane {l} of {lanes}");
+                }
+            }
+        }
+    }
+    let restricted = shares.iter().filter(|&&s| s < 0.9).count();
+    assert!(
+        restricted >= 4,
+        "the circuits skip part of LU(D): {shares:?}"
+    );
+}
+
+#[test]
+fn restricted_sweeps_survive_a_value_update() {
+    // The sweep lists are built by the first solve on A₁ and carried
+    // through `update_values` to A₀ and back to A₁. Replaying the same
+    // values is bitwise, so the result must be a fresh set-up on A₁'s.
+    for kind in [MatrixKind::G3Circuit, MatrixKind::Matrix211] {
+        let a0 = generate(kind, Scale::Test);
+        let a1 = matgen::sequence(&a0, 2, 0.05)
+            .pop()
+            .expect("a drifted step");
+        let cfg = PdslinConfig {
+            k: 4,
+            ..Default::default()
+        };
+        let mut rng = Rng64::new(53);
+        let batch: Vec<Vec<f64>> = (0..3).map(|_| rhs(&mut rng, a0.nrows())).collect();
+        let mut updated = Pdslin::setup(&a1, cfg).expect("setup on A1");
+        updated.solve_many(&batch).expect("solve on A1");
+        for (step, a) in [&a0, &a1].into_iter().enumerate() {
+            let upd = updated.update_values(a).expect("update");
+            assert_eq!(upd.rebuilt, 0, "{}: step {step} replays", kind.name());
+            let outs = updated.solve_many(&batch).expect("solve after update");
+            assert!(
+                outs.iter().all(|o| o.converged),
+                "{}: step {step}",
+                kind.name()
+            );
+        }
+        let mut fresh = Pdslin::setup(&a1, cfg).expect("fresh setup on A1");
+        let got = updated
+            .solve_many(&batch)
+            .expect("solve after the round trip");
+        let want = fresh.solve_many(&batch).expect("fresh solve");
+        assert_eq!(
+            updated.schur_apply_kept_share(),
+            fresh.schur_apply_kept_share()
+        );
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_same_outcome(g, w, &format!("{}, rhs {i}", kind.name()));
         }
     }
 }
