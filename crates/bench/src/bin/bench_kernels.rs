@@ -63,6 +63,8 @@ pdslin_bench::json_record! {
         refactor_seconds: f64,
         fill: usize,
         same_fill_as_off: bool,
+        /// The tier the dense kernel ran at (`slu::dense_kernel_isa`).
+        isa: String,
     }
 }
 
@@ -292,7 +294,10 @@ fn bench_lu_dense_crossover(scale: Scale) {
     let budget = Budget::unlimited();
     let mut rng = Rng64::new(0xde5e);
     let mut rows = Vec::new();
-    println!("\nlu_dense_crossover: sparse loop vs dense block (best of {reps})\n");
+    println!(
+        "\nlu_dense_crossover: sparse loop vs dense block (best of {reps}, {} kernel)\n",
+        slu::dense_kernel_isa()
+    );
     for &m in sizes {
         let order = Perm::identity(m);
         let mut last_half = None;
@@ -340,6 +345,7 @@ fn bench_lu_dense_crossover(scale: Scale) {
                     refactor_seconds,
                     fill: lu.fill(),
                     same_fill_as_off: lu.fill() == off_fill,
+                    isa: slu::dense_kernel_isa().to_string(),
                 });
             }
         }

@@ -6,6 +6,8 @@
 //! requested partitioner → NGD → natural block split, recording every
 //! hop in the [`RecoveryReport`].
 
+use std::borrow::Cow;
+
 use graphpart::{
     nested_dissection, trim_separator, DbbdPartition, Graph, NdConfig, WeightScheme, SEPARATOR,
 };
@@ -63,15 +65,19 @@ pub fn compute_partition_weighted(
     kind: &PartitionerKind,
     weights: WeightScheme,
 ) -> DbbdPartition {
-    let sym = if a.pattern_symmetric() {
-        a.clone()
-    } else {
-        a.symmetrize_abs()
-    };
-    let g = Graph::from_matrix_weighted(&sym, weights);
+    // The graph symmetrises for itself (from the pattern alone under
+    // `Unit`); only RHB needs the valued `|A| + |Aᵀ|`.
+    let g = Graph::from_matrix_weighted(a, weights);
     let mut part = match kind {
         PartitionerKind::Ngd => nested_dissection(&g, k, &NdConfig::default()),
-        PartitionerKind::Rhb(cfg) => rhb_partition(&sym, k, cfg, weights),
+        PartitionerKind::Rhb(cfg) => {
+            let sym = if a.pattern_symmetric() {
+                Cow::Borrowed(a)
+            } else {
+                Cow::Owned(a.symmetrize_abs())
+            };
+            rhb_partition(&sym, k, cfg, weights)
+        }
     };
     // Post-pass for every partitioner: drop redundant separator vertices
     // (wide hypergraph separators carry many; NGD's are near-minimal

@@ -6,8 +6,8 @@
 //! free: after composition, sorting RHS columns by their first nonzero
 //! row index *is* the paper's postorder heuristic.
 
-use graphpart::{min_degree_order, Graph};
-use slu::etree::{etree, postorder, NO_PARENT};
+use graphpart::{min_degree_order, Adjacency};
+use slu::etree::{etree_permuted, postorder, NO_PARENT};
 use slu::{LuConfig, LuError, LuFactors};
 use sparsekit::budget::Budget;
 use sparsekit::{Csr, Perm};
@@ -51,19 +51,19 @@ pub fn subdomain_ordering(d: &Csr) -> Perm {
 }
 
 /// [`subdomain_ordering`] plus the elimination tree of the ordered
-/// pattern. A postorder is a topological relabelling of the tree, so the
-/// tree of the postordered pattern is the AMD tree relabelled:
+/// pattern. Both read only the index pattern of `d`: AMD runs on the
+/// adjacency of `|D| + |Dᵀ|`, and the tree of the AMD-ordered pattern
+/// is taken through `md.to_new` without permuting a matrix. A postorder
+/// is a topological relabelling of the tree, so the tree of the
+/// postordered pattern is the AMD tree relabelled:
 /// `parent_po[i] = po.to_new(parent_md[po.to_old(i)])`.
-fn ordering_and_etree(d: &Csr) -> (Perm, Vec<usize>) {
-    let sym = if d.pattern_symmetric() {
-        d.clone()
-    } else {
-        d.symmetrize_abs()
-    };
-    let md = min_degree_order(&Graph::from_matrix(&sym));
+pub fn ordering_and_etree(d: &Csr) -> (Perm, Vec<usize>) {
+    let adj = Adjacency::from_matrix(d);
+    let md = min_degree_order(&adj);
     // Composing with a postorder keeps the fill of the AMD ordering
     // (postorders are equivalent orderings).
-    let parent_md = etree(&sym.permute(&md, &md));
+    let parent_md = etree_permuted(&md, |v| adj.neighbors(v));
+    drop(adj);
     let po = postorder(&parent_md);
     let parent = (0..parent_md.len())
         .map(|i| match parent_md[po.to_old(i)] {
@@ -231,6 +231,7 @@ pub fn factor_domain_robust(
 mod tests {
     use super::*;
     use matgen::stencil::{laplace2d, laplace3d};
+    use slu::etree::etree;
     use sparsekit::ops::residual_inf_norm;
     use sparsekit::Perm;
 

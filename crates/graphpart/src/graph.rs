@@ -61,15 +61,94 @@ pub fn median_offdiag_magnitude(a: &Csr) -> f64 {
     mags[mid]
 }
 
-/// An undirected graph with integer vertex and edge weights.
+/// The unweighted adjacency structure of an undirected graph — all a
+/// fill-reducing ordering reads.
 ///
-/// Stored like CSR: `adj[xadj[v]..xadj[v+1]]` are the neighbours of `v`,
-/// with parallel edge weights `ewgt`. Every edge appears twice (once per
-/// endpoint); self-loops are not stored.
+/// Stored like CSR: `adj[xadj[v]..xadj[v+1]]` are the neighbours of `v`.
+/// Every edge appears twice (once per endpoint).
 #[derive(Clone, Debug)]
-pub struct Graph {
+pub struct Adjacency {
     xadj: Vec<usize>,
     adj: Vec<usize>,
+}
+
+impl Adjacency {
+    /// The pattern of `|A| + |Aᵀ|` minus the diagonal, built from the
+    /// index arrays alone: one indices-only transpose and one merge per
+    /// row, no values and no copy of `a`. Each neighbour list is sorted,
+    /// and an explicitly stored zero is an edge like any other entry.
+    pub fn from_matrix(a: &Csr) -> Self {
+        assert_eq!(a.nrows(), a.ncols(), "graph requires square matrix");
+        let n = a.nrows();
+        // Aᵀ's pattern; rows are visited in order, so each of its rows
+        // comes out sorted.
+        let mut tptr = vec![0usize; n + 1];
+        for &j in a.indices() {
+            tptr[j + 1] += 1;
+        }
+        for j in 0..n {
+            tptr[j + 1] += tptr[j];
+        }
+        let mut fill = tptr[..n].to_vec();
+        let mut trows = vec![0usize; a.nnz()];
+        for i in 0..n {
+            for &j in a.row_indices(i) {
+                trows[fill[j]] = i;
+                fill[j] += 1;
+            }
+        }
+        drop(fill);
+        // Row `v` of the union, diagonal excluded, in ascending order.
+        let union = |v: usize, emit: &mut dyn FnMut(usize)| {
+            let (x, y) = (a.row_indices(v), &trows[tptr[v]..tptr[v + 1]]);
+            let (mut p, mut q) = (0, 0);
+            while p < x.len() || q < y.len() {
+                let cx = x.get(p).copied().unwrap_or(usize::MAX);
+                let cy = y.get(q).copied().unwrap_or(usize::MAX);
+                let u = cx.min(cy);
+                p += usize::from(cx == u);
+                q += usize::from(cy == u);
+                if u != v {
+                    emit(u);
+                }
+            }
+        };
+        // Counted first, so the arrays are allocated at their size.
+        let mut xadj = vec![0usize; n + 1];
+        for v in 0..n {
+            let mut count = 0;
+            union(v, &mut |_| count += 1);
+            xadj[v + 1] = xadj[v] + count;
+        }
+        let mut adj = Vec::with_capacity(xadj[n]);
+        for v in 0..n {
+            union(v, &mut |u| adj.push(u));
+        }
+        Adjacency { xadj, adj }
+    }
+
+    /// Number of vertices.
+    pub fn nvertices(&self) -> usize {
+        self.xadj.len() - 1
+    }
+
+    /// Neighbours of `v`.
+    pub fn neighbors(&self, v: usize) -> &[usize] {
+        &self.adj[self.xadj[v]..self.xadj[v + 1]]
+    }
+
+    /// Degree (number of neighbours) of `v`.
+    pub fn degree(&self, v: usize) -> usize {
+        self.xadj[v + 1] - self.xadj[v]
+    }
+}
+
+/// An undirected graph with integer vertex and edge weights: an
+/// [`Adjacency`] with edge weights `ewgt` parallel to its neighbour
+/// lists and one weight per vertex. Self-loops are not stored.
+#[derive(Clone, Debug)]
+pub struct Graph {
+    adjacency: Adjacency,
     ewgt: Vec<i64>,
     vwgt: Vec<i64>,
 }
@@ -110,8 +189,7 @@ impl Graph {
             }
         }
         Graph {
-            xadj,
-            adj,
+            adjacency: Adjacency { xadj, adj },
             ewgt,
             vwgt,
         }
@@ -129,22 +207,24 @@ impl Graph {
     /// `ValueScaled`, each edge carries [`magnitude_weight`] of the
     /// symmetrised coefficient, so refinement prefers cutting weak
     /// couplings. Vertex weights stay 1 under both schemes (subdomain
-    /// balance remains a row-count balance).
+    /// balance remains a row-count balance). `Unit` reads only the
+    /// pattern ([`Adjacency::from_matrix`]).
     pub fn from_matrix_weighted(a: &Csr, scheme: WeightScheme) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "graph requires square matrix");
+        let n = a.nrows();
+        if scheme == WeightScheme::Unit {
+            let adjacency = Adjacency::from_matrix(a);
+            return Graph {
+                ewgt: vec![1; adjacency.adj.len()],
+                vwgt: vec![1; n],
+                adjacency,
+            };
+        }
         // Value-scaled weights need value-symmetric input: a symmetric
         // *pattern* does not guarantee symmetric *values*, and the edge
         // (v,u) must weigh the same from both endpoints.
-        let s = if a.pattern_symmetric() && scheme == WeightScheme::Unit {
-            a.clone()
-        } else {
-            a.symmetrize_abs()
-        };
-        let n = s.nrows();
-        let ref_mag = match scheme {
-            WeightScheme::Unit => 0.0,
-            WeightScheme::ValueScaled => median_offdiag_magnitude(&s),
-        };
+        let s = a.symmetrize_abs();
+        let ref_mag = median_offdiag_magnitude(&s);
         let mut xadj = vec![0usize; n + 1];
         let mut adj = Vec::with_capacity(s.nnz());
         let mut ewgt = Vec::with_capacity(s.nnz());
@@ -152,22 +232,23 @@ impl Graph {
             for (u, val) in s.row_iter(v) {
                 if u != v {
                     adj.push(u);
-                    ewgt.push(match scheme {
-                        WeightScheme::Unit => 1,
-                        // Symmetric values of the symmetrised matrix give
-                        // the same weight to (v,u) and (u,v).
-                        WeightScheme::ValueScaled => magnitude_weight(val.abs(), ref_mag),
-                    });
+                    // Symmetric values of the symmetrised matrix give the
+                    // same weight to (v,u) and (u,v).
+                    ewgt.push(magnitude_weight(val.abs(), ref_mag));
                 }
             }
             xadj[v + 1] = adj.len();
         }
         Graph {
-            xadj,
-            adj,
+            adjacency: Adjacency { xadj, adj },
             ewgt,
             vwgt: vec![1; n],
         }
+    }
+
+    /// The unweighted adjacency structure.
+    pub fn adjacency(&self) -> &Adjacency {
+        &self.adjacency
     }
 
     /// Number of vertices.
@@ -177,12 +258,12 @@ impl Graph {
 
     /// Neighbours of `v`.
     pub fn neighbors(&self, v: usize) -> &[usize] {
-        &self.adj[self.xadj[v]..self.xadj[v + 1]]
+        self.adjacency.neighbors(v)
     }
 
     /// Edge weights parallel to [`Graph::neighbors`].
     pub fn edge_weights(&self, v: usize) -> &[i64] {
-        &self.ewgt[self.xadj[v]..self.xadj[v + 1]]
+        &self.ewgt[self.adjacency.xadj[v]..self.adjacency.xadj[v + 1]]
     }
 
     /// Iterates `(neighbour, edge_weight)` for `v`.
@@ -195,7 +276,7 @@ impl Graph {
 
     /// Degree (number of neighbours) of `v`.
     pub fn degree(&self, v: usize) -> usize {
-        self.xadj[v + 1] - self.xadj[v]
+        self.adjacency.degree(v)
     }
 
     /// Weight of vertex `v`.
@@ -239,8 +320,7 @@ impl Graph {
         }
         (
             Graph {
-                xadj,
-                adj,
+                adjacency: Adjacency { xadj, adj },
                 ewgt,
                 vwgt,
             },
@@ -334,6 +414,59 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.degree(1), 2);
+    }
+
+    /// An unsymmetric pattern with an empty row, an explicit zero and a
+    /// missing diagonal entry.
+    fn unsymmetric() -> Csr {
+        let mut c = Coo::new(5, 5);
+        for (i, j, v) in [
+            (0, 0, 2.0),
+            (0, 3, -1.0),
+            (1, 1, 3.0),
+            (1, 0, 0.0),
+            (3, 4, 4.0),
+            (4, 4, 1.0),
+            (4, 1, -2.0),
+            (4, 3, 0.5),
+        ] {
+            c.push(i, j, v);
+        }
+        c.to_csr()
+    }
+
+    #[test]
+    fn adjacency_is_the_pattern_of_the_symmetrised_matrix() {
+        for a in [unsymmetric(), unsymmetric().symmetrize_abs()] {
+            let adj = Adjacency::from_matrix(&a);
+            let s = a.symmetrize_abs();
+            for v in 0..a.nrows() {
+                let want: Vec<usize> = s
+                    .row_indices(v)
+                    .iter()
+                    .copied()
+                    .filter(|&u| u != v)
+                    .collect();
+                assert_eq!(adj.neighbors(v), want.as_slice(), "vertex {v}");
+            }
+        }
+        assert_eq!(
+            Adjacency::from_matrix(&unsymmetric()).neighbors(2),
+            &[] as &[usize]
+        );
+    }
+
+    #[test]
+    fn value_scaled_weights_do_not_depend_on_a_prior_symmetrisation() {
+        let a = unsymmetric();
+        let (g, h) = (
+            Graph::from_matrix_weighted(&a, WeightScheme::ValueScaled),
+            Graph::from_matrix_weighted(&a.symmetrize_abs(), WeightScheme::ValueScaled),
+        );
+        for v in 0..a.nrows() {
+            assert_eq!(g.neighbors(v), h.neighbors(v));
+            assert_eq!(g.edge_weights(v), h.edge_weights(v));
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod ordering;
 pub mod separator;
 pub mod trim;
 
-pub use graph::{magnitude_weight, median_offdiag_magnitude, Graph, WeightScheme};
+pub use graph::{magnitude_weight, median_offdiag_magnitude, Adjacency, Graph, WeightScheme};
 pub use nd::{nested_dissection, DbbdPartition, NdConfig, SEPARATOR};
 pub use ordering::mindeg::min_degree_order;
 pub use ordering::rgb::{rgb_order, RgbConfig};

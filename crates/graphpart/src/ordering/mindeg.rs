@@ -26,7 +26,7 @@
 //! Degrees live in bucket lists, so picking the pivot costs O(1)
 //! amortised.
 
-use crate::Graph;
+use crate::Adjacency;
 use sparsekit::Perm;
 
 const NONE: usize = usize::MAX;
@@ -98,8 +98,9 @@ impl Buckets {
 /// Computes an approximate minimum-degree elimination ordering.
 ///
 /// Returns the permutation in `to_old` form: the vertex eliminated first
-/// is `to_old(0)`.
-pub fn min_degree_order(g: &Graph) -> Perm {
+/// is `to_old(0)`. Only the adjacency is read: AMD has no use for edge
+/// or vertex weights.
+pub fn min_degree_order(g: &Adjacency) -> Perm {
     let n = g.nvertices();
     let mut kind = vec![Kind::Var; n];
     // Supervariable weight of a principal variable (0 once it is gone).
@@ -289,7 +290,7 @@ mod tests {
     use super::*;
     use sparsekit::Coo;
 
-    fn graph_from_sym_edges(n: usize, edges: &[(usize, usize)]) -> Graph {
+    fn graph_from_sym_edges(n: usize, edges: &[(usize, usize)]) -> Adjacency {
         let mut c = Coo::new(n, n);
         for &(u, v) in edges {
             c.push_sym(u, v, 1.0);
@@ -297,12 +298,12 @@ mod tests {
         for i in 0..n {
             c.push(i, i, 1.0);
         }
-        Graph::from_matrix(&c.to_csr())
+        Adjacency::from_matrix(&c.to_csr())
     }
 
     /// Counts fill produced by eliminating in the given order (dense
     /// simulation, for small graphs only).
-    fn fill_count(g: &Graph, p: &Perm) -> usize {
+    fn fill_count(g: &Adjacency, p: &Perm) -> usize {
         let n = g.nvertices();
         let mut adj = vec![vec![false; n]; n];
         for v in 0..n {

@@ -18,6 +18,7 @@
 //! plan, concurrently when asked. Every other entry point builds a plan
 //! and calls it.
 
+use crate::isa::{Isa, Tier};
 use crate::reach::{reach_in, ReachAdjacency, ReachGraph};
 use crate::trisolve::{SolveWorkspace, SparseVec};
 use sparsekit::budget::{Budget, BudgetInterrupt};
@@ -172,9 +173,56 @@ impl BlockedSolvePlan {
 }
 
 /// Numeric panel substitution of one planned block, leaving the dense
-/// row-major `union_rows × B` panel in `ws.panel`. Expects `ws.pos` to
-/// be all-MAX and restores it before returning.
+/// row-major `union_rows × B` panel in `ws.panel`, at the widest tier
+/// of this CPU ([`crate::isa`]). Expects `ws.pos` to be all-MAX and
+/// restores it before returning.
 fn numeric_on_pattern(
+    l: &Csc,
+    unit_diag: bool,
+    cols: &[SparseVec],
+    pb: &PlannedBlock,
+    ws: &mut BlockWorkspace,
+) -> BlockSolveStats {
+    numeric_on_pattern_at(Isa::host(), l, unit_diag, cols, pb, ws)
+}
+
+/// [`numeric_on_pattern`] at the tier `isa`.
+fn numeric_on_pattern_at(
+    isa: Isa,
+    l: &Csc,
+    unit_diag: bool,
+    cols: &[SparseVec],
+    pb: &PlannedBlock,
+    ws: &mut BlockWorkspace,
+) -> BlockSolveStats {
+    match isa.tier() {
+        Tier::Baseline => numeric_body(l, unit_diag, cols, pb, ws),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => {
+            // SAFETY: an `Isa` names AVX-512F only after
+            // `is_x86_feature_detected!("avx512f")` held
+            // (`Isa::supported`).
+            unsafe { numeric_avx512(l, unit_diag, cols, pb, ws) }
+        }
+    }
+}
+
+/// [`numeric_body`] compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn numeric_avx512(
+    l: &Csc,
+    unit_diag: bool,
+    cols: &[SparseVec],
+    pb: &PlannedBlock,
+    ws: &mut BlockWorkspace,
+) -> BlockSolveStats {
+    numeric_body(l, unit_diag, cols, pb, ws)
+}
+
+/// The panel substitution, once for every tier.
+#[inline(always)]
+fn numeric_body(
     l: &Csc,
     unit_diag: bool,
     cols: &[SparseVec],
@@ -395,6 +443,57 @@ mod tests {
             }
         }
         c.to_csr().to_csc()
+    }
+
+    #[test]
+    fn every_tier_gives_the_same_bits() {
+        // A random lower-triangular factor with a non-unit diagonal, and
+        // right-hand sides of mixed signs and exponents.
+        let n = 90;
+        let mut rng = sparsekit::Rng64::new(11);
+        let mut c = Coo::new(n, n);
+        for j in 0..n {
+            c.push(j, j, rng.f64_range(0.5, 2.0));
+            for _ in 0..4 {
+                let r = rng.range(j, n);
+                if r > j {
+                    c.push(
+                        r,
+                        j,
+                        rng.f64_range(-1.0, 1.0) * 10f64.powi(rng.below(5) as i32 - 2),
+                    );
+                }
+            }
+        }
+        let l = c.to_csr().to_csc();
+        let cols: Vec<SparseVec> = (0..23)
+            .map(|_| {
+                let mut rows: Vec<usize> = (0..3).map(|_| rng.below(n)).collect();
+                rows.sort_unstable();
+                rows.dedup();
+                let vals = rows.iter().map(|_| rng.f64_range(-4.0, 4.0)).collect();
+                SparseVec::new(rows, vals)
+            })
+            .collect();
+        let order: Vec<usize> = (0..cols.len()).collect();
+        let tiers = Isa::supported();
+        for block_size in [1usize, 3, 8, 13] {
+            let plan = BlockedSolvePlan::build(&l, &cols, &order, block_size);
+            for unit_diag in [false, true] {
+                for pb in &plan.blocks {
+                    let run = |isa: Isa| {
+                        let mut ws = BlockWorkspace::new(n);
+                        let st = numeric_on_pattern_at(isa, &l, unit_diag, &cols, pb, &mut ws);
+                        let bits: Vec<u64> = ws.panel.iter().map(|v| v.to_bits()).collect();
+                        (st, bits)
+                    };
+                    let want = run(tiers[0]);
+                    for &isa in &tiers[1..] {
+                        assert_eq!(run(isa), want, "B = {block_size}, {}", isa.name());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

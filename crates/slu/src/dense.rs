@@ -17,12 +17,14 @@
 //! `PANEL` and of where rows physically sit, and a replay of the same
 //! pivot sequence reproduces it bit for bit.
 
+use crate::isa::{Isa, Tier};
 use sparsekit::lanes::{axpy_neg, scale_div};
 
 /// Columns updated together by each finished `L` column.
 const PANEL: usize = 4;
 
-/// Factors the column-major `m × m` buffer `a` in place.
+/// Factors the column-major `m × m` buffer `a` in place, at the widest
+/// tier of this CPU ([`crate::isa`]).
 ///
 /// At step `k`, `pivot(k, candidates)` sees column `k` from the
 /// diagonal down (`candidates[0]` is the current diagonal) and returns
@@ -32,6 +34,46 @@ const PANEL: usize = 4;
 /// diagonal and scales the multipliers below it. A replay under a
 /// frozen pivot order returns offset 0 every time.
 pub(crate) fn lu_in_place<E>(
+    a: &mut [f64],
+    m: usize,
+    pivot: impl FnMut(usize, &[f64]) -> Result<(usize, f64), E>,
+) -> Result<(), E> {
+    lu_in_place_at(Isa::host(), a, m, pivot)
+}
+
+/// [`lu_in_place`] at the tier `isa`.
+fn lu_in_place_at<E>(
+    isa: Isa,
+    a: &mut [f64],
+    m: usize,
+    pivot: impl FnMut(usize, &[f64]) -> Result<(usize, f64), E>,
+) -> Result<(), E> {
+    match isa.tier() {
+        Tier::Baseline => lu_body(a, m, pivot),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => {
+            // SAFETY: an `Isa` names AVX-512F only after
+            // `is_x86_feature_detected!("avx512f")` held
+            // (`Isa::supported`).
+            unsafe { lu_avx512(a, m, pivot) }
+        }
+    }
+}
+
+/// [`lu_body`] compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn lu_avx512<E>(
+    a: &mut [f64],
+    m: usize,
+    pivot: impl FnMut(usize, &[f64]) -> Result<(usize, f64), E>,
+) -> Result<(), E> {
+    lu_body(a, m, pivot)
+}
+
+/// The elimination, once for every tier.
+#[inline(always)]
+fn lu_body<E>(
     a: &mut [f64],
     m: usize,
     mut pivot: impl FnMut(usize, &[f64]) -> Result<(usize, f64), E>,
@@ -79,6 +121,7 @@ pub(crate) fn lu_in_place<E>(
 /// `c[j+1..] -= L[j+1.., j] · c[j]` for `j = 0..k0` ascending. A source
 /// whose `U` entries are zero in every panel column is skipped, which
 /// is where a block that is not structurally full gets its zeros back.
+#[inline(always)]
 fn update_panel(done: &[f64], ends: &[usize], m: usize, panel: &mut [f64]) {
     if panel.len() != PANEL * m {
         for col in panel.chunks_exact_mut(m) {
@@ -199,6 +242,23 @@ mod tests {
         let mut b: Vec<f64> = (0..m * m).map(|t| a0[(t / m) * m + order[t % m]]).collect();
         lu_in_place(&mut b, m, |_, c| Ok::<_, ()>((0, c[0]))).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn every_tier_gives_the_same_bits() {
+        let tiers = Isa::supported();
+        for m in [1usize, 3, 4, 5, 8, 13, 33, 64, 97] {
+            let a0 = matrix(m);
+            let run = |isa: Isa| {
+                let mut a = a0.clone();
+                lu_in_place_at(isa, &mut a, m, |_, c| Ok::<_, ()>(argmax(c))).unwrap();
+                a.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+            };
+            let want = run(tiers[0]);
+            for &isa in &tiers[1..] {
+                assert_eq!(run(isa), want, "m = {m}, {}", isa.name());
+            }
+        }
     }
 
     #[test]

@@ -25,21 +25,47 @@ pub fn etree(a: &Csr) -> Vec<usize> {
             if k >= i {
                 break; // only the lower triangle drives the recurrence
             }
-            // Traverse from k to the root of its current subtree,
-            // compressing the ancestor path.
-            let mut j = k;
-            while ancestor[j] != NO_PARENT && ancestor[j] != i {
-                let next = ancestor[j];
-                ancestor[j] = i;
-                j = next;
-            }
-            if ancestor[j] == NO_PARENT {
-                ancestor[j] = i;
-                parent[j] = i;
+            link(&mut parent, &mut ancestor, k, i);
+        }
+    }
+    parent
+}
+
+/// [`etree`] of `P·A·Pᵀ` for a symmetric pattern given by its
+/// neighbour lists in the original labels, without forming the permuted
+/// matrix: row `i` of `P·A·Pᵀ` holds `p.to_new(u)` for every neighbour
+/// `u` of `p.to_old(i)`. The tree is unique, so the order of a
+/// neighbour list does not matter, and diagonal entries may be present
+/// or not.
+pub fn etree_permuted<'a>(p: &Perm, neighbors: impl Fn(usize) -> &'a [usize]) -> Vec<usize> {
+    let n = p.len();
+    let mut parent = vec![NO_PARENT; n];
+    let mut ancestor = vec![NO_PARENT; n];
+    for i in 0..n {
+        for &u in neighbors(p.to_old(i)) {
+            let k = p.to_new(u);
+            if k < i {
+                link(&mut parent, &mut ancestor, k, i);
             }
         }
     }
     parent
+}
+
+/// One step of Liu's recurrence for the entry `(i, k)`, `k < i`: walks
+/// from `k` to the root of its current subtree, compressing the
+/// ancestor path onto `i`, and hangs that root under `i`.
+fn link(parent: &mut [usize], ancestor: &mut [usize], k: usize, i: usize) {
+    let mut j = k;
+    while ancestor[j] != NO_PARENT && ancestor[j] != i {
+        let next = ancestor[j];
+        ancestor[j] = i;
+        j = next;
+    }
+    if ancestor[j] == NO_PARENT {
+        ancestor[j] = i;
+        parent[j] = i;
+    }
 }
 
 /// Computes a postorder of a forest given by `parent`.
@@ -151,6 +177,29 @@ mod tests {
             assert_eq!(p[i], n - 1);
         }
         assert_eq!(p[n - 1], NO_PARENT);
+    }
+
+    #[test]
+    fn permuted_etree_matches_the_etree_of_the_permuted_matrix() {
+        // A symmetric pattern with a cycle, a chord and an isolated vertex.
+        let n = 7;
+        let mut c = Coo::new(n, n);
+        for i in 0..n {
+            c.push(i, i, 1.0);
+        }
+        for (u, v) in [(0, 3), (3, 5), (5, 1), (1, 0), (2, 4), (4, 1), (0, 5)] {
+            c.push_sym(u, v, 1.0);
+        }
+        let a = c.to_csr();
+        for to_old in [vec![6, 5, 4, 3, 2, 1, 0], vec![2, 0, 6, 4, 1, 5, 3]] {
+            let p = Perm::from_to_old(to_old);
+            // Neighbour lists in reverse, diagonal included.
+            let rows: Vec<Vec<usize>> = (0..n)
+                .map(|v| a.row_indices(v).iter().rev().copied().collect())
+                .collect();
+            let got = etree_permuted(&p, |v| rows[v].as_slice());
+            assert_eq!(got, etree(&a.permute(&p, &p)), "{p:?}");
+        }
     }
 
     #[test]

@@ -387,12 +387,11 @@ impl LuFactors {
         assert_eq!(col_perm.len(), a.ncols());
         assert!(cfg.pivot_threshold > 0.0 && cfg.pivot_threshold <= 1.0);
         let n = a.nrows();
-        let acsc = a.to_csc();
         // ‖A‖_max for the perturbation magnitude, plus an up-front poison
         // check (NaN never wins a `>` comparison, so it would otherwise
         // slip through pivot selection unnoticed).
         let mut anorm = 0.0f64;
-        for &v in acsc.values() {
+        for &v in a.values() {
             if !v.is_finite() {
                 return Err(LuError::NonFinite { step: 0 });
             }
@@ -409,8 +408,35 @@ impl LuFactors {
         // `U`'s rows above the dense block, per tail column.
         let mut u_head = ColArena::with_columns(0);
         let mut tail: Option<DenseTail> = None;
-        let mut a_rem = acsc.nnz();
         let mut pinv = vec![usize::MAX; n]; // original row -> pivot step
+                                            // A block that starts at step 0 is `A` itself: no column is
+                                            // solved against a head, so `A`'s rows go straight into the
+                                            // buffer and the sparse loop below never runs.
+        let at_zero = match dense_start {
+            Some(at) => at == 0,
+            None => tail_is_dense(n, a.nnz(), None),
+        };
+        let mut ticker = budget.ticker(64);
+        if n > 0 && at_zero {
+            // Column `k` of the buffer is `A(:, col_perm.to_old(k))`.
+            let mut t = DenseTail::new(0, &pinv);
+            for i in 0..n {
+                // One tick per row keeps the poll cadence of the
+                // per-column loop.
+                if let Err(interrupt) = ticker.tick() {
+                    return Err(LuError::Interrupted { step: 0, interrupt });
+                }
+                for (j, v) in a.row_iter(i) {
+                    t.buf[col_perm.to_new(j) * n + i] = v;
+                }
+            }
+            tail = Some(t);
+            for _ in 0..n {
+                u_head.close_column();
+            }
+        }
+        let acsc = tail.is_none().then(|| a.to_csc());
+        let mut a_rem = a.nnz();
         let mut x = vec![0f64; n];
         let mut mark = vec![usize::MAX; n];
         let mut topo: Vec<usize> = Vec::with_capacity(n);
@@ -420,8 +446,10 @@ impl LuFactors {
         // visit order (slots resolved after assembly).
         let mut topo_ptr: Vec<usize> = vec![0];
         let mut topo_row: Vec<usize> = Vec::new();
-        let mut ticker = budget.ticker(64);
         for k in 0..n {
+            let Some(acsc) = &acsc else {
+                break;
+            };
             if let Err(interrupt) = ticker.tick() {
                 return Err(LuError::Interrupted { step: k, interrupt });
             }
@@ -808,99 +836,113 @@ impl LuFactors {
             return Err(RefactorizeError::Perturbed);
         }
         let sym = &self.symbolic;
-        let acsc = a.to_csc();
-        if acsc.values().iter().any(|v| !v.is_finite()) {
+        if a.values().iter().any(|v| !v.is_finite()) {
             return Err(RefactorizeError::NonFinite { step: 0 });
         }
-        let mut x = vec![0f64; n];
-        let mut mark = vec![usize::MAX; n];
         let (l_colptr, l_rowind, lv) = self.l.parts_mut();
         let (u_colptr, u_rowind, uv) = self.u.parts_mut();
         let head = sym.dense_start;
-        for k in 0..head {
-            let col = self.col_perm.to_old(k);
-            let topo = &sym.topo_new[sym.topo_ptr[k]..sym.topo_ptr[k + 1]];
-            // --- Scatter A(:, col) over the stored reach, in pivot
-            // coordinates. ---
-            for &p in topo {
-                x[p] = 0.0;
-                mark[p] = k;
-            }
-            for (i, v) in acsc.col_iter(col) {
+        let m = n - head;
+        // The dense block, in pivot order. It is allocated once the head
+        // is replayed: allocated before, it raised the peak RSS of the
+        // `fusion_rhb` benchmark by 2 MB.
+        let mut buf: Vec<f64>;
+        // First tail column with an entry the stored pattern has no
+        // slot for. It only matters if a nonzero then fails to fit
+        // (an entry of the factored matrix that cancelled exactly
+        // has no slot either, and must not be refused).
+        let mut foreign: Option<usize> = None;
+        let above = |k: usize| {
+            let rows = &u_rowind[u_colptr[k]..u_colptr[k + 1]];
+            rows.partition_point(|&r| r < head)
+        };
+        if head == 0 {
+            // The block is `A` itself: its rows go straight into the
+            // buffer. Entries outside the stored pattern are looked for
+            // only if the block then fails to fit.
+            buf = vec![0f64; m * m];
+            for i in 0..n {
                 let p = self.row_perm.to_new(i);
-                if mark[p] != k {
-                    return Err(RefactorizeError::PatternMismatch { step: k });
-                }
-                x[p] = v;
-            }
-            // --- Replay x = L \ A(:, col) in the stored visit order.
-            // Update targets are distinct rows per source, all inside
-            // the reach, so iterating the assembled (sorted) L column
-            // instead of the original insertion order changes nothing.
-            // `L`'s row indices are pivot coordinates too, so the inner
-            // loop needs no permutation lookups; the unit diagonal is
-            // the first entry of a sorted column and is sliced off.
-            for &j in topo {
-                if j >= k {
-                    continue;
-                }
-                let xi = x[j];
-                if xi == 0.0 {
-                    continue;
-                }
-                let below = l_colptr[j] + 1..l_colptr[j + 1];
-                for (&r, &v) in l_rowind[below.clone()].iter().zip(&lv[below]) {
-                    x[r] -= v * xi;
+                for (j, v) in a.row_iter(i) {
+                    buf[self.col_perm.to_new(j) * n + p] = v;
                 }
             }
-            // --- Replay the stored pivot; write values through slots. ---
-            let pivot = x[k];
-            if !pivot.is_finite() {
-                return Err(RefactorizeError::NonFinite { step: k });
-            }
-            if pivot == 0.0 {
-                return Err(RefactorizeError::ZeroPivot { step: k });
-            }
-            for (&pi, &s) in topo
-                .iter()
-                .zip(&sym.slot[sym.topo_ptr[k]..sym.topo_ptr[k + 1]])
-            {
-                if pi < k {
-                    uv[s] = x[pi];
-                } else if pi == k {
-                    uv[s] = pivot;
-                } else {
-                    let v = x[pi] / pivot;
-                    if !v.is_finite() {
-                        return Err(RefactorizeError::NonFinite { step: k });
+        } else {
+            let acsc = a.to_csc();
+            let mut x = vec![0f64; n];
+            let mut mark = vec![usize::MAX; n];
+            for k in 0..head {
+                let col = self.col_perm.to_old(k);
+                let topo = &sym.topo_new[sym.topo_ptr[k]..sym.topo_ptr[k + 1]];
+                // --- Scatter A(:, col) over the stored reach, in pivot
+                // coordinates. ---
+                for &p in topo {
+                    x[p] = 0.0;
+                    mark[p] = k;
+                }
+                for (i, v) in acsc.col_iter(col) {
+                    let p = self.row_perm.to_new(i);
+                    if mark[p] != k {
+                        return Err(RefactorizeError::PatternMismatch { step: k });
                     }
-                    if s == usize::MAX {
-                        if v != 0.0 {
-                            return Err(RefactorizeError::PatternDeviation { step: k });
-                        }
+                    x[p] = v;
+                }
+                // --- Replay x = L \ A(:, col) in the stored visit order.
+                // Update targets are distinct rows per source, all inside
+                // the reach, so iterating the assembled (sorted) L column
+                // instead of the original insertion order changes nothing.
+                // `L`'s row indices are pivot coordinates too, so the inner
+                // loop needs no permutation lookups; the unit diagonal is
+                // the first entry of a sorted column and is sliced off.
+                for &j in topo {
+                    if j >= k {
+                        continue;
+                    }
+                    let xi = x[j];
+                    if xi == 0.0 {
+                        continue;
+                    }
+                    let below = l_colptr[j] + 1..l_colptr[j + 1];
+                    for (&r, &v) in l_rowind[below.clone()].iter().zip(&lv[below]) {
+                        x[r] -= v * xi;
+                    }
+                }
+                // --- Replay the stored pivot; write values through slots. ---
+                let pivot = x[k];
+                if !pivot.is_finite() {
+                    return Err(RefactorizeError::NonFinite { step: k });
+                }
+                if pivot == 0.0 {
+                    return Err(RefactorizeError::ZeroPivot { step: k });
+                }
+                for (&pi, &s) in topo
+                    .iter()
+                    .zip(&sym.slot[sym.topo_ptr[k]..sym.topo_ptr[k + 1]])
+                {
+                    if pi < k {
+                        uv[s] = x[pi];
+                    } else if pi == k {
+                        uv[s] = pivot;
                     } else {
-                        lv[s] = v;
+                        let v = x[pi] / pivot;
+                        if !v.is_finite() {
+                            return Err(RefactorizeError::NonFinite { step: k });
+                        }
+                        if s == usize::MAX {
+                            if v != 0.0 {
+                                return Err(RefactorizeError::PatternDeviation { step: k });
+                            }
+                        } else {
+                            lv[s] = v;
+                        }
                     }
                 }
             }
-        }
-        if head < n {
-            // --- The dense block: each tail column is solved against
-            // the head columns (the rows of U above the block, which
-            // are sorted — the order the factorisation used), gathered
-            // into the buffer in pivot order, and the block is replayed
-            // by the same kernel with the pivot order frozen. ---
-            let m = n - head;
-            let mut buf = vec![0f64; m * m];
-            // First tail column with an entry the stored pattern has no
-            // slot for. It only matters if a nonzero then fails to fit
-            // (an entry of the factored matrix that cancelled exactly
-            // has no slot either, and must not be refused).
-            let mut foreign: Option<usize> = None;
-            let above = |k: usize| {
-                let rows = &u_rowind[u_colptr[k]..u_colptr[k + 1]];
-                rows.partition_point(|&r| r < head)
-            };
+            buf = vec![0f64; m * m];
+            // --- Each tail column is solved against the head columns
+            // (the rows of U above the block, which are sorted — the
+            // order the factorisation used), and its block rows are
+            // gathered into the buffer in pivot order. ---
             for k in head..n {
                 let col = self.col_perm.to_old(k);
                 let srcs = &u_rowind[u_colptr[k]..][..above(k)];
@@ -937,6 +979,10 @@ impl LuFactors {
                 }
                 buf[(k - head) * m..][..m].copy_from_slice(&x[head..]);
             }
+        }
+        if head < n {
+            // --- The block is replayed by the same kernel with the
+            // pivot order frozen. ---
             dense::lu_in_place(&mut buf, m, |kk, cand| {
                 let pivot = cand[0];
                 if !pivot.is_finite() {
@@ -958,6 +1004,18 @@ impl LuFactors {
                 let fits = write_through(&u_rowind[us.clone()], &mut uv[us], &c[..=kk], head)
                     && write_through(&l_rowind[ls.clone()], &mut lv[ls], &c[kk + 1..], k + 1);
                 if !fits {
+                    if head == 0 {
+                        foreign = (0..n)
+                            .flat_map(|i| a.row_indices(i).iter().map(move |&j| (i, j)))
+                            .filter(|&(i, j)| {
+                                let (p, k) = (self.row_perm.to_new(i), self.col_perm.to_new(j));
+                                let u = &u_rowind[u_colptr[k]..u_colptr[k + 1]];
+                                let l = &l_rowind[l_colptr[k]..l_colptr[k + 1]];
+                                u.binary_search(&p).is_err() && l.binary_search(&p).is_err()
+                            })
+                            .map(|(_, j)| self.col_perm.to_new(j))
+                            .min();
+                    }
                     return Err(match foreign {
                         Some(step) => RefactorizeError::PatternMismatch { step },
                         None => RefactorizeError::PatternDeviation { step: k },
@@ -1281,6 +1339,100 @@ mod tests {
             f.refactorize(&b),
             Err(RefactorizeError::PatternMismatch { .. })
         ));
+    }
+
+    /// A random `n × n` matrix holding about `density · n²` entries,
+    /// with a full diagonal and mixed signs and exponents.
+    fn random_dense(n: usize, density: f64, seed: u64) -> Csr {
+        let mut rng = sparsekit::Rng64::new(seed);
+        let mut c = Coo::new(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                if i == j || rng.f64_range(0.0, 1.0) < density {
+                    c.push(
+                        i,
+                        j,
+                        rng.f64_range(-1.0, 1.0) * 10f64.powi(rng.below(3) as i32 - 1),
+                    );
+                }
+            }
+        }
+        c.to_csr()
+    }
+
+    #[test]
+    fn direct_scatter_at_step_zero_equals_a_head_of_one() {
+        // Every cell receives its updates in the same ascending pivot
+        // order whether step 0 is the sparse loop's or the block's, so
+        // the block scattered straight from `A` must give the factors
+        // the one-column head gives, bit for bit.
+        let budget = Budget::unlimited();
+        for (n, density, seed) in [(40, 1.0, 1), (57, 0.5, 2), (33, 0.3, 3), (64, 0.2, 4)] {
+            let a = random_dense(n, density, seed);
+            let order = Perm::from_to_old((0..n).map(|k| (k * 7 + 3) % n).collect());
+            for cfg in [
+                LuConfig::default(),
+                LuConfig {
+                    pivot_threshold: 1.0,
+                    ..LuConfig::default()
+                },
+            ] {
+                let at = |k| LuFactors::factorize_at(&a, &order, &cfg, &budget, Some(k)).unwrap();
+                let (f0, f1) = (at(0), at(1));
+                assert_eq!((f0.dense_start(), f1.dense_start()), (0, 1));
+                for (x, y) in [(&f0.l, &f1.l), (&f0.u, &f1.u)] {
+                    assert_eq!(x.colptr(), y.colptr(), "n = {n}");
+                    assert_eq!(x.rowind(), y.rowind(), "n = {n}");
+                    let bits = |m: &Csc| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(x), bits(y), "n = {n}");
+                }
+                assert_eq!(f0.row_perm, f1.row_perm, "n = {n}");
+                // The replay scatters the same way.
+                let mut re = f0.clone();
+                re.refactorize(&a).unwrap();
+                assert_eq!(re.l.values(), f0.l.values());
+                assert_eq!(re.u.values(), f0.u.values());
+            }
+        }
+    }
+
+    #[test]
+    fn refactorize_of_a_block_at_step_zero_names_the_first_foreign_column() {
+        // Two uncoupled full 20 × 20 blocks: dense at step 0, and the
+        // stored factors stay block diagonal.
+        let n = 40;
+        let build = |extra: &[(usize, usize, f64)]| {
+            let full = random_dense(n, 1.0, 9);
+            let mut c = Coo::new(n, n);
+            for i in 0..n {
+                for (j, v) in full.row_iter(i) {
+                    if i / 20 == j / 20 {
+                        c.push(i, j, v);
+                    }
+                }
+            }
+            for &(i, j, v) in extra {
+                c.push(i, j, v);
+            }
+            c.to_csr()
+        };
+        let a = build(&[]);
+        let fresh = LuFactors::factorize(&a, &Perm::identity(n), &LuConfig::default()).unwrap();
+        assert_eq!(fresh.dense_start(), 0);
+        let mut f = fresh.clone();
+        f.refactorize(&a).expect("same pattern");
+        // A coupling in column 33, whose fill has no slot, and an
+        // explicit zero in column 5, which fits: the error names the
+        // first column with an entry outside the stored pattern.
+        let mut f = fresh.clone();
+        assert_eq!(
+            f.refactorize(&build(&[(3, 33, 0.25), (22, 5, 0.0)])),
+            Err(RefactorizeError::PatternMismatch { step: 5 })
+        );
+        // A zero alone still fits.
+        let mut f = fresh.clone();
+        f.refactorize(&build(&[(22, 5, 0.0)]))
+            .expect("an exact zero fits");
     }
 
     #[test]

@@ -12,11 +12,19 @@
 //! products in lanes and then folding them serially performs exactly the
 //! same rounded operations, in the same order, as the plain scalar loop.
 //!
+//! The width of the registers is set by what a caller is compiled for,
+//! not by [`LANES`]: the workspace builds for its target's baseline, so
+//! on x86-64 a tile is two 128-bit SSE2 operations. `slu`'s dense
+//! kernels inline `axpy_neg` and `scale_div` into AVX-512F clones of
+//! themselves as well (`slu::isa`); the operations and their order are
+//! the same at every width.
+//!
 //! See `docs/kernels.md` for the full rationale and the measured effect.
 
-/// Compile-time lane width. Four f64s fill one AVX2 register (or two
-/// NEON registers); wider lanes win nothing on the gather-bound loops
-/// below and bloat the `chunks_exact` remainder.
+/// Compile-time tile width: the trip count LLVM vectorizes, at
+/// whatever register width the caller is compiled for. Wider tiles win
+/// nothing on the gather-bound loops below and bloat the
+/// `chunks_exact` remainder.
 pub const LANES: usize = 4;
 
 /// Sparse row dot product `Σ vals[k] · x[cols[k]]`, bit-identical to the

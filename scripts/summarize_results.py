@@ -378,6 +378,7 @@ BENCH_LU_DENSE_SCHEMA = {
     "refactor_seconds": float,
     "fill": int,
     "same_fill_as_off": bool,
+    "isa": str,
 }
 
 
@@ -385,7 +386,8 @@ def bench_lu_dense():
     """The lu_dense_crossover scenario of bench_kernels: sparse LU loop
     vs dense trailing-block kernel over block density x size. Gated on
     shape and on the machine-independent facts (forced switches land
-    where they were forced, the dense block never changes the fill);
+    where they were forced, the dense block never changes the fill,
+    every row names the dense-kernel tier that ran: `isa`);
     the timings are the table behind slu::lu::DENSE_TAIL_DENSITY in
     docs/kernels.md and are not gated."""
     rows = load("BENCH_lu_dense")
@@ -398,6 +400,8 @@ def bench_lu_dense():
         check_schema("BENCH_lu_dense.json", i, r, BENCH_LU_DENSE_SCHEMA)
         if not r["same_fill_as_off"]:
             sys.exit(f"BENCH_lu_dense.json row {i}: the dense block changed the fill")
+        if r["isa"] not in ("baseline", "avx512f"):
+            sys.exit(f"BENCH_lu_dense.json row {i}: unknown dense-kernel tier '{r['isa']}'")
         forced = {"off": r["size"], "on": 0}
         if r["switch"] not in ("off", "on", "auto"):
             sys.exit(f"BENCH_lu_dense.json row {i}: unknown switch '{r['switch']}'")
@@ -407,7 +411,11 @@ def bench_lu_dense():
     for key, c in cells.items():
         if set(c) != {"off", "on", "auto"}:
             sys.exit(f"BENCH_lu_dense.json: {key} is missing one of off/on/auto")
-    print("\n## BENCH_lu_dense (sparse loop vs dense trailing block; times in ms, informational)\n")
+    tiers = sorted({r["isa"] for r in rows})
+    print(
+        "\n## BENCH_lu_dense (sparse loop vs dense trailing block; times in ms, informational;"
+        f" dense kernel: {', '.join(tiers)})\n"
+    )
     print("| m | density | factor off | on | auto (start) | on/off | refactor off | on | auto | on/off |")
     print("|---|---|---|---|---|---|---|---|---|---|")
     for (m, d), c in sorted(cells.items()):

@@ -17,14 +17,15 @@
 
 use std::collections::HashSet;
 
-use graphpart::{min_degree_order, Graph};
+use graphpart::{min_degree_order, Adjacency, Graph};
 use pdslin::interface::{compute_interface, InterfaceConfig};
 use pdslin::rhs_order::{column_reaches, order_columns_precomputed, padding_of_order};
 use pdslin::schur::assemble_schur;
-use pdslin::subdomain::{factor_domain, subdomain_ordering};
+use pdslin::subdomain::{factor_domain, ordering_and_etree, subdomain_ordering};
 use pdslin::RhsOrdering;
 use pdslin::{compute_partition, extract_dbbd, PartitionerKind, PdslinConfig};
 use slu::blocked::solve_in_blocks_ordered;
+use slu::etree::{etree, postorder};
 use slu::trisolve::SolveWorkspace;
 use slu::SparseVec;
 use sparsekit::budget::Budget;
@@ -205,8 +206,8 @@ fn rgb_never_pads_more_than_natural() {
 // ---------------------------------------------------------------------
 
 /// Graph of an undirected edge list; loops and repeated edges are kept
-/// in the matrix and dropped by `Graph::from_matrix`.
-fn graph_of(n: usize, edges: &[(usize, usize)]) -> Graph {
+/// in the matrix and dropped by `Adjacency::from_matrix`.
+fn graph_of(n: usize, edges: &[(usize, usize)]) -> Adjacency {
     let mut c = Coo::new(n, n);
     for i in 0..n {
         c.push(i, i, 1.0);
@@ -214,7 +215,7 @@ fn graph_of(n: usize, edges: &[(usize, usize)]) -> Graph {
     for &(u, v) in edges {
         c.push_sym(u, v, 1.0);
     }
-    Graph::from_matrix(&c.to_csr())
+    Adjacency::from_matrix(&c.to_csr())
 }
 
 fn random_edges(rng: &mut Rng64, n: usize, m: usize) -> Vec<(usize, usize)> {
@@ -235,7 +236,7 @@ fn assert_permutation(p: &Perm, n: usize, what: &str) {
 }
 
 /// Dense adjacency of `g`, loops excluded.
-fn dense_adjacency(g: &Graph) -> Vec<Vec<bool>> {
+fn dense_adjacency(g: &Adjacency) -> Vec<Vec<bool>> {
     let n = g.nvertices();
     let mut adj = vec![vec![false; n]; n];
     for v in 0..n {
@@ -249,7 +250,7 @@ fn dense_adjacency(g: &Graph) -> Vec<Vec<bool>> {
 }
 
 /// Fill edges created by eliminating `g` in the order `to_old`.
-fn fill_of(g: &Graph, to_old: &[usize]) -> usize {
+fn fill_of(g: &Adjacency, to_old: &[usize]) -> usize {
     let n = g.nvertices();
     let mut adj = dense_adjacency(g);
     let mut gone = vec![false; n];
@@ -273,7 +274,7 @@ fn fill_of(g: &Graph, to_old: &[usize]) -> usize {
 /// Exact minimum degree by dense symbolic elimination: always eliminate
 /// a vertex of least true degree in the current filled graph (lowest
 /// index on ties). Returns the elimination order.
-fn exact_min_degree(g: &Graph) -> Vec<usize> {
+fn exact_min_degree(g: &Adjacency) -> Vec<usize> {
     let n = g.nvertices();
     let mut adj = dense_adjacency(g);
     let mut gone = vec![false; n];
@@ -298,7 +299,7 @@ fn exact_min_degree(g: &Graph) -> Vec<usize> {
     order
 }
 
-fn amd_order(g: &Graph) -> Vec<usize> {
+fn amd_order(g: &Adjacency) -> Vec<usize> {
     let p = min_degree_order(g);
     (0..p.len()).map(|i| p.to_old(i)).collect()
 }
@@ -321,7 +322,7 @@ fn grid_edges(dims: &[usize]) -> (usize, Vec<(usize, usize)>) {
 #[test]
 fn min_degree_returns_a_permutation_on_degenerate_and_random_graphs() {
     let empty = Graph::from_parts(vec![0], vec![], vec![], vec![]);
-    assert_permutation(&min_degree_order(&empty), 0, "empty");
+    assert_permutation(&min_degree_order(empty.adjacency()), 0, "empty");
     assert_permutation(&min_degree_order(&graph_of(1, &[])), 1, "single vertex");
     assert_permutation(&min_degree_order(&graph_of(7, &[])), 7, "isolated");
     let pieces = [(0, 1), (1, 2), (2, 0), (4, 5), (6, 7), (7, 8), (8, 9)];
@@ -333,7 +334,7 @@ fn min_degree_returns_a_permutation_on_degenerate_and_random_graphs() {
         vec![1; 8],
         vec![1; 3],
     );
-    assert_permutation(&min_degree_order(&dup), 3, "duplicates");
+    assert_permutation(&min_degree_order(dup.adjacency()), 3, "duplicates");
     let loops = graph_of(5, &[(0, 1), (0, 1), (1, 2), (3, 4), (4, 3)]);
     assert_permutation(&min_degree_order(&loops), 5, "loops and repeats");
     let complete: Vec<(usize, usize)> = (0..12)
@@ -376,7 +377,7 @@ fn min_degree_finds_zero_fill_on_trees_paths_and_stars() {
 
 #[test]
 fn min_degree_fill_is_within_1_3x_of_exact_minimum_degree() {
-    let mut cases: Vec<(String, Graph)> = Vec::new();
+    let mut cases: Vec<(String, Adjacency)> = Vec::new();
     for dims in [
         vec![5, 5],
         vec![6, 7],
@@ -513,4 +514,104 @@ fn benchmark_orderings_are_pinned() {
         assert_eq!(got_d, want_d, "{name}: D_ℓ orderings {got_d:#018x}");
         assert_eq!(got_s, want_s, "{name}: S̃ ordering {got_s:#018x}");
     }
+}
+
+// ---------------------------------------------------------------------
+// The pattern-only ordering against the valued composition it replaced.
+// ---------------------------------------------------------------------
+
+/// `subdomain_ordering` and its elimination tree as they were computed
+/// from values: symmetrise `D` (a clone when the pattern already is),
+/// build the graph from the rows of the result minus the diagonal, run
+/// AMD, take the tree of the permuted matrix, postorder it. The final
+/// tree is taken straight from the matrix permuted by the final order.
+fn valued_ordering_and_etree(d: &Csr) -> (Perm, Vec<usize>) {
+    let sym = if d.pattern_symmetric() {
+        d.clone()
+    } else {
+        d.symmetrize_abs()
+    };
+    let n = sym.nrows();
+    let mut xadj = vec![0];
+    let mut adj = Vec::new();
+    for v in 0..n {
+        adj.extend(sym.row_indices(v).iter().filter(|&&u| u != v));
+        xadj.push(adj.len());
+    }
+    let edges = adj.len();
+    let g = Graph::from_parts(xadj, adj, vec![1; edges], vec![1; n]);
+    let md = min_degree_order(g.adjacency());
+    let po = postorder(&etree(&sym.permute(&md, &md)));
+    let order = po.compose(&md);
+    let parent = etree(&sym.permute(&order, &order));
+    (order, parent)
+}
+
+fn assert_same_ordering(what: &str, d: &Csr) {
+    let (order, parent) = ordering_and_etree(d);
+    let (want_order, want_parent) = valued_ordering_and_etree(d);
+    assert_eq!(order, want_order, "{what}: ordering");
+    assert_eq!(parent, want_parent, "{what}: elimination tree");
+    assert_eq!(subdomain_ordering(d), order, "{what}: subdomain_ordering");
+}
+
+/// A random unsymmetric pattern: about `density · n²` entries, a
+/// quarter of the rows empty (no diagonal either), and a third of the
+/// stored values exact zeros.
+fn random_pattern(rng: &mut Rng64, n: usize, density: f64) -> Csr {
+    let mut c = Coo::new(n, n);
+    for i in 0..n {
+        if rng.below(4) == 0 {
+            continue;
+        }
+        for j in 0..n {
+            if rng.f64() < density {
+                let v = if rng.below(3) == 0 {
+                    0.0
+                } else {
+                    rng.f64_range(-1.0, 1.0)
+                };
+                c.push(i, j, v);
+            }
+        }
+    }
+    c.to_csr()
+}
+
+#[test]
+fn pattern_only_ordering_matches_the_valued_composition() {
+    use matgen::{generate, MatrixKind, Scale};
+    for kind in MatrixKind::ALL {
+        let a = generate(kind, Scale::Test);
+        let sys = extract_dbbd(&a, compute_partition(&a, 8, &PartitionerKind::Ngd));
+        for (l, dom) in sys.domains.iter().enumerate() {
+            assert_same_ordering(&format!("{kind:?} D_{l}"), &dom.d);
+        }
+    }
+    let small: [(&str, Csr); 4] = [
+        ("fusion_like", matgen::fusion::fusion_like(8, 8, 7, 211)),
+        ("asic_like", matgen::circuit::asic_like(400, 680)),
+        ("g3_like", matgen::circuit::g3_like(20, 20)),
+        (
+            "cavity3d_graded",
+            matgen::stencil::cavity3d_graded(7, 7, 7, 4.0, 0.34),
+        ),
+    ];
+    for (what, a) in &small {
+        assert_same_ordering(what, a);
+    }
+    for seed in 0..30u64 {
+        let mut rng = Rng64::new(seed);
+        let n = rng.range(1, 120);
+        let density = [0.01, 0.03, 0.08, 0.2][rng.below(4)];
+        let a = random_pattern(&mut rng, n, density);
+        assert_same_ordering(&format!("random seed {seed} ({n}, {density})"), &a);
+    }
+    // Dense enough that AMD's supervariables and absorption do most of
+    // the work, as on a Schur complement that goes dense at step 0.
+    let mut rng = Rng64::new(40);
+    let dense = random_pattern(&mut rng, 150, 0.45);
+    assert!(dense.nnz() as f64 >= 0.3 * 150.0 * 150.0);
+    assert!(!dense.pattern_symmetric());
+    assert_same_ordering("45 % dense unsymmetric", &dense);
 }
