@@ -12,9 +12,12 @@
 //! which is what the CI smoke step relies on. A `schur_apply` row's
 //! `serial_seconds` is the full-sweep apply and its `kept_share` the
 //! share of the dependency entries the restricted sweeps keep; the two
-//! applies must agree bit for bit. Speedups are recorded for
-//! trajectory tracking but never asserted — CI runners (and single-core
-//! hosts) make them meaningless to gate on.
+//! applies must agree bit for bit. A `plan_refresh` row times
+//! `SolvePlan::refresh_numeric` (`seconds`) against `SolvePlan::build`
+//! (`serial_seconds`) on every factor a value update refactorized, over
+//! `dep_slots` dependency slots; the refreshed plans must equal the built
+//! ones. Speedups are recorded for trajectory tracking but never asserted
+//! — CI runners (and single-core hosts) make them meaningless to gate on.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -23,7 +26,7 @@ use krylov::LinearOperator;
 use matgen::{MatrixKind, Scale};
 use pdslin::subdomain::FactoredDomain;
 use pdslin::{DbbdSystem, ImplicitSchur, Pdslin, PdslinConfig, SchurApplyScratch, SchurSweeps};
-use slu::TriScratch;
+use slu::{LuFactors, SolvePlan, TriScratch};
 use sparsekit::Csr;
 
 pdslin_bench::json_record! {
@@ -38,6 +41,7 @@ pdslin_bench::json_record! {
         matches_serial: bool,
         iterations: usize,
         kept_share: f64,
+        dep_slots: usize,
     }
 }
 
@@ -56,6 +60,7 @@ fn push_row(
     matches_serial: bool,
     iterations: usize,
     kept_share: f64,
+    dep_slots: usize,
 ) {
     let speedup = if seconds > 0.0 {
         serial_seconds / seconds
@@ -82,6 +87,7 @@ fn push_row(
         matches_serial,
         iterations,
         kept_share,
+        dep_slots,
     });
 }
 
@@ -128,6 +134,7 @@ fn bench_solve(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr) {
             matches,
             out.iterations,
             solver.schur_apply_kept_share(),
+            0,
         );
     }
     std::env::remove_var(pdslin::par::THREADS_ENV);
@@ -175,6 +182,7 @@ fn bench_solve_many(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr, threads: u
             matches,
             iterations,
             solver.schur_apply_kept_share(),
+            0,
         );
     }
     std::env::remove_var(pdslin::par::THREADS_ENV);
@@ -268,6 +276,76 @@ fn bench_schur_apply(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr) {
         matches,
         0,
         kept,
+        0,
+    );
+}
+
+/// Every `LU(D_ℓ)` factor of `solver`, then its `LU(S̃)`.
+fn factors_of(solver: &Pdslin) -> Vec<&LuFactors> {
+    let domains = solver.factors.iter().map(|fd| &fd.lu);
+    domains.chain([&solver.schur_lu]).collect()
+}
+
+/// `SolvePlan::refresh_numeric` against `SolvePlan::build` on one thread,
+/// on every factor of one set-up after `update_values` replayed it under
+/// values drifted by 1 %. Records the best total time of each over the
+/// factors (5 interleaved reps) and the dependency slots; both the plans
+/// `update_values` refreshed and stale copies refreshed here must equal
+/// fresh builds.
+fn bench_plan_refresh(rows: &mut Vec<SolveRow>, problem: &str, a: &Csr) {
+    let cfg = PdslinConfig {
+        k: 8,
+        ..Default::default()
+    };
+    let mut solver = Pdslin::setup(a, cfg).expect("setup");
+    solver.solve(&rhs_for(a.nrows(), 1)).expect("solve");
+    let mut refreshed: Vec<SolvePlan> = factors_of(&solver)
+        .into_iter()
+        .map(|lu| lu.solve_plan().clone())
+        .collect();
+    let drifted = matgen::sequence(a, 2, 0.01).swap_remove(1);
+    let update = solver.update_values(&drifted).expect("update_values");
+    assert_eq!(
+        update.rebuilt, 0,
+        "{problem}: a factor was rebuilt, not replayed"
+    );
+    let factors = factors_of(&solver);
+    let mut built = Vec::new();
+    let (secs, build_secs) = best_of_pair(
+        5,
+        || {
+            for (plan, lu) in refreshed.iter_mut().zip(&factors) {
+                plan.refresh_numeric(&lu.l, &lu.u);
+            }
+        },
+        || {
+            built = factors
+                .iter()
+                .map(|lu| SolvePlan::build(&lu.l, &lu.u, &lu.row_perm, &lu.col_perm))
+                .collect();
+        },
+    );
+    let matches = refreshed == built
+        && factors
+            .iter()
+            .zip(&built)
+            .all(|(lu, p)| lu.solve_plan() == p);
+    let slots = built
+        .iter()
+        .map(|p| p.dep_entries().0 + p.dep_entries().1)
+        .sum();
+    push_row(
+        rows,
+        problem,
+        "plan_refresh",
+        1,
+        1,
+        secs,
+        build_secs,
+        matches,
+        0,
+        0.0,
+        slots,
     );
 }
 
@@ -293,6 +371,10 @@ fn main() {
     println!("\nSchur apply: restricted LU(D) sweeps against full sweeps, one thread\n");
     for kind in MatrixKind::ALL {
         bench_schur_apply(&mut rows, kind.name(), &matgen::generate(kind, scale));
+    }
+    println!("\nPlan refresh after update_values against a fresh plan build, one thread\n");
+    for kind in MatrixKind::ALL {
+        bench_plan_refresh(&mut rows, kind.name(), &matgen::generate(kind, scale));
     }
     pdslin_bench::write_json("BENCH_solve", &rows);
     println!("\nall results matched the one-thread run (or the full sweeps) exactly");

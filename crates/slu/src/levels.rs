@@ -62,7 +62,7 @@ pub fn plan_build_count() -> u64 {
 
 /// One triangular sweep (forward `L` or backward `U`) flattened into
 /// level order.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LevelPlan {
     /// `level_ptr[l]..level_ptr[l + 1]` are the positions of level `l`.
     pub(crate) level_ptr: Vec<usize>,
@@ -211,28 +211,54 @@ impl LevelPlan {
         [(0, n)]
     }
 
-    /// Rewrites the sweep's dependency values from (numerically
-    /// updated) factor columns without touching any structure: each
-    /// dependency slot of position `p` holds the factor entry at
-    /// `(order[p], order[dep_pos])`.
-    pub(crate) fn refresh_numeric_from(&mut self, m: &Csc) {
-        for p in 0..self.n() {
-            let r = self.order[p];
-            for s in self.dep_ptr[p]..self.dep_ptr[p + 1] {
-                let c = self.order[self.dep_pos[s]];
-                let k = m
-                    .col_indices(c)
-                    .binary_search(&r)
-                    .expect("plan dependency missing from factor pattern");
-                self.dep_val[s] = m.col_values(c)[k];
+    /// The fill visit of [`build_sweep`]: writes every entry of `m`'s
+    /// triangle into its dependency slot or into `diag`, columns ascending,
+    /// one cursor per row. Panics if the pattern is not the plan's: each
+    /// written slot must depend on the visited column (folded into
+    /// `differs`, so that no slot's load waits on a branch), and each
+    /// cursor must end at its row's count.
+    fn fill(&mut self, m: &Csc, upper: bool) {
+        let LevelPlan {
+            dep_ptr,
+            dep_pos,
+            dep_val,
+            diag,
+            pos,
+            ..
+        } = self;
+        let mut cursor: Vec<usize> = pos.iter().map(|&p| dep_ptr[p]).collect();
+        diag.fill(0.0);
+        let mut differs = 0;
+        for j in 0..pos.len() {
+            let pj = pos[j];
+            for (r, v) in triangle(m, upper, j) {
+                if r == j {
+                    if let Some(d) = diag.get_mut(pj) {
+                        *d = v;
+                    }
+                    continue;
+                }
+                let s = cursor[r];
+                cursor[r] = s + 1;
+                differs |= dep_pos.get(s).map_or(usize::MAX, |&d| d ^ pj);
+                if let Some(slot) = dep_val.get_mut(s) {
+                    *slot = v;
+                }
             }
         }
+        let ends = pos.iter().map(|&p| dep_ptr[p + 1]);
+        assert!(
+            differs == 0 && ends.eq(cursor),
+            "factor pattern differs from the plan's"
+        );
     }
 }
 
 /// The full two-sweep (`L` then `U`) execution plan of an LU solve,
-/// with the row/column permutations folded into the index maps.
-#[derive(Clone, Debug)]
+/// with the row/column permutations folded into the index maps. Two
+/// plans are equal when every index and value is (values compared as
+/// `f64`).
+#[derive(Clone, Debug, PartialEq)]
 pub struct SolvePlan {
     pub(crate) fwd: LevelPlan,
     pub(crate) bwd: LevelPlan,
@@ -247,44 +273,12 @@ impl SolvePlan {
     /// `col_perm` into the final scatter.
     pub fn build(l: &Csc, u: &Csc, row_perm: &Perm, col_perm: &Perm) -> SolvePlan {
         PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let n = l.ncols();
         // Forward sweep: x[r] = (P b)[r] − Σ_{j<r} L[r,j]·x[j].
-        let fwd = build_sweep(
-            n,
-            |j, f| {
-                for (r, v) in l.col_iter(j) {
-                    if r > j {
-                        f(r, j, v);
-                    }
-                }
-            },
-            false,
-            |k| row_perm.to_old(k),
-        );
+        let fwd = build_sweep(l, false, |k| row_perm.to_old(k));
         // Backward sweep: x[j] = (z[j] − Σ_{k>j} U[j,k]·x[k]) / U[j,j],
         // where z is the forward sweep's output (read in its position
         // order).
-        let mut bwd = build_sweep(
-            n,
-            |k, f| {
-                for (j, v) in u.col_iter(k) {
-                    if j < k {
-                        f(j, k, v);
-                    }
-                }
-            },
-            true,
-            |j| fwd.pos[j],
-        );
-        let mut udiag = vec![0.0f64; n];
-        for k in 0..n {
-            for (j, v) in u.col_iter(k) {
-                if j == k {
-                    udiag[k] = v;
-                }
-            }
-        }
-        bwd.diag = bwd.order.iter().map(|&j| udiag[j]).collect();
+        let bwd = build_sweep(u, true, |j| fwd.pos[j]);
         let out_dst = bwd.order.iter().map(|&j| col_perm.to_old(j)).collect();
         SolvePlan { fwd, bwd, out_dst }
     }
@@ -440,21 +434,14 @@ impl SolvePlan {
     }
 
     /// Rewrites the plan's numeric payload (dependency values and `U`
-    /// diagonal) from refactorised `L`/`U` with the same pattern; the
+    /// diagonal) from refactorised `L`/`U` with the same pattern. The
     /// schedule — levels, positions, dependency structure — is reused
-    /// untouched, so this costs a value sweep instead of a
-    /// [`SolvePlan::build`].
+    /// untouched, and the values are written by [`SolvePlan::build`]'s own
+    /// fill visit: one ordered pass over each factor, no search. Panics if
+    /// a factor's pattern differs from the plan's.
     pub fn refresh_numeric(&mut self, l: &Csc, u: &Csc) {
-        self.fwd.refresh_numeric_from(l);
-        self.bwd.refresh_numeric_from(u);
-        for p in 0..self.bwd.n() {
-            let r = self.bwd.order[p];
-            let k = u
-                .col_indices(r)
-                .binary_search(&r)
-                .expect("U diagonal missing");
-            self.bwd.diag[p] = u.col_values(r)[k];
-        }
+        self.fwd.fill(l, false);
+        self.bwd.fill(u, true);
     }
 }
 
@@ -507,25 +494,34 @@ impl TriScratch {
     }
 }
 
-/// Builds one level-scheduled sweep.
+/// The entries `(row, value)` of column `j` inside the triangle of `m` a
+/// sweep reads, diagonal included: the upper one for the backward sweep,
+/// the lower one for the forward sweep.
+fn triangle(m: &Csc, upper: bool, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    m.col_iter(j)
+        .filter(move |&(r, _)| if upper { r <= j } else { r >= j })
+}
+
+/// Builds one level-scheduled sweep of `m`'s upper or lower triangle.
 ///
-/// `for_each_dep(col, f)` must call `f(row, col, value)` for every
-/// strictly-off-diagonal entry `(row, col)` of the triangle, visiting
-/// columns in ascending order (so each row's dependency list comes out
-/// sorted by column — the fixed accumulation order). With
-/// `descending_levels` the chains run from high indices down (the `U`
-/// sweep); otherwise from low indices up (the `L` sweep). `rhs_of` maps
-/// a pivot row to the index of its seed in the sweep's input vector.
-fn build_sweep(
-    n: usize,
-    for_each_dep: impl Fn(usize, &mut dyn FnMut(usize, usize, f64)),
-    descending_levels: bool,
-    rhs_of: impl Fn(usize) -> usize,
-) -> LevelPlan {
+/// Row `r` depends on column `c` for every off-diagonal entry `(r, c)`;
+/// the columns are visited in ascending order, so each row's dependency
+/// list comes out sorted by column — the fixed accumulation order. The
+/// upper triangle's chains run from high indices down, with its diagonal
+/// as divisors; the lower one's run up over a unit diagonal. `rhs_of`
+/// maps a pivot row to the index of its seed in the sweep's input
+/// vector. The values are written last, by [`LevelPlan::fill`].
+fn build_sweep(m: &Csc, upper: bool, rhs_of: impl Fn(usize) -> usize) -> LevelPlan {
+    let n = m.ncols();
+    let deps = |j| {
+        triangle(m, upper, j)
+            .map(|(r, _)| r)
+            .filter(move |&r| r != j)
+    };
     // --- Row-major dependency lists (two-pass CSR build). ---
     let mut cnt = vec![0usize; n];
     for j in 0..n {
-        for_each_dep(j, &mut |r, _c, _v| cnt[r] += 1);
+        deps(j).for_each(|r| cnt[r] += 1);
     }
     let mut row_ptr = vec![0usize; n + 1];
     for i in 0..n {
@@ -533,18 +529,16 @@ fn build_sweep(
     }
     let nnz = row_ptr[n];
     let mut row_col = vec![0usize; nnz];
-    let mut row_val = vec![0f64; nnz];
     let mut next = row_ptr.clone();
     for j in 0..n {
-        for_each_dep(j, &mut |r, c, v| {
-            row_col[next[r]] = c;
-            row_val[next[r]] = v;
+        for r in deps(j) {
+            row_col[next[r]] = j;
             next[r] += 1;
-        });
+        }
     }
     // --- Levels: longest dependency chain. ---
     let mut level = vec![0usize; n];
-    let rows: Box<dyn Iterator<Item = usize>> = if descending_levels {
+    let rows: Box<dyn Iterator<Item = usize>> = if upper {
         Box::new((0..n).rev())
     } else {
         Box::new(0..n)
@@ -580,25 +574,24 @@ fn build_sweep(
         dep_ptr[p + 1] = dep_ptr[p] + cnt[order[p]];
     }
     let mut dep_pos = vec![0usize; nnz];
-    let mut dep_val = vec![0f64; nnz];
     for p in 0..n {
         let r = order[p];
         for (d, k) in (dep_ptr[p]..).zip(row_ptr[r]..row_ptr[r + 1]) {
             dep_pos[d] = pos[row_col[k]];
-            dep_val[d] = row_val[k];
         }
     }
-    let rhs_src = order.iter().map(|&r| rhs_of(r)).collect();
-    LevelPlan {
+    let mut plan = LevelPlan {
         level_ptr,
-        rhs_src,
+        rhs_src: order.iter().map(|&r| rhs_of(r)).collect(),
         dep_ptr,
         dep_pos,
-        dep_val,
-        diag: Vec::new(),
+        dep_val: vec![0.0; nnz],
+        diag: if upper { vec![0.0; n] } else { Vec::new() },
         order,
         pos,
-    }
+    };
+    plan.fill(m, upper);
+    plan
 }
 
 #[cfg(test)]
@@ -789,6 +782,151 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Every field of the two plans, values compared bit for bit.
+    fn assert_same_plan(got: &SolvePlan, want: &SolvePlan, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (g, w) in [(&got.fwd, &want.fwd), (&got.bwd, &want.bwd)] {
+            assert_eq!(g.level_ptr, w.level_ptr, "{what}: level_ptr");
+            assert_eq!(g.rhs_src, w.rhs_src, "{what}: rhs_src");
+            assert_eq!(g.dep_ptr, w.dep_ptr, "{what}: dep_ptr");
+            assert_eq!(g.dep_pos, w.dep_pos, "{what}: dep_pos");
+            assert_eq!(g.order, w.order, "{what}: order");
+            assert_eq!(g.pos, w.pos, "{what}: pos");
+            assert_eq!(bits(&g.dep_val), bits(&w.dep_val), "{what}: dep_val");
+            assert_eq!(bits(&g.diag), bits(&w.diag), "{what}: diag");
+        }
+        assert_eq!(got.out_dst, want.out_dst, "{what}: out_dst");
+    }
+
+    /// `a`'s pattern with every value drifted, and the lower entries
+    /// `(r, c)` with `(r + c) % 3 == 0` set to an explicit zero when
+    /// `zeros` holds (each then leaves an explicit zero in `L`).
+    fn drifted(a: &Csr, zeros: bool) -> Csr {
+        let mut c = Coo::new(a.nrows(), a.ncols());
+        for r in 0..a.nrows() {
+            for (col, v) in a.row_iter(r) {
+                let v = if zeros && col < r && (r + col) % 3 == 0 {
+                    0.0
+                } else {
+                    v * (1.0 + 1e-3 * ((r * 7 + col * 3) % 11) as f64)
+                };
+                c.push(r, col, v);
+            }
+        }
+        c.to_csr()
+    }
+
+    #[test]
+    fn refreshed_plans_equal_fresh_builds_bit_for_bit() {
+        let mut rng = sparsekit::Rng64::new(0xf111);
+        let cfg = LuConfig::default();
+        let budget = sparsekit::Budget::unlimited();
+        let mut cases: Vec<(String, Csr, Option<usize>, bool)> = (0..12)
+            .map(|t| {
+                let n = rng.range(1, 140);
+                (
+                    format!("random {t} (n = {n})"),
+                    random_matrix(&mut rng, n),
+                    None,
+                    false,
+                )
+            })
+            .collect();
+        let a = laplace2d(12);
+        let n = a.nrows();
+        cases.push(("dense tail".into(), a.clone(), Some(n / 2), false));
+        cases.push(("dense from step 0".into(), a.clone(), Some(0), false));
+        cases.push(("explicit zeros in L".into(), a.clone(), None, true));
+        cases.push(("dense tail, explicit zeros".into(), a, Some(n / 3), true));
+        for (what, a, dense_at, zeros) in &cases {
+            let n = a.nrows();
+            let mut f =
+                LuFactors::factorize_at(a, &Perm::identity(n), &cfg, &budget, *dense_at).unwrap();
+            let stale = f.solve_plan().clone();
+            f.refactorize(&drifted(a, *zeros)).unwrap();
+            if *zeros {
+                assert!(
+                    f.l.values().contains(&0.0),
+                    "{what}: L keeps an explicit zero"
+                );
+            }
+            let built = SolvePlan::build(&f.l, &f.u, &f.row_perm, &f.col_perm);
+            assert_same_plan(f.solve_plan(), &built, what);
+            let mut refreshed = stale;
+            refreshed.refresh_numeric(&f.l, &f.u);
+            assert_same_plan(&refreshed, &built, what);
+        }
+        // A `U` without a stored diagonal entry gets the zero divisor a
+        // build gives it, not the stale one.
+        let a = laplace2d(5);
+        let f = LuFactors::factorize(&a, &Perm::identity(25), &cfg).unwrap();
+        let mut u = Coo::new(25, 25);
+        for c in 0..25 {
+            for (r, v) in f.u.col_iter(c).filter(|&(r, _)| (r, c) != (7, 7)) {
+                u.push(r, c, v);
+            }
+        }
+        let u = u.to_csr().to_csc();
+        let mut refreshed = f.solve_plan().clone();
+        refreshed.refresh_numeric(&f.l, &u);
+        let built = SolvePlan::build(&f.l, &u, &f.row_perm, &f.col_perm);
+        assert_same_plan(&refreshed, &built, "U without a diagonal entry");
+    }
+
+    #[test]
+    fn refresh_from_a_foreign_pattern_panics() {
+        let n = 40;
+        let a = random_matrix(&mut sparsekit::Rng64::new(0xd1f7), n);
+        let f = LuFactors::factorize(&a, &Perm::identity(n), &LuConfig::default()).unwrap();
+        let plan = f.solve_plan().clone();
+        let l_entries: Vec<(usize, usize, f64)> = (0..n)
+            .flat_map(|c| f.l.col_iter(c).map(move |(r, v)| (r, c, v)))
+            .collect();
+        let lower = |entries: &[(usize, usize, f64)]| {
+            let mut c = Coo::new(n, n);
+            entries.iter().for_each(|&(r, col, v)| c.push(r, col, v));
+            c.to_csr().to_csc()
+        };
+        let has = |r: usize, c: usize| l_entries.iter().any(|e| (e.0, e.1) == (r, c));
+        let off = || l_entries.iter().enumerate().filter(|(_, e)| e.0 > e.1);
+        // One dependency more, one fewer, and two that trade columns:
+        // every row and column keeps its count, so only the check that a
+        // slot depends on the visited column can see it.
+        let hole = (1..n)
+            .flat_map(|r| (0..r).map(move |c| (r, c)))
+            .find(|&(r, c)| !has(r, c))
+            .expect("L has a hole");
+        let more = [l_entries.clone(), vec![(hole.0, hole.1, -0.5)]].concat();
+        // The dependency with the largest column is its row's last: every
+        // slot still written is right, only a cursor ends short.
+        let (last, _) = off().max_by_key(|(_, e)| e.1).expect("L has a dependency");
+        let mut fewer = l_entries.clone();
+        fewer.remove(last);
+        let (s, t) = off()
+            .flat_map(|(s, &(r1, c1, _))| {
+                off().map(move |(t, &(r2, c2, _))| (s, t, r1, c1, r2, c2))
+            })
+            .find(|&(_, _, r1, c1, r2, c2)| {
+                r1 != r2 && c1 != c2 && r1 > c2 && r2 > c1 && !has(r1, c2) && !has(r2, c1)
+            })
+            .map(|(s, t, ..)| (s, t))
+            .expect("two entries that can trade columns");
+        let mut traded = l_entries.clone();
+        let (c1, c2) = (traded[s].1, traded[t].1);
+        (traded[s].1, traded[t].1) = (c2, c1);
+        for l in [lower(&more), lower(&fewer), lower(&traded)] {
+            let (mut stale, u) = (plan.clone(), f.u.clone());
+            let err = std::panic::catch_unwind(move || stale.refresh_numeric(&l, &u))
+                .expect_err("a foreign pattern must not refresh");
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            assert!(msg.contains("factor pattern differs"), "{msg}");
         }
     }
 

@@ -1088,8 +1088,8 @@ mod tests {
         // first is dense going in.
         for (n, nnz, dense) in [
             (1127, 594_913, true),
-            (1526, 206_458, false),
-            (701, 7_429, false),
+            (1526, 206_592, false),
+            (701, 8_517, false),
         ] {
             assert_eq!(tail_is_dense(n, nnz, None), dense, "n = {n}");
         }

@@ -332,7 +332,8 @@ impl Csr {
 
     /// This matrix's values on `pattern`'s sparsity: entries outside the
     /// pattern are dropped, pattern entries absent here become zero. Both
-    /// matrices must have the same shape.
+    /// matrices must have the same shape. One merge per row: both rows
+    /// are strictly increasing.
     pub fn values_in_pattern(&self, pattern: &Csr) -> Csr {
         assert_eq!(
             (self.nrows, self.ncols),
@@ -341,10 +342,13 @@ impl Csr {
         );
         let mut values = vec![0.0; pattern.nnz()];
         for r in 0..self.nrows {
-            let (lo, hi) = (pattern.indptr[r], pattern.indptr[r + 1]);
+            let (mut k, hi) = (pattern.indptr[r], pattern.indptr[r + 1]);
             for (c, v) in self.row_iter(r) {
-                if let Ok(pos) = pattern.indices[lo..hi].binary_search(&c) {
-                    values[lo + pos] = v;
+                while k < hi && pattern.indices[k] < c {
+                    k += 1;
+                }
+                if k < hi && pattern.indices[k] == c {
+                    values[k] = v;
                 }
             }
         }
@@ -450,6 +454,45 @@ mod tests {
         let got = small().values_in_pattern(&p.to_csr());
         assert_eq!(got.indices(), p.to_csr().indices());
         assert_eq!(got.values(), &[1.0, 0.0, 3.0, 5.0]);
+    }
+
+    #[test]
+    fn values_in_pattern_matches_a_search_per_entry() {
+        // A random `n × n` matrix whose rows are empty with probability
+        // 1/4 and otherwise hold each column with probability `p`; the
+        // last column is always held by row 0.
+        let random = |rng: &mut crate::Rng64, n: usize, p: f64| {
+            let mut c = Coo::new(n, n);
+            c.push(0, n - 1, 7.0);
+            for r in 0..n {
+                if rng.below(4) > 0 {
+                    for col in 0..n {
+                        if rng.f64() < p {
+                            c.push(r, col, rng.f64_range(-1.0, 1.0));
+                        }
+                    }
+                }
+            }
+            c.to_csr()
+        };
+        let mut rng = crate::Rng64::new(0x9a77);
+        for trial in 0..40 {
+            let n = rng.range(1, 30);
+            let (src, pattern) = (random(&mut rng, n, 0.3), random(&mut rng, n, 0.3));
+            let mut want = vec![0.0; pattern.nnz()];
+            for r in 0..n {
+                let lo = pattern.indptr[r];
+                for (c, v) in src.row_iter(r) {
+                    if let Ok(k) = pattern.row_indices(r).binary_search(&c) {
+                        want[lo + k] = v;
+                    }
+                }
+            }
+            let got = src.values_in_pattern(&pattern);
+            assert_eq!(got.indices(), pattern.indices(), "trial {trial}");
+            assert_eq!(got.indptr(), pattern.indptr(), "trial {trial}");
+            assert_eq!(got.values(), &want[..], "trial {trial}");
+        }
     }
 
     #[test]

@@ -242,6 +242,7 @@ BENCH_SOLVE_SCHEMA = {
     "matches_serial": bool,
     "iterations": int,
     "kept_share": float,
+    "dep_slots": int,
 }
 
 TABLE_I = {"tdr190k", "tdr455k", "dds.quad", "dds.linear", "matrix211", "ASIC_680ks", "G3_circuit"}
@@ -260,7 +261,7 @@ def bench_solve():
         if not r["matches_serial"]:
             sys.exit(f"BENCH_solve.json row {i}: divergent parallel result")
         kernels.add(r["kernel"])
-    need = {"solve", "solve_many", "schur_apply"}
+    need = {"solve", "solve_many", "schur_apply", "plan_refresh"}
     if not need <= kernels:
         sys.exit(f"BENCH_solve.json: missing kernels {need - kernels}")
     # One restricted-against-full Schur apply per Table-I matrix; its
@@ -272,18 +273,27 @@ def bench_solve():
     for r in applies:
         if not 0.0 < r["kept_share"] <= 1.0:
             sys.exit(f"BENCH_solve.json: {r['problem']} schur_apply kept_share {r['kept_share']} outside (0, 1]")
+    # One plan refresh against a fresh build per Table-I matrix; its
+    # matches_serial is the equality of the refreshed and built plans.
+    refreshes = [r for r in rows if r["kernel"] == "plan_refresh"]
+    missing = TABLE_I - {r["problem"] for r in refreshes}
+    if missing:
+        sys.exit(f"BENCH_solve.json: missing plan_refresh rows for {sorted(missing)}")
+    for r in refreshes:
+        if r["dep_slots"] <= 0:
+            sys.exit(f"BENCH_solve.json: {r['problem']} plan_refresh has no dependency slots")
     # The one-thread batch is the lockstep-lane path alone, the one the
     # end-to-end benchmark measures.
     if not any(r["kernel"] == "solve_many" and r["workers"] == 1 for r in rows):
         sys.exit("BENCH_solve.json: missing the PDSLIN_THREADS=1 solve_many row")
-    print("\n## BENCH_solve (solve and solve_many by thread count, schur_apply restricted against full sweeps; exact-match asserted, speedups informational)\n")
-    print("| problem | kernel | workers | batch | seconds | speedup | match | iters | kept share |")
-    print("|---|---|---|---|---|---|---|---|---|")
+    print("\n## BENCH_solve (solve and solve_many by thread count, schur_apply restricted against full sweeps, plan_refresh against a plan build; exact-match asserted, speedups informational)\n")
+    print("| problem | kernel | workers | batch | seconds | speedup | match | iters | kept share | dep slots |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for r in rows:
         print(
             f"| {r['problem']} | {r['kernel']} | {r['workers']} | {r['batch']} | "
             f"{r['seconds']:.6f} | {r['speedup']:.2f}x | {r['matches_serial']} | "
-            f"{r['iterations']} | {r['kept_share']:.3f} |"
+            f"{r['iterations']} | {r['kept_share']:.3f} | {r['dep_slots']} |"
         )
 
 

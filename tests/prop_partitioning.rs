@@ -661,3 +661,46 @@ fn benchmark_partitions_are_pinned() {
         assert_eq!(h.finish(), *want, "{name}: {:#018x}", h.finish());
     }
 }
+
+/// `(separator size, nnz(S̃))` of `Pdslin::setup` on the three library
+/// workloads of the repository benchmark, with their generator calls and
+/// settings copied, not imported, from `benchmark/src/workloads.rs`. A
+/// change that moves the separator or the dropped Schur complement fails
+/// here, where the drift is measured, and not in a pin that only reads
+/// the old figures.
+#[test]
+fn benchmark_schur_complements_are_pinned() {
+    use pdslin::{PartitionerKind, Pdslin, PdslinConfig};
+    let base = PdslinConfig::default();
+    let cases: [(&str, Csr, PdslinConfig, (usize, usize)); 3] = [
+        (
+            "cavity_schur",
+            matgen::stencil::cavity3d_graded(18, 18, 18, 4.0, 0.34),
+            base,
+            (1127, 594_913),
+        ),
+        (
+            "fusion_rhb",
+            matgen::fusion::fusion_like(32, 32, 7, 211),
+            PdslinConfig {
+                partitioner: PartitionerKind::Rhb(RhbConfig::default()),
+                ..base
+            },
+            (1526, 206_592),
+        ),
+        (
+            "circuit_krylov",
+            matgen::circuit::g3_like(180, 180),
+            PdslinConfig {
+                interface_drop_tol: 1e-2,
+                schur_drop_tol: 1e-2,
+                ..base
+            },
+            (701, 8_517),
+        ),
+    ];
+    for (name, a, cfg, want) in cases {
+        let stats = Pdslin::setup(&a, cfg).expect("setup").stats;
+        assert_eq!((stats.separator_size, stats.nnz_schur), want, "{name}");
+    }
+}
