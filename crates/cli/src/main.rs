@@ -110,8 +110,8 @@ fn cmd_solve(args: &Args) -> Result<(), CmdError> {
     let iface = &solver.stats.interface;
     eprintln!(
         "health: scratch lanes = {}, allocations = {}, solves = {} | \
-         factorizations = {} (reused {}) | interface solves {:.3}s, symbolic {:.3}s | \
-         setup recovery events: {}",
+         factorizations = {} (reused {}) | interface solves {:.3}s, symbolic {:.3}s, \
+         product {:.3}s ({} madds) | setup recovery events: {}",
         scratch.lanes,
         scratch.allocations,
         scratch.solves,
@@ -119,6 +119,8 @@ fn cmd_solve(args: &Args) -> Result<(), CmdError> {
         solver.stats.factorizations_reused,
         iface.iter().map(|s| s.solve_seconds).sum::<f64>(),
         iface.iter().map(|s| s.symbolic_seconds).sum::<f64>(),
+        iface.iter().map(|s| s.product_seconds).sum::<f64>(),
+        iface.iter().map(|s| s.product_madds).sum::<u64>(),
         solver.stats.recovery.len()
     );
     Ok(())

@@ -6,7 +6,7 @@ use std::time::Instant;
 use slu::blocked::{solve_in_blocks_planned, BlockSolveStats, BlockedSolvePlan};
 use slu::trisolve::{transpose_with_sources, SolveWorkspace, SparseVec};
 use sparsekit::budget::{Budget, BudgetInterrupt};
-use sparsekit::spgemm::{spgemm_checked, SpgemmError};
+use sparsekit::spgemm::{spgemm_checked, spgemm_nnz_bound, SpgemmError};
 use sparsekit::{Csc, Csr};
 
 use crate::extract::LocalDomain;
@@ -210,11 +210,15 @@ impl InterfacePlan {
 ///
 /// The deadline and cancel token are checked before each of the three
 /// kernels (`G` solve, `W` solve, `T̃` product); the blocked solves poll
-/// them once per column block and the SpGEMM between output rows. The
-/// `G` and `W` blocked solves run their column blocks on up to `workers`
-/// threads (per-worker pooled workspaces, results merged in block
-/// order), and `T̃ = W̃ G̃` uses the row-parallel two-phase SpGEMM. The
-/// output is byte-identical to `workers == 1` for any worker count.
+/// them once per column block and the SpGEMM between output strips or
+/// rows. The `G` and `W` blocked solves run their column blocks on up to
+/// `workers` threads (per-worker pooled workspaces, results merged in
+/// block order). `T̃ = W̃ G̃` goes through [`spgemm_checked`]: a compact
+/// product (`m·n ≤ 1M` cells and at least `4·m·n` multiply-adds, the
+/// usual separator block) runs the single-threaded register-chunked
+/// kernel at any worker count, any other the row-parallel two-phase
+/// SpGEMM. The output is byte-identical to `workers == 1` for any worker
+/// count.
 ///
 /// Pass `plan = None` to build the scaffolding (returned as the second
 /// tuple element for the caller to keep), or `Some(plan)` from an earlier
@@ -313,12 +317,14 @@ pub fn compute_interface_planned(
     // coordinates. These agree: U's rows (= Uᵀ's columns) and L's rows
     // both live in pivot order, and column l of U corresponds to pivot
     // step l. So the inner dimension matches directly.
+    let t_t = Instant::now();
     let t_tilde = match spgemm_checked(&w_tilde, &g_tilde, budget, workers) {
         Ok(t) => t,
         Err(SpgemmError::Interrupted(i)) => return Err(i),
         // The coordinate argument above makes a mismatch a logic error.
         Err(e @ SpgemmError::DimensionMismatch { .. }) => panic!("{e}"),
     };
+    let product_seconds = t_t.elapsed().as_secs_f64();
 
     let stats = InterfaceStats {
         nnz_g: g_block.true_nnz,
@@ -329,6 +335,8 @@ pub fn compute_interface_planned(
         padding_fraction: g_block.padding_fraction(),
         solve_seconds: g_seconds + w_seconds,
         symbolic_seconds,
+        product_seconds,
+        product_madds: spgemm_nnz_bound(&w_tilde, &g_tilde) as u64,
     };
     Ok((
         InterfaceOutcome {

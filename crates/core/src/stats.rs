@@ -62,6 +62,12 @@ pub struct InterfaceStats {
     /// replayed [`crate::interface::InterfacePlan`] only the `Uᵀ` value
     /// refresh remains.
     pub symbolic_seconds: f64,
+    /// Seconds spent in the `T̃_ℓ = W̃_ℓ G̃_ℓ` product.
+    pub product_seconds: f64,
+    /// Multiply-adds of that product, `Σ_{w̃_ik ≠ 0} nnz(G̃_{k,:})`
+    /// ([`sparsekit::spgemm::spgemm_nnz_bound`]): a work count that
+    /// depends only on the patterns, so host noise cannot move it.
+    pub product_madds: u64,
 }
 
 impl InterfaceStats {

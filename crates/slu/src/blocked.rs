@@ -18,10 +18,10 @@
 //! plan, concurrently when asked. Every other entry point builds a plan
 //! and calls it.
 
-use crate::isa::{Isa, Tier};
 use crate::reach::{reach_in, ReachAdjacency, ReachGraph};
 use crate::trisolve::{SolveWorkspace, SparseVec};
 use sparsekit::budget::{Budget, BudgetInterrupt};
+use sparsekit::isa::{Isa, Tier};
 use sparsekit::Csc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -174,7 +174,7 @@ impl BlockedSolvePlan {
 
 /// Numeric panel substitution of one planned block, leaving the dense
 /// row-major `union_rows × B` panel in `ws.panel`, at the widest tier
-/// of this CPU ([`crate::isa`]). Expects `ws.pos` to be all-MAX and
+/// of this CPU ([`sparsekit::isa`]). Expects `ws.pos` to be all-MAX and
 /// restores it before returning.
 fn numeric_on_pattern(
     l: &Csc,

@@ -17,14 +17,21 @@
 //! `PANEL` and of where rows physically sit, and a replay of the same
 //! pivot sequence reproduces it bit for bit.
 
-use crate::isa::{Isa, Tier};
+use sparsekit::isa::{Isa, Tier};
 use sparsekit::lanes::{axpy_neg, scale_div};
+
+/// Name of the tier the dense kernels run at on this CPU (`"avx512f"`
+/// or `"baseline"`), for the kernel bench's rows.
+#[doc(hidden)]
+pub fn dense_kernel_isa() -> &'static str {
+    Isa::host().name()
+}
 
 /// Columns updated together by each finished `L` column.
 const PANEL: usize = 4;
 
 /// Factors the column-major `m × m` buffer `a` in place, at the widest
-/// tier of this CPU ([`crate::isa`]).
+/// tier of this CPU ([`sparsekit::isa`]).
 ///
 /// At step `k`, `pivot(k, candidates)` sees column `k` from the
 /// diagonal down (`candidates[0]` is the current diagonal) and returns

@@ -34,7 +34,6 @@
 pub mod blocked;
 mod dense;
 pub mod etree;
-mod isa;
 pub mod levels;
 pub mod lu;
 pub mod reach;
@@ -42,8 +41,8 @@ pub mod supernodes;
 pub mod trisolve;
 
 pub use blocked::{solve_in_blocks, solve_in_blocks_ordered, BlockSolveStats};
+pub use dense::dense_kernel_isa;
 pub use etree::{etree, etree_permuted, postorder};
-pub use isa::dense_kernel_isa;
 pub use levels::{plan_build_count, LevelPlan, PositionRuns, SolvePlan, TriScratch, MAX_LANES};
 pub use lu::{LuConfig, LuError, LuFactors, RefactorizeError};
 pub use reach::ReachGraph;

@@ -16,8 +16,8 @@
 //! not by [`LANES`]: the workspace builds for its target's baseline, so
 //! on x86-64 a tile is two 128-bit SSE2 operations. `slu`'s dense
 //! kernels inline `axpy_neg` and `scale_div` into AVX-512F clones of
-//! themselves as well (`slu::isa`); the operations and their order are
-//! the same at every width.
+//! themselves as well ([`crate::isa`]); the operations and their order
+//! are the same at every width.
 //!
 //! See `docs/kernels.md` for the full rationale and the measured effect.
 

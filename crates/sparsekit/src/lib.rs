@@ -39,6 +39,7 @@ pub mod csc;
 pub mod csr;
 pub mod fingerprint;
 pub mod io;
+pub mod isa;
 pub mod lanes;
 pub mod ops;
 pub mod par;

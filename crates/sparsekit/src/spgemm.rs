@@ -2,6 +2,7 @@
 //! with symbolic size prediction and budgeted (cancellable) variants.
 
 use crate::budget::{Budget, BudgetInterrupt};
+use crate::isa::{Isa, Tier};
 use crate::par::build_csr_two_phase;
 use crate::Csr;
 
@@ -203,97 +204,161 @@ fn spgemm_serial(a: &Csr, b: &Csr, budget: &Budget) -> Result<Csr, SpgemmError> 
 
 /// Outer-product sparse product for compact outputs: walks the inner
 /// dimension once, streaming `Aᵀ` and `B` a single time each, and
-/// accumulates into a dense `m×n` block that stays cache-resident.
+/// accumulates into a dense `m×n` block that stays cache-resident. Runs
+/// at the widest tier of this CPU ([`crate::isa`]).
 ///
-/// Matches the Gustavson walk bit-for-bit on real inputs: both add the
-/// contributions of each output entry in ascending inner-index order
-/// (`A`'s row indices are sorted), both emit rows with ascending column
-/// indices, and the pattern (tracked exactly via bitmasks) is the same.
-/// The one divergence window is a stored product that underflows to a
-/// signed zero, where the dense accumulation can normalise `-0.0` to
-/// `+0.0`.
+/// Matches the Gustavson walk bit for bit on finite inputs. Both add
+/// the contributions of each output entry in ascending inner-index
+/// order (`A`'s row indices are sorted), both emit rows with ascending
+/// column indices, and the pattern (tracked exactly via bitmasks) is
+/// the same. The dense walk also adds terms the sparse walk never
+/// forms: `a·(+0.0)` for a position of a chunk `B`'s row does not
+/// store. Each such term is `±0`. Both accumulators start at `+0.0`,
+/// and under round-to-nearest a sum is `−0.0` only when both addends
+/// are, so neither accumulator can ever hold `−0.0`; adding `±0` to
+/// anything else leaves it unchanged. So the extra terms change no
+/// bit, not even when a stored product underflows to `−0.0`.
 fn spgemm_compact(a: &Csr, b: &Csr, budget: &Budget) -> Result<Csr, SpgemmError> {
+    spgemm_compact_at(Isa::host(), a, b, budget)
+}
+
+/// [`spgemm_compact`] at the tier `isa`.
+fn spgemm_compact_at(isa: Isa, a: &Csr, b: &Csr, budget: &Budget) -> Result<Csr, SpgemmError> {
+    match isa.tier() {
+        Tier::Baseline => compact_body(a, b, budget),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => {
+            // SAFETY: an `Isa` names AVX-512F only after
+            // `is_x86_feature_detected!("avx512f")` held
+            // (`Isa::supported`).
+            unsafe { compact_avx512(a, b, budget) }
+        }
+    }
+}
+
+/// [`compact_body`] compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn compact_avx512(a: &Csr, b: &Csr, budget: &Budget) -> Result<Csr, SpgemmError> {
+    compact_body(a, b, budget)
+}
+
+/// Rows of `B` densified together: one strip of the inner dimension.
+const STRIP: usize = 64;
+
+/// Output columns per register block: one pattern mask word.
+const CHUNK: usize = 64;
+
+/// The compact product, once for every tier.
+///
+/// The inner dimension is strip-mined: `STRIP` rows of `B` are
+/// densified into a panel, with one pattern bitmask word per row and
+/// column chunk. Per strip, the outer loop runs over the `CHUNK`-column
+/// chunks and the inner loop over the rows of `A`, so the chunk's
+/// `STRIP × CHUNK` slice of the panel stays in L1 while every output
+/// row passes over it. Each output row's chunk is loaded once into a
+/// `[f64; CHUNK]` register block, takes the row's strip entries in
+/// ascending inner index, and is stored once; an entry whose `B` row
+/// stores nothing in the chunk is skipped. Panel rows are padded to
+/// whole chunks (with zeros) so the last, narrower chunk runs the same
+/// block; only its first `n mod CHUNK` cells are read from and written
+/// back to the unpadded accumulator.
+#[inline(always)]
+fn compact_body(a: &Csr, b: &Csr, budget: &Budget) -> Result<Csr, SpgemmError> {
     let m = a.nrows();
     let n = b.ncols();
-    let words = n.div_ceil(64);
+    let words = n.div_ceil(CHUNK);
+    let stride = words * CHUNK;
     let mut acc = vec![0f64; m * n];
     let mut pat = vec![0u64; m * words];
-    // Strip-mine the inner dimension: densify `STRIP` rows of `B` into a
-    // cache-resident panel, then sweep every output row once per strip.
-    // Each accumulator row is loaded once per strip instead of once per
-    // inner index, and the per-entry update is a vectorizable dense axpy
-    // plus a bitmask OR for the exact pattern. `A`'s column indices are
-    // sorted, so each output entry still receives its contributions in
-    // ascending inner-index order — bit-identical to the sparse walk
-    // (structurally absent positions add an exact-zero term, which only
-    // matters if a stored product underflows to a signed zero).
-    const STRIP: usize = 64;
-    let mut panel = vec![0f64; STRIP * n];
+    let mut panel = vec![0f64; STRIP * stride];
     let mut masks = vec![0u64; STRIP * words];
-    // Per-output-row cursor into `A`'s sorted column indices: the
-    // entries belonging to a strip are a contiguous subrange.
-    let mut cursor = vec![0usize; m];
+    // The chunks some row of the strip stores into.
+    let mut live = vec![0u64; words];
+    // Each output row's entries in the strip are the contiguous range
+    // `lo[i]..hi[i]` of `A`'s sorted column indices.
+    let mut lo = vec![0usize; m];
+    let mut hi = vec![0usize; m];
     let mut ticker = budget.ticker(BUDGET_STRIDE);
     let mut k0 = 0;
     while k0 < b.nrows() {
         let k1 = (k0 + STRIP).min(b.nrows());
         ticker.tick().map_err(SpgemmError::Interrupted)?;
-        let mut any = false;
-        for k in k0..k1 {
-            if b.row_nnz(k) > 0 {
-                any = true;
-                break;
-            }
-        }
-        if any {
-            panel[..(k1 - k0) * n].fill(0.0);
-            masks[..(k1 - k0) * words].fill(0);
-            for k in k0..k1 {
-                let prow = &mut panel[(k - k0) * n..(k - k0 + 1) * n];
-                let mrow = &mut masks[(k - k0) * words..(k - k0 + 1) * words];
-                for (j, bv) in b.row_iter(k) {
-                    prow[j] = bv;
-                    mrow[j >> 6] |= 1u64 << (j & 63);
-                }
-            }
-        }
-        for (i, cur) in cursor.iter_mut().enumerate() {
+        for i in 0..m {
             let idx = a.row_indices(i);
-            let vals = a.row_values(i);
-            let start = *cur;
-            let mut t = start;
+            let mut t = hi[i];
+            lo[i] = t;
             while t < idx.len() && idx[t] < k1 {
                 t += 1;
             }
-            *cur = t;
-            if !any {
+            hi[i] = t;
+        }
+        if (k0..k1).all(|k| b.row_nnz(k) == 0) {
+            k0 = k1;
+            continue;
+        }
+        panel[..(k1 - k0) * stride].fill(0.0);
+        masks[..(k1 - k0) * words].fill(0);
+        live.fill(0);
+        for k in k0..k1 {
+            let prow = &mut panel[(k - k0) * stride..(k - k0 + 1) * stride];
+            let mrow = &mut masks[(k - k0) * words..(k - k0 + 1) * words];
+            for (j, bv) in b.row_iter(k) {
+                prow[j] = bv;
+                mrow[j / CHUNK] |= 1u64 << (j % CHUNK);
+            }
+            for (l, &mw) in live.iter_mut().zip(mrow.iter()) {
+                *l |= mw;
+            }
+        }
+        for (c, &lw) in live.iter().enumerate() {
+            if lw == 0 {
                 continue;
             }
-            let row = &mut acc[i * n..(i + 1) * n];
-            let prow = &mut pat[i * words..(i + 1) * words];
-            for (&k, &av) in idx[start..t].iter().zip(&vals[start..t]) {
-                let kl = k - k0;
-                if masks[kl * words..(kl + 1) * words].iter().all(|&w| w == 0) {
+            let c0 = c * CHUNK;
+            let w = CHUNK.min(n - c0);
+            for i in 0..m {
+                let (s, t) = (lo[i], hi[i]);
+                if s == t {
                     continue;
                 }
-                for (y, &x) in row.iter_mut().zip(&panel[kl * n..(kl + 1) * n]) {
-                    *y += av * x;
+                let dst = &mut acc[i * n + c0..i * n + c0 + w];
+                let mut blk = [0f64; CHUNK];
+                blk[..w].copy_from_slice(dst);
+                let mut bits = 0u64;
+                let idx = &a.row_indices(i)[s..t];
+                let vals = &a.row_values(i)[s..t];
+                for (&k, &av) in idx.iter().zip(vals) {
+                    let kl = k - k0;
+                    let mw = masks[kl * words + c];
+                    if mw == 0 {
+                        continue;
+                    }
+                    bits |= mw;
+                    let p: &[f64; CHUNK] = panel[kl * stride + c0..kl * stride + c0 + CHUNK]
+                        .try_into()
+                        .expect("a panel row holds whole chunks");
+                    for (y, &x) in blk.iter_mut().zip(p) {
+                        *y += av * x;
+                    }
                 }
-                for (pw, &mw) in prow.iter_mut().zip(&masks[kl * words..(kl + 1) * words]) {
-                    *pw |= mw;
+                if bits != 0 {
+                    dst.copy_from_slice(&blk[..w]);
+                    pat[i * words + c] |= bits;
                 }
             }
         }
         k0 = k1;
     }
+    let nnz: usize = pat.iter().map(|w| w.count_ones() as usize).sum();
     let mut indptr = vec![0usize; m + 1];
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
+    let mut indices = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
     for i in 0..m {
-        for (w, &bits) in pat[i * words..(i + 1) * words].iter().enumerate() {
+        for (c, &bits) in pat[i * words..(i + 1) * words].iter().enumerate() {
             let mut rem = bits;
             while rem != 0 {
-                let j = (w << 6) + rem.trailing_zeros() as usize;
+                let j = c * CHUNK + rem.trailing_zeros() as usize;
                 indices.push(j);
                 values.push(acc[i * n + j]);
                 rem &= rem - 1;
@@ -547,6 +612,159 @@ mod tests {
                 let par = spgemm_checked(&a, &b, &budget, w).unwrap();
                 assert_eq!(par, serial, "seed {seed} workers {w}");
             }
+        }
+    }
+
+    /// `A` (`m × kdim`) and `B` (`kdim × n`) with about `per_row`
+    /// entries a row; `B`'s row `k` stores only in columns
+    /// `span(k)`, and its rows in `empty` store nothing.
+    fn oracle_pair(
+        m: usize,
+        kdim: usize,
+        n: usize,
+        per_row: usize,
+        seed: u64,
+        span: impl Fn(usize) -> std::ops::Range<usize>,
+        empty: std::ops::Range<usize>,
+    ) -> (Csr, Csr) {
+        let mut rng = crate::Rng64::new(seed);
+        let mut a = Coo::new(m, kdim);
+        for i in 0..m {
+            for _ in 0..per_row {
+                a.push(i, rng.below(kdim), rng.f64_range(-2.0, 2.0));
+            }
+        }
+        let mut b = Coo::new(kdim, n);
+        for k in (0..kdim).filter(|k| !empty.contains(k)) {
+            let cols = span(k);
+            for _ in 0..per_row {
+                let j = cols.start + rng.below(cols.len());
+                b.push(k, j, rng.f64_range(-2.0, 2.0));
+            }
+        }
+        (a.to_csr(), b.to_csr())
+    }
+
+    /// The compact kernel at every tier this CPU runs, against the
+    /// Gustavson walk, bit for bit (values compared as bits, so a `−0.0`
+    /// against a `+0.0` fails).
+    fn assert_compact_matches_gustavson(a: &Csr, b: &Csr, what: &str) {
+        let budget = Budget::unlimited();
+        let want = spgemm_serial(a, b, &budget).unwrap();
+        let bits = |c: &Csr| c.values().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        for isa in Isa::supported() {
+            let got = spgemm_compact_at(isa, a, b, &budget).unwrap();
+            let at = format!("{what}, {}", isa.name());
+            assert_eq!(
+                (got.nrows(), got.ncols()),
+                (want.nrows(), want.ncols()),
+                "{at}"
+            );
+            assert_eq!(got.indptr(), want.indptr(), "{at}");
+            assert_eq!(got.indices(), want.indices(), "{at}");
+            assert_eq!(bits(&got), bits(&want), "{at}");
+        }
+    }
+
+    #[test]
+    fn compact_kernel_matches_gustavson_at_every_width() {
+        for n in [1usize, 63, 64, 65, 130] {
+            for (kdim, per_row) in [(5usize, 3usize), (64, 9), (200, 24)] {
+                let (a, b) = oracle_pair(
+                    17,
+                    kdim,
+                    n,
+                    per_row,
+                    7 * n as u64 + kdim as u64,
+                    |_| 0..n,
+                    0..0,
+                );
+                assert_compact_matches_gustavson(&a, &b, &format!("n {n}, kdim {kdim}"));
+            }
+        }
+    }
+
+    #[test]
+    fn compact_kernel_skips_empty_strips_and_chunks() {
+        // Rows 64..192 of `B` are empty: two whole strips and part of a
+        // third carry nothing.
+        let (a, b) = oracle_pair(23, 260, 130, 30, 3, |_| 0..130, 64..192);
+        assert_compact_matches_gustavson(&a, &b, "empty strips");
+        // Every `B` row stores in one chunk only (rotating over the
+        // three chunks of n = 130), so most (row, chunk) pairs skip.
+        let chunk = |k: usize| match k % 3 {
+            0 => 0..64,
+            1 => 64..128,
+            _ => 128..130,
+        };
+        let (a, b) = oracle_pair(23, 260, 130, 12, 4, chunk, 0..0);
+        assert_compact_matches_gustavson(&a, &b, "one chunk per row");
+        // A product with no entry at all.
+        let (a, b) = oracle_pair(9, 70, 65, 5, 5, |_| 0..65, 0..70);
+        assert_eq!(b.nnz(), 0);
+        assert_compact_matches_gustavson(&a, &b, "empty B");
+    }
+
+    #[test]
+    fn compact_kernel_keeps_stored_zeros_and_signed_zero_products() {
+        // Stored zeros of both signs in `A` and `B`, and products that
+        // underflow to −0.0 (1e-200 · −1e-200) alone, beside finite
+        // terms, and in the same chunk as unstored positions.
+        let mut a = Coo::new(4, 3);
+        let mut b = Coo::new(3, 70);
+        for (i, k, v) in [
+            (0, 0, 1e-200),
+            (1, 0, 0.0),
+            (1, 1, -0.0),
+            (2, 0, 1e-200),
+            (2, 2, 3.0),
+            (3, 1, -1e-200),
+            (3, 2, 1e-200),
+        ] {
+            a.push(i, k, v);
+        }
+        for (k, j, v) in [
+            (0, 0, -1e-200),
+            (0, 5, 2.0),
+            (0, 69, -1e-200),
+            (1, 5, 0.0),
+            (1, 66, 1e-200),
+            (1, 69, -0.0),
+            (2, 0, 0.0),
+            (2, 66, -1e-200),
+            (2, 69, 1.5),
+        ] {
+            b.push(k, j, v);
+        }
+        let (a, b) = (a.to_csr(), b.to_csr());
+        assert_eq!((a.nnz(), b.nnz()), (7, 9), "stored zeros are kept");
+        assert_compact_matches_gustavson(&a, &b, "signed zeros");
+        let t = spgemm_compact(&a, &b, &Budget::unlimited()).unwrap();
+        assert_eq!(
+            t.get(0, 0).to_bits(),
+            0f64.to_bits(),
+            "an underflow is +0.0"
+        );
+        assert_eq!(
+            t.nnz(),
+            spgemm_serial(&a, &b, &Budget::unlimited()).unwrap().nnz()
+        );
+    }
+
+    #[test]
+    fn compact_shapes_take_the_compact_path_and_match_serial() {
+        // flops ≥ 4·m·n: `spgemm_checked` routes this to the compact
+        // kernel at any worker count.
+        let (a, b) = oracle_pair(20, 300, 70, 40, 6, |_| 0..70, 0..0);
+        assert!(spgemm_nnz_bound(&a, &b) >= 4 * 20 * 70);
+        let budget = Budget::unlimited();
+        let want = spgemm_serial(&a, &b, &budget).unwrap();
+        for w in [1usize, 2] {
+            assert_eq!(
+                spgemm_checked(&a, &b, &budget, w).unwrap(),
+                want,
+                "workers {w}"
+            );
         }
     }
 

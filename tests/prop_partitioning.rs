@@ -662,22 +662,25 @@ fn benchmark_partitions_are_pinned() {
     }
 }
 
-/// `(separator size, nnz(S̃))` of `Pdslin::setup` on the three library
-/// workloads of the repository benchmark, with their generator calls and
-/// settings copied, not imported, from `benchmark/src/workloads.rs`. A
-/// change that moves the separator or the dropped Schur complement fails
-/// here, where the drift is measured, and not in a pin that only reads
-/// the old figures.
+/// `(separator size, nnz(S̃), Σ T̃ multiply-adds, Σ nnz(T̃))` of
+/// `Pdslin::setup` on the three library workloads of the repository
+/// benchmark, with their generator calls and settings copied, not
+/// imported, from `benchmark/src/workloads.rs`. A change that moves the
+/// separator, the dropped Schur complement or the work of the local
+/// updates `T̃_ℓ = W̃_ℓ G̃_ℓ` fails here, where the drift is measured, and
+/// not in a pin that only reads the old figures.
 #[test]
 fn benchmark_schur_complements_are_pinned() {
     use pdslin::{PartitionerKind, Pdslin, PdslinConfig};
     let base = PdslinConfig::default();
-    let cases: [(&str, Csr, PdslinConfig, (usize, usize)); 3] = [
+    // (separator size, nnz(S̃), Σ T̃ multiply-adds, Σ nnz(T̃))
+    type Pins = (usize, usize, u64, usize);
+    let cases: [(&str, Csr, PdslinConfig, Pins); 3] = [
         (
             "cavity_schur",
             matgen::stencil::cavity3d_graded(18, 18, 18, 4.0, 0.34),
             base,
-            (1127, 594_913),
+            (1127, 594_913, 141_076_393, 739_937),
         ),
         (
             "fusion_rhb",
@@ -686,7 +689,7 @@ fn benchmark_schur_complements_are_pinned() {
                 partitioner: PartitionerKind::Rhb(RhbConfig::default()),
                 ..base
             },
-            (1526, 206_592),
+            (1526, 206_592, 22_730_040, 507_274),
         ),
         (
             "circuit_krylov",
@@ -696,11 +699,17 @@ fn benchmark_schur_complements_are_pinned() {
                 schur_drop_tol: 1e-2,
                 ..base
             },
-            (701, 8_517),
+            (701, 8_517, 222_281, 35_352),
         ),
     ];
     for (name, a, cfg, want) in cases {
         let stats = Pdslin::setup(&a, cfg).expect("setup").stats;
-        assert_eq!((stats.separator_size, stats.nnz_schur), want, "{name}");
+        let madds = stats.interface.iter().map(|s| s.product_madds).sum();
+        let nnz_t = stats.nnz_t.iter().sum();
+        assert_eq!(
+            (stats.separator_size, stats.nnz_schur, madds, nnz_t),
+            want,
+            "{name}"
+        );
     }
 }
