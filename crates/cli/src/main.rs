@@ -108,10 +108,12 @@ fn cmd_solve(args: &Args) -> Result<(), CmdError> {
     // its metrics endpoint, surfaced here for one-shot runs too.
     let scratch = solver.scratch_stats();
     let iface = &solver.stats.interface;
+    let (kept, total) = solver.schur_apply_dep_entries();
     eprintln!(
         "health: scratch lanes = {}, allocations = {}, solves = {} | \
          factorizations = {} (reused {}) | interface solves {:.3}s, symbolic {:.3}s, \
-         product {:.3}s ({} madds) | setup recovery events: {}",
+         product {:.3}s ({} madds) | Schur apply sweeps {} of {} LU(D) entries in {} runs | \
+         setup recovery events: {}",
         scratch.lanes,
         scratch.allocations,
         scratch.solves,
@@ -121,6 +123,9 @@ fn cmd_solve(args: &Args) -> Result<(), CmdError> {
         iface.iter().map(|s| s.symbolic_seconds).sum::<f64>(),
         iface.iter().map(|s| s.product_seconds).sum::<f64>(),
         iface.iter().map(|s| s.product_madds).sum::<u64>(),
+        kept,
+        total,
+        solver.schur_apply_runs(),
         solver.stats.recovery.len()
     );
     Ok(())

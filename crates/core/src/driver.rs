@@ -705,9 +705,25 @@ impl Pdslin {
     /// the forward sweeps run only what `Ê_ℓ`'s rows reach, the backward
     /// sweeps only what `F̂_ℓ`'s columns depend on (1 = full sweeps).
     pub fn schur_apply_kept_share(&self) -> f64 {
+        self.schur_apply_sweeps().kept_share()
+    }
+
+    /// `(kept, total)`: the `LU(D_ℓ)` dependency entries one Schur apply
+    /// sweeps, and those of the full sweeps — the work behind
+    /// [`Pdslin::schur_apply_kept_share`].
+    pub fn schur_apply_dep_entries(&self) -> (usize, usize) {
+        self.schur_apply_sweeps().dep_entries()
+    }
+
+    /// Position runs one Schur apply sweeps: each run is one contiguous
+    /// stretch of a sweep, so this is the apply's per-run overhead.
+    pub fn schur_apply_runs(&self) -> usize {
+        self.schur_apply_sweeps().run_count()
+    }
+
+    fn schur_apply_sweeps(&self) -> &SchurSweeps {
         self.schur_sweeps
             .get_or_init(|| SchurSweeps::new(&self.sys, &self.factors))
-            .kept_share()
     }
 }
 

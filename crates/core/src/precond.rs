@@ -3,7 +3,7 @@
 //! Both are built for the steady-state solve path: they *borrow* the
 //! factors (no per-solve clone of `LU(S̃)`), carry caller-owned scratch
 //! so repeated applies allocate nothing, and route every triangular
-//! solve through the level-scheduled plans cached in [`LuFactors`].
+//! solve through the pivot-order plans cached in [`LuFactors`].
 //! Both serve several right-hand sides per call (`apply_lanes`): the
 //! lanes go through each `LU(D_ℓ)` / `LU(S̃)` factor in one sweep, and
 //! a single apply is the one-lane instance. Every kernel runs on the
@@ -169,6 +169,8 @@ pub struct SchurSweeps {
     /// Dependency entries one apply sweeps, and the full sweeps'.
     kept: usize,
     total: usize,
+    /// Position runs one apply sweeps.
+    runs: usize,
 }
 
 impl SchurSweeps {
@@ -187,6 +189,7 @@ impl SchurSweeps {
             let (fwd_all, bwd_all) = plan.dep_entries();
             out.kept += fwd.dep_entries() + bwd.dep_entries();
             out.total += fwd_all + bwd_all;
+            out.runs += fwd.run_count() + bwd.run_count();
             out.domains.push(DomainSweeps { fwd, bwd });
         }
         out
@@ -200,6 +203,18 @@ impl SchurSweeps {
         } else {
             self.kept as f64 / self.total as f64
         }
+    }
+
+    /// `(kept, total)`: the `LU(D_ℓ)` dependency entries one Schur apply
+    /// sweeps, and those of the full sweeps.
+    pub(crate) fn dep_entries(&self) -> (usize, usize) {
+        (self.kept, self.total)
+    }
+
+    /// Position runs one Schur apply sweeps, over every subdomain and
+    /// both sweeps.
+    pub(crate) fn run_count(&self) -> usize {
+        self.runs
     }
 }
 

@@ -1,21 +1,23 @@
-//! Level-scheduled triangular solves.
+//! Triangular solves in pivot order.
 //!
-//! A sparse triangular solve looks inherently sequential, but its
-//! dependency DAG usually is not: row `i` of `L x = b` only needs the
-//! entries `x[j]` with `L[i,j] ≠ 0`. Grouping rows by the length of
-//! their longest dependency chain — *level scheduling* — gives the
-//! sweep's level count and widths, which the solver reports as the
-//! available parallelism of each factor.
+//! An LU solve `x = Qᵀ U⁻¹ L⁻¹ P b` is two sweeps, forward through `L`
+//! and backward through `U`. The plan flattens each sweep **once**, at
+//! the factor's first solve, into its execution order: forward position
+//! `p` is pivot row `p`, backward position `p` is pivot row `n − 1 − p`.
+//! Both sweeps run their positions in ascending order, every dependency
+//! of a position sits at a strictly smaller one, and consecutive
+//! positions read neighbouring rows of the factor. A sweep runs on the
+//! calling thread, each accumulation a fixed left-to-right pass over its
+//! dependency list (columns ascending). The solve phase's threads come
+//! from groups of right-hand sides, one worker per group, never from
+//! splitting a sweep.
 //!
-//! The plan is built **once at factorisation time** and flattened into
-//! level order: position `p` of the execution vector holds one pivot
-//! row, positions within a level are contiguous, and every dependency
-//! of `p` lives at a strictly smaller position (an earlier level). A
-//! sweep runs the positions in order on the calling thread, each
-//! accumulation a fixed left-to-right pass over its dependency list.
-//! The solve phase's threads come from groups of right-hand sides, one
-//! worker per group, never from splitting a sweep: levels are short, and
-//! a barrier per level cost more than the sweep itself.
+//! Level scheduling — grouping rows by the length of their longest
+//! dependency chain — is the order a sweep split across threads would
+//! run in. No sweep is split, so the level count and widest level are
+//! only reported, as the available parallelism of each factor
+//! ([`SolvePlan::forward_levels`], [`SolvePlan::backward_levels`]),
+//! computed on demand in one pass over the dependencies.
 //!
 //! A sweep also carries several right-hand sides at once: with `W`
 //! *lanes* the values live lane-interleaved (row `i` of lane `l` at
@@ -60,28 +62,26 @@ pub fn plan_build_count() -> u64 {
     PLAN_BUILDS.load(Ordering::Relaxed)
 }
 
-/// One triangular sweep (forward `L` or backward `U`) flattened into
-/// level order.
+/// One triangular sweep in execution order: the forward sweep (`UPPER`
+/// false) runs the rows of unit lower `L` ascending, the backward sweep
+/// (`UPPER` true) the rows of `U` descending. The `UPPER` parameter of
+/// the methods says which one `self` is.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LevelPlan {
-    /// `level_ptr[l]..level_ptr[l + 1]` are the positions of level `l`.
-    pub(crate) level_ptr: Vec<usize>,
-    /// Index in the sweep's *input* vector that seeds each position's
-    /// accumulation.
+pub(crate) struct SweepPlan {
+    /// Index in the forward sweep's input vector (the caller's `b`) that
+    /// seeds each position's accumulation. Empty for the backward sweep,
+    /// whose position `p` is seeded by the forward output's `n − 1 − p`.
     pub(crate) rhs_src: Vec<usize>,
     /// Dependency lists, CSR-like: position `p` reads the already-solved
     /// positions `dep_pos[dep_ptr[p]..dep_ptr[p + 1]]` scaled by
-    /// `dep_val[..]`. Every dependency sits at a strictly earlier level.
+    /// `dep_val[..]`. Every dependency sits at a strictly smaller
+    /// position.
     pub(crate) dep_ptr: Vec<usize>,
-    pub(crate) dep_pos: Vec<usize>,
+    pub(crate) dep_pos: Vec<u32>,
     pub(crate) dep_val: Vec<f64>,
     /// Diagonal divisor per position; empty for the unit-diagonal
     /// forward sweep.
     pub(crate) diag: Vec<f64>,
-    /// Position → pivot row (the level order itself).
-    pub(crate) order: Vec<usize>,
-    /// Pivot row → position (inverse of `order`).
-    pub(crate) pos: Vec<usize>,
 }
 
 /// A subset of one sweep's positions, stored as ascending, disjoint
@@ -101,26 +101,49 @@ impl PositionRuns {
     pub fn dep_entries(&self) -> usize {
         self.deps
     }
+
+    /// Number of runs — the restricted sweep's overhead, paid once per
+    /// run.
+    pub fn run_count(&self) -> usize {
+        self.runs.len()
+    }
 }
 
-impl LevelPlan {
+/// Position of pivot row `r` in a sweep over `n` rows.
+fn position<const UPPER: bool>(n: usize, r: usize) -> usize {
+    if UPPER {
+        n - 1 - r
+    } else {
+        r
+    }
+}
+
+impl SweepPlan {
     /// Number of rows in the sweep.
-    pub fn n(&self) -> usize {
-        self.rhs_src.len()
+    fn n(&self) -> usize {
+        self.dep_ptr.len() - 1
     }
 
-    /// Number of levels (longest dependency chain).
-    pub fn num_levels(&self) -> usize {
-        self.level_ptr.len().saturating_sub(1)
+    /// The dependency positions of position `p`.
+    fn deps(&self, p: usize) -> &[u32] {
+        &self.dep_pos[self.dep_ptr[p]..self.dep_ptr[p + 1]]
     }
 
-    /// Widest level — the available parallelism of the sweep.
-    pub fn max_level_width(&self) -> usize {
-        self.level_ptr
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0)
+    /// `(levels, widest level)`: the longest dependency chain, and the
+    /// most positions that share a chain length — the parallelism a
+    /// level-split sweep would have.
+    fn level_stats(&self) -> (usize, usize) {
+        let mut level = vec![0usize; self.n()];
+        let mut width: Vec<usize> = Vec::new();
+        for p in 0..self.n() {
+            let l = self.deps(p).iter().map(|&d| level[d as usize] + 1).max();
+            level[p] = l.unwrap_or(0);
+            if level[p] == width.len() {
+                width.push(0);
+            }
+            width[level[p]] += 1;
+        }
+        (width.len(), width.into_iter().max().unwrap_or(0))
     }
 
     /// Runs the positions of `runs` on `W` lanes into `out` (position
@@ -135,17 +158,24 @@ impl LevelPlan {
     /// sides side by side. Every lane's products are folded into its
     /// accumulator strictly left-to-right — the exact op sequence of the
     /// plain scalar loop, so results stay byte-identical.
-    fn sweep<const W: usize>(&self, runs: &[(u32, u32)], input: &[f64], out: &mut [f64]) {
+    fn sweep<const W: usize, const UPPER: bool>(
+        &self,
+        runs: &[(u32, u32)],
+        input: &[f64],
+        out: &mut [f64],
+    ) {
         use sparsekit::lanes::LANES;
-        let load = |out: &[f64], p: usize| -> [f64; W] {
+        let load = |out: &[f64], p: u32| -> [f64; W] {
+            let p = p as usize;
             out[p * W..p * W + W].try_into().expect("lane width")
         };
+        let n = self.n();
         let mut done = 0;
         for &(start, end) in runs {
             let (start, end) = (start as usize, end as usize);
             out[done * W..start * W].fill(0.0);
             for p in start..end {
-                let src = self.rhs_src[p] * W;
+                let src = if UPPER { n - 1 - p } else { self.rhs_src[p] } * W;
                 let mut acc: [f64; W] = input[src..src + W].try_into().expect("lane width");
                 let deps = self.dep_ptr[p]..self.dep_ptr[p + 1];
                 let dep_pos = &self.dep_pos[deps.clone()];
@@ -172,7 +202,7 @@ impl LevelPlan {
                         acc[l] -= dv * x[l];
                     }
                 }
-                if !self.diag.is_empty() {
+                if UPPER {
                     let d = self.diag[p];
                     for v in &mut acc {
                         *v /= d;
@@ -182,7 +212,7 @@ impl LevelPlan {
             }
             done = end;
         }
-        out[done * W..self.n() * W].fill(0.0);
+        out[done * W..n * W].fill(0.0);
     }
 
     /// The positions flagged [`KEEP`] in `flags`, as runs (allocated
@@ -213,42 +243,42 @@ impl LevelPlan {
 
     /// The fill visit of [`build_sweep`]: writes every entry of `m`'s
     /// triangle into its dependency slot or into `diag`, columns ascending,
-    /// one cursor per row. Panics if the pattern is not the plan's: each
-    /// written slot must depend on the visited column (folded into
+    /// one cursor per position. Panics if the pattern is not the plan's:
+    /// each written slot must depend on the visited column (folded into
     /// `differs`, so that no slot's load waits on a branch), and each
-    /// cursor must end at its row's count.
-    fn fill(&mut self, m: &Csc, upper: bool) {
-        let LevelPlan {
+    /// cursor must end at its position's count.
+    fn fill<const UPPER: bool>(&mut self, m: &Csc) {
+        let n = self.n();
+        let SweepPlan {
             dep_ptr,
             dep_pos,
             dep_val,
             diag,
-            pos,
             ..
         } = self;
-        let mut cursor: Vec<usize> = pos.iter().map(|&p| dep_ptr[p]).collect();
+        let mut cursor = dep_ptr[..n].to_vec();
         diag.fill(0.0);
         let mut differs = 0;
-        for j in 0..pos.len() {
-            let pj = pos[j];
-            for (r, v) in triangle(m, upper, j) {
+        for j in 0..n {
+            let pj = position::<UPPER>(n, j);
+            for (r, v) in triangle::<UPPER>(m, j) {
                 if r == j {
                     if let Some(d) = diag.get_mut(pj) {
                         *d = v;
                     }
                     continue;
                 }
-                let s = cursor[r];
-                cursor[r] = s + 1;
-                differs |= dep_pos.get(s).map_or(usize::MAX, |&d| d ^ pj);
+                let c = &mut cursor[position::<UPPER>(n, r)];
+                let s = *c;
+                *c += 1;
+                differs |= dep_pos.get(s).map_or(u32::MAX, |&d| d ^ pj as u32);
                 if let Some(slot) = dep_val.get_mut(s) {
                     *slot = v;
                 }
             }
         }
-        let ends = pos.iter().map(|&p| dep_ptr[p + 1]);
         assert!(
-            differs == 0 && ends.eq(cursor),
+            differs == 0 && dep_ptr[1..] == cursor[..],
             "factor pattern differs from the plan's"
         );
     }
@@ -260,8 +290,8 @@ impl LevelPlan {
 /// `f64`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolvePlan {
-    pub(crate) fwd: LevelPlan,
-    pub(crate) bwd: LevelPlan,
+    pub(crate) fwd: SweepPlan,
+    pub(crate) bwd: SweepPlan,
     /// Backward-sweep position → index in the caller's `x`.
     pub(crate) out_dst: Vec<usize>,
 }
@@ -273,24 +303,24 @@ impl SolvePlan {
     /// `col_perm` into the final scatter.
     pub fn build(l: &Csc, u: &Csc, row_perm: &Perm, col_perm: &Perm) -> SolvePlan {
         PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
+        let n = l.ncols();
         // Forward sweep: x[r] = (P b)[r] − Σ_{j<r} L[r,j]·x[j].
-        let fwd = build_sweep(l, false, |k| row_perm.to_old(k));
+        let fwd = build_sweep::<false>(l, (0..n).map(|r| row_perm.to_old(r)).collect());
         // Backward sweep: x[j] = (z[j] − Σ_{k>j} U[j,k]·x[k]) / U[j,j],
-        // where z is the forward sweep's output (read in its position
-        // order).
-        let bwd = build_sweep(u, true, |j| fwd.pos[j]);
-        let out_dst = bwd.order.iter().map(|&j| col_perm.to_old(j)).collect();
+        // where z is the forward sweep's output.
+        let bwd = build_sweep::<true>(u, Vec::new());
+        let out_dst = (0..n).rev().map(|j| col_perm.to_old(j)).collect();
         SolvePlan { fwd, bwd, out_dst }
     }
 
     /// Forward (`L`) sweep statistics: `(levels, widest level)`.
     pub fn forward_levels(&self) -> (usize, usize) {
-        (self.fwd.num_levels(), self.fwd.max_level_width())
+        self.fwd.level_stats()
     }
 
     /// Backward (`U`) sweep statistics: `(levels, widest level)`.
     pub fn backward_levels(&self) -> (usize, usize) {
-        (self.bwd.num_levels(), self.bwd.max_level_width())
+        self.bwd.level_stats()
     }
 
     /// Executes both sweeps: `x = Qᵀ U⁻¹ L⁻¹ P b`, using (and growing,
@@ -354,8 +384,9 @@ impl SolvePlan {
             flags[i] |= SEED;
         }
         for p in 0..sweep.n() {
-            let deps = &sweep.dep_pos[sweep.dep_ptr[p]..sweep.dep_ptr[p + 1]];
-            if flags[sweep.rhs_src[p]] & SEED != 0 || deps.iter().any(|&d| flags[d] & KEEP != 0) {
+            if flags[sweep.rhs_src[p]] & SEED != 0
+                || sweep.deps(p).iter().any(|&d| flags[d as usize] & KEEP != 0)
+            {
                 flags[p] |= KEEP;
             }
         }
@@ -377,8 +408,8 @@ impl SolvePlan {
                 flags[p] |= KEEP;
             }
             if flags[p] & KEEP != 0 {
-                for &d in &sweep.dep_pos[sweep.dep_ptr[p]..sweep.dep_ptr[p + 1]] {
-                    flags[d] |= KEEP;
+                for &d in sweep.deps(p) {
+                    flags[d as usize] |= KEEP;
                 }
             }
         }
@@ -422,9 +453,9 @@ impl SolvePlan {
             }
             packed
         };
-        self.fwd.sweep::<W>(fwd, input, mid);
+        self.fwd.sweep::<W, false>(fwd, input, mid);
         let out = &mut outer[..n * W];
-        self.bwd.sweep::<W>(bwd, mid, out);
+        self.bwd.sweep::<W, true>(bwd, mid, out);
         // Scatter the lane-interleaved output into the caller's vectors.
         for (q, &dst) in self.out_dst.iter().enumerate() {
             for (l, xl) in x.iter_mut().enumerate() {
@@ -435,13 +466,13 @@ impl SolvePlan {
 
     /// Rewrites the plan's numeric payload (dependency values and `U`
     /// diagonal) from refactorised `L`/`U` with the same pattern. The
-    /// schedule — levels, positions, dependency structure — is reused
-    /// untouched, and the values are written by [`SolvePlan::build`]'s own
-    /// fill visit: one ordered pass over each factor, no search. Panics if
-    /// a factor's pattern differs from the plan's.
+    /// positions and dependency structure are reused untouched, and the
+    /// values are written by [`SolvePlan::build`]'s own fill visit: one
+    /// ordered pass over each factor, no search. Panics if a factor's
+    /// pattern differs from the plan's.
     pub fn refresh_numeric(&mut self, l: &Csc, u: &Csc) {
-        self.fwd.fill(l, false);
-        self.bwd.fill(u, true);
+        self.fwd.fill::<false>(l);
+        self.bwd.fill::<true>(u);
     }
 }
 
@@ -497,100 +528,49 @@ impl TriScratch {
 /// The entries `(row, value)` of column `j` inside the triangle of `m` a
 /// sweep reads, diagonal included: the upper one for the backward sweep,
 /// the lower one for the forward sweep.
-fn triangle(m: &Csc, upper: bool, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+fn triangle<const UPPER: bool>(m: &Csc, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
     m.col_iter(j)
-        .filter(move |&(r, _)| if upper { r <= j } else { r >= j })
+        .filter(move |&(r, _)| if UPPER { r <= j } else { r >= j })
 }
 
-/// Builds one level-scheduled sweep of `m`'s upper or lower triangle.
+/// Builds one sweep of `m`'s upper or lower triangle in execution order.
 ///
 /// Row `r` depends on column `c` for every off-diagonal entry `(r, c)`;
 /// the columns are visited in ascending order, so each row's dependency
 /// list comes out sorted by column — the fixed accumulation order. The
 /// upper triangle's chains run from high indices down, with its diagonal
-/// as divisors; the lower one's run up over a unit diagonal. `rhs_of`
-/// maps a pivot row to the index of its seed in the sweep's input
-/// vector. The values are written last, by [`LevelPlan::fill`].
-fn build_sweep(m: &Csc, upper: bool, rhs_of: impl Fn(usize) -> usize) -> LevelPlan {
+/// as divisors; the lower one's run up over a unit diagonal. `rhs_src`
+/// is the forward sweep's seed index per position. The values are
+/// written last, by [`SweepPlan::fill`].
+fn build_sweep<const UPPER: bool>(m: &Csc, rhs_src: Vec<usize>) -> SweepPlan {
     let n = m.ncols();
-    let deps = |j| {
-        triangle(m, upper, j)
-            .map(|(r, _)| r)
-            .filter(move |&r| r != j)
-    };
-    // --- Row-major dependency lists (two-pass CSR build). ---
-    let mut cnt = vec![0usize; n];
-    for j in 0..n {
-        deps(j).for_each(|r| cnt[r] += 1);
-    }
-    let mut row_ptr = vec![0usize; n + 1];
-    for i in 0..n {
-        row_ptr[i + 1] = row_ptr[i] + cnt[i];
-    }
-    let nnz = row_ptr[n];
-    let mut row_col = vec![0usize; nnz];
-    let mut next = row_ptr.clone();
-    for j in 0..n {
-        for r in deps(j) {
-            row_col[next[r]] = j;
-            next[r] += 1;
-        }
-    }
-    // --- Levels: longest dependency chain. ---
-    let mut level = vec![0usize; n];
-    let rows: Box<dyn Iterator<Item = usize>> = if upper {
-        Box::new((0..n).rev())
-    } else {
-        Box::new(0..n)
-    };
-    for r in rows {
-        let mut lvl = 0usize;
-        for k in row_ptr[r]..row_ptr[r + 1] {
-            lvl = lvl.max(level[row_col[k]] + 1);
-        }
-        level[r] = lvl;
-    }
-    let nlevels = level.iter().map(|&l| l + 1).max().unwrap_or(0);
-    // --- Stable counting sort into level order. ---
-    let mut level_ptr = vec![0usize; nlevels + 1];
-    for &l in &level {
-        level_ptr[l + 1] += 1;
-    }
-    for l in 0..nlevels {
-        level_ptr[l + 1] += level_ptr[l];
-    }
-    let mut cursor = level_ptr.clone();
-    let mut order = vec![0usize; n];
-    let mut pos = vec![0usize; n];
-    for r in 0..n {
-        let p = cursor[level[r]];
-        cursor[level[r]] += 1;
-        order[p] = r;
-        pos[r] = p;
-    }
-    // --- Remap dependencies into position space, in level order. ---
+    assert!(u32::try_from(n).is_ok(), "sweep positions fit in u32");
+    let deps = |j| triangle::<UPPER>(m, j).filter(move |&(r, _)| r != j);
     let mut dep_ptr = vec![0usize; n + 1];
-    for p in 0..n {
-        dep_ptr[p + 1] = dep_ptr[p] + cnt[order[p]];
+    for j in 0..n {
+        deps(j).for_each(|(r, _)| dep_ptr[position::<UPPER>(n, r) + 1] += 1);
     }
-    let mut dep_pos = vec![0usize; nnz];
     for p in 0..n {
-        let r = order[p];
-        for (d, k) in (dep_ptr[p]..).zip(row_ptr[r]..row_ptr[r + 1]) {
-            dep_pos[d] = pos[row_col[k]];
+        dep_ptr[p + 1] += dep_ptr[p];
+    }
+    let mut cursor = dep_ptr[..n].to_vec();
+    let mut dep_pos = vec![0u32; dep_ptr[n]];
+    for j in 0..n {
+        let pj = position::<UPPER>(n, j) as u32;
+        for (r, _) in deps(j) {
+            let s = &mut cursor[position::<UPPER>(n, r)];
+            dep_pos[*s] = pj;
+            *s += 1;
         }
     }
-    let mut plan = LevelPlan {
-        level_ptr,
-        rhs_src: order.iter().map(|&r| rhs_of(r)).collect(),
+    let mut plan = SweepPlan {
+        rhs_src,
         dep_ptr,
+        dep_val: vec![0.0; dep_pos.len()],
         dep_pos,
-        dep_val: vec![0.0; nnz],
-        diag: if upper { vec![0.0; n] } else { Vec::new() },
-        order,
-        pos,
+        diag: if UPPER { vec![0.0; n] } else { Vec::new() },
     };
-    plan.fill(m, upper);
+    plan.fill::<UPPER>(m);
     plan
 }
 
@@ -617,46 +597,91 @@ mod tests {
         c.to_csr()
     }
 
-    #[test]
-    fn plan_levels_are_a_topological_order() {
+    /// Factors of random matrices under random column orders, and of a
+    /// grid Laplacian under the identity.
+    fn sample_factors() -> Vec<LuFactors> {
+        let mut rng = sparsekit::Rng64::new(0x0bde);
+        let mut out: Vec<LuFactors> = (0..12)
+            .map(|_| {
+                let n = rng.range(1, 120);
+                let a = random_matrix(&mut rng, n);
+                let mut order: Vec<usize> = (0..n).collect();
+                rng.shuffle(&mut order);
+                let order = Perm::from_to_old(order);
+                LuFactors::factorize(&a, &order, &LuConfig::default()).unwrap()
+            })
+            .collect();
         let a = laplace2d(8);
         let n = a.nrows();
-        let f = LuFactors::factorize(&a, &Perm::identity(n), &LuConfig::default()).unwrap();
-        let plan = f.solve_plan();
-        // Every dependency must sit at a strictly smaller position than
-        // the row it feeds — that is the disjoint-write guarantee.
-        for sweep in [&plan.fwd, &plan.bwd] {
-            for p in 0..sweep.n() {
-                for k in sweep.dep_ptr[p]..sweep.dep_ptr[p + 1] {
-                    assert!(sweep.dep_pos[k] < p, "dependency not resolved before use");
+        out.push(LuFactors::factorize(&a, &Perm::identity(n), &LuConfig::default()).unwrap());
+        out
+    }
+
+    /// The off-diagonal entries `(row, column)` of `m`'s lower or upper
+    /// triangle, columns ascending: row depends on column.
+    fn dependencies(m: &Csc, upper: bool) -> Vec<(usize, usize)> {
+        (0..m.ncols())
+            .flat_map(|c| m.col_iter(c).map(move |(r, _)| (r, c)))
+            .filter(|&(r, c)| if upper { r < c } else { r > c })
+            .collect()
+    }
+
+    #[test]
+    fn plan_positions_are_pivot_order() {
+        for f in sample_factors() {
+            let n = f.n();
+            let plan = f.solve_plan();
+            // Forward position p is pivot row p, seeded by `(P b)[p]`;
+            // backward position q is pivot row n − 1 − q, scattered to
+            // `(Qᵀ x)`'s entry of that row.
+            let rows = [(&plan.fwd, false), (&plan.bwd, true)];
+            for (sweep, upper) in rows {
+                let at = |r: usize| if upper { n - 1 - r } else { r };
+                let mut want = vec![Vec::new(); n];
+                for (r, c) in dependencies(if upper { &f.u } else { &f.l }, upper) {
+                    want[at(r)].push(at(c) as u32);
+                }
+                for (p, want) in want.iter().enumerate() {
+                    let got = sweep.deps(p);
+                    assert_eq!(got, want, "position {p}: dependencies, columns ascending");
+                    assert!(
+                        got.iter().all(|&d| (d as usize) < p),
+                        "dependency after {p}"
+                    );
                 }
             }
-            let (levels, widest) = (sweep.num_levels(), sweep.max_level_width());
-            assert!(levels >= 1 && widest >= 1);
-            assert_eq!(sweep.level_ptr[sweep.num_levels()], n);
+            assert!((0..n).all(|p| plan.fwd.rhs_src[p] == f.row_perm.to_old(p)));
+            assert!((0..n).all(|q| plan.out_dst[q] == f.col_perm.to_old(n - 1 - q)));
         }
     }
 
     #[test]
-    fn dependencies_stay_in_earlier_levels() {
-        let a = laplace2d(6);
-        let n = a.nrows();
-        let f = LuFactors::factorize(&a, &Perm::identity(n), &LuConfig::default()).unwrap();
-        let plan = f.solve_plan();
-        for sweep in [&plan.fwd, &plan.bwd] {
-            let mut level_of_pos = vec![0usize; n];
-            for l in 0..sweep.num_levels() {
-                for p in sweep.level_ptr[l]..sweep.level_ptr[l + 1] {
-                    level_of_pos[p] = l;
+    fn level_statistics_match_a_longest_chain_count() {
+        for f in sample_factors() {
+            let n = f.n();
+            let plan = f.solve_plan();
+            let got = [plan.forward_levels(), plan.backward_levels()];
+            for ((m, upper), got) in [(&f.l, false), (&f.u, true)].into_iter().zip(got) {
+                // Relax every edge until no chain grows.
+                let deps = dependencies(m, upper);
+                let mut chain = vec![0usize; n];
+                let mut grew = true;
+                while grew {
+                    grew = false;
+                    for &(r, c) in &deps {
+                        if chain[r] < chain[c] + 1 {
+                            chain[r] = chain[c] + 1;
+                            grew = true;
+                        }
+                    }
                 }
-            }
-            for p in 0..n {
-                for k in sweep.dep_ptr[p]..sweep.dep_ptr[p + 1] {
-                    assert!(
-                        level_of_pos[sweep.dep_pos[k]] < level_of_pos[p],
-                        "level ordering violated"
-                    );
-                }
+                let levels = chain.iter().map(|&l| l + 1).max().unwrap_or(0);
+                let widest = (0..levels)
+                    .map(|l| chain.iter().filter(|&&c| c == l).count())
+                    .max()
+                    .unwrap_or(0);
+                assert_eq!(got, (levels, widest), "upper {upper}, n = {n}");
+                assert!(levels >= 1 && widest >= 1);
             }
         }
     }
@@ -734,7 +759,8 @@ mod tests {
             let (fwd_all, bwd_all) = plan.dep_entries();
             assert_eq!(plan.forward_reach(0..n).dep_entries(), fwd_all);
             assert_eq!(plan.backward_closure(0..n).dep_entries(), bwd_all);
-            assert!(plan.forward_reach([]).runs.is_empty());
+            assert_eq!(plan.forward_reach([]).run_count(), 0);
+            assert_eq!(plan.backward_closure(0..n).run_count(), 1);
             for (s, seeds) in sets.iter().enumerate() {
                 for (t, needs) in sets.iter().enumerate() {
                     let fwd = plan.forward_reach(seeds.iter().copied());
@@ -789,12 +815,9 @@ mod tests {
     fn assert_same_plan(got: &SolvePlan, want: &SolvePlan, what: &str) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (g, w) in [(&got.fwd, &want.fwd), (&got.bwd, &want.bwd)] {
-            assert_eq!(g.level_ptr, w.level_ptr, "{what}: level_ptr");
             assert_eq!(g.rhs_src, w.rhs_src, "{what}: rhs_src");
             assert_eq!(g.dep_ptr, w.dep_ptr, "{what}: dep_ptr");
             assert_eq!(g.dep_pos, w.dep_pos, "{what}: dep_pos");
-            assert_eq!(g.order, w.order, "{what}: order");
-            assert_eq!(g.pos, w.pos, "{what}: pos");
             assert_eq!(bits(&g.dep_val), bits(&w.dep_val), "{what}: dep_val");
             assert_eq!(bits(&g.diag), bits(&w.diag), "{what}: diag");
         }

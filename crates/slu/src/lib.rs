@@ -43,7 +43,7 @@ pub mod trisolve;
 pub use blocked::{solve_in_blocks, solve_in_blocks_ordered, BlockSolveStats};
 pub use dense::dense_kernel_isa;
 pub use etree::{etree, etree_permuted, postorder};
-pub use levels::{plan_build_count, LevelPlan, PositionRuns, SolvePlan, TriScratch, MAX_LANES};
+pub use levels::{plan_build_count, PositionRuns, SolvePlan, TriScratch, MAX_LANES};
 pub use lu::{LuConfig, LuError, LuFactors, RefactorizeError};
 pub use reach::ReachGraph;
 pub use supernodes::{detect_supernodes, supernodal_padding, Supernodes};

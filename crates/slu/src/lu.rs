@@ -780,7 +780,7 @@ impl LuFactors {
     }
 
     /// Solves `A x = b` into a caller-provided output using the cached
-    /// level-scheduled plan. `x` is fully overwritten; after the first
+    /// pivot-order plan. `x` is fully overwritten; after the first
     /// call of a given size the scratch is reused without allocating.
     /// The sweep runs on the calling thread; `_workers` is ignored and
     /// stays only because the benchmark's traced pipeline passes it.
@@ -796,8 +796,8 @@ impl LuFactors {
         self.solve_plan().solve_lanes(b, x, scratch);
     }
 
-    /// The level-scheduled triangular-solve plan, built on first use
-    /// and cached.
+    /// The triangular-solve plan (both sweeps in pivot order, see
+    /// [`crate::levels`]), built on first use and cached.
     pub fn solve_plan(&self) -> &SolvePlan {
         self.plan
             .get_or_init(|| SolvePlan::build(&self.l, &self.u, &self.row_perm, &self.col_perm))

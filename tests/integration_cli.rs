@@ -43,6 +43,9 @@ fn solve_line_reports_the_schur_apply_kept_share() {
     let share = solver.schur_apply_kept_share();
     // A circuit's interfaces reach only part of each LU(D_ℓ).
     assert!(share > 0.0 && share < 1.0, "kept share {share}");
+    let (kept, total) = solver.schur_apply_dep_entries();
+    assert_eq!(share, kept as f64 / total as f64);
+    assert!(solver.schur_apply_runs() > 0);
     let line = solve_line(&out, share);
     let head = format!("solve: converged, {} GMRES iterations, ", out.iterations);
     assert!(line.starts_with(&head), "{line}");

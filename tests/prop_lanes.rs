@@ -1,5 +1,5 @@
 //! Property tests of the lane-vectorized kernels (see
-//! `docs/kernels.md`): SpMV and the level-scheduled triangular solve must
+//! `docs/kernels.md`): SpMV and the pivot-order triangular solve must
 //! be **bit-identical** to their scalar references on the full Table-I
 //! matrix zoo.
 

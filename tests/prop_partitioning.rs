@@ -664,23 +664,34 @@ fn benchmark_partitions_are_pinned() {
 
 /// `(separator size, nnz(S̃), Σ T̃ multiply-adds, Σ nnz(T̃))` of
 /// `Pdslin::setup` on the three library workloads of the repository
-/// benchmark, with their generator calls and settings copied, not
-/// imported, from `benchmark/src/workloads.rs`. A change that moves the
-/// separator, the dropped Schur complement or the work of the local
-/// updates `T̃_ℓ = W̃_ℓ G̃_ℓ` fails here, where the drift is measured, and
-/// not in a pin that only reads the old figures.
+/// benchmark, with the Schur apply's `(kept, total)` `LU(D_ℓ)`
+/// dependency entries and the summed forward and backward level counts
+/// of every factor (the benchmark's `trisolve.levels`). The generator
+/// calls and settings are copied, not imported, from
+/// `benchmark/src/workloads.rs`. A change that moves the separator, the
+/// dropped Schur complement, the work of the local updates
+/// `T̃_ℓ = W̃_ℓ G̃_ℓ` or the work of a sweep fails here, where the drift
+/// is measured, and not in a pin that only reads the old figures.
 #[test]
 fn benchmark_schur_complements_are_pinned() {
     use pdslin::{PartitionerKind, Pdslin, PdslinConfig};
     let base = PdslinConfig::default();
-    // (separator size, nnz(S̃), Σ T̃ multiply-adds, Σ nnz(T̃))
-    type Pins = (usize, usize, u64, usize);
+    // (separator size, nnz(S̃), Σ T̃ multiply-adds, Σ nnz(T̃),
+    //  Schur apply (kept, total) dependency entries, Σ levels)
+    type Pins = (usize, usize, u64, usize, (usize, usize), usize);
     let cases: [(&str, Csr, PdslinConfig, Pins); 3] = [
         (
             "cavity_schur",
             matgen::stencil::cavity3d_graded(18, 18, 18, 4.0, 0.34),
             base,
-            (1127, 594_913, 141_076_393, 739_937),
+            (
+                1127,
+                594_913,
+                141_076_393,
+                739_937,
+                (635_869, 660_594),
+                6_456,
+            ),
         ),
         (
             "fusion_rhb",
@@ -689,7 +700,14 @@ fn benchmark_schur_complements_are_pinned() {
                 partitioner: PartitionerKind::Rhb(RhbConfig::default()),
                 ..base
             },
-            (1526, 206_592, 22_730_040, 507_274),
+            (
+                1526,
+                206_592,
+                22_730_040,
+                507_274,
+                (548_751, 578_585),
+                8_711,
+            ),
         ),
         (
             "circuit_krylov",
@@ -699,17 +717,28 @@ fn benchmark_schur_complements_are_pinned() {
                 schur_drop_tol: 1e-2,
                 ..base
             },
-            (701, 8_517, 222_281, 35_352),
+            (701, 8_517, 222_281, 35_352, (595_521, 897_060), 5_396),
         ),
     ];
     for (name, a, cfg, want) in cases {
-        let stats = Pdslin::setup(&a, cfg).expect("setup").stats;
+        let solver = Pdslin::setup(&a, cfg).expect("setup");
+        let stats = &solver.stats;
         let madds = stats.interface.iter().map(|s| s.product_madds).sum();
         let nnz_t = stats.nnz_t.iter().sum();
-        assert_eq!(
-            (stats.separator_size, stats.nnz_schur, madds, nnz_t),
-            want,
-            "{name}"
+        let levels = |lu: &slu::LuFactors| {
+            let plan = lu.solve_plan();
+            plan.forward_levels().0 + plan.backward_levels().0
+        };
+        let factors = solver.factors.iter().map(|f| &f.lu);
+        let levels = factors.chain([&solver.schur_lu]).map(levels).sum();
+        let got = (
+            stats.separator_size,
+            stats.nnz_schur,
+            madds,
+            nnz_t,
+            solver.schur_apply_dep_entries(),
+            levels,
         );
+        assert_eq!(got, want, "{name}");
     }
 }
