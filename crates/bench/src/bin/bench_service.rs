@@ -215,8 +215,9 @@ fn phase_soak(rows: &mut Vec<ServiceRow>, service: &Service, concurrency: usize,
                         c * 100 + i
                     ));
                     // …a worker panic inside LU(D) exercises the solver's
-                    // catch_unwind isolation (distinct spec key: faulted
-                    // setups never share the clean cache entry)…
+                    // catch_unwind isolation and ends as a typed
+                    // `execution` error (distinct spec key: faulted setups
+                    // never share the clean cache entry)…
                     lines.push(format!(
                         r#"{{"id":"s{c}-{i}c","op":"solve","generate":"matrix211","k":4,"worker_panic":0,"rhs_seed":{},"deadline_ms":30000}}"#,
                         i

@@ -4,12 +4,12 @@
 //! Setup validates its inputs up front (NaN/Inf, dimensions), walks the
 //! partition fallback chain on degeneracy, retries failed subdomain and
 //! Schur factorisations with escalating pivoting and diagonal
-//! perturbation, and repairs poisoned interface blocks. The solve is one
-//! restarted GMRES run on the Schur system, with no fallback: what it
-//! does not answer within the acceptance floor is a typed
-//! [`PdslinError::SolveFailed`]. Every recovery action is recorded in a
-//! [`RecoveryReport`] so a clean run is distinguishable from a rescued
-//! one.
+//! perturbation; a non-finite `Ŝ` (an overflowing interface product) is
+//! rejected by `LU(S̃)`, typed. The solve is one restarted GMRES run on
+//! the Schur system, with no fallback: what it does not answer within
+//! the acceptance floor is a typed [`PdslinError::SolveFailed`]. Every
+//! recovery action is recorded in a [`RecoveryReport`] so a clean run is
+//! distinguishable from a rescued one.
 //!
 //! On top of the retry chains sits the budgeted-execution layer:
 //!
@@ -17,10 +17,9 @@
 //!   (deadline + cancel token), surfacing typed
 //!   [`PdslinError::Cancelled`] / [`PdslinError::DeadlineExceeded`]
 //!   errors that carry the statistics of the phases that did finish;
-//! * the subdomain phases run their workers under `catch_unwind`; a
-//!   panicking task is retried once, then the whole setup is retried on
-//!   the natural-block fallback partition, then the typed
-//!   [`PdslinError::WorkerPanic`] surfaces;
+//! * the subdomain phases run their workers under `catch_unwind`: a
+//!   panicking task is contained (its siblings still finish) and becomes
+//!   the typed [`PdslinError::WorkerPanic`];
 //! * the Schur assembly is guarded by memory admission control: a
 //!   symbolic byte predictor is checked against the budget's memory
 //!   limit *before* allocating, and an over-budget assembly degrades to
@@ -50,10 +49,10 @@ use crate::extract::{extract_dbbd, DbbdSystem};
 use crate::fault::FaultPlan;
 use crate::interface::InterfacePlan;
 use crate::par::outer_worker_count;
-use crate::partition::{compute_partition_robust, natural_block_partition, PartitionerKind};
+use crate::partition::{compute_partition_robust, PartitionerKind};
 use crate::phases::{fill_partial, phase_check, Pass};
 use crate::precond::{ImplicitSchur, SchurApplyScratch, SchurPrecond, SchurSweeps};
-use crate::recovery::{RecoveryEvent, RecoveryReport};
+use crate::recovery::RecoveryReport;
 use crate::rhs_order::RhsOrdering;
 use crate::stats::SetupStats;
 use crate::subdomain::FactoredDomain;
@@ -245,33 +244,50 @@ impl Pdslin {
         budget: &Budget,
     ) -> Result<Pdslin, SetupFailure> {
         Self::validate_input(a, &cfg)?;
-        let fresh = RecoveryReport::default();
-        let first = Self::setup_attempt(a, &cfg, budget, fresh, false, cfg.fault.worker_panic);
-        let Err(SetupFailure {
-            error:
-                PdslinError::WorkerPanic {
-                    phase,
-                    domain,
-                    message,
-                },
-            ..
-        }) = first
-        else {
-            return first;
-        };
-        // A task panicked twice on the same subdomain — the partition
-        // itself may be feeding it pathological data, so rerun the whole
-        // setup on the last element of the partition fallback chain
-        // before giving up.
+        let mut stats = SetupStats::default();
         let mut recovery = RecoveryReport::default();
-        recovery.push(RecoveryEvent::PartitionFallback {
-            from: cfg.partitioner.label(),
-            to: "natural-block".to_string(),
-            reason: format!("worker panic in {phase} on subdomain {domain}: {message}"),
-        });
-        let persistent = cfg.fault.worker_panic_persistent;
-        let inject = cfg.fault.worker_panic.filter(|_| persistent);
-        Self::setup_attempt(a, &cfg, budget, recovery, true, inject)
+
+        phase_check(budget, "partition", &stats)?;
+        let t = Instant::now();
+        let part = compute_partition_robust(
+            a,
+            cfg.k,
+            &cfg.partitioner,
+            cfg.weights,
+            cfg.fault.fail_partitioner,
+            &mut recovery,
+        )?;
+        stats.times.partition = t.elapsed().as_secs_f64();
+
+        phase_check(budget, "extract", &stats)?;
+        let t = Instant::now();
+        let sys = extract_dbbd(a, part);
+        stats.times.extract = t.elapsed().as_secs_f64();
+        stats.separator_size = sys.nsep();
+        stats.dims = sys.domains.iter().map(|d| d.dim()).collect();
+        stats.nnz_d = sys.domains.iter().map(|d| d.d.nnz()).collect();
+        stats.nnzcol_e = sys.domains.iter().map(|d| d.e_cols.len()).collect();
+        stats.nnz_e = sys.domains.iter().map(|d| d.e_hat.nnz()).collect();
+
+        let mut factors = Vec::new();
+        Pass {
+            cfg: &cfg,
+            fault: cfg.fault,
+            budget,
+            stats: &mut stats,
+            recovery: &mut recovery,
+        }
+        .lu_d(&sys, &mut factors)?;
+        stats.factorizations = factors.len();
+        Self::complete_from_factors(
+            sys,
+            factors,
+            stats,
+            recovery,
+            cfg,
+            budget,
+            csr_pattern_fingerprint(a),
+        )
     }
 
     /// Input validation shared by every setup entry point.
@@ -320,70 +336,6 @@ impl Pdslin {
             });
         }
         Ok(())
-    }
-
-    /// One full setup pass. `force_natural_block` skips the configured
-    /// partitioner (used by the whole-setup retry after a double worker
-    /// panic); `inject_panic` is the fault-injection target for this
-    /// pass.
-    fn setup_attempt(
-        a: &Csr,
-        cfg: &PdslinConfig,
-        budget: &Budget,
-        mut recovery: RecoveryReport,
-        force_natural_block: bool,
-        inject_panic: Option<usize>,
-    ) -> Result<Pdslin, SetupFailure> {
-        let mut stats = SetupStats::default();
-
-        phase_check(budget, "partition", &stats)?;
-        let t = Instant::now();
-        let part = if force_natural_block {
-            natural_block_partition(a, cfg.k)
-        } else {
-            compute_partition_robust(
-                a,
-                cfg.k,
-                &cfg.partitioner,
-                cfg.weights,
-                cfg.fault.fail_partitioner,
-                &mut recovery,
-            )?
-        };
-        stats.times.partition = t.elapsed().as_secs_f64();
-
-        phase_check(budget, "extract", &stats)?;
-        let t = Instant::now();
-        let sys = extract_dbbd(a, part);
-        stats.times.extract = t.elapsed().as_secs_f64();
-        stats.separator_size = sys.nsep();
-        stats.dims = sys.domains.iter().map(|d| d.dim()).collect();
-        stats.nnz_d = sys.domains.iter().map(|d| d.d.nnz()).collect();
-        stats.nnzcol_e = sys.domains.iter().map(|d| d.e_cols.len()).collect();
-        stats.nnz_e = sys.domains.iter().map(|d| d.e_hat.nnz()).collect();
-
-        let mut factors = Vec::new();
-        Pass {
-            cfg,
-            fault: FaultPlan {
-                worker_panic: inject_panic,
-                ..cfg.fault
-            },
-            budget,
-            stats: &mut stats,
-            recovery: &mut recovery,
-        }
-        .lu_d(&sys, &mut factors)?;
-        stats.factorizations = factors.len();
-        Self::complete_from_factors(
-            sys,
-            factors,
-            stats,
-            recovery,
-            *cfg,
-            budget,
-            csr_pattern_fingerprint(a),
-        )
     }
 
     /// The phases past `LU(D)` from freshly factored (or checkpointed)
@@ -499,6 +451,8 @@ impl Pdslin {
     /// with [`PdslinError::InvalidInput`]. On any other error the
     /// solver may hold a mix of old and new numerics; rebuild it with a
     /// fresh setup before further use.
+    ///
+    /// [`RecoveryEvent::RefactorizationFallback`]: crate::RecoveryEvent::RefactorizationFallback
     pub fn update_values(&mut self, a: &Csr) -> Result<UpdateOutcome, PdslinError> {
         self.update_values_budgeted(a, &Budget::unlimited())
     }
@@ -924,6 +878,7 @@ fn solve_schur(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::RecoveryEvent;
     use hypergraph::RhbConfig;
     use matgen::stencil::{laplace2d, laplace3d};
     use sparsekit::ops::residual_inf_norm;
@@ -1237,28 +1192,92 @@ mod tests {
         assert!(residual_inf_norm(&a, &out.x, &b) < 1e-6);
     }
 
+    /// A finite `A` whose coupling blocks `E`, `F` are ≈ 1e200 around a
+    /// well-conditioned `D`: `T̃ = W̃G̃` overflows, `LU(S̃)` rejects the
+    /// non-finite `Ŝ`, typed, and no rung fires on the way.
     #[test]
-    fn recovers_from_poisoned_interface() {
-        let a = laplace2d(16, 16);
+    fn overflowing_interface_product_fails_lu_s_typed() {
         let cfg = PdslinConfig {
             k: 2,
+            ..Default::default()
+        };
+        let mut a = laplace2d(16, 16);
+        let part = crate::partition::compute_partition(&a, cfg.k, &cfg.partitioner);
+        let sep = |i: usize| part.part_of[i] == graphpart::SEPARATOR;
+        let rows: Vec<usize> = (0..a.nrows())
+            .flat_map(|i| std::iter::repeat_n(i, a.row_indices(i).len()))
+            .collect();
+        let cols = a.indices().to_vec();
+        for ((v, &i), &j) in a.values_mut().iter_mut().zip(&rows).zip(&cols) {
+            if sep(i) != sep(j) {
+                *v *= 1e200;
+            }
+        }
+        let non_finite_s = |e: &PdslinError| {
+            matches!(
+                e,
+                PdslinError::SchurFactorization {
+                    source: slu::LuError::NonFinite { .. },
+                    ..
+                }
+            )
+        };
+        let err = Pdslin::setup(&a, cfg).err();
+        assert!(err.as_ref().is_some_and(non_finite_s), "{err:?}");
+        // The same phase list, with its recovery log in view.
+        let sys = extract_dbbd(&a, part.clone());
+        let (mut stats, mut recovery) = (SetupStats::default(), RecoveryReport::default());
+        let mut pass = Pass {
+            cfg: &cfg,
+            fault: cfg.fault,
+            budget: &Budget::unlimited(),
+            stats: &mut stats,
+            recovery: &mut recovery,
+        };
+        let mut factors = Vec::new();
+        pass.lu_d(&sys, &mut factors).unwrap();
+        let mut plans: Vec<_> = factors.iter().map(|_| None).collect();
+        let err = pass.after_lu_d(&sys, &factors, &mut plans, None).err();
+        assert!(err.as_ref().is_some_and(non_finite_s), "{err:?}");
+        assert!(recovery.is_empty(), "{}", recovery.summary());
+    }
+
+    /// An injected panic is its domain's typed `WorkerPanic`; the
+    /// sibling tasks still finish their factors.
+    #[test]
+    fn worker_panic_is_typed_and_siblings_finish() {
+        let a = laplace2d(16, 16);
+        let cfg = PdslinConfig {
+            k: 4,
             fault: FaultPlan {
-                poison_interface: Some(0),
+                worker_panic: Some(1),
                 ..Default::default()
             },
             ..Default::default()
         };
-        let mut s = Pdslin::setup(&a, cfg).expect("setup must recover");
-        let repaired = s
-            .stats
-            .recovery
-            .events
-            .iter()
-            .any(|e| matches!(e, RecoveryEvent::InterfaceRecomputed { domain: 0 }));
-        assert!(repaired, "{}", s.stats.recovery.summary());
-        let b = vec![1.0; a.nrows()];
-        let out = s.solve(&b).unwrap();
-        assert!(residual_inf_norm(&a, &out.x, &b) < 1e-6);
+        let part = crate::partition::compute_partition(&a, cfg.k, &cfg.partitioner);
+        let sys = extract_dbbd(&a, part);
+        let (mut stats, mut recovery) = (SetupStats::default(), RecoveryReport::default());
+        let mut factors = Vec::new();
+        let out = Pass {
+            cfg: &cfg,
+            fault: cfg.fault,
+            budget: &Budget::unlimited(),
+            stats: &mut stats,
+            recovery: &mut recovery,
+        }
+        .lu_d(&sys, &mut factors);
+        let typed = matches!(
+            out,
+            Err(PdslinError::WorkerPanic {
+                phase: "lu_d",
+                domain: 1,
+                ..
+            })
+        );
+        assert!(typed, "{out:?}");
+        assert_eq!(factors.len(), cfg.k - 1);
+        assert!(recovery.is_empty(), "{}", recovery.summary());
     }
 
     #[test]
@@ -1462,26 +1481,18 @@ mod tests {
             .unwrap();
             s.solve(&b).unwrap().x
         };
-        for fault in [
-            FaultPlan {
+        let cfg = PdslinConfig {
+            k: 2,
+            fault: FaultPlan {
                 singular_domain: Some(0),
                 ..Default::default()
             },
-            FaultPlan {
-                poison_interface: Some(1),
-                ..Default::default()
-            },
-        ] {
-            let cfg = PdslinConfig {
-                k: 2,
-                fault,
-                ..Default::default()
-            };
-            let mut s = Pdslin::setup(&a, cfg).unwrap();
-            let x = s.solve(&b).unwrap().x;
-            for (xc, xf) in clean.iter().zip(&x) {
-                assert!((xc - xf).abs() < 1e-6, "fault {fault:?} changed the answer");
-            }
+            ..Default::default()
+        };
+        let mut s = Pdslin::setup(&a, cfg).unwrap();
+        let x = s.solve(&b).unwrap().x;
+        for (xc, xf) in clean.iter().zip(&x) {
+            assert!((xc - xf).abs() < 1e-6, "the fault changed the answer");
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Deterministic fault injection for exercising the recovery paths.
 //!
-//! A [`FaultPlan`] makes a chosen pipeline stage fail *on its first
-//! attempt only*: the injected fault corrupts the computation, the
-//! driver's recovery machinery detects it, and the retry (which the plan
-//! leaves untouched) succeeds. The final answer therefore stays correct
-//! while the recovery path is genuinely executed — which is exactly what
-//! the resilience tests need to assert.
+//! A [`FaultPlan`] makes a chosen pipeline stage fail. Where a recovery
+//! rung exists (a singular subdomain, a failed partitioner, an
+//! over-budget Schur assembly) the fault hits the first attempt only, so
+//! the rung genuinely runs and the answer stays correct; a worker panic
+//! has no rung and surfaces as the typed `WorkerPanic`, and a stall runs
+//! a deadline out at a known phase boundary.
 
 /// Which faults to inject into the next `setup`/`solve`.
 ///
@@ -15,19 +15,12 @@ pub struct FaultPlan {
     /// Make `LU(D_i)` of this subdomain fail on the first attempt, as if
     /// the block were numerically singular.
     pub singular_domain: Option<usize>,
-    /// Poison this subdomain's interface block `T̃_i` with a NaN after
-    /// its first computation.
-    pub poison_interface: Option<usize>,
     /// Make the requested partitioner report failure, forcing the
     /// partition fallback chain.
     pub fail_partitioner: bool,
-    /// Panic inside this subdomain's `LU(D)` task on the first attempt
-    /// (exercises the `catch_unwind` isolation + single retry).
+    /// Panic inside this subdomain's `LU(D)` task (exercises the
+    /// `catch_unwind` containment and the typed `WorkerPanic` error).
     pub worker_panic: Option<usize>,
-    /// Make the injected worker panic persist across the per-domain
-    /// retry *and* the whole-setup retry, so setup must surface the
-    /// typed `WorkerPanic` error.
-    pub worker_panic_persistent: bool,
     /// Sleep this many milliseconds before the Schur assembly
     /// (`PhaseStall`): a deadline-limited setup deterministically runs
     /// out of time there.
@@ -69,11 +62,6 @@ mod tests {
         .is_none());
         assert!(!FaultPlan {
             fail_partitioner: true,
-            ..Default::default()
-        }
-        .is_none());
-        assert!(!FaultPlan {
-            poison_interface: Some(1),
             ..Default::default()
         }
         .is_none());

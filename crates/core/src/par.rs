@@ -11,8 +11,8 @@
 //!
 //! [`map_isolated`] runs every task under `catch_unwind`, so a panicking
 //! subdomain task surfaces as a per-item `Err(message)` instead of
-//! tearing down the whole setup; the driver retries the item and,
-//! failing that, reports a typed `WorkerPanic` error.
+//! tearing down the whole setup; the driver reports it as a typed
+//! `WorkerPanic` error.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
@@ -143,7 +143,7 @@ where
 }
 
 /// Extracts a human-readable message from a panic payload.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -6,7 +6,6 @@
 //!
 //! [`Pdslin`]: crate::Pdslin
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use slu::LuFactors;
@@ -18,10 +17,8 @@ use crate::driver::PdslinConfig;
 use crate::error::PdslinError;
 use crate::extract::DbbdSystem;
 use crate::fault::FaultPlan;
-use crate::interface::{
-    compute_interface, compute_interface_planned, InterfaceConfig, InterfacePlan,
-};
-use crate::par::{inner_worker_count, map_isolated, outer_worker_count, panic_message};
+use crate::interface::{compute_interface_planned, InterfaceConfig, InterfacePlan};
+use crate::par::{inner_worker_count, map_isolated, outer_worker_count};
 use crate::recovery::{RecoveryEvent, RecoveryReport};
 use crate::schur::{assemble_schur_workers, factor_schur_robust, schur_bytes_estimate};
 use crate::stats::SetupStats;
@@ -57,11 +54,9 @@ pub(crate) fn phase_check(
 }
 
 /// Runs `f` once per item under [`map_isolated`], then walks the results
-/// in domain order: a panicked task is logged as
-/// [`RecoveryEvent::WorkerPanicRetried`] and retried once, serially,
-/// with `f`'s `first_try` argument false; a second panic is the typed
+/// in domain order: a panicked task is the typed
 /// [`PdslinError::WorkerPanic`]. Each task's recovery events are appended
-/// in domain order, and the first task error ends the walk.
+/// in domain order, and the first error ends the walk.
 fn per_domain<T, R, F>(
     phase: &'static str,
     items: &mut [T],
@@ -72,29 +67,16 @@ fn per_domain<T, R, F>(
 where
     T: Send,
     R: Send,
-    F: Fn(usize, &mut T, bool) -> Result<(R, Vec<RecoveryEvent>), PdslinError> + Sync,
+    F: Fn(usize, &mut T) -> Result<(R, Vec<RecoveryEvent>), PdslinError> + Sync,
 {
-    let isolated = map_isolated(items, parallel, |l, item| f(l, item, true));
+    let isolated = map_isolated(items, parallel, f);
     let mut out = Vec::with_capacity(isolated.len());
-    for (l, res) in isolated.into_iter().enumerate() {
-        let res = match res {
-            Ok(r) => r,
-            Err(message) => {
-                recovery.push(RecoveryEvent::WorkerPanicRetried {
-                    phase,
-                    domain: l,
-                    message,
-                });
-                catch_unwind(AssertUnwindSafe(|| f(l, &mut items[l], false))).map_err(
-                    |payload| PdslinError::WorkerPanic {
-                        phase,
-                        domain: l,
-                        message: panic_message(payload),
-                    },
-                )?
-            }
-        };
-        let (r, events) = res?;
+    for (domain, res) in isolated.into_iter().enumerate() {
+        let (r, events) = res.map_err(|message| PdslinError::WorkerPanic {
+            phase,
+            domain,
+            message,
+        })??;
         recovery.events.extend(events);
         out.push(r);
     }
@@ -116,7 +98,7 @@ impl Pass<'_> {
     /// `LU(D)`, one isolated task per subdomain. `factors` is empty for a
     /// fresh pass, or holds an earlier pass's factors, whose pivot
     /// sequences are replayed in place; a factor whose replay is rejected
-    /// (or panics) is factored from scratch. Returns which replays held.
+    /// is factored from scratch. Returns which replays held.
     /// On a replay pass `factors` keeps one factor per domain even on
     /// error.
     pub(crate) fn lu_d(
@@ -127,17 +109,14 @@ impl Pass<'_> {
         phase_check(self.budget, "lu_d", self.stats)?;
         let t = Instant::now();
         let (cfg, fault, budget) = (self.cfg, self.fault, self.budget);
-        let task = |l: usize, slot: &mut Option<FactoredDomain>, first_try: bool| {
-            if fault.worker_panic == Some(l) && (first_try || fault.worker_panic_persistent) {
+        let task = |l: usize, slot: &mut Option<FactoredDomain>| {
+            if fault.worker_panic == Some(l) {
                 panic!("injected worker panic in LU(D_{l})");
             }
             let t0 = Instant::now();
             let d = &sys.domains[l].d;
             let mut events = Vec::new();
-            let replay = slot
-                .as_mut()
-                .filter(|_| first_try)
-                .map(|fd| fd.lu.refactorize(d));
+            let replay = slot.as_mut().map(|fd| fd.lu.refactorize(d));
             if let Some(Err(err)) = &replay {
                 events.push(RecoveryEvent::RefactorizationFallback {
                     target: "subdomain",
@@ -187,8 +166,8 @@ impl Pass<'_> {
     /// `Comp(S)`: interface solves and `T̃_ℓ` products, one isolated task
     /// per subdomain. `plans[ℓ]` (blocked-solve plans, column orders,
     /// `Uᵀ` structure) is replayed when present and filled when missing.
-    /// A non-finite `T̃_ℓ` would silently corrupt `Ŝ`, so it is recomputed
-    /// from the (finite) factors.
+    /// A non-finite `T̃_ℓ` (an overflowing product) carries into `Ŝ`, and
+    /// `LU(S̃)` rejects it, typed.
     fn comp_s(
         &mut self,
         sys: &DbbdSystem,
@@ -197,7 +176,7 @@ impl Pass<'_> {
     ) -> Result<Vec<Csr>, PdslinError> {
         phase_check(self.budget, "comp_s", self.stats)?;
         let t = Instant::now();
-        let (cfg, budget, fault) = (self.cfg, self.budget, self.fault);
+        let (cfg, budget) = (self.cfg, self.budget);
         let icfg = InterfaceConfig {
             block_size: cfg.block_size,
             ordering: cfg.rhs_ordering,
@@ -207,7 +186,7 @@ impl Pass<'_> {
         // workers, bounded by the configured thread budget.
         let outer = outer_worker_count(factors.len(), cfg.parallel);
         let inner = inner_worker_count(outer, cfg.parallel);
-        let task = |l: usize, plan: &mut Option<InterfacePlan>, _| {
+        let task = |l: usize, plan: &mut Option<InterfacePlan>| {
             let t0 = Instant::now();
             let (fd, dom) = (&factors[l], &sys.domains[l]);
             let (out, built) =
@@ -221,21 +200,8 @@ impl Pass<'_> {
         };
         let done = per_domain("comp_s", plans, cfg.parallel, self.recovery, task)
             .map_err(|e| fill_partial(e, self.stats))?;
-        let (mut t_tildes, costs): (Vec<Csr>, Vec<_>) = done.into_iter().unzip();
+        let (t_tildes, costs): (Vec<Csr>, Vec<_>) = done.into_iter().unzip();
         (self.stats.interface, self.stats.domain_costs.comp_s) = costs.into_iter().unzip();
-        // Fault injection: poison one interface block with a NaN so the
-        // sweep below has something real to detect.
-        let poisoned = fault.poison_interface.and_then(|l| t_tildes.get_mut(l));
-        if let Some(v) = poisoned.and_then(|t| t.values_mut().first_mut()) {
-            *v = f64::NAN;
-        }
-        for (l, t_tilde) in t_tildes.iter_mut().enumerate() {
-            if t_tilde.values().iter().any(|v| !v.is_finite()) {
-                *t_tilde = compute_interface(&factors[l], &sys.domains[l], &icfg).t_tilde;
-                self.recovery
-                    .push(RecoveryEvent::InterfaceRecomputed { domain: l });
-            }
-        }
         self.stats.times.comp_s += t.elapsed().as_secs_f64();
         Ok(t_tildes)
     }
@@ -301,8 +267,8 @@ impl Pass<'_> {
     /// stored `S̃` pattern (entries outside it are dropped, preserving the
     /// preconditioner's sparsity) and the stored pivots are replayed in
     /// place. Otherwise, or when the replay is rejected, `Ŝ` is dropped to
-    /// `S̃` and factored afresh; a still-poisoned `Ŝ` then fails with a
-    /// typed `NonFinite` error instead of propagating NaNs. Returns `S̃`
+    /// `S̃` and factored afresh; a non-finite `Ŝ` then fails with a typed
+    /// `NonFinite` error instead of propagating NaNs. Returns `S̃`
     /// and, unless the replay held, its fresh factors.
     fn lu_s(
         &mut self,

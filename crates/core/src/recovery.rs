@@ -43,22 +43,6 @@ pub enum RecoveryEvent {
         /// Number of pivots the retry had to perturb.
         perturbed_pivots: usize,
     },
-    /// A subdomain's interface block `T̃_ℓ` carried non-finite values
-    /// and was recomputed from the (finite) factors.
-    InterfaceRecomputed {
-        /// Index of the subdomain.
-        domain: usize,
-    },
-    /// A subdomain worker thread panicked; the panic was contained by
-    /// `catch_unwind` and the task was retried.
-    WorkerPanicRetried {
-        /// The phase whose worker panicked (`"lu_d"` or `"comp_s"`).
-        phase: &'static str,
-        /// Index of the subdomain whose task panicked.
-        domain: usize,
-        /// The panic payload, if it was a string.
-        message: String,
-    },
     /// The predicted Schur assembly size exceeded the memory budget, so
     /// the interface blocks were re-dropped with a tighter threshold
     /// (yielding a sparser, cheaper preconditioner).
@@ -123,20 +107,6 @@ impl fmt::Display for RecoveryEvent {
                 }
                 Ok(())
             }
-            RecoveryEvent::InterfaceRecomputed { domain } => {
-                write!(
-                    f,
-                    "interface block T~_{domain} recomputed (non-finite values)"
-                )
-            }
-            RecoveryEvent::WorkerPanicRetried {
-                phase,
-                domain,
-                message,
-            } => write!(
-                f,
-                "worker panic in {phase} on subdomain {domain} contained and retried ({message})"
-            ),
             RecoveryEvent::SchurMemoryDegraded {
                 predicted_bytes,
                 budget_bytes,
@@ -214,7 +184,11 @@ mod tests {
     #[test]
     fn events_accumulate_in_order() {
         let mut r = RecoveryReport::default();
-        r.push(RecoveryEvent::InterfaceRecomputed { domain: 1 });
+        r.push(RecoveryEvent::RefactorizationFallback {
+            target: "subdomain",
+            domain: 1,
+            reason: "stored pivot vanished".into(),
+        });
         let mut other = RecoveryReport::default();
         other.push(RecoveryEvent::PartitionFallback {
             from: "rhb".into(),
@@ -225,10 +199,10 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!(matches!(
             r.events[0],
-            RecoveryEvent::InterfaceRecomputed { domain: 1 }
+            RecoveryEvent::RefactorizationFallback { domain: 1, .. }
         ));
         let s = r.summary();
-        assert!(s.contains("T~_1"), "{s}");
+        assert!(s.contains("subdomain 1"), "{s}");
         assert!(s.contains("rhb -> ngd"), "{s}");
     }
 }

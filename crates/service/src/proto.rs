@@ -22,9 +22,8 @@
 //! (per-request wall-clock deadline); `retry_limit` (service-level
 //! retry budget, default 2). Fault injection for soak testing:
 //! `fail_attempts` (the service worker fails this many attempts before
-//! succeeding), `worker_panic` (+`worker_panic_persistent`),
-//! `memory_blowup`, `stall_schur_ms` — mapped onto
-//! [`FaultPlan`]. Any other field is
+//! succeeding), `worker_panic`, `memory_blowup`, `stall_schur_ms` —
+//! mapped onto [`FaultPlan`]. Any other field is
 //! rejected as an input error naming it, so a typo cannot silently
 //! leave a request running with defaults; `metrics` and `shutdown`
 //! take only `id` and `op`.
@@ -233,9 +232,7 @@ impl SolveRequest {
         // for the same matrix: fold the fault plan into the key.
         let f = &self.fault;
         h.write_u64(f.singular_domain.map_or(u64::MAX, |d| d as u64));
-        h.write_u64(f.poison_interface.map_or(u64::MAX, |d| d as u64));
         h.write_u64(f.worker_panic.map_or(u64::MAX, |d| d as u64));
-        h.write_u8(u8::from(f.worker_panic_persistent));
         h.write_u8(u8::from(f.fail_partitioner));
         h.write_u8(u8::from(f.memory_blowup));
         h.write_u64(f.stall_schur_ms.unwrap_or(u64::MAX));
@@ -272,7 +269,7 @@ fn opt_u64(j: &Json, key: &str) -> Result<Option<u64>, String> {
 
 /// The fields a `solve` request may carry; `metrics` and `shutdown`
 /// take only `id` and `op`.
-const SOLVE_FIELDS: [&str; 22] = [
+const SOLVE_FIELDS: [&str; 21] = [
     "id",
     "op",
     "generate",
@@ -292,7 +289,6 @@ const SOLVE_FIELDS: [&str; 22] = [
     "retry_limit",
     "fail_attempts",
     "worker_panic",
-    "worker_panic_persistent",
     "memory_blowup",
     "stall_schur_ms",
 ];
@@ -386,7 +382,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             };
             let fault = FaultPlan {
                 worker_panic: opt_u64(&j, "worker_panic")?.map(|v| v as usize),
-                worker_panic_persistent: field_bool(&j, "worker_panic_persistent")?,
                 memory_blowup: field_bool(&j, "memory_blowup")?,
                 stall_schur_ms: opt_u64(&j, "stall_schur_ms")?,
                 ..Default::default()
@@ -775,8 +770,7 @@ mod tests {
                 "partitioner":"rhb","weights":"value",
                 "ordering":"hypergraph","tau":0.4,"rhs_seed":1,"deadline_ms":100,
                 "retry_limit":1,"fail_attempts":0,"worker_panic":0,
-                "worker_panic_persistent":false,"memory_blowup":false,
-                "stall_schur_ms":1}"#,
+                "memory_blowup":false,"stall_schur_ms":1}"#,
         );
         parse_solve(r#"{"id":"b","op":"solve","matrix":"/tmp/m.mtx","rhs":[1.0]}"#);
     }

@@ -9,7 +9,7 @@ request — then a metrics probe and a shutdown. Asserts:
   * every request is answered with exactly one typed response
     (status ok | overloaded | error, never silence, never a crash);
   * the past-deadline request fails with the budget error class;
-  * the persistent-panic request fails with the execution error class;
+  * the worker-panic request fails with the execution error class;
   * the metrics snapshot shows the faults were actually exercised;
   * shutdown is acknowledged and the daemon exits 0.
 
@@ -39,8 +39,8 @@ REQUESTS = [
     {"id": "clean3", "op": "solve", "generate": "matrix211", "k": 4, "deadline_ms": 30000},
     # Transient service fault: fails once, retried, then succeeds.
     {"id": "retry1", "op": "solve", "generate": "g3_circuit", "k": 4, "fail_attempts": 1, "retry_limit": 2, "deadline_ms": 30000},
-    # Persistent worker panic inside LU(D): must fail typed, not crash.
-    {"id": "panic1", "op": "solve", "generate": "matrix211", "k": 4, "worker_panic": 0, "worker_panic_persistent": True, "retry_limit": 1, "deadline_ms": 30000},
+    # Worker panic inside LU(D): must fail typed, not crash.
+    {"id": "panic1", "op": "solve", "generate": "matrix211", "k": 4, "worker_panic": 0, "retry_limit": 1, "deadline_ms": 30000},
     # Memory blowup under the daemon's setup budget: degraded, not dead.
     {"id": "mem1", "op": "solve", "generate": "matrix211", "k": 4, "memory_blowup": True, "deadline_ms": 30000},
     # A deadline no solve can meet: typed budget error, answered fast.

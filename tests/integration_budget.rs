@@ -83,35 +83,29 @@ fn expired_deadline_fails_solve_without_touching_factors() {
 }
 
 #[test]
-fn worker_panic_is_contained_and_answer_matches_clean_run() {
+fn worker_panic_is_contained_as_typed_error() {
     let a = test_matrix();
     let mut cfg = test_config();
     cfg.fault = FaultPlan {
-        worker_panic: Some(1),
+        worker_panic: Some(2),
         ..Default::default()
     };
-    let mut solver = Pdslin::setup(&a, cfg).expect("setup must survive one panic");
-    let retried = solver.stats.recovery.events.iter().any(|e| {
-        matches!(
-            e,
-            RecoveryEvent::WorkerPanicRetried {
-                phase: "lu_d",
-                domain: 1,
-                ..
-            }
-        )
-    });
-    assert!(retried, "events: {:?}", solver.stats.recovery.events);
-    let b = rhs(a.nrows());
-    let out = solver.solve(&b).expect("solve");
-    let clean = clean_solution(&a);
-    let max_diff = out
-        .x
-        .iter()
-        .zip(&clean)
-        .map(|(u, v)| (u - v).abs())
-        .fold(0.0f64, f64::max);
-    assert!(max_diff < 1e-6, "faulted answer diverged by {max_diff}");
+    let budget = Budget::unlimited().with_deadline(Duration::from_secs(120));
+    match Pdslin::setup_budgeted(&a, cfg, &budget) {
+        Err(SetupFailure {
+            error:
+                PdslinError::WorkerPanic {
+                    phase: "lu_d",
+                    domain: 2,
+                    message,
+                },
+            checkpoint,
+        }) => {
+            assert!(message.contains("injected"), "message: {message}");
+            assert!(checkpoint.is_none(), "LU(D) did not finish");
+        }
+        other => panic!("expected WorkerPanic, got {other:?}"),
+    }
 }
 
 #[test]
@@ -120,7 +114,6 @@ fn persistent_worker_panic_surfaces_typed_error() {
     let mut cfg = test_config();
     cfg.fault = FaultPlan {
         worker_panic: Some(0),
-        worker_panic_persistent: true,
         ..Default::default()
     };
     match Pdslin::setup(&a, cfg) {
@@ -131,27 +124,6 @@ fn persistent_worker_panic_surfaces_typed_error() {
         }) => assert!(message.contains("injected"), "message: {message}"),
         other => panic!("expected WorkerPanic, got {other:?}"),
     }
-}
-
-#[test]
-fn transient_worker_panic_triggers_whole_setup_retry_on_fallback_partition() {
-    // Persistent across the per-domain retry but only on the *first*
-    // setup pass would need a stateful fault; with the Copy fault plan,
-    // the closest observable contract is: a persistent panic walks the
-    // whole chain (per-domain retry, then natural-block setup retry) and
-    // still surfaces typed — while a one-shot panic never escalates past
-    // the per-domain retry (asserted above). Here we check the fallback
-    // partition event is recorded before the typed error is returned.
-    let a = test_matrix();
-    let mut cfg = test_config();
-    cfg.fault = FaultPlan {
-        worker_panic: Some(0),
-        worker_panic_persistent: true,
-        ..Default::default()
-    };
-    let budget = Budget::unlimited();
-    let err = Pdslin::setup_budgeted(&a, cfg, &budget).unwrap_err();
-    assert!(matches!(err.error, PdslinError::WorkerPanic { .. }));
 }
 
 #[test]
@@ -265,28 +237,6 @@ fn singular_domain_retry_matches_clean_answer() {
     assert!(lu_retried, "events: {:?}", solver.stats.recovery.events);
     let b = rhs(a.nrows());
     let out = solver.solve(&b).expect("solve");
-    let clean = clean_solution(&a);
-    let max_diff = out
-        .x
-        .iter()
-        .zip(&clean)
-        .map(|(u, v)| (u - v).abs())
-        .fold(0.0f64, f64::max);
-    assert!(max_diff < 1e-6, "faulted answer diverged by {max_diff}");
-}
-
-#[test]
-fn worker_panic_under_generous_deadline_matches_clean_answer() {
-    let a = test_matrix();
-    let mut cfg = test_config();
-    cfg.fault = FaultPlan {
-        worker_panic: Some(2),
-        ..Default::default()
-    };
-    let budget = Budget::unlimited().with_deadline(Duration::from_secs(120));
-    let mut solver = Pdslin::setup_budgeted(&a, cfg, &budget).expect("setup");
-    let b = rhs(a.nrows());
-    let out = solver.solve_budgeted(&b, &budget).expect("solve");
     let clean = clean_solution(&a);
     let max_diff = out
         .x

@@ -61,7 +61,7 @@ fn soak_every_request_gets_a_typed_response() {
                             ),
                             // worker panic inside LU(D)
                             format!(
-                                r#"{{"id":"c{c}-{i}-panic","op":"solve","generate":"matrix211","k":4,"worker_panic":0,"worker_panic_persistent":true,"retry_limit":1,"deadline_ms":30000}}"#
+                                r#"{{"id":"c{c}-{i}-panic","op":"solve","generate":"matrix211","k":4,"worker_panic":0,"retry_limit":1,"deadline_ms":30000}}"#
                             ),
                             // memory blowup under the service's setup budget
                             format!(
@@ -107,7 +107,7 @@ fn soak_every_request_gets_a_typed_response() {
             assert!(*ms < 10_000.0, "{id}: answered after {ms:.0}ms");
         }
     }
-    // Clean requests always succeed; persistent panics always fail typed.
+    // Clean requests always succeed; worker panics always fail typed.
     for (id, st, _) in &responses {
         if id.ends_with("-clean") {
             assert_eq!(*st, "ok", "{id}");

@@ -1,9 +1,10 @@
 //! Randomized recovery invariants: for arbitrary well-posed systems,
 //! injected faults must never surface — setup succeeds, the recovery
 //! log records what happened, and the final residual is as tight as a
-//! clean run's.
+//! clean run's. Plus the partition fallback, reached with no fault.
 
-use pdslin::{FaultPlan, Pdslin, PdslinConfig};
+use matgen::{generate, MatrixKind, Scale};
+use pdslin::{FaultPlan, Pdslin, PdslinConfig, RecoveryEvent};
 use sparsekit::ops::residual_inf_norm;
 use sparsekit::{Coo, Csr, Rng64};
 
@@ -43,13 +44,9 @@ fn random_system(rng: &mut Rng64) -> Csr {
 }
 
 fn faults(rng: &mut Rng64, k: usize) -> FaultPlan {
-    match rng.below(3) {
+    match rng.below(2) {
         0 => FaultPlan {
             singular_domain: Some(rng.below(k)),
-            ..Default::default()
-        },
-        1 => FaultPlan {
-            poison_interface: Some(rng.below(k)),
             ..Default::default()
         },
         _ => FaultPlan {
@@ -110,4 +107,27 @@ fn clean_runs_never_report_recovery() {
         assert!(out.converged, "seed {seed}");
         assert!(residual_inf_norm(&a, &out.x, &b) < 1e-6, "seed {seed}");
     }
+}
+
+/// The partition fallback is reached by a real input: NGD needs a
+/// power-of-two `k`, so `k = 3` routes to the natural-block split with
+/// no fault injected, and the answer still meets the residual bound.
+#[test]
+fn non_power_of_two_k_falls_back_to_natural_block() {
+    let a = generate(MatrixKind::G3Circuit, Scale::Test);
+    let cfg = PdslinConfig {
+        k: 3,
+        ..Default::default()
+    };
+    assert!(cfg.fault.is_none());
+    let mut solver = Pdslin::setup(&a, cfg).expect("setup");
+    let events = &solver.stats.recovery.events;
+    let fallback = matches!(
+        events.as_slice(),
+        [RecoveryEvent::PartitionFallback { to, .. }] if to == "natural-block"
+    );
+    assert!(fallback, "{}", solver.stats.recovery.summary());
+    let b = vec![1.0; a.nrows()];
+    let out = solver.solve(&b).expect("solve");
+    assert!(residual_inf_norm(&a, &out.x, &b) < 1e-6);
 }
