@@ -82,30 +82,37 @@ fn expired_deadline_fails_solve_without_touching_factors() {
     assert!(residual_inf_norm(&a, &out.x, &b) < 1e-5);
 }
 
+fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
+    x.iter()
+        .zip(y)
+        .map(|(u, v)| (u - v).abs())
+        .fold(0.0f64, f64::max)
+}
+
 #[test]
-fn worker_panic_is_contained_as_typed_error() {
+fn worker_panic_is_contained_and_answer_matches_clean_run() {
+    // The panic is caught at the subdomain task and surfaces typed; it
+    // does not unwind through the caller, and a fault-free set-up in the
+    // same process afterwards gives the clean answer.
     let a = test_matrix();
     let mut cfg = test_config();
     cfg.fault = FaultPlan {
-        worker_panic: Some(2),
+        worker_panic: Some(1),
         ..Default::default()
     };
-    let budget = Budget::unlimited().with_deadline(Duration::from_secs(120));
-    match Pdslin::setup_budgeted(&a, cfg, &budget) {
-        Err(SetupFailure {
-            error:
-                PdslinError::WorkerPanic {
-                    phase: "lu_d",
-                    domain: 2,
-                    message,
-                },
-            checkpoint,
-        }) => {
-            assert!(message.contains("injected"), "message: {message}");
-            assert!(checkpoint.is_none(), "LU(D) did not finish");
-        }
+    match Pdslin::setup(&a, cfg) {
+        Err(PdslinError::WorkerPanic {
+            phase: "lu_d",
+            domain: 1,
+            message,
+        }) => assert!(message.contains("injected"), "message: {message}"),
         other => panic!("expected WorkerPanic, got {other:?}"),
     }
+    let mut solver = Pdslin::setup(&a, test_config()).expect("setup after a contained panic");
+    let b = rhs(a.nrows());
+    let out = solver.solve(&b).expect("solve");
+    let max_diff = max_abs_diff(&out.x, &clean_solution(&a));
+    assert!(max_diff < 1e-6, "answer after the panic diverged by {max_diff}");
 }
 
 #[test]
@@ -245,6 +252,41 @@ fn singular_domain_retry_matches_clean_answer() {
         .map(|(u, v)| (u - v).abs())
         .fold(0.0f64, f64::max);
     assert!(max_diff < 1e-6, "faulted answer diverged by {max_diff}");
+}
+
+#[test]
+fn worker_panic_under_generous_deadline_matches_clean_answer() {
+    // Under a deadline the panic is still a `WorkerPanic`, not a
+    // `DeadlineExceeded`, with no checkpoint since LU(D) did not finish;
+    // the same budget then carries a fault-free set-up and solve to the
+    // clean answer.
+    let a = test_matrix();
+    let mut cfg = test_config();
+    cfg.fault = FaultPlan {
+        worker_panic: Some(2),
+        ..Default::default()
+    };
+    let budget = Budget::unlimited().with_deadline(Duration::from_secs(120));
+    match Pdslin::setup_budgeted(&a, cfg, &budget) {
+        Err(SetupFailure {
+            error:
+                PdslinError::WorkerPanic {
+                    phase: "lu_d",
+                    domain: 2,
+                    message,
+                },
+            checkpoint,
+        }) => {
+            assert!(message.contains("injected"), "message: {message}");
+            assert!(checkpoint.is_none(), "LU(D) did not finish");
+        }
+        other => panic!("expected WorkerPanic, got {other:?}"),
+    }
+    let mut solver = Pdslin::setup_budgeted(&a, test_config(), &budget).expect("setup");
+    let b = rhs(a.nrows());
+    let out = solver.solve_budgeted(&b, &budget).expect("solve");
+    let max_diff = max_abs_diff(&out.x, &clean_solution(&a));
+    assert!(max_diff < 1e-6, "answer after the panic diverged by {max_diff}");
 }
 
 #[test]
