@@ -18,6 +18,10 @@
 //! single sweeps (`BENCH_trisolve_lanes.json`), asserting that every
 //! lane matches its single sweep bit for bit.
 //!
+//! `bench_kernels SCENARIO` runs one scenario (`kernels`,
+//! `lu_dense_crossover`, `reach_pruned` or `trisolve_lanes`); with no
+//! argument it runs all four.
+//!
 //! Every parallel result is checked for **exact** equality against the
 //! serial run (the kernels promise byte-identical output); a mismatch
 //! aborts the process, which is what the CI smoke step relies on.
@@ -508,8 +512,42 @@ fn bench_trisolve_lanes(scale: Scale) {
     pdslin_bench::write_json("BENCH_trisolve_lanes", &rows);
 }
 
+/// The scenarios, in run order; each writes its own `BENCH_*.json`.
+const SCENARIOS: [&str; 4] = [
+    "kernels",
+    "lu_dense_crossover",
+    "reach_pruned",
+    "trisolve_lanes",
+];
+
 fn main() {
+    // `bench_kernels [SCENARIO]`: one scenario, or all of them.
+    let only = std::env::args().nth(1);
+    if let Some(name) = only.as_deref().filter(|n| !SCENARIOS.contains(n)) {
+        eprintln!(
+            "bench_kernels: unknown scenario '{name}'; usage: bench_kernels [{}]",
+            SCENARIOS.join("|")
+        );
+        std::process::exit(2);
+    }
+    let runs = |name: &str| only.as_deref().is_none_or(|o| o == name);
     let scale = pdslin_bench::scale_from_env();
+    if runs("kernels") {
+        bench_kernels(scale);
+    }
+    if runs("lu_dense_crossover") {
+        bench_lu_dense_crossover(scale);
+    }
+    if runs("reach_pruned") {
+        bench_reach_pruned(scale);
+    }
+    if runs("trisolve_lanes") {
+        bench_trisolve_lanes(scale);
+    }
+}
+
+/// The serial-vs-parallel scenario (`BENCH_kernels.json`).
+fn bench_kernels(scale: Scale) {
     let (nx, ny) = match scale {
         Scale::Test => (50, 50),
         Scale::Bench => (200, 200),
@@ -530,7 +568,4 @@ fn main() {
     }
     pdslin_bench::write_json("BENCH_kernels", &rows);
     println!("\nall parallel results matched serial exactly");
-    bench_lu_dense_crossover(scale);
-    bench_reach_pruned(scale);
-    bench_trisolve_lanes(scale);
 }

@@ -217,11 +217,11 @@ pub fn compute_partition_robust(
     let mut ngd_was_tried = false;
     if inject_failure {
         reason = "injected partitioner fault".to_string();
-    } else if matches!(kind, PartitionerKind::Ngd) && !k.is_power_of_two() {
-        // `nested_dissection` only supports power-of-two k; rather than
-        // panicking inside the partitioner, route through the fallbacks.
-        reason = format!("NGD requires a power-of-two k, got {k}");
-        ngd_was_tried = true;
+    } else if !k.is_power_of_two() {
+        // Both `nested_dissection` and `rhb_partition` bisect recursively
+        // and support only power-of-two k; rather than panicking inside
+        // the partitioner, go straight to the natural-block split.
+        reason = format!("{from} requires a power-of-two k, got {k}");
     } else {
         let p = compute_partition_weighted(a, k, kind, weights);
         ngd_was_tried = matches!(kind, PartitionerKind::Ngd);

@@ -246,15 +246,23 @@ impl Pass<'_> {
                         budget_bytes: limit,
                     });
                 }
-                for t_tilde in t_tildes.iter_mut() {
-                    *t_tilde = t_tilde.drop_small(drop_tol, false).0;
+                // Skip a decade below every stored |t̃_ij|: `drop_small`
+                // keeps exactly the entries above it, so that round would
+                // drop nothing and change no prediction.
+                let keeps_all = t_tildes
+                    .iter()
+                    .all(|t| t.values().iter().all(|v| v.abs() > drop_tol));
+                if !keeps_all {
+                    for t_tilde in t_tildes.iter_mut() {
+                        *t_tilde = t_tilde.drop_small(drop_tol, false).0;
+                    }
+                    self.recovery.push(RecoveryEvent::SchurMemoryDegraded {
+                        predicted_bytes: predicted,
+                        budget_bytes: limit,
+                        drop_tol,
+                    });
+                    predicted = schur_bytes_estimate(sys, &t_tildes);
                 }
-                self.recovery.push(RecoveryEvent::SchurMemoryDegraded {
-                    predicted_bytes: predicted,
-                    budget_bytes: limit,
-                    drop_tol,
-                });
-                predicted = schur_bytes_estimate(sys, &t_tildes);
                 drop_tol *= 10.0;
             }
         }

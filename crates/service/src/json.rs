@@ -8,8 +8,19 @@
 //! the protocol uses (< 2⁵³). Writing goes the other way through
 //! [`escape`] and the `obj!` convenience in `proto` — there is no DOM
 //! round-trip on the hot path.
+//!
+//! The parser works on the byte slice: a number token is found in one
+//! scan of the slice and handed to `f64::from_str` (exact rounding), and
+//! whitespace is skipped the same way. Arrays and objects may nest at
+//! most [`MAX_DEPTH`] deep; deeper input is an error, not an unbounded
+//! recursion, so a line of a million `[` cannot overflow the stack of
+//! the connection thread parsing it.
 
 use std::collections::BTreeMap;
+
+/// How deep arrays and objects may nest in one document. The protocol
+/// uses two levels; the limit only bounds the parser's recursion.
+pub const MAX_DEPTH: usize = 128;
 
 /// One parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,8 +43,10 @@ impl Json {
     /// Parses one complete JSON document, rejecting trailing garbage.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -94,19 +107,26 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text`'s bytes. Every token ends at an ASCII byte, so slicing
+    /// `text` at token boundaries never splits a character.
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
+    /// Length of the run at the front of `self.bytes[self.pos..]` whose
+    /// bytes all satisfy `f`.
+    #[inline]
+    fn run(&self, f: impl Fn(u8) -> bool) -> usize {
+        let rest = &self.bytes[self.pos..];
+        rest.iter().position(|&b| !f(b)).unwrap_or(rest.len())
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+        self.pos += self.run(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
     }
 
     fn peek(&self) -> Option<u8> {
@@ -139,8 +159,12 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -152,6 +176,14 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -251,32 +283,18 @@ impl Parser<'_> {
                     // `"` or `\` never splits a UTF-8 scalar: both are
                     // ASCII and cannot appear inside a multi-byte sequence.
                     let start = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(run);
+                    self.pos += self.run(|b| b != b'"' && b != b'\\');
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
     }
 
     fn number(&mut self) -> Result<Json, String> {
+        // The leading '-' is in the token alphabet too.
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        self.pos += self.run(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'));
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number '{text}' at byte {start}"))

@@ -40,6 +40,23 @@ impl Coo {
         }
     }
 
+    /// A triplet matrix over already bounds-checked parallel arrays.
+    pub(crate) fn from_triplets(
+        nrows: usize,
+        ncols: usize,
+        rows: Vec<usize>,
+        cols: Vec<usize>,
+        vals: Vec<f64>,
+    ) -> Self {
+        Coo {
+            nrows,
+            ncols,
+            rows,
+            cols,
+            vals,
+        }
+    }
+
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows

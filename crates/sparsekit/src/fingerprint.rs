@@ -5,14 +5,26 @@
 //! requests naming the same generated analogue, or two paths to
 //! byte-identical Matrix Market files, must map to the same cache entry.
 //! [`csr_fingerprint`] hashes the full CSR image (shape, row pointers,
-//! column indices, and the exact bit patterns of the values) with FNV-1a,
-//! so any structural or numerical change — including a sign flip or a
+//! column indices, and the exact bit patterns of the values), so any
+//! structural or numerical change — including a sign flip or a
 //! `-0.0`/`+0.0` swap — produces a different key.
 //!
-//! FNV-1a is not collision-resistant against adversaries; it is a cache
-//! key, not a security boundary. A collision costs a wrong cache hit on
-//! deliberately crafted inputs, which the service tolerates no worse
-//! than any content-addressed cache would.
+//! The matrix digests fold whole 64-bit words, word `i` of a slice into
+//! lane `i mod 4` of four independent multiply–xorshift lanes, so the
+//! multiplies of neighbouring words overlap instead of forming one
+//! dependency chain. Each step is a bijection of its lane's state for a
+//! fixed word and of the word for a fixed state, and the lanes are
+//! combined by the same step, so changing any single word always changes
+//! the digest. The digests live only in memory (cache keys, the driver's
+//! pattern check); nothing persists them.
+//!
+//! [`Fnv64`] is the byte-wise FNV-1a hasher for small keys (request
+//! specs, drift seeds, solution fingerprints), whose values are pinned.
+//!
+//! Neither hash is collision-resistant against adversaries; each is a
+//! cache key, not a security boundary. A collision costs a wrong cache
+//! hit on deliberately crafted inputs, which the service tolerates no
+//! worse than any content-addressed cache would.
 
 use crate::Csr;
 
@@ -74,23 +86,64 @@ impl Fnv64 {
     }
 }
 
+/// Odd multiplier of the lane step (the 64-bit golden ratio).
+const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Four independent multiply–xorshift lanes over 64-bit words.
+struct Lanes([u64; 4]);
+
+impl Lanes {
+    /// Lanes seeded apart, so equal words in different lanes diverge.
+    fn new() -> Lanes {
+        Lanes([
+            0x243f_6a88_85a3_08d3,
+            0x1319_8a2e_0370_7344,
+            0xa409_3822_299f_31d0,
+            0x082e_fa98_ec4e_6c89,
+        ])
+    }
+
+    #[inline(always)]
+    fn step(h: u64, w: u64) -> u64 {
+        let x = (h ^ w).wrapping_mul(LANE_MUL);
+        x ^ (x >> 29)
+    }
+
+    /// Folds `words`, word `i` into lane `i mod 4`.
+    fn fold<T: Copy>(&mut self, words: &[T], bits: impl Fn(T) -> u64) {
+        let mut quads = words.chunks_exact(4);
+        for q in &mut quads {
+            for (h, &w) in self.0.iter_mut().zip(q) {
+                *h = Lanes::step(*h, bits(w));
+            }
+        }
+        for (h, &w) in self.0.iter_mut().zip(quads.remainder()) {
+            *h = Lanes::step(*h, bits(w));
+        }
+    }
+
+    /// Combines the lanes (in order, by the lane step) into the digest.
+    fn finish(&self) -> u64 {
+        let h = self.0.iter().fold(0, |acc, &lane| Lanes::step(acc, lane));
+        Lanes::step(h, h >> 32)
+    }
+}
+
+/// Folds the shape, row pointers and column indices.
+fn fold_pattern(h: &mut Lanes, a: &Csr) {
+    h.fold(&[a.nrows(), a.ncols()], |n| n as u64);
+    h.fold(a.indptr(), |p| p as u64);
+    h.fold(a.indices(), |j| j as u64);
+}
+
 /// The 64-bit content fingerprint of a CSR matrix: shape, sparsity
 /// pattern, and exact value bits. Equal matrices always agree;
 /// distinct matrices disagree except under (astronomically unlikely,
-/// non-adversarial) FNV collisions.
+/// non-adversarial) collisions.
 pub fn csr_fingerprint(a: &Csr) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(a.nrows() as u64);
-    h.write_u64(a.ncols() as u64);
-    for &p in a.indptr() {
-        h.write_u64(p as u64);
-    }
-    for &j in a.indices() {
-        h.write_u64(j as u64);
-    }
-    for &v in a.values() {
-        h.write_f64(v);
-    }
+    let mut h = Lanes::new();
+    fold_pattern(&mut h, a);
+    h.fold(a.values(), f64::to_bits);
     h.finish()
 }
 
@@ -100,15 +153,8 @@ pub fn csr_fingerprint(a: &Csr) -> u64 {
 /// here and disagree on [`csr_value_fingerprint`]; sequence solvers use
 /// the pair as a split cache key.
 pub fn csr_pattern_fingerprint(a: &Csr) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(a.nrows() as u64);
-    h.write_u64(a.ncols() as u64);
-    for &p in a.indptr() {
-        h.write_u64(p as u64);
-    }
-    for &j in a.indices() {
-        h.write_u64(j as u64);
-    }
+    let mut h = Lanes::new();
+    fold_pattern(&mut h, a);
     h.finish()
 }
 
@@ -117,11 +163,9 @@ pub fn csr_pattern_fingerprint(a: &Csr) -> u64 {
 /// [`csr_pattern_fingerprint`]; the pair together distinguishes exactly
 /// what [`csr_fingerprint`] does.
 pub fn csr_value_fingerprint(a: &Csr) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(a.values().len() as u64);
-    for &v in a.values() {
-        h.write_f64(v);
-    }
+    let mut h = Lanes::new();
+    h.fold(&[a.values().len() as u64], |n| n);
+    h.fold(a.values(), f64::to_bits);
     h.finish()
 }
 

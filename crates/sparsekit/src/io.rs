@@ -1,11 +1,22 @@
 //! Matrix Market (`.mtx`) reading and writing.
 //!
-//! Supports `matrix coordinate real/integer/pattern general/symmetric`
-//! headers — enough to load the University of Florida collection matrices
-//! used in the paper when they are available on disk.
+//! Supports `matrix coordinate real/integer/pattern general/symmetric/
+//! skew-symmetric` headers — enough to load the University of Florida
+//! collection matrices used in the paper when they are available on disk.
+//!
+//! The reader takes the whole file in one read and walks its bytes with a
+//! cursor: lines are found by their `\n`, tokens split where
+//! `str::split_whitespace` would split, indices are parsed by hand with
+//! overflow checks and each value goes through `f64::from_str`, which
+//! rounds exactly. Entries that arrive row-sorted and unique (as
+//! [`write_matrix_market`] writes them) already form the CSR arrays;
+//! anything else goes through [`Coo::to_csr`], which sorts each row and
+//! sums duplicates. Every malformed input is a typed [`MmError`], and the
+//! size line is treated as input: reservations are bounded by the file's
+//! length, never by the entry count it declares.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
 
 use crate::{Coo, Csr};
@@ -89,17 +100,23 @@ fn parse_err(msg: impl Into<String>) -> MmError {
 
 /// Reads a Matrix Market coordinate file into CSR.
 pub fn read_matrix_market(path: impl AsRef<Path>) -> Result<Csr, MmError> {
-    let f = File::open(path)?;
-    read_matrix_market_from(BufReader::new(f))
+    parse(&std::fs::read(path)?)
 }
 
-/// Reads Matrix Market data from any buffered reader.
+/// Reads Matrix Market data from any buffered reader (to its end).
 pub fn read_matrix_market_from<R: BufRead>(mut r: R) -> Result<Csr, MmError> {
-    let mut header = String::new();
-    r.read_line(&mut header)?;
-    let h: Vec<String> = header
-        .split_whitespace()
-        .map(|s| s.to_ascii_lowercase())
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    parse(&bytes)
+}
+
+/// Parses a whole Matrix Market file held in memory.
+fn parse(bytes: &[u8]) -> Result<Csr, MmError> {
+    let mut cur = Cursor::new(bytes);
+    cur.at_end()?;
+    let h: Vec<String> = std::iter::from_fn(|| cur.token())
+        .take(5)
+        .map(str::to_ascii_lowercase)
         .collect();
     if h.len() < 5 || h[0] != "%%matrixmarket" || h[1] != "matrix" {
         return Err(parse_err("missing %%MatrixMarket matrix header"));
@@ -118,105 +135,293 @@ pub fn read_matrix_market_from<R: BufRead>(mut r: R) -> Result<Csr, MmError> {
     if !matches!(sym, "general" | "symmetric" | "skew-symmetric") {
         return Err(parse_err(format!("unsupported symmetry '{sym}'")));
     }
+    let (pattern, mirrored, skew) = (
+        field == "pattern",
+        sym != "general",
+        sym == "skew-symmetric",
+    );
 
-    // Skip comments, find the size line.
-    let mut line = String::new();
-    let (nrows, ncols, nnz) = loop {
-        line.clear();
-        if r.read_line(&mut line)? == 0 {
-            return Err(parse_err("unexpected EOF before size line"));
-        }
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        let nr: usize = it
-            .next()
-            .ok_or_else(|| parse_err("bad size line"))?
-            .parse()
-            .map_err(|_| parse_err("bad nrows"))?;
-        let nc: usize = it
-            .next()
-            .ok_or_else(|| parse_err("bad size line"))?
-            .parse()
-            .map_err(|_| parse_err("bad ncols"))?;
-        let nz: usize = it
-            .next()
-            .ok_or_else(|| parse_err("bad size line"))?
-            .parse()
-            .map_err(|_| parse_err("bad nnz"))?;
-        break (nr, nc, nz);
+    if !cur.next_data_line()? {
+        return Err(parse_err("unexpected EOF before size line"));
+    }
+    let mut size_field = |what: &str| {
+        let t = cur.token().ok_or_else(|| parse_err("bad size line"))?;
+        parse_index(t).ok_or_else(|| parse_err(format!("bad {what}")))
     };
+    let nrows = size_field("nrows")?;
+    let ncols = size_field("ncols")?;
+    let nnz = size_field("nnz")?;
     if nrows == 0 || ncols == 0 {
         return Err(MmError::ZeroDimension { nrows, ncols });
     }
 
-    let mut coo = Coo::with_capacity(nrows, ncols, if sym == "general" { nnz } else { 2 * nnz });
-    let mut seen = 0usize;
-    while seen < nnz {
-        line.clear();
-        if r.read_line(&mut line)? == 0 {
+    // The size line is input like any other: reserve for no more entries
+    // than the remaining bytes can hold (an entry line takes at least four).
+    let cap = nnz.min(cur.remaining() / 4) * if mirrored { 2 } else { 1 };
+    let mut t = Triplets {
+        rows: Vec::with_capacity(cap),
+        cols: Vec::with_capacity(cap),
+        vals: Vec::with_capacity(cap),
+        sorted: true,
+    };
+    for seen in 0..nnz {
+        if !cur.next_data_line()? {
             return Err(MmError::Truncated {
                 declared: nnz,
                 found: seen,
             });
         }
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        let i: usize = it
-            .next()
-            .ok_or_else(|| parse_err("bad entry line"))?
-            .parse()
-            .map_err(|_| parse_err("bad row index"))?;
-        let j: usize = it
-            .next()
-            .ok_or_else(|| parse_err("bad entry line"))?
-            .parse()
-            .map_err(|_| parse_err("bad col index"))?;
+        let i = cur.index().ok_or_else(|| parse_err("bad row index"))?;
+        let j = cur.index().ok_or_else(|| parse_err("bad col index"))?;
         if i == 0 || j == 0 || i > nrows || j > ncols {
             return Err(parse_err(format!(
                 "entry ({i},{j}) out of bounds (1-based)"
             )));
         }
-        let v: f64 = match field {
-            "pattern" => 1.0,
-            _ => it
-                .next()
-                .ok_or_else(|| parse_err("missing value"))?
-                .parse()
-                .map_err(|_| parse_err("bad value"))?,
+        if mirrored && (j > nrows || i > ncols) {
+            return Err(parse_err(format!(
+                "entry ({i},{j}) of a {sym} matrix mirrors outside {nrows} x {ncols}"
+            )));
+        }
+        let v = if pattern {
+            1.0
+        } else {
+            let tok = cur.token().ok_or_else(|| parse_err("missing value"))?;
+            tok.parse::<f64>().map_err(|_| parse_err("bad value"))?
         };
         if !v.is_finite() {
             return Err(MmError::NonFinite { row: i, col: j });
         }
         let (i0, j0) = (i - 1, j - 1);
-        coo.push(i0, j0, v);
-        if i0 != j0 {
-            match sym {
-                "symmetric" => coo.push(j0, i0, v),
-                "skew-symmetric" => coo.push(j0, i0, -v),
-                _ => {}
-            }
+        t.push(i0, j0, v);
+        if mirrored && i0 != j0 {
+            t.push(j0, i0, if skew { -v } else { v });
         }
-        seen += 1;
     }
     // Anything left beyond the declared entry count (other than comments
     // or blank lines) means the size line lied.
-    loop {
-        line.clear();
-        if r.read_line(&mut line)? == 0 {
-            break;
+    if cur.next_data_line()? {
+        return Err(MmError::TooManyEntries { declared: nnz });
+    }
+    Ok(t.into_csr(nrows, ncols))
+}
+
+/// Entries in file order, with whether they arrived row-sorted and
+/// unique (strictly increasing `(row, col)`).
+struct Triplets {
+    rows: Vec<usize>,
+    cols: Vec<usize>,
+    vals: Vec<f64>,
+    sorted: bool,
+}
+
+impl Triplets {
+    #[inline(always)]
+    fn push(&mut self, i: usize, j: usize, v: f64) {
+        if let (Some(&pi), Some(&pj)) = (self.rows.last(), self.cols.last()) {
+            self.sorted &= (pi, pj) < (i, j);
         }
-        let t = line.trim();
-        if !t.is_empty() && !t.starts_with('%') {
-            return Err(MmError::TooManyEntries { declared: nnz });
+        self.rows.push(i);
+        self.cols.push(j);
+        self.vals.push(v);
+    }
+
+    /// Sorted, unique entries already are CSR once the row pointers are
+    /// counted; anything else goes through [`Coo::to_csr`], which sorts
+    /// each row and sums duplicates.
+    fn into_csr(self, nrows: usize, ncols: usize) -> Csr {
+        if !self.sorted {
+            return Coo::from_triplets(nrows, ncols, self.rows, self.cols, self.vals).to_csr();
+        }
+        let mut indptr = vec![0usize; nrows + 1];
+        for &r in &self.rows {
+            indptr[r + 1] += 1;
+        }
+        for r in 0..nrows {
+            indptr[r + 1] += indptr[r];
+        }
+        Csr::from_parts(nrows, ncols, indptr, self.cols, self.vals)
+    }
+}
+
+/// A 1-based index or count: optional `+`, then decimal digits, checked
+/// for overflow — what `usize::from_str` accepts, without its generic
+/// radix machinery.
+#[inline]
+fn parse_index(t: &str) -> Option<usize> {
+    let digits = t.strip_prefix('+').unwrap_or(t).as_bytes();
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0usize, |n, &b| {
+        let d = b.wrapping_sub(b'0');
+        (d < 10).then_some(())?;
+        n.checked_mul(10)?.checked_add(d as usize)
+    })
+}
+
+/// How the cursor sees a byte: part of a token, a space, the end of a
+/// line, or the lead byte of a non-ASCII character (whose whitespace-ness
+/// `char::is_whitespace` decides).
+#[derive(Clone, Copy, PartialEq)]
+enum Class {
+    Token,
+    Space,
+    Newline,
+    Wide,
+}
+
+static CLASS: [Class; 256] = {
+    let mut t = [Class::Token; 256];
+    let mut b = 0;
+    while b < 256 {
+        t[b] = match b as u8 {
+            b'\n' => Class::Newline,
+            // `str::split_whitespace`'s ASCII whitespace: \t, \v, \f, \r, ' '.
+            b'\t'..=b'\r' | b' ' => Class::Space,
+            0x80.. => Class::Wide,
+            _ => Class::Token,
+        };
+        b += 1;
+    }
+    t
+};
+
+/// A cursor over the file's text that reads it the way the line reader
+/// it replaced did: lines end at `\n`, tokens split where
+/// `str::split_whitespace` splits, and a line whose first token starts
+/// with `%` is a comment. The file is checked as UTF-8 once; a line
+/// holding invalid UTF-8 is an I/O error (`InvalidData`) when the parser
+/// reaches it, as `BufRead::read_line` reports it, and the lines before
+/// it parse normally.
+struct Cursor<'a> {
+    /// The file up to the end of its last line of valid UTF-8.
+    text: &'a str,
+    pos: usize,
+    /// Whether an invalid line follows `text`.
+    poisoned: bool,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(bytes: &'a [u8]) -> Cursor<'a> {
+        let (text, poisoned) = match std::str::from_utf8(bytes) {
+            Ok(text) => (text, false),
+            Err(e) => {
+                let valid = &bytes[..e.valid_up_to()];
+                let end = valid.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+                let text = std::str::from_utf8(&valid[..end]).expect("a prefix of valid UTF-8");
+                (text, true)
+            }
+        };
+        Cursor {
+            text,
+            pos: 0,
+            poisoned,
         }
     }
-    Ok(coo.to_csr())
+
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.text.len() - self.pos
+    }
+
+    /// Whether the input is used up; reading on past an invalid line is
+    /// the I/O error.
+    fn at_end(&self) -> Result<bool, MmError> {
+        match (self.pos == self.text.len(), self.poisoned) {
+            (true, true) => Err(MmError::Io(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            ))),
+            (at_end, _) => Ok(at_end),
+        }
+    }
+
+    /// Advances over the run of `class` characters (`Space` or `Token`)
+    /// at the cursor: ASCII bytes by the table, anything else by
+    /// `char::is_whitespace`.
+    #[inline(always)]
+    fn skip(&mut self, class: Class) {
+        let bytes = self.text.as_bytes();
+        loop {
+            let rest = &bytes[self.pos..];
+            self.pos += rest
+                .iter()
+                .position(|&b| CLASS[b as usize] != class)
+                .unwrap_or(rest.len());
+            if self.pos == bytes.len() || CLASS[bytes[self.pos] as usize] != Class::Wide {
+                return;
+            }
+            let c = self.text[self.pos..]
+                .chars()
+                .next()
+                .expect("pos is a char boundary");
+            if c.is_whitespace() != (class == Class::Space) {
+                return;
+            }
+            self.pos += c.len_utf8();
+        }
+    }
+
+    /// The next token of the current line, `None` at its end.
+    #[inline(always)]
+    fn token(&mut self) -> Option<&'a str> {
+        self.skip(Class::Space);
+        let start = self.pos;
+        self.skip(Class::Token);
+        (start < self.pos).then(|| &self.text[start..self.pos])
+    }
+
+    /// The next token as an index or count ([`parse_index`]); `None` if
+    /// the line has no further token or the token is not one. Plain
+    /// digits followed by ASCII whitespace, the common case, are read in
+    /// place.
+    #[inline(always)]
+    fn index(&mut self) -> Option<usize> {
+        self.skip(Class::Space);
+        let rest = &self.text.as_bytes()[self.pos..];
+        // Nineteen digits cannot overflow a u64.
+        let (mut n, mut digits) = (0u64, 0);
+        for &b in rest.iter().take(19) {
+            let d = b.wrapping_sub(b'0');
+            if d >= 10 {
+                break;
+            }
+            n = n * 10 + u64::from(d);
+            digits += 1;
+        }
+        let ends = rest.get(digits).map(|&b| CLASS[b as usize]);
+        if digits > 0 && matches!(ends, None | Some(Class::Space | Class::Newline)) {
+            self.pos += digits;
+            return usize::try_from(n).ok();
+        }
+        self.token().and_then(parse_index)
+    }
+
+    /// Skips the rest of the current line, then blank and `%` comment
+    /// lines; `false` at the end of the input. The cursor is left on the
+    /// first token of a data line.
+    fn next_data_line(&mut self) -> Result<bool, MmError> {
+        loop {
+            let rest = &self.text.as_bytes()[self.pos..];
+            // A data line's tokens usually end right at its `\n`.
+            self.pos += match rest.first() {
+                Some(b'\n') => 1,
+                _ => rest
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(rest.len(), |p| p + 1),
+            };
+            if self.at_end()? {
+                return Ok(false);
+            }
+            self.skip(Class::Space);
+            match self.text.as_bytes().get(self.pos) {
+                None | Some(b'\n' | b'%') => {}
+                Some(_) => return Ok(true),
+            }
+        }
+    }
 }
 
 /// Writes a CSR matrix as `matrix coordinate real general`.

@@ -16,6 +16,11 @@ request — then a metrics probe and a shutdown. Asserts:
 Also checks the CLI's input-validation contract: an unknown --flag must
 exit with the input error code (2), not 1 and not success.
 
+Then a decoder probe: a 1 MB line of `[` (which once overflowed the
+parser's stack and aborted the daemon) must be answered with a typed
+input error, and a valid solve sent after it on the same stream must be
+answered too, before a clean shutdown.
+
 Finally, a crash-consistency case: SIGKILL the daemon while a request is
 in flight. The client must observe either a typed response (the solve
 raced ahead of the kill) or a clean EOF on stdout — never a hang — within
@@ -54,6 +59,44 @@ REQUESTS = [
 
 def fail(msg):
     sys.exit(f"service_smoke: FAIL: {msg}")
+
+
+def deep_nesting_probe():
+    """A megabyte of `[`, then a valid solve, then shutdown: three typed
+    replies and exit 0."""
+    lines = [
+        "[" * (1 << 20),
+        json.dumps({"id": "after", "op": "solve", "generate": "g3_circuit", "k": 4, "deadline_ms": 30000}),
+        json.dumps({"id": "bye", "op": "shutdown"}),
+    ]
+    proc = subprocess.Popen(
+        [BIN, "serve", "--workers", "1", "--drain-ms", "30000"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    try:
+        out, _ = proc.communicate("\n".join(lines) + "\n", timeout=60)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        fail("daemon hung on a deeply nested line")
+    if proc.returncode != 0:
+        fail(f"daemon exited {proc.returncode} after a deeply nested line")
+    by_id = {}
+    for line in out.splitlines():
+        try:
+            resp = json.loads(line)
+        except json.JSONDecodeError:
+            fail(f"daemon emitted a non-json line: {line!r}")
+        by_id[resp.get("id")] = resp
+    nested = by_id.get("", {})
+    if nested.get("status") != "error" or nested.get("category") != "input":
+        fail(f"deeply nested line not answered with an input error: {nested}")
+    for rid in ["after", "bye"]:
+        if by_id.get(rid, {}).get("status") != "ok":
+            fail(f"{rid} not answered ok after the nested line: {by_id.get(rid)}")
+    print("ok: 1 MB of '[' is an input error; the next solve is served")
 
 
 def sigkill_mid_request():
@@ -233,7 +276,10 @@ def main():
         fail(f"drained shutdown cancelled work: {shutdown}")
     print(f"ok: {len(by_id)} typed responses, faults exercised, clean shutdown")
 
-    # 3. Crash consistency: a SIGKILL mid-request must never hang the
+    # 3. A deeply nested line is an input error, not a dead daemon.
+    deep_nesting_probe()
+
+    # 4. Crash consistency: a SIGKILL mid-request must never hang the
     # client.
     sigkill_mid_request()
     print("service_smoke: PASS")

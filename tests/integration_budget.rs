@@ -112,7 +112,10 @@ fn worker_panic_is_contained_and_answer_matches_clean_run() {
     let b = rhs(a.nrows());
     let out = solver.solve(&b).expect("solve");
     let max_diff = max_abs_diff(&out.x, &clean_solution(&a));
-    assert!(max_diff < 1e-6, "answer after the panic diverged by {max_diff}");
+    assert!(
+        max_diff < 1e-6,
+        "answer after the panic diverged by {max_diff}"
+    );
 }
 
 #[test]
@@ -286,7 +289,10 @@ fn worker_panic_under_generous_deadline_matches_clean_answer() {
     let b = rhs(a.nrows());
     let out = solver.solve_budgeted(&b, &budget).expect("solve");
     let max_diff = max_abs_diff(&out.x, &clean_solution(&a));
-    assert!(max_diff < 1e-6, "answer after the panic diverged by {max_diff}");
+    assert!(
+        max_diff < 1e-6,
+        "answer after the panic diverged by {max_diff}"
+    );
 }
 
 #[test]
@@ -310,4 +316,42 @@ fn memory_limit_without_fault_is_respected() {
         other => panic!("expected MemoryBudgetExceeded, got {other:?}"),
     }
     assert!(failure.checkpoint.is_some());
+}
+
+/// Memory degradation spends a round only where it drops something: on
+/// this matrix the tolerances 1e-6 and 1e-5 lie below every stored
+/// `|t̃_ij|`, so their rounds are skipped; the 1e-4 round lowers the
+/// prediction from 38 104 to 37 688 bytes and the 1e-3 round meets the
+/// limit. The skipped rounds changed nothing, so `S̃` keeps its 1 348
+/// entries and the answer still solves.
+#[test]
+fn schur_memory_degradation_records_only_rounds_that_drop() {
+    let a = test_matrix();
+    let budget = Budget::unlimited().with_memory_limit(32 * 1024);
+    let mut solver = Pdslin::setup_budgeted(&a, test_config(), &budget).expect("setup degrades");
+    let rounds: Vec<(usize, f64)> = solver
+        .stats
+        .recovery
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            RecoveryEvent::SchurMemoryDegraded {
+                predicted_bytes,
+                drop_tol,
+                ..
+            } => Some((*predicted_bytes, *drop_tol)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rounds.len(), 2, "rounds: {rounds:?}");
+    assert_eq!(rounds[0].0, 38_104);
+    assert_eq!(rounds[1].0, 37_688);
+    assert!(
+        (rounds[0].1 / 1e-4 - 1.0).abs() < 1e-12,
+        "rounds: {rounds:?}"
+    );
+    assert_eq!(solver.stats.nnz_schur, 1348);
+    let b = rhs(a.nrows());
+    let out = solver.solve(&b).expect("solve");
+    assert!(residual_inf_norm(&a, &out.x, &b) < 1e-5);
 }

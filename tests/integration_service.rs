@@ -623,3 +623,47 @@ fn the_retired_krylov_fault_field_is_rejected_as_unknown() {
     assert_eq!(j.get("category").and_then(|v| v.as_str()), Some("input"));
     assert_eq!(j.get("code").and_then(|v| v.as_u64()), Some(2));
 }
+
+/// A megabyte line of `[` (which once overflowed the parser's stack and
+/// aborted the daemon) is answered with a typed input error, and the
+/// same connection goes on to serve a valid solve and shut down cleanly.
+#[test]
+fn deeply_nested_line_is_an_input_error_and_the_connection_survives() {
+    let input = format!(
+        "{}\n{}\n{}\n",
+        "[".repeat(1 << 20),
+        r#"{"id":"after","op":"solve","generate":"g3_circuit","k":4,"deadline_ms":30000}"#,
+        r#"{"id":"bye","op":"shutdown"}"#,
+    );
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let mut out: Vec<u8> = Vec::new();
+    let report = serve_lines(
+        &service,
+        Cursor::new(input.into_bytes()),
+        &mut out,
+        Duration::from_secs(30),
+    )
+    .expect("serve_lines io");
+    assert_eq!(report.cancelled, 0);
+    let text = String::from_utf8(out).unwrap();
+    let replies: Vec<pdslin_service::json::Json> = text
+        .lines()
+        .map(|l| pdslin_service::json::Json::parse(l).expect("responses are valid json"))
+        .collect();
+    assert_eq!(replies.len(), 3, "three requests, three responses:\n{text}");
+    let field = |id: &str, key: &str| {
+        replies
+            .iter()
+            .find(|r| r.get("id").and_then(|v| v.as_str()) == Some(id))
+            .and_then(|r| r.get(key))
+            .and_then(|v| v.as_str())
+            .map(str::to_string)
+    };
+    assert_eq!(field("", "status").as_deref(), Some("error"));
+    assert_eq!(field("", "category").as_deref(), Some("input"));
+    assert_eq!(field("after", "status").as_deref(), Some("ok"));
+    assert_eq!(field("bye", "status").as_deref(), Some("ok"));
+}

@@ -4,7 +4,7 @@
 //! clean run's. Plus the partition fallback, reached with no fault.
 
 use matgen::{generate, MatrixKind, Scale};
-use pdslin::{FaultPlan, Pdslin, PdslinConfig, RecoveryEvent};
+use pdslin::{FaultPlan, PartitionerKind, Pdslin, PdslinConfig, RecoveryEvent};
 use sparsekit::ops::residual_inf_norm;
 use sparsekit::{Coo, Csr, Rng64};
 
@@ -109,25 +109,34 @@ fn clean_runs_never_report_recovery() {
     }
 }
 
-/// The partition fallback is reached by a real input: NGD needs a
-/// power-of-two `k`, so `k = 3` routes to the natural-block split with
-/// no fault injected, and the answer still meets the residual bound.
+/// The partition fallback is reached by a real input: NGD and RHB both
+/// need a power-of-two `k`, so `k = 3` routes either to the
+/// natural-block split with no fault injected, and the answer still
+/// meets the residual bound.
 #[test]
 fn non_power_of_two_k_falls_back_to_natural_block() {
     let a = generate(MatrixKind::G3Circuit, Scale::Test);
-    let cfg = PdslinConfig {
-        k: 3,
-        ..Default::default()
-    };
-    assert!(cfg.fault.is_none());
-    let mut solver = Pdslin::setup(&a, cfg).expect("setup");
-    let events = &solver.stats.recovery.events;
-    let fallback = matches!(
-        events.as_slice(),
-        [RecoveryEvent::PartitionFallback { to, .. }] if to == "natural-block"
-    );
-    assert!(fallback, "{}", solver.stats.recovery.summary());
-    let b = vec![1.0; a.nrows()];
-    let out = solver.solve(&b).expect("solve");
-    assert!(residual_inf_norm(&a, &out.x, &b) < 1e-6);
+    for partitioner in [
+        PartitionerKind::Ngd,
+        PartitionerKind::Rhb(Default::default()),
+    ] {
+        let label = partitioner.label();
+        let cfg = PdslinConfig {
+            k: 3,
+            partitioner,
+            ..Default::default()
+        };
+        assert!(cfg.fault.is_none());
+        let mut solver = Pdslin::setup(&a, cfg).expect("setup");
+        let events = &solver.stats.recovery.events;
+        let fallback = matches!(
+            events.as_slice(),
+            [RecoveryEvent::PartitionFallback { from, to, .. }]
+                if *from == label && to == "natural-block"
+        );
+        assert!(fallback, "{label}: {}", solver.stats.recovery.summary());
+        let b = vec![1.0; a.nrows()];
+        let out = solver.solve(&b).expect("solve");
+        assert!(residual_inf_norm(&a, &out.x, &b) < 1e-6, "{label}");
+    }
 }
