@@ -1,14 +1,12 @@
 //! **Partitioning + ordering summary** — one machine-checkable record
-//! per (matrix, block size): total padded zeros of the four RHS
-//! orderings (natural, postorder, hypergraph, RGB) over the NGD
+//! per (matrix, block size): total padded zeros of the three RHS
+//! orderings (natural, postorder, hypergraph) over the NGD
 //! subdomains, separator sizes of unit- vs value-weighted NGD and RHB
 //! with the unit-weighted partitioning times (best of 3; recorded, never
 //! gated).
 //!
 //! The CI bench-smoke job runs this at test scale and
-//! `scripts/summarize_results.py` hard-validates the output shape,
-//! including the invariant that RGB never pads more than the natural
-//! order (guaranteed by construction in `order_columns_precomputed`).
+//! `scripts/summarize_results.py` hard-validates the output shape.
 
 use matgen::MatrixKind;
 use pdslin::interface::ehat_columns_pivot;
@@ -23,9 +21,7 @@ pdslin_bench::json_record! {
         natural: u64,
         postorder: u64,
         hypergraph: u64,
-        rgb: u64,
         true_nnz: u64,
-        rgb_le_natural: bool,
         ngd_sep: usize,
         ngd_vw_sep: usize,
         rhb_sep: usize,
@@ -62,7 +58,6 @@ fn main() {
         RhsOrdering::Natural,
         RhsOrdering::Postorder,
         RhsOrdering::Hypergraph { tau: Some(0.4) },
-        RhsOrdering::Rgb,
     ];
     let mut rows = Vec::new();
     for kind in kinds {
@@ -95,11 +90,11 @@ fn main() {
             rhb_time_s
         );
         println!(
-            "{:<6} {:>12} {:>12} {:>12} {:>12} {:>12}",
-            "B", "natural", "postorder", "hypergraph", "rgb", "true_nnz"
+            "{:<6} {:>12} {:>12} {:>12} {:>12}",
+            "B", "natural", "postorder", "hypergraph", "true_nnz"
         );
         for &b in &blocks {
-            let mut padded = [0u64; 4];
+            let mut padded = [0u64; 3];
             let mut true_nnz = 0u64;
             for (i, &ord) in orderings.iter().enumerate() {
                 let mut tn = 0u64;
@@ -111,17 +106,9 @@ fn main() {
                 }
                 true_nnz = tn;
             }
-            let rgb_le_natural = padded[3] <= padded[0];
-            assert!(
-                rgb_le_natural,
-                "{} B={b}: rgb padded {} > natural {}",
-                kind.name(),
-                padded[3],
-                padded[0]
-            );
             println!(
-                "{:<6} {:>12} {:>12} {:>12} {:>12} {:>12}",
-                b, padded[0], padded[1], padded[2], padded[3], true_nnz
+                "{:<6} {:>12} {:>12} {:>12} {:>12}",
+                b, padded[0], padded[1], padded[2], true_nnz
             );
             rows.push(PartitionRow {
                 matrix: kind.name().to_string(),
@@ -129,9 +116,7 @@ fn main() {
                 natural: padded[0],
                 postorder: padded[1],
                 hypergraph: padded[2],
-                rgb: padded[3],
                 true_nnz,
-                rgb_le_natural,
                 ngd_sep,
                 ngd_vw_sep,
                 rhb_sep,

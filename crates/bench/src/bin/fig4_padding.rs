@@ -1,5 +1,5 @@
 //! **Fig. 4 (a–d)** — fraction of padded zeros vs block size `B` for the
-//! four RHS reordering techniques (natural, postorder, hypergraph, RGB),
+//! three RHS reordering techniques (natural, postorder, hypergraph),
 //! reported as min/avg/max over the eight subdomains, on the tdr190k,
 //! dds.quad, dds.linear and matrix211 analogues.
 //!
@@ -36,7 +36,6 @@ fn main() {
         RhsOrdering::Natural,
         RhsOrdering::Postorder,
         RhsOrdering::Hypergraph { tau: Some(0.4) },
-        RhsOrdering::Rgb,
     ];
     let mut rows = Vec::new();
     for kind in kinds {
@@ -59,8 +58,8 @@ fn main() {
             kind.name()
         );
         println!(
-            "{:<6} {:>28} {:>28} {:>28} {:>28}",
-            "B", "natural", "postorder", "hypergraph", "rgb"
+            "{:<6} {:>28} {:>28} {:>28}",
+            "B", "natural", "postorder", "hypergraph"
         );
         for &b in &blocks {
             let mut cells = Vec::new();
@@ -89,8 +88,8 @@ fn main() {
                 });
             }
             println!(
-                "{:<6} {:>28} {:>28} {:>28} {:>28}",
-                b, cells[0], cells[1], cells[2], cells[3]
+                "{:<6} {:>28} {:>28} {:>28}",
+                b, cells[0], cells[1], cells[2]
             );
         }
     }

@@ -232,8 +232,9 @@ pub fn rhs_ordering(args: &Args) -> Result<RhsOrdering, String> {
             };
             Ok(RhsOrdering::Hypergraph { tau })
         }
-        "rgb" => Ok(RhsOrdering::Rgb),
-        other => Err(format!("unknown ordering '{other}'")),
+        other => Err(format!(
+            "unknown ordering '{other}' (natural|postorder|hypergraph)"
+        )),
     }
 }
 
@@ -313,7 +314,7 @@ USAGE:
   pdslin solve     (--matrix F.mtx | --generate KIND [--scale test|bench])
                    [--k K] [--partitioner ngd|rhb] [--metric soed|cnet|con1]
                    [--constraint single|multi|unit] [--weights unit|value]
-                   [--ordering natural|postorder|hypergraph|rgb [--tau T]]
+                   [--ordering natural|postorder|hypergraph [--tau T]]
                    [--block-size B] [--tol TOL]
                    [--deadline SECS] [--mem-budget-mb MB]
   pdslin solve-seq (--matrix F.mtx | --generate KIND [--scale test|bench])
@@ -414,12 +415,6 @@ mod tests {
             rhs_ordering(&b).unwrap(),
             RhsOrdering::Hypergraph { tau: None }
         );
-    }
-
-    #[test]
-    fn rgb_ordering_resolution() {
-        let a = parse_args(argv("solve --ordering rgb")).unwrap();
-        assert_eq!(rhs_ordering(&a).unwrap(), RhsOrdering::Rgb);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::process::ExitCode;
 
 use matgen::{MatrixKind, Scale};
+use pdslin::partition::compute_partition_robust;
 use pdslin::{PartitionStats, Pdslin, PdslinConfig, PdslinError, RecoveryReport};
 use pdslin_cli::{
     build_budget, exit_code, load_matrix, parse_args, partitioner, rhs_ordering, solve_line,
@@ -15,6 +16,14 @@ use sparsekit::ops::residual_inf_norm;
 struct CmdError {
     message: String,
     code: u8,
+}
+
+impl CmdError {
+    /// A bad option value is invalid input (exit 2), like an unknown
+    /// option.
+    fn input(message: String) -> CmdError {
+        CmdError { message, code: 2 }
+    }
 }
 
 impl From<String> for CmdError {
@@ -51,7 +60,7 @@ fn main() -> ExitCode {
     let result = match args.command.as_str() {
         "solve" => cmd_solve(&args),
         "solve-seq" => cmd_solve_seq(&args),
-        "partition" => cmd_partition(&args).map_err(CmdError::from),
+        "partition" => cmd_partition(&args),
         "genmat" => cmd_genmat(&args).map_err(CmdError::from),
         "info" => cmd_info(&args).map_err(CmdError::from),
         "serve" => cmd_serve(&args).map_err(CmdError::from),
@@ -134,18 +143,21 @@ fn cmd_solve(args: &Args) -> Result<(), CmdError> {
 /// Builds the solver config shared by `solve` and `solve-seq` from the
 /// command-line options.
 fn solver_config(args: &Args) -> Result<PdslinConfig, CmdError> {
-    let mut cfg = PdslinConfig {
-        k: args.parse_or("k", 8usize)?,
-        partitioner: partitioner(args)?,
-        weights: weight_scheme(args)?,
-        rhs_ordering: rhs_ordering(args)?,
-        block_size: args.parse_or("block-size", 60usize)?,
-        interface_drop_tol: args.parse_or("interface-drop", 1e-8)?,
-        schur_drop_tol: args.parse_or("schur-drop", 1e-8)?,
-        ..Default::default()
+    let resolve = || -> Result<PdslinConfig, String> {
+        let mut cfg = PdslinConfig {
+            k: args.parse_or("k", 8usize)?,
+            partitioner: partitioner(args)?,
+            weights: weight_scheme(args)?,
+            rhs_ordering: rhs_ordering(args)?,
+            block_size: args.parse_or("block-size", 60usize)?,
+            interface_drop_tol: args.parse_or("interface-drop", 1e-8)?,
+            schur_drop_tol: args.parse_or("schur-drop", 1e-8)?,
+            ..Default::default()
+        };
+        cfg.gmres.tol = args.parse_or("tol", cfg.gmres.tol)?;
+        Ok(cfg)
     };
-    cfg.gmres.tol = args.parse_or("tol", cfg.gmres.tol)?;
-    Ok(cfg)
+    resolve().map_err(CmdError::input)
 }
 
 /// `solve-seq`: derive a same-pattern value-drifting sequence from the
@@ -277,14 +289,16 @@ fn serve_on_socket(
     Err("--socket is only supported on unix platforms; use stdin/stdout mode".into())
 }
 
-fn cmd_partition(args: &Args) -> Result<(), String> {
+fn cmd_partition(args: &Args) -> Result<(), CmdError> {
     let a = load_matrix(args)?;
-    let k = args.parse_or("k", 8usize)?;
-    let kind = partitioner(args)?;
-    let weights = weight_scheme(args)?;
+    let k = args.parse_or("k", 8usize).map_err(CmdError::input)?;
+    let kind = partitioner(args).map_err(CmdError::input)?;
+    let weights = weight_scheme(args).map_err(CmdError::input)?;
     let t = std::time::Instant::now();
-    let part = pdslin::compute_partition_weighted(&a, k, &kind, weights);
+    let mut recovery = RecoveryReport::default();
+    let part = compute_partition_robust(&a, k, &kind, weights, false, &mut recovery)?;
     let secs = t.elapsed().as_secs_f64();
+    report_recovery("partition", &recovery);
     let st = PartitionStats::compute(&a, &part);
     println!(
         "{} partition of n = {} into k = {k} ({secs:.2}s)",

@@ -1,7 +1,7 @@
 //! Phase 4a: reordering sparse right-hand sides for the blocked
 //! triangular solve (§IV of the paper).
 //!
-//! Four strategies are implemented:
+//! Three strategies are implemented:
 //!
 //! * **Natural** — keep the incoming (global nested-dissection) order;
 //! * **Postorder** (§IV-A) — sort columns by the position of their first
@@ -11,13 +11,8 @@
 //! * **Hypergraph** (§IV-B) — build the row-net model of the *symbolic
 //!   solution pattern* `G` with net cost `B`, optionally remove empty and
 //!   quasi-dense rows (§V-B(c)), and partition the columns into blocks of
-//!   exactly `B` columns minimising con1 ≡ padded zeros;
-//! * **Rgb** — recursive graph bisection over the solution patterns
-//!   ([`graphpart::rgb_order`]): a sequence-layout alternative to the
-//!   row-net partitioner that clusters columns with overlapping reaches
-//!   by a log-gap cost, then refines under the exact padding objective.
+//!   exactly `B` columns minimising con1 ≡ padded zeros.
 
-use graphpart::{rgb_order, RgbConfig};
 use hypergraph::bisect::BisectConfig;
 use hypergraph::models::row_net_model;
 use hypergraph::recursive::recursive_partition_exact_seeded;
@@ -40,12 +35,6 @@ pub enum RhsOrdering {
         /// Quasi-dense row-density threshold τ.
         tau: Option<f64>,
     },
-    /// Recursive graph bisection of the solution patterns (BP-style
-    /// sequence layout), refined under the exact padding objective and
-    /// guarded to never pad more than the natural order. Runs with the
-    /// fixed [`RgbConfig::default`] tuning (10 swap iterations per level,
-    /// depth 24, windows of ≤ 8 columns become leaves).
-    Rgb,
 }
 
 impl RhsOrdering {
@@ -55,7 +44,6 @@ impl RhsOrdering {
             RhsOrdering::Natural => "natural",
             RhsOrdering::Postorder => "postorder",
             RhsOrdering::Hypergraph { .. } => "hypergraph",
-            RhsOrdering::Rgb => "rgb",
         }
     }
 }
@@ -73,7 +61,7 @@ pub fn order_columns(
     ws: &mut SolveWorkspace,
 ) -> Vec<usize> {
     match ordering {
-        RhsOrdering::Hypergraph { .. } | RhsOrdering::Rgb => {
+        RhsOrdering::Hypergraph { .. } => {
             let reaches = column_reaches(cols, l, ws);
             order_columns_precomputed(cols, &reaches, l.nrows(), block_size, ordering)
         }
@@ -206,25 +194,6 @@ pub fn order_columns_precomputed(
                 order
             }
         }
-        RhsOrdering::Rgb => {
-            if m <= block_size {
-                return (0..m).collect();
-            }
-            assert_eq!(reaches.len(), m, "rgb ordering needs reaches");
-            let mut order = rgb_order(reaches, n, &RgbConfig::default());
-            // RGB optimises a gap-cost proxy; refine the resulting layout
-            // under the true padding objective, then guard against ever
-            // padding more than the natural (identity) order.
-            refine_blocks_by_padding(reaches, n, block_size, &mut order);
-            let natural: Vec<usize> = (0..m).collect();
-            if padding_of_order(reaches, n, &order, block_size).0
-                > padding_of_order(reaches, n, &natural, block_size).0
-            {
-                natural
-            } else {
-                order
-            }
-        }
     }
 }
 
@@ -241,7 +210,7 @@ fn popcount(bits: &[u64]) -> u64 {
 /// padded-zeros objective. Blocks are the consecutive `block_size`-sized
 /// chunks of `order`; the routine swaps columns between blocks whenever
 /// that shrinks `Σ_blocks |union(block)| · |block|`.
-pub fn refine_blocks_by_padding(
+fn refine_blocks_by_padding(
     reaches: &[Vec<usize>],
     n: usize,
     block_size: usize,
@@ -465,36 +434,6 @@ mod tests {
         let mut sorted = ord.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3, 4, 5], "must be a permutation");
-    }
-
-    #[test]
-    fn rgb_groups_identical_columns() {
-        let l = bidiag_l(20);
-        let cols = seeded_cols(&[2, 15, 2, 15]);
-        let mut ws = SolveWorkspace::new(20);
-        let ord = order_columns(&cols, &l, 2, RhsOrdering::Rgb, &mut ws);
-        let first_pair: std::collections::HashSet<usize> = ord[..2].iter().copied().collect();
-        assert!(
-            first_pair == [0usize, 2].into_iter().collect()
-                || first_pair == [1usize, 3].into_iter().collect(),
-            "identical-reach columns must share a block, got {ord:?}"
-        );
-    }
-
-    #[test]
-    fn rgb_never_pads_more_than_natural() {
-        let l = bidiag_l(32);
-        let cols = seeded_cols(&[31, 1, 17, 3, 29, 5, 19, 7]);
-        let mut ws = SolveWorkspace::new(32);
-        let reaches = column_reaches(&cols, &l, &mut ws);
-        for block in [2usize, 3, 4] {
-            let ord = order_columns_precomputed(&cols, &reaches, 32, block, RhsOrdering::Rgb);
-            let natural: Vec<usize> = (0..cols.len()).collect();
-            assert!(
-                padding_of_order(&reaches, 32, &ord, block).0
-                    <= padding_of_order(&reaches, 32, &natural, block).0
-            );
-        }
     }
 
     #[test]

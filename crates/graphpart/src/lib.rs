@@ -50,5 +50,4 @@ pub mod trim;
 pub use graph::{magnitude_weight, median_offdiag_magnitude, Adjacency, Graph, WeightScheme};
 pub use nd::{nested_dissection, DbbdPartition, NdConfig, SEPARATOR};
 pub use ordering::mindeg::min_degree_order;
-pub use ordering::rgb::{rgb_order, RgbConfig};
 pub use trim::trim_separator;

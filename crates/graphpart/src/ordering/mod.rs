@@ -1,5 +1,3 @@
-//! Fill-reducing orderings used before subdomain factorisation, plus
-//! the recursive-graph-bisection sequence layout used for RHS ordering.
+//! Fill-reducing orderings used before subdomain factorisation.
 
 pub mod mindeg;
-pub mod rgb;

@@ -16,7 +16,7 @@
 //! `k` (default 4), `block_size` (default 60), `interface_drop_tol` /
 //! `schur_drop_tol` (default 1e-8); `partitioner` (`ngd`|`rhb`),
 //! `weights` (`unit`|`value`), `ordering`
-//! (`natural`|`postorder`|`hypergraph`|`rgb`, with `tau` for the
+//! (`natural`|`postorder`|`hypergraph`, with `tau` for the
 //! hypergraph variant); `rhs` (inline array), `rhs_seed`
 //! (deterministic vector), or neither (all-ones); `deadline_ms`
 //! (per-request wall-clock deadline); `retry_limit` (service-level
@@ -226,7 +226,6 @@ impl SolveRequest {
                 // τ lives in [0, 1]; -1 marks "no filter".
                 h.write_f64(tau.unwrap_or(-1.0));
             }
-            RhsOrdering::Rgb => h.write_u8(3),
         }
         // A faulted request must not share (or poison) the clean entry
         // for the same matrix: fold the fault plan into the key.
@@ -377,7 +376,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                         Some(v) => Some(v.as_f64().ok_or("bad 'tau'")?),
                     },
                 },
-                "rgb" => RhsOrdering::Rgb,
                 other => return Err(format!("unknown ordering '{other}'")),
             };
             let fault = FaultPlan {
@@ -659,21 +657,28 @@ mod tests {
     fn parses_partitioner_weights_and_ordering_fields() {
         let s = parse_solve(
             r#"{"id":"a","op":"solve","generate":"g3_circuit","partitioner":"rhb",
-                "weights":"value","ordering":"rgb"}"#,
+                "weights":"value","ordering":"natural"}"#,
         );
         assert!(matches!(s.partitioner, PartitionerKind::Rhb(_)));
         assert_eq!(s.weights, WeightScheme::ValueScaled);
-        assert_eq!(s.ordering, RhsOrdering::Rgb);
+        assert_eq!(s.ordering, RhsOrdering::Natural);
 
         let s = parse_solve(r#"{"id":"b","op":"solve","generate":"g3_circuit"}"#);
         assert!(matches!(s.partitioner, PartitionerKind::Ngd));
         assert_eq!(s.weights, WeightScheme::Unit);
         assert_eq!(s.ordering, RhsOrdering::Postorder);
 
-        assert!(parse_request(
-            r#"{"id":"x","op":"solve","generate":"g3_circuit","ordering":"zigzag"}"#
-        )
-        .is_err());
+        for ordering in ["zigzag", "rgb"] {
+            let line = format!(
+                r#"{{"id":"x","op":"solve","generate":"g3_circuit","ordering":"{ordering}"}}"#
+            );
+            let j = rejection(&line);
+            assert_eq!(
+                j.get("category").unwrap().as_str(),
+                Some("input"),
+                "{ordering}"
+            );
+        }
         assert!(parse_request(
             r#"{"id":"x","op":"solve","generate":"g3_circuit","weights":"heavy"}"#
         )
@@ -687,8 +692,8 @@ mod tests {
             parse_solve(r#"{"id":"b","op":"solve","generate":"g3_circuit","partitioner":"rhb"}"#);
         let val =
             parse_solve(r#"{"id":"c","op":"solve","generate":"g3_circuit","weights":"value"}"#);
-        let rgb =
-            parse_solve(r#"{"id":"d","op":"solve","generate":"g3_circuit","ordering":"rgb"}"#);
+        let nat =
+            parse_solve(r#"{"id":"d","op":"solve","generate":"g3_circuit","ordering":"natural"}"#);
         let tau = parse_solve(
             r#"{"id":"e","op":"solve","generate":"g3_circuit","ordering":"hypergraph","tau":0.4}"#,
         );
@@ -699,7 +704,7 @@ mod tests {
             base.spec_key(),
             rhb.spec_key(),
             val.spec_key(),
-            rgb.spec_key(),
+            nat.spec_key(),
             tau.spec_key(),
             notau.spec_key(),
         ];

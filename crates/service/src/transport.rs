@@ -16,17 +16,16 @@ use crate::server::{Service, ShutdownReport};
 /// Serves jsonl requests from `input`, writing jsonl responses to
 /// `output` in completion order, until a `shutdown` request or EOF;
 /// then drains for at most `drain` and acknowledges. This is the
-/// `pdslin serve` stdin/stdout transport, and the unit-testable core of
-/// the socket transport.
+/// `pdslin serve` stdin/stdout transport; the socket transport handles
+/// its lines the same way.
 pub fn serve_lines<R: BufRead, W: Write + Send>(
     service: &Service,
-    input: R,
+    mut input: R,
     output: W,
     drain: Duration,
 ) -> std::io::Result<ShutdownReport> {
     let (tx, rx) = mpsc::channel::<Response>();
-    let mut shutdown_id: Option<String> = None;
-    let report = std::thread::scope(|scope| -> std::io::Result<ShutdownReport> {
+    std::thread::scope(|scope| {
         let writer = scope.spawn(move || {
             let mut output = output;
             for resp in rx {
@@ -36,43 +35,69 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
                 let _ = output.flush();
             }
         });
-        for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+        let mut line = Vec::new();
+        let mut shutdown_id = None;
+        while shutdown_id.is_none() {
+            line.clear();
+            if input.read_until(b'\n', &mut line)? == 0 {
+                break;
             }
-            match parse_request(&line) {
-                Err(msg) => {
-                    let _ = tx.send(Response::input_error("", msg));
-                }
-                Ok(Request::Metrics { id }) => {
-                    let _ = tx.send(Response {
-                        id,
-                        body: ResponseBody::Metrics(service.metrics_snapshot()),
-                    });
-                }
-                Ok(Request::Shutdown { id }) => {
-                    shutdown_id = Some(id);
-                    break;
-                }
-                Ok(Request::Solve { id, solve }) => service.submit(&id, solve, &tx),
-            }
+            shutdown_id = dispatch_line(service, &line, &tx);
         }
-        let report = service.shutdown(drain);
-        if let Some(id) = shutdown_id {
-            let _ = tx.send(Response {
-                id,
-                body: ResponseBody::Shutdown {
-                    drained: report.drained,
-                    cancelled: report.cancelled,
-                },
-            });
-        }
+        let report = match shutdown_id {
+            Some(id) => shut_down(service, drain, id, &tx),
+            None => service.shutdown(drain),
+        };
         drop(tx);
         let _ = writer.join();
         Ok(report)
-    })?;
-    Ok(report)
+    })
+}
+
+/// Handles one request line for either transport: a solve is submitted,
+/// metrics are answered at once, and a line that is not UTF-8 or not a
+/// valid request is answered with a typed `input` error, so one bad
+/// line never ends the session. Returns the id of a `shutdown` request,
+/// which the caller acts on.
+fn dispatch_line(service: &Service, line: &[u8], tx: &mpsc::Sender<Response>) -> Option<String> {
+    let request = match std::str::from_utf8(line) {
+        Ok(line) if line.trim().is_empty() => return None,
+        Ok(line) => parse_request(line),
+        Err(e) => Err(format!("request line is not valid UTF-8: {e}")),
+    };
+    match request {
+        Err(msg) => {
+            let _ = tx.send(Response::input_error("", msg));
+        }
+        Ok(Request::Metrics { id }) => {
+            let _ = tx.send(Response {
+                id,
+                body: ResponseBody::Metrics(service.metrics_snapshot()),
+            });
+        }
+        Ok(Request::Shutdown { id }) => return Some(id),
+        Ok(Request::Solve { id, solve }) => service.submit(&id, solve, tx),
+    }
+    None
+}
+
+/// Closes admission, drains for at most `drain`, and acknowledges the
+/// `shutdown` request `id` on `tx`.
+fn shut_down(
+    service: &Service,
+    drain: Duration,
+    id: String,
+    tx: &mpsc::Sender<Response>,
+) -> ShutdownReport {
+    let report = service.shutdown(drain);
+    let _ = tx.send(Response {
+        id,
+        body: ResponseBody::Shutdown {
+            drained: report.drained,
+            cancelled: report.cancelled,
+        },
+    });
+    report
 }
 
 /// Unix-domain-socket transport (`pdslin serve --socket PATH`).
@@ -85,7 +110,8 @@ pub mod socket {
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
-    use crate::proto::{parse_request, Request, Response, ResponseBody};
+    use super::{dispatch_line, shut_down};
+    use crate::proto::Response;
     use crate::server::{Service, ShutdownReport};
 
     /// Accepts connections on a fresh socket at `path` (any stale file
@@ -138,9 +164,8 @@ pub mod socket {
     ) -> std::io::Result<()> {
         stream.set_nonblocking(false)?;
         // A bounded read timeout keeps an idle connection from pinning
-        // the accept loop open across a shutdown requested elsewhere.
-        // (A client pausing >100 ms *mid-line* may lose that fragment;
-        // jsonl clients write whole lines.)
+        // the accept loop open across a shutdown requested elsewhere. A
+        // timeout mid-line keeps the fragment read so far in `line`.
         stream.set_read_timeout(Some(Duration::from_millis(100)))?;
         let mut write_half = stream.try_clone()?;
         let mut reader = BufReader::new(stream);
@@ -154,10 +179,9 @@ pub mod socket {
                 }
             });
             use std::io::BufRead;
-            let mut line = String::new();
+            let mut line = Vec::new();
             loop {
-                line.clear();
-                match reader.read_line(&mut line) {
+                match reader.read_until(b'\n', &mut line) {
                     Ok(0) => break,
                     Ok(_) => {}
                     Err(e)
@@ -173,92 +197,17 @@ pub mod socket {
                     }
                     Err(_) => break,
                 }
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match parse_request(&line) {
-                    Err(msg) => {
-                        let _ = tx.send(Response::input_error("", msg));
-                    }
-                    Ok(Request::Metrics { id }) => {
-                        let _ = tx.send(Response {
-                            id,
-                            body: ResponseBody::Metrics(service.metrics_snapshot()),
-                        });
-                    }
-                    Ok(Request::Shutdown { id }) => {
-                        stop.store(true, Ordering::Release);
-                        let report = service.shutdown(drain);
-                        let _ = tx.send(Response {
-                            id,
-                            body: ResponseBody::Shutdown {
-                                drained: report.drained,
-                                cancelled: report.cancelled,
-                            },
-                        });
-                        break;
-                    }
-                    Ok(Request::Solve { id, solve }) => service.submit(&id, solve, &tx),
+                let shutdown = dispatch_line(service, &line, &tx);
+                line.clear();
+                if let Some(id) = shutdown {
+                    stop.store(true, Ordering::Release);
+                    shut_down(service, drain, id, &tx);
+                    break;
                 }
             }
             drop(tx);
             let _ = writer.join();
         });
         Ok(())
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use crate::server::ServiceConfig;
-        use std::io::{BufRead, BufReader, Write};
-        use std::os::unix::net::UnixStream;
-
-        #[test]
-        fn socket_round_trip_with_shutdown() {
-            let dir = std::env::temp_dir().join(format!("pdslin-svc-{}", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("svc.sock");
-            let service = Service::start(ServiceConfig {
-                workers: 2,
-                ..Default::default()
-            });
-            let report = std::thread::scope(|scope| {
-                let svc = &service;
-                let p = path.clone();
-                let server =
-                    scope.spawn(move || serve_socket(svc, &p, Duration::from_secs(10)).unwrap());
-                // Wait for the socket file to appear.
-                let mut client = loop {
-                    match UnixStream::connect(&path) {
-                        Ok(s) => break s,
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                    }
-                };
-                writeln!(
-                    client,
-                    r#"{{"id":"s1","op":"solve","generate":"g3_circuit","k":2}}"#
-                )
-                .unwrap();
-                writeln!(client, r#"{{"id":"m1","op":"metrics"}}"#).unwrap();
-                writeln!(client, r#"{{"id":"bye","op":"shutdown"}}"#).unwrap();
-                let mut lines = BufReader::new(client).lines();
-                let mut seen = std::collections::BTreeMap::new();
-                for _ in 0..3 {
-                    let line = lines.next().unwrap().unwrap();
-                    let j = crate::json::Json::parse(&line).unwrap();
-                    seen.insert(
-                        j.get("id").unwrap().as_str().unwrap().to_string(),
-                        j.get("status").unwrap().as_str().unwrap().to_string(),
-                    );
-                }
-                assert_eq!(seen.get("s1").map(String::as_str), Some("ok"));
-                assert_eq!(seen.get("m1").map(String::as_str), Some("ok"));
-                assert_eq!(seen.get("bye").map(String::as_str), Some("ok"));
-                server.join().unwrap()
-            });
-            assert_eq!(report.cancelled, 0);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
     }
 }

@@ -203,7 +203,7 @@ fn parse(bytes: &[u8]) -> Result<Csr, MmError> {
     if cur.next_data_line()? {
         return Err(MmError::TooManyEntries { declared: nnz });
     }
-    Ok(t.into_csr(nrows, ncols))
+    t.into_csr(nrows, ncols)
 }
 
 /// Entries in file order, with whether they arrived row-sorted and
@@ -228,19 +228,32 @@ impl Triplets {
 
     /// Sorted, unique entries already are CSR once the row pointers are
     /// counted; anything else goes through [`Coo::to_csr`], which sorts
-    /// each row and sums duplicates.
-    fn into_csr(self, nrows: usize, ncols: usize) -> Csr {
+    /// each row and sums duplicates. The row count comes from the size
+    /// line, so its `nrows + 1` row pointers are reserved fallibly
+    /// first: a count that overflows or cannot be allocated is a typed
+    /// error, not a panic or an abort.
+    fn into_csr(self, nrows: usize, ncols: usize) -> Result<Csr, MmError> {
+        let mut indptr = Vec::new();
+        nrows
+            .checked_add(1)
+            .and_then(|len| indptr.try_reserve_exact(len).ok())
+            .ok_or_else(|| {
+                MmError::Parse(format!(
+                    "size line declares {nrows} rows, more row pointers than can be allocated"
+                ))
+            })?;
         if !self.sorted {
-            return Coo::from_triplets(nrows, ncols, self.rows, self.cols, self.vals).to_csr();
+            drop(indptr);
+            return Ok(Coo::from_triplets(nrows, ncols, self.rows, self.cols, self.vals).to_csr());
         }
-        let mut indptr = vec![0usize; nrows + 1];
+        indptr.resize(nrows + 1, 0);
         for &r in &self.rows {
             indptr[r + 1] += 1;
         }
         for r in 0..nrows {
             indptr[r + 1] += indptr[r];
         }
-        Csr::from_parts(nrows, ncols, indptr, self.cols, self.vals)
+        Ok(Csr::from_parts(nrows, ncols, indptr, self.cols, self.vals))
     }
 }
 

@@ -122,8 +122,8 @@ def fig4():
     bs = sorted({r["block_size"] for r in rows})
     for m in mats:
         print(f"\n{m}:")
-        print("| B | natural | postorder | hypergraph | rgb |")
-        print("|---|---|---|---|---|")
+        print("| B | natural | postorder | hypergraph |")
+        print("|---|---|---|---|")
         for b in bs:
             cells = {}
             for r in rows:
@@ -131,8 +131,7 @@ def fig4():
                     cells[r["ordering"]] = r["avg"]
             print(
                 f"| {b} | {cells.get('natural', 0):.3f} | "
-                f"{cells.get('postorder', 0):.3f} | {cells.get('hypergraph', 0):.3f} | "
-                f"{cells.get('rgb', 0):.3f} |"
+                f"{cells.get('postorder', 0):.3f} | {cells.get('hypergraph', 0):.3f} |"
             )
 
 
@@ -497,9 +496,7 @@ BENCH_PARTITION_SCHEMA = {
     "natural": int,
     "postorder": int,
     "hypergraph": int,
-    "rgb": int,
     "true_nnz": int,
-    "rgb_le_natural": bool,
     "ngd_sep": int,
     "ngd_vw_sep": int,
     "rhb_sep": int,
@@ -520,24 +517,19 @@ def bench_partition():
         sys.exit("BENCH_partition.json: expected rows for at least 3 matrices")
     for i, r in enumerate(rows):
         check_schema("BENCH_partition.json", i, r, BENCH_PARTITION_SCHEMA)
-        if not r["rgb_le_natural"] or r["rgb"] > r["natural"]:
-            sys.exit(
-                f"BENCH_partition.json row {i}: rgb padding {r['rgb']} "
-                f"exceeds natural {r['natural']}"
-            )
     print(
         "\n## BENCH_partition (padded zeros per ordering; separators unit vs value-weighted; "
         "unit-weighted partitioning time, best of 3, not gated)\n"
     )
     print(
-        "| matrix | B | natural | postorder | hypergraph | rgb | NGD sep u/v | RHB sep u/v "
+        "| matrix | B | natural | postorder | hypergraph | NGD sep u/v | RHB sep u/v "
         "| NGD s | RHB s |"
     )
-    print("|---|---|---|---|---|---|---|---|---|---|")
+    print("|---|---|---|---|---|---|---|---|---|")
     for r in rows:
         print(
             f"| {r['matrix']} | {r['block_size']} | {r['natural']} | {r['postorder']} | "
-            f"{r['hypergraph']} | {r['rgb']} | {r['ngd_sep']}/{r['ngd_vw_sep']} | "
+            f"{r['hypergraph']} | {r['ngd_sep']}/{r['ngd_vw_sep']} | "
             f"{r['rhb_sep']}/{r['rhb_vw_sep']} | {r['ngd_time_s']:.4f} | {r['rhb_time_s']:.4f} |"
         )
 

@@ -182,9 +182,9 @@ fn unknown_options_are_rejected_with_input_exit_code() {
     let err = validate_options(&args).expect_err("--shard-workers is not a solve option");
     assert!(err.contains("--shard-workers"), "{err}");
 
-    // The solver has one triangular-solve schedule and fixed RGB tuning
-    // values, so these flags are unknown options like any typo (the
-    // binary exits with code 2 on them).
+    // The solver has one triangular-solve schedule and no RGB ordering,
+    // so these flags are unknown options like any typo (the binary
+    // exits with code 2 on them).
     for cmd in ["solve", "solve-seq"] {
         for flag in [
             "--trisolve-schedule level",
@@ -192,7 +192,7 @@ fn unknown_options_are_rejected_with_input_exit_code() {
             "--rgb-depth 4",
             "--rgb-min-part 2",
         ] {
-            let line = format!("{cmd} --generate g3_circuit --ordering rgb {flag}");
+            let line = format!("{cmd} --generate g3_circuit --ordering postorder {flag}");
             let args = parse_args(argv(&line)).unwrap();
             let err = validate_options(&args).expect_err(&line);
             let name = flag.split_whitespace().next().unwrap();

@@ -667,3 +667,77 @@ fn deeply_nested_line_is_an_input_error_and_the_connection_survives() {
     assert_eq!(field("after", "status").as_deref(), Some("ok"));
     assert_eq!(field("bye", "status").as_deref(), Some("ok"));
 }
+
+/// A request line that is not UTF-8 (`printf '\xff\n…' | pdslin serve`
+/// once ended the session with exit 1) is answered with a typed input
+/// error, and the solve, metrics and shutdown after it are still
+/// served, on stdin and on the socket alike.
+#[test]
+fn invalid_utf8_line_is_an_input_error_and_the_session_survives() {
+    use pdslin_service::json::Json;
+    let mut input = [
+        b"\xff".as_slice(),
+        br#"{"id":"s","op":"solve","generate":"g3_circuit","k":2,"deadline_ms":30000}"#,
+        br#"{"id":"m","op":"metrics"}"#,
+        br#"{"id":"bye","op":"shutdown"}"#,
+    ]
+    .join(&b'\n');
+    input.push(b'\n');
+    let check = |text: &str| {
+        let replies: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        let field = |id: &str, key: &str| {
+            let reply = replies
+                .iter()
+                .find(|r| r.get("id").and_then(Json::as_str) == Some(id))?;
+            reply.get(key)?.as_str().map(str::to_string)
+        };
+        assert_eq!(field("", "category").as_deref(), Some("input"), "{text}");
+        assert_eq!(field("s", "status").as_deref(), Some("ok"), "{text}");
+        assert_eq!(field("m", "status").as_deref(), Some("ok"), "{text}");
+        assert_eq!(field("bye", "status").as_deref(), Some("ok"), "{text}");
+    };
+
+    let service = Service::start(ServiceConfig::default());
+    let mut out: Vec<u8> = Vec::new();
+    let report = serve_lines(
+        &service,
+        Cursor::new(&input),
+        &mut out,
+        Duration::from_secs(30),
+    )
+    .expect("a bad line is not an I/O error");
+    assert_eq!(report.cancelled, 0);
+    check(&String::from_utf8(out).unwrap());
+
+    #[cfg(unix)]
+    {
+        use std::io::{Read, Write};
+        use std::os::unix::net::UnixStream;
+        let path = std::env::temp_dir().join(format!("pdslin-utf8-{}.sock", std::process::id()));
+        let service = Service::start(ServiceConfig::default());
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| {
+                pdslin_service::serve_socket(&service, &path, Duration::from_secs(30)).unwrap()
+            });
+            let mut client = loop {
+                match UnixStream::connect(&path) {
+                    Ok(s) => break s,
+                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                }
+            };
+            client.write_all(&input).unwrap();
+            // The server closes the connection after acknowledging the
+            // shutdown.
+            let mut text = String::new();
+            client.read_to_string(&mut text).unwrap();
+            if !text.contains(r#""id":"bye""#) {
+                // The connection closed early: stop the server from a
+                // fresh one, so the check fails instead of hanging.
+                let mut stopper = UnixStream::connect(&path).unwrap();
+                writeln!(stopper, r#"{{"id":"stop","op":"shutdown"}}"#).unwrap();
+            }
+            assert_eq!(server.join().unwrap().cancelled, 0);
+            check(&text);
+        });
+    }
+}

@@ -344,6 +344,26 @@ fn matrix_market_size_lines_that_lie_are_typed_errors() {
 }
 
 #[test]
+fn matrix_market_row_counts_beyond_memory_are_typed_errors() {
+    // `nrows + 1` row pointers wrap for u64::MAX rows and cannot be
+    // allocated for 10^18: the reader refuses both reservations at once,
+    // on the row-sorted path and on the `Coo::to_csr` path, and touches
+    // no memory. The oracle is not asked: it aborts on these.
+    for nrows in ["18446744073709551615", "1000000000000000000"] {
+        for entries in ["1 1 1.0\n", "2 1 1.0\n1 1 1.0\n"] {
+            let nnz = entries.lines().count();
+            let text = format!(
+                "%%MatrixMarket matrix coordinate real general\n{nrows} 1 {nnz}\n{entries}"
+            );
+            match read_matrix_market_from(Cursor::new(text.as_bytes())) {
+                Err(MmError::Parse(msg)) => assert!(msg.contains(nrows), "{msg}"),
+                other => panic!("{nrows} rows, {nnz} entries: {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn matrix_market_invalid_utf8_is_an_io_error_where_it_is_read() {
     let head = "%%MatrixMarket matrix coordinate real general\n2 2 1\n";
     let bad_entry = [head.as_bytes(), b"1 1 1.\xff\n"].concat();

@@ -1,14 +1,12 @@
-//! Oracle property tests for the orderings: the four RHS ordering
-//! strategies (natural, postorder, hypergraph, RGB) and the
+//! Oracle property tests for the orderings: the three RHS ordering
+//! strategies (natural, postorder, hypergraph) and the
 //! approximate-minimum-degree fill-reducing ordering, on randomized
 //! inputs with deterministic SplitMix64 seeds.
 //!
 //! Every RHS ordering must (a) be a valid permutation, (b) report padding
 //! that matches an independent brute-force `HashSet` oracle, and
 //! (c) leave the blocked-solve *results* bit-identical — reordering is
-//! a layout optimisation, never a numerical one. RGB additionally must
-//! never pad more than the natural order (guaranteed by the guard in
-//! `order_columns_precomputed`).
+//! a layout optimisation, never a numerical one.
 //!
 //! The minimum-degree ordering must be a permutation on degenerate and
 //! random graphs, find zero fill on chordal graphs, stay within 1.3× of
@@ -31,12 +29,11 @@ use slu::SparseVec;
 use sparsekit::budget::Budget;
 use sparsekit::{Coo, Csc, Csr, Fnv64, Perm, Rng64};
 
-fn all_orderings() -> [RhsOrdering; 4] {
+fn all_orderings() -> [RhsOrdering; 3] {
     [
         RhsOrdering::Natural,
         RhsOrdering::Postorder,
         RhsOrdering::Hypergraph { tau: Some(0.4) },
-        RhsOrdering::Rgb,
     ]
 }
 
@@ -173,30 +170,6 @@ fn blocked_solve_identical_across_orderings() {
                     }
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn rgb_never_pads_more_than_natural() {
-    for seed in 0..24u64 {
-        let mut rng = Rng64::new(seed);
-        let n = rng.range(24, 64);
-        let skip = rng.range(1, 4);
-        let l = chain_factor(n, skip);
-        let ncols = rng.range(6, 28);
-        let cols = random_cols(&mut rng, n, ncols);
-        let mut ws = SolveWorkspace::new(n);
-        let reaches = column_reaches(&cols, &l, &mut ws);
-        for &b in &[2usize, 4, 7] {
-            let natural: Vec<usize> = (0..cols.len()).collect();
-            let rgb = order_columns_precomputed(&cols, &reaches, n, b, RhsOrdering::Rgb);
-            let p_nat = padding_of_order(&reaches, n, &natural, b).0;
-            let p_rgb = padding_of_order(&reaches, n, &rgb, b).0;
-            assert!(
-                p_rgb <= p_nat,
-                "seed {seed} B={b}: rgb {p_rgb} > natural {p_nat}"
-            );
         }
     }
 }
