@@ -1,6 +1,6 @@
-//! Serial-vs-parallel kernel benchmark: blocked interface solves,
-//! two-phase SpGEMM, and end-to-end preconditioner setup across worker
-//! counts, with machine-readable speedups in `BENCH_kernels.json`.
+//! Set-up thread benchmark: end-to-end `Pdslin::setup` at
+//! `PDSLIN_THREADS` 1, 2 and 4, each checked against the one-thread
+//! run, with machine-readable speedups in `BENCH_kernels.json`.
 //!
 //! A second scenario, `lu_dense_crossover`, times the sparse `LU` loop
 //! against its dense trailing-block kernel over block density × size
@@ -22,22 +22,20 @@
 //! `lu_dense_crossover`, `reach_pruned` or `trisolve_lanes`); with no
 //! argument it runs all four.
 //!
-//! Every parallel result is checked for **exact** equality against the
-//! serial run (the kernels promise byte-identical output); a mismatch
-//! aborts the process, which is what the CI smoke step relies on.
-//! Speedups are recorded for trajectory tracking but never asserted —
-//! CI runners (and single-core hosts) make them meaningless to gate on.
+//! Every multi-thread set-up is checked for an equal assembled Schur
+//! nnz against the one-thread run (set-up promises the one-thread
+//! answer at any thread count); a mismatch aborts the process, which is
+//! what the CI smoke step relies on. Speedups are recorded for
+//! trajectory tracking but never asserted — CI runners (and single-core
+//! hosts) make them meaningless to gate on.
 
 use matgen::{MatrixKind, Scale};
-use pdslin::interface::{
-    compute_interface_planned, ehat_columns_pivot, fhat_rows_elim, InterfaceConfig,
-};
+use pdslin::interface::{ehat_columns_pivot, fhat_rows_elim};
 use pdslin::rhs_order::order_columns_precomputed;
 use pdslin::{Budget, Pdslin, PdslinConfig, RhsOrdering};
 use slu::blocked::BlockedSolvePlan;
 use slu::trisolve::lower_from_upper_transpose;
 use slu::{LuConfig, LuFactors, ReachGraph};
-use sparsekit::spgemm::spgemm_checked;
 use sparsekit::{Coo, Csr, Perm, Rng64};
 use std::time::Instant;
 
@@ -51,7 +49,6 @@ pdslin_bench::json_record! {
         speedup: f64,
         matches_serial: bool,
         nnz: usize,
-        padded_zeros: u64,
     }
 }
 
@@ -107,128 +104,8 @@ pdslin_bench::json_record! {
 
 const WORKERS: [usize; 3] = [1, 2, 4];
 
-#[allow(clippy::too_many_arguments)]
-fn push_row(
-    rows: &mut Vec<KernelRow>,
-    problem: &str,
-    kernel: &str,
-    workers: usize,
-    seconds: f64,
-    serial_seconds: f64,
-    matches_serial: bool,
-    nnz: usize,
-    padded_zeros: u64,
-) {
-    let speedup = if seconds > 0.0 {
-        serial_seconds / seconds
-    } else {
-        0.0
-    };
-    println!(
-        "{problem:<16} {kernel:<12} w={workers}  {:>10.4}s  speedup {speedup:>5.2}x  match={matches_serial}",
-        seconds
-    );
-    assert!(
-        matches_serial,
-        "{problem}/{kernel} with {workers} workers diverged from the serial result"
-    );
-    rows.push(KernelRow {
-        problem: problem.to_string(),
-        kernel: kernel.to_string(),
-        workers,
-        seconds,
-        serial_seconds,
-        speedup,
-        matches_serial,
-        nnz,
-        padded_zeros,
-    });
-}
-
-/// `A·A` with the two-phase SpGEMM, exact-equality checked.
-fn bench_spgemm(rows: &mut Vec<KernelRow>, problem: &str, a: &Csr) {
-    let budget = Budget::unlimited();
-    let mut serial: Option<(Csr, f64)> = None;
-    for &w in &WORKERS {
-        let t0 = Instant::now();
-        let c = spgemm_checked(a, a, &budget, w).expect("unlimited budget");
-        let secs = t0.elapsed().as_secs_f64();
-        let (matches, serial_secs, nnz) = match &serial {
-            None => {
-                let nnz = c.nnz();
-                serial = Some((c, secs));
-                (true, secs, nnz)
-            }
-            Some((ref_c, ref_secs)) => (c == *ref_c, *ref_secs, c.nnz()),
-        };
-        push_row(
-            rows,
-            problem,
-            "spgemm",
-            w,
-            secs,
-            serial_secs,
-            matches,
-            nnz,
-            0,
-        );
-    }
-}
-
-/// Per-subdomain interface phase (`G`/`W` solves + `T̃` product) with
-/// intra-subdomain workers, exact-equality checked on every `T̃`.
-fn bench_interface(rows: &mut Vec<KernelRow>, problem: &str, a: &Csr) {
-    let part = pdslin::compute_partition(a, 4, &pdslin::PartitionerKind::Ngd);
-    let sys = pdslin::extract_dbbd(a, part);
-    let factors: Vec<_> = sys
-        .domains
-        .iter()
-        .map(|d| pdslin::subdomain::factor_domain(&d.d, 0.1).expect("subdomain LU"))
-        .collect();
-    let cfg = InterfaceConfig {
-        block_size: 60,
-        ordering: RhsOrdering::Postorder,
-        drop_tol: 1e-8,
-    };
-    let budget = Budget::unlimited();
-    let mut serial: Option<(Vec<Csr>, f64, u64)> = None;
-    for &w in &WORKERS {
-        let t0 = Instant::now();
-        let mut ts = Vec::with_capacity(sys.domains.len());
-        let mut padded = 0u64;
-        for (dom, fd) in sys.domains.iter().zip(&factors) {
-            let (out, _plan) = compute_interface_planned(fd, dom, &cfg, &budget, w, None)
-                .expect("unlimited budget");
-            padded += out.g_block.padded_zeros;
-            ts.push(out.t_tilde);
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        let nnz = ts.iter().map(|t| t.nnz()).sum();
-        let (matches, serial_secs) = match &serial {
-            None => {
-                serial = Some((ts, secs, padded));
-                (true, secs)
-            }
-            Some((ref_ts, ref_secs, ref_padded)) => {
-                (ts == *ref_ts && padded == *ref_padded, *ref_secs)
-            }
-        };
-        push_row(
-            rows,
-            problem,
-            "interface",
-            w,
-            secs,
-            serial_secs,
-            matches,
-            nnz,
-            padded,
-        );
-    }
-}
-
-/// End-to-end `Pdslin::setup` with `PDSLIN_THREADS` bounding the total
-/// (outer × inner) concurrency; checked on the assembled Schur nnz.
+/// End-to-end `Pdslin::setup` with `PDSLIN_THREADS` bounding the
+/// per-subdomain fan-out; checked on the assembled Schur nnz.
 fn bench_setup(rows: &mut Vec<KernelRow>, problem: &str, a: &Csr) {
     let mut serial: Option<(usize, f64)> = None;
     for &w in &WORKERS {
@@ -240,26 +117,32 @@ fn bench_setup(rows: &mut Vec<KernelRow>, problem: &str, a: &Csr) {
         };
         let t0 = Instant::now();
         let solver = Pdslin::setup(a, cfg).expect("setup");
-        let secs = t0.elapsed().as_secs_f64();
-        let nnz_schur = solver.stats.nnz_schur;
-        let (matches, serial_secs) = match &serial {
-            None => {
-                serial = Some((nnz_schur, secs));
-                (true, secs)
-            }
-            Some((ref_nnz, ref_secs)) => (nnz_schur == *ref_nnz, *ref_secs),
+        let seconds = t0.elapsed().as_secs_f64();
+        let nnz = solver.stats.nnz_schur;
+        let (serial_nnz, serial_seconds) = *serial.get_or_insert((nnz, seconds));
+        let matches_serial = nnz == serial_nnz;
+        let speedup = if seconds > 0.0 {
+            serial_seconds / seconds
+        } else {
+            0.0
         };
-        push_row(
-            rows,
-            problem,
-            "setup",
-            w,
-            secs,
-            serial_secs,
-            matches,
-            nnz_schur,
-            0,
+        println!(
+            "{problem:<16} setup        w={w}  {seconds:>10.4}s  speedup {speedup:>5.2}x  match={matches_serial}"
         );
+        assert!(
+            matches_serial,
+            "{problem}/setup with {w} threads diverged from the one-thread result"
+        );
+        rows.push(KernelRow {
+            problem: problem.to_string(),
+            kernel: "setup".to_string(),
+            workers: w,
+            seconds,
+            serial_seconds,
+            speedup,
+            matches_serial,
+            nnz,
+        });
     }
     std::env::remove_var(pdslin::par::THREADS_ENV);
 }
@@ -546,26 +429,16 @@ fn main() {
     }
 }
 
-/// The serial-vs-parallel scenario (`BENCH_kernels.json`).
+/// The set-up thread scenario (`BENCH_kernels.json`).
 fn bench_kernels(scale: Scale) {
     let (nx, ny) = match scale {
         Scale::Test => (50, 50),
         Scale::Bench => (200, 200),
     };
     let laplace = matgen::stencil::laplace2d(nx, ny);
-    let laplace_name = format!("laplace2d({nx},{ny})");
-    let circuits = [MatrixKind::G3Circuit, MatrixKind::Asic680ks];
-
     let mut rows = Vec::new();
-    println!("Kernel benchmark: serial vs parallel (workers 1/2/4)\n");
-    bench_spgemm(&mut rows, &laplace_name, &laplace);
-    bench_interface(&mut rows, &laplace_name, &laplace);
-    bench_setup(&mut rows, &laplace_name, &laplace);
-    for kind in circuits {
-        let a = matgen::generate(kind, scale);
-        bench_spgemm(&mut rows, kind.name(), &a);
-        bench_interface(&mut rows, kind.name(), &a);
-    }
+    println!("Set-up benchmark: one thread vs PDSLIN_THREADS 2/4\n");
+    bench_setup(&mut rows, &format!("laplace2d({nx},{ny})"), &laplace);
     pdslin_bench::write_json("BENCH_kernels", &rows);
-    println!("\nall parallel results matched serial exactly");
+    println!("\nevery set-up matched the one-thread run");
 }

@@ -50,7 +50,7 @@ fn main() {
             for &b in &blocks {
                 let order = order_columns_precomputed(&cols, &reaches, n, b, ord);
                 let (_sols, col_stats) =
-                    slu::solve_in_blocks_ordered(l, true, &cols, &order, b, 1, &unlimited)
+                    slu::solve_in_blocks_ordered(l, true, &cols, &order, b, &unlimited)
                         .expect("an unlimited budget never interrupts");
                 let ordered: Vec<SparseVec> = order.iter().map(|&j| cols[j].clone()).collect();
                 let mut sn_stats = BlockSolveStats::default();

@@ -170,7 +170,6 @@ pub fn g_solve_experiment(
         &cols,
         &order,
         block_size,
-        1,
         &Budget::unlimited(),
     )
     .expect("an unlimited budget never interrupts");

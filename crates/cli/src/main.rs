@@ -4,7 +4,7 @@ use std::process::ExitCode;
 
 use matgen::{MatrixKind, Scale};
 use pdslin::partition::compute_partition_robust;
-use pdslin::{PartitionStats, Pdslin, PdslinConfig, PdslinError, RecoveryReport};
+use pdslin::{PartitionStats, Pdslin, PdslinConfig, PdslinError, RecoveryEvent, RecoveryReport};
 use pdslin_cli::{
     build_budget, exit_code, load_matrix, parse_args, partitioner, rhs_ordering, solve_line,
     validate_options, weight_scheme, Args, HELP,
@@ -299,10 +299,20 @@ fn cmd_partition(args: &Args) -> Result<(), CmdError> {
     let part = compute_partition_robust(&a, k, &kind, weights, false, &mut recovery)?;
     let secs = t.elapsed().as_secs_f64();
     report_recovery("partition", &recovery);
+    // Name the partitioner that produced `part`: the last fallback's
+    // target, or the requested one when none fired.
+    let label = recovery
+        .events
+        .iter()
+        .rev()
+        .find_map(|e| match e {
+            RecoveryEvent::PartitionFallback { to, .. } => Some(to.clone()),
+            _ => None,
+        })
+        .unwrap_or_else(|| kind.label());
     let st = PartitionStats::compute(&a, &part);
     println!(
-        "{} partition of n = {} into k = {k} ({secs:.2}s)",
-        kind.label(),
+        "{label} partition of n = {} into k = {k} ({secs:.2}s)",
         a.nrows()
     );
     println!("separator: {}", st.separator_size);

@@ -15,15 +15,22 @@ fn pdslin(args: &str) -> Output {
 #[test]
 fn partition_with_non_power_of_two_k_reports_the_fallback() {
     // Both partitioners bisect recursively; `partition` takes the
-    // fallback chain `solve` takes instead of panicking (exit 101).
-    for name in ["rhb", "ngd"] {
+    // fallback chain `solve` takes instead of panicking (exit 101), and
+    // names the partitioner that produced the partition, not the one
+    // requested.
+    for (name, requested) in [("rhb", "RHB"), ("ngd", "NGD")] {
         let out = pdslin(&format!(
             "partition --generate g3_circuit --k 3 --partitioner {name}"
         ));
         let stderr = String::from_utf8_lossy(&out.stderr);
+        let stdout = String::from_utf8_lossy(&out.stdout);
         assert_eq!(out.status.code(), Some(0), "{name}: {stderr}");
         assert!(stderr.contains("-> natural-block"), "{name}: {stderr}");
-        assert!(String::from_utf8_lossy(&out.stdout).contains("into k = 3"));
+        assert!(
+            stdout.starts_with("natural-block partition of n = 3600 into k = 3"),
+            "{name}: {stdout}"
+        );
+        assert!(!stdout.contains(requested), "{name}: {stdout}");
     }
 }
 

@@ -969,35 +969,34 @@ mod tests {
 
     #[test]
     fn sequential_and_parallel_agree() {
+        // Set-up runs one thread per subdomain and every kernel inside a
+        // subdomain serially, so the threaded answer is the one-thread
+        // answer bit for bit: at k = 1 (one domain, no separator), k = 2
+        // and k = 3 (the natural-block fallback).
         let a = laplace2d(12, 12);
-        let base = PdslinConfig {
-            k: 2,
-            ..Default::default()
-        };
-        let par = Pdslin::setup(
-            &a,
-            PdslinConfig {
-                parallel: true,
-                ..base
-            },
-        )
-        .unwrap();
-        let seq = Pdslin::setup(
-            &a,
-            PdslinConfig {
-                parallel: false,
-                ..base
-            },
-        )
-        .unwrap();
-        assert_eq!(par.stats.separator_size, seq.stats.separator_size);
-        assert_eq!(par.stats.nnz_schur, seq.stats.nnz_schur);
         let b = vec![1.0; a.nrows()];
-        let (mut par, mut seq) = (par, seq);
-        let xp = par.solve(&b).unwrap().x;
-        let xs = seq.solve(&b).unwrap().x;
-        for (p, s) in xp.iter().zip(&xs) {
-            assert!((p - s).abs() < 1e-8);
+        for k in [1usize, 2, 3] {
+            let run = |parallel| {
+                let cfg = PdslinConfig {
+                    k,
+                    parallel,
+                    ..Default::default()
+                };
+                let mut s = Pdslin::setup(&a, cfg).unwrap();
+                let x = s.solve(&b).unwrap().x;
+                let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+                (
+                    s.stats.separator_size,
+                    s.stats.nnz_schur,
+                    bits,
+                    s.stats.recovery,
+                )
+            };
+            let (par, seq) = (run(true), run(false));
+            assert_eq!(par.0, seq.0, "separator size, k = {k}");
+            assert_eq!(par.1, seq.1, "nnz(S̃), k = {k}");
+            assert!(par.2 == seq.2, "x differs in its bits, k = {k}");
+            assert_eq!(par.3.is_empty(), k != 3, "fallback taken only at k = 3");
         }
     }
 

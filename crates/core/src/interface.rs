@@ -160,8 +160,8 @@ fn csr_from_row_solutions(nrows: usize, ncols: usize, order: &[usize], sols: &[S
     Csr::from_parts(nrows, ncols, indptr, indices, values)
 }
 
-/// Computes `G̃`, `W̃` and `T̃ = W̃ G̃` for one subdomain (one worker, no
-/// budget, no plan kept).
+/// Computes `G̃`, `W̃` and `T̃ = W̃ G̃` for one subdomain (no budget, no
+/// plan kept).
 pub fn compute_interface(
     fd: &FactoredDomain,
     dom: &LocalDomain,
@@ -205,20 +205,20 @@ impl InterfacePlan {
     }
 }
 
-/// [`compute_interface`] under an execution [`Budget`], on up to
-/// `workers` threads, with plan capture/reuse.
+/// [`compute_interface`] under an execution [`Budget`], with plan
+/// capture/reuse, on the calling thread.
 ///
 /// The deadline and cancel token are checked before each of the three
 /// kernels (`G` solve, `W` solve, `T̃` product); the blocked solves poll
 /// them once per column block and the SpGEMM between output strips or
-/// rows. The `G` and `W` blocked solves run their column blocks on up to
-/// `workers` threads (per-worker pooled workspaces, results merged in
-/// block order). `T̃ = W̃ G̃` goes through [`spgemm_checked`]: a compact
-/// product (`m·n ≤ 1M` cells and at least `4·m·n` multiply-adds, the
-/// usual separator block) runs the single-threaded register-chunked
-/// kernel at any worker count, any other the row-parallel two-phase
-/// SpGEMM. The output is byte-identical to `workers == 1` for any worker
-/// count.
+/// rows. `T̃ = W̃ G̃` goes through [`spgemm_checked`]: a compact product
+/// (`m·n ≤ 1M` cells and at least `4·m·n` multiply-adds, the usual
+/// separator block) runs the register-chunked kernel, any other the
+/// Gustavson walk.
+///
+/// `_workers` is ignored: set-up's one thread level is the subdomains
+/// (see [`crate::par`]), and every kernel in here runs serially. The
+/// argument stays for the callers that still pass it.
 ///
 /// Pass `plan = None` to build the scaffolding (returned as the second
 /// tuple element for the caller to keep), or `Some(plan)` from an earlier
@@ -230,7 +230,7 @@ pub fn compute_interface_planned(
     dom: &LocalDomain,
     cfg: &InterfaceConfig,
     budget: &Budget,
-    workers: usize,
+    _workers: usize,
     plan: Option<&InterfacePlan>,
 ) -> Result<(InterfaceOutcome, Option<InterfacePlan>), BudgetInterrupt> {
     budget.check()?;
@@ -281,7 +281,7 @@ pub fn compute_interface_planned(
     // --- G = L⁻¹ P Ê ---
     let t_g = Instant::now();
     let (mut g_sols, g_block) =
-        solve_in_blocks_planned(&fd.lu.l, true, &e_cols_piv, &p.g_plan, workers, budget)?;
+        solve_in_blocks_planned(&fd.lu.l, true, &e_cols_piv, &p.g_plan, budget)?;
     let g_seconds = t_g.elapsed().as_secs_f64();
     // Row coverage before dropping = union of reaches.
     let mut row_touched = vec![false; n];
@@ -303,7 +303,7 @@ pub fn compute_interface_planned(
     budget.check()?;
     let t_w = Instant::now();
     let (mut w_sols, w_block) =
-        solve_in_blocks_planned(ut, false, &f_rows_elim, &p.w_plan, workers, budget)?;
+        solve_in_blocks_planned(ut, false, &f_rows_elim, &p.w_plan, budget)?;
     let w_seconds = t_w.elapsed().as_secs_f64();
     // W̃ as CSR (rows = f_rows order, columns = elimination coords).
     for s in &mut w_sols {
@@ -318,7 +318,7 @@ pub fn compute_interface_planned(
     // both live in pivot order, and column l of U corresponds to pivot
     // step l. So the inner dimension matches directly.
     let t_t = Instant::now();
-    let t_tilde = match spgemm_checked(&w_tilde, &g_tilde, budget, workers) {
+    let t_tilde = match spgemm_checked(&w_tilde, &g_tilde, budget) {
         Ok(t) => t,
         Err(SpgemmError::Interrupted(i)) => return Err(i),
         // The coordinate argument above makes a mismatch a logic error.
@@ -457,32 +457,5 @@ mod tests {
             },
         );
         assert!(dropped.t_tilde.nnz() <= exact.t_tilde.nnz());
-    }
-
-    #[test]
-    fn parallel_interface_is_byte_identical_to_serial() {
-        let (_a, sys) = small_system();
-        let budget = Budget::unlimited();
-        for dom in &sys.domains {
-            let fd = factor_domain(&dom.d, 0.1).unwrap();
-            let cfg = InterfaceConfig {
-                block_size: 4,
-                ordering: RhsOrdering::Postorder,
-                drop_tol: 1e-8,
-            };
-            let run = |w| {
-                compute_interface_planned(&fd, dom, &cfg, &budget, w, None)
-                    .unwrap()
-                    .0
-            };
-            let serial = run(1);
-            for w in [2usize, 4] {
-                let par = run(w);
-                assert_eq!(par.t_tilde, serial.t_tilde, "workers {w}");
-                assert_eq!(par.g_block, serial.g_block, "workers {w}");
-                assert_eq!(par.w_block, serial.w_block, "workers {w}");
-                assert_eq!(par.stats.nnzrow_g, serial.stats.nnzrow_g, "workers {w}");
-            }
-        }
     }
 }

@@ -6,6 +6,12 @@
 //! shared cursor. Keeping this in-tree keeps the workspace
 //! dependency-free.
 //!
+//! This is set-up's one thread level: the subdomains. Every kernel
+//! inside a subdomain task (the blocked `G`/`W` solves, the `T̃`
+//! product) and the Schur assembly run on one thread, as the paper's
+//! experiments do with one process per subdomain, so the answer at any
+//! thread count is the one-thread answer bit for bit.
+//!
 //! The worker count honours the `PDSLIN_THREADS` environment variable,
 //! clamped to the host's available parallelism — see [`worker_count`].
 //!
@@ -41,45 +47,12 @@ pub fn worker_count(n_items: usize, parallel: bool, env: Option<&str>, available
     requested.min(available).min(n_items.max(1))
 }
 
-/// Worker budget for a kernel nested `outer` levels wide: when the
-/// driver already fans out over `outer` concurrent tasks, each inner
-/// kernel gets `max(1, total / outer)` workers so the *product*
-/// `outer × inner` never exceeds the configured total (the
-/// [`THREADS_ENV`] override clamped to `available`). Also clamped to
-/// `n_items` — extra inner workers would have nothing to pull.
-pub fn nested_worker_count(
-    n_items: usize,
-    parallel: bool,
-    env: Option<&str>,
-    available: usize,
-    outer: usize,
-) -> usize {
-    if !parallel {
-        return 1;
-    }
-    let total = worker_count(usize::MAX, parallel, env, available);
-    (total / outer.max(1)).max(1).min(n_items.max(1))
-}
-
-/// Worker count for the *outer* (per-subdomain) fan-out, from the
-/// process environment and host parallelism.
+/// Worker count for the per-subdomain fan-out (and the solve's
+/// right-hand-side lanes), from the process environment and host
+/// parallelism: the one thread-count policy of the solver.
 pub fn outer_worker_count(n_items: usize, parallel: bool) -> usize {
     let env = std::env::var(THREADS_ENV).ok();
     worker_count(n_items, parallel, env.as_deref(), host_parallelism())
-}
-
-/// Worker count for an *inner* kernel running beneath an outer fan-out
-/// of `outer` concurrent tasks, from the process environment and host
-/// parallelism. `outer × inner` stays within the configured total.
-pub fn inner_worker_count(outer: usize, parallel: bool) -> usize {
-    let env = std::env::var(THREADS_ENV).ok();
-    nested_worker_count(
-        usize::MAX,
-        parallel,
-        env.as_deref(),
-        host_parallelism(),
-        outer,
-    )
 }
 
 fn host_parallelism() -> usize {
@@ -231,51 +204,6 @@ mod tests {
     #[test]
     fn serial_mode_ignores_the_override() {
         assert_eq!(worker_count(100, false, Some("8"), 16), 1);
-    }
-
-    // ----- nested allocation (outer domains × inner blocks) -----
-
-    #[test]
-    fn nested_product_never_exceeds_configured_total() {
-        for &total in &[1usize, 2, 3, 4, 7, 8, 16] {
-            for &n_domains in &[1usize, 2, 3, 4, 8, 13] {
-                let env = total.to_string();
-                let outer = worker_count(n_domains, true, Some(&env), total);
-                let inner = nested_worker_count(1000, true, Some(&env), total, outer);
-                assert!(
-                    outer * inner <= total.max(1),
-                    "total {total}, {n_domains} domains: outer {outer} × inner {inner}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn single_outer_task_gets_all_workers() {
-        assert_eq!(nested_worker_count(1000, true, Some("8"), 8, 1), 8);
-        // Outer fan-out of zero behaves like one.
-        assert_eq!(nested_worker_count(1000, true, Some("8"), 8, 0), 8);
-    }
-
-    #[test]
-    fn nested_count_is_at_least_one() {
-        // More outer tasks than threads: inner kernels run serially
-        // rather than starving.
-        assert_eq!(nested_worker_count(1000, true, Some("4"), 4, 16), 1);
-    }
-
-    #[test]
-    fn nested_count_respects_serial_mode_and_item_count() {
-        assert_eq!(nested_worker_count(1000, false, Some("8"), 8, 1), 1);
-        assert_eq!(nested_worker_count(2, true, Some("8"), 8, 1), 2);
-        assert_eq!(nested_worker_count(0, true, Some("8"), 8, 1), 1);
-    }
-
-    #[test]
-    fn nested_count_clamps_env_to_available() {
-        // Requesting 64 threads on a 4-core host: total is 4, so two
-        // outer tasks leave two inner workers each.
-        assert_eq!(nested_worker_count(1000, true, Some("64"), 4, 2), 2);
     }
 
     // ----- panic isolation -----

@@ -18,9 +18,9 @@ use crate::error::PdslinError;
 use crate::extract::DbbdSystem;
 use crate::fault::FaultPlan;
 use crate::interface::{compute_interface_planned, InterfaceConfig, InterfacePlan};
-use crate::par::{inner_worker_count, map_isolated, outer_worker_count};
+use crate::par::map_isolated;
 use crate::recovery::{RecoveryEvent, RecoveryReport};
-use crate::schur::{assemble_schur_workers, factor_schur_robust, schur_bytes_estimate};
+use crate::schur::{assemble_schur, factor_schur_robust, schur_bytes_estimate};
 use crate::stats::SetupStats;
 use crate::subdomain::{factor_domain_robust, FactoredDomain};
 
@@ -164,10 +164,10 @@ impl Pass<'_> {
     }
 
     /// `Comp(S)`: interface solves and `T̃_ℓ` products, one isolated task
-    /// per subdomain. `plans[ℓ]` (blocked-solve plans, column orders,
-    /// `Uᵀ` structure) is replayed when present and filled when missing.
-    /// A non-finite `T̃_ℓ` (an overflowing product) carries into `Ŝ`, and
-    /// `LU(S̃)` rejects it, typed.
+    /// per subdomain, each on one thread. `plans[ℓ]` (blocked-solve
+    /// plans, column orders, `Uᵀ` structure) is replayed when present and
+    /// filled when missing. A non-finite `T̃_ℓ` (an overflowing product)
+    /// carries into `Ŝ`, and `LU(S̃)` rejects it, typed.
     fn comp_s(
         &mut self,
         sys: &DbbdSystem,
@@ -182,16 +182,11 @@ impl Pass<'_> {
             ordering: cfg.rhs_ordering,
             drop_tol: cfg.interface_drop_tol,
         };
-        // Total concurrency = outer (per-subdomain) × inner (per-block)
-        // workers, bounded by the configured thread budget.
-        let outer = outer_worker_count(factors.len(), cfg.parallel);
-        let inner = inner_worker_count(outer, cfg.parallel);
         let task = |l: usize, plan: &mut Option<InterfacePlan>| {
             let t0 = Instant::now();
             let (fd, dom) = (&factors[l], &sys.domains[l]);
-            let (out, built) =
-                compute_interface_planned(fd, dom, &icfg, budget, inner, plan.as_ref())
-                    .map_err(|i| interrupt_error(i, "comp_s"))?;
+            let (out, built) = compute_interface_planned(fd, dom, &icfg, budget, 1, plan.as_ref())
+                .map_err(|i| interrupt_error(i, "comp_s"))?;
             if built.is_some() {
                 *plan = built;
             }
@@ -267,8 +262,7 @@ impl Pass<'_> {
             }
         }
         self.stats.nnz_t = t_tildes.iter().map(|t| t.nnz()).collect();
-        let workers = outer_worker_count(sys.nsep(), self.cfg.parallel);
-        Ok(assemble_schur_workers(sys, &t_tildes, workers))
+        Ok(assemble_schur(sys, &t_tildes))
     }
 
     /// `LU(S̃)`. With `stored`, `Ŝ`'s values are scattered into the

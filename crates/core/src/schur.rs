@@ -15,99 +15,104 @@ use crate::subdomain::{factor_robust, subdomain_ordering, LuTarget};
 /// each domain's `f_rows` / `e_cols`). The interpolation matrices
 /// `R_{E_ℓ}`, `R_{F_ℓ}` of the paper are realised implicitly through
 /// those index maps — they are never formed.
+///
+/// Each separator row is its `C` row plus every domain `T̃` row mapped
+/// to it, summed in that order (`C` first, then domains in index
+/// order). A count pass gives every row's exact nnz, so `indices` and
+/// `values` are allocated once at their final size and filled in place.
 pub fn assemble_schur(sys: &DbbdSystem, t_tildes: &[Csr]) -> Csr {
-    assemble_schur_workers(sys, t_tildes, 1)
-}
-
-/// Scratch for one Schur-assembly worker: dense accumulator + stamped
-/// mark vector over the separator columns.
-struct SchurScratch {
-    acc: Vec<f64>,
-    mark: Vec<usize>,
-    cols: Vec<usize>,
-}
-
-/// Row-parallel [`assemble_schur`]: each separator row is accumulated
-/// independently (its `C` row plus every domain `T̃` row mapped to it),
-/// so the rows distribute over `workers` ranges with the two-phase CSR
-/// builder. Contributions are summed in the same order as the serial
-/// COO path (`C` first, then domains in index order), so the output is
-/// byte-identical for any worker count.
-pub fn assemble_schur_workers(sys: &DbbdSystem, t_tildes: &[Csr], workers: usize) -> Csr {
     assert_eq!(t_tildes.len(), sys.domains.len());
     let ns = sys.nsep();
-    // Separator row -> (domain, local T̃ row) contributors, domain order.
-    let mut contrib: Vec<Vec<(usize, usize)>> = vec![Vec::new(); ns];
-    for (d, (dom, t)) in sys.domains.iter().zip(t_tildes).enumerate() {
+    // Separator row -> (domain, local T̃ row) contributors, domain order,
+    // in one flat list: row `i`'s are `contrib[cptr[i]..cptr[i + 1]]`.
+    // Exact-size flat arrays, not one growing `Vec` per separator row:
+    // the peak resident set follows the heap layout such chunks shape.
+    let mut cptr = vec![0usize; ns + 1];
+    for (dom, t) in sys.domains.iter().zip(t_tildes) {
         debug_assert_eq!(t.nrows(), dom.f_rows.len());
         debug_assert_eq!(t.ncols(), dom.e_cols.len());
-        for (r, &gi) in dom.f_rows.iter().enumerate() {
-            contrib[gi].push((d, r));
+        for &gi in &dom.f_rows {
+            cptr[gi + 1] += 1;
         }
     }
-    sparsekit::par::build_csr_two_phase(
-        ns,
-        ns,
-        workers,
-        &Budget::unlimited(),
-        64,
-        || SchurScratch {
-            acc: vec![0f64; ns],
-            mark: vec![usize::MAX; ns],
-            cols: Vec::new(),
-        },
-        |i, s| {
-            let stamp = 2 * i;
-            let mut nnz = 0usize;
-            for &j in sys.c.row_indices(i) {
-                if s.mark[j] != stamp {
-                    s.mark[j] = stamp;
+    for i in 0..ns {
+        cptr[i + 1] += cptr[i];
+    }
+    let mut contrib = vec![(0usize, 0usize); cptr[ns]];
+    let mut next = cptr.clone();
+    for (d, dom) in sys.domains.iter().enumerate() {
+        for (r, &gi) in dom.f_rows.iter().enumerate() {
+            contrib[next[gi]] = (d, r);
+            next[gi] += 1;
+        }
+    }
+    // Dense accumulator and a stamped mark vector over the separator
+    // columns: stamp `2i` marks row `i` while counting, `2i + 1` while
+    // filling, so the two passes never read each other's marks.
+    let mut acc = vec![0f64; ns];
+    let mut mark = vec![usize::MAX; ns];
+    let mut cols: Vec<usize> = Vec::new();
+    let mut indptr = vec![0usize; ns + 1];
+    for i in 0..ns {
+        let stamp = 2 * i;
+        let mut nnz = 0usize;
+        for &j in sys.c.row_indices(i) {
+            if mark[j] != stamp {
+                mark[j] = stamp;
+                nnz += 1;
+            }
+        }
+        for &(d, r) in &contrib[cptr[i]..cptr[i + 1]] {
+            let dom = &sys.domains[d];
+            for &c in t_tildes[d].row_indices(r) {
+                let j = dom.e_cols[c];
+                if mark[j] != stamp {
+                    mark[j] = stamp;
                     nnz += 1;
                 }
             }
-            for &(d, r) in &contrib[i] {
-                let dom = &sys.domains[d];
-                for &c in t_tildes[d].row_indices(r) {
-                    let j = dom.e_cols[c];
-                    if s.mark[j] != stamp {
-                        s.mark[j] = stamp;
-                        nnz += 1;
-                    }
+        }
+        indptr[i + 1] = indptr[i] + nnz;
+    }
+    let nnz = indptr[ns];
+    let mut indices = vec![0usize; nnz];
+    let mut values = vec![0f64; nnz];
+    for i in 0..ns {
+        let stamp = 2 * i + 1;
+        cols.clear();
+        for (j, v) in sys.c.row_iter(i) {
+            if mark[j] != stamp {
+                mark[j] = stamp;
+                acc[j] = 0.0;
+                cols.push(j);
+            }
+            acc[j] += v;
+        }
+        for &(d, r) in &contrib[cptr[i]..cptr[i + 1]] {
+            let dom = &sys.domains[d];
+            for (c, v) in t_tildes[d].row_iter(r) {
+                let j = dom.e_cols[c];
+                if mark[j] != stamp {
+                    mark[j] = stamp;
+                    acc[j] = 0.0;
+                    cols.push(j);
                 }
+                acc[j] += -v;
             }
-            nnz
-        },
-        |i, s, ind, val| {
-            let stamp = 2 * i + 1;
-            s.cols.clear();
-            for (j, v) in sys.c.row_iter(i) {
-                if s.mark[j] != stamp {
-                    s.mark[j] = stamp;
-                    s.acc[j] = 0.0;
-                    s.cols.push(j);
-                }
-                s.acc[j] += v;
-            }
-            for &(d, r) in &contrib[i] {
-                let dom = &sys.domains[d];
-                for (c, v) in t_tildes[d].row_iter(r) {
-                    let j = dom.e_cols[c];
-                    if s.mark[j] != stamp {
-                        s.mark[j] = stamp;
-                        s.acc[j] = 0.0;
-                        s.cols.push(j);
-                    }
-                    s.acc[j] += -v;
-                }
-            }
-            s.cols.sort_unstable();
-            for (t, &j) in s.cols.iter().enumerate() {
-                ind[t] = j;
-                val[t] = s.acc[j];
-            }
-        },
-    )
-    .expect("an unlimited budget never interrupts")
+        }
+        cols.sort_unstable();
+        for (t, &j) in (indptr[i]..).zip(&cols) {
+            indices[t] = j;
+            values[t] = acc[j];
+        }
+    }
+    Csr::from_parts(ns, ns, indptr, indices, values)
+}
+
+/// [`assemble_schur`]; `_workers` is ignored (the assembly runs on the
+/// calling thread) and stays for the callers that still pass it.
+pub fn assemble_schur_workers(sys: &DbbdSystem, t_tildes: &[Csr], _workers: usize) -> Csr {
+    assemble_schur(sys, t_tildes)
 }
 
 /// Upper bound on the bytes of the assembled `Ŝ` in CSR form, *before*
@@ -221,30 +226,6 @@ mod tests {
                     s_ref[i][j]
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_assembly_is_byte_identical_to_serial() {
-        let a = laplace2d(10, 10);
-        let p = compute_partition(&a, 4, &PartitionerKind::Ngd);
-        let sys = extract_dbbd(&a, p);
-        let cfg = InterfaceConfig {
-            block_size: 8,
-            ordering: RhsOrdering::Postorder,
-            drop_tol: 0.0,
-        };
-        let ts: Vec<Csr> = sys
-            .domains
-            .iter()
-            .map(|dom| {
-                let fd = factor_domain(&dom.d, 0.1).unwrap();
-                compute_interface(&fd, dom, &cfg).t_tilde
-            })
-            .collect();
-        let serial = assemble_schur(&sys, &ts);
-        for w in [2usize, 4, 7] {
-            assert_eq!(assemble_schur_workers(&sys, &ts, w), serial, "workers {w}");
         }
     }
 

@@ -15,15 +15,13 @@
 //! padding accounting — taken on the factor's pruned
 //! [`ReachGraph`]) and
 //! [`solve_in_blocks_planned`], which runs the panel substitutions of a
-//! plan, concurrently when asked. Every other entry point builds a plan
-//! and calls it.
+//! plan. Every other entry point builds a plan and calls it.
 
 use crate::reach::{reach_in, ReachAdjacency, ReachGraph};
 use crate::trisolve::{SolveWorkspace, SparseVec};
 use sparsekit::budget::{Budget, BudgetInterrupt};
 use sparsekit::isa::{Isa, Tier};
 use sparsekit::Csc;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Accounting for one blocked solve.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -60,8 +58,8 @@ impl BlockSolveStats {
 
 /// Pooled numeric scratch for repeated blocked solves on one `n×n`
 /// factor: the O(n) scatter map and the reusable dense panel. One of
-/// these per worker is the entire steady-state memory traffic of the
-/// blocked solver — solving a block allocates nothing beyond its output
+/// these is the entire steady-state memory traffic of the blocked
+/// solver — solving a block allocates nothing beyond its output
 /// columns.
 #[derive(Clone, Debug)]
 struct BlockWorkspace {
@@ -301,16 +299,8 @@ pub fn solve_in_blocks(
     block_size: usize,
 ) -> (Vec<SparseVec>, BlockSolveStats) {
     let order: Vec<usize> = (0..cols.len()).collect();
-    solve_in_blocks_ordered(
-        l,
-        unit_diag,
-        cols,
-        &order,
-        block_size,
-        1,
-        &Budget::unlimited(),
-    )
-    .expect("unlimited budget never interrupts")
+    solve_in_blocks_ordered(l, unit_diag, cols, &order, block_size, &Budget::unlimited())
+        .expect("unlimited budget never interrupts")
 }
 
 /// Blocked solve through an index permutation: builds a
@@ -327,103 +317,35 @@ pub fn solve_in_blocks_ordered(
     cols: &[SparseVec],
     order: &[usize],
     block_size: usize,
-    workers: usize,
     budget: &Budget,
 ) -> Result<(Vec<SparseVec>, BlockSolveStats), BudgetInterrupt> {
     budget.check()?;
     let plan = BlockedSolvePlan::build(l, cols, order, block_size);
-    solve_in_blocks_planned(l, unit_diag, cols, &plan, workers, budget)
+    solve_in_blocks_planned(l, unit_diag, cols, &plan, budget)
 }
 
 /// Numeric half of the blocked solve: panel substitution over the
 /// plan's blocks, no reach DFS. The plan must have been built against a
 /// factor with the same pattern and the same column patterns/order.
 ///
-/// Blocks are mutually independent, so up to `workers` threads pull
-/// block indices from a shared counter, each with its own pooled
-/// `BlockWorkspace` — the steady state performs **zero per-block heap
-/// allocation** beyond the output columns themselves. Results are
-/// merged in block order, making the output byte-identical to the
-/// serial path. The budget is polled once per block; the first
-/// interrupt (lowest block index) wins, and remaining workers stop
-/// claiming blocks cooperatively.
+/// One pooled `BlockWorkspace` serves every block, so the steady state
+/// performs **zero per-block heap allocation** beyond the output columns
+/// themselves. The budget is polled once per block.
 pub fn solve_in_blocks_planned(
     l: &Csc,
     unit_diag: bool,
     cols: &[SparseVec],
     plan: &BlockedSolvePlan,
-    workers: usize,
     budget: &Budget,
 ) -> Result<(Vec<SparseVec>, BlockSolveStats), BudgetInterrupt> {
     budget.check()?;
-    let n = l.nrows();
-    let nblocks = plan.blocks.len();
     let mut out = Vec::with_capacity(plan.ncols);
     let mut stats = BlockSolveStats::default();
-    if workers <= 1 || nblocks <= 1 {
-        let mut ws = BlockWorkspace::new(n);
-        for pb in &plan.blocks {
-            budget.check()?;
-            stats.merge(&numeric_on_pattern(l, unit_diag, cols, pb, &mut ws));
-            extract_columns(pb, &ws.panel, &mut out);
-        }
-        return Ok((out, stats));
-    }
-
-    type BlockResult = Result<(Vec<SparseVec>, BlockSolveStats), BudgetInterrupt>;
-    let nworkers = workers.min(nblocks);
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let per_worker: Vec<Vec<(usize, BlockResult)>> = std::thread::scope(|sc| {
-        let handles: Vec<_> = (0..nworkers)
-            .map(|_| {
-                let (next, abort) = (&next, &abort);
-                sc.spawn(move || {
-                    let mut ws = BlockWorkspace::new(n);
-                    let mut got: Vec<(usize, BlockResult)> = Vec::new();
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= nblocks || abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if let Err(e) = budget.check() {
-                            abort.store(true, Ordering::Relaxed);
-                            got.push((b, Err(e)));
-                            break;
-                        }
-                        let pb = &plan.blocks[b];
-                        let st = numeric_on_pattern(l, unit_diag, cols, pb, &mut ws);
-                        let mut sols = Vec::with_capacity(pb.cols.len());
-                        extract_columns(pb, &ws.panel, &mut sols);
-                        got.push((b, Ok((sols, st))));
-                    }
-                    got
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-
-    let mut slots: Vec<Option<BlockResult>> = (0..nblocks).map(|_| None).collect();
-    for (b, r) in per_worker.into_iter().flatten() {
-        slots[b] = Some(r);
-    }
-    // First interrupt in block order wins (deterministic error identity).
-    if let Some(e) = slots.iter().find_map(|s| match s {
-        Some(Err(e)) => Some(*e),
-        _ => None,
-    }) {
-        return Err(e);
-    }
-    for slot in slots {
-        let (sols, st) = slot
-            .expect("every block is claimed when no worker aborts")
-            .expect("errors were returned above");
-        stats.merge(&st);
-        out.extend(sols);
+    let mut ws = BlockWorkspace::new(l.nrows());
+    for pb in &plan.blocks {
+        budget.check()?;
+        stats.merge(&numeric_on_pattern(l, unit_diag, cols, pb, &mut ws));
+        extract_columns(pb, &ws.panel, &mut out);
     }
     Ok((out, stats))
 }
@@ -606,20 +528,16 @@ mod tests {
             .collect();
         let order: Vec<usize> = (0..12).map(|p| (p * 5) % 12).collect();
         let budget = Budget::unlimited();
-        let (adhoc, astats) =
-            solve_in_blocks_ordered(&l, true, &cols, &order, 3, 1, &budget).unwrap();
+        let (adhoc, astats) = solve_in_blocks_ordered(&l, true, &cols, &order, 3, &budget).unwrap();
         let plan = BlockedSolvePlan::build(&l, &cols, &order, 3);
         assert_eq!(plan.ncols(), 12);
         assert!(plan.memory_bytes() > 0);
-        for w in [1usize, 4] {
-            let (planned, pstats) =
-                solve_in_blocks_planned(&l, true, &cols, &plan, w, &budget).unwrap();
-            assert_eq!(pstats, astats, "workers {w}");
-            assert_eq!(planned.len(), adhoc.len());
-            for (p, (a, b)) in planned.iter().zip(&adhoc).enumerate() {
-                assert_eq!(a.indices, b.indices, "pattern col {p} workers {w}");
-                assert_eq!(a.values, b.values, "values col {p} workers {w}");
-            }
+        let (planned, pstats) = solve_in_blocks_planned(&l, true, &cols, &plan, &budget).unwrap();
+        assert_eq!(pstats, astats);
+        assert_eq!(planned.len(), adhoc.len());
+        for (p, (a, b)) in planned.iter().zip(&adhoc).enumerate() {
+            assert_eq!(a.indices, b.indices, "pattern col {p}");
+            assert_eq!(a.values, b.values, "values col {p}");
         }
     }
 
@@ -639,10 +557,8 @@ mod tests {
             *v *= 1.5;
         }
         let budget = Budget::unlimited();
-        let (adhoc, astats) =
-            solve_in_blocks_ordered(&l, true, &cols, &order, 2, 1, &budget).unwrap();
-        let (planned, pstats) =
-            solve_in_blocks_planned(&l, true, &cols, &plan, 1, &budget).unwrap();
+        let (adhoc, astats) = solve_in_blocks_ordered(&l, true, &cols, &order, 2, &budget).unwrap();
+        let (planned, pstats) = solve_in_blocks_planned(&l, true, &cols, &plan, &budget).unwrap();
         assert_eq!(pstats, astats);
         for (a, b) in planned.iter().zip(&adhoc) {
             assert_eq!(a.indices, b.indices);
@@ -651,39 +567,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ordered_solve_is_byte_identical_to_serial() {
-        let l = bidiag_l(40);
-        let cols: Vec<SparseVec> = (0..12)
-            .map(|i| SparseVec::new(vec![(i * 3) % 40], vec![1.0 + i as f64]))
-            .collect();
-        // A non-trivial permutation.
-        let order: Vec<usize> = (0..12).map(|p| (p * 5) % 12).collect();
-        let budget = Budget::unlimited();
-        let (serial, sstats) =
-            solve_in_blocks_ordered(&l, true, &cols, &order, 3, 1, &budget).unwrap();
-        for w in [2usize, 4, 7] {
-            let (par, pstats) =
-                solve_in_blocks_ordered(&l, true, &cols, &order, 3, w, &budget).unwrap();
-            assert_eq!(pstats, sstats, "stats merge associative, workers {w}");
-            assert_eq!(par.len(), serial.len());
-            for (p, (a, b)) in par.iter().zip(&serial).enumerate() {
-                assert_eq!(a.indices, b.indices, "pattern col {p} workers {w}");
-                assert_eq!(a.values, b.values, "values col {p} workers {w}");
-            }
-        }
-    }
-
-    #[test]
-    fn cancelled_budget_interrupts_parallel_solve() {
+    fn cancelled_budget_interrupts_blocked_solve() {
         let l = bidiag_l(20);
         let cols: Vec<SparseVec> = (0..8).map(|i| SparseVec::new(vec![i], vec![1.0])).collect();
         let order: Vec<usize> = (0..8).collect();
         let tok = CancelToken::new();
         tok.cancel();
         let budget = Budget::unlimited().with_token(tok);
-        for w in [1usize, 4] {
-            let r = solve_in_blocks_ordered(&l, true, &cols, &order, 2, w, &budget);
-            assert_eq!(r.unwrap_err(), BudgetInterrupt::Cancelled, "workers {w}");
-        }
+        let r = solve_in_blocks_ordered(&l, true, &cols, &order, 2, &budget);
+        assert_eq!(r.unwrap_err(), BudgetInterrupt::Cancelled);
     }
 }

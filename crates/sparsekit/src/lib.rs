@@ -42,7 +42,6 @@ pub mod io;
 pub mod isa;
 pub mod lanes;
 pub mod ops;
-pub mod par;
 pub mod perm;
 pub mod rng;
 pub mod spgemm;

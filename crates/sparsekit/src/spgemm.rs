@@ -3,7 +3,6 @@
 
 use crate::budget::{Budget, BudgetInterrupt};
 use crate::isa::{Isa, Tier};
-use crate::par::build_csr_two_phase;
 use crate::Csr;
 
 /// Rows between cooperative budget polls inside the product loops. Large
@@ -87,31 +86,24 @@ pub fn csr_bytes(nrows: usize, nnz: usize) -> usize {
 /// Panics on an inner-dimension mismatch; use [`spgemm_checked`] to get
 /// a typed error instead.
 pub fn spgemm(a: &Csr, b: &Csr) -> Csr {
-    match spgemm_checked(a, b, &Budget::unlimited(), 1) {
+    match spgemm_checked(a, b, &Budget::unlimited()) {
         Ok(c) => c,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// [`spgemm`] with typed dimension validation, cooperative budget checks
-/// and up to `workers` threads.
+/// [`spgemm`] with typed dimension validation and cooperative budget
+/// checks.
 ///
 /// The budget is checked once before any path is chosen, then polled
 /// between output rows (or inner-index strips on the compact path).
 /// Compact-output products (small `m×n` result, huge inner dimension —
 /// the separator blocks `T̃ = W̃·G̃` of `Comp(S)`) take an outer-product
-/// walk with a dense accumulator for any worker count: row-by-row
-/// Gustavson would re-stream all of `B` once per output row, which is
-/// bandwidth-bound long before it is flop-bound. Otherwise `workers <= 1`
-/// runs the serial Gustavson walk and more workers run it row-parallel
-/// (symbolic count → prefix sum → numeric fill over contiguous row
-/// ranges). Every path's output is **byte-identical** to the serial walk.
-pub fn spgemm_checked(
-    a: &Csr,
-    b: &Csr,
-    budget: &Budget,
-    workers: usize,
-) -> Result<Csr, SpgemmError> {
+/// walk with a dense accumulator: row-by-row Gustavson would re-stream
+/// all of `B` once per output row, which is bandwidth-bound long before
+/// it is flop-bound. Every other product runs the Gustavson walk. Both
+/// paths' outputs are **byte-identical**.
+pub fn spgemm_checked(a: &Csr, b: &Csr, budget: &Budget) -> Result<Csr, SpgemmError> {
     check_dims(a, b)?;
     budget.check().map_err(SpgemmError::Interrupted)?;
     let m = a.nrows();
@@ -122,15 +114,11 @@ pub fn spgemm_checked(
             return spgemm_compact(a, b, budget);
         }
     }
-    if workers <= 1 {
-        spgemm_serial(a, b, budget)
-    } else {
-        spgemm_parallel(a, b, budget, workers)
-    }
+    spgemm_gustavson(a, b, budget)
 }
 
-/// Serial Gustavson walk of [`spgemm_checked`].
-fn spgemm_serial(a: &Csr, b: &Csr, budget: &Budget) -> Result<Csr, SpgemmError> {
+/// Gustavson row walk of [`spgemm_checked`].
+fn spgemm_gustavson(a: &Csr, b: &Csr, budget: &Budget) -> Result<Csr, SpgemmError> {
     let m = a.nrows();
     let n = b.ncols();
     let mut indptr = vec![0usize; m + 1];
@@ -369,122 +357,6 @@ fn compact_body(a: &Csr, b: &Csr, budget: &Budget) -> Result<Csr, SpgemmError> {
     Ok(Csr::from_parts(m, n, indptr, indices, values))
 }
 
-/// Scratch for one SpGEMM worker: a dense accumulator plus a stamp-style
-/// mark vector shared by the symbolic and numeric phases (stamp `2i`
-/// marks row `i` during counting, `2i + 1` during filling, so the two
-/// phases never confuse each other's marks).
-struct SpgemmScratch {
-    acc: Vec<f64>,
-    mark: Vec<usize>,
-    cols: Vec<usize>,
-}
-
-/// Row-parallel Gustavson walk of [`spgemm_checked`]. Each output row is
-/// computed by the same walk in the same order as [`spgemm_serial`], and
-/// the prefix sum puts it at the same offset, so the output is
-/// byte-identical. Budget interrupts from any worker surface as
-/// [`SpgemmError::Interrupted`].
-fn spgemm_parallel(a: &Csr, b: &Csr, budget: &Budget, workers: usize) -> Result<Csr, SpgemmError> {
-    let n = b.ncols();
-    build_csr_two_phase(
-        a.nrows(),
-        n,
-        workers,
-        budget,
-        BUDGET_STRIDE,
-        || SpgemmScratch {
-            acc: vec![0f64; n],
-            mark: vec![usize::MAX; n],
-            cols: Vec::new(),
-        },
-        |i, s| {
-            let stamp = 2 * i;
-            // Same dense-row shortcut as the serial path: unconditional
-            // mark stores, then a scan, beat the branchy walk when the
-            // row's flops dwarf the output width.
-            let mut flop_bound = 0usize;
-            for &k in a.row_indices(i) {
-                flop_bound += b.row_nnz(k);
-            }
-            if flop_bound >= 4 * n && n > 0 {
-                for (k, _) in a.row_iter(i) {
-                    for &j in b.row_indices(k) {
-                        s.mark[j] = stamp;
-                    }
-                }
-                return s.mark[..n].iter().filter(|&&m| m == stamp).count();
-            }
-            let mut nnz = 0usize;
-            for (k, _) in a.row_iter(i) {
-                for &j in b.row_indices(k) {
-                    if s.mark[j] != stamp {
-                        s.mark[j] = stamp;
-                        nnz += 1;
-                    }
-                }
-            }
-            nnz
-        },
-        |i, s, ind, val| {
-            let stamp = 2 * i + 1;
-            let mut flop_bound = 0usize;
-            for &k in a.row_indices(i) {
-                flop_bound += b.row_nnz(k);
-            }
-            if flop_bound >= 4 * n && n > 0 {
-                // Branchless dense accumulation; sums run in the same
-                // order as the marked walk, so values are bit-identical.
-                s.acc[..n].fill(0.0);
-                for (k, av) in a.row_iter(i) {
-                    for (j, bv) in b.row_iter(k) {
-                        s.acc[j] += av * bv;
-                        s.mark[j] = stamp;
-                    }
-                }
-                let mut t = 0;
-                for (j, m) in s.mark[..n].iter().enumerate() {
-                    if *m == stamp {
-                        ind[t] = j;
-                        val[t] = s.acc[j];
-                        t += 1;
-                    }
-                }
-                return;
-            }
-            s.cols.clear();
-            for (k, av) in a.row_iter(i) {
-                for (j, bv) in b.row_iter(k) {
-                    if s.mark[j] != stamp {
-                        s.mark[j] = stamp;
-                        s.acc[j] = 0.0;
-                        s.cols.push(j);
-                    }
-                    s.acc[j] += av * bv;
-                }
-            }
-            if s.cols.len() * 8 >= n {
-                // Same dense-row scan as the serial path: identical
-                // sorted output, no per-row sort.
-                let mut t = 0;
-                for (j, m) in s.mark.iter().enumerate() {
-                    if *m == stamp {
-                        ind[t] = j;
-                        val[t] = s.acc[j];
-                        t += 1;
-                    }
-                }
-            } else {
-                s.cols.sort_unstable();
-                for (t, &j) in s.cols.iter().enumerate() {
-                    ind[t] = j;
-                    val[t] = s.acc[j];
-                }
-            }
-        },
-    )
-    .map_err(SpgemmError::Interrupted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,14 +431,12 @@ mod tests {
         let a = rand_like(4, 5, 7);
         let b = rand_like(6, 3, 8);
         let budget = crate::Budget::unlimited();
-        for w in [1usize, 4] {
-            match spgemm_checked(&a, &b, &budget, w) {
-                Err(SpgemmError::DimensionMismatch {
-                    a_cols: 5,
-                    b_rows: 6,
-                }) => {}
-                other => panic!("workers {w}: expected DimensionMismatch, got {other:?}"),
-            }
+        match spgemm_checked(&a, &b, &budget) {
+            Err(SpgemmError::DimensionMismatch {
+                a_cols: 5,
+                b_rows: 6,
+            }) => {}
+            other => panic!("expected DimensionMismatch, got {other:?}"),
         }
     }
 
@@ -599,20 +469,6 @@ mod tests {
         let i = Csr::identity(6);
         // A·I touches each row of I once per entry of A: bound == nnz(A).
         assert_eq!(spgemm_nnz_bound(&a, &i), a.nnz());
-    }
-
-    #[test]
-    fn parallel_product_is_byte_identical_to_serial() {
-        let budget = crate::Budget::unlimited();
-        for seed in 0..4 {
-            let a = rand_like(40, 25, seed);
-            let b = rand_like(25, 33, seed + 50);
-            let serial = spgemm_checked(&a, &b, &budget, 1).unwrap();
-            for w in [2usize, 3, 4, 7] {
-                let par = spgemm_checked(&a, &b, &budget, w).unwrap();
-                assert_eq!(par, serial, "seed {seed} workers {w}");
-            }
-        }
     }
 
     /// `A` (`m × kdim`) and `B` (`kdim × n`) with about `per_row`
@@ -650,7 +506,7 @@ mod tests {
     /// against a `+0.0` fails).
     fn assert_compact_matches_gustavson(a: &Csr, b: &Csr, what: &str) {
         let budget = Budget::unlimited();
-        let want = spgemm_serial(a, b, &budget).unwrap();
+        let want = spgemm_gustavson(a, b, &budget).unwrap();
         let bits = |c: &Csr| c.values().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
         for isa in Isa::supported() {
             let got = spgemm_compact_at(isa, a, b, &budget).unwrap();
@@ -747,25 +603,21 @@ mod tests {
         );
         assert_eq!(
             t.nnz(),
-            spgemm_serial(&a, &b, &Budget::unlimited()).unwrap().nnz()
+            spgemm_gustavson(&a, &b, &Budget::unlimited())
+                .unwrap()
+                .nnz()
         );
     }
 
     #[test]
     fn compact_shapes_take_the_compact_path_and_match_serial() {
         // flops ≥ 4·m·n: `spgemm_checked` routes this to the compact
-        // kernel at any worker count.
+        // kernel.
         let (a, b) = oracle_pair(20, 300, 70, 40, 6, |_| 0..70, 0..0);
         assert!(spgemm_nnz_bound(&a, &b) >= 4 * 20 * 70);
         let budget = Budget::unlimited();
-        let want = spgemm_serial(&a, &b, &budget).unwrap();
-        for w in [1usize, 2] {
-            assert_eq!(
-                spgemm_checked(&a, &b, &budget, w).unwrap(),
-                want,
-                "workers {w}"
-            );
-        }
+        let want = spgemm_gustavson(&a, &b, &budget).unwrap();
+        assert_eq!(spgemm_checked(&a, &b, &budget).unwrap(), want);
     }
 
     #[test]
@@ -775,11 +627,9 @@ mod tests {
         let tok = crate::CancelToken::new();
         tok.cancel();
         let budget = crate::Budget::unlimited().with_token(tok);
-        for w in [1usize, 4] {
-            match spgemm_checked(&a, &b, &budget, w) {
-                Err(SpgemmError::Interrupted(crate::BudgetInterrupt::Cancelled)) => {}
-                other => panic!("workers {w}: expected Interrupted, got {other:?}"),
-            }
+        match spgemm_checked(&a, &b, &budget) {
+            Err(SpgemmError::Interrupted(crate::BudgetInterrupt::Cancelled)) => {}
+            other => panic!("expected Interrupted, got {other:?}"),
         }
     }
 }

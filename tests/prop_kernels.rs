@@ -288,53 +288,7 @@ fn rand_sparse_cols(rng: &mut Rng64, n: usize, ncols: usize) -> Vec<slu::trisolv
 }
 
 #[test]
-fn parallel_spgemm_equals_serial_exactly() {
-    use sparsekit::spgemm::{spgemm, spgemm_checked};
-    let budget = sparsekit::Budget::unlimited();
-    for seed in 0..24 {
-        let mut rng = Rng64::new(seed);
-        let n = rng.range(2, 24);
-        let a = rand_square(&mut rng, n);
-        let b = rand_square(&mut rng, n);
-        let serial = spgemm(&a, &b);
-        for workers in [1usize, 2, 4, 7] {
-            let par = spgemm_checked(&a, &b, &budget, workers).expect("unlimited budget");
-            assert_eq!(par, serial, "seed {seed}, {workers} workers");
-        }
-    }
-}
-
-#[test]
-fn parallel_blocked_solve_equals_serial_exactly() {
-    let budget = sparsekit::Budget::unlimited();
-    for seed in 0..24 {
-        let mut rng = Rng64::new(seed);
-        let n = rng.range(4, 24);
-        let l = rand_unit_lower(&mut rng, n);
-        let ncols = rng.range(1, 12);
-        let cols = rand_sparse_cols(&mut rng, n, ncols);
-        let mut order: Vec<usize> = (0..ncols).collect();
-        rng.shuffle(&mut order);
-        let block_size = rng.range(1, 5);
-        let (serial_sols, serial_stats) =
-            slu::solve_in_blocks_ordered(&l, true, &cols, &order, block_size, 1, &budget)
-                .expect("unlimited budget");
-        for workers in [2usize, 4, 7] {
-            let (par_sols, par_stats) =
-                slu::solve_in_blocks_ordered(&l, true, &cols, &order, block_size, workers, &budget)
-                    .expect("unlimited budget");
-            assert_eq!(par_stats, serial_stats, "seed {seed}, {workers} workers");
-            assert_eq!(par_sols.len(), serial_sols.len(), "seed {seed}");
-            for (p, s) in par_sols.iter().zip(&serial_sols) {
-                assert_eq!(p.indices, s.indices, "seed {seed}, {workers} workers");
-                assert_eq!(p.values, s.values, "seed {seed}, {workers} workers");
-            }
-        }
-    }
-}
-
-#[test]
-fn cancelled_budget_interrupts_parallel_kernels() {
+fn cancelled_budget_interrupts_kernels() {
     use sparsekit::spgemm::{spgemm_checked, SpgemmError};
     let token = sparsekit::CancelToken::new();
     token.cancel();
@@ -344,20 +298,18 @@ fn cancelled_budget_interrupts_parallel_kernels() {
     let l = rand_unit_lower(&mut rng, 20);
     let cols = rand_sparse_cols(&mut rng, 20, 8);
     let order: Vec<usize> = (0..8).collect();
-    for workers in [1usize, 2, 4] {
-        match spgemm_checked(&a, &a, &budget, workers) {
-            Err(SpgemmError::Interrupted(sparsekit::BudgetInterrupt::Cancelled)) => {}
-            other => panic!("{workers} workers: expected Cancelled, got {other:?}"),
-        }
-        match slu::solve_in_blocks_ordered(&l, true, &cols, &order, 3, workers, &budget) {
-            Err(sparsekit::BudgetInterrupt::Cancelled) => {}
-            other => panic!("{workers} workers: expected Cancelled, got {other:?}"),
-        }
+    match spgemm_checked(&a, &a, &budget) {
+        Err(SpgemmError::Interrupted(sparsekit::BudgetInterrupt::Cancelled)) => {}
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+    match slu::solve_in_blocks_ordered(&l, true, &cols, &order, 3, &budget) {
+        Err(sparsekit::BudgetInterrupt::Cancelled) => {}
+        other => panic!("expected Cancelled, got {other:?}"),
     }
 }
 
 #[test]
-fn expired_deadline_interrupts_parallel_kernels() {
+fn expired_deadline_interrupts_kernels() {
     use sparsekit::spgemm::{spgemm_checked, SpgemmError};
     let budget = sparsekit::Budget::default().with_deadline(std::time::Duration::ZERO);
     let mut rng = Rng64::new(11);
@@ -365,17 +317,13 @@ fn expired_deadline_interrupts_parallel_kernels() {
     let l = rand_unit_lower(&mut rng, 20);
     let cols = rand_sparse_cols(&mut rng, 20, 8);
     let order: Vec<usize> = (0..8).collect();
-    for workers in [2usize, 4] {
-        match spgemm_checked(&a, &a, &budget, workers) {
-            Err(SpgemmError::Interrupted(sparsekit::BudgetInterrupt::DeadlineExceeded {
-                ..
-            })) => {}
-            other => panic!("{workers} workers: expected DeadlineExceeded, got {other:?}"),
-        }
-        match slu::solve_in_blocks_ordered(&l, true, &cols, &order, 3, workers, &budget) {
-            Err(sparsekit::BudgetInterrupt::DeadlineExceeded { .. }) => {}
-            other => panic!("{workers} workers: expected DeadlineExceeded, got {other:?}"),
-        }
+    match spgemm_checked(&a, &a, &budget) {
+        Err(SpgemmError::Interrupted(sparsekit::BudgetInterrupt::DeadlineExceeded { .. })) => {}
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    match slu::solve_in_blocks_ordered(&l, true, &cols, &order, 3, &budget) {
+        Err(sparsekit::BudgetInterrupt::DeadlineExceeded { .. }) => {}
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
 }
 
@@ -384,7 +332,7 @@ fn interrupted_budgets_stop_every_spgemm_path() {
     // A compact-shaped product (8×8 output, ≈ 1 600 flops over a 500-wide
     // inner dimension: the dense-accumulator path) and a Gustavson-shaped
     // one (tridiagonal 200×200): a cancelled or expired budget must stop
-    // both before they return, at every worker count.
+    // both before they return.
     use sparsekit::spgemm::{spgemm_checked, SpgemmError};
     use sparsekit::BudgetInterrupt;
     let mut wide = Coo::new(8, 500);
@@ -415,15 +363,13 @@ fn interrupted_budgets_stop_every_spgemm_path() {
     let cancelled = sparsekit::Budget::default().with_token(token);
     let expired = sparsekit::Budget::default().with_deadline(std::time::Duration::ZERO);
     for (shape, a, b) in &products {
-        for workers in [1usize, 2, 4] {
-            match spgemm_checked(a, b, &cancelled, workers) {
-                Err(SpgemmError::Interrupted(BudgetInterrupt::Cancelled)) => {}
-                other => panic!("{shape}, {workers} workers: expected Cancelled, got {other:?}"),
-            }
-            match spgemm_checked(a, b, &expired, workers) {
-                Err(SpgemmError::Interrupted(BudgetInterrupt::DeadlineExceeded { .. })) => {}
-                other => panic!("{shape}, {workers} workers: expected expiry, got {other:?}"),
-            }
+        match spgemm_checked(a, b, &cancelled) {
+            Err(SpgemmError::Interrupted(BudgetInterrupt::Cancelled)) => {}
+            other => panic!("{shape}: expected Cancelled, got {other:?}"),
+        }
+        match spgemm_checked(a, b, &expired) {
+            Err(SpgemmError::Interrupted(BudgetInterrupt::DeadlineExceeded { .. })) => {}
+            other => panic!("{shape}: expected expiry, got {other:?}"),
         }
     }
 }
@@ -431,8 +377,8 @@ fn interrupted_budgets_stop_every_spgemm_path() {
 #[test]
 fn mid_solve_cancellation_is_clean_or_exact() {
     // Cancelling from another thread mid-solve must yield either a
-    // clean `Cancelled` error or a result byte-identical to serial —
-    // never a torn/partial output.
+    // clean `Cancelled` error or a result byte-identical to an
+    // uncancelled solve — never a torn/partial output.
     let mut rng = Rng64::new(3);
     let n = 120usize;
     let l = rand_unit_lower(&mut rng, n);
@@ -449,7 +395,7 @@ fn mid_solve_cancellation_is_clean_or_exact() {
                 token.cancel();
             })
         };
-        let result = slu::solve_in_blocks_ordered(&l, true, &cols, &order, 4, 4, &budget);
+        let result = slu::solve_in_blocks_ordered(&l, true, &cols, &order, 4, &budget);
         canceller.join().expect("canceller thread");
         match result {
             Err(sparsekit::BudgetInterrupt::Cancelled) => {}

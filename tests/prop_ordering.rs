@@ -145,7 +145,7 @@ fn blocked_solve_identical_across_orderings() {
         for ord in all_orderings() {
             let order = order_columns_precomputed(&cols, &reaches, n, b, ord);
             let (sols, _) =
-                solve_in_blocks_ordered(&l, false, &cols, &order, b, 1, &Budget::unlimited())
+                solve_in_blocks_ordered(&l, false, &cols, &order, b, &Budget::unlimited())
                     .expect("unlimited budget never interrupts");
             // Position p of the output solves `cols[order[p]]`: un-permute
             // into original column index, then densify.
